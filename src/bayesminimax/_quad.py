@@ -222,6 +222,46 @@ def split_sqrt_maps(f, a: float, b: float):
     return [(lower, 0.0, np.sqrt(mid - a)), (upper, 0.0, np.sqrt(b - mid))]
 
 
+def integrate_rows(rows, a: float, b: float, rel_tol: float = 1e-10,
+                   abs_tol: float = 1e-14, max_depth: int = 40) -> np.ndarray:
+    """Integrate a family of integrands over a finite (a, b), endpoints mapped.
+
+    ``rows`` maps nodes (m,) -> values (P, m); each half of the interval is
+    one :func:`adaptive_batch` call through :func:`split_sqrt_maps`, so both
+    endpoints may carry integrable singularities.  Returns (P,).
+    """
+    return sum(adaptive_batch(g, lo, hi, rel_tol=rel_tol, abs_tol=abs_tol,
+                              max_depth=max_depth)
+               for g, lo, hi in split_sqrt_maps(rows, a, b))
+
+
+def integrate_rows_log(log_rows, a: float, b: float, rel_tol: float = 1e-10,
+                       max_depth: int = 40) -> np.ndarray:
+    """Log-space counterpart of :func:`integrate_rows` for positive integrands.
+
+    ``log_rows`` maps nodes (m,) -> log-values (P, m); the same sqrt endpoint
+    maps are applied in log form and the two halves are combined with
+    logaddexp.  Returns the log of each row's integral.
+    """
+    mid = 0.5 * (a + b)
+
+    def lower(s):
+        s = np.asarray(s, dtype=float)
+        with np.errstate(divide="ignore"):
+            return log_rows(a + s * s) + np.log(2.0 * s)[None, :]
+
+    def upper(s):
+        s = np.asarray(s, dtype=float)
+        with np.errstate(divide="ignore"):
+            return log_rows(b - s * s) + np.log(2.0 * s)[None, :]
+
+    la = adaptive_batch_log(lower, 0.0, np.sqrt(mid - a), rel_tol=rel_tol,
+                            max_depth=max_depth)
+    lb = adaptive_batch_log(upper, 0.0, np.sqrt(b - mid), rel_tol=rel_tol,
+                            max_depth=max_depth)
+    return np.logaddexp(la, lb)
+
+
 def integrate_finite(f, a: float, b: float, rel_tol: float = 1e-10,
                      abs_tol: float = 1e-14, max_depth: int = 40) -> float:
     """Integrate a vectorized integrand over a finite interval.

@@ -221,66 +221,14 @@ def profile_for(spec: priors.FamilySpec, quad: QuadSpec) -> marginals.MarginalPr
         # formal transform identity: l proportional to u^{gamma + (1-k)/2}
         return marginals.power_law_profile(k, p["gamma"] + (1.0 - k) / 2.0)
     if fam == "bessel_F":
-        return _squared_combination_profile(k, p["b"], p["A1"], p["A2"])
+        # h(u) F(u) for the inverse-square family: the Gaussian factors cancel
+        return marginals.squared_profile(
+            k, priors.monomial_pair(p["b"], k, p["A1"], p["A2"]),
+            "formal_power_law", {"formal": True})
     if fam == "flat":
         return marginals.flat_profile(k)
     raise DomainError(f"family {fam!r} has no direct marginal profile; "
                       "use the construct command")
-
-
-def _squared_combination_profile(k: int, b: float, A1: float, A2: float
-                                 ) -> marginals.MarginalProfile:
-    """Formal marginal l(u) = const * (A1 u^{rho1} + A2 u^{rho2})^2.
-
-    This is h(u) F(u) for the inverse-square family; the Gaussian factors
-    cancel exactly, leaving the squared monomial combination.
-    """
-    disc = (k - 2.0) ** 2 - 4.0 * b
-    sq = math.sqrt(disc)
-    r1 = 0.5 * (2.0 - k - sq)
-    r2 = 0.5 * (2.0 - k + sq)
-
-    def S(u):
-        u = np.asarray(u, dtype=float)
-        return A1 * u ** r1 + A2 * u ** r2
-
-    def S1(u):
-        u = np.asarray(u, dtype=float)
-        return A1 * r1 * u ** (r1 - 1.0) + A2 * r2 * u ** (r2 - 1.0)
-
-    def S2(u):
-        u = np.asarray(u, dtype=float)
-        return (A1 * r1 * (r1 - 1.0) * u ** (r1 - 2.0)
-                + A2 * r2 * (r2 - 1.0) * u ** (r2 - 2.0))
-
-    fn = ScalarFn(
-        eval=lambda u: S(u) ** 2,
-        deriv1=lambda u: 2.0 * S(u) * S1(u),
-        deriv2=lambda u: 2.0 * (S1(u) ** 2 + S(u) * S2(u)),
-        support=(0.0, math.inf), label="squared_monomials", nonneg=True)
-    return marginals.MarginalProfile(k=k, ell=fn, route="formal_power_law",
-                                     extra={"formal": True})
-
-
-def _g_profile(G: ScalarFn, k: int, route: str) -> marginals.MarginalProfile:
-    """Profile from the mixture identification l(u) = G(u^2/2) (up to scale)."""
-
-    def ev(u):
-        return np.asarray(G.eval(0.5 * np.square(np.asarray(u, dtype=float))), dtype=float)
-
-    def d1(u):
-        u = np.asarray(u, dtype=float)
-        return u * np.asarray(G.deriv1(0.5 * np.square(u)), dtype=float)
-
-    def d2(u):
-        u = np.asarray(u, dtype=float)
-        s = 0.5 * np.square(u)
-        return (np.square(u) * np.asarray(G.deriv2(s), dtype=float)
-                + np.asarray(G.deriv1(s), dtype=float))
-
-    fn = ScalarFn(eval=ev, deriv1=d1, deriv2=d2, support=(0.0, math.inf),
-                  label="G(u^2/2)", nonneg=True)
-    return marginals.MarginalProfile(k=k, ell=fn, route=route)
 
 
 def checkers_for(spec: priors.FamilySpec, cfg: RunConfig) -> List[conditions.ConditionReport]:
@@ -328,23 +276,8 @@ def checkers_for(spec: priors.FamilySpec, cfg: RunConfig) -> List[conditions.Con
         sol = priors.construct_spherical(phi, k, c1=c1, c2=c2, u_grid=u_grid,
                                          phi_series=b)
         reports.append(conditions.check_spherical_minimax_bound(sol.F, k, u_grid))
-
-        def S(u):
-            return c1 * np.asarray(sol.z1.eval(u)) + c2 * np.asarray(sol.z2.eval(u))
-
-        def S1(u):
-            return c1 * np.asarray(sol.z1.deriv1(u)) + c2 * np.asarray(sol.z2.deriv1(u))
-
-        def S2(u):
-            return c1 * np.asarray(sol.z1.deriv2(u)) + c2 * np.asarray(sol.z2.deriv2(u))
-
-        # the Gaussian factors of h and F cancel: the formal marginal is S^2
-        ell = ScalarFn(eval=lambda u: S(u) ** 2,
-                       deriv1=lambda u: 2.0 * S(u) * S1(u),
-                       deriv2=lambda u: 2.0 * (S1(u) ** 2 + S(u) * S2(u)),
-                       support=(0.0, math.inf), nonneg=True, label="S^2")
         rep = conditions.check_sqrt_superharmonic(
-            marginals.MarginalProfile(k=k, ell=ell, route="formal_power_law"), u_grid)
+            marginals.squared_profile(k, sol.S_triple, "formal_power_law"), u_grid)
         rep.extra["formal_marginal"] = True
         reports.append(rep)
     elif fam == "custom_phi_mixture":
@@ -354,7 +287,7 @@ def checkers_for(spec: priors.FamilySpec, cfg: RunConfig) -> List[conditions.Con
                                        quad=quad, k=k)
         reports.append(conditions.check_laplace_mixture_bound(G, k, s_grid))
         reports.append(conditions.check_sqrt_superharmonic(
-            _g_profile(G, k, "constructed_mixture"), u_grid))
+            marginals.laplace_profile(G, k, "constructed_mixture", 1.0), u_grid))
     return reports
 
 
@@ -626,13 +559,17 @@ def cmd_transform(cfg: RunConfig) -> int:
         else:
             raise DomainError(f"unknown consistency target {target!r}")
         prop_tol = float(cfg.transform_block.get("prop_tol", 1e-4))
+        # i_transform_consistency rebuilds the weight with k' = 2 nu + 2, so
+        # lambda is recovered with that k' too (it differs from k when the
+        # config overrides nu)
+        k_nu = 2.0 * nu + 2.0
         lam_like = ScalarFn(
             eval=lambda r: np.asarray(f.eval(r), dtype=float)
-            * np.exp(0.5 * (cfg.k - 1.0) * np.log(np.asarray(r, dtype=float))
+            * np.exp(0.5 * (k_nu - 1.0) * np.log(np.asarray(r, dtype=float))
                      + 0.5 * np.asarray(r, dtype=float) ** 2),
             support=f.support,
             log_eval=lambda r: (f.log_abs(r)
-                                + 0.5 * (cfg.k - 1.0) * np.log(np.asarray(r, dtype=float))
+                                + 0.5 * (k_nu - 1.0) * np.log(np.asarray(r, dtype=float))
                                 + 0.5 * np.asarray(r, dtype=float) ** 2),
             nonneg=f.nonneg, label="lambda_candidate")
         report = transforms.i_transform_consistency(

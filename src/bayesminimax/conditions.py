@@ -312,10 +312,8 @@ def check_gen_beta_mixture(alpha: float, beta: float, gamma: float, sigma: float
         return np.concatenate([f, psi[None, :] * f, t[None, :] * f,
                                (psi[None, :] + 1.0) * t[None, :] * f], axis=0)
 
-    total = np.zeros(4 * len(s))
-    for g, a, b in _quad.split_sqrt_maps(rows, 0.0, 1.0):
-        total += _quad.adaptive_batch(g, a, b, rel_tol=quad.rel_tol,
-                                      abs_tol=quad.abs_tol, max_depth=quad.max_depth)
+    total = _quad.integrate_rows(rows, 0.0, 1.0, quad.rel_tol, quad.abs_tol,
+                                 quad.max_depth)
     m = len(s)
     F0, Fpsi, Ft, Fpsi1t = total[:m], total[m:2 * m], total[2 * m:3 * m], total[3 * m:]
     e_star = Fpsi / F0

@@ -10,6 +10,15 @@ and for a variance mixture with mixing density h
 
     l(u) = (2 pi)^{-k/2} int_0^inf h(v) (v+1)^{-k/2} e^{-u^2/(2(1+v))} dv.
 
+Every route ends in one evaluation contract: a :class:`MarginalProfile`
+carries a single ``triple_fn`` that returns (l, l', l'') for a batch of u in
+one pass, so quadrature routes integrate the three rows over one shared
+partition and closed forms share their special-function values.  The
+``ell`` view exposes the same triple as a ScalarFn for callers that want
+l alone.  The two shapes that several families share have one constructor
+each: :func:`squared_profile` for l = S^2 and :func:`laplace_profile` for
+l = scale * G(u^2/2).
+
 Marginals pair e^{-u^2/2} decay against e^{ur}-growing Bessel kernels, so the
 radial route is evaluated entirely in log space; derivatives come from
 differentiating under the integral sign (Bessel recurrence
@@ -24,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
@@ -36,16 +45,19 @@ from .transforms import DEFAULT_QUAD, QuadSpec, ScalarFn
 __all__ = [
     "MarginalProfile", "marginal_radial", "marginal_mixture",
     "marginal_strawderman", "monomial_mixture_profile", "flat_profile",
-    "power_law_profile",
+    "power_law_profile", "squared_profile", "laplace_profile",
 ]
 
 
 @dataclass
 class MarginalProfile:
-    """The marginal labeling function l(u) with derivatives, plus its route."""
+    """The marginal labeling function l(u), given by its triple, plus its route.
+
+    ``triple_fn`` maps a float array u to (l, l', l'') evaluated together.
+    """
     k: int
-    ell: ScalarFn
     route: str
+    triple_fn: Callable
     extra: Dict = None
 
     def __post_init__(self):
@@ -53,20 +65,26 @@ class MarginalProfile:
             self.extra = {}
 
     def triple(self, u) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(l, l', l'') evaluated vectorized over u."""
-        u = np.asarray(u, dtype=float)
-        return (np.asarray(self.ell.eval(u), dtype=float),
-                np.asarray(self.ell.deriv1(u), dtype=float),
-                np.asarray(self.ell.deriv2(u), dtype=float))
+        """(l, l', l'') evaluated vectorized over u, in one call of triple_fn."""
+        ell, d1, d2 = self.triple_fn(np.asarray(u, dtype=float))
+        return (np.asarray(ell, dtype=float), np.asarray(d1, dtype=float),
+                np.asarray(d2, dtype=float))
+
+    @property
+    def ell(self) -> ScalarFn:
+        """Read-only view of l; each member returns one component of triple()."""
+        def part(i):
+            return lambda u: self.triple(u)[i]
+        return ScalarFn(eval=part(0), deriv1=part(1), deriv2=part(2),
+                        support=(0.0, math.inf), label=self.route)
 
 
 def flat_profile(k: int) -> MarginalProfile:
     """Constant marginal surrogate: the Bayes rule degenerates to delta(x)=x."""
-    one = lambda u: np.ones_like(np.asarray(u, dtype=float))
-    zero = lambda u: np.zeros_like(np.asarray(u, dtype=float))
-    fn = ScalarFn(eval=one, deriv1=zero, deriv2=zero, support=(0.0, math.inf),
-                  label="flat", nonneg=True)
-    return MarginalProfile(k=k, ell=fn, route="flat")
+    def triple(u):
+        return np.ones_like(u), np.zeros_like(u), np.zeros_like(u)
+
+    return MarginalProfile(k=k, route="flat", triple_fn=triple)
 
 
 def power_law_profile(k: int, exponent: float, scale: float = 1.0) -> MarginalProfile:
@@ -79,19 +97,45 @@ def power_law_profile(k: int, exponent: float, scale: float = 1.0) -> MarginalPr
     """
     p = exponent
 
-    def ev(u):
-        return scale * np.asarray(u, dtype=float) ** p
+    def triple(u):
+        return (scale * u ** p, scale * p * u ** (p - 1.0),
+                scale * p * (p - 1.0) * u ** (p - 2.0))
 
-    def d1(u):
-        return scale * p * np.asarray(u, dtype=float) ** (p - 1.0)
-
-    def d2(u):
-        return scale * p * (p - 1.0) * np.asarray(u, dtype=float) ** (p - 2.0)
-
-    fn = ScalarFn(eval=ev, deriv1=d1, deriv2=d2, support=(0.0, math.inf),
-                  label=f"u^{p}", nonneg=scale > 0)
-    return MarginalProfile(k=k, ell=fn, route="formal_power_law",
+    return MarginalProfile(k=k, route="formal_power_law", triple_fn=triple,
                            extra={"formal": True, "exponent": p})
+
+
+def squared_profile(k: int, S_triple: Callable, route: str,
+                    extra: Dict = None) -> MarginalProfile:
+    """Profile l = S^2 from the triple (S, S', S'') of a solution combination.
+
+    l' = 2 S S' and l'' = 2 (S'^2 + S S'').  This is the formal marginal
+    h(u) F(u) of the spherical construction: the Gaussian factors of h and
+    F = S^2 u^{(k-1)/2} e^{u^2/2} cancel exactly.
+    """
+    def triple(u):
+        S, S1, S2 = S_triple(u)
+        return S ** 2, 2.0 * S * S1, 2.0 * (S1 ** 2 + S * S2)
+
+    return MarginalProfile(k=k, route=route, triple_fn=triple, extra=extra)
+
+
+def laplace_profile(G: ScalarFn, k: int, route: str, scale: float) -> MarginalProfile:
+    """Profile of the mixture identification l(u) = scale * G(u^2/2).
+
+    l' = scale u G'(s) and l'' = scale (u^2 G''(s) + G'(s)) at s = u^2/2.
+    G, G' and G'' are each evaluated once per triple, in that order: a
+    constructed G caches its inner integrals in call order, so another
+    order can change the last bits of the result.
+    """
+    def triple(u):
+        s = 0.5 * np.square(u)
+        G0 = np.asarray(G.eval(s), dtype=float)
+        G1 = np.asarray(G.deriv1(s), dtype=float)
+        G2 = np.asarray(G.deriv2(s), dtype=float)
+        return scale * G0, (scale * u) * G1, scale * (np.square(u) * G2 + G1)
+
+    return MarginalProfile(k=k, route=route, triple_fn=triple)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +180,8 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD,
         lo_eff, hi_eff, peak = _quad.scan_log_peak(
             lambda r: np.max(rows(r), axis=0), max(r_lo, 0.0),
             r_hi_sup, quad.tail_cut)
-        logs = _batch_log_over(rows, max(r_lo, 0.0), hi_eff, quad)
+        logs = _quad.integrate_rows_log(rows, max(r_lo, 0.0), hi_eff,
+                                        quad.rel_tol, quad.max_depth)
         return np.exp(logs - logs[0]), logs[0]  # (1, M2/M0, M4/M0), log M0
 
     mom_ratio, log_M0 = _moments()
@@ -168,7 +213,8 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD,
 
         lo_eff, hi_eff, peak = _quad.scan_log_peak(scan_fn, r_lo, r_hi_sup,
                                                    quad.tail_cut)
-        logs = _batch_log_over(rows, r_lo, hi_eff, quad)
+        logs = _quad.integrate_rows_log(rows, r_lo, hi_eff, quad.rel_tol,
+                                        quad.max_depth)
         logJ0, logJ1, logJ2 = logs[:rows_n], logs[rows_n:2 * rows_n], logs[2 * rows_n:]
         j1 = np.exp(logJ1 - logJ0)
         j2 = np.exp(logJ2 - logJ0)
@@ -197,7 +243,7 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD,
         return ell, d1, d2
 
     def _triple(u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
+        u = np.atleast_1d(u)
         ell = np.empty_like(u)
         d1 = np.empty_like(u)
         d2 = np.empty_like(u)
@@ -208,36 +254,7 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD,
             ell[~small], d1[~small], d2[~small] = _eval_large(u[~small])
         return ell, d1, d2
 
-    def _wrap(idx):
-        def f(u):
-            res = _triple(u)[idx]
-            return float(res[0]) if np.asarray(u).ndim == 0 else res
-        return f
-
-    fn = ScalarFn(eval=_wrap(0), deriv1=_wrap(1), deriv2=_wrap(2),
-                  support=(0.0, math.inf), label="marginal_radial", nonneg=True)
-    return MarginalProfile(k=k, ell=fn, route="radial_quadrature")
-
-
-def _batch_log_over(rows, lo, hi, quad: QuadSpec):
-    """Log-space batch integration with sqrt endpoint maps."""
-    mid = 0.5 * (lo + hi)
-
-    def lower(s):
-        s = np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore"):
-            return rows(lo + s * s) + np.log(2.0 * s)[None, :]
-
-    def upper(s):
-        s = np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore"):
-            return rows(hi - s * s) + np.log(2.0 * s)[None, :]
-
-    la = _quad.adaptive_batch_log(lower, 0.0, math.sqrt(mid - lo),
-                                  rel_tol=quad.rel_tol, max_depth=quad.max_depth)
-    lb = _quad.adaptive_batch_log(upper, 0.0, math.sqrt(hi - mid),
-                                  rel_tol=quad.rel_tol, max_depth=quad.max_depth)
-    return np.logaddexp(la, lb)
+    return MarginalProfile(k=k, route="radial_quadrature", triple_fn=_triple)
 
 
 # ---------------------------------------------------------------------------
@@ -277,16 +294,13 @@ def marginal_mixture(h: MixingDensity, quad: QuadSpec = DEFAULT_QUAD,
             r2 = base * (np.square(u)[:, None] * np.square(t)[None, :] - t[None, :])
             return np.concatenate([r0, r1, r2], axis=0)
 
-        total = np.zeros(3 * len(u))
-        for gfn, a, b in _quad.split_sqrt_maps(rows, t_lo, t_hi):
-            total += _quad.adaptive_batch(gfn, a, b, rel_tol=quad.rel_tol,
-                                          abs_tol=quad.abs_tol,
-                                          max_depth=quad.max_depth)
+        total = _quad.integrate_rows(rows, t_lo, t_hi, quad.rel_tol,
+                                     quad.abs_tol, quad.max_depth)
         m = len(u)
         return C * total[:m], C * total[m:2 * m], C * total[2 * m:]
 
     def _triple(u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
+        u = np.atleast_1d(u)
         outs = [np.empty_like(u) for _ in range(3)]
         for start in range(0, len(u), chunk):
             sl = slice(start, start + chunk)
@@ -295,15 +309,7 @@ def marginal_mixture(h: MixingDensity, quad: QuadSpec = DEFAULT_QUAD,
                 o[sl] = r
         return tuple(outs)
 
-    def _wrap(idx):
-        def f(u):
-            res = _triple(u)[idx]
-            return float(res[0]) if np.asarray(u).ndim == 0 else res
-        return f
-
-    fn = ScalarFn(eval=_wrap(0), deriv1=_wrap(1), deriv2=_wrap(2),
-                  support=(0.0, math.inf), label="marginal_mixture", nonneg=True)
-    return MarginalProfile(k=k, ell=fn, route="mixture_quadrature")
+    return MarginalProfile(k=k, route="mixture_quadrature", triple_fn=_triple)
 
 
 # ---------------------------------------------------------------------------
@@ -327,25 +333,15 @@ def marginal_strawderman(a: float, k: int,
     c = k / 2.0 - a + 1.0
     pref = (1.0 - a) * (2.0 * math.pi) ** (-0.5 * k)
 
-    def ev(u):
-        z = -0.5 * np.square(np.asarray(u, dtype=float))
-        return pref / c * specfun.kummer_1f1(c, c + 1.0, z, policy)
-
-    def d1(u):
-        u = np.asarray(u, dtype=float)
+    def triple(u):
         z = -0.5 * np.square(u)
-        return -u * pref / (c + 1.0) * specfun.kummer_1f1(c + 1.0, c + 2.0, z, policy)
-
-    def d2(u):
-        u = np.asarray(u, dtype=float)
-        z = -0.5 * np.square(u)
+        f0 = specfun.kummer_1f1(c, c + 1.0, z, policy)
         f1 = specfun.kummer_1f1(c + 1.0, c + 2.0, z, policy)
         f2 = specfun.kummer_1f1(c + 2.0, c + 3.0, z, policy)
-        return -pref / (c + 1.0) * f1 + np.square(u) * pref / (c + 2.0) * f2
+        return (pref / c * f0, -u * pref / (c + 1.0) * f1,
+                -pref / (c + 1.0) * f1 + np.square(u) * pref / (c + 2.0) * f2)
 
-    fn = ScalarFn(eval=ev, deriv1=d1, deriv2=d2, support=(0.0, math.inf),
-                  label=f"strawderman_marginal(a={a})", nonneg=True)
-    return MarginalProfile(k=k, ell=fn, route="strawderman_closed_form")
+    return MarginalProfile(k=k, route="strawderman_closed_form", triple_fn=triple)
 
 
 def monomial_mixture_profile(n: int, k: int) -> MarginalProfile:
@@ -354,28 +350,10 @@ def monomial_mixture_profile(n: int, k: int) -> MarginalProfile:
         l(u) = (2 pi)^{-k/2} G(u^2/2)
 
     with G the Laplace transform of t^n on (0,1) (regularized incomplete
-    gamma form).  l' = C u G'(s), l'' = C (u^2 G''(s) + G'(s)) at s = u^2/2.
-    This is the marginal of the unnormalized mixing density (v+1)^{k/2-2-n}.
+    gamma form).  This is the marginal of the unnormalized mixing density
+    (v+1)^{k/2-2-n}.
     """
-    G = monomial_laplace_G(n)
-    C = (2.0 * math.pi) ** (-0.5 * k)
-
-    def ev(u):
-        s = 0.5 * np.square(np.asarray(u, dtype=float))
-        return C * np.asarray(G.eval(s), dtype=float)
-
-    def d1(u):
-        u = np.asarray(u, dtype=float)
-        s = 0.5 * np.square(u)
-        return C * u * np.asarray(G.deriv1(s), dtype=float)
-
-    def d2(u):
-        u = np.asarray(u, dtype=float)
-        s = 0.5 * np.square(u)
-        return C * (np.square(u) * np.asarray(G.deriv2(s), dtype=float)
-                    + np.asarray(G.deriv1(s), dtype=float))
-
-    fn = ScalarFn(eval=ev, deriv1=d1, deriv2=d2, support=(0.0, math.inf),
-                  label=f"monomial_mixture_marginal(n={n})", nonneg=True)
-    return MarginalProfile(k=k, ell=fn, route="mixture_closed_form",
-                           extra={"n": n})
+    prof = laplace_profile(monomial_laplace_G(n), k, "mixture_closed_form",
+                           (2.0 * math.pi) ** (-0.5 * k))
+    prof.extra["n"] = n
+    return prof

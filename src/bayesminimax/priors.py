@@ -41,6 +41,7 @@ __all__ = [
     "radial_from_angular", "normal_radial", "mixture_radial",
     "strawderman_radial", "monomial_mixing", "gen_beta_kernel",
     "gen_beta_mixing", "construct_spherical", "inverse_square_profile",
+    "monomial_pair",
     "whittaker_radial", "construct_G_mixture", "mixing_from_unit_kernel",
     "monomial_kernel", "monomial_laplace_G", "probe_properness",
     "prior_from_spec", "KNOWN_FAMILIES",
@@ -315,11 +316,8 @@ def _strawderman_log_integral(a: float, k: int, r: np.ndarray,
         ratio = (a - 2.0) * np.log1p(tau[None, :] / (r * r)[:, None])
         return np.exp(base[None, :] + ratio)
 
-    tau_hi = 2.0 * (p + 60.0)
-    total = np.zeros(len(r))
-    for gfn, lo, hi in _quad.split_sqrt_maps(rows, 0.0, tau_hi):
-        total += _quad.adaptive_batch(gfn, lo, hi, rel_tol=quad.rel_tol,
-                                      abs_tol=quad.abs_tol, max_depth=quad.max_depth)
+    total = _quad.integrate_rows(rows, 0.0, 2.0 * (p + 60.0), quad.rel_tol,
+                                 quad.abs_tol, quad.max_depth)
     return -2.0 * (p + 1.0) * np.log(r) + np.log(total)
 
 
@@ -540,6 +538,13 @@ class ConstructionSolution:
     rho2: float
     b_coeffs: List[float]
 
+    def S_triple(self, u):
+        """(S, S', S'') of S = c1 z1 + c2 z2, so F = S^2 u^{(k-1)/2} e^{u^2/2}."""
+        z1, z2, c1, c2 = self.z1, self.z2, self.c1, self.c2
+        return (c1 * z1.eval(u) + c2 * z2.eval(u),
+                c1 * z1.deriv1(u) + c2 * z2.deriv1(u),
+                c1 * z1.deriv2(u) + c2 * z2.deriv2(u))
+
 
 def _fit_phi_series(phi: ScalarFn) -> List[float]:
     """Estimate b0..b3 of phi(u) = u^{-2} sum b_j u^j from small-u samples."""
@@ -668,50 +673,70 @@ def construct_spherical(phi: ScalarFn, k: int, c1: float = 1.0, c2: float = 0.0,
         return ScalarFn(eval=z_eval, deriv1=z_deriv, deriv2=z_deriv2,
                         support=(0.0, u_max), label=label)
 
-    z1 = make_solution(rho1, "z1")
-    z2 = make_solution(rho2, "z2")
-    F = _assemble_profile(
-        lambda u: c1 * z1.eval(u) + c2 * z2.eval(u),
-        lambda u: c1 * z1.deriv1(u) + c2 * z2.deriv1(u),
-        lambda u: c1 * z1.deriv2(u) + c2 * z2.deriv2(u),
-        k, label="constructed_profile", support=(0.0, u_max))
-    return ConstructionSolution(k=k, phi=phi, F=F, z1=z1, z2=z2, c1=c1, c2=c2,
-                                rho1=rho1, rho2=rho2, b_coeffs=b)
+    sol = ConstructionSolution(k=k, phi=phi, F=None, z1=make_solution(rho1, "z1"),
+                               z2=make_solution(rho2, "z2"), c1=c1, c2=c2,
+                               rho1=rho1, rho2=rho2, b_coeffs=b)
+    sol.F = _assemble_profile(sol.S_triple, k, label="constructed_profile",
+                              support=(0.0, u_max))
+    return sol
 
 
-def _assemble_profile(S, S1, S2, k: int, label: str,
+def _assemble_profile(S_triple, k: int, label: str,
                       support=(0.0, math.inf)) -> ScalarFn:
     """F = S^2 u^{(k-1)/2} e^{u^2/2} with analytic derivatives.
 
-    F'/F = 2 S'/S + (k-1)/(2u) + u and
+    ``S_triple`` maps u to (S, S', S'').  F'/F = 2 S'/S + (k-1)/(2u) + u and
     F''/F = (F'/F)^2 + 2 (S''S - S'^2)/S^2 - (k-1)/(2u^2) + 1.
     """
     e = (k - 1.0) / 2.0
 
-    def log_F(u):
+    def parts(u):
+        """(u, S, S', S'', log F) at u."""
         u = np.asarray(u, dtype=float)
+        S, S1, S2 = (np.asarray(x, dtype=float) for x in S_triple(u))
         with np.errstate(divide="ignore"):
-            return 2.0 * np.log(np.abs(np.asarray(S(u), dtype=float))) + e * np.log(u) + u * u / 2.0
+            log_F = 2.0 * np.log(np.abs(S)) + e * np.log(u) + u * u / 2.0
+        return u, S, S1, S2, log_F
+
+    def log_F(u):
+        return parts(u)[-1]
 
     def F_eval(u):
         return np.exp(log_F(u))
 
-    def ratio1(u):
-        u = np.asarray(u, dtype=float)
-        return 2.0 * np.asarray(S1(u), dtype=float) / np.asarray(S(u), dtype=float) + e / u + u
-
     def F_d1(u):
-        return F_eval(u) * ratio1(u)
+        u, S, S1, _, lF = parts(u)
+        return np.exp(lF) * (2.0 * S1 / S + e / u + u)
 
     def F_d2(u):
-        u = np.asarray(u, dtype=float)
-        Sv = np.asarray(S(u), dtype=float)
-        r1 = ratio1(u)
-        curv = 2.0 * (np.asarray(S2(u), dtype=float) * Sv - np.asarray(S1(u), dtype=float) ** 2) / (Sv * Sv)
-        return F_eval(u) * (r1 * r1 + curv - e / (u * u) + 1.0)
+        u, S, S1, S2, lF = parts(u)
+        r1 = 2.0 * S1 / S + e / u + u
+        curv = 2.0 * (S2 * S - S1 ** 2) / (S * S)
+        return np.exp(lF) * (r1 * r1 + curv - e / (u * u) + 1.0)
 
     return ScalarFn(eval=F_eval, deriv1=F_d1, deriv2=F_d2, support=support,
                     label=label, log_eval=log_F, nonneg=True)
+
+
+def monomial_pair(b: float, k: int, A1: float = 1.0, A2: float = 0.0):
+    """(S, S', S'') triple function of S = A1 u^{rho1} + A2 u^{rho2}.
+
+    rho_{1,2} = (2-k -/+ sqrt((k-2)^2 - 4b))/2 are the indicial roots of the
+    inverse-square forcing phi(u) = -2b/u^2, for which both monomials solve
+    the construction's Euler-type equation exactly.
+    """
+    sq = math.sqrt((k - 2.0) ** 2 - 4.0 * b)
+    rho1 = 0.5 * (2.0 - k - sq)
+    rho2 = 0.5 * (2.0 - k + sq)
+
+    def S_triple(u):
+        u = np.asarray(u, dtype=float)
+        return (A1 * u ** rho1 + A2 * u ** rho2,
+                A1 * rho1 * u ** (rho1 - 1.0) + A2 * rho2 * u ** (rho2 - 1.0),
+                A1 * rho1 * (rho1 - 1.0) * u ** (rho1 - 2.0)
+                + A2 * rho2 * (rho2 - 1.0) * u ** (rho2 - 2.0))
+
+    return S_triple
 
 
 def inverse_square_profile(b: float, k: int, A1: float = 1.0, A2: float = 0.0) -> ScalarFn:
@@ -728,29 +753,12 @@ def inverse_square_profile(b: float, k: int, A1: float = 1.0, A2: float = 0.0) -
         raise DomainError(f"k >= 3 required, got {k}")
     if not (0.0 <= b <= (k - 2.0) ** 2 / 4.0):
         raise DomainError(f"requires 0 <= b <= (k-2)^2/4 = {(k - 2.0) ** 2 / 4.0}")
-    disc = (k - 2.0) ** 2 - 4.0 * b
-    if disc == 0.0:
+    if (k - 2.0) ** 2 - 4.0 * b == 0.0:
         raise ConstructionError(
             f"repeated indicial root rho = {(2.0 - k) / 2.0}: the monomial pair "
             "degenerates (b = (k-2)^2/4)")
-    sq = math.sqrt(disc)
-    rho1 = 0.5 * (2.0 - k - sq)
-    rho2 = 0.5 * (2.0 - k + sq)
-
-    def S(u):
-        u = np.asarray(u, dtype=float)
-        return A1 * u ** rho1 + A2 * u ** rho2
-
-    def S1(u):
-        u = np.asarray(u, dtype=float)
-        return A1 * rho1 * u ** (rho1 - 1.0) + A2 * rho2 * u ** (rho2 - 1.0)
-
-    def S2(u):
-        u = np.asarray(u, dtype=float)
-        return (A1 * rho1 * (rho1 - 1.0) * u ** (rho1 - 2.0)
-                + A2 * rho2 * (rho2 - 1.0) * u ** (rho2 - 2.0))
-
-    return _assemble_profile(S, S1, S2, k, label=f"inverse_square_profile(b={b})")
+    return _assemble_profile(monomial_pair(b, k, A1, A2), k,
+                             label=f"inverse_square_profile(b={b})")
 
 
 def power_exp_profile(gamma: float, k: int) -> ScalarFn:

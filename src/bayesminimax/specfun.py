@@ -35,7 +35,7 @@ from . import _quad
 from .errors import DomainError, EvaluationError
 
 __all__ = [
-    "EvalPolicy", "DEFAULT_POLICY", "log_gamma", "bessel_i", "bessel_k",
+    "EvalPolicy", "DEFAULT_POLICY", "bessel_i", "bessel_k",
     "kummer_1f1", "whittaker_m", "whittaker_w",
     "log_bessel_i_scaled", "log_kummer_1f1",
 ]
@@ -60,13 +60,6 @@ class EvalPolicy:
 
 
 DEFAULT_POLICY = EvalPolicy()
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if not x > 0:
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from . import _quad, specfun
 from .errors import DomainError, TransformDivergenceError
 
 __all__ = [
-    "QuadSpec", "ScalarFn", "DEFAULT_QUAD", "fd_derivative", "integrate",
+    "QuadSpec", "ScalarFn", "DEFAULT_QUAD", "integrate",
     "i_transform", "laplace_unit", "laplace_fn", "k_transform",
     "transform_weight", "i_transform_consistency",
 ]
@@ -84,21 +84,6 @@ class ScalarFn:
             return self.log_eval(x)
         with np.errstate(divide="ignore"):
             return np.log(np.abs(np.asarray(self.eval(x), dtype=float)))
-
-
-def fd_derivative(fn: Callable, x: float, order: int = 1, h: Optional[float] = None) -> float:
-    """Richardson-extrapolated central finite difference (order 1 or 2)."""
-    if h is None:
-        h = 1e-5 * max(1.0, abs(x))
-    if order == 1:
-        def d(step):
-            return (fn(x + step) - fn(x - step)) / (2.0 * step)
-    elif order == 2:
-        def d(step):
-            return (fn(x + step) - 2.0 * fn(x) + fn(x - step)) / (step * step)
-    else:
-        raise ValueError("order must be 1 or 2")
-    return (4.0 * d(h / 2.0) - d(h)) / 3.0
 
 
 def _clip_support(fn, lo, hi):
@@ -206,10 +191,8 @@ def laplace_fn(f_unit, quad: QuadSpec = DEFAULT_QUAD) -> ScalarFn:
             base = np.asarray(fn(t), dtype=float) * (-t) ** j
             return base[None, :] * np.exp(-s_arr[:, None] * t[None, :])
 
-        total = np.zeros_like(s_arr)
-        for g, a, b in _quad.split_sqrt_maps(fmat, lo, hi):
-            total += _quad.adaptive_batch(g, a, b, rel_tol=quad.rel_tol,
-                                          abs_tol=quad.abs_tol, max_depth=quad.max_depth)
+        total = _quad.integrate_rows(fmat, lo, hi, quad.rel_tol, quad.abs_tol,
+                                     quad.max_depth)
         return total if np.asarray(s).ndim else float(total[0])
 
     return ScalarFn(

@@ -347,6 +347,21 @@ class TestTransform:
         assert doc["verdict"] == "HOLDS"
         assert doc["extra"]["ratio"] < 0
 
+    def test_nu_override_consistency(self, tmp_path):
+        """With nu = 1/2 the Gaussian-Bessel pair maps x e^{-x^2/2} onto
+        u e^{u^2/2} whatever the config's k: the consistency check must judge
+        the tabulated f, not f rescaled by r^{(k - 2 nu - 2)/2}."""
+        code, out = run(tmp_path, {
+            "command": "transform",
+            "prior_spec": {"family": "gaussian_bessel", "k": 5,
+                           "params": {"alpha": 0.5}},
+            "transform": {"nu": 0.5, "consistency_target": "power_exp",
+                          "gamma": 1.0},
+            "grid_spec": {"lo": 0.5, "hi": 4.0, "n_points": 4}})
+        assert code == 0
+        doc = json.loads(open(os.path.join(out, "consistency_report.json")).read())
+        assert doc["verdict"] == "HOLDS"
+
     def test_strawderman_consistency_run(self, tmp_path):
         code, out = run(tmp_path, {
             "command": "transform",

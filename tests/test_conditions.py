@@ -67,21 +67,18 @@ class TestSqrtSuperharmonic:
         assert rep.verdict == cd.INCONCLUSIVE
 
     def test_growing_profile_fails_with_witness(self):
-        grow = tr.ScalarFn(
-            eval=lambda u: np.exp(np.asarray(u, float) ** 2 / 4.0),
-            deriv1=lambda u: np.asarray(u, float) / 2.0 * np.exp(np.asarray(u, float) ** 2 / 4.0),
-            deriv2=lambda u: (0.5 + np.asarray(u, float) ** 2 / 4.0) * np.exp(np.asarray(u, float) ** 2 / 4.0))
-        rep = cd.check_sqrt_superharmonic(mg.MarginalProfile(k=5, ell=grow, route="x"),
+        def grow(u):
+            e = np.exp(u ** 2 / 4.0)
+            return e, u / 2.0 * e, (0.5 + u ** 2 / 4.0) * e
+
+        rep = cd.check_sqrt_superharmonic(mg.MarginalProfile(k=5, triple_fn=grow, route="x"),
                                           u_grid())
         assert rep.verdict == cd.FAILS and rep.witness is not None
 
     def test_scale_invariance(self):
         base = mg.monomial_mixture_profile(2, 5)
         scaled = mg.MarginalProfile(
-            k=5, ell=tr.ScalarFn(
-                eval=lambda u: 7.0 * np.asarray(base.ell.eval(u)),
-                deriv1=lambda u: 7.0 * np.asarray(base.ell.deriv1(u)),
-                deriv2=lambda u: 7.0 * np.asarray(base.ell.deriv2(u))),
+            k=5, triple_fn=lambda u: tuple(7.0 * x for x in base.triple(u)),
             route="scaled")
         g = u_grid()
         r1 = cd.check_sqrt_superharmonic(base, g)
@@ -91,7 +88,7 @@ class TestSqrtSuperharmonic:
 
     def test_evaluation_failure_reported(self):
         broken = mg.MarginalProfile(
-            k=5, ell=tr.ScalarFn(eval=lambda u: (_ for _ in ()).throw(RuntimeError("boom"))),
+            k=5, triple_fn=lambda u: (_ for _ in ()).throw(RuntimeError("boom")),
             route="broken")
         rep = cd.check_sqrt_superharmonic(broken, [1.0, 2.0])
         assert rep.verdict == cd.INCONCLUSIVE
@@ -320,12 +317,12 @@ class TestProperWitness:
 
     def test_anomaly_flagged(self):
         # a proper prior whose profile wrongly never shows a positive Laplacian
-        gauss = tr.ScalarFn(
-            eval=lambda u: np.exp(-np.asarray(u, float) ** 2 / 4.0),
-            deriv1=lambda u: -np.asarray(u, float) / 2.0 * np.exp(-np.asarray(u, float) ** 2 / 4.0),
-            deriv2=lambda u: (np.asarray(u, float) ** 2 / 4.0 - 0.5) * np.exp(-np.asarray(u, float) ** 2 / 4.0))
+        def gauss(u):
+            e = np.exp(-u ** 2 / 4.0)
+            return e, -u / 2.0 * e, (u ** 2 / 4.0 - 0.5) * e
+
         rep = cd.check_proper_marginal_not_superharmonic(
-            mg.MarginalProfile(k=5, ell=gauss, route="gauss"), True,
+            mg.MarginalProfile(k=5, triple_fn=gauss, route="gauss"), True,
             np.geomspace(0.1, 3.0, 20))
         assert rep.verdict == cd.FAILS and rep.extra["anomaly"]
 

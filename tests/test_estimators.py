@@ -13,7 +13,6 @@ import pytest
 from bayesminimax import estimators as es
 from bayesminimax import marginals as mg
 from bayesminimax import priors as pr
-from bayesminimax import transforms as tr
 from bayesminimax.errors import DomainError, EvaluationError
 
 
@@ -110,23 +109,18 @@ class TestMcRisk:
         base = mg.monomial_mixture_profile(2, 5)
 
         def with_hole(u):
-            u = np.asarray(u, dtype=float)
-            vals = np.asarray(base.ell.eval(u), dtype=float)
-            return np.where(u < 0.35, np.nan, vals)
+            ell, d1, d2 = base.triple(u)
+            return np.where(u < 0.35, np.nan, ell), d1, d2
 
-        holed = mg.MarginalProfile(
-            k=5, ell=tr.ScalarFn(eval=with_hole, deriv1=base.ell.deriv1,
-                                 deriv2=base.ell.deriv2), route="holed")
+        holed = mg.MarginalProfile(k=5, triple_fn=with_hole, route="holed")
         rep = es.mc_risk(holed, np.zeros(5), 50000, 11)
         assert 0 < rep.n_failures <= 0.001 * 50000
         assert math.isfinite(rep.mc_risk)
 
     def test_too_many_failures_is_hard_error(self):
         bad = mg.MarginalProfile(
-            k=5, ell=tr.ScalarFn(
-                eval=lambda u: np.full_like(np.asarray(u, float), np.nan),
-                deriv1=lambda u: np.zeros_like(np.asarray(u, float)),
-                deriv2=lambda u: np.zeros_like(np.asarray(u, float))),
+            k=5, triple_fn=lambda u: (np.full_like(u, np.nan), np.zeros_like(u),
+                                      np.zeros_like(u)),
             route="broken")
         with pytest.raises(EvaluationError):
             es.mc_risk(bad, np.zeros(5), 5000, 3)

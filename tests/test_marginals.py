@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from bayesminimax import _quad, specfun
 from bayesminimax import marginals as mg
 from bayesminimax import priors as pr
 from bayesminimax import transforms as tr
@@ -203,3 +204,53 @@ class TestSurrogates:
         np.testing.assert_allclose(d1, -6.0 * u ** -4.0, rtol=1e-14)
         np.testing.assert_allclose(d2, 24.0 * u ** -5.0, rtol=1e-14)
         assert prof.extra["formal"]
+
+
+class TestTripleContract:
+    """One triple() is one pass of the route: no component is recomputed."""
+
+    @staticmethod
+    def _count(monkeypatch, module, names):
+        counts = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return counts
+
+    @staticmethod
+    def _assert_view_matches(prof, u, triple):
+        view = prof.ell
+        for got, want in zip((view.eval(u), view.deriv1(u), view.deriv2(u)), triple):
+            np.testing.assert_array_equal(got, want)
+
+    def test_mixture_two_batches_per_chunk(self, monkeypatch):
+        prof = mg.marginal_mixture(pr.monomial_mixing(2, 5), chunk=4)
+        u = np.linspace(0.5, 4.0, 8)
+        counts = self._count(monkeypatch, _quad, ["adaptive_batch"])
+        triple = prof.triple(u)
+        assert counts == {"adaptive_batch": 4}
+        self._assert_view_matches(prof, u, triple)
+
+    def test_radial_two_log_batches_one_scan(self, monkeypatch):
+        prior = pr.RadialPrior(k=5, lam=pr.normal_radial(1.0, 5),
+                               proper=pr.PROPER, mass=1.0)
+        prof = mg.marginal_radial(prior)
+        u = np.array([0.5, 1.0, 2.0])
+        counts = self._count(monkeypatch, _quad,
+                             ["adaptive_batch_log", "scan_log_peak"])
+        triple = prof.triple(u)
+        assert counts == {"adaptive_batch_log": 2, "scan_log_peak": 1}
+        self._assert_view_matches(prof, u, triple)
+
+    def test_strawderman_three_kummer_calls(self, monkeypatch):
+        prof = mg.marginal_strawderman(0.5, 5)
+        u = np.array([0.5, 1.0, 2.0])
+        counts = self._count(monkeypatch, specfun, ["kummer_1f1"])
+        triple = prof.triple(u)
+        assert counts == {"kummer_1f1": 3}
+        self._assert_view_matches(prof, u, triple)

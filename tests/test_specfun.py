@@ -36,19 +36,6 @@ class TestEvalPolicy:
                     sf.bessel_k(nu, x), rel=1e-13)
 
 
-class TestLogGamma:
-    def test_known_values(self):
-        assert sf.log_gamma(1.0) == 0.0
-        assert sf.log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-        assert sf.log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            sf.log_gamma(0.0)
-        with pytest.raises(DomainError):
-            sf.log_gamma(-1.5)
-
-
 def _half_integer_closed_form(nu, x):
     """I_{1/2}, I_{-1/2}, I_{3/2}, I_{5/2} in terms of sinh/cosh."""
     pref = math.sqrt(2.0 / (math.pi * x))
