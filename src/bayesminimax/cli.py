@@ -369,11 +369,9 @@ def cmd_construct(cfg: RunConfig) -> int:
         sol = priors.construct_spherical(phi, spec.k, c1=c1, c2=c2,
                                          u_grid=u_grid, phi_series=b)
         report = conditions.check_spherical_minimax_bound(sol.F, spec.k, u_grid)
-        table = _table_csv(
-            ["u", "F", "dF", "d2F", "z1", "z2"],
-            [(u, sol.F.eval(u), sol.F.deriv1(u), sol.F.deriv2(u),
-              float(np.atleast_1d(sol.z1.eval(u))[0]),
-              float(np.atleast_1d(sol.z2.eval(u))[0])) for u in u_grid])
+        table = _table_csv(["u", "F", "dF", "d2F", "z1", "z2"], zip(
+            u_grid, sol.F.eval(u_grid), sol.F.deriv1(u_grid), sol.F.deriv2(u_grid),
+            sol.z1.eval(u_grid), sol.z2.eval(u_grid)))
         fpath = os.path.join(cfg.out_dir, "profile_table.csv")
         _atomic_write(fpath, table)
         outputs.append(fpath)
@@ -388,8 +386,7 @@ def cmd_construct(cfg: RunConfig) -> int:
             if gamma + (spec.k + 1.0) / 2.0 > 0:
                 lam = priors.whittaker_radial(gamma, spec.k)
                 ltab = _table_csv(["r", "lambda_unnormalized"],
-                                  [(r, float(np.atleast_1d(lam.lam.eval(r))[0]))
-                                   for r in u_grid])
+                                  zip(u_grid, lam.lam.eval(u_grid)))
                 lpath = os.path.join(cfg.out_dir, "radial_density_table.csv")
                 _atomic_write(lpath, ltab)
                 outputs.append(lpath)
@@ -409,10 +406,8 @@ def cmd_construct(cfg: RunConfig) -> int:
         G = priors.construct_G_mixture(phi, a=a, b=banchor, quad=cfg.quad, k=spec.k)
         s_grid = 0.5 * u_grid ** 2
         report = conditions.check_laplace_mixture_bound(G, spec.k, s_grid)
-        table = _table_csv(["s", "G", "dG", "d2G"],
-                           [(s, float(np.atleast_1d(G.eval(s))[0]),
-                             float(np.atleast_1d(G.deriv1(s))[0]),
-                             float(np.atleast_1d(G.deriv2(s))[0])) for s in s_grid])
+        table = _table_csv(["s", "G", "dG", "d2G"], zip(
+            s_grid, G.eval(s_grid), G.deriv1(s_grid), G.deriv2(s_grid)))
         fpath = os.path.join(cfg.out_dir, "transform_table.csv")
         _atomic_write(fpath, table)
         outputs.append(fpath)
@@ -425,9 +420,7 @@ def cmd_construct(cfg: RunConfig) -> int:
                 "density (v+1)^{1-k/2} is recovered by the classical "
                 "identification and is itself proper and minimax")
             md = priors.monomial_mixing(spec.k - 3, spec.k)
-            htab = _table_csv(["v", "h"],
-                              [(v, float(np.atleast_1d(md.h.eval(v))[0]))
-                               for v in u_grid])
+            htab = _table_csv(["v", "h"], zip(u_grid, md.h.eval(u_grid)))
             hpath = os.path.join(cfg.out_dir, "mixing_density_table.csv")
             _atomic_write(hpath, htab)
             outputs.append(hpath)

@@ -124,9 +124,7 @@ def laplace_profile(G: ScalarFn, k: int, route: str, scale: float) -> MarginalPr
     """Profile of the mixture identification l(u) = scale * G(u^2/2).
 
     l' = scale u G'(s) and l'' = scale (u^2 G''(s) + G'(s)) at s = u^2/2.
-    G, G' and G'' are each evaluated once per triple, in that order: a
-    constructed G caches its inner integrals in call order, so another
-    order can change the last bits of the result.
+    G, G' and G'' are each evaluated once per triple.
     """
     def triple(u):
         s = 0.5 * np.square(u)

@@ -841,50 +841,155 @@ def whittaker_radial(gamma: float, k: int) -> RadialPrior:
 # mixture construction via the squared exponential integral
 # ---------------------------------------------------------------------------
 
+_SPAN_LO = 1e-8       # lower end of the dense solve, unless a or b lies below
+_HORIZON = 1e8        # upper end, and where b = inf appends its power tail
+_PHI_FLOOR = -700.0   # the solve stops before exp(-Phi), a factor of G'', overflows
+
+
+def _log_integral(f, e: float, t, quad: QuadSpec) -> np.ndarray:
+    """int_e^t f for every t > 0 of an array, in one batch over w = log s."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    le = math.log(e)
+    span = np.log(t) - le
+
+    def rows(y):
+        x = np.exp(le + np.outer(span, y))
+        fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+        return span[:, None] * x * fx
+
+    try:
+        return _quad.adaptive_batch(rows, 0.0, 1.0, rel_tol=quad.rel_tol,
+                                    abs_tol=quad.abs_tol, max_depth=quad.max_depth)
+    except QuadratureError as exc:
+        raise ConstructionError(f"integral of phi from {e:.6g} diverges: {exc}") from exc
+
+
 class _CumulativeIntegral:
-    """Cached cumulative integral t -> int_anchor^t g, evaluated segmentwise."""
+    """Phi(s) = int_a^s phi and I(s) = int_b^s exp(-Phi/2) from one dense solve.
 
-    def __init__(self, g, anchor: float, quad: QuadSpec):
-        self.g = g
-        self.anchor = float(anchor)
-        self.quad = quad
-        self.knots = {self.anchor: 0.0}
+    The system Phi' = phi, I' = exp(-Phi/2) is integrated once, in w = log s
+    with DOP853 dense output, outward from the anchor of I to both ends of
+    the span [min(1e-8, a, b), max(1e8, a, b)]: from b when b is finite and
+    positive, from the horizon 1e8 when b = inf, and from the lower end when
+    b = 0, where one quadrature from 0 seeds I.  Phi starts from a
+    quadrature estimate of int_a^start phi and is re-anchored at a after the
+    solve: shifting Phi by c scales I by exp(c/2), so I is never formed as
+    a difference.  Points past the span continue by quadrature from its end.
+    """
 
-    def __call__(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.array([self._value(float(ti)) for ti in t_arr])
-        return float(out[0]) if np.asarray(t).ndim == 0 else out
+    def __init__(self, phi: ScalarFn, a: float, b: float, quad: QuadSpec):
+        if not (a > 0 and b >= 0):
+            raise DomainError(f"requires a > 0 and b >= 0, got a={a}, b={b}")
+        self.phi, self.b, self.quad = phi, b, quad
+        finite = [x for x in (a, b) if 0.0 < x < math.inf]
+        lo, hi = min([_SPAN_LO] + finite), max([_HORIZON] + finite)
+        start = lo if b == 0.0 else (_HORIZON if math.isinf(b) else b)
+        Phi0 = float(_log_integral(phi.eval, a, start, quad)[0])
+        if Phi0 < _PHI_FLOOR:
+            raise ConstructionError(
+                f"exp(-int_a^s phi) overflows at s={start:.6g}")
+        I0 = self._extend(start, Phi0, 0.0, start)[1] if b == 0.0 else 0.0
+        self.legs = [self._solve(start, end, Phi0, I0) for end in (lo, hi)
+                     if end != start]
+        self.w_lo = min(w0 for _, w0, _ in self.legs)
+        self.w_hi = max(w1 for _, _, w1 in self.legs)
+        self.offset = 0.0
+        if math.isinf(b):
+            # I(s) = int_horizon^s E - int_horizon^inf E, the tail a fitted power
+            xs = np.geomspace(_HORIZON / 10.0, _HORIZON, 12)
+            logE = -0.5 * self._raw(xs)[0]
+            slope = float(np.polyfit(np.log(xs), logE, 1)[0])
+            if slope >= -1.05:
+                raise ConstructionError(
+                    "b = inf requires the inner exponential to be integrable at "
+                    f"infinity; fitted tail exponent {slope:.3f} >= -1.05")
+            self.offset = float(np.exp(logE[-1])) * _HORIZON / (-slope - 1.0)
+        self.shift = float(self._raw(np.array([float(a)]))[0, 0])
+        self.scale = math.exp(0.5 * self.shift)
 
-    def _value(self, t: float) -> float:
-        if t in self.knots:
-            return self.knots[t]
-        known = sorted(self.knots)
-        nearest = min(known, key=lambda x: abs(x - t))
-        lo, hi = (nearest, t) if nearest <= t else (t, nearest)
+    def _solve(self, start, end, Phi0, I0):
+        phi = self.phi
+
+        def rhs(w, y):
+            s = math.exp(w)
+            return [s * float(phi.eval(s)), s * math.exp(min(-0.5 * y[0], 709.0))]
+
+        def overflow(w, y):
+            return y[0] - _PHI_FLOOR
+        overflow.terminal = True
+
+        # |I| below 1e-147 (G below 1e-294) is held to absolute accuracy only,
+        # so stretches where E is vanishingly small are not resolved e-fold by e-fold
+        w_span = (math.log(start), math.log(end))
+        sol = solve_ivp(rhs, w_span, [Phi0, I0], method="DOP853", rtol=1e-13,
+                        atol=[1e-14, 1e-160], dense_output=True, events=overflow,
+                        first_step=min(1e-3, abs(w_span[1] - w_span[0])))
+        if sol.status < 0:
+            raise ConstructionError(f"mixture construction failed: {sol.message}")
+        w0, w1 = sorted((sol.t[0], sol.t[-1]))
+        return sol.sol, w0, w1
+
+    def _extend(self, e, Phi_e, I_e, t):
+        """(Phi, I) in solve units at t, by quadrature from their values at e.
+
+        With b = 0, I below e is integrated from 0 instead.
+        """
+        phi, quad = self.phi, self.quad
+        tol = dict(rel_tol=quad.rel_tol, abs_tol=quad.abs_tol, max_depth=quad.max_depth)
+
+        def E(x):
+            return np.exp(-0.5 * (Phi_e + _log_integral(phi.eval, e, x, quad)))
+
+        if self.b == 0.0 and t <= e:
+            lo, hi, base, sign = 0.0, t, 0.0, 1.0    # I anchored at 0
+        elif t == 0.0:
+            lo, hi, base, sign = 0.0, e, I_e, -1.0
+        else:
+            lo, hi = sorted((e, t))
+            base, sign = I_e, (1.0 if t > e else -1.0)
         try:
-            if lo > 0 and hi / lo > 4.0:
-                # long power-law stretches integrate better in log coordinates
-                g = self.g
-
-                def glog(w):
-                    x = np.exp(w)
-                    return np.asarray(g(x), dtype=float) * x
-
-                seg = _quad.adaptive(glog, math.log(lo), math.log(hi),
-                                     rel_tol=self.quad.rel_tol,
-                                     abs_tol=self.quad.abs_tol,
-                                     max_depth=self.quad.max_depth)
+            if t == 0.0:
+                Phi_t = Phi_e - _quad.integrate_finite(phi.eval, 0.0, e, **tol)
             else:
-                seg = _quad.integrate_finite(self.g, lo, hi,
-                                             rel_tol=self.quad.rel_tol,
-                                             abs_tol=self.quad.abs_tol,
-                                             max_depth=self.quad.max_depth)
+                Phi_t = Phi_e + _log_integral(phi.eval, e, t, quad)[0]
+            if hi == lo:
+                seg = 0.0
+            elif lo == 0.0:
+                seg = _quad.integrate_finite(E, 0.0, hi, **tol)
+            else:
+                seg = _quad.adaptive(lambda w: np.exp(w) * E(np.exp(w)),
+                                     math.log(lo), math.log(hi), **tol)
         except QuadratureError as exc:
             raise ConstructionError(
                 f"inner integral diverges on ({lo:.6g}, {hi:.6g}): {exc}") from exc
-        val = self.knots[nearest] + (seg if nearest <= t else -seg)
-        self.knots[t] = val
-        return val
+        return Phi_t, base + sign * seg
+
+    def _raw(self, s):
+        """(Phi, I) at the points of the 1-D array s, in solve units."""
+        with np.errstate(divide="ignore"):
+            w = np.log(s)
+        out = np.empty((2, s.size))
+        todo = np.ones(s.size, dtype=bool)
+        for sol, w0, w1 in self.legs:
+            inside = todo & (w >= w0) & (w <= w1)
+            if np.any(inside):
+                out[:, inside] = sol(w[inside])
+                todo &= ~inside
+        for i in np.nonzero(todo)[0]:
+            w_e = self.w_lo if w[i] < self.w_lo else self.w_hi
+            sol = next(sol for sol, w0, w1 in self.legs if w0 <= w_e <= w1)
+            out[:, i] = self._extend(math.exp(w_e), *sol(w_e), s[i])
+        return out
+
+    def __call__(self, s):
+        s_arr = np.asarray(s, dtype=float)
+        if not np.all(s_arr >= 0):
+            raise DomainError("the mixture transform is defined for s >= 0")
+        Phi, I = self._raw(s_arr.ravel())
+        Phi, I = Phi - self.shift, self.scale * (I - self.offset)
+        if s_arr.ndim == 0:
+            return float(Phi[0]), float(I[0])
+        return Phi.reshape(s_arr.shape), I.reshape(s_arr.shape)
 
 
 def construct_G_mixture(phi: ScalarFn, a: float, b: float,
@@ -894,7 +999,9 @@ def construct_G_mixture(phi: ScalarFn, a: float, b: float,
 
     Derivatives are closed-form:  with E(t) = exp(-(1/2) int_a^t phi),
     G' = 2 (int_b^s E) E(s)  and  G'' = 2 E(s)^2 - (int_b^s E) E(s) phi(s).
-    When ``k`` is supplied the bound phi(s) <= k/s is probed first.
+    When ``k`` is supplied the bound phi(s) <= k/s is probed first.  Both
+    integrals come from one dense ODE solve (:class:`_CumulativeIntegral`),
+    so any batch of points costs one dense-output evaluation.
 
     ``b = inf`` is allowed when E is integrable at infinity (tail exponent
     fitted and appended in closed form); it yields the decreasing transforms
@@ -910,45 +1017,23 @@ def construct_G_mixture(phi: ScalarFn, a: float, b: float,
             raise ConstructionError(
                 f"phi violates the mixture bound phi(s) <= k/s at s={witness:.6g}")
 
-    Phi = _CumulativeIntegral(lambda t: np.asarray(phi.eval(t), dtype=float), a, quad)
+    cum = _CumulativeIntegral(phi, a, b, quad)
 
-    def E(t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.exp(-0.5 * np.asarray(Phi(t_arr), dtype=float))
-        return float(out[0]) if np.asarray(t).ndim == 0 else out
-
-    if math.isinf(b):
-        horizon = 1e8
-        xs = np.geomspace(horizon / 10.0, horizon, 12)
-        logE = np.log(np.asarray(E(xs), dtype=float))
-        slope = float(np.polyfit(np.log(xs), logE, 1)[0])
-        if slope >= -1.05:
-            raise ConstructionError(
-                "b = inf requires the inner exponential to be integrable at "
-                f"infinity; fitted tail exponent {slope:.3f} >= -1.05")
-        tail_beyond = float(np.exp(logE[-1])) * horizon / (-slope - 1.0)
-        cum_from_horizon = _CumulativeIntegral(
-            lambda t: np.asarray(E(t), dtype=float), horizon, quad)
-
-        def inner(s):
-            # int_inf^s E = cum(s) - int_horizon^inf E
-            s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-            out = np.asarray(cum_from_horizon(s_arr), dtype=float) - tail_beyond
-            return float(out[0]) if np.asarray(s).ndim == 0 else out
-    else:
-        inner = _CumulativeIntegral(lambda t: np.asarray(E(t), dtype=float), b, quad)
+    def parts(s):
+        Phi, I = cum(s)
+        return np.asarray(I, dtype=float), np.exp(-0.5 * np.asarray(Phi, dtype=float))
 
     def G_eval(s):
-        I = np.asarray(inner(s), dtype=float)
+        I = np.asarray(cum(s)[1], dtype=float)
         return I * I
 
     def G_d1(s):
-        return 2.0 * np.asarray(inner(s), dtype=float) * np.asarray(E(s), dtype=float)
+        I, E = parts(s)
+        return 2.0 * I * E
 
     def G_d2(s):
-        Ev = np.asarray(E(s), dtype=float)
-        return (2.0 * Ev * Ev
-                - np.asarray(inner(s), dtype=float) * Ev * np.asarray(phi.eval(s), dtype=float))
+        I, E = parts(s)
+        return 2.0 * E * E - I * E * np.asarray(phi.eval(s), dtype=float)
 
     return ScalarFn(eval=G_eval, deriv1=G_d1, deriv2=G_d2,
                     support=(0.0, math.inf), label="constructed_G", nonneg=True)

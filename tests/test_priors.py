@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bayesminimax import priors as pr
 from bayesminimax import transforms as tr
@@ -417,6 +418,86 @@ class TestConstructGMixture:
         phi = tr.ScalarFn(eval=lambda s: np.zeros_like(np.asarray(s, float)))
         with pytest.raises(ConstructionError, match="integrable"):
             pr.construct_G_mixture(phi, a=1.0, b=math.inf)
+
+    @staticmethod
+    def _inverse_oracle(c, a, s):
+        """phi = c/s, b = inf: G = A s^{2-c} with A = a^c / (c/2 - 1)^2."""
+        A = a ** c / (c / 2.0 - 1.0) ** 2
+        return (A * s ** (2.0 - c), (2.0 - c) * A * s ** (1.0 - c),
+                (2.0 - c) * (1.0 - c) * A * s ** (-c))
+
+    @staticmethod
+    def _assert_triple(G, s, oracle, rtol):
+        for got, want in zip((G.eval(s), G.deriv1(s), G.deriv2(s)), oracle):
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+
+    def test_inverse_forcing_closed_form(self):
+        c, a = 5.0, 1.0
+        phi = tr.ScalarFn(eval=lambda s: c / np.asarray(s, float))
+        G = pr.construct_G_mixture(phi, a=a, b=math.inf, k=5)
+        s = np.geomspace(0.1, 20.0, 40)
+        self._assert_triple(G, s, self._inverse_oracle(c, a, s), 1e-10)
+
+    def test_constant_forcing_closed_form(self):
+        # phi = -1: E = e^{(s-a)/2}, G = (2 (e^{(s-a)/2} - e^{(b-a)/2}))^2
+        a, b = 1.0, 0.25
+        phi = tr.ScalarFn(eval=lambda s: -np.ones_like(np.asarray(s, float)))
+        G = pr.construct_G_mixture(phi, a=a, b=b)
+        s = np.geomspace(0.5, 20.0, 30)
+        E = np.exp((s - a) / 2.0)
+        I = 2.0 * (E - math.exp((b - a) / 2.0))
+        self._assert_triple(G, s, (I * I, 2.0 * I * E, 2.0 * E * E + I * E), 1e-10)
+
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.integers(3, 8), a=st.floats(0.5, 2.0),
+           frac=st.floats(0.0, 1.0, exclude_min=True))
+    def test_inverse_forcing_sweep(self, k, a, frac):
+        c = 2.0 + frac * (k - 2.0)   # c in (2, k]
+        phi = tr.ScalarFn(eval=lambda s: c / np.asarray(s, float))
+        if c / 2.0 <= 1.05:   # fitted tail exponent -c/2 is not below -1.05
+            with pytest.raises(ConstructionError, match="integrable"):
+                pr.construct_G_mixture(phi, a=a, b=math.inf, k=k)
+            return
+        G = pr.construct_G_mixture(phi, a=a, b=math.inf, k=k)
+        s = np.geomspace(0.1, 20.0, 12)
+        self._assert_triple(G, s, self._inverse_oracle(c, a, s), 1e-10)
+
+    def test_points_past_the_dense_span(self):
+        c, a = 5.0, 1.0
+        phi = tr.ScalarFn(eval=lambda s: c / np.asarray(s, float))
+        G = pr.construct_G_mixture(phi, a=a, b=math.inf, k=5)
+        s = np.array([1e-10, 1e10])
+        self._assert_triple(G, s, self._inverse_oracle(c, a, s), 1e-7)
+        flat = pr.construct_G_mixture(
+            tr.ScalarFn(eval=lambda s: -np.ones_like(np.asarray(s, float))),
+            a=1.0, b=0.0)
+        assert flat.eval(0.0) == 0.0
+        assert flat.eval(1e-10) == pytest.approx(math.exp(-1.0) * 1e-20, rel=1e-7)
+
+    def test_batching_and_order_do_not_change_values(self):
+        phi = tr.ScalarFn(eval=lambda s: 4.0 / np.asarray(s, float))
+        G = pr.construct_G_mixture(phi, a=1.0, b=math.inf, k=5)
+        s = np.geomspace(0.05, 50.0, 40)
+        for fn in (G.eval, G.deriv1, G.deriv2):
+            batch = np.asarray(fn(s))
+            pointwise = np.array([fn(x) for x in s])
+            reversed_ = np.asarray(fn(s[::-1]))[::-1]
+            assert np.array_equal(batch, pointwise)
+            assert np.array_equal(batch, reversed_)
+
+    def test_non_integrable_at_zero_anchor(self):
+        # E = s^{-3} near 0: int_0^s E diverges
+        phi = tr.ScalarFn(eval=lambda s: 6.0 / np.asarray(s, float))
+        with pytest.raises(ConstructionError, match="inner integral diverges"):
+            G = pr.construct_G_mixture(phi, a=1.0, b=0.0)
+            G.eval(1.0)
+
+    def test_overflow_past_the_solve_raises(self):
+        phi = tr.ScalarFn(eval=lambda s: -np.ones_like(np.asarray(s, float)))
+        G = pr.construct_G_mixture(phi, a=1.0, b=0.01)
+        assert np.isfinite(G.eval(700.0))
+        with pytest.raises(ConstructionError), np.errstate(over="ignore"):
+            G.eval(2000.0)
 
 
 class TestProbeProperness:
