@@ -31,8 +31,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from . import __version__, conditions, estimators, marginals, priors, transforms
+from . import __version__, conditions, estimators, families, priors, transforms
 from .errors import ConstructionError, DomainError, EvaluationError, TransformDivergenceError
+from .families import profile_for
 from .transforms import QuadSpec, ScalarFn
 
 COMMANDS = ("construct", "verify", "risk", "transform")
@@ -173,130 +174,6 @@ def load_config(path: str, args) -> RunConfig:
                      env_overrides=env)
 
 
-# ---------------------------------------------------------------------------
-# phi token grammar
-# ---------------------------------------------------------------------------
-
-_TOKEN_KINDS = ("inv_sq", "inv", "const", "lin")
-
-
-def parse_phi_tokens(tokens) -> tuple:
-    """Parse [{"kind": "inv_sq"|"inv"|"const"|"lin", "c": float}, ...] into a
-    ScalarFn phi(x) = b0/x^2 + b1/x + b2 + b3 x and its coefficient list."""
-    if not isinstance(tokens, list) or not tokens:
-        raise DomainError("phi must be a nonempty token list")
-    b = [0.0, 0.0, 0.0, 0.0]
-    for tok in tokens:
-        if not isinstance(tok, dict) or "kind" not in tok or "c" not in tok:
-            raise DomainError(f"malformed phi token {tok!r}: needs kind and c")
-        kind = tok["kind"]
-        if kind not in _TOKEN_KINDS:
-            raise DomainError(f"unknown phi token kind {kind!r}; "
-                              f"supported: {_TOKEN_KINDS}")
-        b[_TOKEN_KINDS.index(kind)] += float(tok["c"])
-
-    def phi(x):
-        x = np.asarray(x, dtype=float)
-        return b[0] / (x * x) + b[1] / x + b[2] + b[3] * x
-
-    return ScalarFn(eval=phi, support=(0.0, math.inf), label="phi_tokens"), b
-
-
-# ---------------------------------------------------------------------------
-# family wiring
-# ---------------------------------------------------------------------------
-
-def profile_for(spec: priors.FamilySpec, quad: QuadSpec) -> marginals.MarginalProfile:
-    """Marginal profile used for risk simulation and the radial checkers."""
-    fam, k, p = spec.family, spec.k, spec.params
-    if fam == "strawderman":
-        return marginals.marginal_strawderman(p["a"], k)
-    if fam == "example1":
-        return marginals.monomial_mixture_profile(p["n"], k)
-    if fam == "example2":
-        md = priors.gen_beta_mixing(p["alpha"], p["beta"], p["gamma"],
-                                    p["sigma"], k, quad)
-        return marginals.marginal_mixture(md, quad)
-    if fam == "whittaker":
-        # formal transform identity: l proportional to u^{gamma + (1-k)/2}
-        return marginals.power_law_profile(k, p["gamma"] + (1.0 - k) / 2.0)
-    if fam == "bessel_F":
-        # h(u) F(u) for the inverse-square family: the Gaussian factors cancel
-        return marginals.squared_profile(
-            k, priors.monomial_pair(p["b"], k, p["A1"], p["A2"]),
-            "formal_power_law", {"formal": True})
-    if fam == "flat":
-        return marginals.flat_profile(k)
-    raise DomainError(f"family {fam!r} has no direct marginal profile; "
-                      "use the construct command")
-
-
-def checkers_for(spec: priors.FamilySpec, cfg: RunConfig) -> List[conditions.ConditionReport]:
-    """All applicable condition checkers for a family."""
-    fam, k, p = spec.family, spec.k, spec.params
-    u_grid = cfg.grid()
-    s_grid = 0.5 * u_grid ** 2
-    quad = cfg.quad
-    reports = []
-    if fam == "example1":
-        reports.append(conditions.check_monomial_mixture(p["n"], k, s_grid))
-        reports.append(conditions.check_laplace_mixture_bound(
-            priors.monomial_laplace_G(p["n"]), k, s_grid))
-        reports.append(conditions.check_sqrt_superharmonic(
-            marginals.monomial_mixture_profile(p["n"], k), u_grid))
-    elif fam == "example2":
-        reports.append(conditions.check_gen_beta_mixture(
-            p["alpha"], p["beta"], p["gamma"], p["sigma"], k, s_grid, quad))
-        md = priors.gen_beta_mixing(p["alpha"], p["beta"], p["gamma"],
-                                    p["sigma"], k, quad)
-        reports.append(conditions.check_sqrt_superharmonic(
-            marginals.marginal_mixture(md, quad), u_grid))
-    elif fam == "strawderman":
-        reports.append(conditions.check_strawderman_sqrt(p["a"], k, u_grid))
-        reports.append(conditions.check_sqrt_superharmonic(
-            marginals.marginal_strawderman(p["a"], k), u_grid))
-    elif fam == "whittaker":
-        reports.append(conditions.check_spherical_minimax_bound(
-            priors.power_exp_profile(p["gamma"], k), k, u_grid))
-        rep = conditions.check_sqrt_superharmonic(profile_for(spec, quad), u_grid)
-        rep.extra["formal_marginal"] = True
-        reports.append(rep)
-    elif fam == "bessel_F":
-        reports.append(conditions.check_spherical_minimax_bound(
-            priors.inverse_square_profile(p["b"], k, p["A1"], p["A2"]), k, u_grid))
-        rep = conditions.check_sqrt_superharmonic(profile_for(spec, quad), u_grid)
-        rep.extra["formal_marginal"] = True
-        reports.append(rep)
-    elif fam == "flat":
-        reports.append(conditions.check_sqrt_superharmonic(
-            marginals.flat_profile(k), u_grid))
-    elif fam == "custom_phi_spherical":
-        phi, b = parse_phi_tokens(p["phi"])
-        c1, c2 = p.get("c1", 1.0), p.get("c2", 0.0)
-        sol = priors.construct_spherical(phi, k, c1=c1, c2=c2, u_grid=u_grid,
-                                         phi_series=b)
-        reports.append(conditions.check_spherical_minimax_bound(sol.F, k, u_grid))
-        rep = conditions.check_sqrt_superharmonic(
-            marginals.squared_profile(k, sol.S_triple, "formal_power_law"), u_grid)
-        rep.extra["formal_marginal"] = True
-        reports.append(rep)
-    elif fam == "custom_phi_mixture":
-        phi, _ = parse_phi_tokens(p["phi"])
-        G = priors.construct_G_mixture(phi, a=p.get("a", 1.0),
-                                       b=_parse_anchor(p.get("b", "inf")),
-                                       quad=quad, k=k)
-        reports.append(conditions.check_laplace_mixture_bound(G, k, s_grid))
-        reports.append(conditions.check_sqrt_superharmonic(
-            marginals.laplace_profile(G, k, "constructed_mixture", 1.0), u_grid))
-    return reports
-
-
-def _parse_anchor(v):
-    if isinstance(v, str) and v.lower() in ("inf", "+inf", "infinity"):
-        return math.inf
-    return float(v)
-
-
 def _aggregate_exit(reports: Sequence[conditions.ConditionReport]) -> int:
     verdicts = [r.verdict for r in reports]
     if any(v == conditions.FAILS for v in verdicts):
@@ -322,22 +199,22 @@ def _write_manifest(cfg: RunConfig, exit_code: int, outputs: List[str]):
                   json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _write(cfg: RunConfig, outputs: List[str], name: str, text: str):
+    """Write one output file atomically and record its path in ``outputs``."""
+    path = os.path.join(cfg.out_dir, name)
+    _atomic_write(path, text)
+    outputs.append(path)
+
+
 def _table_csv(header: Sequence[str], rows) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, str):
-                cells.append(v)
-            else:
-                cells.append(repr(float(np.asarray(v).reshape(-1)[0])))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    def cell(v):
+        return v if isinstance(v, str) else repr(float(np.asarray(v).reshape(-1)[0]))
+    return "\n".join([",".join(header)] + [",".join(map(cell, row)) for row in rows]) + "\n"
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    spec = priors.prior_from_spec(cfg.prior_spec)
-    reports = checkers_for(spec, cfg)
+    spec = families.prior_from_spec(cfg.prior_spec)
+    reports = families.checkers_for(spec, cfg.grid(), cfg.quad)
     code = _aggregate_exit(reports)
     doc = {
         "family": spec.family,
@@ -346,50 +223,39 @@ def cmd_verify(cfg: RunConfig) -> int:
         "reports": [r.to_dict() for r in reports],
         "aggregate": {0: "HOLDS", 4: "FAILS", 5: "INCONCLUSIVE"}[code],
     }
-    path = os.path.join(cfg.out_dir, "verify_report.json")
-    _atomic_write(path, json.dumps(doc, indent=2) + "\n")
-    _write_manifest(cfg, code, [path])
+    outputs = []
+    _write(cfg, outputs, "verify_report.json", json.dumps(doc, indent=2) + "\n")
+    _write_manifest(cfg, code, outputs)
     print(f"verify[{spec.family}]: {doc['aggregate']}"
           + "".join(f"\n  {r.condition_id}: {r.verdict}" for r in reports))
     return code
 
 
 def cmd_construct(cfg: RunConfig) -> int:
-    spec = priors.prior_from_spec(cfg.prior_spec)
-    if spec.family not in ("custom_phi_spherical", "custom_phi_mixture"):
-        raise DomainError("construct requires family custom_phi_spherical or "
-                          "custom_phi_mixture")
+    spec = families.prior_from_spec(cfg.prior_spec)
     u_grid = cfg.grid()
+    made, report, extra = families.construct(spec, u_grid, cfg.quad)
+    b = extra["b_coeffs"]
     outputs = []
     warnings: List[str] = []
-    if spec.family == "custom_phi_spherical":
-        phi, b = parse_phi_tokens(spec.params["phi"])
-        c1 = spec.params.get("c1", 1.0)
-        c2 = spec.params.get("c2", 0.0)
-        sol = priors.construct_spherical(phi, spec.k, c1=c1, c2=c2,
-                                         u_grid=u_grid, phi_series=b)
-        report = conditions.check_spherical_minimax_bound(sol.F, spec.k, u_grid)
-        table = _table_csv(["u", "F", "dF", "d2F", "z1", "z2"], zip(
-            u_grid, sol.F.eval(u_grid), sol.F.deriv1(u_grid), sol.F.deriv2(u_grid),
-            sol.z1.eval(u_grid), sol.z2.eval(u_grid)))
-        fpath = os.path.join(cfg.out_dir, "profile_table.csv")
-        _atomic_write(fpath, table)
-        outputs.append(fpath)
+    if isinstance(made, priors.ConstructionSolution):   # the spherical route
+        sol = made
+        _write(cfg, outputs, "profile_table.csv", _table_csv(
+            ["u", "F", "dF", "d2F", "z1", "z2"],
+            zip(u_grid, sol.F.eval(u_grid), sol.F.deriv1(u_grid), sol.F.deriv2(u_grid),
+                sol.z1.eval(u_grid), sol.z2.eval(u_grid))))
         recovery = {"available": False,
                     "reason": "closed-form recovery only for the pure "
                               "inverse-square forcing with a single root"}
         pure_inv_sq = (b[1] == b[2] == b[3] == 0.0 and b[0] < 0.0)
-        single = (c2 == 0.0) or (c1 == 0.0)
+        single = (sol.c2 == 0.0) or (sol.c1 == 0.0)
         if pure_inv_sq and single:
-            rho = sol.rho1 if c2 == 0.0 else sol.rho2
+            rho = sol.rho1 if sol.c2 == 0.0 else sol.rho2
             gamma = 2.0 * rho + (spec.k - 1.0) / 2.0
             if gamma + (spec.k + 1.0) / 2.0 > 0:
                 lam = priors.whittaker_radial(gamma, spec.k)
-                ltab = _table_csv(["r", "lambda_unnormalized"],
-                                  zip(u_grid, lam.lam.eval(u_grid)))
-                lpath = os.path.join(cfg.out_dir, "radial_density_table.csv")
-                _atomic_write(lpath, ltab)
-                outputs.append(lpath)
+                _write(cfg, outputs, "radial_density_table.csv", _table_csv(
+                    ["r", "lambda_unnormalized"], zip(u_grid, lam.lam.eval(u_grid))))
                 recovery = {"available": True, "gamma": gamma,
                             "proper": lam.proper,
                             "note": "defined up to positive scale"}
@@ -398,19 +264,12 @@ def cmd_construct(cfg: RunConfig) -> int:
                             "reason": f"gamma={gamma:.6g} violates "
                                       "gamma + (k+1)/2 > 0"}
         properness = {"proper": recovery.get("proper", "unknown")}
-        extra = {"rho1": sol.rho1, "rho2": sol.rho2, "b_coeffs": sol.b_coeffs}
-    else:
-        phi, b = parse_phi_tokens(spec.params["phi"])
-        a = spec.params.get("a", 1.0)
-        banchor = _parse_anchor(spec.params.get("b", "inf"))
-        G = priors.construct_G_mixture(phi, a=a, b=banchor, quad=cfg.quad, k=spec.k)
+    else:                                               # the mixture route's G
+        G = made
         s_grid = 0.5 * u_grid ** 2
-        report = conditions.check_laplace_mixture_bound(G, spec.k, s_grid)
-        table = _table_csv(["s", "G", "dG", "d2G"], zip(
-            s_grid, G.eval(s_grid), G.deriv1(s_grid), G.deriv2(s_grid)))
-        fpath = os.path.join(cfg.out_dir, "transform_table.csv")
-        _atomic_write(fpath, table)
-        outputs.append(fpath)
+        _write(cfg, outputs, "transform_table.csv", _table_csv(
+            ["s", "G", "dG", "d2G"],
+            zip(s_grid, G.eval(s_grid), G.deriv1(s_grid), G.deriv2(s_grid))))
         boundary = (b[0] == b[2] == b[3] == 0.0 and abs(b[1] - spec.k) < 1e-12)
         if boundary:
             warnings.append(
@@ -420,10 +279,8 @@ def cmd_construct(cfg: RunConfig) -> int:
                 "density (v+1)^{1-k/2} is recovered by the classical "
                 "identification and is itself proper and minimax")
             md = priors.monomial_mixing(spec.k - 3, spec.k)
-            htab = _table_csv(["v", "h"], zip(u_grid, md.h.eval(u_grid)))
-            hpath = os.path.join(cfg.out_dir, "mixing_density_table.csv")
-            _atomic_write(hpath, htab)
-            outputs.append(hpath)
+            _write(cfg, outputs, "mixing_density_table.csv",
+                   _table_csv(["v", "h"], zip(u_grid, md.h.eval(u_grid))))
             recovery = {"available": True, "form": "(v+1)^{1-k/2}",
                         "caveat": "formal inverse: kernel not (0,1)-supported"}
         else:
@@ -432,7 +289,6 @@ def cmd_construct(cfg: RunConfig) -> int:
                                   "out of scope; only the boundary family has "
                                   "a closed-form kernel"}
         properness = {"proper": "see recovery"}
-        extra = {"b_coeffs": b, "a": a, "anchor_b": repr(banchor)}
 
     code = _EXIT_OK if report.verdict != conditions.FAILS else _EXIT_FAILS
     doc = {
@@ -444,9 +300,7 @@ def cmd_construct(cfg: RunConfig) -> int:
         "warnings": warnings,
         "extra": extra,
     }
-    rpath = os.path.join(cfg.out_dir, "construct_report.json")
-    _atomic_write(rpath, json.dumps(doc, indent=2) + "\n")
-    outputs.append(rpath)
+    _write(cfg, outputs, "construct_report.json", json.dumps(doc, indent=2) + "\n")
     _write_manifest(cfg, code, outputs)
     print(f"construct[{spec.family}]: {report.verdict}"
           + (f" ({len(warnings)} warning(s))" if warnings else ""))
@@ -454,25 +308,22 @@ def cmd_construct(cfg: RunConfig) -> int:
 
 
 def cmd_risk(cfg: RunConfig) -> int:
-    spec = priors.prior_from_spec(cfg.prior_spec)
+    spec = families.prior_from_spec(cfg.prior_spec)
     profile = profile_for(spec, cfg.quad)
     reports = estimators.risk_curve(profile, cfg.theta_norms, cfg.n_samples,
                                     cfg.seed, k=cfg.k)
     exceeded = [r for r in reports
                 if r.mc_risk > r.baseline_k + 3.0 * r.mc_stderr]
     code = _EXIT_RISK_EXCEEDED if exceeded else _EXIT_OK
-    csv_text = estimators.risk_reports_to_csv(reports)
-    cpath = os.path.join(cfg.out_dir, "risk_curve.csv")
-    _atomic_write(cpath, csv_text)
-    long_rows = []
-    for r in reports:
-        for q in ("mc_risk", "mc_stderr", "sure_mean", "sure_stderr"):
-            long_rows.append((r.theta_norm, q, getattr(r, q)))
-    lpath = os.path.join(cfg.out_dir, "risk_long.csv")
-    _atomic_write(lpath, _table_csv(["theta_norm", "quantity", "value"], long_rows))
-    jpath = os.path.join(cfg.out_dir, "risk_report.json")
-    _atomic_write(jpath, estimators.risk_reports_to_json(reports, indent=2) + "\n")
-    _write_manifest(cfg, code, [cpath, lpath, jpath])
+    outputs = []
+    _write(cfg, outputs, "risk_curve.csv", estimators.risk_reports_to_csv(reports))
+    long_rows = [(r.theta_norm, q, getattr(r, q)) for r in reports
+                 for q in ("mc_risk", "mc_stderr", "sure_mean", "sure_stderr")]
+    _write(cfg, outputs, "risk_long.csv",
+           _table_csv(["theta_norm", "quantity", "value"], long_rows))
+    _write(cfg, outputs, "risk_report.json",
+           estimators.risk_reports_to_json(reports, indent=2) + "\n")
+    _write_manifest(cfg, code, outputs)
     for r in reports:
         flag = " EXCEEDS" if r in exceeded else ""
         print(f"risk |theta|={r.theta_norm:g}: {r.mc_risk:.4f} +- "
@@ -483,51 +334,34 @@ def cmd_risk(cfg: RunConfig) -> int:
 def _transform_input(cfg: RunConfig):
     """Resolve the function f and order nu for the transform command."""
     ps = cfg.prior_spec
-    fam = ps.get("family")
-    params = dict(ps.get("params") or {})
-    k = cfg.k
-    nu = float(cfg.transform_block.get("nu", (k - 2.0) / 2.0))
-    if fam == "gaussian_bessel":
-        alpha = float(params.get("alpha", 1.0))
+    nu = float(cfg.transform_block.get("nu", (cfg.k - 2.0) / 2.0))
+    if ps.get("family") == "gaussian_bessel":
+        alpha = float((ps.get("params") or {}).get("alpha", 1.0))
 
         def log_f(x):
             x = np.asarray(x, dtype=float)
             with np.errstate(divide="ignore"):
                 return (nu + 0.5) * np.log(x) - alpha * x * x
 
-        f = ScalarFn(eval=lambda x: np.exp(log_f(x)), support=(0.0, math.inf),
-                     label="gaussian_bessel_kernel", log_eval=log_f, nonneg=True)
-        closed = {"alpha": alpha}
-        return f, nu, closed
-    if fam == "zero":
-        f = ScalarFn(eval=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                     support=(0.0, math.inf), label="zero", nonneg=True)
-        return f, nu, None
-    spec = priors.prior_from_spec(ps)
-    if spec.family == "strawderman":
-        prior = priors.strawderman_radial(spec.params["a"], spec.k, cfg.quad)
-    elif spec.family == "whittaker":
-        prior = priors.whittaker_radial(spec.params["gamma"], spec.k)
-    else:
-        raise DomainError(f"transform input not defined for family {spec.family!r}")
-    return transforms.transform_weight(prior.lam, spec.k), nu, None
+        return ScalarFn(eval=lambda x: np.exp(log_f(x)), support=(0.0, math.inf),
+                        label="gaussian_bessel_kernel", log_eval=log_f, nonneg=True), nu
+    if ps.get("family") == "zero":
+        return ScalarFn(eval=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+                        support=(0.0, math.inf), label="zero", nonneg=True), nu
+    spec = families.prior_from_spec(ps)
+    return transforms.transform_weight(families.radial_prior(spec, cfg.quad).lam, spec.k), nu
 
 
 def cmd_transform(cfg: RunConfig) -> int:
-    f, nu, _ = _transform_input(cfg)
+    f, nu = _transform_input(cfg)
     kind = cfg.transform_block.get("kind", "i")
     grid = cfg.grid()
-    values = []
-    for y in grid:
-        if kind == "i":
-            values.append(transforms.i_transform(f, nu, float(y), cfg.quad))
-        elif kind == "k":
-            values.append(transforms.k_transform(f, nu, float(y), cfg.quad))
-        else:
-            raise DomainError(f"transform kind must be i or k, got {kind!r}")
-    tpath = os.path.join(cfg.out_dir, "transform_table.csv")
-    _atomic_write(tpath, _table_csv(["y", "value"], zip(grid, values)))
-    outputs = [tpath]
+    if kind not in ("i", "k"):
+        raise DomainError(f"transform kind must be i or k, got {kind!r}")
+    transform = transforms.i_transform if kind == "i" else transforms.k_transform
+    values = [transform(f, nu, float(y), cfg.quad) for y in grid]
+    outputs = []
+    _write(cfg, outputs, "transform_table.csv", _table_csv(["y", "value"], zip(grid, values)))
     code = _EXIT_OK
 
     target = cfg.transform_block.get("consistency_target")
@@ -537,7 +371,7 @@ def cmd_transform(cfg: RunConfig) -> int:
                 "gamma", cfg.prior_spec.get("params", {}).get("gamma", 1.0)))
             F_target = priors.power_exp_profile(gamma, cfg.k)
         elif target == "ell_over_h":
-            spec = priors.prior_from_spec(cfg.prior_spec)
+            spec = families.prior_from_spec(cfg.prior_spec)
             prof = profile_for(spec, cfg.quad)
             logA = (math.lgamma(0.5 * cfg.k) - math.log(2.0)
                     - 0.5 * cfg.k * math.log(math.pi))
@@ -567,9 +401,7 @@ def cmd_transform(cfg: RunConfig) -> int:
             nonneg=f.nonneg, label="lambda_candidate")
         report = transforms.i_transform_consistency(
             lam_like, F_target, nu, list(grid), cfg.quad, prop_tol=prop_tol)
-        rpath = os.path.join(cfg.out_dir, "consistency_report.json")
-        _atomic_write(rpath, report.to_json(indent=2) + "\n")
-        outputs.append(rpath)
+        _write(cfg, outputs, "consistency_report.json", report.to_json(indent=2) + "\n")
         if "divergence" in report.extra:
             code = _EXIT_CONSTRUCTION
         elif report.verdict == conditions.FAILS:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -44,7 +44,7 @@ __all__ = [
     "monomial_pair",
     "whittaker_radial", "construct_G_mixture", "mixing_from_unit_kernel",
     "monomial_kernel", "monomial_laplace_G", "probe_properness",
-    "prior_from_spec", "KNOWN_FAMILIES",
+    "prior_from_spec",
 ]
 
 PROPER = "proper"
@@ -67,18 +67,7 @@ class RadialPrior:
             raise DomainError(f"dimension k >= 3 required, got {self.k}")
 
     def normalized(self) -> "RadialPrior":
-        if self.proper != PROPER or not self.mass or self.mass <= 0:
-            raise DomainError("cannot normalize a non-proper density")
-        m = self.mass
-        base = self.lam
-        lam = ScalarFn(
-            eval=lambda r: np.asarray(base.eval(r)) / m,
-            support=base.support, label=base.label + "_normalized",
-            log_eval=(None if base.log_eval is None
-                      else lambda r: base.log_eval(r) - math.log(m)),
-            nonneg=base.nonneg,
-        )
-        return replace(self, lam=lam, mass=1.0)
+        return _normalized(self, "lam")
 
 
 @dataclass
@@ -96,18 +85,20 @@ class MixingDensity:
             raise DomainError(f"dimension k >= 3 required, got {self.k}")
 
     def normalized(self) -> "MixingDensity":
-        if self.proper != PROPER or not self.mass or self.mass <= 0:
-            raise DomainError("cannot normalize a non-proper density")
-        m = self.mass
-        base = self.h
-        h = ScalarFn(
-            eval=lambda v: np.asarray(base.eval(v)) / m,
-            support=base.support, label=base.label + "_normalized",
-            log_eval=(None if base.log_eval is None
-                      else lambda v: base.log_eval(v) - math.log(m)),
-            nonneg=base.nonneg,
-        )
-        return replace(self, h=h, mass=1.0)
+        return _normalized(self, "h")
+
+
+def _normalized(density, attr: str):
+    """Copy of a proper density whose function ``attr`` has mass one."""
+    if density.proper != PROPER or not density.mass or density.mass <= 0:
+        raise DomainError("cannot normalize a non-proper density")
+    m, base = density.mass, getattr(density, attr)
+    fn = ScalarFn(eval=lambda x: np.asarray(base.eval(x)) / m,
+                  support=base.support, label=base.label + "_normalized",
+                  log_eval=(None if base.log_eval is None
+                            else lambda x: base.log_eval(x) - math.log(m)),
+                  nonneg=base.nonneg)
+    return replace(density, mass=1.0, **{attr: fn})
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +528,13 @@ class ConstructionSolution:
     rho1: float
     rho2: float
     b_coeffs: List[float]
+    z_triples: Tuple[Callable, Callable]   # u -> (z, z', z'') for z1 and z2
 
     def S_triple(self, u):
         """(S, S', S'') of S = c1 z1 + c2 z2, so F = S^2 u^{(k-1)/2} e^{u^2/2}."""
-        z1, z2, c1, c2 = self.z1, self.z2, self.c1, self.c2
-        return (c1 * z1.eval(u) + c2 * z2.eval(u),
-                c1 * z1.deriv1(u) + c2 * z2.deriv1(u),
-                c1 * z1.deriv2(u) + c2 * z2.deriv2(u))
+        c1, c2 = self.c1, self.c2
+        (z1, d1, dd1), (z2, d2, dd2) = (t(u) for t in self.z_triples)
+        return c1 * z1 + c2 * z2, c1 * d1 + c2 * d2, c1 * dd1 + c2 * dd2
 
 
 def _fit_phi_series(phi: ScalarFn) -> List[float]:
@@ -643,39 +634,28 @@ def construct_spherical(phi: ScalarFn, k: int, c1: float = 1.0, c2: float = 0.0,
         if not sol.success:
             raise ConstructionError(f"integration of {label} failed: {sol.message}")
 
-        def z_eval(u):
+        def z_triple(u):
+            """(z, z', z''): z and z' from one read of the series or the dense
+            output, z'' from the ODE."""
             scalar = np.asarray(u).ndim == 0
             u = np.atleast_1d(np.asarray(u, dtype=float))
-            out = np.empty_like(u)
+            z, dz = np.empty_like(u), np.empty_like(u)
             small = u <= u0
             if np.any(small):
-                out[small] = _series_eval(rho, coeffs, u[small])[0]
+                z[small], dz[small] = _series_eval(rho, coeffs, u[small])
             if np.any(~small):
-                out[~small] = sol.sol(u[~small])[0]
-            return float(out[0]) if scalar else out
+                z[~small], dz[~small] = sol.sol(u[~small])
+            d2z = -((k - 1.0) / u) * dz + 0.5 * np.asarray(phi.eval(u), dtype=float) * z
+            return tuple(float(x[0]) for x in (z, dz, d2z)) if scalar else (z, dz, d2z)
 
-        def z_deriv(u):
-            scalar = np.asarray(u).ndim == 0
-            u = np.atleast_1d(np.asarray(u, dtype=float))
-            out = np.empty_like(u)
-            small = u <= u0
-            if np.any(small):
-                out[small] = _series_eval(rho, coeffs, u[small])[1]
-            if np.any(~small):
-                out[~small] = sol.sol(u[~small])[1]
-            return float(out[0]) if scalar else out
+        return z_triple
 
-        def z_deriv2(u):
-            u = np.asarray(u, dtype=float)
-            return (-((k - 1.0) / u) * z_deriv(u)
-                    + 0.5 * np.asarray(phi.eval(u), dtype=float) * z_eval(u))
-
-        return ScalarFn(eval=z_eval, deriv1=z_deriv, deriv2=z_deriv2,
-                        support=(0.0, u_max), label=label)
-
-    sol = ConstructionSolution(k=k, phi=phi, F=None, z1=make_solution(rho1, "z1"),
-                               z2=make_solution(rho2, "z2"), c1=c1, c2=c2,
-                               rho1=rho1, rho2=rho2, b_coeffs=b)
+    z_triples = (make_solution(rho1, "z1"), make_solution(rho2, "z2"))
+    z1, z2 = (ScalarFn(eval=lambda u, t=t: t(u)[0], deriv1=lambda u, t=t: t(u)[1],
+                       deriv2=lambda u, t=t: t(u)[2], support=(0.0, u_max), label=label)
+              for t, label in zip(z_triples, ("z1", "z2")))
+    sol = ConstructionSolution(k=k, phi=phi, F=None, z1=z1, z2=z2, c1=c1, c2=c2,
+                               rho1=rho1, rho2=rho2, b_coeffs=b, z_triples=z_triples)
     sol.F = _assemble_profile(sol.S_triple, k, label="constructed_profile",
                               support=(0.0, u_max))
     return sol
@@ -818,10 +798,14 @@ def whittaker_radial(gamma: float, k: int) -> RadialPrior:
         if a1 > 0:
             sign, log_f = 1.0, specfun.log_kummer_1f1(a1, b1, z)
         else:
-            f1 = specfun.kummer_1f1(a1, b1, z)
-            sign = np.sign(f1)
-            with np.errstate(divide="ignore"):
-                log_f = np.log(np.abs(f1))
+            zs = np.atleast_1d(z)
+            with np.errstate(over="ignore", divide="ignore"):
+                f1 = specfun.kummer_1f1(a1, b1, zs)
+                sign, log_f = np.sign(f1), np.log(np.abs(f1))
+            over = np.isinf(f1)   # the linear series overflows past z ~ 710
+            if np.any(over):
+                sign[over], log_f[over] = specfun.signed_log_kummer_1f1_large(a1, b1, zs[over])
+            sign, log_f = sign.reshape(z.shape), log_f.reshape(z.shape)
         with np.errstate(divide="ignore"):
             return sign, ((k - 2.0) / 2.0 * np.log(r) + r * r / 4.0
                           - z / 2.0 + (mu + 0.5) * np.log(z) + log_f)
@@ -1039,66 +1023,7 @@ def construct_G_mixture(phi: ScalarFn, a: float, b: float,
                     support=(0.0, math.inf), label="constructed_G", nonneg=True)
 
 
-# ---------------------------------------------------------------------------
-# JSON family specs
-# ---------------------------------------------------------------------------
-
-KNOWN_FAMILIES = (
-    "strawderman", "example1", "example2", "whittaker", "bessel_F",
-    "custom_phi_spherical", "custom_phi_mixture", "flat",
-)
-
-
-@dataclass
-class FamilySpec:
-    """Validated prior-family specification from a JSON document."""
-    family: str
-    k: int
-    params: Dict
-
-
-def prior_from_spec(doc: dict) -> FamilySpec:
-    """Validate {"family": ..., "k": ..., "params": {...}} and check parameters.
-
-    Unknown families are rejected with the list of known ones.
-    """
-    if not isinstance(doc, dict):
-        raise DomainError("prior spec must be a JSON object")
-    family = doc.get("family")
-    if family not in KNOWN_FAMILIES:
-        raise DomainError(
-            f"unknown prior family {family!r}; known families: "
-            + ", ".join(KNOWN_FAMILIES))
-    k = doc.get("k")
-    if not isinstance(k, int) or k < 3:
-        raise DomainError(f"k must be an integer >= 3, got {k!r}")
-    params = dict(doc.get("params") or {})
-    if family == "strawderman":
-        a = params.get("a")
-        if a is None or not (0.0 <= a < 1.0):
-            raise DomainError("strawderman requires parameter a in [0, 1)")
-    elif family == "example1":
-        n = params.get("n")
-        if not isinstance(n, int) or n < 0:
-            raise DomainError("example1 requires a nonnegative integer n")
-    elif family == "example2":
-        for name in ("alpha", "beta", "sigma"):
-            if name not in params:
-                raise DomainError(f"example2 requires parameter {name!r}")
-        params.setdefault("gamma", 0.0)
-        gen_beta_kernel(params["alpha"], params["beta"], params["gamma"],
-                        params["sigma"])  # validates ranges
-    elif family == "whittaker":
-        g = params.get("gamma")
-        if g is None or not g + (k + 1.0) / 2.0 > 0:
-            raise DomainError("whittaker requires gamma with gamma + (k+1)/2 > 0")
-    elif family == "bessel_F":
-        bb = params.get("b")
-        if bb is None or not (0.0 <= bb <= (k - 2.0) ** 2 / 4.0):
-            raise DomainError("bessel_F requires 0 <= b <= (k-2)^2/4")
-        params.setdefault("A1", 1.0)
-        params.setdefault("A2", 0.0)
-    elif family in ("custom_phi_spherical", "custom_phi_mixture"):
-        if "phi" not in params or not isinstance(params["phi"], list):
-            raise DomainError(f"{family} requires a phi token list under params")
-    return FamilySpec(family=family, k=k, params=params)
+def prior_from_spec(doc: dict):
+    """Validate a prior spec against the family table (``families.prior_from_spec``)."""
+    from . import families  # deferred: families builds on this module
+    return families.prior_from_spec(doc)

@@ -37,7 +37,7 @@ from .errors import DomainError, EvaluationError
 __all__ = [
     "EvalPolicy", "DEFAULT_POLICY", "bessel_i", "bessel_k",
     "kummer_1f1", "whittaker_m", "whittaker_w",
-    "log_bessel_i_scaled", "log_kummer_1f1",
+    "log_bessel_i_scaled", "log_kummer_1f1", "signed_log_kummer_1f1_large",
 ]
 
 
@@ -384,6 +384,14 @@ def log_kummer_1f1(a: float, b: float, z, policy: EvalPolicy = DEFAULT_POLICY):
                                   a=a, b=b, zmax=float(np.max(zs)))
         out[~big] = logS
     return float(out[0]) if z_in.ndim == 0 else out
+
+
+def signed_log_kummer_1f1_large(a: float, b: float, z):
+    """(sign, log|1F1(a; b; z)|) from the large-z expansion, for b > 0 and a not
+    in {0, -1, ...}: its sum is positive, so 1F1 < 0 for a in (-1, 0), (-3, -2), ..."""
+    sign = -1.0 if a < 0 and math.floor(-a) % 2 == 0 else 1.0
+    return sign, _log_kummer_asymptotic(a, b, np.asarray(z, dtype=float),
+                                        DEFAULT_POLICY.rel_tol)
 
 
 # ---------------------------------------------------------------------------

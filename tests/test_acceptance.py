@@ -175,7 +175,8 @@ def test_a6_whittaker_forward_transform_proportionality():
     (1,5), with a1 = 1/2, where f(r) = r^{-1/2} e^{-r^2/4} M_{3/4,3/4}(r^2/2)
     decays like 3*2^{-5/4} r^{-2} against the e^{ru} growth of the
     sqrt(ru) I_{3/2}(ru) kernel; and (3,5), with a1 = -1/2, where the
-    density overflows at r = 40 before the scan horizon.
+    signed density grows the same way and the integrand is still not
+    decreasing at the scan horizon.
     """
     grid = [0.5, 1.0, 2.0, 4.0]
 

@@ -363,6 +363,39 @@ class TestWhittakerRadial:
         assert np.all(got[r < math.sqrt(5.0)] > 0)
         assert np.all(got[r > math.sqrt(5.0)] < 0)
 
+    def test_signed_log_past_series_overflow(self):
+        """gamma=3, k=5: a1 = -1/2, so 1F1(a1; 5/2; r^2/2) does not terminate
+        and is negative; its linear series overflows between r = 37.5 and 38.  Past
+        that, sign and log|lambda| come from the large-z expansion and must
+        match mpmath; below it, the linear series value is kept."""
+        import mpmath as mp
+
+        from bayesminimax import specfun as sf
+
+        gamma, k = 3.0, 5
+        a1, b1, mu = (k - 1) / 4.0 - gamma / 2.0, k / 2.0, (k - 2) / 4.0
+        lam = pr.whittaker_radial(gamma, k).lam
+        r = np.array([30.0, 39.0, 45.0, 60.0])
+        with np.errstate(over="ignore"):
+            sign = np.sign(lam.eval(r))
+        got = lam.log_eval(r)
+        with mp.workdps(30):
+            for ri, si, gi in zip(r, sign, got):
+                z = mp.mpf(ri) ** 2 / 2
+                f1 = mp.hyp1f1(a1, b1, z)
+                ref = float((k - 2) / 2.0 * mp.log(ri) + mp.mpf(ri) ** 2 / 4 - z / 2
+                            + (mu + 0.5) * mp.log(z) + mp.log(abs(f1)))
+                assert si == float(mp.sign(f1)) == -1.0
+                assert gi == pytest.approx(ref, rel=1e-10)
+
+        rf = np.array([30.0, 37.5])
+        z = rf * rf / 2.0
+        f1 = sf.kummer_1f1(a1, b1, z)
+        assert np.all(np.isfinite(f1))
+        linear = ((k - 2) / 2.0 * np.log(rf) + rf * rf / 4.0 - z / 2.0
+                  + (mu + 0.5) * np.log(z) + np.log(np.abs(f1)))
+        np.testing.assert_allclose(lam.log_eval(rf), linear, rtol=1e-13)
+
     def test_mass_grows_without_bound(self):
         """Truncated mass integrals at R = 10, 20, 40 grow explosively; the
         family never integrates (flagged improper)."""
