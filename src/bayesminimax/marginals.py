@@ -153,8 +153,13 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD,
 
     combined with the log-derivatives of the prefactor e^{-u^2/2} u^{-nu}.
     Below ``small_u`` the removable 0/0 form is replaced by the series from
-    the leading Bessel terms.
+    the leading Bessel terms.  The integrands are built from log|lambda|, so
+    a signed lambda raises DomainError rather than being integrated as
+    |lambda|.
     """
+    if not prior.lam.nonneg:
+        raise DomainError(f"radial quadrature needs a nonnegative lambda, got the "
+                          f"signed {prior.lam.label!r}")
     k = prior.k
     nu = (k - 2.0) / 2.0
     logA = math.lgamma(0.5 * k) - math.log(2.0) - 0.5 * k * math.log(math.pi)

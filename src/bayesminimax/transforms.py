@@ -12,11 +12,11 @@ still above the truncation threshold at the scan horizon and increasing, a
 :class:`~bayesminimax.errors.TransformDivergenceError` is raised -- the
 transform genuinely does not exist there.
 
-Also provided: the Laplace transform of kernels supported on (0, 1), the
-K-transform (used purely as a test oracle for transform-pair tables), and a
-forward-consistency checker that replaces the contour-integral inversion
-formula: instead of inverting numerically, it verifies that a candidate
-radial density maps forward onto a stated transform profile up to a constant.
+Also provided: the K-transform (used purely as a test oracle for
+transform-pair tables) and a forward-consistency checker that replaces the
+contour-integral inversion formula: instead of inverting numerically, it
+verifies that a candidate radial density maps forward onto a stated
+transform profile up to a constant.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from . import _quad, specfun
 from .errors import DomainError, TransformDivergenceError
 
 __all__ = [
-    "QuadSpec", "ScalarFn", "DEFAULT_QUAD", "integrate",
-    "i_transform", "laplace_unit", "laplace_fn", "k_transform",
-    "transform_weight", "i_transform_consistency",
+    "QuadSpec", "ScalarFn", "DEFAULT_QUAD", "i_transform", "k_transform",
+    "transform_weight", "i_transform_consistency", "proportionality_report",
 ]
 
 
@@ -93,136 +92,87 @@ def _clip_support(fn, lo, hi):
     return lo, hi
 
 
-def integrate(f, lo: float, hi: float, quad: QuadSpec = DEFAULT_QUAD) -> float:
-    """Adaptive integral of ``f`` over (lo, hi); hi may be infinite.
-
-    Endpoint singularities that are integrable (declared implicitly by an
-    open support) are handled by sqrt substitutions.  Infinite upper limits
-    are truncated once the integrand falls below tail_cut relative to its
-    scanned peak.
-    """
-    lo, hi = _clip_support(f, lo, hi)
-    fn = f.eval if isinstance(f, ScalarFn) else f
-    if math.isinf(hi):
-        def log_mag(x):
-            with np.errstate(all="ignore"):
-                v = np.log(np.abs(np.asarray(fn(x), dtype=float)))
-            return np.where(np.isnan(v), -np.inf, v)
-        lo_eff, hi_eff, log_peak = _quad.scan_log_peak(log_mag, lo, hi, quad.tail_cut)
-        if not math.isfinite(log_peak):
-            return 0.0
-        hi = hi_eff
-    return _quad.integrate_finite(fn, lo, hi, rel_tol=quad.rel_tol,
-                                  abs_tol=quad.abs_tol, max_depth=quad.max_depth)
-
-
-def i_transform(f, nu: float, y: float, quad: QuadSpec = DEFAULT_QUAD) -> float:
-    """Forward I-transform of f at y > 0.
+def i_transform(f, nu: float, y, quad: QuadSpec = DEFAULT_QUAD):
+    """Forward I-transform of f at y > 0, or at each y of an array.
 
     The integrand is assembled in log space as
-    log f(x) + 0.5 log(xy) + [log I_nu(xy) - xy] + xy, so neither the Bessel
-    growth nor a Gaussian-decaying f can overflow.  Raises
-    TransformDivergenceError when the integral does not exist.
+    log|f(x)| + 0.5 log(xy) + [log I_nu(xy) - xy] + xy, so neither the Bessel
+    growth nor a Gaussian-decaying f can overflow.  Each y gets its own peak
+    scan, in the order given; the first y whose integral does not exist
+    raises TransformDivergenceError, with that y as ``diagnostics["y"]``.
+    The rows exp(log-integrand - peak_y), split into the parts where f is
+    positive and negative, are then integrated together over one window
+    spanning every row's, so signed and nonnegative f take the same path.
+    A scalar y returns a float.
     """
-    if not y > 0:
-        raise DomainError(f"I-transform requires y > 0, got {y}")
+    ys = np.atleast_1d(np.asarray(y, dtype=float))
+    for yi in ys:
+        if not yi > 0:
+            raise DomainError(f"I-transform requires y > 0, got {yi}")
+    if not isinstance(f, ScalarFn):
+        f = ScalarFn(eval=f)
     lo, hi = _clip_support(f, 0.0, math.inf)
-    is_sfn = isinstance(f, ScalarFn)
 
-    def log_g(x):
-        x = np.asarray(x, dtype=float)
-        xy = x * y
+    def log_g(x, yv):
+        xy = x * yv
         with np.errstate(all="ignore"):
-            lf = f.log_abs(x) if is_sfn else np.log(np.abs(np.asarray(f(x), dtype=float)))
-            out = lf + 0.5 * np.log(xy) + specfun.log_bessel_i_scaled(nu, xy) + xy
+            out = f.log_abs(x) + 0.5 * np.log(xy) + specfun.log_bessel_i_scaled(nu, xy) + xy
         return np.where(np.isnan(out), -np.inf, out)
 
-    lo_eff, hi_eff, log_peak = _quad.scan_log_peak(log_g, lo, hi, quad.tail_cut)
-    if not math.isfinite(log_peak):
-        return 0.0
+    scans = np.empty((ys.size, 3))
+    for i, yi in enumerate(ys):
+        try:
+            scans[i] = _quad.scan_log_peak(lambda x: log_g(x, yi), lo, hi, quad.tail_cut)
+        except TransformDivergenceError as exc:
+            exc.diagnostics["y"] = float(yi)
+            raise
+    lo_eff, hi_eff, peaks = scans.T
+    live = np.isfinite(peaks)  # a row whose peak is -inf is identically zero
+    out = np.zeros_like(ys)
+    if live.any():
+        y_live, peak_live = ys[live, None], peaks[live, None]
 
-    if is_sfn and f.nonneg:
-        def integrand(x):
-            return np.exp(log_g(x) - log_peak)
-    else:
-        def integrand(x):
-            x = np.asarray(x, dtype=float)
-            xy = x * y
-            fv = np.asarray(f.eval(x) if is_sfn else f(x), dtype=float)
-            with np.errstate(all="ignore"):
-                kern = np.exp(0.5 * np.log(xy) + specfun.log_bessel_i_scaled(nu, xy) + xy - log_peak)
-            return fv * np.where(np.isfinite(kern), kern, 0.0)
+        # the positive and negative parts are separate rows, each converged
+        # to rel_tol of its own size: a cancelling row would otherwise have
+        # to reach rel_tol of a difference far below its roundoff floor
+        def rows(x):
+            sign = 1.0 if f.nonneg else np.sign(np.asarray(f.eval(x), dtype=float))
+            g = np.exp(log_g(x, y_live) - peak_live)
+            return np.concatenate([g * (sign > 0), g * (sign < 0)])
 
-    val = _quad.integrate_finite(integrand, lo_eff, hi_eff, rel_tol=quad.rel_tol,
-                                 abs_tol=quad.abs_tol, max_depth=quad.max_depth)
-    return math.exp(log_peak) * val
-
-
-def laplace_unit(f, s: float, quad: QuadSpec = DEFAULT_QUAD) -> float:
-    """int_0^1 f(t) e^{-st} dt for a kernel supported on (0, 1)."""
-    if s < 0:
-        raise DomainError(f"laplace_unit requires s >= 0, got {s}")
-    lo, hi = _clip_support(f, 0.0, 1.0)
-    fn = f.eval if isinstance(f, ScalarFn) else f
-
-    def integrand(t):
-        return np.asarray(fn(t), dtype=float) * np.exp(-s * np.asarray(t, dtype=float))
-
-    return _quad.integrate_finite(integrand, lo, hi, rel_tol=quad.rel_tol,
-                                  abs_tol=quad.abs_tol, max_depth=quad.max_depth)
+        pos, neg = np.split(_quad.integrate_rows(
+            rows, lo_eff[live].min(), hi_eff[live].max(),
+            quad.rel_tol, quad.abs_tol, quad.max_depth), 2)
+        with np.errstate(over="ignore"):
+            out[live] = np.exp(peaks[live]) * (pos - neg)
+    return out if np.ndim(y) else float(out[0])
 
 
-def laplace_fn(f_unit, quad: QuadSpec = DEFAULT_QUAD) -> ScalarFn:
-    """The Laplace transform G of a (0,1)-supported kernel, as a ScalarFn.
-
-    G' and G'' are computed by differentiating under the integral sign,
-    G^(j)(s) = int (-t)^j f(t) e^{-st} dt, never by finite differences: the
-    downstream minimaxity condition takes a G''/G' ratio that is hypersensitive
-    to derivative noise.
-    """
-    lo, hi = _clip_support(f_unit, 0.0, 1.0)
-    fn = f_unit.eval if isinstance(f_unit, ScalarFn) else f_unit
-
-    def moment(j, s):
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-
-        def fmat(t):
-            t = np.asarray(t, dtype=float)
-            base = np.asarray(fn(t), dtype=float) * (-t) ** j
-            return base[None, :] * np.exp(-s_arr[:, None] * t[None, :])
-
-        total = _quad.integrate_rows(fmat, lo, hi, quad.rel_tol, quad.abs_tol,
-                                     quad.max_depth)
-        return total if np.asarray(s).ndim else float(total[0])
-
-    return ScalarFn(
-        eval=lambda s: moment(0, s),
-        deriv1=lambda s: moment(1, s),
-        deriv2=lambda s: moment(2, s),
-        support=(0.0, math.inf),
-        label="laplace_transform",
-        nonneg=True,
-    )
-
-
-def k_transform(g, nu: float, y: float, quad: QuadSpec = DEFAULT_QUAD) -> float:
-    """K-transform int_0^inf g(x) sqrt(xy) K_nu(xy) dx (test oracle)."""
-    if not y > 0:
-        raise DomainError(f"K-transform requires y > 0, got {y}")
+def k_transform(g, nu: float, y, quad: QuadSpec = DEFAULT_QUAD):
+    """K-transform int_0^inf g(x) sqrt(xy) K_nu(xy) dx at y > 0, or at each
+    y of an array (test oracle).  A scalar y returns a float."""
+    ys = np.atleast_1d(np.asarray(y, dtype=float))
+    for yi in ys:
+        if not yi > 0:
+            raise DomainError(f"K-transform requires y > 0, got {yi}")
     lo, hi = _clip_support(g, 0.0, math.inf)
     fn = g.eval if isinstance(g, ScalarFn) else g
-    # K_nu(xy) ~ e^{-xy}: truncate 50 e-folds out (plus room for poly growth)
-    hi = min(hi, (60.0 + 5.0 * abs(nu)) / y)
     policy = specfun.EvalPolicy(rel_tol=min(quad.rel_tol, 1e-10), scaled=False)
 
-    def integrand(x):
-        x = np.asarray(x, dtype=float)
-        kv = np.array([specfun.bessel_k(nu, xi * y, policy) if xi * y > 0 else math.inf
-                       for xi in np.atleast_1d(x)])
-        return np.asarray(fn(x), dtype=float) * np.sqrt(x * y) * kv
+    def at(yi):
+        def integrand(x):
+            x = np.asarray(x, dtype=float)
+            kv = np.array([specfun.bessel_k(nu, xi * yi, policy) if xi * yi > 0 else math.inf
+                           for xi in np.atleast_1d(x)])
+            return np.asarray(fn(x), dtype=float) * np.sqrt(x * yi) * kv
 
-    return _quad.integrate_finite(integrand, lo, hi, rel_tol=quad.rel_tol,
-                                  abs_tol=quad.abs_tol, max_depth=quad.max_depth)
+        # K_nu(xy) ~ e^{-xy}: truncate 50 e-folds out (plus room for poly growth)
+        return _quad.integrate_finite(integrand, lo, min(hi, (60.0 + 5.0 * abs(nu)) / yi),
+                                      rel_tol=quad.rel_tol, abs_tol=quad.abs_tol,
+                                      max_depth=quad.max_depth)
+
+    out = np.array([at(yi) for yi in ys])
+    return out if np.ndim(y) else float(out[0])
 
 
 def transform_weight(lam: ScalarFn, k: float) -> ScalarFn:
@@ -257,53 +207,55 @@ def i_transform_consistency(lambda_candidate: ScalarFn, F_target: ScalarFn,
     """Check that a radial density maps forward onto a target profile.
 
     Builds f(r) = r^{(1-k)/2} e^{-r^2/2} lambda(r) with k = 2 nu + 2,
-    evaluates the forward I-transform on the grid and reports whether
-    (I_nu f)(u) / F_target(u) is constant.  Margins are
-    |ratio/mean - 1| - prop_tol, so HOLDS means proportional within prop_tol.
-    Divergence or a vanishing target is reported as a diagnostic instead of a
-    crash.
+    evaluates the forward I-transform on the grid and judges it with
+    :func:`proportionality_report`.  Divergence is reported as a diagnostic
+    instead of a crash.
     """
     from .conditions import assemble_report  # deferred: avoids import cycle
 
-    grid = [float(u) for u in grid]
-    if not grid:
+    grid = np.asarray(grid, dtype=float)
+    if not grid.size:
         raise DomainError("consistency check requires a nonempty grid")
     f = transform_weight(lambda_candidate, 2.0 * nu + 2.0)
-
-    values = []
-    diagnostics = {}
-    for u in grid:
-        try:
-            values.append(i_transform(f, nu, u, quad))
-        except TransformDivergenceError as exc:
-            diagnostics["divergence"] = f"forward transform diverges at u={u}: {exc}"
-            values.append(math.nan)
-            break
-    targets = np.asarray(F_target.eval(np.asarray(grid[:len(values)])), dtype=float)
-
-    if "divergence" in diagnostics or np.any(~np.isfinite(np.asarray(values))):
-        margins = [math.nan] * len(grid)
-        return assemble_report("i_transform_consistency", grid, margins,
+    try:
+        values = i_transform(f, nu, grid, quad)
+    except TransformDivergenceError as exc:
+        diagnostics = {"divergence": "forward transform diverges at "
+                                     f"u={exc.diagnostics['y']}: {exc}"}
+        return assemble_report("i_transform_consistency", grid, [math.nan] * grid.size,
                                band=0.0, extra=diagnostics)
-    if np.any(targets == 0.0):
-        vals = np.asarray(values)
-        if np.allclose(vals, 0.0, atol=quad.abs_tol):
-            diagnostics["degenerate"] = "transform and target both vanish on the grid"
-            return assemble_report("i_transform_consistency", grid,
-                                   [math.nan] * len(grid), band=0.0, extra=diagnostics)
-        diagnostics["zero_target"] = "target vanishes where the transform does not"
-        return assemble_report("i_transform_consistency", grid,
-                               [math.inf] * len(grid), band=0.0, extra=diagnostics)
+    return proportionality_report(grid, values, F_target.eval(grid), prop_tol,
+                                  quad.abs_tol)
 
-    ratios = np.asarray(values) / targets
+
+def proportionality_report(grid, values, targets, prop_tol: float = 1e-4,
+                           abs_tol: float = DEFAULT_QUAD.abs_tol):
+    """Report whether transform values are proportional to target values.
+
+    Margins are |ratio/mean - 1| - prop_tol, so HOLDS means that
+    values/targets is constant within prop_tol.  Non-finite values, a
+    vanishing target or a vanishing transform give NaN or inf margins and a
+    diagnostic instead of a verdict on the ratio.
+    """
+    from .conditions import assemble_report  # deferred: avoids import cycle
+
+    def uniform(margin, **extra):
+        return assemble_report("i_transform_consistency", grid, [margin] * len(grid),
+                               band=0.0, extra=extra)
+
+    values = np.asarray(values, dtype=float)
+    targets = np.asarray(targets, dtype=float)
+    if np.any(~np.isfinite(values)):
+        return uniform(math.nan)
+    if np.any(targets == 0.0):
+        if np.allclose(values, 0.0, atol=abs_tol):
+            return uniform(math.nan, degenerate="transform and target both vanish on the grid")
+        return uniform(math.inf, zero_target="target vanishes where the transform does not")
+    ratios = values / targets
     mean_ratio = float(np.mean(ratios))
     if mean_ratio == 0.0:
-        diagnostics["degenerate"] = "transform vanishes on the grid"
-        return assemble_report("i_transform_consistency", grid,
-                               [math.nan] * len(grid), band=0.0, extra=diagnostics)
+        return uniform(math.nan, degenerate="transform vanishes on the grid")
     deviations = np.abs(ratios / mean_ratio - 1.0)
-    margins = (deviations - prop_tol).tolist()
-    diagnostics["ratio"] = mean_ratio
-    diagnostics["max_relative_deviation"] = float(np.max(deviations))
-    return assemble_report("i_transform_consistency", grid, margins,
-                           band=1e-12, extra=diagnostics)
+    return assemble_report("i_transform_consistency", grid, (deviations - prop_tol).tolist(),
+                           band=1e-12, extra={"ratio": mean_ratio,
+                                              "max_relative_deviation": float(np.max(deviations))})

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from bayesminimax import cli
+from bayesminimax import cli, transforms
 
 
 def write_config(tmp_path, name, doc):
@@ -322,6 +322,18 @@ class TestTransform:
         assert all(v > 0 for v in vals)
         assert vals[0] > vals[-1]  # K-kernel damping grows with y
 
+    def test_k_kind_with_consistency_target_rejected(self, tmp_path):
+        """The consistency check judges the tabulated values, which are an
+        I-transform only for kind i."""
+        code, out = run(tmp_path, {
+            "command": "transform",
+            "prior_spec": {"family": "gaussian_bessel", "k": 5,
+                           "params": {"alpha": 0.5}},
+            "transform": {"kind": "k", "nu": 0.5, "consistency_target": "power_exp"},
+            "grid_spec": {"lo": 0.8, "hi": 2.0, "n_points": 3}})
+        assert code == 2
+        assert not os.path.exists(os.path.join(out, "transform_table.csv"))
+
     def test_whittaker_family_diverges(self, tmp_path):
         """The Whittaker radial density grows like e^{r^2/2}: its forward
         transform weight decays only polynomially, so the transform is
@@ -372,6 +384,26 @@ class TestTransform:
         assert code == 0
         doc = json.loads(open(os.path.join(out, "consistency_report.json")).read())
         assert doc["verdict"] == "HOLDS"
+
+    def test_consistency_transforms_the_grid_once(self, tmp_path, monkeypatch):
+        """The consistency check judges the tabulated values: one batched
+        transform call for the table and the check together."""
+        calls = []
+        orig = transforms.i_transform
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return orig(*args, **kwargs)
+
+        monkeypatch.setattr(transforms, "i_transform", counted)
+        code, out = run(tmp_path, {
+            "command": "transform",
+            "prior_spec": {"family": "strawderman", "k": 5, "params": {"a": 0.5}},
+            "transform": {"consistency_target": "ell_over_h", "prop_tol": 1e-4},
+            "grid_spec": {"lo": 0.5, "hi": 4.0, "n_points": 4},
+            "quad": {"rel_tol": 1e-9}})
+        assert code == 0
+        assert len(calls) == 1 and len(calls[0]) == 4
 
 
 class TestSampleConfigs:

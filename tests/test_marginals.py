@@ -15,6 +15,7 @@ from bayesminimax import _quad, specfun
 from bayesminimax import marginals as mg
 from bayesminimax import priors as pr
 from bayesminimax import transforms as tr
+from bayesminimax.errors import DomainError
 from conftest import assert_derivative_contract, fd1
 
 
@@ -56,6 +57,14 @@ class TestRadialRoute:
         np.testing.assert_allclose(ell, exact, rtol=1e-8)
         np.testing.assert_allclose(d1, exact * (-u / 2.0), rtol=1e-8)
         np.testing.assert_allclose(d2, exact * (u * u / 4.0 - 0.5), rtol=1e-8)
+
+    def test_signed_lambda_rejected(self):
+        """The route integrates log|lambda|; Whittaker (4, 5) has lambda(3) < 0,
+        so integrating it would silently give the marginal of |lambda|."""
+        prior = pr.whittaker_radial(4.0, 5)
+        assert float(prior.lam.eval(3.0)) < 0
+        with pytest.raises(DomainError, match="nonnegative lambda"):
+            mg.marginal_radial(prior)
 
     def test_strawderman_route_triangle(self):
         """Third leg: radial quadrature of the hierarchical density agrees

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from bayesminimax import priors as pr
 from bayesminimax import transforms as tr
 from bayesminimax.errors import ConstructionError, DomainError
-from conftest import fd1
+from conftest import assert_derivative_contract, fd1
 
 
 class TestRadialFromAngular:
@@ -169,6 +169,20 @@ class TestMonomialMixing:
         assert md.proper == pr.IMPROPER
         verdict, _ = pr.probe_properness(md.h)
         assert verdict == pr.IMPROPER
+
+
+class TestMonomialLaplaceG:
+    def test_moments_and_complete_monotonicity(self):
+        G = pr.monomial_laplace_G(2)
+        s = np.geomspace(1e-2, 30.0, 20)
+        Gv, G1, G2 = G.eval(s), G.deriv1(s), G.deriv2(s)
+        assert np.all(Gv > 0) and np.all(G1 < 0) and np.all(G2 > 0)
+        # int_0^1 t^2 e^{-t} dt = 2 - 5/e and -int_0^1 t^3 e^{-t} dt = -(6 - 16/e)
+        assert float(G.eval(1.0)) == pytest.approx(2.0 - 5.0 / math.e, rel=1e-10)
+        assert float(G.deriv1(1.0)) == pytest.approx(-(6.0 - 16.0 / math.e), rel=1e-9)
+
+    def test_derivative_contract(self):
+        assert_derivative_contract(pr.monomial_laplace_G(2), [0.5, 2.0, 8.0])
 
 
 class TestGenBetaKernel:

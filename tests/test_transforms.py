@@ -1,12 +1,13 @@
 """Integral transform oracles: closed-form pairs, linearity, divergence
-detection, Laplace moments and complete monotonicity."""
+detection, batched against point-by-point transforms, and the finite-interval
+quadrature the K-transform runs on."""
 
 import math
 
 import numpy as np
 import pytest
 
-from bayesminimax import transforms as tr
+from bayesminimax import _quad, transforms as tr
 from bayesminimax.errors import DomainError, QuadratureError, TransformDivergenceError
 from conftest import assert_derivative_contract
 
@@ -52,38 +53,27 @@ class TestScalarFn:
         assert fn.log_abs(1.0) == pytest.approx(math.log(3.0))
 
 
-class TestIntegrate:
-    def test_exponential_tail(self):
-        f = sfn(lambda t: np.exp(-np.asarray(t, float)))
-        assert tr.integrate(f, 0.0, math.inf) == pytest.approx(1.0, rel=1e-8)
-
+class TestIntegrateFinite:
     def test_endpoint_singularity(self):
-        f = sfn(lambda t: np.asarray(t, float) ** -0.5, support=(0.0, 1.0))
-        assert tr.integrate(f, 0.0, 1.0) == pytest.approx(2.0, rel=1e-8)
+        assert _quad.integrate_finite(lambda t: t ** -0.5, 0.0, 1.0) == pytest.approx(2.0, rel=1e-8)
 
     def test_power(self):
         k = 5
-        f = sfn(lambda t: np.asarray(t, float) ** (k - 3), support=(0.0, 1.0))
-        assert tr.integrate(f, 0.0, 1.0) == pytest.approx(1.0 / 3.0, rel=1e-10)
+        assert _quad.integrate_finite(lambda t: t ** (k - 3), 0.0, 1.0) == pytest.approx(
+            1.0 / 3.0, rel=1e-10)
 
     def test_tolerance_monotone(self):
-        battery = [
-            (sfn(lambda t: np.exp(-np.asarray(t, float))), 0.0, math.inf),
-            (sfn(lambda t: np.asarray(t, float) ** -0.5, support=(0.0, 1.0)), 0.0, 1.0),
-            (sfn(lambda t: 1.0 / (1.0 + np.asarray(t, float) ** 2), support=(0.0, 1.0)), 0.0, 1.0),
-        ]
-        for f, lo, hi in battery:
-            prev = tr.integrate(f, lo, hi, tr.QuadSpec(rel_tol=1e-6))
+        for f in (lambda t: t ** -0.5, lambda t: 1.0 / (1.0 + t ** 2)):
+            prev = _quad.integrate_finite(f, 0.0, 1.0, rel_tol=1e-6)
             for rt in (5e-7, 2.5e-7):
-                cur = tr.integrate(f, lo, hi, tr.QuadSpec(rel_tol=rt))
+                cur = _quad.integrate_finite(f, 0.0, 1.0, rel_tol=rt)
                 assert abs(cur - prev) <= 2e-6 * abs(prev)
                 prev = cur
 
     def test_budget_exhaustion_reports_interval(self):
-        f = sfn(lambda t: np.abs(np.sin(1.0 / np.asarray(t, float))) + 1.0,
-                support=(0.0, 1.0))
         with pytest.raises(QuadratureError) as err:
-            tr.integrate(f, 0.0, 1.0, tr.QuadSpec(rel_tol=1e-13, max_depth=3))
+            _quad.integrate_finite(lambda t: np.abs(np.sin(1.0 / t)) + 1.0, 0.0, 1.0,
+                                   rel_tol=1e-13, max_depth=3)
         assert "worst_interval" in err.value.diagnostics
 
 
@@ -132,41 +122,68 @@ class TestITransform:
             tr.i_transform(f, 1.5, 0.0)
 
 
-class TestLaplaceUnit:
-    def test_constant(self):
-        one = sfn(lambda t: np.ones_like(np.asarray(t, float)), support=(0.0, 1.0))
-        assert tr.laplace_unit(one, 1.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-10)
+class TestBatchedITransform:
+    """An array of y is transformed in one batch: a peak scan per y, one
+    shared window and one batched quadrature for every row."""
 
-    def test_monomial_closed_form(self):
-        # int_0^1 t^2 e^{-t} dt = 2 - 5/e
-        f = sfn(lambda t: np.asarray(t, float) ** 2, support=(0.0, 1.0))
-        assert tr.laplace_unit(f, 1.0) == pytest.approx(2.0 - 5.0 / math.e, rel=1e-11)
+    def test_gaussian_grid_matches_pointwise_and_closed_form(self):
+        from bayesminimax.conditions import default_grid
 
-    def test_s_zero_is_plain_integral(self):
-        f = sfn(lambda t: np.sqrt(np.asarray(t, float)), support=(0.0, 1.0))
-        assert tr.laplace_unit(f, 0.0) == pytest.approx(2.0 / 3.0, rel=1e-9)
+        nu, alpha = 1.5, 1.0
+        f = gaussian_bessel_fn(nu, alpha)
+        y = default_grid()
+        batch = tr.i_transform(f, nu, y)
+        pointwise = np.array([tr.i_transform(f, nu, float(yi)) for yi in y])
+        np.testing.assert_allclose(batch, pointwise, rtol=1e-12, atol=0)
+        assert isinstance(tr.i_transform(f, nu, float(y[0])), float)
+        closed = y ** (nu + 0.5) * np.exp(y * y / (4 * alpha)) / (2 * alpha) ** (nu + 1)
+        np.testing.assert_allclose(batch, closed, rtol=1e-9, atol=0)
 
-    def test_domain(self):
-        f = sfn(lambda t: np.ones_like(np.asarray(t, float)), support=(0.0, 1.0))
-        with pytest.raises(DomainError):
-            tr.laplace_unit(f, -1.0)
+    def test_signed_weight_matches_pointwise(self):
+        from bayesminimax.priors import whittaker_radial
 
+        f = tr.transform_weight(whittaker_radial(4.0, 5).lam, 5)
+        assert not f.nonneg
+        y = np.array([0.5, 1.0, 2.0, 4.0])
+        quad = tr.QuadSpec(rel_tol=1e-9)
+        batch = tr.i_transform(f, 1.5, y, quad)
+        pointwise = np.array([tr.i_transform(f, 1.5, float(yi), quad) for yi in y])
+        np.testing.assert_allclose(batch, pointwise, rtol=1e-12, atol=0)
+        assert np.all(batch < 0)
 
-class TestLaplaceFn:
-    def test_moments_and_complete_monotonicity(self):
-        f = sfn(lambda t: np.asarray(t, float) ** 2, support=(0.0, 1.0))
-        G = tr.laplace_fn(f)
-        s = np.geomspace(1e-2, 30.0, 20)
-        Gv, G1, G2 = G.eval(s), G.deriv1(s), G.deriv2(s)
-        assert np.all(Gv > 0) and np.all(G1 < 0) and np.all(G2 > 0)
-        # derivative-by-moments against the closed form at s = 1
-        assert float(np.atleast_1d(G.eval(1.0))[0]) == pytest.approx(2.0 - 5.0 / math.e, rel=1e-10)
-        assert float(np.atleast_1d(G.deriv1(1.0))[0]) == pytest.approx(-(6.0 - 16.0 / math.e), rel=1e-9)
+    def test_cancelling_signed_row_in_a_wide_window(self):
+        """Whittaker (6, 5): at y = 0.05 the signed integral is about 1e-6 of
+        the integral of its modulus, and the y = 20 row widens the shared
+        window; the batch still converges and is proportional to
+        u^6 e^{u^2/2}."""
+        from bayesminimax.priors import power_exp_profile, whittaker_radial
 
-    def test_derivative_contract(self):
-        f = sfn(lambda t: np.asarray(t, float), support=(0.0, 1.0))
-        G = tr.laplace_fn(f)
-        assert_derivative_contract(G, [0.5, 2.0, 8.0])
+        f = tr.transform_weight(whittaker_radial(6.0, 5).lam, 5)
+        y = np.array([0.05, 20.0])
+        ratio = tr.i_transform(f, 1.5, y) / power_exp_profile(6.0, 5).eval(y)
+        assert ratio[0] == pytest.approx(ratio[1], rel=1e-8)
+
+    def test_one_batched_quadrature_per_call(self, monkeypatch):
+        calls = {"integrate_rows": 0, "integrate_finite": 0}
+        for name in calls:
+            orig = getattr(_quad, name)
+
+            def counted(*args, _orig=orig, _name=name, **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(_quad, name, counted)
+        values = tr.i_transform(gaussian_bessel_fn(1.5, 1.0), 1.5, np.linspace(0.5, 4.0, 8))
+        assert values.shape == (8,)
+        assert calls == {"integrate_rows": 1, "integrate_finite": 0}
+
+    def test_first_divergent_y_is_named(self):
+        # e^{-2x} pays for the e^{xy} kernel growth only while y < 2
+        f = sfn(lambda x: np.exp(-2.0 * np.asarray(x, float)),
+                log_eval=lambda x: -2.0 * np.asarray(x, float), nonneg=True)
+        with pytest.raises(TransformDivergenceError) as err:
+            tr.i_transform(f, 0.5, np.array([0.5, 1.0, 3.0, 4.0]))
+        assert err.value.diagnostics["y"] == 3.0
 
 
 class TestKTransform:
