@@ -319,32 +319,24 @@ def marginal_mixture(h: MixingDensity, quad: QuadSpec = DEFAULT_QUAD,
 # closed forms
 # ---------------------------------------------------------------------------
 
-def marginal_strawderman(a: float, k: int,
-                         policy: specfun.EvalPolicy = specfun.DEFAULT_POLICY) -> MarginalProfile:
-    """Closed-form Strawderman marginal via the confluent hypergeometric:
+def marginal_strawderman(a: float, k: int) -> MarginalProfile:
+    """Closed-form Strawderman marginal, the normalized probability marginal
+    of the mixture representation h(v) = (1-a)(1+v)^{a-2}:
 
-        l(u) = (1-a) (2 pi)^{-k/2} / c * 1F1(c; c+1; -u^2/2),   c = k/2-a+1,
+        l(u) = (1-a) (2 pi)^{-k/2} / c * 1F1(c; c+1; -u^2/2),   c = k/2-a+1.
 
-    with derivatives from d/dz 1F1(a;b;z) = (a/b) 1F1(a+1;b+1;z).  The
-    normalization makes l the actual probability marginal of the mixture
-    representation h(v) = (1-a)(1+v)^{a-2}.
+    Since 1F1(c; c+1; -s) = c s^{-c} gamma(c, s) (DLMF 13.6), this is
+    (1-a) (2 pi)^{-k/2} G(u^2/2) with G the Laplace transform of t^{k/2-a}
+    on (0,1): the example1 profile with real n = k/2 - a, through the same
+    incomplete gamma.
     """
     if not (0.0 <= a < 1.0):
         raise DomainError(f"requires 0 <= a < 1, got {a}")
     if k < 3:
         raise DomainError(f"k >= 3 required, got {k}")
-    c = k / 2.0 - a + 1.0
-    pref = (1.0 - a) * (2.0 * math.pi) ** (-0.5 * k)
-
-    def triple(u):
-        z = -0.5 * np.square(u)
-        f0 = specfun.kummer_1f1(c, c + 1.0, z, policy)
-        f1 = specfun.kummer_1f1(c + 1.0, c + 2.0, z, policy)
-        f2 = specfun.kummer_1f1(c + 2.0, c + 3.0, z, policy)
-        return (pref / c * f0, -u * pref / (c + 1.0) * f1,
-                -pref / (c + 1.0) * f1 + np.square(u) * pref / (c + 2.0) * f2)
-
-    return MarginalProfile(k=k, route="strawderman_closed_form", triple_fn=triple)
+    return laplace_profile(monomial_laplace_G(k / 2.0 - a), k,
+                           "strawderman_closed_form",
+                           (1.0 - a) * (2.0 * math.pi) ** (-0.5 * k))
 
 
 def monomial_mixture_profile(n: int, k: int) -> MarginalProfile:

@@ -312,56 +312,66 @@ def _strawderman_log_integral(a: float, k: int, r: np.ndarray,
     return -2.0 * (p + 1.0) * np.log(r) + np.log(total)
 
 
+def _strawderman_log_tricomi(a: float, k: int, r: np.ndarray,
+                             quad: QuadSpec) -> np.ndarray:
+    """The same log-integral in closed form, Gamma(alpha) U(alpha, k/2, r^2/2)
+    with alpha = k/2-a+1 (DLMF 13.4.4), vectorized over r.
+
+    Where scipy's ``hyperu`` gives no finite log, those r fall back to the
+    quadrature of :func:`_strawderman_log_integral`: it returns NaN for k a
+    multiple of 4 at small r (its integer-b series loses every digit there,
+    out to r ~ 2 at k = 40), and inf once r^2/2 underflows to 0.
+    """
+    from scipy.special import hyperu
+
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    alpha = k / 2.0 - a + 1.0
+    with np.errstate(divide="ignore"):
+        out = math.lgamma(alpha) + np.log(hyperu(alpha, 0.5 * k, 0.5 * r * r))
+    bad = ~np.isfinite(out)
+    if np.any(bad):
+        out[bad] = _strawderman_log_integral(a, k, r[bad], quad)
+    return out
+
+
 def strawderman_radial(a: float, k: int, quad: QuadSpec = DEFAULT_QUAD,
                        route: str = "integral") -> RadialPrior:
-    """Radial density of the two-stage Strawderman prior, 0 <= a < 1.
+    """Radial density of the two-stage Strawderman prior, 0 <= a < 1:
 
-    Two routes are available and agree to quadrature accuracy:
+        lambda(r) = 2(1-a)/(2^{k/2} Gamma(k/2)) r^{k-1}
+                    int_0^inf t^{k/2-a} (1+t)^{a-2} e^{-t r^2/2} dt.
 
-    * ``integral`` (authoritative): direct quadrature of
-      lambda(r) = 2(1-a)/(2^{k/2} Gamma(k/2)) r^{k-1}
-                  int_0^inf t^{k/2-a} (1+t)^{a-2} e^{-t r^2/2} dt;
-    * ``whittaker``: the closed form
-      lambda(r) = (1-a) Gamma(k/2-a+1) / (2^{k/4-1} Gamma(k/2))
+    Two routes evaluate the integral and agree to quadrature accuracy:
+
+    * ``integral`` (authoritative): direct quadrature;
+    * ``whittaker``: the closed form Gamma(alpha) U(alpha, k/2, r^2/2) with
+      alpha = k/2-a+1, one vectorized Tricomi-function call.  Through
+      W_{x,mu}(z) = e^{-z/2} z^{mu+1/2} U(mu-x+1/2, 1+2mu, z) this is
+      lambda(r) = (1-a) Gamma(alpha) / (2^{k/4-1} Gamma(k/2))
                   r^{(k-2)/2} e^{r^2/4} W_{a-1-k/4, (k-2)/4}(r^2/2).
 
-    The prior is proper with total mass one.
+    Both carry ``log_eval``.  The prior is proper with total mass one.
     """
     if not (0.0 <= a < 1.0):
         raise DomainError(f"requires 0 <= a < 1, got {a}")
     if k < 3:
         raise DomainError(f"k >= 3 required, got {k}")
-    if route == "integral":
-        log_c = (math.log(2.0 * (1.0 - a)) - 0.5 * k * math.log(2.0)
-                 - math.lgamma(0.5 * k))
-
-        def log_lam(r):
-            r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-            out = (log_c + (k - 1.0) * np.log(r_arr)
-                   + _strawderman_log_integral(a, k, r_arr, quad))
-            return float(out[0]) if np.asarray(r).ndim == 0 else out
-
-        fn = ScalarFn(eval=lambda r: np.exp(log_lam(r)),
-                      support=(0.0, math.inf),
-                      label=f"strawderman(a={a})", log_eval=log_lam, nonneg=True)
-    elif route == "whittaker":
-        log_c = (math.log(1.0 - a) + math.lgamma(k / 2.0 - a + 1.0)
-                 - (k / 4.0 - 1.0) * math.log(2.0) - math.lgamma(0.5 * k))
-        x_w = a - 1.0 - k / 4.0
-        mu_w = (k - 2.0) / 4.0
-
-        def lam(r):
-            r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-            w = np.array([specfun.whittaker_w(x_w, mu_w, ri * ri / 2.0, quad)
-                          for ri in r_arr])
-            out = (math.exp(log_c) * r_arr ** ((k - 2.0) / 2.0)
-                   * np.exp(r_arr ** 2 / 4.0) * w)
-            return float(out[0]) if np.asarray(r).ndim == 0 else out
-
-        fn = ScalarFn(eval=lam, support=(0.0, math.inf),
-                      label=f"strawderman_whittaker(a={a})", nonneg=True)
-    else:
+    if route not in ("integral", "whittaker"):
         raise DomainError(f"unknown route {route!r}")
+    log_integral = (_strawderman_log_integral if route == "integral"
+                    else _strawderman_log_tricomi)
+    log_c = (math.log(2.0 * (1.0 - a)) - 0.5 * k * math.log(2.0)
+             - math.lgamma(0.5 * k))
+
+    def log_lam(r):
+        r_arr = np.atleast_1d(np.asarray(r, dtype=float))
+        out = (log_c + (k - 1.0) * np.log(r_arr)
+               + log_integral(a, k, r_arr, quad))
+        return float(out[0]) if np.asarray(r).ndim == 0 else out
+
+    label = "strawderman" if route == "integral" else "strawderman_whittaker"
+    fn = ScalarFn(eval=lambda r: np.exp(log_lam(r)), support=(0.0, math.inf),
+                  label=f"{label}(a={a})", log_eval=log_lam, nonneg=True)
     return RadialPrior(k=k, lam=fn, proper=PROPER, family="strawderman",
                        params={"a": a, "route": route}, mass=1.0)
 
@@ -427,23 +437,30 @@ def monomial_mixing(n: int, k: int) -> MixingDensity:
                          params={"n": n}, mass=mass)
 
 
-def monomial_laplace_G(n: int) -> ScalarFn:
-    """Closed-form Laplace transform of t^n on (0,1), with derivatives:
+def monomial_laplace_G(n: float) -> ScalarFn:
+    """Closed-form Laplace transform of t^n on (0,1), real n > -1, with
+    derivatives:
 
         G(s)   =  Gamma(n+1) P(n+1, s) / s^{n+1},
         G'(s)  = -Gamma(n+2) P(n+2, s) / s^{n+2},
         G''(s) =  Gamma(n+3) P(n+3, s) / s^{n+3},
 
-    where P is the regularized lower incomplete gamma function.
+    where P is the regularized lower incomplete gamma function.  Below
+    s = 1e-8, where s^{n+1+j} can underflow to 0/0, the moments
+    int_0^1 t^{b-1} e^{-st} dt (b = n+1+j) take their limits 1/b - s/(b+1),
+    whose omitted s^2 term is below double rounding there.
     """
     from scipy.special import gammainc
 
-    if n < 0:
-        raise DomainError("n must be nonnegative")
+    if not n > -1:
+        raise DomainError(f"requires n > -1, got {n}")
 
     def moment(j, s):
         s = np.asarray(s, dtype=float)
-        return math.gamma(n + 1 + j) * gammainc(n + 1 + j, s) / s ** (n + 1 + j)
+        b = n + 1 + j
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = math.gamma(b) * gammainc(b, s) / s ** b
+        return np.where(s < 1e-8, 1.0 / b - s / (b + 1.0), out)
 
     return ScalarFn(
         eval=lambda s: moment(0, s),

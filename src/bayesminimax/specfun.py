@@ -1,4 +1,4 @@
-"""Special functions: log-gamma, modified Bessel I/K, Kummer 1F1, Whittaker M/W.
+"""Special functions: log-gamma, modified Bessel I/K, Kummer 1F1, Whittaker M.
 
 Everything here is real-valued and built from series, asymptotic expansions
 and integral representations:
@@ -11,14 +11,15 @@ and integral representations:
   K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt for moderate/large x,
   and an eps-perturbation with two-point averaging at integer orders.
 * ``kummer_1f1`` Pochhammer series; negative arguments are always routed
-  through Kummer's transformation 1F1(a;b;z) = e^z 1F1(b-a;b;-z), which is
-  what keeps the shrinkage-prior marginals (evaluated at -u^2/2) from
-  cancelling catastrophically.
+  through Kummer's transformation 1F1(a;b;z) = e^z 1F1(b-a;b;-z), so an
+  alternating series never cancels catastrophically.  Its callers are
+  ``whittaker_m`` and the Whittaker radial prior.
 * ``whittaker_m`` the defining identity
   M_{x,mu}(z) = e^{-z/2} z^{mu+1/2} 1F1(mu+1/2-x; 1+2mu; z).
-* ``whittaker_w`` the integral representation
-  Gamma(1/2+mu-x) W_{x,mu}(z) =
-      e^{-z/2} z^{mu+1/2} int_0^inf e^{-zt} t^{mu-x-1/2} (1+t)^{mu+x-1/2} dt.
+
+Whittaker W is not here: the Strawderman radial density reaches it through
+``scipy.special.hyperu``, as W_{x,mu}(z) = e^{-z/2} z^{mu+1/2}
+U(mu-x+1/2, 1+2mu, z).
 
 All gamma factors are kept in log space.  Every function is pure; there is no
 shared mutable state.
@@ -31,12 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _quad
 from .errors import DomainError, EvaluationError
 
 __all__ = [
     "EvalPolicy", "DEFAULT_POLICY", "bessel_i", "bessel_k",
-    "kummer_1f1", "whittaker_m", "whittaker_w",
+    "kummer_1f1", "whittaker_m",
     "log_bessel_i_scaled", "log_kummer_1f1", "signed_log_kummer_1f1_large",
 ]
 
@@ -406,30 +406,3 @@ def whittaker_m(x: float, mu: float, z: float, policy: EvalPolicy = DEFAULT_POLI
     if np.any(z_arr <= 0):
         raise DomainError("Whittaker M requires z > 0")
     return np.exp(-z_arr / 2.0) * z_arr ** (mu + 0.5) * kummer_1f1(mu + 0.5 - x, b, z_arr, policy)
-
-
-def whittaker_w(x: float, mu: float, z: float, quad=None) -> float:
-    """Whittaker W_{x,mu}(z) by quadrature of its integral representation.
-
-    Requires 1/2 + mu - x > 0 (integrability of t^{mu-x-1/2} at t = 0).
-    """
-    if not z > 0:
-        raise DomainError(f"Whittaker W requires z > 0, got {z}")
-    c = 0.5 + mu - x
-    if not c > 0:
-        raise DomainError(f"Whittaker W integral representation requires 1/2+mu-x > 0, got {c}")
-    rel_tol = getattr(quad, "rel_tol", 1e-10)
-    max_depth = getattr(quad, "max_depth", 40)
-    p = mu - x - 0.5
-    q = mu + x - 0.5
-    # truncate where the exponential has decayed 50 e-folds past the peak
-    t_hi = (50.0 + max(q, 0.0) * 5.0 + max(p, 0.0) * 5.0) / z + 1.0
-
-    def integrand(t):
-        with np.errstate(divide="ignore"):
-            logv = -z * t + p * np.log(t) + q * np.log1p(t)
-        return np.exp(logv)
-
-    total = _quad.integrate_finite(integrand, 0.0, t_hi, rel_tol=rel_tol, max_depth=max_depth)
-    log_pref = -z / 2.0 + (mu + 0.5) * math.log(z) - math.lgamma(c)
-    return math.exp(log_pref) * total

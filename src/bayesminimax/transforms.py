@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.special import kv
 
 from . import _quad, specfun
 from .errors import DomainError, TransformDivergenceError
@@ -157,14 +158,12 @@ def k_transform(g, nu: float, y, quad: QuadSpec = DEFAULT_QUAD):
             raise DomainError(f"K-transform requires y > 0, got {yi}")
     lo, hi = _clip_support(g, 0.0, math.inf)
     fn = g.eval if isinstance(g, ScalarFn) else g
-    policy = specfun.EvalPolicy(rel_tol=min(quad.rel_tol, 1e-10), scaled=False)
 
     def at(yi):
         def integrand(x):
             x = np.asarray(x, dtype=float)
-            kv = np.array([specfun.bessel_k(nu, xi * yi, policy) if xi * yi > 0 else math.inf
-                           for xi in np.atleast_1d(x)])
-            return np.asarray(fn(x), dtype=float) * np.sqrt(x * yi) * kv
+            # kv is inf at xy = 0, like K_nu itself
+            return np.asarray(fn(x), dtype=float) * np.sqrt(x * yi) * kv(nu, x * yi)
 
         # K_nu(xy) ~ e^{-xy}: truncate 50 e-folds out (plus room for poly growth)
         return _quad.integrate_finite(integrand, lo, min(hi, (60.0 + 5.0 * abs(nu)) / yi),

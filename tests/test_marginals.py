@@ -8,10 +8,12 @@ antiderivatives at u = 0.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bayesminimax import _quad, specfun
+from bayesminimax import _quad, estimators, specfun
 from bayesminimax import marginals as mg
 from bayesminimax import priors as pr
 from bayesminimax import transforms as tr
@@ -182,6 +184,41 @@ class TestStrawdermanClosedForm:
         assert mass == pytest.approx(1.0, abs=1e-4)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.floats(0.0, 0.99), k=st.integers(3, 12),
+           u=st.one_of(st.just(0.0), st.floats(0.01, 40.0)))
+    def test_matches_kummer_oracle(self, a, k, u):
+        """The incomplete-gamma triple against mpmath's 1F1 form
+        l = P/c 1F1(c; c+1; z), l' = -u P/(c+1) 1F1(c+1; c+2; z) and
+        l'' = -P/(c+1) 1F1(c+1; c+2; z) + u^2 P/(c+2) 1F1(c+2; c+3; z), with
+        z = -u^2/2; l'' is judged against the sum of its terms' sizes."""
+        c = k / 2.0 - a + 1.0
+        pref = (1.0 - a) * (2.0 * math.pi) ** (-0.5 * k)
+        with mpmath.workdps(30):
+            f = [float(mpmath.hyp1f1(c + j, c + j + 1, -0.5 * u * u)) for j in range(3)]
+        want0 = pref / c * f[0]
+        want1 = -u * pref / (c + 1.0) * f[1]
+        t1, t2 = -pref / (c + 1.0) * f[1], u * u * pref / (c + 2.0) * f[2]
+        ell, d1, d2 = (float(v[0]) for v in mg.marginal_strawderman(a, k).triple([u]))
+        assert abs(ell - want0) <= 1e-12 * abs(want0)
+        assert abs(d1 - want1) <= 1e-12 * abs(want1)
+        assert abs(d2 - (t1 + t2)) <= 1e-12 * (abs(t1) + abs(t2))
+
+    @pytest.mark.parametrize("n, k", [(1, 3), (2, 4), (2, 5), (3, 7), (5, 10)])
+    def test_example1_identity(self, n, k):
+        """Strawderman a = k/2 - n is example1(n) scaled by 1 - a: the same G,
+        so the same rho(u) and the same Monte Carlo risk at one seed."""
+        a = k / 2.0 - n
+        straw = mg.marginal_strawderman(a, k)
+        ex1 = mg.monomial_mixture_profile(n, k)
+        u = np.concatenate([[0.0], np.geomspace(1e-3, 40.0, 200)])
+        for got, want in zip(straw.triple(u), ex1.triple(u)):
+            np.testing.assert_array_equal(got, (1.0 - a) * want)
+        norms = [0.0, 3.0]
+        assert (estimators.risk_curve(straw, norms, 4096, 17)
+                == estimators.risk_curve(ex1, norms, 4096, 17))
+
+
 class TestClosedFormMonomial:
     def test_matches_quadrature_mixture(self):
         prof_c = mg.monomial_mixture_profile(2, 5)
@@ -192,6 +229,14 @@ class TestClosedFormMonomial:
         e_q = prof_q.triple(u)
         for a, b in zip(e_c, e_q):
             np.testing.assert_allclose(a, b, rtol=1e-8)
+
+    def test_origin_value(self):
+        """l(0) = C/(n+1), l'(0) = 0 and l''(0) = -C/(n+2), C = (2 pi)^{-k/2}."""
+        ell, d1, d2 = mg.monomial_mixture_profile(2, 5).triple(0.0)
+        C = (2.0 * math.pi) ** -2.5
+        assert float(ell) == pytest.approx(C / 3.0, rel=1e-15)
+        assert float(d1) == 0.0
+        assert float(d2) == pytest.approx(-C / 4.0, rel=1e-15)
 
     def test_derivative_contract(self):
         prof = mg.monomial_mixture_profile(2, 5)
@@ -256,10 +301,11 @@ class TestTripleContract:
         assert counts == {"adaptive_batch_log": 2, "scan_log_peak": 1}
         self._assert_view_matches(prof, u, triple)
 
-    def test_strawderman_three_kummer_calls(self, monkeypatch):
+    def test_strawderman_no_kummer_calls(self, monkeypatch):
+        """The closed form goes through the incomplete gamma, not 1F1."""
         prof = mg.marginal_strawderman(0.5, 5)
         u = np.array([0.5, 1.0, 2.0])
         counts = self._count(monkeypatch, specfun, ["kummer_1f1"])
         triple = prof.triple(u)
-        assert counts == {"kummer_1f1": 3}
+        assert counts == {"kummer_1f1": 0}
         self._assert_view_matches(prof, u, triple)

@@ -131,6 +131,44 @@ class TestStrawderman:
                     vw = float(np.atleast_1d(p_whit.lam.eval(r))[0])
                     assert vw == pytest.approx(vi, rel=1e-7)
 
+    @pytest.mark.parametrize("a, k", [(0.5, 5), (0.0, 3), (0.9, 10), (0.1, 8), (0.5, 12)])
+    def test_whittaker_route_against_mpmath(self, a, k):
+        """log lambda of the Tricomi route against mpmath's Whittaker W form,
+        out to r = 60 where e^{r^2/4} W alone would overflow.  k = 8 and 12
+        reach the quadrature fallback at small r."""
+        import mpmath as mp
+
+        lam = pr.strawderman_radial(a, k, route="whittaker").lam
+        r = np.geomspace(1e-3, 60.0, 12)
+        got = lam.log_eval(r)
+        with mp.workdps(30):
+            want = [float(mp.log(1 - a) + mp.loggamma(k / 2 - a + 1)
+                          - (k / 4 - 1) * mp.log(2) - mp.loggamma(k / 2)
+                          + (k - 2) / 2 * mp.log(ri) + ri * ri / 4
+                          + mp.log(mp.whitw(a - 1 - k / 4, (k - 2) / 4, ri * ri / 2)))
+                    for ri in r]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(lam.eval(r), np.exp(got), rtol=1e-15)
+
+    def test_whittaker_route_is_one_vectorized_call(self, monkeypatch):
+        """Where hyperu is finite the route makes no quadrature call; where it
+        is NaN (k = 12, r below ~0.14) only those r are integrated."""
+        from bayesminimax import _quad
+
+        calls = []
+        original = _quad.integrate_rows
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(_quad, "integrate_rows", counted)
+        r = np.geomspace(1e-3, 60.0, 200)
+        assert np.all(np.isfinite(pr.strawderman_radial(0.5, 5, route="whittaker").lam.log_eval(r)))
+        assert calls == []
+        assert np.all(np.isfinite(pr.strawderman_radial(0.5, 12, route="whittaker").lam.log_eval(r)))
+        assert calls == [1]
+
     def test_nonnegative(self):
         prior = pr.strawderman_radial(0.5, 5)
         r = np.geomspace(0.05, 20.0, 30)
@@ -183,6 +221,46 @@ class TestMonomialLaplaceG:
 
     def test_derivative_contract(self):
         assert_derivative_contract(pr.monomial_laplace_G(2), [0.5, 2.0, 8.0])
+
+    def test_small_s_limits(self):
+        """At s = 0 and wherever s^{n+1+j} underflows, G, G', G'' take their
+        limits 1/b - s/(b+1), b = n+1+j, instead of 0/0."""
+        for n in (2, 2.5, -0.5):
+            G = pr.monomial_laplace_G(n)
+            for s in (0.0, 1e-300, 1e-12):
+                for j, part, sign in ((0, G.eval, 1.0), (1, G.deriv1, -1.0),
+                                      (2, G.deriv2, 1.0)):
+                    b = n + 1.0 + j
+                    assert float(part(s)) == pytest.approx(sign * (1.0 / b - s / (b + 1.0)),
+                                                           rel=1e-15)
+
+    def test_continuous_across_small_s_switch(self):
+        """Both sides of the s = 1e-8 switch match the moment series, to the
+        ~1e-14 that the incomplete-gamma side reaches there."""
+        n = 1.5
+        G = pr.monomial_laplace_G(n)
+        s = np.array([0.999e-8, 1.001e-8])
+        for j, part, sign in ((0, G.eval, 1.0), (1, G.deriv1, -1.0),
+                              (2, G.deriv2, 1.0)):
+            b = n + 1.0 + j
+            series = sign * (1.0 / b - s / (b + 1.0) + s * s / (2.0 * (b + 2.0)))
+            np.testing.assert_allclose(part(s), series, rtol=5e-14)
+
+    @pytest.mark.parametrize("n", [0.3, 2.5, -0.5])
+    def test_real_exponent(self, n):
+        """int_0^1 t^n e^{-st} dt = 1F1(n+1; n+2; -s)/(n+1) for real n > -1,
+        against mpmath."""
+        import mpmath as mp
+
+        G = pr.monomial_laplace_G(n)
+        for s in (0.01, 1.0, 30.0):
+            want = float(mp.hyp1f1(n + 1, n + 2, -s) / (n + 1))
+            assert float(G.eval(s)) == pytest.approx(want, rel=1e-13)
+
+    def test_domain(self):
+        for n in (-1, -1.5):
+            with pytest.raises(DomainError):
+                pr.monomial_laplace_G(n)
 
 
 class TestGenBetaKernel:

@@ -2,11 +2,12 @@
 
 Expected values come from elementary closed forms (half-integer Bessel,
 exponential collapses of 1F1), defining ODEs checked by finite differences,
-and scipy.special as a fully independent implementation.
+and scipy.special and mpmath as independent implementations.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln, hyp1f1, iv, kv
@@ -244,23 +245,25 @@ class TestWhittakerM:
 
 
 class TestWhittakerW:
+    """Whittaker W identities behind the Strawderman radial density, with
+    mpmath's ``whitw`` as W; the package evaluates W through
+    ``scipy.special.hyperu`` inside ``priors.strawderman_radial``."""
+
     def test_nonnegative(self):
+        """W_{-7/4, 3/4}(z) >= 0 is lambda(sqrt(2z)) >= 0 for a = 1/2, k = 5."""
+        from bayesminimax.priors import strawderman_radial
+
+        lam = strawderman_radial(0.5, 5, route="whittaker").lam
         for z in (0.1, 1.0, 7.0):
-            assert sf.whittaker_w(-1.75, 0.75, z) >= 0.0
-
-    def test_quadrature_convergence(self):
-        from bayesminimax.transforms import QuadSpec
-
-        coarse = sf.whittaker_w(-1.75, 0.75, 0.5, QuadSpec(rel_tol=1e-8))
-        fine = sf.whittaker_w(-1.75, 0.75, 0.5, QuadSpec(rel_tol=1e-12))
-        assert coarse == pytest.approx(fine, rel=1e-8)
+            assert mpmath.whitw(-1.75, 0.75, z) >= 0.0
+            assert lam.eval(math.sqrt(2.0 * z)) >= 0.0
 
     def test_bessel_k_special_case(self):
-        """W_{0,nu}(2z) = sqrt(2z/pi) K_nu(z): independent route through the
-        modified Bessel implementation."""
+        """W_{0,nu}(2z) = sqrt(2z/pi) K_nu(z): checks the package's modified
+        Bessel K against mpmath's Whittaker W."""
         for nu in (0.3, 0.75):
             for z in (0.5, 2.0, 5.0):
-                lhs = sf.whittaker_w(0.0, nu, 2.0 * z)
+                lhs = float(mpmath.whitw(0.0, nu, 2.0 * z))
                 rhs = math.sqrt(2.0 * z / math.pi) * sf.bessel_k(nu, z)
                 assert lhs == pytest.approx(rhs, rel=1e-9)
 
@@ -277,12 +280,6 @@ class TestWhittakerW:
             return t ** (k / 2.0 - a) * (1.0 + t) ** (a - 2.0) * np.exp(-z * t)
 
         direct = integrate_finite(integrand, 0.0, 200.0, rel_tol=1e-12)
-        w = sf.whittaker_w(a - 1.0 - k / 4.0, (k - 2.0) / 4.0, z)
+        w = float(mpmath.whitw(a - 1.0 - k / 4.0, (k - 2.0) / 4.0, z))
         composed = math.gamma(k / 2.0 - a + 1.0) * math.exp(z / 2.0) * z ** (-k / 4.0) * w
         assert composed == pytest.approx(direct, rel=1e-8)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            sf.whittaker_w(2.0, 0.5, 1.0)  # 1/2 + mu - x <= 0
-        with pytest.raises(DomainError):
-            sf.whittaker_w(0.0, 0.5, 0.0)

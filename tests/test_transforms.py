@@ -215,6 +215,23 @@ class TestKTransform:
         got = tr.k_transform(g, 0.5, y)
         assert got == pytest.approx(math.sqrt(math.pi / 2.0) / (1.0 + y), rel=1e-9)
 
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 1.0])
+    def test_closed_form_on_a_grid(self, nu):
+        """Integer orders included.  For g = e^{-x} (Gradshteyn-Ryzhik
+        6.621.3 with mu = 3/2):
+        sqrt(pi y) (2y)^nu / (1+y)^{3/2+nu} Gamma(3/2+nu) Gamma(3/2-nu)
+        * 2F1(3/2+nu, nu+1/2; 2; (1-y)/(1+y)), through mpmath."""
+        import mpmath as mp
+
+        g = sfn(lambda x: np.exp(-np.asarray(x, float)))
+        ys = np.array([0.5, 1.7, 4.0])
+        got = tr.k_transform(g, nu, ys, tr.QuadSpec(rel_tol=1e-10))
+        want = [float(mp.sqrt(mp.pi * y) * (2 * y) ** nu / (1 + y) ** (1.5 + nu)
+                      * mp.gamma(1.5 + nu) * mp.gamma(1.5 - nu)
+                      * mp.hyp2f1(1.5 + nu, nu + 0.5, 2, (1 - y) / (1 + y)))
+                for y in ys]
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+
 
 class TestConsistencyChecker:
     def _strawderman_setup(self):
