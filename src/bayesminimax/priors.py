@@ -437,6 +437,19 @@ def monomial_mixing(n: int, k: int) -> MixingDensity:
                          params={"n": n}, mass=mass)
 
 
+def _laplace_moment_series(b: float, s: np.ndarray) -> np.ndarray:
+    """int_0^1 t^{b-1} e^{-st} dt = e^{-s} sum_m s^m / (b (b+1) ... (b+m)),
+    for 0 <= s < b, where every term is positive and the ratio s/(b+m) < 1."""
+    term = np.exp(-s) / b
+    total = term.copy()
+    m = 0
+    while np.any(term > 1e-17 * total):
+        m += 1
+        term = term * s / (b + m)
+        total = total + term
+    return total
+
+
 def monomial_laplace_G(n: float) -> ScalarFn:
     """Closed-form Laplace transform of t^n on (0,1), real n > -1, with
     derivatives:
@@ -445,10 +458,13 @@ def monomial_laplace_G(n: float) -> ScalarFn:
         G'(s)  = -Gamma(n+2) P(n+2, s) / s^{n+2},
         G''(s) =  Gamma(n+3) P(n+3, s) / s^{n+3},
 
-    where P is the regularized lower incomplete gamma function.  Below
-    s = 1e-8, where s^{n+1+j} can underflow to 0/0, the moments
-    int_0^1 t^{b-1} e^{-st} dt (b = n+1+j) take their limits 1/b - s/(b+1),
-    whose omitted s^2 term is below double rounding there.
+    where P is the regularized lower incomplete gamma function.  Each moment
+    int_0^1 t^{b-1} e^{-st} dt (b = n+1+j) is that quotient where Gamma(b)
+    and s^b lie in double range, and is assembled in log space where they do
+    not (log space costs ~|b log s| ulps, the quotient a few).  Where P
+    itself would fall below ~e^{-600} (s < b and s^b e^{-s}/Gamma(b+1) <
+    e^{-600}; this includes s = 0) the moment comes from its positive series
+    instead.
     """
     from scipy.special import gammainc
 
@@ -458,9 +474,16 @@ def monomial_laplace_G(n: float) -> ScalarFn:
     def moment(j, s):
         s = np.asarray(s, dtype=float)
         b = n + 1 + j
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = math.gamma(b) * gammainc(b, s) / s ** b
-        return np.where(s < 1e-8, 1.0 / b - s / (b + 1.0), out)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            log_s = np.log(s)
+            P = gammainc(b, s)
+            out = np.array(math.gamma(b) * P / s ** b if b < 170.0 else P)
+            wide = ~(np.abs(b * log_s) < 700.0) | (b >= 170.0)
+            out[wide] = np.exp(math.lgamma(b) + np.log(P[wide]) - b * log_s[wide])
+            # log of P's leading factor; the factor 1F1(1; b+1; s) >= 1 only raises P
+            small = (s < b) & (b * log_s - s - math.lgamma(b + 1.0) < -600.0)
+        out[small] = _laplace_moment_series(b, s[small])
+        return out
 
     return ScalarFn(
         eval=lambda s: moment(0, s),

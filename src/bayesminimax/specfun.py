@@ -1,4 +1,4 @@
-"""Special functions: log-gamma, modified Bessel I/K, Kummer 1F1, Whittaker M.
+"""Special functions: log-gamma, modified Bessel I, Kummer 1F1, Whittaker M.
 
 Everything here is real-valued and built from series, asymptotic expansions
 and integral representations:
@@ -6,10 +6,6 @@ and integral representations:
 * ``bessel_i``   power series (DLMF 10.25.2) below x = 30 + nu^2/2, uniform
   large-argument expansion (DLMF 10.40.1) above; an exponentially scaled
   variant avoids overflow.
-* ``bessel_k``   reflection formula K_nu = (pi/2)(I_{-nu} - I_nu)/sin(nu pi)
-  summed termwise for small x, the integral representation
-  K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt for moderate/large x,
-  and an eps-perturbation with two-point averaging at integer orders.
 * ``kummer_1f1`` Pochhammer series; negative arguments are always routed
   through Kummer's transformation 1F1(a;b;z) = e^z 1F1(b-a;b;-z), so an
   alternating series never cancels catastrophically.  Its callers are
@@ -17,7 +13,8 @@ and integral representations:
 * ``whittaker_m`` the defining identity
   M_{x,mu}(z) = e^{-z/2} z^{mu+1/2} 1F1(mu+1/2-x; 1+2mu; z).
 
-Whittaker W is not here: the Strawderman radial density reaches it through
+Modified Bessel K and Whittaker W are not here: the K-transform calls
+``scipy.special.kv``, and the Strawderman radial density reaches W through
 ``scipy.special.hyperu``, as W_{x,mu}(z) = e^{-z/2} z^{mu+1/2}
 U(mu-x+1/2, 1+2mu, z).
 
@@ -35,7 +32,7 @@ import numpy as np
 from .errors import DomainError, EvaluationError
 
 __all__ = [
-    "EvalPolicy", "DEFAULT_POLICY", "bessel_i", "bessel_k",
+    "EvalPolicy", "DEFAULT_POLICY", "bessel_i",
     "kummer_1f1", "whittaker_m",
     "log_bessel_i_scaled", "log_kummer_1f1", "signed_log_kummer_1f1_large",
 ]
@@ -45,8 +42,8 @@ __all__ = [
 class EvalPolicy:
     """Accuracy/effort knobs for series and expansion evaluation.
 
-    When ``scaled`` is set, Bessel values carry an exp(-x) (for I) or exp(+x)
-    (for K) factor so that large arguments stay representable.
+    When ``scaled`` is set, Bessel I values carry an exp(-x) factor so that
+    large arguments stay representable.
     """
     rel_tol: float = 1e-12
     max_terms: int = 10000
@@ -190,87 +187,6 @@ def bessel_i(nu: float, x: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:
         return math.exp(log_scaled) if policy.scaled else math.exp(log_scaled + x)
     val = _bessel_i_series_scalar(nu, x, policy.rel_tol, policy.max_terms)
     return val * math.exp(-x) if policy.scaled else val
-
-
-# ---------------------------------------------------------------------------
-# modified Bessel function of the second kind
-# ---------------------------------------------------------------------------
-
-def _bessel_k_reflection(nu: float, x: float, rel_tol: float, max_terms: int) -> float:
-    """K_nu by the termwise (I_{-nu} - I_nu) series; non-integer nu, small x."""
-    half = 0.5 * x
-    z = half * half
-    tm = half ** (-nu) / math.gamma(1.0 - nu)
-    tp = half ** nu / math.gamma(1.0 + nu)
-    S = tm - tp
-    stable = 0
-    for k in range(1, max_terms + 1):
-        tm = tm * z / (k * (k - nu))
-        tp = tp * z / (k * (k + nu))
-        d = tm - tp
-        S += d
-        if abs(d) <= rel_tol * abs(S) and k > abs(nu) + 2:
-            stable += 1
-            if stable >= 2:
-                break
-        else:
-            stable = 0
-    else:
-        raise EvaluationError(
-            f"Bessel K reflection series did not converge in {max_terms} terms",
-            partial_sum=S, order=nu, argument=x)
-    return 0.5 * math.pi * S / math.sin(nu * math.pi)
-
-
-def _bessel_k_integral_scaled(nu: float, x: float, rel_tol: float) -> float:
-    """e^x K_nu(x) = int_0^inf exp(-x(cosh t - 1)) cosh(nu t) dt.
-
-    Trapezoid with interval doubling; the integrand decays double
-    exponentially so convergence is spectral.
-    """
-    anu = abs(nu)
-    t_max = math.acosh(1.0 + (50.0 + 5.0 * anu) / x)
-    t_max = math.acosh(1.0 + (50.0 + anu * t_max + 10.0) / x)
-
-    def f(t):
-        return np.exp(-x * (np.cosh(t) - 1.0)) * np.cosh(anu * t)
-
-    n = 64
-    ts = np.linspace(0.0, t_max, n + 1)
-    vals = f(ts)
-    prev = np.trapezoid(vals, dx=t_max / n)
-    for _ in range(8):
-        n *= 2
-        ts = np.linspace(0.0, t_max, n + 1)
-        cur = np.trapezoid(f(ts), dx=t_max / n)
-        if abs(cur - prev) <= rel_tol * abs(cur):
-            return cur
-        prev = cur
-    raise EvaluationError("Bessel K integral representation failed to converge",
-                          order=nu, argument=x, last=prev)
-
-
-def bessel_k(nu: float, x: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:
-    """Modified Bessel function K_nu(x), x > 0 (scaled: e^{+x} K_nu(x)).
-
-    K is even in nu.  Integer orders go through an eps = 1e-6 perturbation
-    with two-point averaging, K_n ~ (K_{n+eps} + K_{n-eps})/2, which cancels
-    the O(eps) term of the analytic continuation in the order.
-    """
-    if not x > 0:
-        raise DomainError(f"Bessel K requires x > 0, got {x}")
-    nu = abs(nu)
-    if x > 2.0:
-        scaled = _bessel_k_integral_scaled(nu, x, policy.rel_tol)
-        return scaled if policy.scaled else scaled * math.exp(-x)
-    if abs(nu - round(nu)) < 1e-9:
-        eps = 1e-6
-        n = round(nu)
-        val = 0.5 * (_bessel_k_reflection(abs(n + eps), x, policy.rel_tol, policy.max_terms)
-                     + _bessel_k_reflection(abs(n - eps), x, policy.rel_tol, policy.max_terms))
-    else:
-        val = _bessel_k_reflection(nu, x, policy.rel_tol, policy.max_terms)
-    return val * math.exp(x) if policy.scaled else val
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,18 @@ class TestVerify:
         assert "infinity_holds" in straw["extra"]
         assert code in (0, 5)
 
+    def test_strawderman_high_dimension(self, tmp_path):
+        """At k = 120 the marginal near u = 0.01 is ~(2 pi)^{-60}/60.5, far
+        below where an incomplete gamma P(k/2 - a + 1, u^2/2) stays a normal
+        double; the verdict must not turn on that underflow."""
+        code, out = run(tmp_path, {
+            "command": "verify",
+            "prior_spec": {"family": "strawderman", "k": 120, "params": {"a": 0.5}},
+            "grid_spec": {"lo": 0.01, "hi": 40.0, "n_points": 60, "spacing": "log"}})
+        assert code == 0
+        doc = json.loads(open(os.path.join(out, "verify_report.json")).read())
+        assert doc["aggregate"] == "HOLDS"
+
     def test_whittaker_formal_family(self, tmp_path):
         code, out = run(tmp_path, {
             "command": "verify",
@@ -263,6 +275,19 @@ class TestRisk:
         csv1 = open(os.path.join(out1, "risk_curve.csv")).read()
         csv2 = open(os.path.join(out2, "risk_curve.csv")).read()
         assert csv1 == csv2
+
+    def test_strawderman_high_dimension(self, tmp_path):
+        """At k = 300 the samples sit near u^2/2 ~ 150, where Gamma(b) and
+        s^b (b ~ 150) leave double range; the risk stays finite and below k."""
+        k = 300
+        code, out = run(tmp_path, {
+            "command": "risk",
+            "prior_spec": {"family": "strawderman", "k": k, "params": {"a": 0.5}},
+            "mc": {"n_samples": 2000, "seed": 3, "theta_norms": [0.0, 30.0]}})
+        assert code == 0
+        doc = json.loads(open(os.path.join(out, "risk_report.json")).read())
+        for rec in doc:
+            assert math.isfinite(rec["mc_risk"]) and rec["mc_risk"] < k
 
     def test_exceedance_exit_code(self, tmp_path):
         """An expanding formal rule (growing profile) exceeds k + 3 stderr."""

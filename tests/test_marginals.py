@@ -184,25 +184,27 @@ class TestStrawdermanClosedForm:
         assert mass == pytest.approx(1.0, abs=1e-4)
 
 
-    @settings(max_examples=60, deadline=None)
-    @given(a=st.floats(0.0, 0.99), k=st.integers(3, 12),
-           u=st.one_of(st.just(0.0), st.floats(0.01, 40.0)))
+    @settings(max_examples=80, deadline=None)
+    @given(a=st.floats(0.0, 0.99), k=st.integers(3, 400),
+           u=st.one_of(st.just(0.0), st.floats(1e-3, 60.0)))
     def test_matches_kummer_oracle(self, a, k, u):
         """The incomplete-gamma triple against mpmath's 1F1 form
         l = P/c 1F1(c; c+1; z), l' = -u P/(c+1) 1F1(c+1; c+2; z) and
         l'' = -P/(c+1) 1F1(c+1; c+2; z) + u^2 P/(c+2) 1F1(c+2; c+3; z), with
-        z = -u^2/2; l'' is judged against the sum of its terms' sizes."""
+        z = -u^2/2; l'' is judged against the sum of its terms' sizes.  The
+        1e-300 floor covers values that underflow double range at large k."""
         c = k / 2.0 - a + 1.0
         pref = (1.0 - a) * (2.0 * math.pi) ** (-0.5 * k)
-        with mpmath.workdps(30):
-            f = [float(mpmath.hyp1f1(c + j, c + j + 1, -0.5 * u * u)) for j in range(3)]
-        want0 = pref / c * f[0]
-        want1 = -u * pref / (c + 1.0) * f[1]
-        t1, t2 = -pref / (c + 1.0) * f[1], u * u * pref / (c + 2.0) * f[2]
+        with mpmath.workdps(40):
+            f = [mpmath.hyp1f1(c + j, c + j + 1, -0.5 * u * u) for j in range(3)]
+            want0 = float(pref / c * f[0])
+            want1 = float(-u * pref / (c + 1.0) * f[1])
+            t1 = float(-pref / (c + 1.0) * f[1])
+            t2 = float(u * u * pref / (c + 2.0) * f[2])
         ell, d1, d2 = (float(v[0]) for v in mg.marginal_strawderman(a, k).triple([u]))
-        assert abs(ell - want0) <= 1e-12 * abs(want0)
-        assert abs(d1 - want1) <= 1e-12 * abs(want1)
-        assert abs(d2 - (t1 + t2)) <= 1e-12 * (abs(t1) + abs(t2))
+        assert abs(ell - want0) <= 1e-12 * abs(want0) + 1e-300
+        assert abs(d1 - want1) <= 1e-12 * abs(want1) + 1e-300
+        assert abs(d2 - (t1 + t2)) <= 1e-12 * (abs(t1) + abs(t2)) + 1e-300
 
     @pytest.mark.parametrize("n, k", [(1, 3), (2, 4), (2, 5), (3, 7), (5, 10)])
     def test_example1_identity(self, n, k):

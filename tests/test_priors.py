@@ -150,6 +150,26 @@ class TestStrawderman:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
         np.testing.assert_allclose(lam.eval(r), np.exp(got), rtol=1e-15)
 
+    @pytest.mark.parametrize("k, r_lo, r_hi", [(16, 0.3, 1.2), (40, 2.0, 6.0)])
+    def test_whittaker_route_near_hyperu_breakdown(self, k, r_lo, r_hi):
+        """For k a multiple of 4, hyperu's integer-b series gives NaN below
+        r ~ 0.36 (k = 16) or r ~ 2.2 (k = 40) and loses digits on the way
+        there.  Packed densely across that edge, the route still matches
+        mpmath's Whittaker W form to 1e-9 in log lambda."""
+        import mpmath as mp
+
+        a = 0.5
+        lam = pr.strawderman_radial(a, k, route="whittaker").lam
+        r = np.linspace(r_lo, r_hi, 100)
+        got = lam.log_eval(r)
+        with mp.workdps(30):
+            want = [float(mp.log(1 - a) + mp.loggamma(k / 2 - a + 1)
+                          - (k / 4 - 1) * mp.log(2) - mp.loggamma(k / 2)
+                          + (k - 2) / 2 * mp.log(ri) + ri * ri / 4
+                          + mp.log(mp.whitw(a - 1 - k / 4, (k - 2) / 4, ri * ri / 2)))
+                    for ri in r]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
     def test_whittaker_route_is_one_vectorized_call(self, monkeypatch):
         """Where hyperu is finite the route makes no quadrature call; where it
         is NaN (k = 12, r below ~0.14) only those r are integrated."""
@@ -227,24 +247,30 @@ class TestMonomialLaplaceG:
         limits 1/b - s/(b+1), b = n+1+j, instead of 0/0."""
         for n in (2, 2.5, -0.5):
             G = pr.monomial_laplace_G(n)
-            for s in (0.0, 1e-300, 1e-12):
+            for s in (0.0, 1e-300, 1e-200):
                 for j, part, sign in ((0, G.eval, 1.0), (1, G.deriv1, -1.0),
                                       (2, G.deriv2, 1.0)):
                     b = n + 1.0 + j
                     assert float(part(s)) == pytest.approx(sign * (1.0 / b - s / (b + 1.0)),
                                                            rel=1e-15)
 
-    def test_continuous_across_small_s_switch(self):
-        """Both sides of the s = 1e-8 switch match the moment series, to the
-        ~1e-14 that the incomplete-gamma side reaches there."""
-        n = 1.5
+    @pytest.mark.parametrize("n", [59.5, 149.5, 399.5])
+    def test_large_exponent(self, n):
+        """For large n, Gamma(n+1) and s^{n+1} leave double range and P(n+1, s)
+        underflows for s well below n; the moments still match mpmath's
+        1F1(b; b+1; -s)/b, b = n+1+j, on both sides of the switch to the
+        positive series.  The 1e-300 floor covers values below double range."""
+        import mpmath as mp
+
         G = pr.monomial_laplace_G(n)
-        s = np.array([0.999e-8, 1.001e-8])
+        s = np.concatenate([[0.0], np.geomspace(1e-6, 3000.0, 120)])
         for j, part, sign in ((0, G.eval, 1.0), (1, G.deriv1, -1.0),
                               (2, G.deriv2, 1.0)):
             b = n + 1.0 + j
-            series = sign * (1.0 / b - s / (b + 1.0) + s * s / (2.0 * (b + 2.0)))
-            np.testing.assert_allclose(part(s), series, rtol=5e-14)
+            got = np.asarray(part(s), dtype=float)
+            with mp.workdps(40):
+                want = np.array([sign * float(mp.hyp1f1(b, b + 1, -si) / b) for si in s])
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-300)
 
     @pytest.mark.parametrize("n", [0.3, 2.5, -0.5])
     def test_real_exponent(self, n):

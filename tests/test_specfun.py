@@ -33,8 +33,6 @@ class TestEvalPolicy:
             for x in (0.5, 5.0, 20.0):
                 assert sf.bessel_i(nu, x, scaled) * math.exp(x) == pytest.approx(
                     sf.bessel_i(nu, x), rel=1e-13)
-                assert sf.bessel_k(nu, x, scaled) * math.exp(-x) == pytest.approx(
-                    sf.bessel_k(nu, x), rel=1e-13)
 
 
 def _half_integer_closed_form(nu, x):
@@ -96,24 +94,30 @@ class TestBesselI:
 
 
 class TestBesselK:
+    """The modified Bessel K in the K-transform kernel is ``scipy.special.kv``.
+    These pin the properties the transform relies on, against closed forms,
+    mpmath, and the reflection formula through the package's ``bessel_i``."""
+
     def test_half_integer_value(self):
-        assert sf.bessel_k(0.5, 1.0) == pytest.approx(
+        assert kv(0.5, 1.0) == pytest.approx(
             math.sqrt(math.pi / 2.0) * math.exp(-1.0), rel=1e-12)
 
     def test_even_in_order(self):
         for x in (0.3, 1.7, 6.0):
-            assert sf.bessel_k(-0.5, x) == sf.bessel_k(0.5, x)
-            assert sf.bessel_k(-1.3, x) == sf.bessel_k(1.3, x)
+            assert kv(-0.5, x) == kv(0.5, x)
+            assert kv(-1.3, x) == kv(1.3, x)
 
     def test_integer_order_two_path_consistency(self):
-        # the dedicated integer path against the near-integer reflection path
+        """K_0 against the reflection formula at the near-integer order 1e-6,
+        built from the package's I_{+-1e-6}."""
+        eps = 1e-6
         for x in (0.5, 2.0):
-            integer_path = sf.bessel_k(0.0, x)
-            formula_path = sf._bessel_k_reflection(1e-6, x, 1e-12, 10000)
-            assert integer_path == pytest.approx(formula_path, rel=1e-8)
+            near = 0.5 * math.pi * (sf.bessel_i(-eps, x) - sf.bessel_i(eps, x)) / math.sin(eps * math.pi)
+            assert kv(0.0, x) == pytest.approx(near, rel=1e-8)
 
     def test_reflection_identity(self):
-        """K_nu = (pi/2)(I_{-nu} - I_nu)/sin(nu pi), nu in {0.3, 1.7}.
+        """K_nu = (pi/2)(I_{-nu} - I_nu)/sin(nu pi), nu in {0.3, 1.7}, with the
+        package's I.
 
         The difference of two e^x-scale numbers carries an absolute rounding
         floor of order eps * I_nu, so the identity is asserted to 1e-9
@@ -122,7 +126,7 @@ class TestBesselK:
         for nu in (0.3, 1.7):
             for x in np.geomspace(0.1, 10.0, 25):
                 x = float(x)
-                lhs = sf.bessel_k(nu, x)
+                lhs = kv(nu, x)
                 im = sf.bessel_i(-nu, x)
                 ip = sf.bessel_i(nu, x)
                 rhs = 0.5 * math.pi * (im - ip) / math.sin(nu * math.pi)
@@ -130,18 +134,25 @@ class TestBesselK:
                 assert abs(lhs - rhs) <= 1e-9 * max(scale, abs(lhs))
 
     def test_against_scipy(self):
+        """scipy's kv against mpmath's besselk over the orders and arguments
+        the K-transform reaches."""
         rng = np.random.default_rng(11)
         for _ in range(50):
             nu = float(rng.uniform(0.0, 3.0))
             x = float(rng.uniform(0.05, 40.0))
-            tol = 5e-8 if abs(nu - round(nu)) < 1e-9 and x <= 2 else 5e-11
-            assert sf.bessel_k(nu, x) == pytest.approx(kv(nu, x), rel=tol)
+            assert kv(nu, x) == pytest.approx(float(mpmath.besselk(nu, x)), rel=5e-13)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            sf.bessel_k(0.5, 0.0)
-        with pytest.raises(DomainError):
-            sf.bessel_k(0.5, -2.0)
+        """K_nu is infinite at 0, which the K-transform integrand keeps, and
+        the transform itself rejects y <= 0."""
+        from bayesminimax import transforms as tr
+
+        assert kv(0.5, 0.0) == math.inf
+        g = tr.ScalarFn(eval=lambda x: np.exp(-np.asarray(x, dtype=float)),
+                        support=(0.0, math.inf))
+        for y in (0.0, -2.0):
+            with pytest.raises(DomainError):
+                tr.k_transform(g, 0.5, y)
 
 
 class TestKummer:
@@ -259,12 +270,12 @@ class TestWhittakerW:
             assert lam.eval(math.sqrt(2.0 * z)) >= 0.0
 
     def test_bessel_k_special_case(self):
-        """W_{0,nu}(2z) = sqrt(2z/pi) K_nu(z): checks the package's modified
-        Bessel K against mpmath's Whittaker W."""
+        """W_{0,nu}(2z) = sqrt(2z/pi) K_nu(z): checks the K-transform's Bessel
+        K (scipy's kv) against mpmath's Whittaker W."""
         for nu in (0.3, 0.75):
             for z in (0.5, 2.0, 5.0):
                 lhs = float(mpmath.whitw(0.0, nu, 2.0 * z))
-                rhs = math.sqrt(2.0 * z / math.pi) * sf.bessel_k(nu, z)
+                rhs = math.sqrt(2.0 * z / math.pi) * kv(nu, z)
                 assert lhs == pytest.approx(rhs, rel=1e-9)
 
     def test_strawderman_composition(self):
