@@ -242,8 +242,7 @@ def cmd_construct(cfg: RunConfig) -> int:
         sol = made
         _write(cfg, outputs, "profile_table.csv", _table_csv(
             ["u", "F", "dF", "d2F", "z1", "z2"],
-            zip(u_grid, sol.F.eval(u_grid), sol.F.deriv1(u_grid), sol.F.deriv2(u_grid),
-                sol.z1.eval(u_grid), sol.z2.eval(u_grid))))
+            zip(u_grid, *sol.F.triple(u_grid), sol.z1.eval(u_grid), sol.z2.eval(u_grid))))
         recovery = {"available": False,
                     "reason": "closed-form recovery only for the pure "
                               "inverse-square forcing with a single root"}
@@ -268,8 +267,7 @@ def cmd_construct(cfg: RunConfig) -> int:
         G = made
         s_grid = 0.5 * u_grid ** 2
         _write(cfg, outputs, "transform_table.csv", _table_csv(
-            ["s", "G", "dG", "d2G"],
-            zip(s_grid, G.eval(s_grid), G.deriv1(s_grid), G.deriv2(s_grid))))
+            ["s", "G", "dG", "d2G"], zip(s_grid, *G.triple(s_grid))))
         boundary = (b[0] == b[2] == b[3] == 0.0 and abs(b[1] - spec.k) < 1e-12)
         if boundary:
             warnings.append(

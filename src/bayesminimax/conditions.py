@@ -175,14 +175,13 @@ def check_spherical_minimax_bound(F: ScalarFn, k: int, grid) -> ConditionReport:
     construction validate each other.
     """
     u = np.asarray(grid, dtype=float)
-    Fv = np.asarray(F.eval(u), dtype=float)
+    if F.triple is None:
+        raise DomainError("profile F must carry analytic first and second derivatives")
+    Fv, F1, F2 = (np.asarray(x, dtype=float) for x in F.triple(u))
     if np.any(Fv <= 0) or np.any(~np.isfinite(Fv)):
         raise DomainError("profile F must be positive and finite on the grid")
-    if F.deriv1 is None or F.deriv2 is None:
-        raise DomainError("profile F must carry analytic first and second derivatives")
-    R = np.asarray(F.deriv1(u), dtype=float) / Fv
-    F2 = np.asarray(F.deriv2(u), dtype=float) / Fv
-    t1 = F2
+    R = F1 / Fv
+    t1 = F2 / Fv
     t2 = -0.5 * R * R
     t3 = R * ((k - 1.0) / (2.0 * u) - u)
     t4 = (k - 1.0) * (7.0 - 3.0 * k) / (8.0 * u * u)
@@ -203,13 +202,11 @@ def check_laplace_mixture_bound(G: ScalarFn, k: int, grid) -> ConditionReport:
         G'(s)/G(s) - 2 G''(s)/G'(s)  <=  k/s  for all s > 0.
     """
     s = np.asarray(grid, dtype=float)
-    Gv = np.asarray(G.eval(s), dtype=float)
+    if G.triple is None:
+        raise DomainError("G must carry analytic first and second derivatives")
+    Gv, G1, G2 = (np.asarray(x, dtype=float) for x in G.triple(s))
     if np.any(Gv <= 0):
         raise DomainError("G must be positive on the grid")
-    if G.deriv1 is None or G.deriv2 is None:
-        raise DomainError("G must carry analytic first and second derivatives")
-    G1 = np.asarray(G.deriv1(s), dtype=float)
-    G2 = np.asarray(G.deriv2(s), dtype=float)
     if np.any(G1 >= 0):
         raise DomainError("G' must be negative: not a Laplace transform of a "
                           "nonnegative kernel")

@@ -65,19 +65,23 @@ class RiskReport:
         return asdict(self)
 
 
-def _shrink_terms(profile: MarginalProfile, u: np.ndarray):
-    """rho(u), rho'(u) and validity mask from the profile triple."""
+def _shrink_terms(profile: MarginalProfile, u: np.ndarray, k: int):
+    """rho(u), rho'(u), validity mask and SURE(u) from the profile triple.
+
+    rho' is built from the ratios l'/l and l''/l, never from l^2, which
+    underflows at large k where l itself is a normal double.  A sample whose
+    rho or rho' is not finite is invalid.
+    """
     ell, d1, d2 = profile.triple(u)
     ok = np.isfinite(ell) & np.isfinite(d1) & np.isfinite(d2) & (ell > 0.0)
     safe_ell = np.where(ok, ell, 1.0)
     safe_u = np.where(u > _U_EPS, u, 1.0)
     rho = np.where(u > _U_EPS, d1 / (safe_u * safe_ell), 0.0)
-    rho_p = np.where(
-        u > _U_EPS,
-        d2 / (safe_u * safe_ell) - d1 / (safe_u ** 2 * safe_ell)
-        - d1 ** 2 / (safe_u * safe_ell ** 2),
-        0.0)
-    return rho, rho_p, ok
+    r1, r2 = d1 / safe_ell, d2 / safe_ell
+    rho_p = np.where(u > _U_EPS, (r2 - r1 / safe_u - r1 * r1) / safe_u, 0.0)
+    ok &= np.isfinite(rho) & np.isfinite(rho_p)
+    sure = k + 2.0 * (k * rho + u * rho_p) + rho ** 2 * u ** 2
+    return rho, rho_p, ok, sure
 
 
 def bayes_estimate(profile: MarginalProfile, x: np.ndarray) -> np.ndarray:
@@ -86,7 +90,7 @@ def bayes_estimate(profile: MarginalProfile, x: np.ndarray) -> np.ndarray:
     u = float(np.linalg.norm(x))
     if u < _U_EPS:
         return x.copy()
-    rho, _, ok = _shrink_terms(profile, np.array([u]))
+    rho, _, ok, _ = _shrink_terms(profile, np.array([u]), x.size)
     if not ok[0]:
         raise EvaluationError(f"marginal evaluation failed at u={u}")
     return x * (1.0 + float(rho[0]))
@@ -99,11 +103,10 @@ def sure(profile: MarginalProfile, x: np.ndarray) -> float:
     u = float(np.linalg.norm(x))
     if u < _U_EPS:
         return float(k)
-    rho, rho_p, ok = _shrink_terms(profile, np.array([u]))
+    _, _, ok, s = _shrink_terms(profile, np.array([u]), k)
     if not ok[0]:
         raise EvaluationError(f"marginal evaluation failed at u={u}")
-    div = k * float(rho[0]) + u * float(rho_p[0])
-    return k + 2.0 * div + float(rho[0]) ** 2 * u * u
+    return float(s[0])
 
 
 def _mc_sums(profile: MarginalProfile, theta: np.ndarray, n: int, seed: int
@@ -119,12 +122,10 @@ def _mc_sums(profile: MarginalProfile, theta: np.ndarray, n: int, seed: int
         rng = np.random.default_rng(child)
         X = theta[None, :] + rng.standard_normal((m, k))
         u = np.linalg.norm(X, axis=1)
-        rho, rho_p, ok = _shrink_terms(profile, u)
+        rho, _, ok, s = _shrink_terms(profile, u, k)
         n_fail += int(np.sum(~ok))
         delta = X * (1.0 + rho)[:, None]
         loss = np.sum((delta - theta[None, :]) ** 2, axis=1)
-        div = k * rho + u * rho_p
-        s = k + 2.0 * div + rho ** 2 * u ** 2
         loss = loss[ok]
         s = s[ok]
         n_used += loss.size

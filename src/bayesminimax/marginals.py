@@ -13,11 +13,13 @@ and for a variance mixture with mixing density h
 Every route ends in one evaluation contract: a :class:`MarginalProfile`
 carries a single ``triple_fn`` that returns (l, l', l'') for a batch of u in
 one pass, so quadrature routes integrate the three rows over one shared
-partition and closed forms share their special-function values.  The
-``ell`` view exposes the same triple as a ScalarFn for callers that want
-l alone.  The two shapes that several families share have one constructor
-each: :func:`squared_profile` for l = S^2 and :func:`laplace_profile` for
-l = scale * G(u^2/2).
+partition and closed forms share their special-function values.  The same
+contract holds one layer down: a ScalarFn with derivatives carries one
+``triple`` callable, so a Laplace-route profile reads (G, G', G'') in one
+call.  The ``ell`` view exposes the profile's triple as a ScalarFn for
+callers that want l alone.  The two shapes that several families share
+have one constructor each: :func:`squared_profile` for l = S^2 and
+:func:`laplace_profile` for l = scale * G(u^2/2).
 
 Marginals pair e^{-u^2/2} decay against e^{ur}-growing Bessel kernels, so the
 radial route is evaluated entirely in log space; derivatives come from
@@ -72,10 +74,8 @@ class MarginalProfile:
 
     @property
     def ell(self) -> ScalarFn:
-        """Read-only view of l; each member returns one component of triple()."""
-        def part(i):
-            return lambda u: self.triple(u)[i]
-        return ScalarFn(eval=part(0), deriv1=part(1), deriv2=part(2),
+        """Read-only view of l: ``eval`` is triple()[0], ``triple`` is triple()."""
+        return ScalarFn(eval=lambda u: self.triple(u)[0], triple=self.triple,
                         support=(0.0, math.inf), label=self.route)
 
 
@@ -123,14 +123,12 @@ def squared_profile(k: int, S_triple: Callable, route: str,
 def laplace_profile(G: ScalarFn, k: int, route: str, scale: float) -> MarginalProfile:
     """Profile of the mixture identification l(u) = scale * G(u^2/2).
 
-    l' = scale u G'(s) and l'' = scale (u^2 G''(s) + G'(s)) at s = u^2/2.
-    G, G' and G'' are each evaluated once per triple.
+    l' = scale u G'(s) and l'' = scale (u^2 G''(s) + G'(s)) at s = u^2/2,
+    from one ``G.triple`` call per triple.
     """
     def triple(u):
         s = 0.5 * np.square(u)
-        G0 = np.asarray(G.eval(s), dtype=float)
-        G1 = np.asarray(G.deriv1(s), dtype=float)
-        G2 = np.asarray(G.deriv2(s), dtype=float)
+        G0, G1, G2 = (np.asarray(x, dtype=float) for x in G.triple(s))
         return scale * G0, (scale * u) * G1, scale * (np.square(u) * G2 + G1)
 
     return MarginalProfile(k=k, route=route, triple_fn=triple)

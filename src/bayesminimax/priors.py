@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -364,9 +364,13 @@ def strawderman_radial(a: float, k: int, quad: QuadSpec = DEFAULT_QUAD,
              - math.lgamma(0.5 * k))
 
     def log_lam(r):
+        # lambda(r) ~ r at the origin: log lambda(0) = -inf, not -inf + inf
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-        out = (log_c + (k - 1.0) * np.log(r_arr)
-               + log_integral(a, k, r_arr, quad))
+        out = np.full(r_arr.shape, -np.inf)
+        live = r_arr != 0.0
+        if np.any(live):
+            out[live] = (log_c + (k - 1.0) * np.log(r_arr[live])
+                         + log_integral(a, k, r_arr[live], quad))
         return float(out[0]) if np.asarray(r).ndim == 0 else out
 
     label = "strawderman" if route == "integral" else "strawderman_whittaker"
@@ -386,10 +390,13 @@ def strawderman_mixing(a: float, k: int) -> MixingDensity:
         v = np.asarray(v, dtype=float)
         return (1.0 - a) * (1.0 + v) ** (a - 2.0)
 
+    def h_triple(v):
+        w = 1.0 + np.asarray(v, dtype=float)
+        return (h(v), (1.0 - a) * (a - 2.0) * w ** (a - 3.0),
+                (1.0 - a) * (a - 2.0) * (a - 3.0) * w ** (a - 4.0))
+
     fn = ScalarFn(
-        eval=h,
-        deriv1=lambda v: (1.0 - a) * (a - 2.0) * (1.0 + np.asarray(v, dtype=float)) ** (a - 3.0),
-        deriv2=lambda v: (1.0 - a) * (a - 2.0) * (a - 3.0) * (1.0 + np.asarray(v, dtype=float)) ** (a - 4.0),
+        eval=h, triple=h_triple,
         support=(0.0, math.inf), label=f"strawderman_mixing(a={a})",
         log_eval=lambda v: math.log(1.0 - a) + (a - 2.0) * np.log1p(np.asarray(v, dtype=float)),
         nonneg=True)
@@ -425,10 +432,12 @@ def monomial_mixing(n: int, k: int) -> MixingDensity:
     def h(v):
         return (1.0 + np.asarray(v, dtype=float)) ** p
 
+    def h_triple(v):
+        w = 1.0 + np.asarray(v, dtype=float)
+        return w ** p, p * w ** (p - 1.0), p * (p - 1.0) * w ** (p - 2.0)
+
     fn = ScalarFn(
-        eval=h,
-        deriv1=lambda v: p * (1.0 + np.asarray(v, dtype=float)) ** (p - 1.0),
-        deriv2=lambda v: p * (p - 1.0) * (1.0 + np.asarray(v, dtype=float)) ** (p - 2.0),
+        eval=h, triple=h_triple,
         support=(0.0, math.inf), label=f"(v+1)^{p}",
         log_eval=lambda v: p * np.log1p(np.asarray(v, dtype=float)), nonneg=True)
     proper = PROPER if n > k / 2.0 - 1.0 else IMPROPER
@@ -487,8 +496,7 @@ def monomial_laplace_G(n: float) -> ScalarFn:
 
     return ScalarFn(
         eval=lambda s: moment(0, s),
-        deriv1=lambda s: -moment(1, s),
-        deriv2=lambda s: moment(2, s),
+        triple=lambda s: (moment(0, s), -moment(1, s), moment(2, s)),
         support=(0.0, math.inf), label=f"laplace[t^{n}]", nonneg=True)
 
 
@@ -568,12 +576,11 @@ class ConstructionSolution:
     rho1: float
     rho2: float
     b_coeffs: List[float]
-    z_triples: Tuple[Callable, Callable]   # u -> (z, z', z'') for z1 and z2
 
     def S_triple(self, u):
         """(S, S', S'') of S = c1 z1 + c2 z2, so F = S^2 u^{(k-1)/2} e^{u^2/2}."""
         c1, c2 = self.c1, self.c2
-        (z1, d1, dd1), (z2, d2, dd2) = (t(u) for t in self.z_triples)
+        (z1, d1, dd1), (z2, d2, dd2) = self.z1.triple(u), self.z2.triple(u)
         return c1 * z1 + c2 * z2, c1 * d1 + c2 * d2, c1 * dd1 + c2 * dd2
 
 
@@ -688,14 +695,12 @@ def construct_spherical(phi: ScalarFn, k: int, c1: float = 1.0, c2: float = 0.0,
             d2z = -((k - 1.0) / u) * dz + 0.5 * np.asarray(phi.eval(u), dtype=float) * z
             return tuple(float(x[0]) for x in (z, dz, d2z)) if scalar else (z, dz, d2z)
 
-        return z_triple
+        return ScalarFn(eval=lambda u: z_triple(u)[0], triple=z_triple,
+                        support=(0.0, u_max), label=label)
 
-    z_triples = (make_solution(rho1, "z1"), make_solution(rho2, "z2"))
-    z1, z2 = (ScalarFn(eval=lambda u, t=t: t(u)[0], deriv1=lambda u, t=t: t(u)[1],
-                       deriv2=lambda u, t=t: t(u)[2], support=(0.0, u_max), label=label)
-              for t, label in zip(z_triples, ("z1", "z2")))
+    z1, z2 = make_solution(rho1, "z1"), make_solution(rho2, "z2")
     sol = ConstructionSolution(k=k, phi=phi, F=None, z1=z1, z2=z2, c1=c1, c2=c2,
-                               rho1=rho1, rho2=rho2, b_coeffs=b, z_triples=z_triples)
+                               rho1=rho1, rho2=rho2, b_coeffs=b)
     sol.F = _assemble_profile(sol.S_triple, k, label="constructed_profile",
                               support=(0.0, u_max))
     return sol
@@ -721,20 +726,14 @@ def _assemble_profile(S_triple, k: int, label: str,
     def log_F(u):
         return parts(u)[-1]
 
-    def F_eval(u):
-        return np.exp(log_F(u))
-
-    def F_d1(u):
-        u, S, S1, _, lF = parts(u)
-        return np.exp(lF) * (2.0 * S1 / S + e / u + u)
-
-    def F_d2(u):
+    def F_triple(u):
         u, S, S1, S2, lF = parts(u)
+        F = np.exp(lF)
         r1 = 2.0 * S1 / S + e / u + u
         curv = 2.0 * (S2 * S - S1 ** 2) / (S * S)
-        return np.exp(lF) * (r1 * r1 + curv - e / (u * u) + 1.0)
+        return F, F * r1, F * (r1 * r1 + curv - e / (u * u) + 1.0)
 
-    return ScalarFn(eval=F_eval, deriv1=F_d1, deriv2=F_d2, support=support,
+    return ScalarFn(eval=lambda u: np.exp(log_F(u)), triple=F_triple, support=support,
                     label=label, log_eval=log_F, nonneg=True)
 
 
@@ -792,16 +791,12 @@ def power_exp_profile(gamma: float, k: int) -> ScalarFn:
     def F_eval(u):
         return np.exp(log_F(u))
 
-    def F_d1(u):
+    def F_triple(u):
         u = np.asarray(u, dtype=float)
-        return F_eval(u) * (gamma / u + u)
+        F, r = F_eval(u), gamma / u + u
+        return F, F * r, F * (r * r - gamma / (u * u) + 1.0)
 
-    def F_d2(u):
-        u = np.asarray(u, dtype=float)
-        r = gamma / u + u
-        return F_eval(u) * (r * r - gamma / (u * u) + 1.0)
-
-    return ScalarFn(eval=F_eval, deriv1=F_d1, deriv2=F_d2,
+    return ScalarFn(eval=F_eval, triple=F_triple,
                     support=(0.0, math.inf), label=f"u^{gamma} exp(u^2/2)",
                     log_eval=log_F, nonneg=True)
 
@@ -1025,7 +1020,8 @@ def construct_G_mixture(phi: ScalarFn, a: float, b: float,
     G' = 2 (int_b^s E) E(s)  and  G'' = 2 E(s)^2 - (int_b^s E) E(s) phi(s).
     When ``k`` is supplied the bound phi(s) <= k/s is probed first.  Both
     integrals come from one dense ODE solve (:class:`_CumulativeIntegral`),
-    so any batch of points costs one dense-output evaluation.
+    so a batch of points costs one dense-output evaluation for ``eval`` and
+    one for the whole ``triple``.
 
     ``b = inf`` is allowed when E is integrable at infinity (tail exponent
     fitted and appended in closed form); it yields the decreasing transforms
@@ -1043,23 +1039,16 @@ def construct_G_mixture(phi: ScalarFn, a: float, b: float,
 
     cum = _CumulativeIntegral(phi, a, b, quad)
 
-    def parts(s):
-        Phi, I = cum(s)
-        return np.asarray(I, dtype=float), np.exp(-0.5 * np.asarray(Phi, dtype=float))
-
     def G_eval(s):
         I = np.asarray(cum(s)[1], dtype=float)
         return I * I
 
-    def G_d1(s):
-        I, E = parts(s)
-        return 2.0 * I * E
+    def G_triple(s):
+        Phi, I = (np.asarray(x, dtype=float) for x in cum(s))
+        E = np.exp(-0.5 * Phi)
+        return I * I, 2.0 * I * E, 2.0 * E * E - I * E * np.asarray(phi.eval(s), dtype=float)
 
-    def G_d2(s):
-        I, E = parts(s)
-        return 2.0 * E * E - I * E * np.asarray(phi.eval(s), dtype=float)
-
-    return ScalarFn(eval=G_eval, deriv1=G_d1, deriv2=G_d2,
+    return ScalarFn(eval=G_eval, triple=G_triple,
                     support=(0.0, math.inf), label="constructed_G", nonneg=True)
 
 

@@ -61,16 +61,16 @@ DEFAULT_QUAD = QuadSpec()
 class ScalarFn:
     """A real function of one positive real variable.
 
-    ``eval`` must accept numpy arrays (scalars are broadcast).  ``deriv1`` and
-    ``deriv2`` are optional analytic derivatives; when present they must agree
-    with Richardson-extrapolated central differences of ``eval``.  ``log_eval``
+    ``eval`` must accept numpy arrays (scalars are broadcast).  ``triple``
+    optionally maps x to (f, f', f'') computed together: its first component
+    equals ``eval`` bit for bit, and its derivatives must agree with
+    Richardson-extrapolated central differences of ``eval``.  ``log_eval``
     gives log|f| and enables log-space integration for functions spanning
     hundreds of orders of magnitude; ``nonneg`` declares f >= 0 on its
     support.
     """
     eval: Callable
-    deriv1: Optional[Callable] = None
-    deriv2: Optional[Callable] = None
+    triple: Optional[Callable] = None
     support: Tuple[float, float] = (0.0, math.inf)
     label: str = ""
     log_eval: Optional[Callable] = None
@@ -78,6 +78,14 @@ class ScalarFn:
 
     def __call__(self, x):
         return self.eval(x)
+
+    def deriv1(self, x):
+        """f'(x), read from ``triple``."""
+        return self.triple(x)[1]
+
+    def deriv2(self, x):
+        """f''(x), read from ``triple``."""
+        return self.triple(x)[2]
 
     def log_abs(self, x):
         if self.log_eval is not None:

@@ -114,9 +114,11 @@ class TestSphericalBound:
         assert np.max(np.abs(rep.margins)) < 1e-10
 
     def test_rejects_nonpositive_profile(self):
-        F = tr.ScalarFn(eval=lambda u: -np.ones_like(np.asarray(u, float)),
-                        deriv1=lambda u: np.zeros_like(np.asarray(u, float)),
-                        deriv2=lambda u: np.zeros_like(np.asarray(u, float)))
+        def F_triple(u):
+            u = np.asarray(u, float)
+            return -np.ones_like(u), np.zeros_like(u), np.zeros_like(u)
+
+        F = tr.ScalarFn(eval=lambda u: F_triple(u)[0], triple=F_triple)
         with pytest.raises(DomainError):
             cd.check_spherical_minimax_bound(F, 5, [1.0])
 
@@ -158,8 +160,7 @@ class TestLaplaceBound:
     def test_scale_invariance(self):
         G = pr.monomial_laplace_G(2)
         G7 = tr.ScalarFn(eval=lambda s: 7.0 * np.asarray(G.eval(s)),
-                         deriv1=lambda s: 7.0 * np.asarray(G.deriv1(s)),
-                         deriv2=lambda s: 7.0 * np.asarray(G.deriv2(s)))
+                         triple=lambda s: tuple(7.0 * np.asarray(x) for x in G.triple(s)))
         g = np.geomspace(0.01, 10.0, 30)
         r1 = cd.check_laplace_mixture_bound(G, 5, g)
         r2 = cd.check_laplace_mixture_bound(G7, 5, g)
@@ -167,9 +168,11 @@ class TestLaplaceBound:
         np.testing.assert_allclose(r1.margins, r2.margins, rtol=1e-10)
 
     def test_increasing_G_rejected(self):
-        G = tr.ScalarFn(eval=lambda s: np.asarray(s, float),
-                        deriv1=lambda s: np.ones_like(np.asarray(s, float)),
-                        deriv2=lambda s: np.zeros_like(np.asarray(s, float)))
+        def G_triple(s):
+            s = np.asarray(s, float)
+            return s, np.ones_like(s), np.zeros_like(s)
+
+        G = tr.ScalarFn(eval=lambda s: np.asarray(s, float), triple=G_triple)
         with pytest.raises(DomainError):
             cd.check_laplace_mixture_bound(G, 5, [1.0])
 

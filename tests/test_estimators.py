@@ -126,6 +126,26 @@ class TestMcRisk:
             es.mc_risk(bad, np.zeros(5), 5000, 3)
 
 
+    def test_large_dimension_sure_is_finite(self):
+        # l ~ 1e-162 at k = 400: l^2 underflows, so SURE goes through l'/l and l''/l
+        k = 400
+        rep = es.mc_risk(mg.marginal_strawderman(0.5, k), np.zeros(k), 4000, 1)
+        assert rep.n_failures == 0
+        assert math.isfinite(rep.sure_mean) and math.isfinite(rep.sure_stderr)
+        assert rep.coupled()
+
+    def test_nonfinite_shrinkage_is_a_failure(self):
+        # finite, positive triple whose ratio l'/l overflows
+        tiny = mg.MarginalProfile(
+            k=5, triple_fn=lambda u: (np.full_like(u, 1e-320), np.ones_like(u),
+                                      np.zeros_like(u)),
+            route="tiny")
+        with pytest.raises(EvaluationError), np.errstate(all="ignore"):
+            es.sure(tiny, np.ones(5))
+        with pytest.raises(EvaluationError), np.errstate(all="ignore"):
+            es.mc_risk(tiny, np.zeros(5), 5000, 3)
+
+
 class TestRiskCurve:
     def test_single_zero_norm_matches_mc_risk(self, monomial_profile):
         curve = es.risk_curve(monomial_profile, [0.0], 5000, 2024)

@@ -189,6 +189,16 @@ class TestStrawderman:
         assert np.all(np.isfinite(pr.strawderman_radial(0.5, 12, route="whittaker").lam.log_eval(r)))
         assert calls == [1]
 
+    @pytest.mark.parametrize("route", ["integral", "whittaker"])
+    def test_origin(self, route):
+        # lambda(r) ~ r near 0, so lambda(0) = 0 and log lambda(0) = -inf
+        lam = pr.strawderman_radial(0.5, 5, route=route).lam
+        with np.errstate(all="raise"):
+            assert lam.eval(0.0) == 0.0
+            assert lam.log_eval(0.0) == -math.inf
+            vals = lam.eval(np.array([0.0, 0.5]))
+        assert vals[0] == 0.0 and vals[1] == lam.eval(0.5) > 0.0
+
     def test_nonnegative(self):
         prior = pr.strawderman_radial(0.5, 5)
         r = np.geomspace(0.05, 20.0, 30)
@@ -649,6 +659,64 @@ class TestConstructGMixture:
         assert np.isfinite(G.eval(700.0))
         with pytest.raises(ConstructionError), np.errstate(over="ignore"):
             G.eval(2000.0)
+
+
+def _inverse_square_solution():
+    phi = tr.ScalarFn(eval=lambda u: -2.0 / np.asarray(u, float) ** 2)
+    return pr.construct_spherical(phi, 5, c1=1.0, c2=1.0, u_grid=np.geomspace(0.1, 10.0, 20),
+                                  phi_series=[-2.0, 0, 0, 0])
+
+
+def _strict_G():
+    phi = tr.ScalarFn(eval=lambda s: 4.0 / np.asarray(s, float))
+    return pr.construct_G_mixture(phi, a=1.0, b=math.inf, k=5)
+
+
+class TestTripleContract:
+    """Every producer's triple starts with eval, bit for bit, and carries
+    derivatives that match finite differences."""
+
+    @pytest.mark.parametrize("make,points", [
+        (lambda: pr.strawderman_mixing(0.5, 5).h, [0.0, 0.5, 2.0, 8.0]),
+        (lambda: pr.monomial_mixing(2, 5).h, [0.0, 0.5, 2.0, 8.0]),
+        (lambda: pr.monomial_laplace_G(2), [0.5, 2.0, 8.0]),
+        (lambda: pr.monomial_laplace_G(60.5), [0.5, 30.0, 200.0]),
+        (lambda: pr.power_exp_profile(1.5, 5), [0.3, 1.0, 4.0]),
+        (lambda: pr.inverse_square_profile(1.0, 5, 1.0, 2.0), [0.3, 1.0, 4.0]),
+        (lambda: _inverse_square_solution().F, [0.3, 0.7, 4.0]),
+        (lambda: _inverse_square_solution().z1, [0.3, 0.7, 4.0]),
+        (lambda: _strict_G(), [0.1, 1.0, 10.0]),
+    ], ids=["strawderman_mixing", "monomial_mixing", "monomial_laplace_G",
+            "monomial_laplace_G_large", "power_exp_profile", "inverse_square_profile",
+            "constructed_F", "constructed_z1", "constructed_G"])
+    def test_first_component_is_eval(self, make, points):
+        fn = make()
+        x = np.asarray(points, dtype=float)
+        assert np.array_equal(np.asarray(fn.triple(x)[0]), np.asarray(fn.eval(x)))
+        for xi in points:
+            assert np.array_equal(np.asarray(fn.triple(xi)[0]), np.asarray(fn.eval(xi)))
+        assert_derivative_contract(fn, [p for p in points if p > 0.0])
+
+    def test_spherical_solution_has_no_separate_triples(self):
+        sol = _inverse_square_solution()
+        assert not hasattr(sol, "z_triples")
+        u = np.geomspace(0.1, 5.0, 7)
+        S, S1, S2 = sol.S_triple(u)
+        np.testing.assert_array_equal(S, sol.z1.eval(u) + sol.z2.eval(u))
+        np.testing.assert_array_equal(S1, sol.z1.deriv1(u) + sol.z2.deriv1(u))
+
+    def test_constructed_G_triple_reads_the_solve_once(self, monkeypatch):
+        G = _strict_G()
+        calls = []
+        inner = pr._CumulativeIntegral.__call__
+
+        def counting(self, s):
+            calls.append(1)
+            return inner(self, s)
+
+        monkeypatch.setattr(pr._CumulativeIntegral, "__call__", counting)
+        G.triple(np.geomspace(0.1, 10.0, 9))
+        assert len(calls) == 1
 
 
 class TestProbeProperness:

@@ -41,11 +41,12 @@ class TestQuadSpec:
 
 class TestScalarFn:
     def test_derivative_contract(self):
-        fn = tr.ScalarFn(
-            eval=lambda x: np.exp(-np.asarray(x, float) ** 2),
-            deriv1=lambda x: -2.0 * np.asarray(x, float) * np.exp(-np.asarray(x, float) ** 2),
-            deriv2=lambda x: (4.0 * np.asarray(x, float) ** 2 - 2.0) * np.exp(-np.asarray(x, float) ** 2),
-        )
+        def triple(x):
+            x = np.asarray(x, float)
+            f = np.exp(-x ** 2)
+            return f, -2.0 * x * f, (4.0 * x ** 2 - 2.0) * f
+
+        fn = tr.ScalarFn(eval=lambda x: np.exp(-np.asarray(x, float) ** 2), triple=triple)
         assert_derivative_contract(fn, [0.3, 1.0, 2.5])
 
     def test_log_abs_fallback(self):
