@@ -43,6 +43,9 @@ _WG = np.array([
 ])
 
 _EPS = np.finfo(float).eps
+_MAX_PANELS = 4096        # subdivision budget of every adaptive call
+_SCAN_PROBES = 200        # first probe grid of scan_log_peak
+_SCAN_HORIZON = 1e8       # where scan_log_peak stops extending an infinite range
 
 
 def panel_nodes(a: float, b: float) -> np.ndarray:
@@ -71,23 +74,20 @@ def _panel_estimates(vals: np.ndarray, half: float):
 
 
 def adaptive(f, a: float, b: float, rel_tol: float = 1e-10,
-             abs_tol: float = 1e-14, max_depth: int = 40,
-             max_panels: int = 4096, initial_panels: int = 4) -> float:
+             abs_tol: float = 1e-14, max_depth: int = 40) -> float:
     """Globally adaptive G7/K15 quadrature of a vectorized scalar integrand.
 
     ``f`` must map a node array (m,) to values (m,).  Raises
     :class:`QuadratureError` when the subdivision budget is exhausted.
     """
     res = adaptive_batch(lambda x: np.atleast_2d(f(x)), a, b,
-                         rel_tol=rel_tol, abs_tol=abs_tol,
-                         max_depth=max_depth, max_panels=max_panels,
-                         initial_panels=initial_panels)
+                         rel_tol=rel_tol, abs_tol=abs_tol, max_depth=max_depth)
     return float(res[0])
 
 
 def adaptive_batch(fmat, a: float, b: float, rel_tol: float = 1e-10,
                    abs_tol: float = 1e-14, max_depth: int = 40,
-                   max_panels: int = 4096, initial_panels: int = 4) -> np.ndarray:
+                   initial_panels: int = 4) -> np.ndarray:
     """Adaptive quadrature of a family of integrands over one shared partition.
 
     ``fmat`` maps node array (m,) -> values (P, m).  The partition is refined
@@ -114,9 +114,9 @@ def adaptive_batch(fmat, a: float, b: float, rel_tol: float = 1e-10,
             raise QuadratureError(
                 f"max_depth={max_depth} exceeded on [{lo:.6g}, {hi:.6g}]",
                 worst_interval=(lo, hi), total=total, error=err)
-        if len(panels) >= max_panels:
+        if len(panels) >= _MAX_PANELS:
             raise QuadratureError(
-                f"panel budget {max_panels} exhausted",
+                f"panel budget {_MAX_PANELS} exhausted",
                 worst_interval=(lo, hi), total=total, error=err)
         mid = 0.5 * (lo + hi)
         panels[idx] = _make_panel(fmat, lo, mid, depth + 1)
@@ -135,8 +135,7 @@ def _make_panel(fmat, lo, hi, depth):
 
 
 def adaptive_batch_log(logf, a: float, b: float, rel_tol: float = 1e-10,
-                       max_depth: int = 40, max_panels: int = 4096,
-                       initial_panels: int = 4) -> np.ndarray:
+                       max_depth: int = 40, initial_panels: int = 4) -> np.ndarray:
     """Log-space adaptive quadrature for positive integrand families.
 
     ``logf`` maps nodes (m,) -> log-values (P, m) (-inf allowed where the
@@ -168,9 +167,9 @@ def adaptive_batch_log(logf, a: float, b: float, rel_tol: float = 1e-10,
             raise QuadratureError(
                 f"max_depth={max_depth} exceeded on [{lo:.6g}, {hi:.6g}] (log mode)",
                 worst_interval=(lo, hi))
-        if len(panels) >= max_panels:
+        if len(panels) >= _MAX_PANELS:
             raise QuadratureError(
-                f"panel budget {max_panels} exhausted (log mode)",
+                f"panel budget {_MAX_PANELS} exhausted (log mode)",
                 worst_interval=(lo, hi))
         mid = 0.5 * (lo + hi)
         panels[idx] = _make_panel_log(logf, lo, mid, depth + 1)
@@ -275,14 +274,13 @@ def integrate_finite(f, a: float, b: float, rel_tol: float = 1e-10,
     return total
 
 
-def scan_log_peak(log_g, lo: float, hi: float, tail_cut: float,
-                  n_probe: int = 200, hard_horizon: float = 1e8):
+def scan_log_peak(log_g, lo: float, hi: float, tail_cut: float):
     """Locate the peak of a log-integrand and truncation bounds for its tails.
 
     ``log_g`` maps a node array to log-magnitudes.  Returns
     (lo_eff, hi_eff, log_peak).  For an infinite upper limit the probe grid is
     extended decade by decade; if the integrand is still above the truncation
-    threshold at the hard horizon and increasing, the integral is declared
+    threshold at the scan horizon 1e8 and increasing, the integral is declared
     divergent.  A log-integrand of +inf at a probe (an overflowing integrand)
     is reported the same way; an integrand that is -inf everywhere probed
     returns log_peak = -inf.
@@ -293,6 +291,7 @@ def scan_log_peak(log_g, lo: float, hi: float, tail_cut: float,
     finite_hi = np.isfinite(hi)
     hi_probe = hi if finite_hi else 1e4
     log_thresh_gap = -np.log(tail_cut)
+    n_probe = _SCAN_PROBES
 
     while True:
         xs = np.geomspace(lo_probe, hi_probe, n_probe)
@@ -319,7 +318,7 @@ def scan_log_peak(log_g, lo: float, hi: float, tail_cut: float,
             hi_eff = hi
             break
         # tail never dropped below threshold: extend or declare divergence
-        if hi_probe >= hard_horizon:
+        if hi_probe >= _SCAN_HORIZON:
             if ls[-1] >= ls[-2]:
                 raise TransformDivergenceError(
                     "integrand still above truncation threshold at the scan "

@@ -36,7 +36,7 @@ from .marginals import MarginalProfile
 
 __all__ = [
     "RiskReport", "bayes_estimate", "sure", "mc_risk", "risk_curve",
-    "sqrt_marginal_risk", "risk_reports_to_csv", "risk_reports_to_json",
+    "risk_reports_to_csv", "risk_reports_to_json",
 ]
 
 _BATCH = 65536          # fixed so that seeded runs are bit-reproducible
@@ -109,14 +109,20 @@ def sure(profile: MarginalProfile, x: np.ndarray) -> float:
     return float(s[0])
 
 
+def _sum_m2(x: np.ndarray) -> Tuple[float, float]:
+    """(sum, M2) of one batch, M2 the squared deviations from its own mean."""
+    total = float(np.sum(x))
+    return total, float(np.sum((x - total / max(x.size, 1)) ** 2))
+
+
 def _mc_sums(profile: MarginalProfile, theta: np.ndarray, n: int, seed: int
-             ) -> Tuple[List[float], List[float], List[float], List[float], int, int]:
+             ) -> Tuple[List[int], List[Tuple[float, float]], List[Tuple[float, float]], int]:
+    """Per-batch sample counts and (sum, M2) of the loss and of SURE."""
     k = theta.size
     n_batches = (n + _BATCH - 1) // _BATCH
     children = np.random.SeedSequence(seed).spawn(n_batches)
-    loss_s, loss_s2, sure_s, sure_s2 = [], [], [], []
+    counts, loss_stats, sure_stats = [], [], []
     n_fail = 0
-    n_used = 0
     for i, child in enumerate(children):
         m = min(_BATCH, n - i * _BATCH)
         rng = np.random.default_rng(child)
@@ -126,14 +132,10 @@ def _mc_sums(profile: MarginalProfile, theta: np.ndarray, n: int, seed: int
         n_fail += int(np.sum(~ok))
         delta = X * (1.0 + rho)[:, None]
         loss = np.sum((delta - theta[None, :]) ** 2, axis=1)
-        loss = loss[ok]
-        s = s[ok]
-        n_used += loss.size
-        loss_s.append(float(np.sum(loss)))
-        loss_s2.append(float(np.sum(loss * loss)))
-        sure_s.append(float(np.sum(s)))
-        sure_s2.append(float(np.sum(s * s)))
-    return loss_s, loss_s2, sure_s, sure_s2, n_fail, n_used
+        counts.append(int(np.sum(ok)))
+        loss_stats.append(_sum_m2(loss[ok]))
+        sure_stats.append(_sum_m2(s[ok]))
+    return counts, loss_stats, sure_stats, n_fail
 
 
 def mc_risk(profile: MarginalProfile, theta: np.ndarray, n: int, seed: int) -> RiskReport:
@@ -142,27 +144,32 @@ def mc_risk(profile: MarginalProfile, theta: np.ndarray, n: int, seed: int) -> R
     Samples are drawn batchwise; each batch owns a deterministic sub-stream
     spawned from the seed, and batch sums are reduced with compensated
     summation, so reports are bit-identical across runs with the same seed.
-    Samples where the marginal fails to evaluate are excluded and counted;
-    more than 0.1% failures is a hard error.
+    Each batch's squared deviations are taken from its own mean and the
+    batches are combined by Chan's formula, so the standard errors do not
+    cancel where the spread is small against the mean.  Samples where the
+    marginal fails to evaluate are excluded and counted; more than 0.1%
+    failures is a hard error.
     """
     theta = np.asarray(theta, dtype=float)
     if n < 1:
         raise DomainError("n must be positive (n >= 1000 for stderr validity)")
-    loss_s, loss_s2, sure_s, sure_s2, n_fail, n_used = _mc_sums(profile, theta, n, seed)
+    counts, loss_stats, sure_stats, n_fail = _mc_sums(profile, theta, n, seed)
     if n_fail > _FAIL_FRACTION * n:
         raise EvaluationError(
             f"{n_fail} of {n} samples failed marginal evaluation (limit {_FAIL_FRACTION:.1%})",
             failures=n_fail)
+    n_used = sum(counts)
 
-    def mean_stderr(sums, sums2):
-        s = math.fsum(sums)
-        s2 = math.fsum(sums2)
-        mean = s / n_used
-        var = max(s2 - n_used * mean * mean, 0.0) / max(n_used - 1, 1)
+    def mean_stderr(stats):
+        sums = [total for total, _ in stats]
+        mean = math.fsum(sums) / n_used
+        m2 = math.fsum(m2 for _, m2 in stats) + math.fsum(
+            c * (total / c - mean) ** 2 for c, total in zip(counts, sums) if c)
+        var = m2 / max(n_used - 1, 1)
         return mean, math.sqrt(var / n_used)
 
-    mc, mc_se = mean_stderr(loss_s, loss_s2)
-    su, su_se = mean_stderr(sure_s, sure_s2)
+    mc, mc_se = mean_stderr(loss_stats)
+    su, su_se = mean_stderr(sure_stats)
     return RiskReport(
         theta_norm=float(np.linalg.norm(theta)), n_samples=n, seed=int(seed),
         mc_risk=mc, mc_stderr=mc_se, sure_mean=su, sure_stderr=su_se,
@@ -190,26 +197,6 @@ def risk_curve(profile: MarginalProfile, theta_norms: Sequence[float], n: int,
         theta[0] = float(norm)
         reports.append(mc_risk(profile, theta, n, _norm_seed(seed, float(norm))))
     return reports
-
-
-def sqrt_marginal_risk(profile: MarginalProfile, theta: np.ndarray, n: int,
-                       seed: int) -> float:
-    """Third risk estimator from the sqrt-marginal Laplacian identity:
-
-        risk = k + 4 E[ Delta sqrt(m)(X) / sqrt(m)(X) ],
-        Delta sqrt(m)/sqrt(m) = (l'' + (k-1) l'/u - l'^2/(2l)) / (2 l).
-
-    Noisier than SURE (it needs l'') but exercises the same quantity the
-    superharmonicity checker bounds; used for cross-validation only.
-    """
-    theta = np.asarray(theta, dtype=float)
-    k = theta.size
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    X = theta[None, :] + rng.standard_normal((n, k))
-    u = np.linalg.norm(X, axis=1)
-    ell, d1, d2 = profile.triple(u)
-    ratio = (d2 + (k - 1.0) * d1 / u - d1 * d1 / (2.0 * ell)) / (2.0 * ell)
-    return float(k + 4.0 * np.mean(ratio))
 
 
 def risk_reports_to_csv(reports: Sequence[RiskReport]) -> str:

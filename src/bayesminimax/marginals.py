@@ -50,6 +50,9 @@ __all__ = [
     "power_law_profile", "squared_profile", "laplace_profile",
 ]
 
+_SMALL_U = 1e-2   # marginal_radial uses its origin series below this u
+_CHUNK = 16384    # marginal_mixture integrates at most this many u per batch
+
 
 @dataclass
 class MarginalProfile:
@@ -87,8 +90,8 @@ def flat_profile(k: int) -> MarginalProfile:
     return MarginalProfile(k=k, route="flat", triple_fn=triple)
 
 
-def power_law_profile(k: int, exponent: float, scale: float = 1.0) -> MarginalProfile:
-    """Formal power-law profile l(u) = scale * u^exponent.
+def power_law_profile(k: int, exponent: float) -> MarginalProfile:
+    """Formal power-law profile l(u) = u^exponent.
 
     Used for families whose marginal is known only as a formal transform
     identity (the Whittaker radial family has l proportional to
@@ -98,8 +101,7 @@ def power_law_profile(k: int, exponent: float, scale: float = 1.0) -> MarginalPr
     p = exponent
 
     def triple(u):
-        return (scale * u ** p, scale * p * u ** (p - 1.0),
-                scale * p * (p - 1.0) * u ** (p - 2.0))
+        return u ** p, p * u ** (p - 1.0), p * (p - 1.0) * u ** (p - 2.0)
 
     return MarginalProfile(k=k, route="formal_power_law", triple_fn=triple,
                            extra={"formal": True, "exponent": p})
@@ -138,8 +140,7 @@ def laplace_profile(G: ScalarFn, k: int, route: str, scale: float) -> MarginalPr
 # radial quadrature route
 # ---------------------------------------------------------------------------
 
-def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD,
-                    small_u: float = 1e-2) -> MarginalProfile:
+def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD) -> MarginalProfile:
     """Marginal profile by log-space quadrature against the Bessel kernel.
 
     Derivatives in u go through J0 = int w I_nu(ur) dr,
@@ -150,7 +151,7 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD,
         J0'' = J2 + (nu^2/u^2) J0 - J0'/u      (modified Bessel equation),
 
     combined with the log-derivatives of the prefactor e^{-u^2/2} u^{-nu}.
-    Below ``small_u`` the removable 0/0 form is replaced by the series from
+    Below u = 0.01 the removable 0/0 form is replaced by the series from
     the leading Bessel terms.  The integrands are built from log|lambda|, so
     a signed lambda raises DomainError rather than being integrated as
     |lambda|.
@@ -248,7 +249,7 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD,
         ell = np.empty_like(u)
         d1 = np.empty_like(u)
         d2 = np.empty_like(u)
-        small = u < small_u
+        small = u < _SMALL_U
         if np.any(small):
             ell[small], d1[small], d2[small] = _eval_small(u[small])
         if np.any(~small):
@@ -262,8 +263,7 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD,
 # mixture quadrature route
 # ---------------------------------------------------------------------------
 
-def marginal_mixture(h: MixingDensity, quad: QuadSpec = DEFAULT_QUAD,
-                     chunk: int = 16384) -> MarginalProfile:
+def marginal_mixture(h: MixingDensity, quad: QuadSpec = DEFAULT_QUAD) -> MarginalProfile:
     """Marginal of a variance mixture, through t = 1/(1+v):
 
         l(u) = (2 pi)^{-k/2} int_0^1 t^{k/2-2} h((1-t)/t) e^{-u^2 t/2} dt.
@@ -303,8 +303,8 @@ def marginal_mixture(h: MixingDensity, quad: QuadSpec = DEFAULT_QUAD,
     def _triple(u):
         u = np.atleast_1d(u)
         outs = [np.empty_like(u) for _ in range(3)]
-        for start in range(0, len(u), chunk):
-            sl = slice(start, start + chunk)
+        for start in range(0, len(u), _CHUNK):
+            sl = slice(start, start + _CHUNK)
             res = _triple_chunk(u[sl])
             for o, r in zip(outs, res):
                 o[sl] = r

@@ -6,7 +6,8 @@ variance scale.  Two constructions produce minimax families:
 
 * the spherical route: pick a nonpositive forcing function phi, solve
   z'' + ((k-1)/u) z' - phi(u) z / 2 = 0 from a Frobenius series start at the
-  regular singular point u = 0, and assemble the transform profile
+  regular singular point u = 0 (built from the given coefficients of
+  phi = u^{-2}(b0 + b1 u + ...)), and assemble the transform profile
   F(u) = (c1 z1 + c2 z2)^2 u^{(k-1)/2} e^{u^2/2};
 * the mixture route: pick phi with phi(s) <= k/s and build the Laplace
   transform G(s) = (int_b^s exp(-(1/2) int_a^t phi) dt)^2, whose inverse
@@ -19,14 +20,13 @@ generalized-beta kernel mixtures, and the improper Whittaker-M radial family
 produced by the inverse-square forcing phi = -2b/u^2.
 
 Constructors do not rescale: densities are returned exactly as displayed by
-their defining formulas, with properness and total mass recorded as metadata
-(``normalized()`` gives the mass-one version of a proper density).
+their defining formulas, with properness and total mass recorded as metadata.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,12 +38,12 @@ from .transforms import DEFAULT_QUAD, QuadSpec, ScalarFn
 
 __all__ = [
     "RadialPrior", "MixingDensity", "ConstructionSolution",
-    "radial_from_angular", "normal_radial", "mixture_radial",
+    "normal_radial", "mixture_radial",
     "strawderman_radial", "monomial_mixing", "gen_beta_kernel",
     "gen_beta_mixing", "construct_spherical", "inverse_square_profile",
     "monomial_pair",
     "whittaker_radial", "construct_G_mixture", "mixing_from_unit_kernel",
-    "monomial_kernel", "monomial_laplace_G", "probe_properness",
+    "monomial_laplace_G", "probe_properness",
     "prior_from_spec",
 ]
 
@@ -66,9 +66,6 @@ class RadialPrior:
         if self.k < 3:
             raise DomainError(f"dimension k >= 3 required, got {self.k}")
 
-    def normalized(self) -> "RadialPrior":
-        return _normalized(self, "lam")
-
 
 @dataclass
 class MixingDensity:
@@ -84,32 +81,18 @@ class MixingDensity:
         if self.k < 3:
             raise DomainError(f"dimension k >= 3 required, got {self.k}")
 
-    def normalized(self) -> "MixingDensity":
-        return _normalized(self, "h")
-
-
-def _normalized(density, attr: str):
-    """Copy of a proper density whose function ``attr`` has mass one."""
-    if density.proper != PROPER or not density.mass or density.mass <= 0:
-        raise DomainError("cannot normalize a non-proper density")
-    m, base = density.mass, getattr(density, attr)
-    fn = ScalarFn(eval=lambda x: np.asarray(base.eval(x)) / m,
-                  support=base.support, label=base.label + "_normalized",
-                  log_eval=(None if base.log_eval is None
-                            else lambda x: base.log_eval(x) - math.log(m)),
-                  nonneg=base.nonneg)
-    return replace(density, mass=1.0, **{attr: fn})
-
 
 # ---------------------------------------------------------------------------
 # properness probing
 # ---------------------------------------------------------------------------
 
-def probe_properness(fn: ScalarFn, quad: QuadSpec = DEFAULT_QUAD,
-                     horizon: float = 1e6) -> Tuple[str, Optional[float]]:
+_MASS_HORIZON = 1e6   # probe_properness integrates to here and fits the tail beyond
+
+
+def probe_properness(fn: ScalarFn, quad: QuadSpec = DEFAULT_QUAD) -> Tuple[str, Optional[float]]:
     """Estimate whether a nonnegative density has finite mass.
 
-    Integrates to the horizon and fits the tail exponent p on the last decade
+    Integrates to x = 1e6 and fits the tail exponent p on the last decade
     of log-log samples.  Verdict is unknown when p is within 0.05 of the
     critical exponent -1; a fitted power tail adds the closed-form remainder
     f(X) X / (-p-1).  Growing or non-decaying tails are improper.
@@ -120,14 +103,14 @@ def probe_properness(fn: ScalarFn, quad: QuadSpec = DEFAULT_QUAD,
         mass = _integrate_density(fn, lo, hi, quad)
         return PROPER, mass
 
-    xs = np.geomspace(horizon / 10.0, horizon, 16)
+    xs = np.geomspace(_MASS_HORIZON / 10.0, _MASS_HORIZON, 16)
     with np.errstate(all="ignore"):
         logv = np.asarray(fn.log_abs(xs), dtype=float)
     if np.any(np.isinf(logv) & (logv > 0)) or np.any(np.isnan(logv)):
         return IMPROPER, None
     if np.all(np.isneginf(logv)):
         # density vanished long before the horizon: locate effective support
-        probes = np.geomspace(max(lo, 1e-8), horizon, 400)
+        probes = np.geomspace(max(lo, 1e-8), _MASS_HORIZON, 400)
         with np.errstate(all="ignore"):
             pv = np.asarray(fn.log_abs(probes), dtype=float)
         alive = np.isfinite(pv)
@@ -141,8 +124,8 @@ def probe_properness(fn: ScalarFn, quad: QuadSpec = DEFAULT_QUAD,
         return IMPROPER, None
     if abs(slope + 1.0) < 0.05:
         return UNKNOWN, None
-    mass = _integrate_density(fn, lo, horizon, quad)
-    tail = float(np.exp(logv[-1])) * horizon / (-slope - 1.0)
+    mass = _integrate_density(fn, lo, _MASS_HORIZON, quad)
+    tail = float(np.exp(logv[-1])) * _MASS_HORIZON / (-slope - 1.0)
     return PROPER, mass + tail
 
 
@@ -157,13 +140,7 @@ def _integrate_density(fn: ScalarFn, lo: float, hi: float, quad: QuadSpec) -> fl
                                    lo, split, rel_tol=quad.rel_tol,
                                    abs_tol=quad.abs_tol, max_depth=quad.max_depth)
     if hi > split:
-        def g(w):
-            x = np.exp(w)
-            return np.asarray(fn.eval(x), dtype=float) * x
-
-        total += _quad.adaptive(g, math.log(split), math.log(hi),
-                                rel_tol=quad.rel_tol, abs_tol=quad.abs_tol,
-                                max_depth=quad.max_depth)
+        total += float(_log_integral(fn.eval, split, hi, quad)[0])
     return total
 
 
@@ -180,36 +157,6 @@ def _probe_nonnegative(fn: ScalarFn, what: str, lo: float = 1e-3, hi: float = 1e
 # ---------------------------------------------------------------------------
 # basic constructors
 # ---------------------------------------------------------------------------
-
-def radial_from_angular(g: ScalarFn, k: int, quad: QuadSpec = DEFAULT_QUAD) -> RadialPrior:
-    """Radial density of the spherical prior with angular profile g:
-
-        lambda(r) = (2 pi^{k/2} / Gamma(k/2)) r^{k-1} g(r^2).
-    """
-    if k < 3:
-        raise DomainError(f"k >= 3 required, got {k}")
-    log_c = math.log(2.0) + 0.5 * k * math.log(math.pi) - math.lgamma(0.5 * k)
-    c = math.exp(log_c)
-
-    def gv(r):
-        return np.asarray(g.eval(np.asarray(r, dtype=float) ** 2), dtype=float)
-
-    _probe_nonnegative(ScalarFn(eval=gv, support=(0.0, math.inf)), "angular profile g")
-
-    def lam(r):
-        r = np.asarray(r, dtype=float)
-        return c * r ** (k - 1) * gv(r)
-
-    def log_lam(r):
-        r = np.asarray(r, dtype=float)
-        with np.errstate(divide="ignore"):
-            return log_c + (k - 1.0) * np.log(r) + np.log(gv(r))
-
-    fn = ScalarFn(eval=lam, support=(0.0, math.inf), label="radial_from_angular",
-                  log_eval=log_lam, nonneg=True)
-    proper, mass = probe_properness(fn, quad)
-    return RadialPrior(k=k, lam=fn, proper=proper, family="angular", mass=mass)
-
 
 def normal_radial(v: float, k: int) -> ScalarFn:
     """Radial density of the N_k(0, v I) prior:
@@ -408,17 +355,6 @@ def strawderman_mixing(a: float, k: int) -> MixingDensity:
 # monomial kernel family
 # ---------------------------------------------------------------------------
 
-def monomial_kernel(n: int) -> ScalarFn:
-    """Unit-interval kernel t^n (the inverse Laplace kernel of the family)."""
-    if n < 0:
-        raise DomainError("n must be a nonnegative integer")
-
-    def f(t):
-        return np.asarray(t, dtype=float) ** n
-
-    return ScalarFn(eval=f, support=(0.0, 1.0), label=f"t^{n}", nonneg=True)
-
-
 def monomial_mixing(n: int, k: int) -> MixingDensity:
     """Mixing density with unit Laplace kernel t^n:  h(v) = (v+1)^{k/2-2-n}.
 
@@ -584,14 +520,6 @@ class ConstructionSolution:
         return c1 * z1 + c2 * z2, c1 * d1 + c2 * d2, c1 * dd1 + c2 * dd2
 
 
-def _fit_phi_series(phi: ScalarFn) -> List[float]:
-    """Estimate b0..b3 of phi(u) = u^{-2} sum b_j u^j from small-u samples."""
-    u = np.geomspace(2e-4, 2e-2, 12)
-    y = u * u * np.asarray(phi.eval(u), dtype=float)
-    coeffs = np.polyfit(u, y, 3)[::-1]
-    return [float(c) for c in coeffs]
-
-
 def _frobenius_coeffs(rho: float, k: int, q: Sequence[float], n_terms: int = 6) -> np.ndarray:
     """Series coefficients c_j of z = u^rho sum c_j u^j, c_0 = 1.
 
@@ -622,15 +550,15 @@ def _series_eval(rho: float, coeffs: np.ndarray, u: np.ndarray):
 
 
 def construct_spherical(phi: ScalarFn, k: int, c1: float = 1.0, c2: float = 0.0,
-                        u_grid: Optional[Sequence[float]] = None,
-                        phi_series: Optional[Sequence[float]] = None) -> ConstructionSolution:
+                        u_grid: Optional[Sequence[float]] = None, *,
+                        phi_series: Sequence[float]) -> ConstructionSolution:
     """Solve z'' + ((k-1)/u) z' - phi(u) z / 2 = 0 and assemble the profile
 
         F(u) = (c1 z1 + c2 z2)^2 u^{(k-1)/2} e^{u^2/2}.
 
     phi must be nonpositive with a generalized-series behaviour
-    u^{-2}(b0 + b1 u + ...) at the origin; ``phi_series`` supplies the
-    coefficients exactly (otherwise they are fitted from small-u samples).
+    u^{-2}(b0 + b1 u + ...) at the origin; ``phi_series`` gives b0..b3
+    (missing ones are zero).
     Integration starts from a six-term Frobenius expansion at u0 = 1e-3 (the
     equation is singular at 0) and continues with an adaptive explicit
     Runge-Kutta scheme.
@@ -647,8 +575,7 @@ def construct_spherical(phi: ScalarFn, k: int, c1: float = 1.0, c2: float = 0.0,
         bad = probe[phi_vals > 1e-12][0]
         raise ConstructionError(f"phi must be nonpositive; phi({bad:.6g}) > 0")
 
-    b = list(phi_series) if phi_series is not None else _fit_phi_series(phi)
-    b = (b + [0.0] * 4)[:4]
+    b = (list(phi_series) + [0.0] * 4)[:4]
     q = [-0.5 * bj for bj in b]
     disc = (k - 2.0) ** 2 - 4.0 * q[0]
     if disc < 0:
@@ -876,11 +803,8 @@ def _log_integral(f, e: float, t, quad: QuadSpec) -> np.ndarray:
         fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
         return span[:, None] * x * fx
 
-    try:
-        return _quad.adaptive_batch(rows, 0.0, 1.0, rel_tol=quad.rel_tol,
-                                    abs_tol=quad.abs_tol, max_depth=quad.max_depth)
-    except QuadratureError as exc:
-        raise ConstructionError(f"integral of phi from {e:.6g} diverges: {exc}") from exc
+    return _quad.adaptive_batch(rows, 0.0, 1.0, rel_tol=quad.rel_tol,
+                                abs_tol=quad.abs_tol, max_depth=quad.max_depth)
 
 
 class _CumulativeIntegral:
@@ -903,7 +827,10 @@ class _CumulativeIntegral:
         finite = [x for x in (a, b) if 0.0 < x < math.inf]
         lo, hi = min([_SPAN_LO] + finite), max([_HORIZON] + finite)
         start = lo if b == 0.0 else (_HORIZON if math.isinf(b) else b)
-        Phi0 = float(_log_integral(phi.eval, a, start, quad)[0])
+        try:
+            Phi0 = float(_log_integral(phi.eval, a, start, quad)[0])
+        except QuadratureError as exc:
+            raise ConstructionError(f"integral of phi from {a:.6g} diverges: {exc}") from exc
         if Phi0 < _PHI_FLOOR:
             raise ConstructionError(
                 f"exp(-int_a^s phi) overflows at s={start:.6g}")
@@ -976,8 +903,7 @@ class _CumulativeIntegral:
             elif lo == 0.0:
                 seg = _quad.integrate_finite(E, 0.0, hi, **tol)
             else:
-                seg = _quad.adaptive(lambda w: np.exp(w) * E(np.exp(w)),
-                                     math.log(lo), math.log(hi), **tol)
+                seg = _log_integral(E, lo, hi, quad)[0]
         except QuadratureError as exc:
             raise ConstructionError(
                 f"inner integral diverges on ({lo:.6g}, {hi:.6g}): {exc}") from exc

@@ -3,9 +3,11 @@
 Everything here is real-valued and built from series, asymptotic expansions
 and integral representations:
 
-* ``bessel_i``   power series (DLMF 10.25.2) below x = 30 + nu^2/2, uniform
-  large-argument expansion (DLMF 10.40.1) above; an exponentially scaled
-  variant avoids overflow.
+* ``log_bessel_i_scaled`` log(I_nu(x)) - x for nu > -1: power series
+  (DLMF 10.25.2) below x = 30 + nu^2/2, large-argument expansion
+  (DLMF 10.40.1) above.  ``bessel_i`` is its scalar view
+  exp(log_bessel_i_scaled(nu, x) + x), for nu > -1 or a negative integer
+  (I_{-n} = I_n).
 * ``kummer_1f1`` Pochhammer series; negative arguments are always routed
   through Kummer's transformation 1F1(a;b;z) = e^z 1F1(b-a;b;-z), so an
   alternating series never cancels catastrophically.  Its callers are
@@ -18,45 +20,26 @@ Modified Bessel K and Whittaker W are not here: the K-transform calls
 ``scipy.special.hyperu``, as W_{x,mu}(z) = e^{-z/2} z^{mu+1/2}
 U(mu-x+1/2, 1+2mu, z).
 
-All gamma factors are kept in log space.  Every function is pure; there is no
-shared mutable state.
+All gamma factors are kept in log space.  Every series stops at relative
+tolerance 1e-12 and raises EvaluationError past 10,000 terms.  Every function
+is pure; there is no shared mutable state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, EvaluationError
 
 __all__ = [
-    "EvalPolicy", "DEFAULT_POLICY", "bessel_i",
-    "kummer_1f1", "whittaker_m",
+    "bessel_i", "kummer_1f1", "whittaker_m",
     "log_bessel_i_scaled", "log_kummer_1f1", "signed_log_kummer_1f1_large",
 ]
 
-
-@dataclass(frozen=True)
-class EvalPolicy:
-    """Accuracy/effort knobs for series and expansion evaluation.
-
-    When ``scaled`` is set, Bessel I values carry an exp(-x) factor so that
-    large arguments stay representable.
-    """
-    rel_tol: float = 1e-12
-    max_terms: int = 10000
-    scaled: bool = False
-
-    def __post_init__(self):
-        if not self.rel_tol > 0:
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-DEFAULT_POLICY = EvalPolicy()
+_REL_TOL = 1e-12     # series and expansions stop below this relative term size
+_MAX_TERMS = 10000   # series budget before EvaluationError
 
 
 # ---------------------------------------------------------------------------
@@ -115,14 +98,15 @@ def _series_log_i(nu: float, x: np.ndarray, rel_tol: float, max_terms: int) -> n
         return nu * np.log(x / 2.0) - math.lgamma(nu + 1.0) + np.log(S)
 
 
-def log_bessel_i_scaled(nu: float, x, policy: EvalPolicy = DEFAULT_POLICY) -> np.ndarray:
+def log_bessel_i_scaled(nu: float, x) -> np.ndarray:
     """log(I_nu(x)) - x for array x >= 0, order nu > -1.
 
     Vectorized core used by the transforms and marginal integrands, whose
     Bessel kernels must be combined with Gaussian factors in log space.
     """
     if nu <= -1.0:
-        raise DomainError(f"vectorized path requires nu > -1, got {nu}")
+        raise DomainError(f"Bessel I requires nu > -1 (or, in bessel_i, a negative "
+                          f"integer), got {nu}")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise DomainError("Bessel I requires x >= 0")
@@ -131,11 +115,12 @@ def log_bessel_i_scaled(nu: float, x, policy: EvalPolicy = DEFAULT_POLICY) -> np
         raise EvaluationError(f"order nu={nu} too large for the series branch")
     out = np.empty_like(x)
     small = x < cut
-    if np.any(small):
-        xs = x[small]
-        out[small] = _series_log_i(nu, xs, policy.rel_tol, policy.max_terms) - xs
+    series = small & (x > 0.0)  # the series' nu log(x/2) is 0 * -inf at x = 0
+    if np.any(series):
+        xs = x[series]
+        out[series] = _series_log_i(nu, xs, _REL_TOL, _MAX_TERMS) - xs
     if np.any(~small):
-        out[~small] = _asymptotic_log_i_scaled(nu, x[~small], policy.rel_tol)
+        out[~small] = _asymptotic_log_i_scaled(nu, x[~small], _REL_TOL)
     # x == 0: I_nu(0) = 1 (nu=0), 0 (nu>0), +inf (nu in (-1,0))
     zero = x == 0.0
     if np.any(zero):
@@ -148,45 +133,12 @@ def log_bessel_i_scaled(nu: float, x, policy: EvalPolicy = DEFAULT_POLICY) -> np
     return out
 
 
-def _bessel_i_series_scalar(nu: float, x: float, rel_tol: float, max_terms: int) -> float:
-    """Ascending series in linear space; valid for any real non-pole order."""
-    half = 0.5 * x
-    try:
-        t = half ** nu / math.gamma(nu + 1.0)
-    except ValueError as exc:  # gamma pole: nu is a negative integer
-        raise DomainError(f"order nu={nu} hits a gamma pole; reduce I_-n to I_n first") from exc
-    S = t
-    z = half * half
-    stable = 0
-    for k in range(1, max_terms + 1):
-        t = t * z / (k * (k + nu))
-        S += t
-        if abs(t) <= rel_tol * abs(S):
-            stable += 1
-            if stable >= 2:
-                return S
-        else:
-            stable = 0
-    raise EvaluationError(
-        f"Bessel I series did not converge in {max_terms} terms",
-        partial_sum=S, terms=max_terms, order=nu, argument=x)
-
-
-def bessel_i(nu: float, x: float, policy: EvalPolicy = DEFAULT_POLICY) -> float:
-    """Modified Bessel function I_nu(x), x >= 0 (scaled: e^{-x} I_nu(x))."""
-    if x < 0:
-        raise DomainError(f"Bessel I requires x >= 0, got {x}")
+def bessel_i(nu: float, x: float) -> float:
+    """Modified Bessel function I_nu(x), x >= 0, for nu > -1 or a negative
+    integer: the scalar view exp(log_bessel_i_scaled(nu, x) + x)."""
     if nu < 0 and float(nu).is_integer():
         nu = -nu  # I_{-n} = I_n
-    if x == 0.0:
-        if nu == 0.0:
-            return 1.0
-        return 0.0 if nu > 0 else math.inf
-    if x >= _series_switch(abs(nu)):
-        log_scaled = float(_asymptotic_log_i_scaled(nu, np.array([x]), policy.rel_tol)[0])
-        return math.exp(log_scaled) if policy.scaled else math.exp(log_scaled + x)
-    val = _bessel_i_series_scalar(nu, x, policy.rel_tol, policy.max_terms)
-    return val * math.exp(-x) if policy.scaled else val
+    return math.exp(float(log_bessel_i_scaled(nu, np.array([x], dtype=float))[0]) + x)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +168,7 @@ def _kummer_series(a: float, b: float, z: np.ndarray, rel_tol: float, max_terms:
         partial_sum=S, a=a, b=b, zmax=float(np.max(z)))
 
 
-def kummer_1f1(a: float, b: float, z, policy: EvalPolicy = DEFAULT_POLICY):
+def kummer_1f1(a: float, b: float, z):
     """Kummer's function 1F1(a; b; z); z may be a scalar or array.
 
     Negative arguments always use 1F1(a;b;z) = e^z 1F1(b-a; b; -z) so the
@@ -229,7 +181,7 @@ def kummer_1f1(a: float, b: float, z, policy: EvalPolicy = DEFAULT_POLICY):
     out = np.empty_like(z_arr)
     neg = z_arr < 0
     if np.any(~neg):
-        out[~neg] = _kummer_series(a, b, z_arr[~neg], policy.rel_tol, policy.max_terms)
+        out[~neg] = _kummer_series(a, b, z_arr[~neg], _REL_TOL, _MAX_TERMS)
     if np.any(neg):
         zn = -z_arr[neg]
         vals = np.empty_like(zn)
@@ -239,10 +191,10 @@ def kummer_1f1(a: float, b: float, z, policy: EvalPolicy = DEFAULT_POLICY):
                 raise EvaluationError(
                     "1F1 at large negative arguments needs b - a > 0 for the "
                     "log-space Kummer route", a=a, b=b)
-            vals[big] = np.exp(-zn[big] + log_kummer_1f1(b - a, b, zn[big], policy))
+            vals[big] = np.exp(-zn[big] + log_kummer_1f1(b - a, b, zn[big]))
         if np.any(~big):
             vals[~big] = np.exp(-zn[~big]) * _kummer_series(
-                b - a, b, zn[~big], policy.rel_tol, policy.max_terms)
+                b - a, b, zn[~big], _REL_TOL, _MAX_TERMS)
         out[neg] = vals
     return float(out[0]) if scalar else out
 
@@ -266,7 +218,7 @@ def _log_kummer_asymptotic(a: float, b: float, z: np.ndarray, rel_tol: float) ->
             + np.log(total))
 
 
-def log_kummer_1f1(a: float, b: float, z, policy: EvalPolicy = DEFAULT_POLICY):
+def log_kummer_1f1(a: float, b: float, z):
     """log 1F1(a; b; z) for a, b > 0 and z >= 0 (all series terms positive).
 
     Log-space series accumulation below z = 500, the large-argument expansion
@@ -283,20 +235,20 @@ def log_kummer_1f1(a: float, b: float, z, policy: EvalPolicy = DEFAULT_POLICY):
     out = np.empty_like(z_arr)
     big = z_arr > 500.0
     if np.any(big):
-        out[big] = _log_kummer_asymptotic(a, b, z_arr[big], policy.rel_tol)
+        out[big] = _log_kummer_asymptotic(a, b, z_arr[big], _REL_TOL)
     if np.any(~big):
         zs = z_arr[~big]
         logS = np.zeros_like(zs)
         logt = np.zeros_like(zs)
         with np.errstate(divide="ignore"):
             logz = np.where(zs > 0, np.log(zs), -np.inf)
-        for k in range(policy.max_terms):
+        for k in range(_MAX_TERMS):
             logt = logt + math.log(a + k) + logz - math.log((b + k) * (k + 1.0))
             logS = np.logaddexp(logS, logt)
-            if np.all(logt <= logS + math.log(policy.rel_tol)):
+            if np.all(logt <= logS + math.log(_REL_TOL)):
                 break
         else:
-            raise EvaluationError(f"log 1F1 did not converge in {policy.max_terms} terms",
+            raise EvaluationError(f"log 1F1 did not converge in {_MAX_TERMS} terms",
                                   a=a, b=b, zmax=float(np.max(zs)))
         out[~big] = logS
     return float(out[0]) if z_in.ndim == 0 else out
@@ -306,19 +258,18 @@ def signed_log_kummer_1f1_large(a: float, b: float, z):
     """(sign, log|1F1(a; b; z)|) from the large-z expansion, for b > 0 and a not
     in {0, -1, ...}: its sum is positive, so 1F1 < 0 for a in (-1, 0), (-3, -2), ..."""
     sign = -1.0 if a < 0 and math.floor(-a) % 2 == 0 else 1.0
-    return sign, _log_kummer_asymptotic(a, b, np.asarray(z, dtype=float),
-                                        DEFAULT_POLICY.rel_tol)
+    return sign, _log_kummer_asymptotic(a, b, np.asarray(z, dtype=float), _REL_TOL)
 
 
 # ---------------------------------------------------------------------------
 # Whittaker functions
 # ---------------------------------------------------------------------------
 
-def whittaker_m(x: float, mu: float, z: float, policy: EvalPolicy = DEFAULT_POLICY):
+def whittaker_m(x: float, mu: float, z: float):
     """Whittaker M_{x,mu}(z) = e^{-z/2} z^{mu+1/2} 1F1(mu+1/2-x; 1+2mu; z)."""
     b = 1.0 + 2.0 * mu
     _check_1f1_params(b)
     z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr <= 0):
         raise DomainError("Whittaker M requires z > 0")
-    return np.exp(-z_arr / 2.0) * z_arr ** (mu + 0.5) * kummer_1f1(mu + 0.5 - x, b, z_arr, policy)
+    return np.exp(-z_arr / 2.0) * z_arr ** (mu + 0.5) * kummer_1f1(mu + 0.5 - x, b, z_arr)

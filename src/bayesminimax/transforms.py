@@ -240,9 +240,11 @@ def proportionality_report(grid, values, targets, prop_tol: float = 1e-4,
     """Report whether transform values are proportional to target values.
 
     Margins are |ratio/mean - 1| - prop_tol, so HOLDS means that
-    values/targets is constant within prop_tol.  Non-finite values, a
-    vanishing target or a vanishing transform give NaN or inf margins and a
-    diagnostic instead of a verdict on the ratio.
+    values/targets is constant within prop_tol.  A non-finite value or
+    target, a vanishing target or a vanishing transform give NaN or inf
+    margins and a diagnostic instead of a verdict on the ratio; the
+    diagnostic ``non_finite`` is the first grid point whose value or target
+    overflowed or is NaN.
     """
     from .conditions import assemble_report  # deferred: avoids import cycle
 
@@ -252,8 +254,9 @@ def proportionality_report(grid, values, targets, prop_tol: float = 1e-4,
 
     values = np.asarray(values, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    if np.any(~np.isfinite(values)):
-        return uniform(math.nan)
+    bad = ~(np.isfinite(values) & np.isfinite(targets))
+    if np.any(bad):
+        return uniform(math.nan, non_finite=float(np.asarray(grid, dtype=float)[bad][0]))
     if np.any(targets == 0.0):
         if np.allclose(values, 0.0, atol=abs_tol):
             return uniform(math.nan, degenerate="transform and target both vanish on the grid")

@@ -125,6 +125,26 @@ class TestMcRisk:
         with pytest.raises(EvaluationError):
             es.mc_risk(bad, np.zeros(5), 5000, 3)
 
+    def test_stderr_matches_two_pass_over_the_samples(self, strawderman_profile):
+        """Both standard errors equal numpy's std(ddof=1)/sqrt(n) over the same
+        samples, rebuilt from the per-batch streams.  At |theta| = 10 the SURE
+        spread is small against its mean, where a one-pass s2 - n mean^2
+        cancels (6e-5 relative here)."""
+        k, n, seed = 5, 2 * es._BATCH, 1
+        theta = np.zeros(k)
+        theta[0] = 10.0
+        rep = es.mc_risk(strawderman_profile, theta, n, seed)
+        loss, sure = [], []
+        for child in np.random.SeedSequence(seed).spawn(2):
+            X = theta + np.random.default_rng(child).standard_normal((es._BATCH, k))
+            rho, _, ok, s = es._shrink_terms(strawderman_profile,
+                                             np.linalg.norm(X, axis=1), k)
+            assert ok.all()
+            loss.append(np.sum((X * (1.0 + rho)[:, None] - theta) ** 2, axis=1))
+            sure.append(s)
+        for got, samples in ((rep.mc_stderr, loss), (rep.sure_stderr, sure)):
+            x = np.concatenate(samples)
+            assert got == pytest.approx(np.std(x, ddof=1) / math.sqrt(n), rel=1e-12)
 
     def test_large_dimension_sure_is_finite(self):
         # l ~ 1e-162 at k = 400: l^2 underflows, so SURE goes through l'/l and l''/l
@@ -174,13 +194,6 @@ class TestShrinkageDirection:
             x = rng.standard_normal(5) * rng.uniform(0.2, 8.0)
             d = es.bayes_estimate(monomial_profile, x)
             assert float(d @ x) < float(x @ x)
-
-
-class TestSqrtMarginalRisk:
-    def test_cross_validates_mc(self, monomial_profile):
-        rep = es.mc_risk(monomial_profile, np.zeros(5), 100000, 17)
-        alt = es.sqrt_marginal_risk(monomial_profile, np.zeros(5), 100000, 17)
-        assert alt == pytest.approx(rep.mc_risk, abs=0.1)
 
 
 class TestSerialization:

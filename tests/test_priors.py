@@ -18,37 +18,10 @@ from bayesminimax.errors import ConstructionError, DomainError
 from conftest import assert_derivative_contract, fd1
 
 
-class TestRadialFromAngular:
-    def test_standard_normal_gives_chi3(self):
-        k = 3
-        g = tr.ScalarFn(eval=lambda t: (2 * math.pi) ** (-k / 2.0)
-                        * np.exp(-np.asarray(t, float) / 2.0))
-        prior = pr.radial_from_angular(g, k)
-        r = np.array([0.5, 1.0, 2.0])
-        chi3 = np.sqrt(2.0 / math.pi) * r ** 2 * np.exp(-r * r / 2.0)
-        np.testing.assert_allclose(prior.lam.eval(r), chi3, rtol=1e-12)
-        assert prior.proper == pr.PROPER
-        assert prior.mass == pytest.approx(1.0, abs=1e-8)
-
-    def test_zero_profile(self):
-        g = tr.ScalarFn(eval=lambda t: np.zeros_like(np.asarray(t, float)))
-        prior = pr.radial_from_angular(g, 3)
-        assert float(np.atleast_1d(prior.lam.eval(1.0))[0]) == 0.0
-
-    def test_scaling_linearity(self):
-        k = 5
-        g1 = tr.ScalarFn(eval=lambda t: np.exp(-np.asarray(t, float)))
-        g2 = tr.ScalarFn(eval=lambda t: 3.0 * np.exp(-np.asarray(t, float)))
-        p1 = pr.radial_from_angular(g1, k)
-        p2 = pr.radial_from_angular(g2, k)
-        r = np.array([0.3, 1.0, 4.0])
-        np.testing.assert_allclose(p2.lam.eval(r), 3.0 * np.asarray(p1.lam.eval(r)),
-                                   rtol=1e-13)
-
-    def test_negative_profile_rejected(self):
-        g = tr.ScalarFn(eval=lambda t: -np.ones_like(np.asarray(t, float)))
-        with pytest.raises(DomainError):
-            pr.radial_from_angular(g, 3)
+def t_squared():
+    """The unit-interval kernel t^2 of the monomial family with n = 2."""
+    return tr.ScalarFn(eval=lambda t: np.asarray(t, dtype=float) ** 2,
+                       support=(0.0, 1.0), label="t^2", nonneg=True)
 
 
 class TestNormalRadial:
@@ -111,7 +84,7 @@ class TestMixtureRadial:
         """Kernel-composed and direct mixing densities are the same function,
         and repeated quadrature evaluations are bit-identical."""
         direct = pr.monomial_mixing(2, 5)
-        composed = pr.mixing_from_unit_kernel(pr.monomial_kernel(2), 5)
+        composed = pr.mixing_from_unit_kernel(t_squared(), 5)
         v = np.geomspace(1e-2, 50.0, 20)
         np.testing.assert_allclose(composed.h.eval(v), direct.h.eval(v),
                                    rtol=5e-16)
@@ -326,7 +299,7 @@ class TestGenBetaKernel:
 
 class TestMixingFromUnitKernel:
     def test_monomial_kernel(self):
-        md = pr.mixing_from_unit_kernel(pr.monomial_kernel(2), 5)
+        md = pr.mixing_from_unit_kernel(t_squared(), 5)
         v = np.array([0.0, 1.0, 9.0])
         np.testing.assert_allclose(md.h.eval(v), (v + 1.0) ** -1.5, rtol=1e-13)
 
@@ -370,11 +343,6 @@ class TestConstructSpherical:
         u = np.geomspace(0.1, 5.0, 40)
         np.testing.assert_allclose(sol.z1.eval(u), u ** rho1, rtol=1e-6)
         np.testing.assert_allclose(sol.z2.eval(u), u ** rho2, rtol=1e-6)
-
-    def test_series_coefficients_fitted_when_absent(self):
-        sol = pr.construct_spherical(inv_square_phi(1.0), 5,
-                                     u_grid=np.geomspace(0.1, 3.0, 10))
-        assert sol.b_coeffs[0] == pytest.approx(-2.0, rel=1e-6)
 
     def test_ode_residual(self):
         sol = pr.construct_spherical(inv_square_phi(1.0), 5, c1=1.0, c2=0.5,
@@ -427,7 +395,8 @@ class TestConstructSpherical:
 
     def test_zero_combination_rejected(self):
         with pytest.raises(DomainError):
-            pr.construct_spherical(inv_square_phi(1.0), 5, c1=0.0, c2=0.0)
+            pr.construct_spherical(inv_square_phi(1.0), 5, c1=0.0, c2=0.0,
+                                   phi_series=[-2.0, 0, 0, 0])
 
 
 class TestInverseSquareProfile:
@@ -734,19 +703,6 @@ class TestProbeProperness:
         fn = tr.ScalarFn(eval=lambda v: np.asarray(v, float), nonneg=True)
         verdict, _ = pr.probe_properness(fn)
         assert verdict == pr.IMPROPER
-
-
-class TestNormalization:
-    def test_normalized_mixing(self):
-        md = pr.monomial_mixing(2, 5)
-        nd = md.normalized()
-        assert nd.mass == 1.0
-        v = np.array([0.0, 2.0])
-        np.testing.assert_allclose(nd.h.eval(v), 0.5 * (v + 1.0) ** -1.5, rtol=1e-13)
-
-    def test_improper_cannot_normalize(self):
-        with pytest.raises(DomainError):
-            pr.monomial_mixing(1, 5).normalized()
 
 
 class TestPriorSpecs:

@@ -291,3 +291,16 @@ class TestConsistencyChecker:
         lam, target = self._strawderman_setup()
         with pytest.raises(DomainError):
             tr.i_transform_consistency(lam, target, 1.5, [])
+
+    def test_non_finite_point_named(self):
+        """The Gaussian-Bessel transform at alpha = 1 leaves the double range
+        between y = 50 and 55; the report names the first y whose value or
+        target is not finite instead of judging the ratio."""
+        grid = [50.0, 55.0, 60.0]
+        values = tr.i_transform(gaussian_bessel_fn(1.5, 1.0), 1.5, grid)
+        assert math.isfinite(values[0]) and values[1] == math.inf
+        rep = tr.proportionality_report(grid, values, np.ones(3))
+        assert rep.verdict == "INCONCLUSIVE"
+        assert rep.extra["non_finite"] == 55.0
+        rep = tr.proportionality_report(grid, np.ones(3), [1.0, 1.0, math.nan])
+        assert rep.extra["non_finite"] == 60.0
