@@ -1,14 +1,20 @@
 """Low-level adaptive Gauss-Kronrod quadrature engine.
 
-Implements the (G7, K15) pair with QUADPACK-style per-panel error estimates,
-globally adaptive refinement, a batched variant that shares one partition
-across a whole family of integrands (used to vectorize marginal evaluation
-over many query points), and a log-space variant for positive integrands
-whose magnitude spans hundreds of orders.
+Implements the (G7, K15) pair with QUADPACK-style per-panel error estimates
+(Piessens et al. 1983) and one globally adaptive refinement loop that shares
+a partition across a whole family of integrands (used to vectorize marginal
+evaluation over many query points).  The loop runs in linear space
+(:func:`adaptive_batch`) or in log space (:func:`adaptive_batch_log`, for
+positive integrands whose magnitude spans hundreds of orders).  A row is
+done when its error meets its tolerance, or when its roundoff floor
+50*eps*int|g| already exceeds that tolerance and its error has come down to
+within a factor _FLOOR_SLACK of the floor, so a signed row that cancels far
+below the integral of its modulus stops at roundoff.
 
 Endpoint behaviour: finite intervals are integrated through the substitution
-x = a + s**2 (and mirrored at the upper end), which removes integrable
-algebraic singularities such as t**(-1/2) without any special casing.
+x = a + s**2 (and mirrored at the upper end, see :func:`_sqrt_halves`),
+which removes integrable algebraic singularities such as t**(-1/2) without
+any special casing.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ _EPS = np.finfo(float).eps
 _MAX_PANELS = 4096        # subdivision budget of every adaptive call
 _SCAN_PROBES = 200        # first probe grid of scan_log_peak
 _SCAN_HORIZON = 1e8       # where scan_log_peak stops extending an infinite range
+_FLOOR_SLACK = 2.0        # a row at its roundoff floor stops within this factor of it
 
 
 def panel_nodes(a: float, b: float) -> np.ndarray:
@@ -55,10 +62,11 @@ def panel_nodes(a: float, b: float) -> np.ndarray:
 
 
 def _panel_estimates(vals: np.ndarray, half: float):
-    """K15 integral and error estimate from node values.
+    """K15 integral, error estimate and roundoff floor from node values.
 
-    ``vals`` has node axis last; returns (integral, error) with that axis
-    contracted.  Error follows the QUADPACK rescaling of |K15-G7|.
+    ``vals`` has node axis last; returns (integral, error, floor) with that
+    axis contracted.  Error follows the QUADPACK rescaling of |K15-G7| and
+    never drops below the floor 50*eps*int|g| over the panel.
     """
     resk = vals @ _WK
     resg = vals @ _WG
@@ -69,8 +77,53 @@ def _panel_estimates(vals: np.ndarray, half: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(resasc > 0.0, np.minimum(1.0, (200.0 * err / np.where(resasc > 0, resasc, 1.0)) ** 1.5), 0.0)
     err = np.where(resasc > 0.0, resasc * scale, err)
-    err = np.maximum(err, 50.0 * _EPS * resabs)
-    return resk * half, err * half
+    floor = 50.0 * _EPS * resabs
+    err = np.maximum(err, floor)
+    return resk * half, err * half, floor * half
+
+
+def _refine(make, a, b, initial_panels, max_depth, target, log):
+    """The refinement loop shared by :func:`adaptive_batch` and
+    :func:`adaptive_batch_log`.
+
+    ``make(lo, hi, depth)`` evaluates one panel as [lo, hi, depth, I, err,
+    floor], the last three per row; ``target(total)`` gives each row's error
+    target.  In log mode all of these are logarithms, summed over panels
+    with logsumexp.  A row is done once its error meets its target, or once
+    its summed roundoff floor exceeds that target and its error is within
+    _FLOOR_SLACK of the floor: a signed row far smaller than its integral
+    of |g| stops at roundoff.  Each step halves the panel with the largest
+    error against its row's target.
+    """
+    if not b > a:
+        raise ValueError(f"empty integration interval ({a}, {b})")
+    edges = np.linspace(a, b, initial_panels + 1)
+    panels = [make(lo, hi, 0) for lo, hi in zip(edges[:-1], edges[1:])]
+    mode = " (log mode)" if log else ""
+    # products and quotients of logs are sums and differences
+    if log:
+        add, mul, div, slack = _logsumexp_rows, np.add, np.subtract, np.log(_FLOOR_SLACK)
+    else:
+        add, mul, div, slack = (lambda arrs: np.sum(arrs, axis=0)), np.multiply, np.divide, _FLOOR_SLACK
+    while True:
+        total, err, floor = (add([p[i] for p in panels]) for i in (3, 4, 5))
+        tol = target(total)
+        tol = np.where(floor > tol, mul(floor, slack), tol)
+        if not np.any(err > tol):
+            return total
+        idx = int(np.argmax([np.max(div(p[4], tol)) for p in panels]))
+        lo, hi, depth = panels[idx][:3]
+        if depth >= max_depth:
+            raise QuadratureError(
+                f"max_depth={max_depth} exceeded on [{lo:.6g}, {hi:.6g}]{mode}",
+                worst_interval=(lo, hi), total=total, error=err)
+        if len(panels) >= _MAX_PANELS:
+            raise QuadratureError(
+                f"panel budget {_MAX_PANELS} exhausted{mode}",
+                worst_interval=(lo, hi), total=total, error=err)
+        mid = 0.5 * (lo + hi)
+        panels[idx] = make(lo, mid, depth + 1)
+        panels.append(make(mid, hi, depth + 1))
 
 
 def adaptive(f, a: float, b: float, rel_tol: float = 1e-10,
@@ -91,36 +144,12 @@ def adaptive_batch(fmat, a: float, b: float, rel_tol: float = 1e-10,
     """Adaptive quadrature of a family of integrands over one shared partition.
 
     ``fmat`` maps node array (m,) -> values (P, m).  The partition is refined
-    until every row meets max(abs_tol, rel_tol*|I_row|).  Returns (P,).
+    until every row meets max(abs_tol, rel_tol*|I_row|), or its roundoff
+    floor where that is larger.  Returns (P,).
     """
-    if not b > a:
-        raise ValueError(f"empty integration interval ({a}, {b})")
-    edges = np.linspace(a, b, initial_panels + 1)
-    panels = []  # entries: [a, b, depth, I(P,), err(P,)]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        panels.append(_make_panel(fmat, lo, hi, 0))
-    while True:
-        total = np.sum([p[3] for p in panels], axis=0)
-        err = np.sum([p[4] for p in panels], axis=0)
-        scale = np.maximum(abs_tol, rel_tol * np.abs(total))
-        bad = err > scale
-        if not np.any(bad):
-            return total
-        # refine the panel contributing most to the worst row
-        ratios = [np.max(p[4] / scale) for p in panels]
-        idx = int(np.argmax(ratios))
-        lo, hi, depth = panels[idx][0], panels[idx][1], panels[idx][2]
-        if depth >= max_depth:
-            raise QuadratureError(
-                f"max_depth={max_depth} exceeded on [{lo:.6g}, {hi:.6g}]",
-                worst_interval=(lo, hi), total=total, error=err)
-        if len(panels) >= _MAX_PANELS:
-            raise QuadratureError(
-                f"panel budget {_MAX_PANELS} exhausted",
-                worst_interval=(lo, hi), total=total, error=err)
-        mid = 0.5 * (lo + hi)
-        panels[idx] = _make_panel(fmat, lo, mid, depth + 1)
-        panels.append(_make_panel(fmat, mid, hi, depth + 1))
+    return _refine(lambda lo, hi, depth: _make_panel(fmat, lo, hi, depth), a, b,
+                   initial_panels, max_depth,
+                   lambda total: np.maximum(abs_tol, rel_tol * np.abs(total)), log=False)
 
 
 def _make_panel(fmat, lo, hi, depth):
@@ -130,8 +159,7 @@ def _make_panel(fmat, lo, hi, depth):
         raise QuadratureError(
             f"non-finite integrand values on [{lo:.6g}, {hi:.6g}]",
             worst_interval=(lo, hi))
-    I, err = _panel_estimates(vals, half)
-    return [lo, hi, depth, I, err]
+    return [lo, hi, depth, *_panel_estimates(vals, half)]
 
 
 def adaptive_batch_log(logf, a: float, b: float, rel_tol: float = 1e-10,
@@ -142,38 +170,9 @@ def adaptive_batch_log(logf, a: float, b: float, rel_tol: float = 1e-10,
     integrand vanishes).  Returns log of the integral per row.  Values may
     span hundreds of orders of magnitude; only relative tolerance applies.
     """
-    if not b > a:
-        raise ValueError(f"empty integration interval ({a}, {b})")
-    edges = np.linspace(a, b, initial_panels + 1)
-    panels = []  # entries: [a, b, depth, logI(P,), logerr(P,)]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        panels.append(_make_panel_log(logf, lo, hi, 0))
-
-    def _combine():
-        logI = _logsumexp_rows([p[3] for p in panels])
-        logE = _logsumexp_rows([p[4] for p in panels])
-        return logI, logE
-
     log_rtol = np.log(rel_tol)
-    while True:
-        logI, logE = _combine()
-        bad = logE > logI + log_rtol
-        if not np.any(bad):
-            return logI
-        margins = [np.max(p[4] - logI) for p in panels]
-        idx = int(np.argmax(margins))
-        lo, hi, depth = panels[idx][0], panels[idx][1], panels[idx][2]
-        if depth >= max_depth:
-            raise QuadratureError(
-                f"max_depth={max_depth} exceeded on [{lo:.6g}, {hi:.6g}] (log mode)",
-                worst_interval=(lo, hi))
-        if len(panels) >= _MAX_PANELS:
-            raise QuadratureError(
-                f"panel budget {_MAX_PANELS} exhausted (log mode)",
-                worst_interval=(lo, hi))
-        mid = 0.5 * (lo + hi)
-        panels[idx] = _make_panel_log(logf, lo, mid, depth + 1)
-        panels.append(_make_panel_log(logf, mid, hi, depth + 1))
+    return _refine(lambda lo, hi, depth: _make_panel_log(logf, lo, hi, depth), a, b,
+                   initial_panels, max_depth, lambda logI: logI + log_rtol, log=True)
 
 
 def _make_panel_log(logf, lo, hi, depth):
@@ -186,11 +185,12 @@ def _make_panel_log(logf, lo, hi, depth):
     M = np.max(lv, axis=-1)
     M = np.where(np.isfinite(M), M, 0.0)
     vals = np.exp(lv - M[..., None])
-    I, err = _panel_estimates(vals, half)
+    I, err, floor = _panel_estimates(vals, half)
     with np.errstate(divide="ignore"):
         logI = M + np.log(np.maximum(I, 0.0))
         logerr = M + np.log(np.maximum(err, 5.0 * _EPS * np.max(vals, axis=-1) * half))
-    return [lo, hi, depth, logI, logerr]
+        logfloor = M + np.log(floor)
+    return [lo, hi, depth, logI, logerr, logfloor]
 
 
 def _logsumexp_rows(arrs):
@@ -201,24 +201,17 @@ def _logsumexp_rows(arrs):
     return np.where(np.isfinite(M), out, M)
 
 
-def split_sqrt_maps(f, a: float, b: float):
-    """Rewrite integral over (a, b) as two pieces with sqrt endpoint maps.
+def _sqrt_halves(a: float, b: float):
+    """The sqrt endpoint maps of a finite (a, b), one per half.
 
-    Returns [(g, 0, s_max), ...] with g vectorized like f.  The maps
-    x = a + s**2 and x = b - s**2 regularize integrable endpoint
-    singularities; smooth integrands stay smooth.
+    Returns [(x, s_max), ...]: x(s) = a + s**2 on the lower half and
+    x(s) = b - s**2 on the upper, both for s in (0, s_max) with
+    |dx/ds| = 2s.  They regularize integrable endpoint singularities; smooth
+    integrands stay smooth.
     """
     mid = 0.5 * (a + b)
-
-    def lower(s):
-        x = a + s * s
-        return f(x) * (2.0 * s)
-
-    def upper(s):
-        x = b - s * s
-        return f(x) * (2.0 * s)
-
-    return [(lower, 0.0, np.sqrt(mid - a)), (upper, 0.0, np.sqrt(b - mid))]
+    return [(lambda s: a + s * s, np.sqrt(mid - a)),
+            (lambda s: b - s * s, np.sqrt(b - mid))]
 
 
 def integrate_rows(rows, a: float, b: float, rel_tol: float = 1e-10,
@@ -226,12 +219,12 @@ def integrate_rows(rows, a: float, b: float, rel_tol: float = 1e-10,
     """Integrate a family of integrands over a finite (a, b), endpoints mapped.
 
     ``rows`` maps nodes (m,) -> values (P, m); each half of the interval is
-    one :func:`adaptive_batch` call through :func:`split_sqrt_maps`, so both
+    one :func:`adaptive_batch` call through :func:`_sqrt_halves`, so both
     endpoints may carry integrable singularities.  Returns (P,).
     """
-    return sum(adaptive_batch(g, lo, hi, rel_tol=rel_tol, abs_tol=abs_tol,
-                              max_depth=max_depth)
-               for g, lo, hi in split_sqrt_maps(rows, a, b))
+    return sum(adaptive_batch(lambda s, x=x: rows(x(s)) * (2.0 * s), 0.0, s_max,
+                              rel_tol=rel_tol, abs_tol=abs_tol, max_depth=max_depth)
+               for x, s_max in _sqrt_halves(a, b))
 
 
 def integrate_rows_log(log_rows, a: float, b: float, rel_tol: float = 1e-10,
@@ -242,22 +235,15 @@ def integrate_rows_log(log_rows, a: float, b: float, rel_tol: float = 1e-10,
     maps are applied in log form and the two halves are combined with
     logaddexp.  Returns the log of each row's integral.
     """
-    mid = 0.5 * (a + b)
+    def log_half(x):
+        def g(s):
+            s = np.asarray(s, dtype=float)
+            with np.errstate(divide="ignore"):
+                return log_rows(x(s)) + np.log(2.0 * s)[None, :]
+        return g
 
-    def lower(s):
-        s = np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore"):
-            return log_rows(a + s * s) + np.log(2.0 * s)[None, :]
-
-    def upper(s):
-        s = np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore"):
-            return log_rows(b - s * s) + np.log(2.0 * s)[None, :]
-
-    la = adaptive_batch_log(lower, 0.0, np.sqrt(mid - a), rel_tol=rel_tol,
-                            max_depth=max_depth)
-    lb = adaptive_batch_log(upper, 0.0, np.sqrt(b - mid), rel_tol=rel_tol,
-                            max_depth=max_depth)
+    la, lb = (adaptive_batch_log(log_half(x), 0.0, s_max, rel_tol=rel_tol, max_depth=max_depth)
+              for x, s_max in _sqrt_halves(a, b))
     return np.logaddexp(la, lb)
 
 
@@ -265,13 +251,12 @@ def integrate_finite(f, a: float, b: float, rel_tol: float = 1e-10,
                      abs_tol: float = 1e-14, max_depth: int = 40) -> float:
     """Integrate a vectorized integrand over a finite interval.
 
-    Both endpoints are treated as potentially (integrably) singular.
+    The one-row :func:`integrate_rows`, with half of ``abs_tol`` per half of
+    the interval.  Both endpoints are treated as potentially (integrably)
+    singular.
     """
-    total = 0.0
-    for g, lo, hi in split_sqrt_maps(f, a, b):
-        total += adaptive(g, lo, hi, rel_tol=rel_tol, abs_tol=max(abs_tol / 2, 1e-300),
-                          max_depth=max_depth)
-    return total
+    return float(integrate_rows(lambda x: np.atleast_2d(f(x)), a, b, rel_tol=rel_tol,
+                                abs_tol=max(abs_tol / 2, 1e-300), max_depth=max_depth)[0])
 
 
 def scan_log_peak(log_g, lo: float, hi: float, tail_cut: float):

@@ -14,8 +14,9 @@ Exit codes:
     5  verify only: no failures but at least one INCONCLUSIVE verdict
     6  risk only: some point exceeded k + 3 stderr
 
-Environment overrides: TOOL_QUAD_RELTOL (quadrature relative tolerance) and
-TOOL_MAX_THREADS (recorded in the manifest; evaluation is single-process).
+Environment override: TOOL_QUAD_RELTOL (quadrature relative tolerance),
+recorded in the manifest.  Every command writes its tables as CSV and its
+reports as JSON.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ class RunConfig:
     theta_norms: List[float] = field(default_factory=lambda: [0.0, 1.0, 3.0, 6.0, 10.0])
     quad: QuadSpec = field(default_factory=QuadSpec)
     out_dir: str = "out"
-    out_format: str = "json"
     transform_block: Dict = field(default_factory=dict)
     env_overrides: Dict = field(default_factory=dict)
 
@@ -79,7 +79,7 @@ class RunConfig:
                    "theta_norms": self.theta_norms},
             "quad": {"rel_tol": self.quad.rel_tol, "abs_tol": self.quad.abs_tol,
                      "max_depth": self.quad.max_depth, "tail_cut": self.quad.tail_cut},
-            "output": {"path": self.out_dir, "format": self.out_format},
+            "output": {"path": self.out_dir},
             "transform": self.transform_block,
             "env_overrides": self.env_overrides,
         }
@@ -152,24 +152,17 @@ def load_config(path: str, args) -> RunConfig:
     if os.environ.get("TOOL_QUAD_RELTOL"):
         quad_doc["rel_tol"] = float(os.environ["TOOL_QUAD_RELTOL"])
         env["TOOL_QUAD_RELTOL"] = os.environ["TOOL_QUAD_RELTOL"]
-    if os.environ.get("TOOL_MAX_THREADS"):
-        env["TOOL_MAX_THREADS"] = os.environ["TOOL_MAX_THREADS"]
     quad = QuadSpec(rel_tol=float(quad_doc.get("rel_tol", 1e-8)),
                     abs_tol=float(quad_doc.get("abs_tol", 1e-14)),
                     max_depth=int(quad_doc.get("max_depth", 40)),
                     tail_cut=float(quad_doc.get("tail_cut", 1e-14)))
 
-    out = dict(doc.get("output") or {})
-    out_dir = args.out or out.get("path", "out")
-    out_format = out.get("format", "json")
-    if out_format not in ("json", "csv"):
-        raise DomainError(f"output format must be json or csv, got {out_format!r}")
+    out_dir = args.out or dict(doc.get("output") or {}).get("path", "out")
 
     return RunConfig(command=command, prior_spec=prior_spec, k=k,
                      grid_lo=lo, grid_hi=hi, grid_n=n_points,
                      grid_spacing=spacing, n_samples=n_samples, seed=seed,
                      theta_norms=theta_norms, quad=quad, out_dir=out_dir,
-                     out_format=out_format,
                      transform_block=dict(doc.get("transform") or {}),
                      env_overrides=env)
 

@@ -194,8 +194,8 @@ def mixture_radial(h: MixingDensity, quad: QuadSpec = DEFAULT_QUAD) -> RadialPri
     v_lo = max(h.h.support[0], 0.0)
     v_hi = h.h.support[1]
 
-    def lam(r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
+    def lam(r_in):
+        r = np.atleast_1d(np.asarray(r_in, dtype=float))
         r_pos = r[r > 0]
         r_min = float(np.min(r_pos)) if r_pos.size else 1.0
         r_max = float(np.max(r_pos)) if r_pos.size else 1.0
@@ -219,13 +219,9 @@ def mixture_radial(h: MixingDensity, quad: QuadSpec = DEFAULT_QUAD) -> RadialPri
                                      abs_tol=quad.abs_tol,
                                      max_depth=quad.max_depth,
                                      initial_panels=n_init)
-        return total if np.asarray(r).ndim else float(total[0])
+        return total if np.ndim(r_in) else float(total[0])
 
-    def lam_any(r):
-        out = lam(np.atleast_1d(np.asarray(r, dtype=float)))
-        return float(out[0]) if np.asarray(r).ndim == 0 else out
-
-    fn = ScalarFn(eval=lam_any, support=(0.0, math.inf), label="mixture_radial",
+    fn = ScalarFn(eval=lam, support=(0.0, math.inf), label="mixture_radial",
                   nonneg=True)
     return RadialPrior(k=k, lam=fn, proper=h.proper, family=h.family or "mixture",
                        params=dict(h.params), mass=h.mass)
@@ -337,14 +333,8 @@ def strawderman_mixing(a: float, k: int) -> MixingDensity:
         v = np.asarray(v, dtype=float)
         return (1.0 - a) * (1.0 + v) ** (a - 2.0)
 
-    def h_triple(v):
-        w = 1.0 + np.asarray(v, dtype=float)
-        return (h(v), (1.0 - a) * (a - 2.0) * w ** (a - 3.0),
-                (1.0 - a) * (a - 2.0) * (a - 3.0) * w ** (a - 4.0))
-
     fn = ScalarFn(
-        eval=h, triple=h_triple,
-        support=(0.0, math.inf), label=f"strawderman_mixing(a={a})",
+        eval=h, support=(0.0, math.inf), label=f"strawderman_mixing(a={a})",
         log_eval=lambda v: math.log(1.0 - a) + (a - 2.0) * np.log1p(np.asarray(v, dtype=float)),
         nonneg=True)
     return MixingDensity(k=k, h=fn, proper=PROPER, family="strawderman",
@@ -368,13 +358,8 @@ def monomial_mixing(n: int, k: int) -> MixingDensity:
     def h(v):
         return (1.0 + np.asarray(v, dtype=float)) ** p
 
-    def h_triple(v):
-        w = 1.0 + np.asarray(v, dtype=float)
-        return w ** p, p * w ** (p - 1.0), p * (p - 1.0) * w ** (p - 2.0)
-
     fn = ScalarFn(
-        eval=h, triple=h_triple,
-        support=(0.0, math.inf), label=f"(v+1)^{p}",
+        eval=h, support=(0.0, math.inf), label=f"(v+1)^{p}",
         log_eval=lambda v: p * np.log1p(np.asarray(v, dtype=float)), nonneg=True)
     proper = PROPER if n > k / 2.0 - 1.0 else IMPROPER
     mass = 1.0 / (n + 1.0 - k / 2.0) if proper == PROPER else None
@@ -740,7 +725,8 @@ def whittaker_radial(gamma: float, k: int) -> RadialPrior:
     defined up to a constant factor, valid for gamma + (k+1)/2 > 0.  With
     a1 = (k-1)/4 - gamma/2, the factor 1F1(a1; k/2; r^2/2) inside M is
     positive for a1 >= 0; for a1 < 0 it can change sign, so lambda is
-    returned signed (``nonneg`` is False) and ``log_eval`` gives log|lambda|.
+    returned signed (``nonneg`` is False), ``log_eval`` gives log|lambda| and
+    ``sign`` its sign, which stays defined where lambda overflows.
     When a1 is a nonpositive integer the series terminates and lambda is a
     polynomial; otherwise the density grows like e^{r^2/2}.  Either way it
     never has finite mass.
@@ -778,7 +764,8 @@ def whittaker_radial(gamma: float, k: int) -> RadialPrior:
 
     fn = ScalarFn(eval=lam_eval, support=(0.0, math.inf),
                   label=f"whittaker_radial(gamma={gamma})",
-                  log_eval=lambda r: sign_log_lam(r)[1], nonneg=a1 >= 0)
+                  log_eval=lambda r: sign_log_lam(r)[1], nonneg=a1 >= 0,
+                  sign=None if a1 >= 0 else lambda r: sign_log_lam(r)[0])
     return RadialPrior(k=k, lam=fn, proper=IMPROPER, family="whittaker",
                        params={"gamma": gamma})
 

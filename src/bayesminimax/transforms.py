@@ -67,7 +67,9 @@ class ScalarFn:
     Richardson-extrapolated central differences of ``eval``.  ``log_eval``
     gives log|f| and enables log-space integration for functions spanning
     hundreds of orders of magnitude; ``nonneg`` declares f >= 0 on its
-    support.
+    support.  ``sign`` optionally gives the sign of f where ``eval``
+    underflows to 0 or overflows, so that a signed f keeps its sign wherever
+    ``log_eval`` is finite.
     """
     eval: Callable
     triple: Optional[Callable] = None
@@ -75,6 +77,7 @@ class ScalarFn:
     label: str = ""
     log_eval: Optional[Callable] = None
     nonneg: bool = False
+    sign: Optional[Callable] = None
 
     def __call__(self, x):
         return self.eval(x)
@@ -86,6 +89,12 @@ class ScalarFn:
     def deriv2(self, x):
         """f''(x), read from ``triple``."""
         return self.triple(x)[2]
+
+    def sign_of(self, x):
+        """Sign of f(x): from ``sign`` where given, else from ``eval``."""
+        if self.sign is not None:
+            return self.sign(x)
+        return np.sign(np.asarray(self.eval(x), dtype=float))
 
     def log_abs(self, x):
         if self.log_eval is not None:
@@ -109,10 +118,10 @@ def i_transform(f, nu: float, y, quad: QuadSpec = DEFAULT_QUAD):
     growth nor a Gaussian-decaying f can overflow.  Each y gets its own peak
     scan, in the order given; the first y whose integral does not exist
     raises TransformDivergenceError, with that y as ``diagnostics["y"]``.
-    The rows exp(log-integrand - peak_y), split into the parts where f is
-    positive and negative, are then integrated together over one window
-    spanning every row's, so signed and nonnegative f take the same path.
-    A scalar y returns a float.
+    The rows sign(f) exp(log-integrand - peak_y), one per y, are then
+    integrated together over one window spanning every row's; a row whose
+    signed integral cancels far below its integral of |g| stops at its
+    roundoff floor.  A scalar y returns a float.
     """
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     for yi in ys:
@@ -141,19 +150,14 @@ def i_transform(f, nu: float, y, quad: QuadSpec = DEFAULT_QUAD):
     if live.any():
         y_live, peak_live = ys[live, None], peaks[live, None]
 
-        # the positive and negative parts are separate rows, each converged
-        # to rel_tol of its own size: a cancelling row would otherwise have
-        # to reach rel_tol of a difference far below its roundoff floor
         def rows(x):
-            sign = 1.0 if f.nonneg else np.sign(np.asarray(f.eval(x), dtype=float))
             g = np.exp(log_g(x, y_live) - peak_live)
-            return np.concatenate([g * (sign > 0), g * (sign < 0)])
+            return g if f.nonneg else g * f.sign_of(x)
 
-        pos, neg = np.split(_quad.integrate_rows(
-            rows, lo_eff[live].min(), hi_eff[live].max(),
-            quad.rel_tol, quad.abs_tol, quad.max_depth), 2)
+        integral = _quad.integrate_rows(rows, lo_eff[live].min(), hi_eff[live].max(),
+                                        quad.rel_tol, quad.abs_tol, quad.max_depth)
         with np.errstate(over="ignore"):
-            out[live] = np.exp(peaks[live]) * (pos - neg)
+            out[live] = np.exp(peaks[live]) * integral
     return out if np.ndim(y) else float(out[0])
 
 
@@ -186,8 +190,8 @@ def transform_weight(lam: ScalarFn, k: float) -> ScalarFn:
     """The I-transform weight f(r) = r^{(1-k)/2} e^{-r^2/2} lambda(r).
 
     Built in log space from ``lam.log_abs``; when ``lam`` is not declared
-    nonnegative its sign is carried through, so f is the signed weight and
-    not its modulus.
+    nonnegative its sign (``lam.sign`` where given) is carried through as
+    ``sign``, so f is the signed weight and not its modulus.
     """
     def f_log(r):
         r = np.asarray(r, dtype=float)
@@ -195,16 +199,14 @@ def transform_weight(lam: ScalarFn, k: float) -> ScalarFn:
             out = (0.5 * (1.0 - k)) * np.log(r) - 0.5 * r * r + lam.log_abs(r)
         return np.where(np.isnan(out), -np.inf, out)
 
-    if lam.nonneg:
-        def f_eval(r):
-            return np.exp(f_log(r))
-    else:
-        def f_eval(r):
-            return np.sign(np.asarray(lam.eval(r), dtype=float)) * np.exp(f_log(r))
+    sign = None if lam.nonneg else lam.sign_of
+
+    def f_eval(r):
+        return np.exp(f_log(r)) if sign is None else sign(r) * np.exp(f_log(r))
 
     return ScalarFn(eval=f_eval, support=lam.support,
                     label="radial_to_transform_weight", log_eval=f_log,
-                    nonneg=lam.nonneg)
+                    nonneg=lam.nonneg, sign=sign)
 
 
 def i_transform_consistency(lambda_candidate: ScalarFn, F_target: ScalarFn,

@@ -1,0 +1,28 @@
+"""Design guards: the adaptive quadrature engine is reached through its
+batched entry points only."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "bayesminimax"
+
+# Internal to _quad: the scalar and log-space refinement front-ends and the
+# panel evaluators.  Other modules integrate through integrate_rows,
+# integrate_rows_log, integrate_finite or adaptive_batch.
+QUAD_INTERNAL = {"adaptive", "adaptive_batch_log", "_make_panel", "_make_panel_log"}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "_quad.py"),
+                         ids=lambda p: p.name)
+def test_quad_internals_stay_in_quad(path):
+    named = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+    assert not named & QUAD_INTERNAL, f"{path.name} names {sorted(named & QUAD_INTERNAL)}"

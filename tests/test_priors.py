@@ -646,8 +646,6 @@ class TestTripleContract:
     derivatives that match finite differences."""
 
     @pytest.mark.parametrize("make,points", [
-        (lambda: pr.strawderman_mixing(0.5, 5).h, [0.0, 0.5, 2.0, 8.0]),
-        (lambda: pr.monomial_mixing(2, 5).h, [0.0, 0.5, 2.0, 8.0]),
         (lambda: pr.monomial_laplace_G(2), [0.5, 2.0, 8.0]),
         (lambda: pr.monomial_laplace_G(60.5), [0.5, 30.0, 200.0]),
         (lambda: pr.power_exp_profile(1.5, 5), [0.3, 1.0, 4.0]),
@@ -655,9 +653,8 @@ class TestTripleContract:
         (lambda: _inverse_square_solution().F, [0.3, 0.7, 4.0]),
         (lambda: _inverse_square_solution().z1, [0.3, 0.7, 4.0]),
         (lambda: _strict_G(), [0.1, 1.0, 10.0]),
-    ], ids=["strawderman_mixing", "monomial_mixing", "monomial_laplace_G",
-            "monomial_laplace_G_large", "power_exp_profile", "inverse_square_profile",
-            "constructed_F", "constructed_z1", "constructed_G"])
+    ], ids=["monomial_laplace_G", "monomial_laplace_G_large", "power_exp_profile",
+            "inverse_square_profile", "constructed_F", "constructed_z1", "constructed_G"])
     def test_first_component_is_eval(self, make, points):
         fn = make()
         x = np.asarray(points, dtype=float)

@@ -1,6 +1,6 @@
 """Integral transform oracles: closed-form pairs, linearity, divergence
 detection, batched against point-by-point transforms, and the finite-interval
-quadrature the K-transform runs on."""
+quadrature the transforms run on."""
 
 import math
 
@@ -76,6 +76,49 @@ class TestIntegrateFinite:
             _quad.integrate_finite(lambda t: np.abs(np.sin(1.0 / t)) + 1.0, 0.0, 1.0,
                                    rel_tol=1e-13, max_depth=3)
         assert "worst_interval" in err.value.diagnostics
+
+
+class TestRoundoffFloor:
+    """A signed row whose integral cancels far below its integral of |g|
+    stops at its roundoff floor instead of exhausting the panel budget."""
+
+    B = 20.0 * math.pi + 1e-6   # int_0^B cos = sin(B) ~ 1e-6, int_0^B |cos| = 40
+
+    def _count_panels(self, monkeypatch):
+        count = [0]
+        original = _quad._make_panel
+
+        def counted(*args):
+            count[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(_quad, "_make_panel", counted)
+        return count
+
+    def test_cancelling_row_converges(self, monkeypatch):
+        panels = self._count_panels(monkeypatch)
+        value = _quad.integrate_rows(lambda x: np.cos(x)[None, :], 0.0, self.B)
+        assert value.shape == (1,)
+        assert abs(value[0] - math.sin(self.B)) < 1e-13
+        assert panels[0] < 500
+
+    def test_floor_row_beside_an_ordinary_row(self):
+        def rows(x):
+            return np.stack([np.cos(x), np.exp(-x)])
+
+        value = _quad.integrate_rows(rows, 0.0, self.B)
+        assert abs(value[0] - math.sin(self.B)) < 1e-13
+        assert value[1] == pytest.approx(-math.expm1(-self.B), rel=1e-10)
+
+    def test_integrate_finite_is_the_one_row_batch(self):
+        f = lambda t: np.exp(-t) * t ** 0.3  # noqa: E731
+        row = _quad.integrate_rows(lambda x: np.atleast_2d(f(x)), 0.0, 50.0,
+                                   rel_tol=1e-12, abs_tol=0.5e-14)
+        assert _quad.integrate_finite(f, 0.0, 50.0, rel_tol=1e-12) == row[0]
+
+    def test_non_integrable_singularity_still_fails(self):
+        with pytest.raises(QuadratureError):
+            _quad.integrate_finite(lambda t: 1.0 / t, 0.0, 1.0)
 
 
 class TestITransform:
@@ -163,6 +206,46 @@ class TestBatchedITransform:
         y = np.array([0.05, 20.0])
         ratio = tr.i_transform(f, 1.5, y) / power_exp_profile(6.0, 5).eval(y)
         assert ratio[0] == pytest.approx(ratio[1], rel=1e-8)
+
+    def test_cancelling_rows_on_a_grid(self, monkeypatch):
+        """Whittaker (6, 5) on a 12-point grid: each y is one signed row, the
+        small-y rows stopping at their roundoff floor; the values agree with
+        integrating the positive and negative parts as separate rows."""
+        from bayesminimax.priors import whittaker_radial
+
+        rows_seen = []
+        original = _quad.integrate_rows
+
+        def recording(rows, *args, **kwargs):
+            rows_seen.append(rows(np.array([1.0, 2.0])).shape[0])
+            return original(rows, *args, **kwargs)
+
+        monkeypatch.setattr(_quad, "integrate_rows", recording)
+        f = tr.transform_weight(whittaker_radial(6.0, 5).lam, 5)
+        values = tr.i_transform(f, 1.5, np.geomspace(0.05, 30.0, 12))
+        assert rows_seen == [12]
+        split = [1.8793486447194214e-010, 6.1738598456868127e-009,
+                 2.0404835752992822e-007, 6.8756694981894645e-006,
+                 2.4648624820329833e-004, 1.0772853141462544e-002,
+                 8.8765022072154143e-001, 5.5626636129981034e+002,
+                 2.3000334884310588e+008, 9.9917853006034958e+022,
+                 3.1924040560756492e+066, 2.3707668494653634e+202]
+        np.testing.assert_allclose(values, split, rtol=1e-8, atol=0)
+
+    @pytest.mark.parametrize("gamma,y_big,sign", [(4.0, 60.0, -1.0), (6.0, 50.0, 1.0)])
+    def test_sign_survives_weight_underflow(self, gamma, y_big, sign):
+        """Past r ~ 38.6 the Whittaker weight underflows in ``eval``; its
+        sign comes from ``ScalarFn.sign``, so the ratio to u^gamma e^{u^2/2}
+        holds where the transform peaks there, and a transform beyond the
+        double range is an infinity of the right sign."""
+        from bayesminimax.priors import power_exp_profile, whittaker_radial
+
+        f = tr.transform_weight(whittaker_radial(gamma, 5).lam, 5)
+        y = np.array([20.0, 35.0, 36.0, 37.0])
+        ratio = tr.i_transform(f, 1.5, y) / power_exp_profile(gamma, 5).eval(y)
+        np.testing.assert_allclose(ratio[1:], ratio[0], rtol=1e-6, atol=0)
+        assert tr.i_transform(f, 1.5, y_big) == sign * math.inf
+        assert np.all(f.sign(np.array([39.0, 45.0])) == sign)
 
     def test_one_batched_quadrature_per_call(self, monkeypatch):
         calls = {"integrate_rows": 0, "integrate_finite": 0}
