@@ -372,8 +372,8 @@ def cmd_transform(cfg: RunConfig) -> int:
 
             def F_t(u):
                 u = np.asarray(u, dtype=float)
-                h = np.exp(logA + 0.5 * (1.0 - cfg.k) * np.log(u) - 0.5 * u * u)
-                return np.asarray(prof.ell.eval(u), dtype=float) / h
+                log_h = logA + 0.5 * (1.0 - cfg.k) * np.log(u) - 0.5 * u * u
+                return np.exp(prof.ratios(u)[0] - log_h)
 
             F_target = ScalarFn(eval=F_t, support=(0.0, math.inf),
                                 label="ell_over_h", nonneg=True)

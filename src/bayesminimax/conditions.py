@@ -139,17 +139,20 @@ def default_grid(lo: float = 1e-2, hi: float = 30.0, n: int = 200,
 # ---------------------------------------------------------------------------
 
 def check_sqrt_superharmonic(profile, grid) -> ConditionReport:
-    """sqrt-of-marginal superharmonicity in radial form:
+    """sqrt-of-marginal superharmonicity in radial form, divided by l > 0:
 
-        l'(u) (k-1)/u + l''(u) - l'(u)^2 / (2 l(u))  <=  0.
+        (l'/l) (k-1)/u + l''/l - (l'/l)^2 / 2  <=  0.
+
+    The margins and their bands are those of the linear form over l, so they
+    do not depend on the normalization of l.
     """
     u = np.asarray(grid, dtype=float)
     k = profile.k
     try:
-        ell, d1, d2 = profile.triple(u)
-        term_a = d1 * (k - 1.0) / u
-        term_b = d2
-        term_c = d1 * d1 / (2.0 * ell)
+        _, r1, r2 = profile.ratios(u)
+        term_a = r1 * (k - 1.0) / u
+        term_b = r2
+        term_c = 0.5 * r1 * r1
         margins = term_a + term_b - term_c
         scale = np.maximum.reduce([np.abs(term_a), np.abs(term_b), np.abs(term_c)])
         bands = 1e-8 * scale
@@ -347,10 +350,11 @@ def check_strawderman_sqrt(a: float, k: int, grid) -> ConditionReport:
           + 2 (2-a-z)/(k/2-a+2) * 1F1(1; k/2-a+3; z) - 2  <=  0,   z = u^2/2.
 
     Requires a >= 3 - k/2 (the boundary a = 3 - k/2 zeroes the first
-    coefficient and is allowed).  Origin and large-u verdicts are reported
-    separately in ``extra``: the displayed inequality is known to hold near 0
-    and at infinity when k/2 + a - 3 >= 0, while the interior is checked only
-    as grid evidence.
+    coefficient and is allowed).  The inequality is judged divided by
+    1F1^2 > 0, which keeps its sign and stays in double range at every z.
+    Origin and large-u verdicts are reported separately in ``extra``: the
+    displayed inequality is known to hold near 0 and at infinity when
+    k/2 + a - 3 >= 0, while the interior is checked only as grid evidence.
     """
     if a < 3.0 - k / 2.0:
         raise DomainError(f"requires a >= 3 - k/2 = {3.0 - k / 2.0}, got {a}")
@@ -361,33 +365,18 @@ def check_strawderman_sqrt(a: float, k: int, grid) -> ConditionReport:
     coef = (k / 2.0 + a - 3.0) / (c2 * c2)
     from .specfun import log_kummer_1f1
 
-    logF1 = np.asarray(log_kummer_1f1(1.0, c3, z + 0.0), dtype=float)
-    F1 = np.exp(logF1)
-    big = logF1 > 230.0  # literal terms would overflow float range squared
-    margins = np.empty_like(z)
-    scale = np.empty_like(z)
-    if np.any(~big):
-        zs, F1s = z[~big], F1[~big]
-        t1 = -coef * zs * F1s * F1s
-        t2 = 2.0 * (2.0 - a - zs) / c2 * F1s
-        margins[~big] = t1 + t2 - 2.0
-        scale[~big] = np.abs(t1) + np.abs(t2) + 2.0
-    if np.any(big):
-        # divide the inequality by 1F1^2 > 0: same sign, no overflow
-        zb, logb = z[big], logF1[big]
-        t1 = -coef * zb
-        t2 = 2.0 * (2.0 - a - zb) / c2 * np.exp(-logb)
-        t3 = -2.0 * np.exp(-2.0 * logb)
-        margins[big] = t1 + t2 + t3
-        scale[big] = np.abs(t1) + np.abs(t2) + np.abs(t3) + np.exp(-2.0 * logb)
+    inv_F1 = np.exp(-np.asarray(log_kummer_1f1(1.0, c3, z + 0.0), dtype=float))
+    t1 = -coef * z
+    t2 = 2.0 * (2.0 - a - z) / c2 * inv_F1
+    t3 = -2.0 * inv_F1 * inv_F1
+    margins = t1 + t2 + t3
+    scale = np.abs(t1) + np.abs(t2) + np.abs(t3)
     origin_lhs = 2.0 * (2.0 - a) / c2 - 2.0
     extra = {
         "origin_limit_lhs": origin_lhs,
         "origin_holds": origin_lhs < 0,
         "infinity_holds": k / 2.0 + a - 3.0 >= 0,
     }
-    if np.any(big):
-        extra["rescaled_above_u"] = float(np.min(u[big]))
     return assemble_report("strawderman_sqrt_condition", u, margins, 1e-7 * scale,
                            extra=extra)
 
@@ -401,17 +390,18 @@ def check_proper_marginal_not_superharmonic(profile, prior_proper: bool,
     """For a proper prior the marginal cannot be superharmonic, so a point
     with positive radial Laplacian
 
-        Delta m = l''(u) + (k-1) l'(u)/u > 0
+        Delta m / l = l''(u)/l(u) + (k-1) l'(u)/(u l(u)) > 0
 
-    must exist.  For proper priors the verdict is HOLDS when a witness is
-    found and FAILS (anomaly) when not; for improper priors there is nothing
-    to contradict and the verdict is INCONCLUSIVE with consistent=True.
+    must exist (l > 0, so the sign is that of Delta m).  For proper priors
+    the verdict is HOLDS when a witness is found and FAILS (anomaly) when
+    not; for improper priors there is nothing to contradict and the verdict
+    is INCONCLUSIVE with consistent=True.
     """
     u = np.asarray(grid, dtype=float)
     k = profile.k
-    ell, d1, d2 = profile.triple(u)
-    lap = d2 + (k - 1.0) * d1 / u
-    scale = np.maximum(np.abs(d2), np.abs((k - 1.0) * d1 / u))
+    _, r1, r2 = profile.ratios(u)
+    lap = r2 + (k - 1.0) * r1 / u
+    scale = np.maximum(np.abs(r2), np.abs((k - 1.0) * r1 / u))
     bands = 1e-8 * scale
     positive = np.isfinite(lap) & (lap > bands)
     found = bool(np.any(positive))

@@ -66,22 +66,19 @@ class RiskReport:
 
 
 def _shrink_terms(profile: MarginalProfile, u: np.ndarray, k: int):
-    """rho(u), rho'(u), validity mask and SURE(u) from the profile triple.
+    """rho(u), validity mask and SURE(u) from the profile's ratios l'/l and
+    l''/l, with rho' = (l''/l - (l'/l)/u - (l'/l)^2)/u.
 
-    rho' is built from the ratios l'/l and l''/l, never from l^2, which
-    underflows at large k where l itself is a normal double.  A sample whose
-    rho or rho' is not finite is invalid.
+    l itself never enters, so neither its underflow at large k nor that of
+    l^2 matters.  A sample whose rho or rho' is not finite is invalid.
     """
-    ell, d1, d2 = profile.triple(u)
-    ok = np.isfinite(ell) & np.isfinite(d1) & np.isfinite(d2) & (ell > 0.0)
-    safe_ell = np.where(ok, ell, 1.0)
+    _, r1, r2 = profile.ratios(u)
     safe_u = np.where(u > _U_EPS, u, 1.0)
-    rho = np.where(u > _U_EPS, d1 / (safe_u * safe_ell), 0.0)
-    r1, r2 = d1 / safe_ell, d2 / safe_ell
+    rho = np.where(u > _U_EPS, r1 / safe_u, 0.0)
     rho_p = np.where(u > _U_EPS, (r2 - r1 / safe_u - r1 * r1) / safe_u, 0.0)
-    ok &= np.isfinite(rho) & np.isfinite(rho_p)
+    ok = np.isfinite(rho) & np.isfinite(rho_p)
     sure = k + 2.0 * (k * rho + u * rho_p) + rho ** 2 * u ** 2
-    return rho, rho_p, ok, sure
+    return rho, ok, sure
 
 
 def bayes_estimate(profile: MarginalProfile, x: np.ndarray) -> np.ndarray:
@@ -90,7 +87,7 @@ def bayes_estimate(profile: MarginalProfile, x: np.ndarray) -> np.ndarray:
     u = float(np.linalg.norm(x))
     if u < _U_EPS:
         return x.copy()
-    rho, _, ok, _ = _shrink_terms(profile, np.array([u]), x.size)
+    rho, ok, _ = _shrink_terms(profile, np.array([u]), x.size)
     if not ok[0]:
         raise EvaluationError(f"marginal evaluation failed at u={u}")
     return x * (1.0 + float(rho[0]))
@@ -103,7 +100,7 @@ def sure(profile: MarginalProfile, x: np.ndarray) -> float:
     u = float(np.linalg.norm(x))
     if u < _U_EPS:
         return float(k)
-    _, _, ok, s = _shrink_terms(profile, np.array([u]), k)
+    _, ok, s = _shrink_terms(profile, np.array([u]), k)
     if not ok[0]:
         raise EvaluationError(f"marginal evaluation failed at u={u}")
     return float(s[0])
@@ -128,7 +125,7 @@ def _mc_sums(profile: MarginalProfile, theta: np.ndarray, n: int, seed: int
         rng = np.random.default_rng(child)
         X = theta[None, :] + rng.standard_normal((m, k))
         u = np.linalg.norm(X, axis=1)
-        rho, _, ok, s = _shrink_terms(profile, u, k)
+        rho, ok, s = _shrink_terms(profile, u, k)
         n_fail += int(np.sum(~ok))
         delta = X * (1.0 + rho)[:, None]
         loss = np.sum((delta - theta[None, :]) ** 2, axis=1)

@@ -154,7 +154,7 @@ FAMILIES: Dict[str, Family] = {
     "custom_phi_mixture": Family(
         check=_check_phi, construct=_construct_mixture,
         profile=lambda k, p, q, G: marginals.laplace_profile(
-            G, k, "constructed_mixture", 1.0),
+            G, k, "constructed_mixture", 0.0),
         checkers=lambda k, p, u, q, G: [
             conditions.check_laplace_mixture_bound(G, k, 0.5 * u ** 2)]),
     "flat": Family(

@@ -11,15 +11,17 @@ and for a variance mixture with mixing density h
     l(u) = (2 pi)^{-k/2} int_0^inf h(v) (v+1)^{-k/2} e^{-u^2/(2(1+v))} dv.
 
 Every route ends in one evaluation contract: a :class:`MarginalProfile`
-carries a single ``triple_fn`` that returns (l, l', l'') for a batch of u in
-one pass, so quadrature routes integrate the three rows over one shared
-partition and closed forms share their special-function values.  The same
-contract holds one layer down: a ScalarFn with derivatives carries one
+carries a single ``triple_fn`` that returns (log l, l'/l, l''/l) for a batch
+of u in one pass, so quadrature routes integrate their rows over one shared
+partition and closed forms share their special-function values.  The Bayes
+rule, SURE and the sqrt-superharmonicity conditions read l only through the
+ratios, which stay in double range where l itself (with its factor
+(2 pi)^{-k/2}) does not.  ``triple`` derives the linear (l, l', l'') and the
+``ell`` view exposes it as a ScalarFn.  One layer down a ScalarFn carries one
 ``triple`` callable, so a Laplace-route profile reads (G, G', G'') in one
-call.  The ``ell`` view exposes the profile's triple as a ScalarFn for
-callers that want l alone.  The two shapes that several families share
-have one constructor each: :func:`squared_profile` for l = S^2 and
-:func:`laplace_profile` for l = scale * G(u^2/2).
+call.  The two shapes that several families share have one constructor
+each: :func:`squared_profile` for l = S^2 and :func:`laplace_profile` for
+l = e^{log_scale} G(u^2/2).
 
 Marginals pair e^{-u^2/2} decay against e^{ur}-growing Bessel kernels, so the
 radial route is evaluated entirely in log space; derivatives come from
@@ -56,9 +58,11 @@ _CHUNK = 16384    # marginal_mixture integrates at most this many u per batch
 
 @dataclass
 class MarginalProfile:
-    """The marginal labeling function l(u), given by its triple, plus its route.
+    """The marginal labeling function l(u), given by its log-ratio triple,
+    plus its route.
 
-    ``triple_fn`` maps a float array u to (l, l', l'') evaluated together.
+    ``triple_fn`` maps a float array u to (log l, l'/l, l''/l) evaluated
+    together.
     """
     k: int
     route: str
@@ -69,11 +73,17 @@ class MarginalProfile:
         if self.extra is None:
             self.extra = {}
 
+    def ratios(self, u) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(log l, l'/l, l''/l) vectorized over u, in one call of triple_fn."""
+        return tuple(np.asarray(x, dtype=float)
+                     for x in self.triple_fn(np.asarray(u, dtype=float)))
+
     def triple(self, u) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(l, l', l'') evaluated vectorized over u, in one call of triple_fn."""
-        ell, d1, d2 = self.triple_fn(np.asarray(u, dtype=float))
-        return (np.asarray(ell, dtype=float), np.asarray(d1, dtype=float),
-                np.asarray(d2, dtype=float))
+        """(l, l', l'') = l (1, l'/l, l''/l), derived from ``ratios``; l
+        underflows to 0 where log l falls below the double range."""
+        log_ell, r1, r2 = self.ratios(u)
+        ell = np.exp(log_ell)
+        return ell, ell * r1, ell * r2
 
     @property
     def ell(self) -> ScalarFn:
@@ -85,7 +95,7 @@ class MarginalProfile:
 def flat_profile(k: int) -> MarginalProfile:
     """Constant marginal surrogate: the Bayes rule degenerates to delta(x)=x."""
     def triple(u):
-        return np.ones_like(u), np.zeros_like(u), np.zeros_like(u)
+        return np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
 
     return MarginalProfile(k=k, route="flat", triple_fn=triple)
 
@@ -101,7 +111,7 @@ def power_law_profile(k: int, exponent: float) -> MarginalProfile:
     p = exponent
 
     def triple(u):
-        return u ** p, p * u ** (p - 1.0), p * (p - 1.0) * u ** (p - 2.0)
+        return p * np.log(u), p / u, p * (p - 1.0) / (u * u)
 
     return MarginalProfile(k=k, route="formal_power_law", triple_fn=triple,
                            extra={"formal": True, "exponent": p})
@@ -111,27 +121,28 @@ def squared_profile(k: int, S_triple: Callable, route: str,
                     extra: Dict = None) -> MarginalProfile:
     """Profile l = S^2 from the triple (S, S', S'') of a solution combination.
 
-    l' = 2 S S' and l'' = 2 (S'^2 + S S'').  This is the formal marginal
+    l'/l = 2 S'/S and l''/l = 2 ((S'/S)^2 + S''/S).  This is the formal marginal
     h(u) F(u) of the spherical construction: the Gaussian factors of h and
     F = S^2 u^{(k-1)/2} e^{u^2/2} cancel exactly.
     """
     def triple(u):
         S, S1, S2 = S_triple(u)
-        return S ** 2, 2.0 * S * S1, 2.0 * (S1 ** 2 + S * S2)
+        r = S1 / S
+        return 2.0 * np.log(np.abs(S)), 2.0 * r, 2.0 * (r * r + S2 / S)
 
     return MarginalProfile(k=k, route=route, triple_fn=triple, extra=extra)
 
 
-def laplace_profile(G: ScalarFn, k: int, route: str, scale: float) -> MarginalProfile:
-    """Profile of the mixture identification l(u) = scale * G(u^2/2).
+def laplace_profile(G: ScalarFn, k: int, route: str, log_scale: float) -> MarginalProfile:
+    """Profile of the mixture identification l(u) = e^{log_scale} G(u^2/2).
 
-    l' = scale u G'(s) and l'' = scale (u^2 G''(s) + G'(s)) at s = u^2/2,
+    l'/l = u G'(s)/G(s) and l''/l = (u^2 G''(s) + G'(s))/G(s) at s = u^2/2,
     from one ``G.triple`` call per triple.
     """
     def triple(u):
         s = 0.5 * np.square(u)
         G0, G1, G2 = (np.asarray(x, dtype=float) for x in G.triple(s))
-        return scale * G0, (scale * u) * G1, scale * (np.square(u) * G2 + G1)
+        return log_scale + np.log(G0), u * G1 / G0, (np.square(u) * G2 + G1) / G0
 
     return MarginalProfile(k=k, route=route, triple_fn=triple)
 
@@ -225,36 +236,28 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD) -> Margin
         dP = -u - nu / u                    # P'/P for P = e^{-u^2/2} u^{-nu}
         d2P = dP * dP + (-1.0 + nu / (u * u))
         log_ell = logA - 0.5 * u * u - nu * np.log(u) + logJ0
-        ell = np.exp(log_ell)
-        d1 = dP + dJ
-        d2 = d2P + 2.0 * dP * dJ + d2J
-        return ell, ell * d1, ell * d2
+        return log_ell, dP + dJ, d2P + 2.0 * dP * dJ + d2J
 
     def _eval_small(u):
         # l(u) = B e^{-u^2/2} [M0 + u^2 M2 / (4(nu+1)) + u^4 M4 / (32(nu+1)(nu+2))]
-        B = math.exp(logA - nu * math.log(2.0) - math.lgamma(nu + 1.0) + log_M0)
+        log_B = logA - nu * math.log(2.0) - math.lgamma(nu + 1.0) + log_M0
         c2 = mom_ratio[1] / (4.0 * (nu + 1.0))
         c4 = mom_ratio[2] / (32.0 * (nu + 1.0) * (nu + 2.0))
-        e = np.exp(-0.5 * u * u)
         poly = 1.0 + c2 * u * u + c4 * u ** 4
         dpoly = 2.0 * c2 * u + 4.0 * c4 * u ** 3
         d2poly = 2.0 * c2 + 12.0 * c4 * u * u
-        ell = B * e * poly
-        d1 = B * e * (dpoly - u * poly)
-        d2 = B * e * (d2poly - 2.0 * u * dpoly + (u * u - 1.0) * poly)
-        return ell, d1, d2
+        return (log_B - 0.5 * u * u + np.log(poly), (dpoly - u * poly) / poly,
+                (d2poly - 2.0 * u * dpoly + (u * u - 1.0) * poly) / poly)
 
     def _triple(u):
         u = np.atleast_1d(u)
-        ell = np.empty_like(u)
-        d1 = np.empty_like(u)
-        d2 = np.empty_like(u)
+        out = np.empty((3, u.size))
         small = u < _SMALL_U
         if np.any(small):
-            ell[small], d1[small], d2[small] = _eval_small(u[small])
+            out[:, small] = _eval_small(u[small])
         if np.any(~small):
-            ell[~small], d1[~small], d2[~small] = _eval_large(u[~small])
-        return ell, d1, d2
+            out[:, ~small] = _eval_large(u[~small])
+        return tuple(out)
 
     return MarginalProfile(k=k, route="radial_quadrature", triple_fn=_triple)
 
@@ -269,10 +272,11 @@ def marginal_mixture(h: MixingDensity, quad: QuadSpec = DEFAULT_QUAD) -> Margina
         l(u) = (2 pi)^{-k/2} int_0^1 t^{k/2-2} h((1-t)/t) e^{-u^2 t/2} dt.
 
     l' and l'' use the exactly differentiated integrands (-ut) and
-    (u^2 t^2 - t) times the same kernel.
+    (u^2 t^2 - t) times the same kernel, so l'/l and l''/l are quotients of
+    integrals over one partition and the constant factor enters only log l.
     """
     k = h.k
-    C = (2.0 * math.pi) ** (-0.5 * k)
+    log_C = -0.5 * k * math.log(2.0 * math.pi)
     v_lo = max(h.h.support[0], 0.0)
     v_hi = h.h.support[1]
     t_lo = 0.0 if math.isinf(v_hi) else 1.0 / (1.0 + v_hi)
@@ -298,17 +302,16 @@ def marginal_mixture(h: MixingDensity, quad: QuadSpec = DEFAULT_QUAD) -> Margina
         total = _quad.integrate_rows(rows, t_lo, t_hi, quad.rel_tol,
                                      quad.abs_tol, quad.max_depth)
         m = len(u)
-        return C * total[:m], C * total[m:2 * m], C * total[2 * m:]
+        J0 = total[:m]
+        return log_C + np.log(J0), total[m:2 * m] / J0, total[2 * m:] / J0
 
     def _triple(u):
         u = np.atleast_1d(u)
-        outs = [np.empty_like(u) for _ in range(3)]
+        out = np.empty((3, u.size))
         for start in range(0, len(u), _CHUNK):
             sl = slice(start, start + _CHUNK)
-            res = _triple_chunk(u[sl])
-            for o, r in zip(outs, res):
-                o[sl] = r
-        return tuple(outs)
+            out[:, sl] = _triple_chunk(u[sl])
+        return tuple(out)
 
     return MarginalProfile(k=k, route="mixture_quadrature", triple_fn=_triple)
 
@@ -334,7 +337,7 @@ def marginal_strawderman(a: float, k: int) -> MarginalProfile:
         raise DomainError(f"k >= 3 required, got {k}")
     return laplace_profile(monomial_laplace_G(k / 2.0 - a), k,
                            "strawderman_closed_form",
-                           (1.0 - a) * (2.0 * math.pi) ** (-0.5 * k))
+                           math.log1p(-a) - 0.5 * k * math.log(2.0 * math.pi))
 
 
 def monomial_mixture_profile(n: int, k: int) -> MarginalProfile:
@@ -347,6 +350,6 @@ def monomial_mixture_profile(n: int, k: int) -> MarginalProfile:
     (v+1)^{k/2-2-n}.
     """
     prof = laplace_profile(monomial_laplace_G(n), k, "mixture_closed_form",
-                           (2.0 * math.pi) ** (-0.5 * k))
+                           -0.5 * k * math.log(2.0 * math.pi))
     prof.extra["n"] = n
     return prof

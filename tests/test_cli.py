@@ -289,6 +289,18 @@ class TestRisk:
         for rec in doc:
             assert math.isfinite(rec["mc_risk"]) and rec["mc_risk"] < k
 
+    def test_strawderman_k400_far_from_origin(self, tmp_path):
+        """At k = 400, |theta| = 30 the samples sit near u = 36, where l
+        underflows to 0; the rule reads only l'/l and l''/l, so no sample
+        fails."""
+        code, out = run(tmp_path, {
+            "command": "risk",
+            "prior_spec": {"family": "strawderman", "k": 400, "params": {"a": 0.5}},
+            "mc": {"n_samples": 4000, "seed": 7, "theta_norms": [0.0, 30.0]}})
+        assert code == 0
+        doc = json.loads(open(os.path.join(out, "risk_report.json")).read())
+        assert [rec["n_failures"] for rec in doc] == [0, 0]
+
     def test_exceedance_exit_code(self, tmp_path):
         """An expanding formal rule (growing profile) exceeds k + 3 stderr."""
         code, out = run(tmp_path, {

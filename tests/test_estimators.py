@@ -109,8 +109,8 @@ class TestMcRisk:
         base = mg.monomial_mixture_profile(2, 5)
 
         def with_hole(u):
-            ell, d1, d2 = base.triple(u)
-            return np.where(u < 0.35, np.nan, ell), d1, d2
+            log_ell, r1, r2 = base.ratios(u)
+            return log_ell, np.where(u < 0.35, np.nan, r1), r2
 
         holed = mg.MarginalProfile(k=5, triple_fn=with_hole, route="holed")
         rep = es.mc_risk(holed, np.zeros(5), 50000, 11)
@@ -119,7 +119,7 @@ class TestMcRisk:
 
     def test_too_many_failures_is_hard_error(self):
         bad = mg.MarginalProfile(
-            k=5, triple_fn=lambda u: (np.full_like(u, np.nan), np.zeros_like(u),
+            k=5, triple_fn=lambda u: (np.zeros_like(u), np.full_like(u, np.nan),
                                       np.zeros_like(u)),
             route="broken")
         with pytest.raises(EvaluationError):
@@ -137,8 +137,8 @@ class TestMcRisk:
         loss, sure = [], []
         for child in np.random.SeedSequence(seed).spawn(2):
             X = theta + np.random.default_rng(child).standard_normal((es._BATCH, k))
-            rho, _, ok, s = es._shrink_terms(strawderman_profile,
-                                             np.linalg.norm(X, axis=1), k)
+            rho, ok, s = es._shrink_terms(strawderman_profile,
+                                          np.linalg.norm(X, axis=1), k)
             assert ok.all()
             loss.append(np.sum((X * (1.0 + rho)[:, None] - theta) ** 2, axis=1))
             sure.append(s)
@@ -155,9 +155,9 @@ class TestMcRisk:
         assert rep.coupled()
 
     def test_nonfinite_shrinkage_is_a_failure(self):
-        # finite, positive triple whose ratio l'/l overflows
+        # finite log l whose ratio l'/l is infinite
         tiny = mg.MarginalProfile(
-            k=5, triple_fn=lambda u: (np.full_like(u, 1e-320), np.ones_like(u),
+            k=5, triple_fn=lambda u: (np.full_like(u, -737.0), np.full_like(u, np.inf),
                                       np.zeros_like(u)),
             route="tiny")
         with pytest.raises(EvaluationError), np.errstate(all="ignore"):

@@ -204,16 +204,44 @@ class TestStrawdermanClosedForm:
         assert abs(d1 - want1) <= 1e-12 * abs(want1) + 1e-300
         assert abs(d2 - (t1 + t2)) <= 1e-12 * (abs(t1) + abs(t2)) + 1e-300
 
+    @pytest.mark.parametrize("k", [400, 1500])
+    def test_log_ell_matches_kummer_at_large_k(self, k):
+        """log l against mpmath's 1F1 form where l itself underflows: at
+        k = 1500 the factor (2 pi)^{-k/2} alone is 0 in doubles."""
+        a = 0.5
+        c = k / 2.0 - a + 1.0
+        u = np.array([0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0])
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.log((1.0 - a) / c * mpmath.hyp1f1(c, c + 1, -0.5 * x * x))
+                                   - 0.5 * k * mpmath.log(2 * mpmath.pi))
+                             for x in u])
+        closed = mg.marginal_strawderman(a, k).ratios(u)[0]
+        mixture = mg.marginal_mixture(pr.strawderman_mixing(a, k)).ratios(u)[0]
+        np.testing.assert_allclose(closed, want, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(mixture, want, rtol=0, atol=1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.floats(0.0, 0.99), k=st.integers(3, 400), u=st.floats(0.05, 30.0))
+    def test_ratios_match_mixture_route(self, a, k, u):
+        """Closed form and mixture quadrature agree in (log l, l'/l, l''/l)."""
+        closed = mg.marginal_strawderman(a, k).ratios([u])
+        mixture = mg.marginal_mixture(pr.strawderman_mixing(a, k)).ratios([u])
+        for got, want in zip(mixture, closed):
+            assert float(got[0]) == pytest.approx(float(want[0]), rel=5e-8, abs=5e-8)
+
     @pytest.mark.parametrize("n, k", [(1, 3), (2, 4), (2, 5), (3, 7), (5, 10)])
     def test_example1_identity(self, n, k):
         """Strawderman a = k/2 - n is example1(n) scaled by 1 - a: the same G,
-        so the same rho(u) and the same Monte Carlo risk at one seed."""
+        so the same ratios l'/l, l''/l and the same Monte Carlo risk at one
+        seed, with log l shifted by log(1 - a)."""
         a = k / 2.0 - n
         straw = mg.marginal_strawderman(a, k)
         ex1 = mg.monomial_mixture_profile(n, k)
         u = np.concatenate([[0.0], np.geomspace(1e-3, 40.0, 200)])
-        for got, want in zip(straw.triple(u), ex1.triple(u)):
-            np.testing.assert_array_equal(got, (1.0 - a) * want)
+        (log_s, *ratios_s), (log_e, *ratios_e) = straw.ratios(u), ex1.ratios(u)
+        for got, want in zip(ratios_s, ratios_e):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_allclose(log_s - log_e, math.log1p(-a), rtol=0, atol=1e-14)
         norms = [0.0, 3.0]
         assert (estimators.risk_curve(straw, norms, 4096, 17)
                 == estimators.risk_curve(ex1, norms, 4096, 17))
