@@ -129,9 +129,9 @@ FAMILIES: Dict[str, Family] = {
     "whittaker": Family(
         check=lambda k, p: (None if _num(p, "gamma") + (k + 1.0) / 2.0 > 0
                             else "gamma with gamma + (k+1)/2 > 0"),
-        # formal transform identity: l proportional to u^{gamma + (1-k)/2}
-        profile=lambda k, p, q, m: marginals.power_law_profile(
-            k, p["gamma"] + (1.0 - k) / 2.0),
+        # formal transform identity: l proportional to u^{gamma + (1-k)/2} = S^2
+        profile=lambda k, p, q, m: marginals.squared_profile(
+            k, priors.power_exp_S(p["gamma"], k), "formal_power_law", {"formal": True}),
         checkers=lambda k, p, u, q, m: [conditions.check_spherical_minimax_bound(
             priors.power_exp_profile(p["gamma"], k), k, u)],
         radial=lambda k, p, q: priors.whittaker_radial(p["gamma"], k)),

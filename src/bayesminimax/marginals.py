@@ -25,9 +25,10 @@ l = e^{log_scale} G(u^2/2).
 
 Marginals pair e^{-u^2/2} decay against e^{ur}-growing Bessel kernels, so the
 radial route is evaluated entirely in log space; derivatives come from
-differentiating under the integral sign (Bessel recurrence
-I_nu' = I_{nu-1} - (nu/x) I_nu plus the modified Bessel equation for the
-second derivative), never from finite differences.  All evaluators are
+differentiating under the integral sign with the order-raising identity
+(x^{-nu} I_nu)' = x^{-nu} I_{nu+1} (DLMF 10.29.4), never from finite
+differences.  That identity subtracts no term of size nu/u, so one formula
+serves every u down to the origin.  All evaluators are
 vectorized over u: one shared adaptive panel partition serves a whole query
 batch, which is what makes Monte Carlo risk runs with ~1e6 marginal
 evaluations cheap.
@@ -49,10 +50,9 @@ from .transforms import DEFAULT_QUAD, QuadSpec, ScalarFn
 __all__ = [
     "MarginalProfile", "marginal_radial", "marginal_mixture",
     "marginal_strawderman", "monomial_mixture_profile", "flat_profile",
-    "power_law_profile", "squared_profile", "laplace_profile",
+    "squared_profile", "laplace_profile",
 ]
 
-_SMALL_U = 1e-2   # marginal_radial uses its origin series below this u
 _CHUNK = 16384    # marginal_mixture integrates at most this many u per batch
 
 
@@ -100,23 +100,6 @@ def flat_profile(k: int) -> MarginalProfile:
     return MarginalProfile(k=k, route="flat", triple_fn=triple)
 
 
-def power_law_profile(k: int, exponent: float) -> MarginalProfile:
-    """Formal power-law profile l(u) = u^exponent.
-
-    Used for families whose marginal is known only as a formal transform
-    identity (the Whittaker radial family has l proportional to
-    u^{gamma+(1-k)/2} in that sense); the actual marginal integral diverges,
-    which is flagged by route = formal_power_law.
-    """
-    p = exponent
-
-    def triple(u):
-        return p * np.log(u), p / u, p * (p - 1.0) / (u * u)
-
-    return MarginalProfile(k=k, route="formal_power_law", triple_fn=triple,
-                           extra={"formal": True, "exponent": p})
-
-
 def squared_profile(k: int, S_triple: Callable, route: str,
                     extra: Dict = None) -> MarginalProfile:
     """Profile l = S^2 from the triple (S, S', S'') of a solution combination.
@@ -154,18 +137,19 @@ def laplace_profile(G: ScalarFn, k: int, route: str, log_scale: float) -> Margin
 def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD) -> MarginalProfile:
     """Marginal profile by log-space quadrature against the Bessel kernel.
 
-    Derivatives in u go through J0 = int w I_nu(ur) dr,
-    J1 = int w r I_{nu-1}(ur) dr and J2 = int w r^2 I_nu(ur) dr with
-    w(r) = e^{-r^2/2} r^{-nu} lambda(r):
+    With w(r) = e^{-r^2/2} r^{-nu} lambda(r) the marginal is
+    l = A e^{-u^2/2} K(u), K = u^{-nu} J0, and the order-raising identity
+    (x^{-nu} I_nu)' = x^{-nu} I_{nu+1} (DLMF 10.29.4) gives
 
-        J0'  = J1 - (nu/u) J0,
-        J0'' = J2 + (nu^2/u^2) J0 - J0'/u      (modified Bessel equation),
+        K'/K  = J1/J0,
+        K''/K = J2/J0 - (2 nu + 1) J1/(u J0),
 
-    combined with the log-derivatives of the prefactor e^{-u^2/2} u^{-nu}.
-    Below u = 0.01 the removable 0/0 form is replaced by the series from
-    the leading Bessel terms.  The integrands are built from log|lambda|, so
-    a signed lambda raises DomainError rather than being integrated as
-    |lambda|.
+    with J0 = int w I_nu(ur) dr, J1 = int w r I_{nu+1}(ur) dr and
+    J2 = int w r^2 I_nu(ur) dr.  Then l'/l = K'/K - u and
+    l''/l = u^2 - 1 - 2u K'/K + K''/K.  No term of size nu/u is subtracted,
+    so this one formula serves every u > 0; u = 0 is evaluated as its limit
+    at u = 1e-300.  The integrands are built from log|lambda|, so a signed
+    lambda raises DomainError rather than being integrated as |lambda|.
     """
     if not prior.lam.nonneg:
         raise DomainError(f"radial quadrature needs a nonnegative lambda, got the "
@@ -178,86 +162,47 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD) -> Margin
     r_hi_sup = lam.support[1]
 
     def log_w(r):
-        r = np.asarray(r, dtype=float)
         with np.errstate(all="ignore"):
             out = -0.5 * r * r - nu * np.log(r) + lam.log_abs(r)
         return np.where(np.isnan(out), -np.inf, out)
 
-    # moments for the small-u series: M_j = int r^j e^{-r^2/2} lambda(r) dr
-    def _moments():
-        def rows(r):
-            r = np.asarray(r, dtype=float)
-            base = -0.5 * r * r + lam.log_abs(r)
-            return np.stack([base, base + 2.0 * np.log(r), base + 4.0 * np.log(r)])
+    def log_i(order, x):
+        """log I_order(x), from the scaled kernel."""
+        with np.errstate(all="ignore"):
+            return specfun.log_bessel_i_scaled(order, x) + x
 
-        lo_eff, hi_eff, peak = _quad.scan_log_peak(
-            lambda r: np.max(rows(r), axis=0), max(r_lo, 0.0),
-            r_hi_sup, quad.tail_cut)
-        logs = _quad.integrate_rows_log(rows, max(r_lo, 0.0), hi_eff,
-                                        quad.rel_tol, quad.max_depth)
-        return np.exp(logs - logs[0]), logs[0]  # (1, M2/M0, M4/M0), log M0
-
-    mom_ratio, log_M0 = _moments()
-
-    def _eval_large(u):
-        rows_n = len(u)
+    def _triple(u):
+        u = np.maximum(np.atleast_1d(u), 1e-300)
+        n = len(u)
 
         def rows(r):
             r = np.asarray(r, dtype=float)
-            lw = log_w(r)
-            ur = u[:, None] * r[None, :]
-            with np.errstate(all="ignore"):
-                b_nu = specfun.log_bessel_i_scaled(nu, ur.ravel()).reshape(ur.shape)
-                b_nu1 = specfun.log_bessel_i_scaled(nu - 1.0, ur.ravel()).reshape(ur.shape)
+            lw = log_w(r)[None, :]
+            with np.errstate(divide="ignore"):
                 logr = np.log(r)[None, :]
-            j0 = lw[None, :] + b_nu + ur
-            j1 = lw[None, :] + logr + b_nu1 + ur
-            j2 = lw[None, :] + 2.0 * logr + b_nu + ur
-            return np.concatenate([j0, j1, j2], axis=0)
+            ur = (u[:, None] * r[None, :]).ravel()
+            b_nu = log_i(nu, ur).reshape(n, -1)
+            b_nu1 = log_i(nu + 1.0, ur).reshape(n, -1)
+            return np.concatenate([lw + b_nu, lw + logr + b_nu1,
+                                   lw + 2.0 * logr + b_nu], axis=0)
 
         u_max = float(np.max(u))
 
         def scan_fn(r):
+            # I_{nu+1} < I_nu (DLMF 10.37.1), so this bounds every row
             r = np.asarray(r, dtype=float)
-            ur = u_max * r
-            with np.errstate(all="ignore"):
-                return (log_w(r) + specfun.log_bessel_i_scaled(nu, ur) + ur
-                        + 2.0 * np.maximum(np.log(r), 0.0))
+            with np.errstate(divide="ignore"):
+                return log_w(r) + log_i(nu, u_max * r) + 2.0 * np.maximum(np.log(r), 0.0)
 
-        lo_eff, hi_eff, peak = _quad.scan_log_peak(scan_fn, r_lo, r_hi_sup,
-                                                   quad.tail_cut)
+        _, hi_eff, _ = _quad.scan_log_peak(scan_fn, r_lo, r_hi_sup, quad.tail_cut)
         logs = _quad.integrate_rows_log(rows, r_lo, hi_eff, quad.rel_tol,
                                         quad.max_depth)
-        logJ0, logJ1, logJ2 = logs[:rows_n], logs[rows_n:2 * rows_n], logs[2 * rows_n:]
-        j1 = np.exp(logJ1 - logJ0)
-        j2 = np.exp(logJ2 - logJ0)
-        dJ = j1 - nu / u                    # J0'/J0
-        d2J = j2 + (nu / u) ** 2 - dJ / u   # J0''/J0
-        dP = -u - nu / u                    # P'/P for P = e^{-u^2/2} u^{-nu}
-        d2P = dP * dP + (-1.0 + nu / (u * u))
-        log_ell = logA - 0.5 * u * u - nu * np.log(u) + logJ0
-        return log_ell, dP + dJ, d2P + 2.0 * dP * dJ + d2J
-
-    def _eval_small(u):
-        # l(u) = B e^{-u^2/2} [M0 + u^2 M2 / (4(nu+1)) + u^4 M4 / (32(nu+1)(nu+2))]
-        log_B = logA - nu * math.log(2.0) - math.lgamma(nu + 1.0) + log_M0
-        c2 = mom_ratio[1] / (4.0 * (nu + 1.0))
-        c4 = mom_ratio[2] / (32.0 * (nu + 1.0) * (nu + 2.0))
-        poly = 1.0 + c2 * u * u + c4 * u ** 4
-        dpoly = 2.0 * c2 * u + 4.0 * c4 * u ** 3
-        d2poly = 2.0 * c2 + 12.0 * c4 * u * u
-        return (log_B - 0.5 * u * u + np.log(poly), (dpoly - u * poly) / poly,
-                (d2poly - 2.0 * u * dpoly + (u * u - 1.0) * poly) / poly)
-
-    def _triple(u):
-        u = np.atleast_1d(u)
-        out = np.empty((3, u.size))
-        small = u < _SMALL_U
-        if np.any(small):
-            out[:, small] = _eval_small(u[small])
-        if np.any(~small):
-            out[:, ~small] = _eval_large(u[~small])
-        return tuple(out)
+        logJ0, logJ1, logJ2 = logs[:n], logs[n:2 * n], logs[2 * n:]
+        log_u = np.log(u)
+        dK = np.exp(logJ1 - logJ0)                                   # K'/K
+        d2K = np.exp(logJ2 - logJ0) - (2.0 * nu + 1.0) * np.exp(logJ1 - logJ0 - log_u)
+        log_ell = logA - 0.5 * u * u - nu * log_u + logJ0
+        return log_ell, dK - u, u * u - 1.0 - 2.0 * u * dK + d2K
 
     return MarginalProfile(k=k, route="radial_quadrature", triple_fn=_triple)
 

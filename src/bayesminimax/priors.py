@@ -41,7 +41,7 @@ __all__ = [
     "normal_radial", "mixture_radial",
     "strawderman_radial", "monomial_mixing", "gen_beta_kernel",
     "gen_beta_mixing", "construct_spherical", "inverse_square_profile",
-    "monomial_pair",
+    "monomial_pair", "power_exp_S",
     "whittaker_radial", "construct_G_mixture", "mixing_from_unit_kernel",
     "monomial_laplace_G", "probe_properness",
     "prior_from_spec",
@@ -692,25 +692,22 @@ def inverse_square_profile(b: float, k: int, A1: float = 1.0, A2: float = 0.0) -
                              label=f"inverse_square_profile(b={b})")
 
 
+def power_exp_S(gamma: float, k: int):
+    """(S, S', S'') triple function of S = u^rho, rho = (gamma - (k-1)/2)/2:
+    the solution behind the profile u^gamma e^{u^2/2} and its formal
+    marginal l = S^2 = u^{gamma + (1-k)/2}."""
+    rho = 0.5 * (gamma - 0.5 * (k - 1.0))
+
+    def S_triple(u):
+        u = np.asarray(u, dtype=float)
+        return u ** rho, rho * u ** (rho - 1.0), rho * (rho - 1.0) * u ** (rho - 2.0)
+
+    return S_triple
+
+
 def power_exp_profile(gamma: float, k: int) -> ScalarFn:
     """The single-term profile F(u) = u^gamma e^{u^2/2} with derivatives."""
-
-    def log_F(u):
-        u = np.asarray(u, dtype=float)
-        with np.errstate(divide="ignore"):
-            return gamma * np.log(u) + u * u / 2.0
-
-    def F_eval(u):
-        return np.exp(log_F(u))
-
-    def F_triple(u):
-        u = np.asarray(u, dtype=float)
-        F, r = F_eval(u), gamma / u + u
-        return F, F * r, F * (r * r - gamma / (u * u) + 1.0)
-
-    return ScalarFn(eval=F_eval, triple=F_triple,
-                    support=(0.0, math.inf), label=f"u^{gamma} exp(u^2/2)",
-                    log_eval=log_F, nonneg=True)
+    return _assemble_profile(power_exp_S(gamma, k), k, label=f"u^{gamma} exp(u^2/2)")
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,8 @@ class TestSure:
     def test_power_law_closed_form(self):
         """l'(u)/l(u) = -(k-2)/u makes SURE = k - (k-2)^2/u^2 exactly."""
         k = 5
-        prof = mg.power_law_profile(k, -(k - 2.0))
+        # l = S^2 = u^{-(k-2)}: the Whittaker formal marginal at gamma = (3-k)/2
+        prof = mg.squared_profile(k, pr.power_exp_S((3.0 - k) / 2.0, k), "formal_power_law")
         for u in (1.5, 3.0, 8.0):
             x = np.zeros(k)
             x[0] = u

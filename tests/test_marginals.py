@@ -7,6 +7,7 @@ antiderivatives at u = 0.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -48,8 +49,9 @@ class TestRadialRoute:
 
     @pytest.mark.parametrize("k", [3, 4, 8])
     def test_normal_prior_low_and_high_dimension(self, k):
-        """k=3 drives the I_{-1/2} derivative kernel, k=4 the integer order
-        I_0; the N(0, 2I_k) closed form is exact in every dimension."""
+        """k=3 drives the half-integer kernels I_{1/2} and I_{3/2}, k=4 the
+        integer orders I_1 and I_2; the N(0, 2I_k) closed form is exact in
+        every dimension."""
         prior = pr.RadialPrior(k=k, lam=pr.normal_radial(1.0, k),
                                proper=pr.PROPER, mass=1.0)
         prof = mg.marginal_radial(prior, tr.QuadSpec(rel_tol=1e-10))
@@ -82,20 +84,45 @@ class TestRadialRoute:
         np.testing.assert_allclose(e_r[1], e_c[1], rtol=1e-6)
         np.testing.assert_allclose(e_r[2], e_c[2], rtol=2e-6)
 
-    def test_origin_limit_finite_and_smooth(self, monkeypatch):
-        prior = pr.RadialPrior(k=5, lam=pr.normal_radial(1.0, 5),
-                               proper=pr.PROPER, mass=1.0)
-        prof = mg.marginal_radial(prior, tr.QuadSpec(rel_tol=1e-10))
-        exact0 = (4.0 * math.pi) ** -2.5
-        got0 = float(np.atleast_1d(prof.ell.eval(1e-4))[0])
-        assert got0 == pytest.approx(exact0, rel=1e-8)
-        # both branches evaluated at the same u by moving the switch point
-        u = 0.01
-        monkeypatch.setattr(mg, "_SMALL_U", 0.02)
-        a = float(np.atleast_1d(prof.ell.eval(u))[0])
-        monkeypatch.setattr(mg, "_SMALL_U", 0.005)
-        b = float(np.atleast_1d(prof.ell.eval(u))[0])
-        assert a == pytest.approx(b, rel=1e-9)
+    def test_origin_limit_finite_and_smooth(self):
+        """The N(0, 2I_k) marginal l = (4 pi)^{-k/2} e^{-u^2/4} at u = 0, near
+        it and at u = 0.0101, where a derivative form that subtracts terms of
+        size nu/u and nu^2/u^2 loses digits."""
+        u = np.array([0.0, 1e-4, 0.0101])
+        for k in (3, 4, 5, 8):
+            prior = pr.RadialPrior(k=k, lam=pr.normal_radial(1.0, k),
+                                   proper=pr.PROPER, mass=1.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                log_ell, r1, r2 = mg.marginal_radial(prior).ratios(u)
+            np.testing.assert_allclose(
+                log_ell, -0.5 * k * math.log(4.0 * math.pi) - u * u / 4.0,
+                rtol=0, atol=1e-10)
+            np.testing.assert_allclose(r1, -u / 2.0, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(r2, u * u / 4.0 - 0.5, rtol=0, atol=1e-10)
+
+    @staticmethod
+    def _assert_matches_strawderman(a, k, u):
+        """Radial quadrature of the Strawderman density against its closed
+        form, in (log l, l'/l, l''/l)."""
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        got = mg.marginal_radial(pr.strawderman_radial(a, k)).ratios(u)
+        want = mg.marginal_strawderman(a, k).ratios(u)
+        np.testing.assert_array_less(np.abs(got[0] - want[0]), 1e-10 * (1.0 + np.abs(want[0])))
+        np.testing.assert_array_less(np.abs(got[1] - want[1]), 1e-9 * (1.0 + u))
+        np.testing.assert_array_less(np.abs(got[2] - want[2]), 1e-9 * (1.0 + u * u))
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.floats(0.0, 0.99), k=st.integers(3, 70),
+           log_u=st.floats(math.log(1e-6), math.log(20.0)))
+    def test_matches_closed_form(self, a, k, log_u):
+        self._assert_matches_strawderman(a, k, math.exp(log_u))
+
+    @pytest.mark.parametrize("k", [69, 70])
+    def test_highest_dimensions_match_closed_form(self, k):
+        """k = 70 is the largest k whose kernel order nu + 1 = k/2 passes the
+        order guard of log_bessel_i_scaled; one batch spans u = 1e-6 to 20."""
+        self._assert_matches_strawderman(0.5, k, [1e-6, 0.01, 0.5, 2.0, 8.0, 20.0])
 
     def test_small_slope_near_origin(self):
         prior = pr.strawderman_radial(0.5, 5)
@@ -278,15 +305,6 @@ class TestSurrogates:
         ell, d1, d2 = prof.triple(u)
         assert np.all(ell == 1.0) and np.all(d1 == 0.0) and np.all(d2 == 0.0)
 
-    def test_power_law(self):
-        prof = mg.power_law_profile(5, -3.0)
-        u = np.array([0.5, 1.0, 2.0])
-        ell, d1, d2 = (2.0 * x for x in prof.triple(u))
-        np.testing.assert_allclose(ell, 2.0 * u ** -3.0, rtol=1e-14)
-        np.testing.assert_allclose(d1, -6.0 * u ** -4.0, rtol=1e-14)
-        np.testing.assert_allclose(d2, 24.0 * u ** -5.0, rtol=1e-14)
-        assert prof.extra["formal"]
-
 
 class TestTripleContract:
     """One triple() is one pass of the route: no component is recomputed."""
@@ -320,14 +338,25 @@ class TestTripleContract:
         self._assert_view_matches(prof, u, triple)
 
     def test_radial_two_log_batches_one_scan(self, monkeypatch):
+        """Building the profile integrates nothing; one triple is one scan,
+        one log-space row batch (two halves) and kernels of orders nu and
+        nu + 1 only, at every u including the origin."""
         prior = pr.RadialPrior(k=5, lam=pr.normal_radial(1.0, 5),
                                proper=pr.PROPER, mass=1.0)
+        names = ["adaptive_batch", "adaptive_batch_log", "integrate_rows",
+                 "integrate_rows_log", "scan_log_peak"]
+        counts = self._count(monkeypatch, _quad, names)
         prof = mg.marginal_radial(prior)
-        u = np.array([0.5, 1.0, 2.0])
-        counts = self._count(monkeypatch, _quad,
-                             ["adaptive_batch_log", "scan_log_peak"])
+        assert counts == dict.fromkeys(names, 0)
+        orders = []
+        kernel = specfun.log_bessel_i_scaled
+        monkeypatch.setattr(specfun, "log_bessel_i_scaled",
+                            lambda nu, x: orders.append(nu) or kernel(nu, x))
+        u = np.array([0.0, 1e-3, 0.5, 1.0, 2.0])
         triple = prof.triple(u)
-        assert counts == {"adaptive_batch_log": 2, "scan_log_peak": 1}
+        assert counts == {"adaptive_batch": 0, "adaptive_batch_log": 2, "integrate_rows": 0,
+                          "integrate_rows_log": 1, "scan_log_peak": 1}
+        assert set(orders) == {1.5, 2.5}
         self._assert_view_matches(prof, u, triple)
 
     def test_strawderman_no_kummer_calls(self, monkeypatch):

@@ -60,6 +60,19 @@ class TestBesselI:
                 continue
             assert sf.bessel_i(nu, x) == pytest.approx(ref, rel=5e-12)
 
+    @pytest.mark.parametrize("nu", [33.5, 34.0, 35.0])
+    def test_high_order_against_mpmath(self, nu):
+        """The orders the radial marginal needs up to k = 70, on both sides of
+        the series switch 30 + nu^2/2 (642.5 at nu = 35).  Near the switch the
+        ~400-term series carries about 1e-12 relative rounding in I_nu, the
+        same at nu = 33.5 as at the higher orders."""
+        cut = sf._series_switch(nu)
+        x = np.concatenate([np.geomspace(1e-3, 0.999 * cut, 30), cut * np.array([1.001, 1.5])])
+        got = sf.log_bessel_i_scaled(nu, x)
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.log(mpmath.besseli(nu, xi)) - xi) for xi in x])
+        np.testing.assert_allclose(got, want, rtol=0, atol=2e-12)
+
     def test_domain_and_convergence_errors(self):
         with pytest.raises(DomainError):
             sf.bessel_i(0.5, -1.0)
