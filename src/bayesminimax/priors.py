@@ -388,36 +388,45 @@ def monomial_laplace_G(n: float) -> ScalarFn:
         G'(s)  = -Gamma(n+2) P(n+2, s) / s^{n+2},
         G''(s) =  Gamma(n+3) P(n+3, s) / s^{n+3},
 
-    where P is the regularized lower incomplete gamma function.  Each moment
-    int_0^1 t^{b-1} e^{-st} dt (b = n+1+j) is that quotient where Gamma(b)
-    and s^b lie in double range, and is assembled in log space where they do
-    not (log space costs ~|b log s| ulps, the quotient a few).  Where P
-    itself would fall below ~e^{-600} (s < b and s^b e^{-s}/Gamma(b+1) <
-    e^{-600}; this includes s = 0) the moment comes from its positive series
-    instead.
+    where P is the regularized lower incomplete gamma function.  Only the top
+    moment M_b(s) = int_0^1 t^{b-1} e^{-st} dt, b = n+3, makes a ``gammainc``
+    call: it is that quotient where Gamma(b) and s^b lie in double range, and
+    is assembled in log space where they do not (log space costs ~|b log s|
+    ulps, the quotient a few).  Where P itself would fall below ~e^{-600}
+    (s < b and s^b e^{-s}/Gamma(b+1) < e^{-600}; this includes s = 0) it
+    comes from its positive series instead.  The two lower moments follow by
+    the downward recurrence
+
+        M_b(s) = (s M_{b+1}(s) + e^{-s}) / b,
+
+    integration by parts on int_0^1 t^{b-1} e^{-st} dt (DLMF 8.8.5).  Both
+    terms are positive, so nothing cancels and each step adds only a few
+    ulps.  ``eval`` is ``triple(s)[0]``: one ``gammainc`` call either way.
     """
     from scipy.special import gammainc
 
     if not n > -1:
         raise DomainError(f"requires n > -1, got {n}")
 
-    def moment(j, s):
+    b = n + 3.0
+
+    def triple(s):
         s = np.asarray(s, dtype=float)
-        b = n + 1 + j
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             log_s = np.log(s)
             P = gammainc(b, s)
-            out = np.array(math.gamma(b) * P / s ** b if b < 170.0 else P)
+            M2 = np.array(math.gamma(b) * P / s ** b if b < 170.0 else P)
             wide = ~(np.abs(b * log_s) < 700.0) | (b >= 170.0)
-            out[wide] = np.exp(math.lgamma(b) + np.log(P[wide]) - b * log_s[wide])
+            M2[wide] = np.exp(math.lgamma(b) + np.log(P[wide]) - b * log_s[wide])
             # log of P's leading factor; the factor 1F1(1; b+1; s) >= 1 only raises P
             small = (s < b) & (b * log_s - s - math.lgamma(b + 1.0) < -600.0)
-        out[small] = _laplace_moment_series(b, s[small])
-        return out
+        M2[small] = _laplace_moment_series(b, s[small])
+        e = np.exp(-s)
+        M1 = (s * M2 + e) / (n + 2.0)
+        return (s * M1 + e) / (n + 1.0), -M1, M2
 
     return ScalarFn(
-        eval=lambda s: moment(0, s),
-        triple=lambda s: (moment(0, s), -moment(1, s), moment(2, s)),
+        eval=lambda s: triple(s)[0], triple=triple,
         support=(0.0, math.inf), label=f"laplace[t^{n}]", nonneg=True)
 
 

@@ -255,6 +255,43 @@ class TestMonomialLaplaceG:
                 want = np.array([sign * float(mp.hyp1f1(b, b + 1, -si) / b) for si in s])
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-300)
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.floats(-1.0, 400.0, exclude_min=True),
+           s=st.one_of(st.just(0.0),
+                       st.floats(math.log(1e-8), math.log(3000.0)).map(math.exp)))
+    def test_downward_recurrence(self, n, s):
+        """G and -G' come from G'' by M_b = (s M_{b+1} + e^{-s}) / b; all
+        three match mpmath's 1F1(b; b+1; -s)/b, b = n+1+j, at any exponent."""
+        import mpmath as mp
+
+        parts = pr.monomial_laplace_G(n).triple(s)
+        for j, sign in enumerate((1.0, -1.0, 1.0)):
+            b = n + 1.0 + j
+            with mp.workdps(40):
+                want = float(mp.hyp1f1(b, b + 1, -s) / b)
+            got = sign * float(parts[j])
+            assert abs(got - want) <= 1e-12 * abs(want) + 1e-300
+
+    def test_one_gammainc_call_per_triple(self, monkeypatch):
+        """Only the top moment calls gammainc, on every branch: s = 1e-8
+        takes the series, 100 the quotient and 1e5 log space (b = 63.5)."""
+        import scipy.special
+
+        calls = []
+        inner = scipy.special.gammainc
+
+        def counting(a, x):
+            calls.append(a)
+            return inner(a, x)
+
+        monkeypatch.setattr(scipy.special, "gammainc", counting)
+        G = pr.monomial_laplace_G(60.5)
+        s = np.array([1e-8, 100.0, 1e5])
+        G.triple(s)
+        assert calls == [63.5]
+        G.eval(s)
+        assert calls == [63.5, 63.5]
+
     @pytest.mark.parametrize("n", [0.3, 2.5, -0.5])
     def test_real_exponent(self, n):
         """int_0^1 t^n e^{-st} dt = 1F1(n+1; n+2; -s)/(n+1) for real n > -1,
