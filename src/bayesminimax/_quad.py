@@ -61,18 +61,31 @@ def panel_nodes(a: float, b: float) -> np.ndarray:
     return 0.5 * (a + b) + half * _XK
 
 
-def _panel_estimates(vals: np.ndarray, half: float):
+def _panel_estimates(vals: np.ndarray, half: float, log: bool = False):
     """K15 integral, error estimate and roundoff floor from node values.
 
     ``vals`` has node axis last; returns (integral, error, floor) with that
     axis contracted.  Error follows the QUADPACK rescaling of |K15-G7| and
     never drops below the floor 50*eps*int|g| over the panel.
+
+    Buffer rule: the node-sized work of |g| and |g - mean| goes through one
+    scratch array.  In linear mode ``vals`` may belong to the caller's
+    integrand, so it is only read and the scratch is one fresh array.  In
+    log mode (``log=True``) ``vals`` is the panel's own exponentiated buffer,
+    nonnegative, so int|g| is the K15 sum itself and ``vals`` is the scratch;
+    it holds |g - mean| on return.
     """
     resk = vals @ _WK
     resg = vals @ _WG
-    resabs = np.abs(vals) @ _WK
+    if log:
+        scratch, resabs = vals, resk
+    else:
+        scratch = np.abs(vals)
+        resabs = scratch @ _WK
     mean = resk * 0.5
-    resasc = np.abs(vals - mean[..., None]) @ _WK
+    np.subtract(vals, mean[..., None], out=scratch)
+    np.abs(scratch, out=scratch)
+    resasc = scratch @ _WK
     err = np.abs(resk - resg)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(resasc > 0.0, np.minimum(1.0, (200.0 * err / np.where(resasc > 0, resasc, 1.0)) ** 1.5), 0.0)
@@ -183,12 +196,15 @@ def _make_panel_log(logf, lo, hi, depth):
             f"invalid log-integrand on [{lo:.6g}, {hi:.6g}]",
             worst_interval=(lo, hi))
     M = np.max(lv, axis=-1)
-    M = np.where(np.isfinite(M), M, 0.0)
-    vals = np.exp(lv - M[..., None])
-    I, err, floor = _panel_estimates(vals, half)
+    live = np.isfinite(M)
+    M = np.where(live, M, 0.0)
+    vals = lv - M[..., None]     # the panel's own buffer, exponentiated in place
+    np.exp(vals, out=vals)
+    I, err, floor = _panel_estimates(vals, half, log=True)
     with np.errstate(divide="ignore"):
         logI = M + np.log(np.maximum(I, 0.0))
-        logerr = M + np.log(np.maximum(err, 5.0 * _EPS * np.max(vals, axis=-1) * half))
+        # each live row's largest value is exp(0) = 1, a dead row's is 0
+        logerr = M + np.log(np.maximum(err, 5.0 * _EPS * live * half))
         logfloor = M + np.log(floor)
     return [lo, hi, depth, logI, logerr, logfloor]
 

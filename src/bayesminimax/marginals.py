@@ -182,9 +182,11 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD) -> Margin
                 logr = np.log(r)[None, :]
             ur = (u[:, None] * r[None, :]).ravel()
             b_nu = log_i(nu, ur).reshape(n, -1)
-            b_nu1 = log_i(nu + 1.0, ur).reshape(n, -1)
-            return np.concatenate([lw + b_nu, lw + logr + b_nu1,
-                                   lw + 2.0 * logr + b_nu], axis=0)
+            out = np.empty((3 * n, r.size))
+            np.add(lw, b_nu, out=out[:n])
+            np.add(lw + logr, log_i(nu + 1.0, ur).reshape(n, -1), out=out[n:2 * n])
+            np.add(lw + 2.0 * logr, b_nu, out=out[2 * n:])
+            return out
 
         u_max = float(np.max(u))
 
@@ -234,19 +236,26 @@ def marginal_mixture(h: MixingDensity, quad: QuadSpec = DEFAULT_QUAD) -> Margina
             return t ** (k / 2.0 - 2.0) * np.asarray(h.h.eval(v), dtype=float)
 
     def _triple_chunk(u):
+        m = len(u)
+        u2 = np.square(u)
+
         def rows(t):
+            # the l, l', l'' integrand blocks, written into one buffer
             t = np.asarray(t, dtype=float)
-            kern = kernel(t)[None, :]
-            damp = np.exp(-0.5 * np.square(u)[:, None] * t[None, :])
-            base = kern * damp
-            r0 = base
-            r1 = base * (-u[:, None] * t[None, :])
-            r2 = base * (np.square(u)[:, None] * np.square(t)[None, :] - t[None, :])
-            return np.concatenate([r0, r1, r2], axis=0)
+            out = np.empty((3 * m, t.size))
+            base, r1, r2 = out[:m], out[m:2 * m], out[2 * m:]
+            np.multiply(-0.5 * u2[:, None], t, out=base)
+            np.exp(base, out=base)
+            base *= kernel(t)
+            np.multiply(-u[:, None], t, out=r1)
+            r1 *= base
+            np.multiply(u2[:, None], np.square(t), out=r2)
+            r2 -= t
+            r2 *= base
+            return out
 
         total = _quad.integrate_rows(rows, t_lo, t_hi, quad.rel_tol,
                                      quad.abs_tol, quad.max_depth)
-        m = len(u)
         J0 = total[:m]
         return log_C + np.log(J0), total[m:2 * m] / J0, total[2 * m:] / J0
 

@@ -5,9 +5,13 @@ and integral representations:
 
 * ``log_bessel_i_scaled`` log(I_nu(x)) - x for nu > -1: power series
   (DLMF 10.25.2) below x = 30 + nu^2/2, large-argument expansion
-  (DLMF 10.40.1) above.  ``bessel_i`` is its scalar view
+  (DLMF 10.40.1) above.  Each branch fixes its term count once per batch,
+  in scalar code, at the argument where its relative tail is largest (the
+  largest x for the series, whose terms are all positive; the smallest for
+  the expansion), then sums that many terms over the whole batch with no
+  per-point masks.  ``bessel_i`` is its scalar view
   exp(log_bessel_i_scaled(nu, x) + x), for nu > -1 or a negative integer
-  (I_{-n} = I_n).
+  (I_{-n} = I_n); a value past the double range raises EvaluationError.
 * ``kummer_1f1`` Pochhammer series; negative arguments are always routed
   through Kummer's transformation 1F1(a;b;z) = e^z 1F1(b-a;b;-z), so an
   alternating series never cancels catastrophically.  Its callers are
@@ -40,6 +44,7 @@ __all__ = [
 
 _REL_TOL = 1e-12     # series and expansions stop below this relative term size
 _MAX_TERMS = 10000   # series budget before EvaluationError
+_EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -56,46 +61,65 @@ def _asymptotic_log_i_scaled(nu: float, x: np.ndarray, rel_tol: float) -> np.nda
 
     DLMF 10.40.1: I_nu(x) ~ e^x/sqrt(2 pi x) * sum_m (-1)^m a_m(nu)/x^m with
     a_m = prod_{j<=m} (4 nu^2-(2j-1)^2) / (m! 8^m).  The e^{-x} reflection
-    term is below 1e-26 relative on this branch and ignored.
+    term is below 1e-26 relative on this branch and ignored.  Every term's
+    size is largest at the smallest x, so the stop index (the smallest term,
+    or the first below rel_tol) is found once there in scalar arithmetic.
     """
     x = np.asarray(x, dtype=float)
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    a = 1.0
     fournu2 = 4.0 * nu * nu
-    prev_size = np.inf
+    x_min = float(np.min(x))
+    coeffs = []   # a_1 ... a_n, n fixed at x_min
+    a, x_pow, prev_size = 1.0, 1.0, math.inf
     for m in range(1, 60):
         a *= (fournu2 - (2 * m - 1) ** 2) / (8.0 * m)
-        term = term * (-1.0) / x  # sign alternation folded into the x power
-        size = float(np.max(np.abs(a) * np.abs(term)))
+        x_pow /= x_min   # x_min^-m
+        size = abs(a) * x_pow
         if size > prev_size:
             break  # divergent tail of the asymptotic series: stop at min term
-        total = total + a * term
+        coeffs.append(a)
         prev_size = size
         if size <= rel_tol:
             break
+    total = np.ones_like(x)
+    term = np.ones_like(x)
+    for a in coeffs:
+        term *= -1.0  # sign alternation folded into the x power
+        term /= x
+        total += a * term
     return -0.5 * np.log(2.0 * np.pi * x) + np.log(total)
 
 
 def _series_log_i(nu: float, x: np.ndarray, rel_tol: float, max_terms: int) -> np.ndarray:
-    """log I_nu(x) by the ascending series, for nu > -1 (positive terms)."""
+    """log I_nu(x) by the ascending series, for nu > -1 (positive terms).
+
+    The terms t_j = z^j / (j! (nu+1)_j), z = x^2/4, are all positive, and
+    past the largest term d/dz log(t_n / S) = (n - E_z[J])/z > 0, where E_z[J]
+    is the mean term index under weights t_j/S.  So the relative tail is
+    largest at the largest z: the term count n is fixed once, by the stop rule
+    t_n <= rel_tol * S run as a scalar loop at the batch's largest z, and
+    every point sums the same n + 1 terms in one nested (Horner) pass
+    P <- 1 + P z / (j (j + nu)), j = n ... 1.
+    """
     x = np.asarray(x, dtype=float)
     z = 0.25 * x * x
-    S = np.ones_like(x)
-    t = np.ones_like(x)
-    active = np.ones(x.shape, dtype=bool)
-    k = 0
-    while np.any(active):
-        k += 1
-        if k > max_terms:
-            raise EvaluationError(
-                f"Bessel I series did not converge in {max_terms} terms",
-                partial_sum=S, terms=k, order=nu)
-        t = t * z / (k * (k + nu))
-        S = S + np.where(active, t, 0.0)
-        active = t > rel_tol * S
+    z_max = float(np.max(z))
+    S = t = 1.0
+    for n in range(1, max_terms + 1):
+        t = t * z_max / (n * (n + nu))
+        S += t
+        if t <= rel_tol * S:
+            break
+    else:
+        raise EvaluationError(
+            f"Bessel I series did not converge in {max_terms} terms",
+            partial_sum=S, terms=max_terms, order=nu)
+    P = np.ones_like(z)
+    for j in range(n, 0, -1):
+        P *= z
+        P *= 1.0 / (j * (j + nu))
+        P += 1.0
     with np.errstate(divide="ignore"):
-        return nu * np.log(x / 2.0) - math.lgamma(nu + 1.0) + np.log(S)
+        return nu * np.log(x / 2.0) - math.lgamma(nu + 1.0) + np.log(P)
 
 
 def log_bessel_i_scaled(nu: float, x) -> np.ndarray:
@@ -138,7 +162,14 @@ def bessel_i(nu: float, x: float) -> float:
     integer: the scalar view exp(log_bessel_i_scaled(nu, x) + x)."""
     if nu < 0 and float(nu).is_integer():
         nu = -nu  # I_{-n} = I_n
-    return math.exp(float(log_bessel_i_scaled(nu, np.array([x], dtype=float))[0]) + x)
+    log_i = float(log_bessel_i_scaled(nu, np.array([x], dtype=float))[0]) + x
+    try:
+        return math.exp(log_i)
+    except OverflowError:
+        raise EvaluationError(
+            f"I_{nu}({x}) = e^{log_i:.6g} exceeds the double range; "
+            "log_bessel_i_scaled(nu, x) + x gives its logarithm",
+            order=nu, x=x, log_value=log_i) from None
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +287,13 @@ def log_kummer_1f1(a: float, b: float, z):
 
 def signed_log_kummer_1f1_large(a: float, b: float, z):
     """(sign, log|1F1(a; b; z)|) from the large-z expansion, for b > 0 and a not
-    in {0, -1, ...}: its sum is positive, so 1F1 < 0 for a in (-1, 0), (-3, -2), ..."""
+    in {0, -1, ...}: its sum is positive, so 1F1 < 0 for a in (-1, 0), (-3, -2), ...
+
+    The sum runs to roundoff (or its smallest term), so where z is at least
+    about 6 (b-a)(1-a) and 64 the result is within a few ulps of log|1F1|.
+    """
     sign = -1.0 if a < 0 and math.floor(-a) % 2 == 0 else 1.0
-    return sign, _log_kummer_asymptotic(a, b, np.asarray(z, dtype=float), _REL_TOL)
+    return sign, _log_kummer_asymptotic(a, b, np.asarray(z, dtype=float), _EPS)
 
 
 # ---------------------------------------------------------------------------

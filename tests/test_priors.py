@@ -499,9 +499,10 @@ class TestWhittakerRadial:
 
     def test_signed_log_past_series_overflow(self):
         """gamma=3, k=5: a1 = -1/2, so 1F1(a1; 5/2; r^2/2) does not terminate
-        and is negative; its linear series overflows between r = 37.5 and 38.  Past
-        that, sign and log|lambda| come from the large-z expansion and must
-        match mpmath; below it, the linear series value is kept."""
+        and is negative; its linear series overflows between r = 37.5 and 38.
+        Past that, sign and log|lambda| come from the large-z expansion and must
+        match mpmath; below z = 64 (r ~ 11.3), where the expansion has not
+        converged, the linear series value is kept."""
         import mpmath as mp
 
         from bayesminimax import specfun as sf
@@ -522,13 +523,32 @@ class TestWhittakerRadial:
                 assert si == float(mp.sign(f1)) == -1.0
                 assert gi == pytest.approx(ref, rel=1e-10)
 
-        rf = np.array([30.0, 37.5])
+        rf = np.array([2.0, 5.0, 11.0])
         z = rf * rf / 2.0
         f1 = sf.kummer_1f1(a1, b1, z)
-        assert np.all(np.isfinite(f1))
         linear = ((k - 2) / 2.0 * np.log(rf) + rf * rf / 4.0 - z / 2.0
                   + (mu + 0.5) * np.log(z) + np.log(np.abs(f1)))
-        np.testing.assert_allclose(lam.log_eval(rf), linear, rtol=1e-13)
+        np.testing.assert_array_equal(lam.log_eval(rf), linear)
+        np.testing.assert_array_equal(lam.sign_of(rf), np.sign(f1))
+
+    @pytest.mark.parametrize("gamma, k", [(3.0, 5), (2.2, 3)])
+    def test_log_abs_matches_mpmath_where_the_linear_series_loses_digits(self, gamma, k):
+        """a1 < 0: on r in [14, 39] the linear 1F1 series is finite but off by
+        up to 2.7e-12 in log|lambda| (about 4e-15 relative at r = 37); from
+        z = 64 on the large-z expansion carries log|lambda| to about one ulp
+        and the sign exactly, against mpmath's Whittaker M."""
+        import mpmath as mp
+
+        mu, kappa = (k - 2) / 4.0, gamma / 2.0 + 0.25
+        lam = pr.whittaker_radial(gamma, k).lam
+        r = np.linspace(14.0, 39.0, 26)
+        got, sign = lam.log_eval(r), lam.sign_of(r)
+        with mp.workdps(40):
+            m = [mp.whitm(kappa, mu, mp.mpf(ri) ** 2 / 2) for ri in r]
+            want = np.array([float((k - 2) / 2.0 * mp.log(ri) + mp.mpf(ri) ** 2 / 4
+                                   + mp.log(abs(mi))) for ri, mi in zip(r, m)])
+            np.testing.assert_array_equal(sign, [float(mp.sign(mi)) for mi in m])
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
     def test_mass_grows_without_bound(self):
         """Truncated mass integrals at R = 10, 20, 40 grow explosively; the

@@ -11,6 +11,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import gammaln, hyp1f1, iv, kv
 
 from bayesminimax import specfun as sf
@@ -79,6 +80,38 @@ class TestBesselI:
         with pytest.raises(EvaluationError) as err:
             sf._series_log_i(0.5, np.array([20.0]), sf._REL_TOL, 3)
         assert "partial_sum" in err.value.diagnostics
+
+    def test_overflow_is_a_typed_error(self):
+        """I_{1/2}(800) ~ e^796 is past the double range: a typed error that
+        names the log-space route, never a bare OverflowError."""
+        with pytest.raises(EvaluationError, match="log_bessel_i_scaled") as err:
+            sf.bessel_i(0.5, 800.0)
+        assert err.value.diagnostics["log_value"] == pytest.approx(
+            float(mpmath.log(mpmath.besseli(0.5, 800))), rel=1e-14)
+
+    @settings(max_examples=30, deadline=None)
+    @given(nu=st.floats(-1.0, 35.0, exclude_min=True),
+           tiny=st.floats(0.5e-8, 2e-8), below=st.floats(1e-9, 1e-3))
+    def test_batch_fixes_its_term_count_at_the_largest_argument(self, nu, tiny, below):
+        """One batch mixing x = 0, x ~ 1e-8 and x just below the series switch
+        sums every point with the term count set at its largest x.  Each
+        value equals its one-point evaluation within 1e-13 and mpmath within
+        2e-13 plus 1e-14 |log I_nu(x)|: the unchanged stop rule t_n <= 1e-12 S
+        leaves a truncated tail of up to 1.3e-12 at nu = 35 beside the switch
+        (x = 642, log I = 637), and the log of a 1e-8 argument rounds at that
+        scale too.  Silent under RuntimeWarning-as-error."""
+        x = np.array([0.0, tiny, sf._series_switch(nu) * (1.0 - below)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sf.log_bessel_i_scaled(nu, x)
+            alone = np.concatenate([sf.log_bessel_i_scaled(nu, x[i:i + 1]) for i in range(3)])
+        assert got[0] == alone[0] == (0.0 if nu == 0.0 else math.copysign(math.inf, -nu))
+        np.testing.assert_allclose(got[1:], alone[1:], rtol=0, atol=1e-13)
+        with mpmath.workdps(40):
+            log_i = np.array([float(mpmath.log(mpmath.besseli(nu, xi))) for xi in x[1:]])
+        tol = 2e-13 + 1e-14 * np.abs(log_i)
+        assert np.all(np.abs(got[1:] - (log_i - x[1:])) <= tol)
+        assert np.all(np.abs(alone[1:] - (log_i - x[1:])) <= tol)
 
     def test_order_domain(self):
         """Non-integer orders below -1 are outside the series' domain."""

@@ -121,6 +121,40 @@ class TestRoundoffFloor:
             _quad.integrate_finite(lambda t: 1.0 / t, 0.0, 1.0)
 
 
+def _two_rows(x):
+    return np.stack([np.exp(-x), np.cos(8.0 * x) * x])
+
+
+def _two_log_rows(x):
+    return np.stack([-x, np.log(x) - x * x])
+
+
+class TestCallerArraysUntouched:
+    """The engine works in place only on arrays it allocated itself: an array
+    that a caller's integrand returns and keeps comes back unchanged, and the
+    result equals that of an integrand returning a fresh copy each time."""
+
+    @pytest.mark.parametrize("engine, f", [
+        (_quad.integrate_rows, _two_rows),
+        (_quad.adaptive_batch, _two_rows),
+        (_quad.integrate_rows_log, _two_log_rows),
+        (_quad.adaptive_batch_log, _two_log_rows),
+    ], ids=["integrate_rows", "adaptive_batch", "integrate_rows_log", "adaptive_batch_log"])
+    def test_returned_rows_are_never_overwritten(self, engine, f):
+        kept = []
+
+        def keeping(x):
+            out = f(x)
+            kept.append((out, out.copy()))
+            return out
+
+        got = engine(keeping, 0.0, 3.0)
+        assert kept
+        for out, copy in kept:
+            np.testing.assert_array_equal(out, copy)
+        np.testing.assert_array_equal(got, engine(lambda x: f(x).copy(), 0.0, 3.0))
+
+
 class TestITransform:
     def test_gaussian_closed_form(self):
         k, alpha, y = 5, 1.0, 2.0
