@@ -745,28 +745,11 @@ def whittaker_radial(gamma: float, k: int) -> RadialPrior:
     kappa = gamma / 2.0 + 0.25
     a1 = mu + 0.5 - kappa       # = (k-1)/4 - gamma/2
     b1 = 1.0 + 2.0 * mu         # = k/2
-    # For a1 < 0 the linear 1F1 series loses up to four digits at large z;
-    # the large-z expansion is within a few ulps from where its first term
-    # (b1-a1)(1-a1)/z is at most 1/6, and z = 64 on.  A terminating series
-    # (a1 a nonpositive integer) is a polynomial with no such expansion.
-    z_large = math.inf if float(a1).is_integer() else max(64.0, 6.0 * (b1 - a1) * (1.0 - a1))
 
     def sign_log_lam(r):
         r = np.asarray(r, dtype=float)
         z = r * r / 2.0
-        if a1 > 0:
-            sign, log_f = 1.0, specfun.log_kummer_1f1(a1, b1, z)
-        else:
-            zs = np.atleast_1d(z)
-            sign, log_f = np.empty_like(zs), np.empty_like(zs)
-            lin = zs < z_large
-            with np.errstate(over="ignore", divide="ignore"):
-                f1 = specfun.kummer_1f1(a1, b1, zs[lin])
-                sign[lin], log_f[lin] = np.sign(f1), np.log(np.abs(f1))
-            lin[lin] = np.isfinite(f1)   # the linear series overflows past z ~ 710
-            if not np.all(lin):
-                sign[~lin], log_f[~lin] = specfun.signed_log_kummer_1f1_large(a1, b1, zs[~lin])
-            sign, log_f = sign.reshape(z.shape), log_f.reshape(z.shape)
+        sign, log_f = specfun.signed_log_kummer_1f1(a1, b1, z)
         with np.errstate(divide="ignore"):
             return sign, ((k - 2.0) / 2.0 * np.log(r) + r * r / 4.0
                           - z / 2.0 + (mu + 0.5) * np.log(z) + log_f)

@@ -12,10 +12,12 @@ and integral representations:
   per-point masks.  ``bessel_i`` is its scalar view
   exp(log_bessel_i_scaled(nu, x) + x), for nu > -1 or a negative integer
   (I_{-n} = I_n); a value past the double range raises EvaluationError.
-* ``kummer_1f1`` Pochhammer series; negative arguments are always routed
-  through Kummer's transformation 1F1(a;b;z) = e^z 1F1(b-a;b;-z), so an
-  alternating series never cancels catastrophically.  Its callers are
-  ``whittaker_m`` and the Whittaker radial prior.
+* ``signed_log_kummer_1f1`` (sign, log|1F1(a; b; z)|), the one Kummer
+  kernel: Kummer's transformation 1F1(a;b;z) = e^z 1F1(b-a;b;-z) for z < 0,
+  then the ascending series in log space below a switch of at least
+  max(64, 6 |b-a| max(1, |1-a|)), infinite for a nonpositive integer a, and
+  the large-z expansion above.  ``kummer_1f1`` and ``log_kummer_1f1`` are
+  its linear and log views; every 1F1 caller goes through them.
 * ``whittaker_m`` the defining identity
   M_{x,mu}(z) = e^{-z/2} z^{mu+1/2} 1F1(mu+1/2-x; 1+2mu; z).
 
@@ -24,9 +26,10 @@ Modified Bessel K and Whittaker W are not here: the K-transform calls
 ``scipy.special.hyperu``, as W_{x,mu}(z) = e^{-z/2} z^{mu+1/2}
 U(mu-x+1/2, 1+2mu, z).
 
-All gamma factors are kept in log space.  Every series stops at relative
-tolerance 1e-12 and raises EvaluationError past 10,000 terms.  Every function
-is pure; there is no shared mutable state.
+All gamma factors are kept in log space.  Both ascending series stop once
+their tail bound is below roundoff at the batch's largest argument
+(``_series_length``) and raise EvaluationError past 10,000 terms, as do the
+linear views past the double range.  Every function is pure.
 """
 
 from __future__ import annotations
@@ -34,17 +37,44 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import gammaln, gammasgn
 
 from .errors import DomainError, EvaluationError
 
 __all__ = [
     "bessel_i", "kummer_1f1", "whittaker_m",
-    "log_bessel_i_scaled", "log_kummer_1f1", "signed_log_kummer_1f1_large",
+    "log_bessel_i_scaled", "log_kummer_1f1", "signed_log_kummer_1f1",
 ]
 
-_REL_TOL = 1e-12     # series and expansions stop below this relative term size
+_REL_TOL = 1e-12     # the Bessel expansion stops below this relative term size
 _MAX_TERMS = 10000   # series budget before EvaluationError
 _EPS = float(np.finfo(float).eps)
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+def _series_length(log_ratio, z: float, tol: float, max_terms: int, start: int,
+                   name: str, **diagnostics) -> int:
+    """Term count n of a series sum_{j<=n} t_j, t_0 = 1 and |t_{j+1}/t_j| =
+    e^{log_ratio(j)} z, at its largest argument z: the first n >= start where
+    the next ratio r < 1 does not rise at n + 1 and the tail bound
+    |t_n| r/(1-r) is at most tol * sum_{j<=n} |t_j|.  Past ``start`` both
+    series' ratios rise at most once, so the bound holds.  A ratio of zero
+    ends a terminating series.  Kept in logs, so nothing overflows."""
+    log_z = math.log(z) if z > 0 else -math.inf
+    log_t = log_s = 0.0   # log |t_n|, log S
+    for n in range(max_terms + 1):
+        log_rho = log_ratio(n)
+        if log_rho == -math.inf:
+            return n
+        log_r = log_rho + log_z
+        if (n >= start and log_r < 0.0 and log_ratio(n + 1) <= log_rho
+                and log_t + log_r - math.log1p(-math.exp(log_r)) <= math.log(tol) + log_s):
+            return n
+        log_t += log_r
+        log_s = max(log_s, log_t) + math.log1p(math.exp(-abs(log_s - log_t)))
+    raise EvaluationError(f"{name} did not converge in {max_terms} terms", terms=max_terms,
+                          partial_sum=math.exp(log_s) if log_s < _LOG_MAX else math.inf,
+                          **diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +82,7 @@ _EPS = float(np.finfo(float).eps)
 # ---------------------------------------------------------------------------
 
 def _series_switch(nu: float) -> float:
-    # keeps the power series within the term budget at rel_tol ~ 1e-12
+    # keeps the power series well within the term budget
     return 30.0 + 0.5 * nu * nu
 
 
@@ -89,30 +119,21 @@ def _asymptotic_log_i_scaled(nu: float, x: np.ndarray, rel_tol: float) -> np.nda
     return -0.5 * np.log(2.0 * np.pi * x) + np.log(total)
 
 
-def _series_log_i(nu: float, x: np.ndarray, rel_tol: float, max_terms: int) -> np.ndarray:
+def _series_log_i(nu: float, x: np.ndarray, tol: float, max_terms: int) -> np.ndarray:
     """log I_nu(x) by the ascending series, for nu > -1 (positive terms).
 
     The terms t_j = z^j / (j! (nu+1)_j), z = x^2/4, are all positive, and
     past the largest term d/dz log(t_n / S) = (n - E_z[J])/z > 0, where E_z[J]
     is the mean term index under weights t_j/S.  So the relative tail is
-    largest at the largest z: the term count n is fixed once, by the stop rule
-    t_n <= rel_tol * S run as a scalar loop at the batch's largest z, and
-    every point sums the same n + 1 terms in one nested (Horner) pass
+    largest at the largest z: the term count n is fixed once, by
+    ``_series_length`` at the batch's largest z, and every point sums the
+    same n + 1 terms in one nested (Horner) pass
     P <- 1 + P z / (j (j + nu)), j = n ... 1.
     """
     x = np.asarray(x, dtype=float)
     z = 0.25 * x * x
-    z_max = float(np.max(z))
-    S = t = 1.0
-    for n in range(1, max_terms + 1):
-        t = t * z_max / (n * (n + nu))
-        S += t
-        if t <= rel_tol * S:
-            break
-    else:
-        raise EvaluationError(
-            f"Bessel I series did not converge in {max_terms} terms",
-            partial_sum=S, terms=max_terms, order=nu)
+    n = _series_length(lambda j: -math.log((j + 1.0) * (j + 1.0 + nu)), float(np.max(z)),
+                       tol, max_terms, 0, "Bessel I series", order=nu)
     P = np.ones_like(z)
     for j in range(n, 0, -1):
         P *= z
@@ -142,7 +163,7 @@ def log_bessel_i_scaled(nu: float, x) -> np.ndarray:
     series = small & (x > 0.0)  # the series' nu log(x/2) is 0 * -inf at x = 0
     if np.any(series):
         xs = x[series]
-        out[series] = _series_log_i(nu, xs, _REL_TOL, _MAX_TERMS) - xs
+        out[series] = _series_log_i(nu, xs, _EPS, _MAX_TERMS) - xs
     if np.any(~small):
         out[~small] = _asymptotic_log_i_scaled(nu, x[~small], _REL_TOL)
     # x == 0: I_nu(0) = 1 (nu=0), 0 (nu>0), +inf (nu in (-1,0))
@@ -176,124 +197,120 @@ def bessel_i(nu: float, x: float) -> float:
 # Kummer confluent hypergeometric function
 # ---------------------------------------------------------------------------
 
-def _check_1f1_params(b: float):
-    if b <= 0 and float(b).is_integer():
-        raise DomainError(f"1F1 undefined for b = {b} (zero or negative integer)")
+def _series_log_1f1(a: float, b: float, z: np.ndarray):
+    """(sign, log|1F1(a; b; z)|) by the ascending series (DLMF 13.2.2), z >= 0.
 
-
-def _kummer_series(a: float, b: float, z: np.ndarray, rel_tol: float, max_terms: int) -> np.ndarray:
-    """Pochhammer series sum_k (a)_k/(b)_k z^k/k! for z >= 0 (vectorized)."""
-    z = np.asarray(z, dtype=float)
-    S = np.ones_like(z)
-    t = np.ones_like(z)
-    stable = np.zeros(z.shape, dtype=int)
-    for k in range(max_terms):
-        t = t * (a + k) * z / ((b + k) * (k + 1.0))
-        S = S + t
-        small = np.abs(t) <= rel_tol * np.abs(S)
-        stable = np.where(small, stable + 1, 0)
-        if np.all(stable >= 2):
-            return S
-    raise EvaluationError(
-        f"1F1 series did not converge in {max_terms} terms",
-        partial_sum=S, a=a, b=b, zmax=float(np.max(z)))
-
-
-def kummer_1f1(a: float, b: float, z):
-    """Kummer's function 1F1(a; b; z); z may be a scalar or array.
-
-    Negative arguments always use 1F1(a;b;z) = e^z 1F1(b-a; b; -z) so the
-    evaluated series has a positive argument.
+    t_{j+1} = t_j rho_j z, rho_j = (a+j)/((b+j)(j+1)).  From
+    h = max(0, ceil(-a), ceil(-b)) on, rho_j > 0: t_h ... t_n sum to t_h e^L by the
+    log-space Horner pass L <- log(1 + rho_j z e^L), and the h alternating
+    terms before them are added with a running max-shift.  n is fixed at the
+    batch's largest z; a nonpositive integer a ends the series at n = -a.
     """
-    _check_1f1_params(b)
-    z_arr = np.asarray(z, dtype=float)
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr)
-    out = np.empty_like(z_arr)
-    neg = z_arr < 0
-    if np.any(~neg):
-        out[~neg] = _kummer_series(a, b, z_arr[~neg], _REL_TOL, _MAX_TERMS)
-    if np.any(neg):
-        zn = -z_arr[neg]
-        vals = np.empty_like(zn)
-        big = zn > 600.0  # linear series for 1F1(b-a; b; zn) would overflow
-        if np.any(big):
-            if not (b - a > 0):
-                raise EvaluationError(
-                    "1F1 at large negative arguments needs b - a > 0 for the "
-                    "log-space Kummer route", a=a, b=b)
-            vals[big] = np.exp(-zn[big] + log_kummer_1f1(b - a, b, zn[big]))
-        if np.any(~big):
-            vals[~big] = np.exp(-zn[~big]) * _kummer_series(
-                b - a, b, zn[~big], _REL_TOL, _MAX_TERMS)
-        out[neg] = vals
-    return float(out[0]) if scalar else out
+    def log_ratio(j):   # log|rho_j|, -inf where a + j = 0 ends the series
+        return (math.log(abs(a + j)) if a + j else -math.inf) - math.log(abs(b + j) * (j + 1.0))
+
+    z_max = float(np.max(z))
+    h = max(0, math.ceil(-a), math.ceil(-b))
+    n = _series_length(log_ratio, z_max, _EPS, _MAX_TERMS, h, "1F1 series", a=a, b=b, zmax=z_max)
+    h = min(h, n)
+    with np.errstate(divide="ignore"):
+        log_z = np.log(z)
+    L = np.zeros_like(z)
+    for j in range(n - 1, h - 1, -1):
+        L += log_z + log_ratio(j)   # one rounding at the scale of L
+        np.logaddexp(0.0, L, out=L)
+    if h == 0:
+        return np.ones_like(z), L
+    total, M, log_t, sign = np.ones_like(z), np.zeros_like(z), np.zeros_like(z), 1.0
+    for j in range(h):   # adds t_{j+1}, and the tail t_h e^L last
+        log_t += log_z
+        log_t += log_ratio(j)
+        sign *= math.copysign(1.0, (a + j) * (b + j))
+        term = log_t + L if j == h - 1 else log_t
+        M_next = np.maximum(M, term)
+        total = total * np.exp(M - M_next) + sign * np.exp(term - M_next)
+        M = M_next
+    with np.errstate(divide="ignore"):
+        return np.sign(total), M + np.log(np.abs(total))
 
 
-def _log_kummer_asymptotic(a: float, b: float, z: np.ndarray, rel_tol: float) -> np.ndarray:
-    """log 1F1(a;b;z) ~ z + (a-b) log z + lgamma(b) - lgamma(a)
-    + log sum_m (b-a)_m (1-a)_m / (m! z^m), for large positive z."""
-    total = np.ones_like(z)
-    term = np.ones_like(z)
-    prev = np.inf
-    for m in range(0, 40):
+def _asymptotic_log_1f1(a: float, b: float, z: np.ndarray) -> np.ndarray:
+    """log|1F1(a; b; z)| by the large-z expansion (DLMF 13.7.2), z + (a-b) log z
+    + log|Gamma(b)/Gamma(a)| + log sum_m (b-a)_m (1-a)_m / (m! z^m), summed to
+    roundoff or its smallest term; the e^{-z}-relative z^{-a} part is dropped."""
+    total, term, prev = np.ones_like(z), np.ones_like(z), np.inf
+    for m in range(40):
         term = term * (b - a + m) * (1.0 - a + m) / ((m + 1.0) * z)
         size = float(np.max(np.abs(term)))
         if size > prev:
             break
-        total = total + term
-        prev = size
-        if size <= rel_tol:
+        total, prev = total + term, size
+        if size <= _EPS:
             break
-    return (z + (a - b) * np.log(z) + math.lgamma(b) - math.lgamma(a)
-            + np.log(total))
+    return z + (a - b) * np.log(z) + math.lgamma(b) - math.lgamma(a) + np.log(total)
+
+
+def _kummer_switch(a: float, b: float) -> float:
+    """Where the expansion takes over: max(64, 6 |b-a| max(1, |1-a|)), so its
+    first correction is at most 1/6, moved up until the dropped z^{-a} /
+    Gamma(b-a) part is below eps of the kept e^z z^{a-b} / Gamma(a) one (it
+    matters near a nonpositive integer a); infinite at one (a polynomial)."""
+    if a <= 0 and float(a).is_integer():
+        return math.inf
+    z = max(64.0, 6.0 * abs(b - a) * max(1.0, abs(1.0 - a)))
+    # gammaln(b - a) = inf at a pole: nothing is dropped; lgamma(a) is finite at subnormal a
+    while (gap := z + (2.0 * a - b) * math.log(z) + gammaln(b - a) - math.lgamma(a)
+           + math.log(_EPS)) < 0.0:
+        z += 1.0 - gap   # aim one past zero, so the loop ends
+    return z
+
+
+def signed_log_kummer_1f1(a: float, b: float, z):
+    """(sign, log|1F1(a; b; z)|) for b not in {0, -1, ...}, z a scalar or array.
+
+    A negative z takes Kummer's transformation 1F1(a; b; z) =
+    e^z 1F1(b-a; b; -z) (DLMF 13.2.39).  For z >= 0 the series runs below
+    ``_kummer_switch(a, b)`` and the expansion from there on, with the sign
+    of Gamma(b)/Gamma(a).  A series past 10,000 terms raises EvaluationError.
+    """
+    if b <= 0 and float(b).is_integer():
+        raise DomainError(f"1F1 undefined for b = {b} (zero or negative integer)")
+    z_in = np.asarray(z, dtype=float)
+    z_arr = z_in.reshape(-1)
+    sign, log_abs = np.empty_like(z_arr), np.empty_like(z_arr)
+    neg, large = z_arr < 0, z_arr >= _kummer_switch(a, b)
+    if np.any(series := ~(neg | large)):
+        sign[series], log_abs[series] = _series_log_1f1(a, b, z_arr[series])
+    if np.any(large):
+        sign[large] = gammasgn(a) * gammasgn(b)
+        log_abs[large] = _asymptotic_log_1f1(a, b, z_arr[large])
+    if np.any(neg):
+        sign[neg], log_abs[neg] = signed_log_kummer_1f1(b - a, b, -z_arr[neg])
+        log_abs[neg] += z_arr[neg]
+    if z_in.ndim == 0:
+        return float(sign[0]), float(log_abs[0])
+    return sign.reshape(z_in.shape), log_abs.reshape(z_in.shape)
+
+
+def kummer_1f1(a: float, b: float, z):
+    """Kummer's function 1F1(a; b; z), z a scalar or array: the linear view
+    of ``signed_log_kummer_1f1``; past the double range, EvaluationError."""
+    sign, log_abs = signed_log_kummer_1f1(a, b, z)
+    if (top := float(np.max(log_abs, initial=-np.inf))) > _LOG_MAX:
+        raise EvaluationError(f"1F1({a}; {b}; z) = e^{top:.6g} exceeds the double range; "
+                              "signed_log_kummer_1f1(a, b, z) gives its logarithm",
+                              a=a, b=b, log_value=top)
+    return sign * np.exp(log_abs)
 
 
 def log_kummer_1f1(a: float, b: float, z):
-    """log 1F1(a; b; z) for a, b > 0 and z >= 0 (all series terms positive).
-
-    Log-space series accumulation below z = 500, the large-argument expansion
-    above; needed where 1F1 reaches e^z territory, e.g. the Whittaker-type
-    radial densities growing like exp(r^2/2).
-    """
-    _check_1f1_params(b)
+    """log 1F1(a; b; z) for a, b > 0 and z >= 0: the log view of
+    ``signed_log_kummer_1f1``, finite where 1F1 is past the double range."""
     if a <= 0 or b <= 0:
         raise DomainError("log_kummer_1f1 requires a, b > 0")
-    z_in = np.asarray(z, dtype=float)
-    z_arr = np.atleast_1d(z_in)
-    if np.any(z_arr < 0):
+    if np.any(np.asarray(z, dtype=float) < 0):
         raise DomainError("log_kummer_1f1 requires z >= 0")
-    out = np.empty_like(z_arr)
-    big = z_arr > 500.0
-    if np.any(big):
-        out[big] = _log_kummer_asymptotic(a, b, z_arr[big], _REL_TOL)
-    if np.any(~big):
-        zs = z_arr[~big]
-        logS = np.zeros_like(zs)
-        logt = np.zeros_like(zs)
-        with np.errstate(divide="ignore"):
-            logz = np.where(zs > 0, np.log(zs), -np.inf)
-        for k in range(_MAX_TERMS):
-            logt = logt + math.log(a + k) + logz - math.log((b + k) * (k + 1.0))
-            logS = np.logaddexp(logS, logt)
-            if np.all(logt <= logS + math.log(_REL_TOL)):
-                break
-        else:
-            raise EvaluationError(f"log 1F1 did not converge in {_MAX_TERMS} terms",
-                                  a=a, b=b, zmax=float(np.max(zs)))
-        out[~big] = logS
-    return float(out[0]) if z_in.ndim == 0 else out
-
-
-def signed_log_kummer_1f1_large(a: float, b: float, z):
-    """(sign, log|1F1(a; b; z)|) from the large-z expansion, for b > 0 and a not
-    in {0, -1, ...}: its sum is positive, so 1F1 < 0 for a in (-1, 0), (-3, -2), ...
-
-    The sum runs to roundoff (or its smallest term), so where z is at least
-    about 6 (b-a)(1-a) and 64 the result is within a few ulps of log|1F1|.
-    """
-    sign = -1.0 if a < 0 and math.floor(-a) % 2 == 0 else 1.0
-    return sign, _log_kummer_asymptotic(a, b, np.asarray(z, dtype=float), _EPS)
+    return signed_log_kummer_1f1(a, b, z)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +319,7 @@ def signed_log_kummer_1f1_large(a: float, b: float, z):
 
 def whittaker_m(x: float, mu: float, z: float):
     """Whittaker M_{x,mu}(z) = e^{-z/2} z^{mu+1/2} 1F1(mu+1/2-x; 1+2mu; z)."""
-    b = 1.0 + 2.0 * mu
-    _check_1f1_params(b)
     z_arr = np.asarray(z, dtype=float)
     if np.any(z_arr <= 0):
         raise DomainError("Whittaker M requires z > 0")
-    return np.exp(-z_arr / 2.0) * z_arr ** (mu + 0.5) * kummer_1f1(mu + 0.5 - x, b, z_arr)
+    return np.exp(-z_arr / 2.0) * z_arr ** (mu + 0.5) * kummer_1f1(mu + 0.5 - x, 1.0 + 2.0 * mu, z_arr)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from bayesminimax import priors as pr
 from bayesminimax import transforms as tr
-from bayesminimax.errors import ConstructionError, DomainError
+from bayesminimax.errors import ConstructionError, DomainError, EvaluationError
 from conftest import assert_derivative_contract, fd1
 
 
@@ -499,10 +499,11 @@ class TestWhittakerRadial:
 
     def test_signed_log_past_series_overflow(self):
         """gamma=3, k=5: a1 = -1/2, so 1F1(a1; 5/2; r^2/2) does not terminate
-        and is negative; its linear series overflows between r = 37.5 and 38.
-        Past that, sign and log|lambda| come from the large-z expansion and must
-        match mpmath; below z = 64 (r ~ 11.3), where the expansion has not
-        converged, the linear series value is kept."""
+        and is negative; its value leaves the double range between r = 37.5
+        and 38.  Sign and log|lambda| come from the log-space Kummer kernel at
+        every r and must match mpmath; below z = 64 (r ~ 11.3), on its series,
+        they are exactly the kernel's (sign, log|1F1|) in the formula and
+        within 1e-15 of mpmath."""
         import mpmath as mp
 
         from bayesminimax import specfun as sf
@@ -510,26 +511,34 @@ class TestWhittakerRadial:
         gamma, k = 3.0, 5
         a1, b1, mu = (k - 1) / 4.0 - gamma / 2.0, k / 2.0, (k - 2) / 4.0
         lam = pr.whittaker_radial(gamma, k).lam
+
+        def mp_log_lam(ri):
+            z = mp.mpf(ri) ** 2 / 2
+            f1 = mp.hyp1f1(a1, b1, z)
+            return float(mp.sign(f1)), float((k - 2) / 2.0 * mp.log(ri) + mp.mpf(ri) ** 2 / 4
+                                             - z / 2 + (mu + 0.5) * mp.log(z) + mp.log(abs(f1)))
+
         r = np.array([30.0, 39.0, 45.0, 60.0])
         with np.errstate(over="ignore"):
             sign = np.sign(lam.eval(r))
         got = lam.log_eval(r)
         with mp.workdps(30):
             for ri, si, gi in zip(r, sign, got):
-                z = mp.mpf(ri) ** 2 / 2
-                f1 = mp.hyp1f1(a1, b1, z)
-                ref = float((k - 2) / 2.0 * mp.log(ri) + mp.mpf(ri) ** 2 / 4 - z / 2
-                            + (mu + 0.5) * mp.log(z) + mp.log(abs(f1)))
-                assert si == float(mp.sign(f1)) == -1.0
-                assert gi == pytest.approx(ref, rel=1e-10)
+                want_sign, want = mp_log_lam(ri)
+                assert si == want_sign == -1.0
+                assert gi == pytest.approx(want, rel=1e-10)
 
         rf = np.array([2.0, 5.0, 11.0])
         z = rf * rf / 2.0
-        f1 = sf.kummer_1f1(a1, b1, z)
-        linear = ((k - 2) / 2.0 * np.log(rf) + rf * rf / 4.0 - z / 2.0
-                  + (mu + 0.5) * np.log(z) + np.log(np.abs(f1)))
-        np.testing.assert_array_equal(lam.log_eval(rf), linear)
-        np.testing.assert_array_equal(lam.sign_of(rf), np.sign(f1))
+        sign_f, log_f = sf.signed_log_kummer_1f1(a1, b1, z)
+        kernel = ((k - 2) / 2.0 * np.log(rf) + rf * rf / 4.0 - z / 2.0
+                  + (mu + 0.5) * np.log(z) + log_f)
+        np.testing.assert_array_equal(lam.log_eval(rf), kernel)
+        np.testing.assert_array_equal(lam.sign_of(rf), sign_f)
+        with mp.workdps(40):
+            want = [mp_log_lam(ri) for ri in rf]
+        np.testing.assert_array_equal(sign_f, [w[0] for w in want])
+        np.testing.assert_allclose(kernel, [w[1] for w in want], rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("gamma, k", [(3.0, 5), (2.2, 3)])
     def test_log_abs_matches_mpmath_where_the_linear_series_loses_digits(self, gamma, k):
@@ -549,6 +558,29 @@ class TestWhittakerRadial:
                                    + mp.log(abs(mi))) for ri, mi in zip(r, m)])
             np.testing.assert_array_equal(sign, [float(mp.sign(mi)) for mi in m])
         assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    def test_log_abs_at_large_k_matches_mpmath(self):
+        """gamma=1, k=400: a1 = 99.25 > 1, where a large-z expansion switched
+        in at z = 500 used to return NaN.  The series carries log lambda to
+        z = 5,000 (r = 100) within 1e-14 relative of mpmath's Whittaker M."""
+        import mpmath as mp
+
+        gamma, k = 1.0, 400
+        mu, kappa = (k - 2) / 4.0, gamma / 2.0 + 0.25
+        r = np.array([32.0, 40.0, 100.0])
+        got = pr.whittaker_radial(gamma, k).lam.log_eval(r)
+        assert np.all(np.isfinite(got))
+        with mp.workdps(40):
+            want = np.array([float((k - 2) / 2.0 * mp.log(ri) + mp.mpf(ri) ** 2 / 4
+                                   + mp.log(mp.whitm(kappa, mu, mp.mpf(ri) ** 2 / 2)))
+                             for ri in r])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_past_the_series_budget_is_a_typed_error(self):
+        """gamma=1, k=400 at r = 200: z = 2e4 lies below the expansion's
+        switch, and the series would need more than its 10,000 terms."""
+        with pytest.raises(EvaluationError):
+            pr.whittaker_radial(1.0, 400).lam.log_eval(200.0)
 
     def test_mass_grows_without_bound(self):
         """Truncated mass integrals at R = 10, 20, 40 grow explosively; the

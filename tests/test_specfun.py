@@ -96,10 +96,10 @@ class TestBesselI:
         """One batch mixing x = 0, x ~ 1e-8 and x just below the series switch
         sums every point with the term count set at its largest x.  Each
         value equals its one-point evaluation within 1e-13 and mpmath within
-        2e-13 plus 1e-14 |log I_nu(x)|: the unchanged stop rule t_n <= 1e-12 S
-        leaves a truncated tail of up to 1.3e-12 at nu = 35 beside the switch
-        (x = 642, log I = 637), and the log of a 1e-8 argument rounds at that
-        scale too.  Silent under RuntimeWarning-as-error."""
+        2e-13: the series runs until its tail bound is below roundoff, so
+        what is left is the rounding of about 400 terms at nu = 35 beside the
+        switch (x = 642, log I = 637), and the log of a 1e-8 argument rounds
+        at that scale too.  Silent under RuntimeWarning-as-error."""
         x = np.array([0.0, tiny, sf._series_switch(nu) * (1.0 - below)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -109,9 +109,8 @@ class TestBesselI:
         np.testing.assert_allclose(got[1:], alone[1:], rtol=0, atol=1e-13)
         with mpmath.workdps(40):
             log_i = np.array([float(mpmath.log(mpmath.besseli(nu, xi))) for xi in x[1:]])
-        tol = 2e-13 + 1e-14 * np.abs(log_i)
-        assert np.all(np.abs(got[1:] - (log_i - x[1:])) <= tol)
-        assert np.all(np.abs(alone[1:] - (log_i - x[1:])) <= tol)
+        assert np.all(np.abs(got[1:] - (log_i - x[1:])) <= 2e-13)
+        assert np.all(np.abs(alone[1:] - (log_i - x[1:])) <= 2e-13)
 
     def test_order_domain(self):
         """Non-integer orders below -1 are outside the series' domain."""
@@ -268,6 +267,87 @@ class TestKummer:
         np.testing.assert_allclose(got[small], ref, atol=1e-11, rtol=0)
         # monotone growth beyond the overflow point of the linear form
         assert np.all(np.diff(got) > 0)
+
+
+    def test_log_past_the_old_expansion_switch(self):
+        """a > 1 at z = 600: the series carries log 1F1 where a large-z
+        expansion switched in at a fixed z = 500 used to diverge to NaN."""
+        assert sf.log_kummer_1f1(100.0, 200.0, 600.0) == pytest.approx(
+            442.72681946788356, rel=1e-14)
+
+    def test_overflow_is_a_typed_error(self):
+        """1F1(1/2; 5/2; 800) ~ e^786 is past the double range: a typed error
+        naming the log-space kernel, never inf."""
+        with pytest.raises(EvaluationError, match="signed_log_kummer_1f1") as err:
+            sf.kummer_1f1(0.5, 2.5, 800.0)
+        assert err.value.diagnostics["log_value"] == pytest.approx(
+            float(mpmath.log(mpmath.hyp1f1(0.5, 2.5, 800))), rel=1e-14)
+
+    def test_series_budget_is_a_typed_error(self):
+        """Below the switch the series needs about z terms; past 10,000 it
+        raises with a, b and the largest z."""
+        with pytest.raises(EvaluationError) as err:
+            sf.signed_log_kummer_1f1(99.25, 200.0, np.array([1.0, 2e4]))
+        assert {"a", "b", "zmax", "partial_sum"} <= set(err.value.diagnostics)
+        assert err.value.diagnostics["zmax"] == 2e4
+
+    @staticmethod
+    def _term_moduli(a, b, z):
+        """sum_j |t_j| of the ascending series of 1F1(a; b; z), z >= 0: the
+        terms before j = ceil(-a) alternate, the rest share one sign."""
+        head_abs = head = mpmath.mpf(0)
+        t = mpmath.mpf(1)
+        for j in range(max(0, math.ceil(-a))):
+            head_abs, head = head_abs + abs(t), head + t
+            t *= (a + j) * mpmath.mpf(z) / ((b + j) * (j + 1))
+        return head_abs + abs(mpmath.hyp1f1(a, b, z) - head)
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.one_of(st.integers(-4, 0).map(float), st.floats(-4.0, 4.0)),
+           b=st.floats(0.3, 60.0),
+           log_z=st.floats(math.log(1e-6), math.log(3e3)),
+           z_neg=st.floats(-50.0, 0.0, exclude_max=True))
+    def test_kernel_against_mpmath(self, a, b, log_z, z_neg):
+        """``signed_log_kummer_1f1`` on one batch {0, z log-uniform on
+        [1e-6, 3e3], z in (-50, 0), z_sw (1 -+ 1e-3)} against mpmath at 40
+        digits and more.  For z < 0 the reference is Kummer's transformation
+        e^z 1F1(b - a; b; -z) at b - a rounded to double, the parameter the
+        kernel's series takes (within half an ulp of the exact b - a).
+
+        Where the evaluated series (in (b - a; -z) for z < 0) has
+        nonnegative a, the sign is exact and log|1F1| is within
+        1e-14 max(1, |log 1F1|).  The log-space sum rounds at the largest log
+        it passes through, so the scale also counts |z| for z < 0 (the two
+        logs Kummer's factor e^z cancels) and log(1/d) for an a at distance
+        d < 1 from a nonpositive integer (the terms past it are about 1/d
+        times smaller than they would be).  A negative a below the switch
+        cancels in its head terms: there the value is judged, within
+        max(1, log(1/d)) 1e-11 of the sum of the term moduli (which fixes the
+        sign wherever 1F1 is larger than that).  The batch fixes one term
+        count at its largest z and equals each point's own evaluation within
+        1e-14 of the same scales.  Silent under RuntimeWarning-as-error."""
+        z_sw = sf._kummer_switch(a, b)
+        z = np.array([0.0, math.exp(log_z), z_neg]
+                     + ([z_sw * (1.0 - 1e-3), z_sw * (1.0 + 1e-3)] if math.isfinite(z_sw) else []))
+        sign, log_abs = sf.signed_log_kummer_1f1(a, b, z)
+        for zi, s, la in zip(z, sign, log_abs):
+            s1, la1 = sf.signed_log_kummer_1f1(a, b, float(zi))
+            a_s, z_s = (a, zi) if zi >= 0 else (b - a, -zi)
+            d = abs(a_s - min(0.0, round(a_s)))
+            lift = max(1.0, -math.log(d)) if d > 0 else 1.0
+            # mpmath resolves a tiny a_s only with that many more digits
+            with mpmath.workdps(40 + int(-math.log10(min(abs(a_s) or 1.0, 1.0)))):
+                f = mpmath.exp(min(zi, 0.0)) * mpmath.hyp1f1(a_s, b, z_s)
+                if a_s < 0 and z_s < sf._kummer_switch(a_s, b):
+                    scale = lift * self._term_moduli(a_s, b, z_s) * mpmath.exp(min(zi, 0.0))
+                    assert abs(s * mpmath.exp(la) - f) <= 1e-11 * scale
+                    assert abs(s * mpmath.exp(la) - s1 * mpmath.exp(la1)) <= 1e-14 * scale
+                    continue
+                want = float(mpmath.log(abs(f)))
+                assert s == s1 == float(mpmath.sign(f))
+            scale = max(1.0, abs(want), -min(zi, 0.0), lift)
+            assert abs(la - want) <= 1e-14 * scale
+            assert abs(la - la1) <= 1e-14 * scale
 
 
 class TestWhittakerM:
