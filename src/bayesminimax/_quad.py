@@ -3,7 +3,13 @@
 Implements the (G7, K15) pair with QUADPACK-style per-panel error estimates
 (Piessens et al. 1983) and one globally adaptive refinement loop that shares
 a partition across a whole family of integrands (used to vectorize marginal
-evaluation over many query points).  The loop runs in linear space
+evaluation over many query points).  Every integrand callback is node-major:
+it maps the m nodes of a panel, shape (m,), to values of shape (m, P), nodes
+down and one column per row.  Each node's values for all P rows are then
+contiguous, so the per-panel work (the weight contractions over axis 0, the
+mean subtraction along the row axis, the sqrt-map Jacobian) runs along rows
+of length P rather than along a 15-long inner axis.  A callback returning any
+other shape is refused with ValueError.  The loop runs in linear space
 (:func:`adaptive_batch`) or in log space (:func:`adaptive_batch_log`, for
 positive integrands whose magnitude spans hundreds of orders).  A row is
 done when its error meets its tolerance, or when its roundoff floor
@@ -47,6 +53,7 @@ _WG = np.array([
     0.381830050505119, 0.0, 0.279705391489277, 0.0,
     0.129484966168870, 0.0,
 ])
+_WKG = np.stack([_WK, _WG])   # K15 and G7 sums of a panel in one product
 
 _EPS = np.finfo(float).eps
 _MAX_PANELS = 4096        # subdivision budget of every adaptive call
@@ -64,9 +71,11 @@ def panel_nodes(a: float, b: float) -> np.ndarray:
 def _panel_estimates(vals: np.ndarray, half: float, log: bool = False):
     """K15 integral, error estimate and roundoff floor from node values.
 
-    ``vals`` has node axis last; returns (integral, error, floor) with that
-    axis contracted.  Error follows the QUADPACK rescaling of |K15-G7| and
-    never drops below the floor 50*eps*int|g| over the panel.
+    ``vals`` is node-major, shape (15, P); returns (integral, error, floor),
+    each (P,), with the node axis 0 contracted by the K15 and G7 weights in
+    one product, so every other pass runs along the contiguous row axis.
+    Error follows the QUADPACK rescaling of |K15-G7| and never drops below
+    the floor 50*eps*int|g| over the panel.
 
     Buffer rule: the node-sized work of |g| and |g - mean| goes through one
     scratch array.  In linear mode ``vals`` may belong to the caller's
@@ -75,21 +84,20 @@ def _panel_estimates(vals: np.ndarray, half: float, log: bool = False):
     nonnegative, so int|g| is the K15 sum itself and ``vals`` is the scratch;
     it holds |g - mean| on return.
     """
-    resk = vals @ _WK
-    resg = vals @ _WG
+    resk, resg = _WKG @ vals
     if log:
         scratch, resabs = vals, resk
     else:
         scratch = np.abs(vals)
-        resabs = scratch @ _WK
+        resabs = _WK @ scratch
     mean = resk * 0.5
-    np.subtract(vals, mean[..., None], out=scratch)
+    np.subtract(vals, mean, out=scratch)
     np.abs(scratch, out=scratch)
-    resasc = scratch @ _WK
+    resasc = _WK @ scratch
     err = np.abs(resk - resg)
     with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(resasc > 0.0, np.minimum(1.0, (200.0 * err / np.where(resasc > 0, resasc, 1.0)) ** 1.5), 0.0)
-    err = np.where(resasc > 0.0, resasc * scale, err)
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where(resasc > 0.0, scaled, err)
     floor = 50.0 * _EPS * resabs
     err = np.maximum(err, floor)
     return resk * half, err * half, floor * half
@@ -146,7 +154,7 @@ def adaptive(f, a: float, b: float, rel_tol: float = 1e-10,
     ``f`` must map a node array (m,) to values (m,).  Raises
     :class:`QuadratureError` when the subdivision budget is exhausted.
     """
-    res = adaptive_batch(lambda x: np.atleast_2d(f(x)), a, b,
+    res = adaptive_batch(lambda x: np.asarray(f(x), dtype=float)[:, None], a, b,
                          rel_tol=rel_tol, abs_tol=abs_tol, max_depth=max_depth)
     return float(res[0])
 
@@ -156,7 +164,8 @@ def adaptive_batch(fmat, a: float, b: float, rel_tol: float = 1e-10,
                    initial_panels: int = 4) -> np.ndarray:
     """Adaptive quadrature of a family of integrands over one shared partition.
 
-    ``fmat`` maps node array (m,) -> values (P, m).  The partition is refined
+    ``fmat`` maps node array (m,) -> node-major values (m, P), one column per
+    row; any other first axis raises ValueError.  The partition is refined
     until every row meets max(abs_tol, rel_tol*|I_row|), or its roundoff
     floor where that is larger.  Returns (P,).
     """
@@ -165,9 +174,19 @@ def adaptive_batch(fmat, a: float, b: float, rel_tol: float = 1e-10,
                    lambda total: np.maximum(abs_tol, rel_tol * np.abs(total)), log=False)
 
 
+def _node_major(vals):
+    """``vals`` as a float array, after checking that it is node-major."""
+    vals = np.asarray(vals, dtype=float)
+    if vals.ndim != 2 or vals.shape[0] != _XK.size:
+        raise ValueError(
+            f"integrand returned shape {vals.shape}; a panel callback must return "
+            f"node-major values of shape ({_XK.size}, P), one column per row")
+    return vals
+
+
 def _make_panel(fmat, lo, hi, depth):
     half = 0.5 * (hi - lo)
-    vals = np.asarray(fmat(panel_nodes(lo, hi)), dtype=float)
+    vals = _node_major(fmat(panel_nodes(lo, hi)))
     if not np.all(np.isfinite(vals)):
         raise QuadratureError(
             f"non-finite integrand values on [{lo:.6g}, {hi:.6g}]",
@@ -179,8 +198,9 @@ def adaptive_batch_log(logf, a: float, b: float, rel_tol: float = 1e-10,
                        max_depth: int = 40, initial_panels: int = 4) -> np.ndarray:
     """Log-space adaptive quadrature for positive integrand families.
 
-    ``logf`` maps nodes (m,) -> log-values (P, m) (-inf allowed where the
-    integrand vanishes).  Returns log of the integral per row.  Values may
+    ``logf`` maps nodes (m,) -> node-major log-values (m, P), one column per
+    row (-inf allowed where the integrand vanishes).  Any other first axis
+    raises ValueError.  Returns log of the integral per row.  Values may
     span hundreds of orders of magnitude; only relative tolerance applies.
     """
     log_rtol = np.log(rel_tol)
@@ -190,15 +210,15 @@ def adaptive_batch_log(logf, a: float, b: float, rel_tol: float = 1e-10,
 
 def _make_panel_log(logf, lo, hi, depth):
     half = 0.5 * (hi - lo)
-    lv = np.asarray(logf(panel_nodes(lo, hi)), dtype=float)
+    lv = _node_major(logf(panel_nodes(lo, hi)))
     if np.any(np.isnan(lv)) or np.any(lv == np.inf):
         raise QuadratureError(
             f"invalid log-integrand on [{lo:.6g}, {hi:.6g}]",
             worst_interval=(lo, hi))
-    M = np.max(lv, axis=-1)
+    M = np.max(lv, axis=0)
     live = np.isfinite(M)
     M = np.where(live, M, 0.0)
-    vals = lv - M[..., None]     # the panel's own buffer, exponentiated in place
+    vals = lv - M                # the panel's own buffer, exponentiated in place
     np.exp(vals, out=vals)
     I, err, floor = _panel_estimates(vals, half, log=True)
     with np.errstate(divide="ignore"):
@@ -234,12 +254,18 @@ def integrate_rows(rows, a: float, b: float, rel_tol: float = 1e-10,
                    abs_tol: float = 1e-14, max_depth: int = 40) -> np.ndarray:
     """Integrate a family of integrands over a finite (a, b), endpoints mapped.
 
-    ``rows`` maps nodes (m,) -> values (P, m); each half of the interval is
-    one :func:`adaptive_batch` call through :func:`_sqrt_halves`, so both
-    endpoints may carry integrable singularities.  Returns (P,).
+    ``rows`` maps nodes (m,) -> node-major values (m, P), one column per row;
+    any other first axis raises ValueError.  Each half of the interval is one
+    :func:`adaptive_batch` call through :func:`_sqrt_halves`, so both
+    endpoints may carry integrable singularities.  The Jacobian product
+    rows(x(s)) * 2s goes into a fresh array that the engine owns, never into
+    the one ``rows`` returned.  Returns (P,).
     """
-    return sum(adaptive_batch(lambda s, x=x: rows(x(s)) * (2.0 * s), 0.0, s_max,
-                              rel_tol=rel_tol, abs_tol=abs_tol, max_depth=max_depth)
+    def half(x):
+        return lambda s: _node_major(rows(x(s))) * (2.0 * s)[:, None]
+
+    return sum(adaptive_batch(half(x), 0.0, s_max, rel_tol=rel_tol, abs_tol=abs_tol,
+                              max_depth=max_depth)
                for x, s_max in _sqrt_halves(a, b))
 
 
@@ -247,15 +273,17 @@ def integrate_rows_log(log_rows, a: float, b: float, rel_tol: float = 1e-10,
                        max_depth: int = 40) -> np.ndarray:
     """Log-space counterpart of :func:`integrate_rows` for positive integrands.
 
-    ``log_rows`` maps nodes (m,) -> log-values (P, m); the same sqrt endpoint
-    maps are applied in log form and the two halves are combined with
-    logaddexp.  Returns the log of each row's integral.
+    ``log_rows`` maps nodes (m,) -> node-major log-values (m, P), one column
+    per row; any other first axis raises ValueError.  The same sqrt endpoint
+    maps are applied in log form, adding log(2s) down the node axis, and the
+    two halves are combined with logaddexp.  Returns the log of each row's
+    integral.
     """
     def log_half(x):
         def g(s):
             s = np.asarray(s, dtype=float)
             with np.errstate(divide="ignore"):
-                return log_rows(x(s)) + np.log(2.0 * s)[None, :]
+                return _node_major(log_rows(x(s))) + np.log(2.0 * s)[:, None]
         return g
 
     la, lb = (adaptive_batch_log(log_half(x), 0.0, s_max, rel_tol=rel_tol, max_depth=max_depth)
@@ -271,8 +299,9 @@ def integrate_finite(f, a: float, b: float, rel_tol: float = 1e-10,
     the interval.  Both endpoints are treated as potentially (integrably)
     singular.
     """
-    return float(integrate_rows(lambda x: np.atleast_2d(f(x)), a, b, rel_tol=rel_tol,
-                                abs_tol=max(abs_tol / 2, 1e-300), max_depth=max_depth)[0])
+    return float(integrate_rows(lambda x: np.asarray(f(x), dtype=float)[:, None], a, b,
+                                rel_tol=rel_tol, abs_tol=max(abs_tol / 2, 1e-300),
+                                max_depth=max_depth)[0])
 
 
 def scan_log_peak(log_g, lo: float, hi: float, tail_cut: float):

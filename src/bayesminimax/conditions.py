@@ -307,10 +307,9 @@ def check_gen_beta_mixture(alpha: float, beta: float, gamma: float, sigma: float
         psi = alpha + gamma * sigma * t / (1.0 - sigma * t)
         if beta != 1.0:
             psi = psi - (beta - 1.0) * t / (1.0 - t)
-        damp = np.exp(-s[:, None] * t[None, :])
-        f = base[None, :] * damp
-        return np.concatenate([f, psi[None, :] * f, t[None, :] * f,
-                               (psi[None, :] + 1.0) * t[None, :] * f], axis=0)
+        base, psi, t = base[:, None], psi[:, None], t[:, None]
+        f = base * np.exp(-t * s)
+        return np.concatenate([f, psi * f, t * f, (psi + 1.0) * t * f], axis=1)
 
     total = _quad.integrate_rows(rows, 0.0, 1.0, quad.rel_tol, quad.abs_tol,
                                  quad.max_depth)

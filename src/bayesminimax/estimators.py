@@ -41,7 +41,7 @@ __all__ = [
 
 _BATCH = 65536          # fixed so that seeded runs are bit-reproducible
 _FAIL_FRACTION = 1e-3   # hard-error threshold on excluded samples
-_U_EPS = 1e-8           # below this radius the shrinkage vector vanishes
+_U_EPS = 1e-8           # below this radius rho and SURE take their limits at u = 0
 
 
 @dataclass(frozen=True)
@@ -71,10 +71,13 @@ def _shrink_terms(profile: MarginalProfile, u: np.ndarray, k: int):
 
     l itself never enters, so neither its underflow at large k nor that of
     l^2 matters.  A sample whose rho or rho' is not finite is invalid.
+    Below u = 1e-8 both take their limits at the origin: l'/l = u rho and
+    l''/l = rho + u rho' + (u rho)^2 give rho(0) = l''/l(0), and u rho' -> 0
+    (rho is even in u), so SURE(0) = k (1 + 2 rho(0)).
     """
     _, r1, r2 = profile.ratios(u)
     safe_u = np.where(u > _U_EPS, u, 1.0)
-    rho = np.where(u > _U_EPS, r1 / safe_u, 0.0)
+    rho = np.where(u > _U_EPS, r1 / safe_u, r2)
     rho_p = np.where(u > _U_EPS, (r2 - r1 / safe_u - r1 * r1) / safe_u, 0.0)
     ok = np.isfinite(rho) & np.isfinite(rho_p)
     sure = k + 2.0 * (k * rho + u * rho_p) + rho ** 2 * u ** 2
@@ -94,12 +97,11 @@ def bayes_estimate(profile: MarginalProfile, x: np.ndarray) -> np.ndarray:
 
 
 def sure(profile: MarginalProfile, x: np.ndarray) -> float:
-    """Unbiased risk estimate k + 2 div gamma + |gamma|^2 at the point x."""
+    """Unbiased risk estimate k + 2 div gamma + |gamma|^2 at the point x,
+    continuous at the origin (see :func:`_shrink_terms`)."""
     x = np.asarray(x, dtype=float)
     k = x.size
     u = float(np.linalg.norm(x))
-    if u < _U_EPS:
-        return float(k)
     _, ok, s = _shrink_terms(profile, np.array([u]), k)
     if not ok[0]:
         raise EvaluationError(f"marginal evaluation failed at u={u}")

@@ -209,10 +209,10 @@ def mixture_radial(h: MixingDensity, quad: QuadSpec = DEFAULT_QUAD) -> RadialPri
             v = np.exp(w)
             hv = np.asarray(h.h.eval(v), dtype=float)
             with np.errstate(divide="ignore", invalid="ignore"):
-                log_norm = (log_c + (k - 1.0) * np.log(r[:, None])
-                            + (1.0 - 0.5 * k) * w[None, :]
-                            - r[:, None] ** 2 / (2.0 * v)[None, :])
-            return np.exp(log_norm) * hv[None, :]
+                log_norm = (log_c + (k - 1.0) * np.log(r)
+                            + (1.0 - 0.5 * k) * w[:, None]
+                            - r ** 2 / (2.0 * v)[:, None])
+            return np.exp(log_norm) * hv[:, None]
 
         n_init = max(8, min(96, int(w_hi - w_lo)))
         total = _quad.adaptive_batch(rows, w_lo, w_hi, rel_tol=quad.rel_tol,
@@ -247,8 +247,8 @@ def _strawderman_log_integral(a: float, k: int, r: np.ndarray,
         tau = np.asarray(tau, dtype=float)
         with np.errstate(divide="ignore"):
             base = p * np.log(tau) - tau / 2.0
-        ratio = (a - 2.0) * np.log1p(tau[None, :] / (r * r)[:, None])
-        return np.exp(base[None, :] + ratio)
+        ratio = (a - 2.0) * np.log1p(tau[:, None] / (r * r))
+        return np.exp(base[:, None] + ratio)
 
     total = _quad.integrate_rows(rows, 0.0, 2.0 * (p + 60.0), quad.rel_tol,
                                  quad.abs_tol, quad.max_depth)
@@ -782,9 +782,9 @@ def _log_integral(f, e: float, t, quad: QuadSpec) -> np.ndarray:
     span = np.log(t) - le
 
     def rows(y):
-        x = np.exp(le + np.outer(span, y))
+        x = np.exp(le + np.outer(y, span))
         fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-        return span[:, None] * x * fx
+        return span * x * fx
 
     return _quad.adaptive_batch(rows, 0.0, 1.0, rel_tol=quad.rel_tol,
                                 abs_tol=quad.abs_tol, max_depth=quad.max_depth)

@@ -132,15 +132,18 @@ def i_transform(f, nu: float, y, quad: QuadSpec = DEFAULT_QUAD):
     lo, hi = _clip_support(f, 0.0, math.inf)
 
     def log_g(x, yv):
-        xy = x * yv
+        # node-major: nodes x (m,) down, one column per y of yv (P,)
+        xy = np.multiply.outer(x, yv)
         with np.errstate(all="ignore"):
-            out = f.log_abs(x) + 0.5 * np.log(xy) + specfun.log_bessel_i_scaled(nu, xy) + xy
+            out = (f.log_abs(x)[:, None] + 0.5 * np.log(xy)
+                   + specfun.log_bessel_i_scaled(nu, xy) + xy)
         return np.where(np.isnan(out), -np.inf, out)
 
     scans = np.empty((ys.size, 3))
     for i, yi in enumerate(ys):
         try:
-            scans[i] = _quad.scan_log_peak(lambda x: log_g(x, yi), lo, hi, quad.tail_cut)
+            scans[i] = _quad.scan_log_peak(lambda x: log_g(x, ys[i:i + 1])[:, 0], lo, hi,
+                                           quad.tail_cut)
         except TransformDivergenceError as exc:
             exc.diagnostics["y"] = float(yi)
             raise
@@ -148,11 +151,11 @@ def i_transform(f, nu: float, y, quad: QuadSpec = DEFAULT_QUAD):
     live = np.isfinite(peaks)  # a row whose peak is -inf is identically zero
     out = np.zeros_like(ys)
     if live.any():
-        y_live, peak_live = ys[live, None], peaks[live, None]
+        y_live, peak_live = ys[live], peaks[live]
 
         def rows(x):
             g = np.exp(log_g(x, y_live) - peak_live)
-            return g if f.nonneg else g * f.sign_of(x)
+            return g if f.nonneg else g * f.sign_of(x)[:, None]
 
         integral = _quad.integrate_rows(rows, lo_eff[live].min(), hi_eff[live].max(),
                                         quad.rel_tol, quad.abs_tol, quad.max_depth)

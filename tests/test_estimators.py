@@ -68,6 +68,20 @@ class TestSure:
             assert es.sure(prof, x) == pytest.approx(k - (k - 2.0) ** 2 / u ** 2,
                                                      rel=1e-12)
 
+    def test_origin_value_is_the_limit(self, strawderman_profile):
+        """SURE(0) = k (1 + 2 l''/l(0)): -2.5 for Strawderman a = 0.5, k = 5,
+        where l''/l(0) = -0.75."""
+        assert es.sure(strawderman_profile, np.zeros(5)) == pytest.approx(-2.5, rel=1e-14)
+
+    @pytest.mark.parametrize("route", ["closed_form", "mixture", "radial"])
+    def test_continuous_at_origin(self, route):
+        profile = {"closed_form": lambda: mg.marginal_strawderman(0.5, 5),
+                   "mixture": lambda: mg.marginal_mixture(pr.strawderman_mixing(0.5, 5)),
+                   "radial": lambda: mg.marginal_radial(pr.strawderman_radial(0.5, 5))}[route]()
+        near = np.zeros(5)
+        near[1] = 2e-8
+        assert abs(es.sure(profile, np.zeros(5)) - es.sure(profile, near)) < 1e-9
+
     def test_mean_sure_below_k_at_origin(self, strawderman_profile):
         rep = es.mc_risk(strawderman_profile, np.zeros(5), 100000, 12345)
         assert rep.sure_mean < 5.0 - 0.1

@@ -167,6 +167,20 @@ class TestMixtureRoute:
         prof = mg.marginal_mixture(h, tr.QuadSpec(rel_tol=1e-11))
         assert_derivative_contract(prof.ell, [0.5, 1.5, 4.0])
 
+    def test_chunk_size_is_a_speed_choice(self, monkeypatch):
+        """The example2 ratios at 10,000 Monte Carlo radii agree whichever
+        chunk size splits them into shared-partition batches."""
+        prof = mg.marginal_mixture(pr.gen_beta_mixing(2.0, 2.0, -1.0, 0.5, 5))
+        rng = np.random.default_rng(20261018)
+        u = np.concatenate([np.linalg.norm(rng.standard_normal((2500, 5)) + [t, 0, 0, 0, 0],
+                                           axis=1) for t in (0.0, 3.0, 6.0, 10.0)])
+        rng.shuffle(u)
+        ref = prof.ratios(u)
+        for chunk in (16384, 1000):
+            monkeypatch.setattr(mg, "_CHUNK", chunk)
+            for got, want in zip(prof.ratios(u), ref):
+                assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
 
 class TestStrawdermanClosedForm:
     def test_origin_value(self):

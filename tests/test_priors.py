@@ -591,7 +591,7 @@ class TestWhittakerRadial:
         assert prior.proper == pr.IMPROPER
 
         def log_rows(r):
-            return prior.lam.log_eval(np.asarray(r, float))[None, :]
+            return prior.lam.log_eval(np.asarray(r, float))[:, None]
 
         masses = []
         for R in (10.0, 20.0, 40.0):

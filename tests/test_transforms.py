@@ -97,14 +97,14 @@ class TestRoundoffFloor:
 
     def test_cancelling_row_converges(self, monkeypatch):
         panels = self._count_panels(monkeypatch)
-        value = _quad.integrate_rows(lambda x: np.cos(x)[None, :], 0.0, self.B)
+        value = _quad.integrate_rows(lambda x: np.cos(x)[:, None], 0.0, self.B)
         assert value.shape == (1,)
         assert abs(value[0] - math.sin(self.B)) < 1e-13
         assert panels[0] < 500
 
     def test_floor_row_beside_an_ordinary_row(self):
         def rows(x):
-            return np.stack([np.cos(x), np.exp(-x)])
+            return np.stack([np.cos(x), np.exp(-x)], axis=1)
 
         value = _quad.integrate_rows(rows, 0.0, self.B)
         assert abs(value[0] - math.sin(self.B)) < 1e-13
@@ -112,7 +112,7 @@ class TestRoundoffFloor:
 
     def test_integrate_finite_is_the_one_row_batch(self):
         f = lambda t: np.exp(-t) * t ** 0.3  # noqa: E731
-        row = _quad.integrate_rows(lambda x: np.atleast_2d(f(x)), 0.0, 50.0,
+        row = _quad.integrate_rows(lambda x: f(x)[:, None], 0.0, 50.0,
                                    rel_tol=1e-12, abs_tol=0.5e-14)
         assert _quad.integrate_finite(f, 0.0, 50.0, rel_tol=1e-12) == row[0]
 
@@ -122,11 +122,11 @@ class TestRoundoffFloor:
 
 
 def _two_rows(x):
-    return np.stack([np.exp(-x), np.cos(8.0 * x) * x])
+    return np.stack([np.exp(-x), np.cos(8.0 * x) * x], axis=1)
 
 
 def _two_log_rows(x):
-    return np.stack([-x, np.log(x) - x * x])
+    return np.stack([-x, np.log(x) - x * x], axis=1)
 
 
 class TestCallerArraysUntouched:
@@ -153,6 +153,53 @@ class TestCallerArraysUntouched:
         for out, copy in kept:
             np.testing.assert_array_equal(out, copy)
         np.testing.assert_array_equal(got, engine(lambda x: f(x).copy(), 0.0, 3.0))
+
+
+def _three_rows(x):
+    return np.stack([np.exp(-x), x * np.exp(-x * x), 1.0 / (1.0 + x * x)], axis=1)
+
+
+class TestNodeMajorLayout:
+    """Integrand callbacks are node-major: nodes (m,) -> values (m, P), one
+    column per row.  Column j of a batch is the integral of row j alone, and
+    a callback laid out any other way is refused before any panel work."""
+
+    @pytest.mark.parametrize("engine, log", [
+        (_quad.integrate_rows, False),
+        (_quad.adaptive_batch, False),
+        (_quad.integrate_rows_log, True),
+        (_quad.adaptive_batch_log, True),
+    ], ids=["integrate_rows", "adaptive_batch", "integrate_rows_log", "adaptive_batch_log"])
+    def test_each_column_is_its_own_integral(self, engine, log):
+        if log:
+            got = np.exp(engine(lambda x: np.log(_three_rows(x)), 0.0, 3.0, rel_tol=1e-12))
+        else:
+            got = engine(_three_rows, 0.0, 3.0, rel_tol=1e-12)
+        assert got.shape == (3,)
+        for j in range(3):
+            want = _quad.integrate_finite(lambda x: _three_rows(x)[:, j], 0.0, 3.0,
+                                          rel_tol=1e-12)
+            assert got[j] == pytest.approx(want, rel=1e-11)
+        closed = [-math.expm1(-3.0), -0.5 * math.expm1(-9.0), math.atan(3.0)]
+        np.testing.assert_allclose(got, closed, rtol=1e-11)
+
+    @pytest.mark.parametrize("engine, f", [
+        (_quad.adaptive_batch, lambda x: np.stack([np.exp(-x), x])),
+        (_quad.integrate_rows, lambda x: np.stack([np.exp(-x), x])),
+        (_quad.adaptive_batch, lambda x: np.exp(-x)),
+        (_quad.adaptive_batch_log, lambda x: np.stack([-x, -2.0 * x])),
+        (_quad.integrate_rows_log, lambda x: np.stack([-x, -2.0 * x])),
+        (_quad.adaptive_batch_log, lambda x: -x),
+        # one row first would broadcast against the (15, 1) Jacobian to (15, 15)
+        (_quad.integrate_rows, lambda x: np.exp(-x)[None, :]),
+        (_quad.integrate_rows_log, lambda x: -x[None, :]),
+    ], ids=["adaptive_batch-rows_first", "integrate_rows-rows_first", "adaptive_batch-1d",
+            "adaptive_batch_log-rows_first", "integrate_rows_log-rows_first",
+            "adaptive_batch_log-1d", "integrate_rows-one_row_first",
+            "integrate_rows_log-one_row_first"])
+    def test_other_layouts_raise(self, engine, f):
+        with pytest.raises(ValueError, match=r"\(15, P\)"):
+            engine(f, 0.0, 1.0)
 
 
 class TestITransform:
@@ -251,7 +298,7 @@ class TestBatchedITransform:
         original = _quad.integrate_rows
 
         def recording(rows, *args, **kwargs):
-            rows_seen.append(rows(np.array([1.0, 2.0])).shape[0])
+            rows_seen.append(rows(np.array([1.0, 2.0])).shape[1])
             return original(rows, *args, **kwargs)
 
         monkeypatch.setattr(_quad, "integrate_rows", recording)
