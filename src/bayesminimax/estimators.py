@@ -15,6 +15,10 @@ generator (sub-streams per batch derived deterministically from the seed),
 reports mean squared loss with its standard error, and couples it with the
 SURE average over the same sample; E[SURE] equals the true risk, so the two
 must agree within a few combined standard errors on every passing run.
+Each batch reduces to sufficient statistics: its valid-sample count, the
+(sum, M2) of the loss and of SURE, and its failure count.  The batches of
+one theta run concurrently on up to the available CPUs, and their statistics
+are reduced in batch order, so a report does not depend on the CPU count.
 
 Risk depends on theta only through |theta| (spherical equivariance), so risk
 curves place theta = (|theta|, 0, ..., 0).
@@ -22,10 +26,13 @@ curves place theta = (|theta|, 0, ..., 0).
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import io
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -42,6 +49,10 @@ __all__ = [
 _BATCH = 65536          # fixed so that seeded runs are bit-reproducible
 _FAIL_FRACTION = 1e-3   # hard-error threshold on excluded samples
 _U_EPS = 1e-8           # below this radius rho and SURE take their limits at u = 0
+_WORKERS = len(os.sched_getaffinity(0))   # threads that run one point's batches
+
+# one batch: (valid samples, (sum, M2) of the loss, (sum, M2) of SURE, failures)
+_BatchStats = Tuple[int, Tuple[float, float], Tuple[float, float], int]
 
 
 @dataclass(frozen=True)
@@ -85,11 +96,10 @@ def _shrink_terms(profile: MarginalProfile, u: np.ndarray, k: int):
 
 
 def bayes_estimate(profile: MarginalProfile, x: np.ndarray) -> np.ndarray:
-    """delta(x) = x + (l'(u)/l(u)) x/u; returns x itself within u < 1e-8."""
+    """delta(x) = x (1 + rho(u)), with rho(0) = l''/l(0) below u = 1e-8, the
+    same rule that SURE describes (see :func:`_shrink_terms`)."""
     x = np.asarray(x, dtype=float)
     u = float(np.linalg.norm(x))
-    if u < _U_EPS:
-        return x.copy()
     rho, ok, _ = _shrink_terms(profile, np.array([u]), x.size)
     if not ok[0]:
         raise EvaluationError(f"marginal evaluation failed at u={u}")
@@ -114,35 +124,55 @@ def _sum_m2(x: np.ndarray) -> Tuple[float, float]:
     return total, float(np.sum((x - total / max(x.size, 1)) ** 2))
 
 
+def _mc_batch(profile: MarginalProfile, theta: np.ndarray, m: int,
+              child: np.random.SeedSequence) -> _BatchStats:
+    """Sample count, (sum, M2) of the loss and of SURE, and failures of one
+    batch of m draws from the child stream.
+
+    The loss needs only three numbers per sample: with delta - theta =
+    (1 + rho) Z + rho theta it is c^2 |Z|^2 + 2 c rho Z.theta + rho^2 |theta|^2,
+    c = 1 + rho, so the loss forms no (m, k) array of its own.
+    """
+    Z = np.random.default_rng(child).standard_normal((m, theta.size))
+    zz = np.einsum("ij,ij->i", Z, Z)
+    zt = Z @ theta
+    Z += theta                      # X = theta + Z, in place
+    u = np.linalg.norm(Z, axis=1)
+    del Z                           # freed before the marginal's own temporaries
+    rho, ok, s = _shrink_terms(profile, u, theta.size)
+    c = 1.0 + rho
+    loss = c * c * zz + 2.0 * c * rho * zt + rho * rho * float(theta @ theta)
+    count = int(np.count_nonzero(ok))
+    if count < m:
+        loss, s = loss[ok], s[ok]
+    return count, _sum_m2(loss), _sum_m2(s), m - count
+
+
 def _mc_sums(profile: MarginalProfile, theta: np.ndarray, n: int, seed: int
-             ) -> Tuple[List[int], List[Tuple[float, float]], List[Tuple[float, float]], int]:
-    """Per-batch sample counts and (sum, M2) of the loss and of SURE."""
-    k = theta.size
+             ) -> List[_BatchStats]:
+    """Per-batch statistics in batch order, the batches run concurrently.
+
+    Each task runs in its own copy of the caller's context, so numpy's
+    error state (``np.errstate``) holds inside the worker threads too.
+    """
     n_batches = (n + _BATCH - 1) // _BATCH
     children = np.random.SeedSequence(seed).spawn(n_batches)
-    counts, loss_stats, sure_stats = [], [], []
-    n_fail = 0
-    for i, child in enumerate(children):
-        m = min(_BATCH, n - i * _BATCH)
-        rng = np.random.default_rng(child)
-        X = theta[None, :] + rng.standard_normal((m, k))
-        u = np.linalg.norm(X, axis=1)
-        rho, ok, s = _shrink_terms(profile, u, k)
-        n_fail += int(np.sum(~ok))
-        delta = X * (1.0 + rho)[:, None]
-        loss = np.sum((delta - theta[None, :]) ** 2, axis=1)
-        counts.append(int(np.sum(ok)))
-        loss_stats.append(_sum_m2(loss[ok]))
-        sure_stats.append(_sum_m2(s[ok]))
-    return counts, loss_stats, sure_stats, n_fail
+    with ThreadPoolExecutor(max_workers=min(_WORKERS, n_batches)) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, _mc_batch, profile, theta,
+                               min(_BATCH, n - i * _BATCH), child)
+                   for i, child in enumerate(children)]
+        return [f.result() for f in futures]
 
 
 def mc_risk(profile: MarginalProfile, theta: np.ndarray, n: int, seed: int) -> RiskReport:
     """Monte Carlo risk of the Bayes rule at theta, with paired SURE average.
 
     Samples are drawn batchwise; each batch owns a deterministic sub-stream
-    spawned from the seed, and batch sums are reduced with compensated
-    summation, so reports are bit-identical across runs with the same seed.
+    spawned from the seed and reduces to its count, the (sum, M2) of the
+    loss and of SURE, and its failures.  The batches run concurrently on up
+    to the available CPUs; their statistics are reduced in batch order with
+    compensated summation, so reports are bit-identical across runs with the
+    same seed on any CPU count.
     Each batch's squared deviations are taken from its own mean and the
     batches are combined by Chan's formula, so the standard errors do not
     cancel where the spread is small against the mean.  Samples where the
@@ -152,7 +182,8 @@ def mc_risk(profile: MarginalProfile, theta: np.ndarray, n: int, seed: int) -> R
     theta = np.asarray(theta, dtype=float)
     if n < 1:
         raise DomainError("n must be positive (n >= 1000 for stderr validity)")
-    counts, loss_stats, sure_stats, n_fail = _mc_sums(profile, theta, n, seed)
+    counts, loss_stats, sure_stats, fails = zip(*_mc_sums(profile, theta, n, seed))
+    n_fail = sum(fails)
     if n_fail > _FAIL_FRACTION * n:
         raise EvaluationError(
             f"{n_fail} of {n} samples failed marginal evaluation (limit {_FAIL_FRACTION:.1%})",

@@ -16,6 +16,12 @@ from bayesminimax import priors as pr
 from bayesminimax.errors import DomainError, EvaluationError
 
 
+# one Strawderman rule (a = 0.5, k = 5) through each marginal route
+ROUTES = {"closed_form": lambda: mg.marginal_strawderman(0.5, 5),
+          "mixture": lambda: mg.marginal_mixture(pr.strawderman_mixing(0.5, 5)),
+          "radial": lambda: mg.marginal_radial(pr.strawderman_radial(0.5, 5))}
+
+
 @pytest.fixture(scope="module")
 def monomial_profile():
     return mg.monomial_mixture_profile(2, 5)
@@ -41,6 +47,20 @@ class TestBayesEstimate:
         d = es.bayes_estimate(strawderman_profile, x)
         assert 0.0 < d[0] < 2.0
         np.testing.assert_array_equal(d[1:], np.zeros(4))
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_origin_limit(self, route):
+        """delta(x) = x (1 + rho(0)) near the origin, rho(0) = l''/l(0) = -0.75,
+        inside the u < 1e-8 ball as well as just outside it: the rule whose
+        risk SURE estimates there."""
+        profile = ROUTES[route]()
+        rho0 = profile.ratios(np.zeros(1))[2][0]
+        assert rho0 == pytest.approx(-0.75, rel=1e-12)
+        for scale in (0.0, 5e-9, 2e-8):
+            x = np.zeros(5)
+            x[1] = scale
+            np.testing.assert_allclose(es.bayes_estimate(profile, x), x * (1.0 + rho0),
+                                       rtol=1e-11, atol=0.0)
 
     def test_spherical_equivariance(self, monomial_profile):
         rng = np.random.default_rng(21)
@@ -75,9 +95,7 @@ class TestSure:
 
     @pytest.mark.parametrize("route", ["closed_form", "mixture", "radial"])
     def test_continuous_at_origin(self, route):
-        profile = {"closed_form": lambda: mg.marginal_strawderman(0.5, 5),
-                   "mixture": lambda: mg.marginal_mixture(pr.strawderman_mixing(0.5, 5)),
-                   "radial": lambda: mg.marginal_radial(pr.strawderman_radial(0.5, 5))}[route]()
+        profile = ROUTES[route]()
         near = np.zeros(5)
         near[1] = 2e-8
         assert abs(es.sure(profile, np.zeros(5)) - es.sure(profile, near)) < 1e-9
@@ -85,6 +103,21 @@ class TestSure:
     def test_mean_sure_below_k_at_origin(self, strawderman_profile):
         rep = es.mc_risk(strawderman_profile, np.zeros(5), 100000, 12345)
         assert rep.sure_mean < 5.0 - 0.1
+
+
+def _explicit_samples(profile, theta, n, seed):
+    """Loss |delta(X) - theta|^2 and SURE of every sample, rebuilt from the
+    per-batch streams with the rule formed in k dimensions."""
+    loss, sure = [], []
+    children = np.random.SeedSequence(seed).spawn(-(-n // es._BATCH))
+    for i, child in enumerate(children):
+        m = min(es._BATCH, n - i * es._BATCH)
+        X = theta + np.random.default_rng(child).standard_normal((m, theta.size))
+        rho, ok, s = es._shrink_terms(profile, np.linalg.norm(X, axis=1), theta.size)
+        assert ok.all()
+        loss.append(np.sum((X * (1.0 + rho)[:, None] - theta) ** 2, axis=1))
+        sure.append(s)
+    return np.concatenate(loss), np.concatenate(sure)
 
 
 class TestMcRisk:
@@ -145,21 +178,42 @@ class TestMcRisk:
         samples, rebuilt from the per-batch streams.  At |theta| = 10 the SURE
         spread is small against its mean, where a one-pass s2 - n mean^2
         cancels (6e-5 relative here)."""
-        k, n, seed = 5, 2 * es._BATCH, 1
-        theta = np.zeros(k)
+        n, seed = 2 * es._BATCH, 1
+        theta = np.zeros(5)
         theta[0] = 10.0
         rep = es.mc_risk(strawderman_profile, theta, n, seed)
-        loss, sure = [], []
-        for child in np.random.SeedSequence(seed).spawn(2):
-            X = theta + np.random.default_rng(child).standard_normal((es._BATCH, k))
-            rho, ok, s = es._shrink_terms(strawderman_profile,
-                                          np.linalg.norm(X, axis=1), k)
-            assert ok.all()
-            loss.append(np.sum((X * (1.0 + rho)[:, None] - theta) ** 2, axis=1))
-            sure.append(s)
-        for got, samples in ((rep.mc_stderr, loss), (rep.sure_stderr, sure)):
-            x = np.concatenate(samples)
+        loss, sure = _explicit_samples(strawderman_profile, theta, n, seed)
+        for got, x in ((rep.mc_stderr, loss), (rep.sure_stderr, sure)):
             assert got == pytest.approx(np.std(x, ddof=1) / math.sqrt(n), rel=1e-12)
+
+    def test_loss_matches_the_explicit_rule_off_axis(self, strawderman_profile):
+        """The per-sample loss from |Z|^2, Z.theta and |theta|^2 equals
+        |delta(X) - theta|^2 formed in k dimensions, at a theta with every
+        sign and a zero coordinate, over an uneven last batch."""
+        n, seed = 2 * es._BATCH + 3, 5
+        theta = np.array([1.0, -2.0, 0.5, 0.0, 3.0])
+        rep = es.mc_risk(strawderman_profile, theta, n, seed)
+        loss, sure = _explicit_samples(strawderman_profile, theta, n, seed)
+        assert rep.mc_risk == pytest.approx(np.mean(loss), rel=1e-12)
+        assert rep.mc_stderr == pytest.approx(np.std(loss, ddof=1) / math.sqrt(n), rel=1e-12)
+        assert rep.sure_mean == pytest.approx(np.mean(sure), rel=1e-12)
+
+    @pytest.mark.parametrize("route", ["closed_form", "mixture"])
+    def test_reports_do_not_depend_on_the_worker_count(self, route, monkeypatch):
+        """Batches reduce in batch order, so one thread and two give equal
+        reports: three batches with an uneven last one on the closed form,
+        and two on the quadrature route, whose marginal then runs in two
+        threads at once."""
+        profile, n = {
+            "closed_form": (mg.marginal_strawderman(0.5, 5), 2 * es._BATCH + 3),
+            "mixture": (mg.marginal_mixture(pr.gen_beta_mixing(2, 2, -1, 0.5, 5)),
+                        es._BATCH + 1000)}[route]
+        theta = np.array([2.0, 0.0, 0.0, 0.0, 0.0])
+        reports = []
+        for workers in (1, 2):
+            monkeypatch.setattr(es, "_WORKERS", workers)
+            reports.append(es.mc_risk(profile, theta, n, 17))
+        assert reports[0] == reports[1]
 
     def test_large_dimension_sure_is_finite(self):
         # l ~ 1e-162 at k = 400: l^2 underflows, so SURE goes through l'/l and l''/l
@@ -177,8 +231,9 @@ class TestMcRisk:
             route="tiny")
         with pytest.raises(EvaluationError), np.errstate(all="ignore"):
             es.sure(tiny, np.ones(5))
+        # two batches in worker threads, each under the caller's errstate
         with pytest.raises(EvaluationError), np.errstate(all="ignore"):
-            es.mc_risk(tiny, np.zeros(5), 5000, 3)
+            es.mc_risk(tiny, np.zeros(5), 2 * es._BATCH, 3)
 
 
 class TestRiskCurve:
