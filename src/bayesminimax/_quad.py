@@ -17,13 +17,15 @@ done when its error meets its tolerance, or when its roundoff floor
 within a factor _FLOOR_SLACK of the floor, so a signed row that cancels far
 below the integral of its modulus stops at roundoff.
 
-Endpoint behaviour: finite intervals are integrated through the substitution
-x = a + s**2 (and mirrored at the upper end, see :func:`_sqrt_halves`),
-which removes integrable algebraic singularities such as t**(-1/2) without
-any special casing.
+Endpoint behaviour: a finite (a, b) is one refinement loop over one signed
+sqrt map (:func:`_sqrt_map`), which removes integrable algebraic endpoint
+singularities such as t**(-1/2) without any special casing.
 """
 
 from __future__ import annotations
+
+import math
+import traceback
 
 import numpy as np
 
@@ -237,17 +239,32 @@ def _logsumexp_rows(arrs):
     return np.where(np.isfinite(M), out, M)
 
 
-def _sqrt_halves(a: float, b: float):
-    """The sqrt endpoint maps of a finite (a, b), one per half.
+def _sqrt_map(engine, g, a: float, b: float, **kw):
+    """One ``engine`` call of g(x(s), s) over the signed sqrt map of (a, b).
 
-    Returns [(x, s_max), ...]: x(s) = a + s**2 on the lower half and
-    x(s) = b - s**2 on the upper, both for s in (0, s_max) with
-    |dx/ds| = 2s.  They regularize integrable endpoint singularities; smooth
-    integrands stay smooth.
+    x(s) = a + s**2 for s > 0 and b - s**2 for s < 0, s in (-h, h), with
+    h = sqrt((b - a)/2) and |dx/ds| = 2|s|: both endpoints sit at s = 0,
+    where s is exact, an edge of the 8 initial panels.  x is clamped to the
+    open (a, b).  A QuadratureError of this call names its worst interval
+    in x; one raised inside ``g`` (a nested integral) passes unchanged.
     """
-    mid = 0.5 * (a + b)
-    return [(lambda s: a + s * s, np.sqrt(mid - a)),
-            (lambda s: b - s * s, np.sqrt(b - mid))]
+    if not b > a:
+        raise ValueError(f"empty integration interval ({a}, {b})")
+    lo, hi, h = math.nextafter(a, b), math.nextafter(b, a), math.sqrt(0.5 * (b - a))
+
+    def gs(s):
+        return g(np.clip(np.where(s > 0, a, b) + s * np.abs(s), lo, hi), s)
+
+    try:
+        return engine(gs, -h, h, initial_panels=8, **kw)
+    except QuadratureError as exc:
+        if all(f.f_code is not gs.__code__ for f, _ in traceback.walk_tb(exc.__traceback__)):
+            s0, s1 = exc.diagnostics["worst_interval"]
+            end = a if s0 + s1 > 0 else b   # the panel's side of s = 0
+            x0, x1 = exc.diagnostics["worst_interval"] = tuple(sorted(
+                float(end + s * abs(s)) for s in (s0, s1)))
+            exc.args = (f"{exc.args[0]}; worst interval in x: [{x0!r}, {x1!r}]",)
+        raise
 
 
 def integrate_rows(rows, a: float, b: float, rel_tol: float = 1e-10,
@@ -255,18 +272,15 @@ def integrate_rows(rows, a: float, b: float, rel_tol: float = 1e-10,
     """Integrate a family of integrands over a finite (a, b), endpoints mapped.
 
     ``rows`` maps nodes (m,) -> node-major values (m, P), one column per row;
-    any other first axis raises ValueError.  Each half of the interval is one
-    :func:`adaptive_batch` call through :func:`_sqrt_halves`, so both
-    endpoints may carry integrable singularities.  The Jacobian product
-    rows(x(s)) * 2s goes into a fresh array that the engine owns, never into
+    any other first axis raises ValueError.  One :func:`adaptive_batch` call
+    through :func:`_sqrt_map`: both endpoints may be integrably singular, and
+    each row meets max(abs_tol, rel_tol*|I_row|) on its whole integral.  The
+    product rows(x(s)) * 2|s| is a fresh array that the engine owns, never
     the one ``rows`` returned.  Returns (P,).
     """
-    def half(x):
-        return lambda s: _node_major(rows(x(s))) * (2.0 * s)[:, None]
-
-    return sum(adaptive_batch(half(x), 0.0, s_max, rel_tol=rel_tol, abs_tol=abs_tol,
-                              max_depth=max_depth)
-               for x, s_max in _sqrt_halves(a, b))
+    return _sqrt_map(adaptive_batch,
+                     lambda x, s: _node_major(rows(x)) * (2.0 * np.abs(s))[:, None], a, b,
+                     rel_tol=rel_tol, abs_tol=abs_tol, max_depth=max_depth)
 
 
 def integrate_rows_log(log_rows, a: float, b: float, rel_tol: float = 1e-10,
@@ -274,34 +288,20 @@ def integrate_rows_log(log_rows, a: float, b: float, rel_tol: float = 1e-10,
     """Log-space counterpart of :func:`integrate_rows` for positive integrands.
 
     ``log_rows`` maps nodes (m,) -> node-major log-values (m, P), one column
-    per row; any other first axis raises ValueError.  The same sqrt endpoint
-    maps are applied in log form, adding log(2s) down the node axis, and the
-    two halves are combined with logaddexp.  Returns the log of each row's
-    integral.
+    per row; any other first axis raises ValueError.  One
+    :func:`adaptive_batch_log` call through the same map, adding log(2|s|)
+    down the node axis.  Returns the log of each row's integral.
     """
-    def log_half(x):
-        def g(s):
-            s = np.asarray(s, dtype=float)
-            with np.errstate(divide="ignore"):
-                return _node_major(log_rows(x(s))) + np.log(2.0 * s)[:, None]
-        return g
-
-    la, lb = (adaptive_batch_log(log_half(x), 0.0, s_max, rel_tol=rel_tol, max_depth=max_depth)
-              for x, s_max in _sqrt_halves(a, b))
-    return np.logaddexp(la, lb)
+    return _sqrt_map(adaptive_batch_log,
+                     lambda x, s: _node_major(log_rows(x)) + np.log(2.0 * np.abs(s))[:, None],
+                     a, b, rel_tol=rel_tol, max_depth=max_depth)
 
 
 def integrate_finite(f, a: float, b: float, rel_tol: float = 1e-10,
                      abs_tol: float = 1e-14, max_depth: int = 40) -> float:
-    """Integrate a vectorized integrand over a finite interval.
-
-    The one-row :func:`integrate_rows`, with half of ``abs_tol`` per half of
-    the interval.  Both endpoints are treated as potentially (integrably)
-    singular.
-    """
+    """The one-row :func:`integrate_rows` of a vectorized integrand."""
     return float(integrate_rows(lambda x: np.asarray(f(x), dtype=float)[:, None], a, b,
-                                rel_tol=rel_tol, abs_tol=max(abs_tol / 2, 1e-300),
-                                max_depth=max_depth)[0])
+                                rel_tol=rel_tol, abs_tol=abs_tol, max_depth=max_depth)[0])
 
 
 def scan_log_peak(log_g, lo: float, hi: float, tail_cut: float):

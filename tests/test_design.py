@@ -8,10 +8,12 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bayesminimax"
 
-# Internal to _quad: the scalar and log-space refinement front-ends and the
-# panel evaluators.  Other modules integrate through integrate_rows,
-# integrate_rows_log, integrate_finite or adaptive_batch.
-QUAD_INTERNAL = {"adaptive", "adaptive_batch_log", "_make_panel", "_make_panel_log"}
+# Internal to _quad: the scalar and log-space refinement front-ends, the
+# panel evaluators and the signed sqrt endpoint map.  Other modules integrate
+# through integrate_rows, integrate_rows_log, integrate_finite or
+# adaptive_batch.
+QUAD_INTERNAL = {"adaptive", "adaptive_batch_log", "_make_panel", "_make_panel_log",
+                 "_sqrt_map"}
 
 
 @pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "_quad.py"),

@@ -342,19 +342,20 @@ class TestTripleContract:
         for got, want in zip((view.eval(u), view.deriv1(u), view.deriv2(u)), triple):
             np.testing.assert_array_equal(got, want)
 
-    def test_mixture_two_batches_per_chunk(self, monkeypatch):
+    def test_mixture_one_batch_per_chunk(self, monkeypatch):
         monkeypatch.setattr(mg, "_CHUNK", 4)
         prof = mg.marginal_mixture(pr.monomial_mixing(2, 5))
         u = np.linspace(0.5, 4.0, 8)
         counts = self._count(monkeypatch, _quad, ["adaptive_batch"])
         triple = prof.triple(u)
-        assert counts == {"adaptive_batch": 4}
+        assert counts == {"adaptive_batch": 2}
         self._assert_view_matches(prof, u, triple)
 
-    def test_radial_two_log_batches_one_scan(self, monkeypatch):
+    def test_radial_one_log_batch_one_scan(self, monkeypatch):
         """Building the profile integrates nothing; one triple is one scan,
-        one log-space row batch (two halves) and kernels of orders nu and
-        nu + 1 only, at every u including the origin."""
+        one log-space row batch (one engine call over the whole interval)
+        and kernels of orders nu and nu + 1 only, at every u including the
+        origin."""
         prior = pr.RadialPrior(k=5, lam=pr.normal_radial(1.0, 5),
                                proper=pr.PROPER, mass=1.0)
         names = ["adaptive_batch", "adaptive_batch_log", "integrate_rows",
@@ -368,7 +369,7 @@ class TestTripleContract:
                             lambda nu, x: orders.append(nu) or kernel(nu, x))
         u = np.array([0.0, 1e-3, 0.5, 1.0, 2.0])
         triple = prof.triple(u)
-        assert counts == {"adaptive_batch": 0, "adaptive_batch_log": 2, "integrate_rows": 0,
+        assert counts == {"adaptive_batch": 0, "adaptive_batch_log": 1, "integrate_rows": 0,
                           "integrate_rows_log": 1, "scan_log_peak": 1}
         assert set(orders) == {1.5, 2.5}
         self._assert_view_matches(prof, u, triple)

@@ -2,10 +2,12 @@
 detection, batched against point-by-point transforms, and the finite-interval
 quadrature the transforms run on."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.special import beta
 
 from bayesminimax import _quad, transforms as tr
 from bayesminimax.errors import DomainError, QuadratureError, TransformDivergenceError
@@ -77,6 +79,53 @@ class TestIntegrateFinite:
                                    rel_tol=1e-13, max_depth=3)
         assert "worst_interval" in err.value.diagnostics
 
+    def test_beta_integrals_off_the_origin(self):
+        """int_a^b (x-a)^al (b-x)^be dx = (b-a)^(al+be+1) B(al+1, be+1) with
+        endpoints away from 0: no node lands on an endpoint, so the integrand
+        stays finite.  Cases are left out where the integrand's own rounding
+        of x - e next to an endpoint e != 0, about spacing(e)^(1+g)/(1+g) for
+        the exponent g there, already exceeds rel_tol 1e-10 of the integral:
+        there the engine cannot meet its target and exhausts its panel
+        budget instead (30 of the 108 cases)."""
+        checked = 0
+        for a, w, al, be in itertools.product((-5.0, -1.0, 0.0, 2.3), (0.1, 1.0, 10.0),
+                                              (-0.45, 0.3, 1.5), (-0.3, 0.0, 1.5)):
+            b = a + w
+            want = w ** (al + be + 1.0) * beta(al + 1.0, be + 1.0)
+            rounding = max((np.spacing(abs(e)) ** (1.0 + g) / (1.0 + g)
+                            for e, g in ((a, al), (b, be)) if e != 0.0), default=0.0)
+            if rounding > 1e-10 * want:
+                continue
+            got = _quad.integrate_finite(lambda x: (x - a) ** al * (b - x) ** be, a, b)
+            assert got == pytest.approx(want, rel=1e-8), (a, b, al, be)
+            checked += 1
+        assert checked == 78
+
+    def test_singular_upper_endpoint(self):
+        got = _quad.integrate_finite(lambda x: (1.0 - x) ** -0.3 * x ** 2, 0.0, 1.0)
+        assert got == pytest.approx(beta(3.0, 0.7), rel=1e-10)
+
+    @pytest.mark.parametrize("engine, row", [
+        (_quad.integrate_rows, lambda t: 1.0 / (1.0 - t)),
+        (_quad.integrate_rows_log, lambda t: -np.log1p(-t)),
+    ], ids=["integrate_rows", "integrate_rows_log"])
+    def test_errors_name_the_callers_interval(self, engine, row):
+        with pytest.raises(QuadratureError, match="worst interval in x") as err:
+            engine(lambda t: row(t)[:, None], 0.0, 1.0, max_depth=6)
+        lo, hi = err.value.diagnostics["worst_interval"]
+        assert 0.5 <= lo <= hi <= 1.0
+
+    def test_nested_error_keeps_its_own_interval(self):
+        def outer(x):
+            inner = _quad.integrate_finite(lambda t: 1.0 / (1.0 - t), 0.0, 1.0, max_depth=6)
+            return np.full((x.size, 1), inner)
+
+        with pytest.raises(QuadratureError) as err:
+            _quad.integrate_rows(outer, 2.0, 3.0)
+        lo, hi = err.value.diagnostics["worst_interval"]
+        assert 0.5 <= lo <= hi <= 1.0
+        assert str(err.value).count("worst interval in x") == 1
+
 
 class TestRoundoffFloor:
     """A signed row whose integral cancels far below its integral of |g|
@@ -113,8 +162,8 @@ class TestRoundoffFloor:
     def test_integrate_finite_is_the_one_row_batch(self):
         f = lambda t: np.exp(-t) * t ** 0.3  # noqa: E731
         row = _quad.integrate_rows(lambda x: f(x)[:, None], 0.0, 50.0,
-                                   rel_tol=1e-12, abs_tol=0.5e-14)
-        assert _quad.integrate_finite(f, 0.0, 50.0, rel_tol=1e-12) == row[0]
+                                   rel_tol=1e-12, abs_tol=1e-14)
+        assert _quad.integrate_finite(f, 0.0, 50.0, rel_tol=1e-12, abs_tol=1e-14) == row[0]
 
     def test_non_integrable_singularity_still_fails(self):
         with pytest.raises(QuadratureError):
