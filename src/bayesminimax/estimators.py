@@ -49,7 +49,16 @@ __all__ = [
 _BATCH = 65536          # fixed so that seeded runs are bit-reproducible
 _FAIL_FRACTION = 1e-3   # hard-error threshold on excluded samples
 _U_EPS = 1e-8           # below this radius rho and SURE take their limits at u = 0
-_WORKERS = len(os.sched_getaffinity(0))   # threads that run one point's batches
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on; ``os.sched_getaffinity`` is Linux-only."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_WORKERS = _worker_count()   # threads that run one point's batches
 
 # one batch: (valid samples, (sum, M2) of the loss, (sum, M2) of SURE, failures)
 _BatchStats = Tuple[int, Tuple[float, float], Tuple[float, float], int]

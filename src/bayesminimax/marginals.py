@@ -24,14 +24,14 @@ each: :func:`squared_profile` for l = S^2 and :func:`laplace_profile` for
 l = e^{log_scale} G(u^2/2).
 
 Marginals pair e^{-u^2/2} decay against e^{ur}-growing Bessel kernels, so the
-radial route is evaluated entirely in log space; derivatives come from
-differentiating under the integral sign with the order-raising identity
-(x^{-nu} I_nu)' = x^{-nu} I_{nu+1} (DLMF 10.29.4), never from finite
-differences.  That identity subtracts no term of size nu/u, so one formula
-serves every u down to the origin.  All evaluators are
-vectorized over u: one shared adaptive panel partition serves a whole query
-batch, which is what makes Monte Carlo risk runs with ~1e6 marginal
-evaluations cheap.
+radial route is evaluated entirely in log space.  It integrates the positive
+ascending series of I_nu term by term: the I-transform becomes a power series
+in u^2/4 whose coefficients are radial moments of the prior, integrated once
+per batch, and l'/l and l''/l are the exact derivatives of that series, never
+finite differences.  Its terms hold no factor of size nu/u, so one formula
+serves every u down to the origin.  All evaluators are vectorized over u:
+one shared adaptive panel partition serves a whole query batch, which is
+what makes Monte Carlo risk runs with ~1e6 marginal evaluations cheap.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import _quad, specfun
 from .errors import DomainError
@@ -61,6 +62,14 @@ __all__ = [
 # guest) 4,096 gave the shortest pass of 2,048, 3,072, 8,192 and 16,384;
 # smaller chunks refine more partitions, larger ones stream larger buffers.
 _CHUNK = 4096
+
+# marginal_radial sums its moment series over blocks of u whose (block, N+1)
+# term array holds this many doubles (2 MB), reused in place across blocks;
+# one array over every u would set the peak memory of a Monte Carlo batch.
+_SUM_BLOCK = 1 << 18
+# marginal_radial evaluates u below this at this value: x = u^2/4 stays a
+# normal double, so the weights of the j = 1, 2 terms keep their digits
+_U_MIN = 1e-100
 
 
 @dataclass
@@ -142,28 +151,38 @@ def laplace_profile(G: ScalarFn, k: int, route: str, log_scale: float) -> Margin
 # ---------------------------------------------------------------------------
 
 def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD) -> MarginalProfile:
-    """Marginal profile by log-space quadrature against the Bessel kernel.
+    """Marginal profile from the radial moments of the I-transform.
 
     With w(r) = e^{-r^2/2} r^{-nu} lambda(r) the marginal is
-    l = A e^{-u^2/2} K(u), K = u^{-nu} J0, and the order-raising identity
-    (x^{-nu} I_nu)' = x^{-nu} I_{nu+1} (DLMF 10.29.4) gives
+    l = A e^{-u^2/2} K(u), K = u^{-nu} int_0^R w I_nu(ur) dr.  Every term of
+    the ascending series of I_nu (DLMF 10.25.2) is positive, so integrating it
+    term by term turns K into a power series in x = u^2/4,
 
-        K'/K  = J1/J0,
-        K''/K = J2/J0 - (2 nu + 1) J1/(u J0),
+        K(u) = 2^{-nu} sum_{j<=N} a_j x^j,
+        a_j = mu_{nu+2j} / (j! Gamma(nu+j+1)),   mu_p = int_0^R w r^p dr,
 
-    with J0 = int w I_nu(ur) dr, J1 = int w r I_{nu+1}(ur) dr and
-    J2 = int w r^2 I_nu(ur) dr.  Then l'/l = K'/K - u and
-    l''/l = u^2 - 1 - 2u K'/K + K''/K.  No term of size nu/u is subtracted,
-    so this one formula serves every u > 0; u = 0 is evaluated as its limit
-    at u = 1e-300.  The integrands are built from log|lambda|, so a signed
-    lambda raises DomainError rather than being integrated as |lambda|.
+    and, with E the mean under the weights a_j x^j,
+
+        K'/K = (2/u) E[j],   K''/K = E[j]/(2x) + E[j(j-1)]/x.
+
+    Then l'/l = K'/K - u and l''/l = u^2 - 1 - 2u K'/K + K''/K.  R comes from
+    one scan of the Bessel integrand at the batch's largest u; the N + 1
+    moments from one log-space row batch on [r_lo, R].  N is the Bessel stop
+    rule at z = (u_max R)^2/4 for the orders nu, nu + 1 and nu + 2 shifted
+    by 0, 1 and 2 terms (the j- and j(j-1)-weighted series), so a relative
+    tail below roundoff at every r <= R and u <= u_max bounds the tail of
+    each integrated sum; past 10,000 terms EvaluationError is raised.  The
+    sum over j runs in blocks of u.  u is clamped at 1e-100, so that x stays
+    a normal double and u = 0 is evaluated as its limit.  The integrands are
+    built from log|lambda|, so a signed lambda raises DomainError rather than
+    being integrated as |lambda|.
     """
     if not prior.lam.nonneg:
         raise DomainError(f"radial quadrature needs a nonnegative lambda, got the "
                           f"signed {prior.lam.label!r}")
     k = prior.k
     nu = (k - 2.0) / 2.0
-    logA = math.lgamma(0.5 * k) - math.log(2.0) - 0.5 * k * math.log(math.pi)
+    log_scale = math.lgamma(0.5 * k) - 0.5 * k * math.log(2.0 * math.pi)   # log(A 2^{-nu})
     lam = prior.lam
     r_lo = max(lam.support[0], 0.0)
     r_hi_sup = lam.support[1]
@@ -173,44 +192,51 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD) -> Margin
             out = -0.5 * r * r - nu * np.log(r) + lam.log_abs(r)
         return np.where(np.isnan(out), -np.inf, out)
 
-    def log_i(order, x):
-        """log I_order(x), from the scaled kernel."""
-        with np.errstate(all="ignore"):
-            return specfun.log_bessel_i_scaled(order, x) + x
-
     def _triple(u):
-        u = np.maximum(np.atleast_1d(u), 1e-300)
-        n = len(u)
-
-        def rows(r):
-            r = np.asarray(r, dtype=float)
-            lw = log_w(r)[:, None]
-            with np.errstate(divide="ignore"):
-                logr = np.log(r)[:, None]
-            ur = (r[:, None] * u).ravel()
-            b_nu = log_i(nu, ur).reshape(r.size, n)
-            out = np.empty((r.size, 3 * n))
-            np.add(lw, b_nu, out=out[:, :n])
-            np.add(lw + logr, log_i(nu + 1.0, ur).reshape(r.size, n), out=out[:, n:2 * n])
-            np.add(lw + 2.0 * logr, b_nu, out=out[:, 2 * n:])
-            return out
-
-        u_max = float(np.max(u))
+        u = np.atleast_1d(u)
+        uc = np.maximum(u, _U_MIN)
+        x = 0.25 * np.square(uc)
+        u_max = float(np.max(uc))
 
         def scan_fn(r):
-            # I_{nu+1} < I_nu (DLMF 10.37.1), so this bounds every row
+            # the Bessel integrand at u_max, times the r^2 of the K'' weight
             r = np.asarray(r, dtype=float)
-            with np.errstate(divide="ignore"):
-                return log_w(r) + log_i(nu, u_max * r) + 2.0 * np.maximum(np.log(r), 0.0)
+            with np.errstate(all="ignore"):
+                return (log_w(r) + specfun.log_bessel_i_scaled(nu, u_max * r) + u_max * r
+                        + 2.0 * np.maximum(np.log(r), 0.0))
 
         _, hi_eff, _ = _quad.scan_log_peak(scan_fn, r_lo, r_hi_sup, quad.tail_cut)
-        logs = _quad.integrate_rows_log(rows, r_lo, hi_eff, quad.rel_tol,
-                                        quad.max_depth)
-        logJ0, logJ1, logJ2 = logs[:n], logs[n:2 * n], logs[2 * n:]
-        log_u = np.log(u)
-        dK = np.exp(logJ1 - logJ0)                                   # K'/K
-        d2K = np.exp(logJ2 - logJ0) - (2.0 * nu + 1.0) * np.exp(logJ1 - logJ0 - log_u)
-        log_ell = logA - 0.5 * u * u - nu * log_u + logJ0
+        z = 0.25 * (u_max * hi_eff) ** 2
+        n = max(shift + specfun.bessel_series_length(nu + shift, z) for shift in range(3))
+        j = np.arange(n + 1.0)
+        powers = nu + 2.0 * j
+
+        def rows(r):
+            with np.errstate(divide="ignore"):
+                logr = np.log(np.asarray(r, dtype=float))
+            return log_w(r)[:, None] + np.multiply.outer(logr, powers)
+
+        log_mu = _quad.integrate_rows_log(rows, r_lo, hi_eff, quad.rel_tol, quad.max_depth)
+        log_a = log_mu - gammaln(j + 1.0) - gammaln(nu + j + 1.0)
+        j_weights = np.stack([np.ones_like(j), j, j * (j - 1.0)], axis=1)   # 1, j, j(j-1)
+        log_x = np.log(x)
+        log_top, sums = np.empty_like(u), np.empty((u.size, 3))
+        block = max(1, _SUM_BLOCK // (n + 1))
+        buf = np.empty((min(block, u.size), n + 1))
+        for start in range(0, u.size, block):
+            sl = slice(start, start + block)
+            t = buf[:min(block, u.size - start)]   # log a_j + j log x, then its weights
+            np.multiply.outer(log_x[sl], j, out=t)
+            t += log_a
+            np.max(t, axis=1, out=log_top[sl])
+            t -= log_top[sl, None]
+            np.exp(t, out=t)
+            np.matmul(t, j_weights, out=sums[sl])
+        s0 = sums[:, 0]
+        q = sums[:, 1] / (s0 * x)                                    # E[j]/x
+        dK = 0.5 * u * q                                             # K'/K
+        d2K = 0.5 * q + sums[:, 2] / (s0 * x)                        # K''/K
+        log_ell = log_scale - 0.5 * u * u + log_top + np.log(s0)
         return log_ell, dK - u, u * u - 1.0 - 2.0 * u * dK + d2K
 
     return MarginalProfile(k=k, route="radial_quadrature", triple_fn=_triple)

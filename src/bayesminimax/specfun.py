@@ -9,7 +9,9 @@ and integral representations:
   in scalar code, at the argument where its relative tail is largest (the
   largest x for the series, whose terms are all positive; the smallest for
   the expansion), then sums that many terms over the whole batch with no
-  per-point masks.  ``bessel_i`` is its scalar view
+  per-point masks.  ``bessel_series_length`` is the series' term count,
+  which the radial marginal's moment series also uses.  ``bessel_i`` is its
+  scalar view
   exp(log_bessel_i_scaled(nu, x) + x), for nu > -1 or a negative integer
   (I_{-n} = I_n); a value past the double range raises EvaluationError.
 * ``signed_log_kummer_1f1`` (sign, log|1F1(a; b; z)|), the one Kummer
@@ -42,7 +44,7 @@ from scipy.special import gammaln, gammasgn
 from .errors import DomainError, EvaluationError
 
 __all__ = [
-    "bessel_i", "kummer_1f1", "whittaker_m",
+    "bessel_i", "bessel_series_length", "kummer_1f1", "whittaker_m",
     "log_bessel_i_scaled", "log_kummer_1f1", "signed_log_kummer_1f1",
 ]
 
@@ -119,6 +121,16 @@ def _asymptotic_log_i_scaled(nu: float, x: np.ndarray, rel_tol: float) -> np.nda
     return -0.5 * np.log(2.0 * np.pi * x) + np.log(total)
 
 
+def bessel_series_length(nu: float, z: float, tol: float = _EPS,
+                         max_terms: int = _MAX_TERMS) -> int:
+    """Term count n of the ascending series of (x/2)^{-nu} I_nu(x) (DLMF
+    10.25.2), sum_{j<=n} z^j / (j! (nu+1)_j) with z = x^2/4, whose relative
+    tail is at most ``tol`` at z and at every smaller argument; past
+    ``max_terms`` terms, EvaluationError."""
+    return _series_length(lambda j: -math.log((j + 1.0) * (j + 1.0 + nu)), z,
+                          tol, max_terms, 0, "Bessel I series", order=nu)
+
+
 def _series_log_i(nu: float, x: np.ndarray, tol: float, max_terms: int) -> np.ndarray:
     """log I_nu(x) by the ascending series, for nu > -1 (positive terms).
 
@@ -132,8 +144,7 @@ def _series_log_i(nu: float, x: np.ndarray, tol: float, max_terms: int) -> np.nd
     """
     x = np.asarray(x, dtype=float)
     z = 0.25 * x * x
-    n = _series_length(lambda j: -math.log((j + 1.0) * (j + 1.0 + nu)), float(np.max(z)),
-                       tol, max_terms, 0, "Bessel I series", order=nu)
+    n = bessel_series_length(nu, float(np.max(z)), tol, max_terms)
     P = np.ones_like(z)
     for j in range(n, 0, -1):
         P *= z

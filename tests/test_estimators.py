@@ -6,6 +6,7 @@ E|X - theta|^2 = k, and seeded reproducibility.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -214,6 +215,17 @@ class TestMcRisk:
             monkeypatch.setattr(es, "_WORKERS", workers)
             reports.append(es.mc_risk(profile, theta, n, 17))
         assert reports[0] == reports[1]
+
+    def test_worker_count_without_sched_getaffinity(self, monkeypatch):
+        """Where os.sched_getaffinity does not exist (macOS, Windows) the
+        worker count falls back to os.cpu_count(), or 1 if that is unknown."""
+        workers = es._WORKERS
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert es._worker_count() == (os.cpu_count() or 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert es._worker_count() == 1
+        monkeypatch.undo()
+        assert es._worker_count() == workers == es._WORKERS
 
     def test_large_dimension_sure_is_finite(self):
         # l ~ 1e-162 at k = 400: l^2 underflows, so SURE goes through l'/l and l''/l

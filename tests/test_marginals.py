@@ -18,7 +18,7 @@ from bayesminimax import _quad, estimators, specfun
 from bayesminimax import marginals as mg
 from bayesminimax import priors as pr
 from bayesminimax import transforms as tr
-from bayesminimax.errors import DomainError
+from bayesminimax.errors import DomainError, EvaluationError
 from conftest import assert_derivative_contract, fd1
 
 
@@ -118,11 +118,39 @@ class TestRadialRoute:
     def test_matches_closed_form(self, a, k, log_u):
         self._assert_matches_strawderman(a, k, math.exp(log_u))
 
-    @pytest.mark.parametrize("k", [69, 70])
+    @pytest.mark.parametrize("k", [69, 70, 72])
     def test_highest_dimensions_match_closed_form(self, k):
-        """k = 70 is the largest k whose kernel order nu + 1 = k/2 passes the
+        """k = 72 is the largest k whose scan order nu = k/2 - 1 passes the
         order guard of log_bessel_i_scaled; one batch spans u = 1e-6 to 20."""
         self._assert_matches_strawderman(0.5, k, [1e-6, 0.01, 0.5, 2.0, 8.0, 20.0])
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_second_ratio_matches_closed_form_at_large_u(self, k):
+        """l''/l on u in [16, 30], where it is a difference of terms of size
+        u^2: the moment series holds it to the closed form within 1e-11."""
+        u = np.linspace(16.0, 30.0, 29)
+        got = mg.marginal_radial(pr.strawderman_radial(0.5, k)).ratios(u)[2]
+        want = mg.marginal_strawderman(0.5, k).ratios(u)[2]
+        np.testing.assert_array_less(np.abs(got - want), 1e-11 * np.maximum(1.0, np.abs(want)))
+
+    def test_batch_independent(self):
+        """A larger u in the batch raises R and the term count N; the ratios
+        at the other u do not move beyond rounding."""
+        prof = mg.marginal_radial(pr.strawderman_radial(0.5, 5))
+        alone = prof.ratios([0.5, 2.0, 5.0])
+        batched = prof.ratios([0.5, 25.0, 2.0, 5.0])
+        for got, want in zip(batched, alone):
+            got = got[[0, 2, 3]]
+            np.testing.assert_array_less(np.abs(got - want),
+                                         1e-12 * np.maximum(1.0, np.abs(want)))
+
+    def test_term_budget_raises(self):
+        """u_max * R past the 10,000-term budget of the moment series is a
+        typed error, not a NaN."""
+        prior = pr.RadialPrior(k=5, lam=pr.normal_radial(1.0, 5),
+                               proper=pr.PROPER, mass=1.0)
+        with pytest.raises(EvaluationError, match="10000 terms"):
+            mg.marginal_radial(prior).ratios([1.0, 300.0])
 
     def test_small_slope_near_origin(self):
         prior = pr.strawderman_radial(0.5, 5)
@@ -353,9 +381,9 @@ class TestTripleContract:
 
     def test_radial_one_log_batch_one_scan(self, monkeypatch):
         """Building the profile integrates nothing; one triple is one scan,
-        one log-space row batch (one engine call over the whole interval)
-        and kernels of orders nu and nu + 1 only, at every u including the
-        origin."""
+        one log-space row batch of moments (one engine call over the whole
+        interval) and the order-nu kernel of the scan only, at every u
+        including the origin."""
         prior = pr.RadialPrior(k=5, lam=pr.normal_radial(1.0, 5),
                                proper=pr.PROPER, mass=1.0)
         names = ["adaptive_batch", "adaptive_batch_log", "integrate_rows",
@@ -371,7 +399,7 @@ class TestTripleContract:
         triple = prof.triple(u)
         assert counts == {"adaptive_batch": 0, "adaptive_batch_log": 1, "integrate_rows": 0,
                           "integrate_rows_log": 1, "scan_log_peak": 1}
-        assert set(orders) == {1.5, 2.5}
+        assert set(orders) == {1.5}
         self._assert_view_matches(prof, u, triple)
 
     def test_strawderman_no_kummer_calls(self, monkeypatch):
