@@ -143,6 +143,8 @@ def load_config(path: str, args) -> RunConfig:
     mc = dict(doc.get("mc") or {})
     n_samples = int(mc.get("n_samples", 10000))
     seed = int(args.seed if args.seed is not None else mc.get("seed", 20240704))
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     theta_norms = [float(x) for x in mc.get("theta_norms", [0.0, 1.0, 3.0, 6.0, 10.0])]
     if command == "risk" and n_samples < 1000:
         raise DomainError("risk runs require n_samples >= 1000")

@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 from .transforms import QuadSpec, DEFAULT_QUAD, ScalarFn
-from . import _quad
+from . import _quad, priors
 
 __all__ = [
     "ConditionReport", "assemble_report", "default_grid",
@@ -225,17 +224,6 @@ def check_laplace_mixture_bound(G: ScalarFn, k: int, grid) -> ConditionReport:
 # monomial kernel family (unit-interval Laplace kernel t^n)
 # ---------------------------------------------------------------------------
 
-def _log_exp_tail(m: int, s: np.ndarray) -> np.ndarray:
-    """log sum_{j>=m} s^j/j!  by log-space summation (no cancellation)."""
-    s = np.asarray(s, dtype=float)
-    n_terms = int(np.ceil(np.max(s) + 12.0 * math.sqrt(np.max(s) + 1.0) + 60.0))
-    j = np.arange(m, m + n_terms, dtype=float)
-    with np.errstate(divide="ignore"):
-        log_terms = j[None, :] * np.log(s[:, None]) - gammaln(j + 1.0)[None, :]
-    M = np.max(log_terms, axis=1)
-    return M + np.log(np.sum(np.exp(log_terms - M[:, None]), axis=1))
-
-
 def check_monomial_mixture(n: int, k: int, grid) -> ConditionReport:
     """Minimaxity margin for the mixture family with unit Laplace kernel t^n.
 
@@ -243,18 +231,19 @@ def check_monomial_mixture(n: int, k: int, grid) -> ConditionReport:
 
         2(n+2) S_{n+3}(s)/S_{n+2}(s) - (n+1) S_{n+2}(s)/S_{n+1}(s) <= k,
 
-    with S_m(s) = sum_{j>=m} s^j/j!, evaluated by log-space summation.  The
-    accompanying analytic window is n <= k-3 for the condition and
+    with S_m(s) = sum_{j>=m} s^j/j! = e^s P(m, s), P the regularized lower
+    incomplete gamma function.  So the ratios are those of the Laplace
+    transform G = ``priors.monomial_laplace_G(n)``:
+    S_{n+3}/S_{n+2} = s G''/((n+2)(-G')) and S_{n+2}/S_{n+1} = s (-G')/((n+1) G).
+    The accompanying analytic window is n <= k-3 for the condition and
     n > k/2 - 1 for properness of the mixing density.
     """
     if n < 0 or k < 3:
         raise DomainError("requires n >= 0 and k >= 3")
     s = np.asarray(grid, dtype=float)
-    L1 = _log_exp_tail(n + 1, s)
-    L2 = _log_exp_tail(n + 2, s)
-    L3 = _log_exp_tail(n + 3, s)
-    bracket1 = np.exp(L3 - L2)
-    bracket2 = np.exp(L2 - L1)
+    G, G1, G2 = priors.monomial_laplace_G(n).triple(s)
+    bracket1 = s * G2 / ((n + 2.0) * -G1)
+    bracket2 = s * -G1 / ((n + 1.0) * G)
     margins = 2.0 * (n + 2.0) * bracket1 - (n + 1.0) * bracket2 - k
     scale = 2.0 * (n + 2.0) * bracket1 + (n + 1.0) * bracket2 + k
     extra = {

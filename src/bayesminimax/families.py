@@ -15,6 +15,7 @@ attributes at call time, so patching those attributes sees every call.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -45,6 +46,7 @@ class Family:
 
 
 _TOKEN_KINDS = ("inv_sq", "inv", "const", "lin")
+_INF_NAMES = ("inf", "+inf", "infinity")   # the mixture anchor b's infinite spellings
 
 
 def parse_phi_tokens(tokens) -> tuple:
@@ -60,7 +62,9 @@ def parse_phi_tokens(tokens) -> tuple:
         if kind not in _TOKEN_KINDS:
             raise DomainError(f"unknown phi token kind {kind!r}; "
                               f"supported: {_TOKEN_KINDS}")
-        b[_TOKEN_KINDS.index(kind)] += float(tok["c"])
+        if math.isnan(_num(tok, "c")):
+            raise DomainError(f"phi token coefficient c must be a real number, got {tok['c']!r}")
+        b[_TOKEN_KINDS.index(kind)] += tok["c"]
 
     def phi(x):
         x = np.asarray(x, dtype=float)
@@ -79,26 +83,36 @@ def _construct_spherical(k, p, u, quad):
 def _construct_mixture(k, p, u, quad):
     phi, b = parse_phi_tokens(p["phi"])
     a, anchor = p.get("a", 1.0), p.get("b", "inf")
-    if isinstance(anchor, str) and anchor.lower() in ("inf", "+inf", "infinity"):
-        anchor = math.inf
-    anchor = float(anchor)
+    anchor = math.inf if str(anchor).lower() in _INF_NAMES else float(anchor)
     G = priors.construct_G_mixture(phi, a=a, b=anchor, quad=quad, k=k)
     return G, {"b_coeffs": b, "a": a, "anchor_b": repr(anchor)}
 
 
 def _num(p, name):
-    """p[name], or NaN (which fails every range check) when it is missing."""
-    return math.nan if p.get(name) is None else p[name]
+    """p[name], or NaN (which fails every range check) when it is missing or
+    not a real number."""
+    value = p.get(name)
+    return value if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+
+
+def _real(p, *names):
+    """Whether every p[name] is a real number."""
+    return not any(math.isnan(_num(p, name)) for name in names)
 
 
 def _check_phi(k, p):
-    return None if isinstance(p.get("phi"), list) else "a phi token list under params"
+    if not isinstance(p.get("phi"), list):
+        return "a phi token list under params"
+    if any(name in p and not _real(p, name) for name in ("c1", "c2", "a")):
+        return "real parameters c1, c2 and a"
+    if "b" in p and not (_real(p, "b") or str(p["b"]).lower() in _INF_NAMES):
+        return "a real or infinite anchor b"
 
 
 def _check_gen_beta(k, p):
-    for name in ("alpha", "beta", "sigma"):
-        if name not in p:
-            return f"parameter {name!r}"
+    for name in ("alpha", "beta", "gamma", "sigma"):
+        if math.isnan(_num(p, name)):
+            return f"a real parameter {name!r}"
     priors.gen_beta_kernel(*_gen_beta(p))  # validates ranges
 
 
@@ -137,7 +151,7 @@ FAMILIES: Dict[str, Family] = {
         radial=lambda k, p, q: priors.whittaker_radial(p["gamma"], k)),
     "bessel_F": Family(
         check=lambda k, p: (None if 0.0 <= _num(p, "b") <= (k - 2.0) ** 2 / 4.0
-                            else "0 <= b <= (k-2)^2/4"),
+                            and _real(p, "A1", "A2") else "0 <= b <= (k-2)^2/4, real A1, A2"),
         defaults={"A1": 1.0, "A2": 0.0},
         # h(u) F(u) for the inverse-square family: the Gaussian factors cancel
         profile=lambda k, p, q, m: marginals.squared_profile(
@@ -182,7 +196,10 @@ def prior_from_spec(doc: dict) -> FamilySpec:
     if not isinstance(k, int) or k < 3:
         raise DomainError(f"k must be an integer >= 3, got {k!r}")
     row = FAMILIES[family]
-    params = dict(doc.get("params") or {})
+    params = {} if doc.get("params") is None else doc["params"]
+    if not isinstance(params, dict):
+        raise DomainError(f"params must be a JSON object, got {params!r}")
+    params = dict(params)
     for name, value in row.defaults.items():
         params.setdefault(name, value)
     problem = row.check(k, params)

@@ -367,19 +367,6 @@ def monomial_mixing(n: int, k: int) -> MixingDensity:
                          params={"n": n}, mass=mass)
 
 
-def _laplace_moment_series(b: float, s: np.ndarray) -> np.ndarray:
-    """int_0^1 t^{b-1} e^{-st} dt = e^{-s} sum_m s^m / (b (b+1) ... (b+m)),
-    for 0 <= s < b, where every term is positive and the ratio s/(b+m) < 1."""
-    term = np.exp(-s) / b
-    total = term.copy()
-    m = 0
-    while np.any(term > 1e-17 * total):
-        m += 1
-        term = term * s / (b + m)
-        total = total + term
-    return total
-
-
 def monomial_laplace_G(n: float) -> ScalarFn:
     """Closed-form Laplace transform of t^n on (0,1), real n > -1, with
     derivatives:
@@ -394,7 +381,8 @@ def monomial_laplace_G(n: float) -> ScalarFn:
     is assembled in log space where they do not (log space costs ~|b log s|
     ulps, the quotient a few).  Where P itself would fall below ~e^{-600}
     (s < b and s^b e^{-s}/Gamma(b+1) < e^{-600}; this includes s = 0) it
-    comes from its positive series instead.  The two lower moments follow by
+    comes from Kummer's function instead, M_b(s) = e^{-s} 1F1(1; b+1; s) / b
+    (DLMF 8.5.1), through ``specfun.log_kummer_1f1``.  The two lower moments follow by
     the downward recurrence
 
         M_b(s) = (s M_{b+1}(s) + e^{-s}) / b,
@@ -420,7 +408,8 @@ def monomial_laplace_G(n: float) -> ScalarFn:
             M2[wide] = np.exp(math.lgamma(b) + np.log(P[wide]) - b * log_s[wide])
             # log of P's leading factor; the factor 1F1(1; b+1; s) >= 1 only raises P
             small = (s < b) & (b * log_s - s - math.lgamma(b + 1.0) < -600.0)
-        M2[small] = _laplace_moment_series(b, s[small])
+        if np.any(small):
+            M2[small] = np.exp(specfun.log_kummer_1f1(1.0, b + 1.0, s[small]) - s[small]) / b
         e = np.exp(-s)
         M1 = (s * M2 + e) / (n + 2.0)
         return (s * M1 + e) / (n + 1.0), -M1, M2

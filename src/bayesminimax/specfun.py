@@ -1,19 +1,15 @@
 """Special functions: log-gamma, modified Bessel I, Kummer 1F1, Whittaker M.
 
-Everything here is real-valued and built from series, asymptotic expansions
-and integral representations:
+Everything here is real-valued and built from scipy.special kernels,
+series, asymptotic expansions and integral representations:
 
-* ``log_bessel_i_scaled`` log(I_nu(x)) - x for nu > -1: power series
-  (DLMF 10.25.2) below x = 30 + nu^2/2, large-argument expansion
-  (DLMF 10.40.1) above.  Each branch fixes its term count once per batch,
-  in scalar code, at the argument where its relative tail is largest (the
-  largest x for the series, whose terms are all positive; the smallest for
-  the expansion), then sums that many terms over the whole batch with no
-  per-point masks.  ``bessel_series_length`` is the series' term count,
-  which the radial marginal's moment series also uses.  ``bessel_i`` is its
-  scalar view
-  exp(log_bessel_i_scaled(nu, x) + x), for nu > -1 or a negative integer
-  (I_{-n} = I_n); a value past the double range raises EvaluationError.
+* ``log_bessel_i_scaled`` log(I_nu(x)) - x for nu > -1, at any order:
+  log(scipy.special.ive(nu, x)), and the ascending series (DLMF 10.25.2)
+  where ive is below the normal double range.  ``bessel_series_length`` is
+  the series' term count, which the radial marginal's moment series also
+  uses.  ``bessel_i`` is the scalar view exp(log_bessel_i_scaled(nu, x) + x),
+  for nu > -1 or a negative integer (I_{-n} = I_n); a value past the double
+  range raises EvaluationError.
 * ``signed_log_kummer_1f1`` (sign, log|1F1(a; b; z)|), the one Kummer
   kernel: Kummer's transformation 1F1(a;b;z) = e^z 1F1(b-a;b;-z) for z < 0,
   then the ascending series in log space below a switch of at least
@@ -39,7 +35,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, gammasgn
+from scipy.special import gammaln, gammasgn, ive
 
 from .errors import DomainError, EvaluationError
 
@@ -48,10 +44,10 @@ __all__ = [
     "log_bessel_i_scaled", "log_kummer_1f1", "signed_log_kummer_1f1",
 ]
 
-_REL_TOL = 1e-12     # the Bessel expansion stops below this relative term size
 _MAX_TERMS = 10000   # series budget before EvaluationError
 _EPS = float(np.finfo(float).eps)
 _LOG_MAX = math.log(np.finfo(float).max)
+_LOG_TINY = math.log(np.finfo(float).tiny)   # ive below this goes to the Bessel series
 
 
 def _series_length(log_ratio, z: float, tol: float, max_terms: int, start: int,
@@ -83,44 +79,6 @@ def _series_length(log_ratio, z: float, tol: float, max_terms: int, start: int,
 # modified Bessel function of the first kind
 # ---------------------------------------------------------------------------
 
-def _series_switch(nu: float) -> float:
-    # keeps the power series well within the term budget
-    return 30.0 + 0.5 * nu * nu
-
-
-def _asymptotic_log_i_scaled(nu: float, x: np.ndarray, rel_tol: float) -> np.ndarray:
-    """log(I_nu(x)) - x via the large-argument expansion, x >= ~30.
-
-    DLMF 10.40.1: I_nu(x) ~ e^x/sqrt(2 pi x) * sum_m (-1)^m a_m(nu)/x^m with
-    a_m = prod_{j<=m} (4 nu^2-(2j-1)^2) / (m! 8^m).  The e^{-x} reflection
-    term is below 1e-26 relative on this branch and ignored.  Every term's
-    size is largest at the smallest x, so the stop index (the smallest term,
-    or the first below rel_tol) is found once there in scalar arithmetic.
-    """
-    x = np.asarray(x, dtype=float)
-    fournu2 = 4.0 * nu * nu
-    x_min = float(np.min(x))
-    coeffs = []   # a_1 ... a_n, n fixed at x_min
-    a, x_pow, prev_size = 1.0, 1.0, math.inf
-    for m in range(1, 60):
-        a *= (fournu2 - (2 * m - 1) ** 2) / (8.0 * m)
-        x_pow /= x_min   # x_min^-m
-        size = abs(a) * x_pow
-        if size > prev_size:
-            break  # divergent tail of the asymptotic series: stop at min term
-        coeffs.append(a)
-        prev_size = size
-        if size <= rel_tol:
-            break
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    for a in coeffs:
-        term *= -1.0  # sign alternation folded into the x power
-        term /= x
-        total += a * term
-    return -0.5 * np.log(2.0 * np.pi * x) + np.log(total)
-
-
 def bessel_series_length(nu: float, z: float, tol: float = _EPS,
                          max_terms: int = _MAX_TERMS) -> int:
     """Term count n of the ascending series of (x/2)^{-nu} I_nu(x) (DLMF
@@ -131,7 +89,7 @@ def bessel_series_length(nu: float, z: float, tol: float = _EPS,
                           tol, max_terms, 0, "Bessel I series", order=nu)
 
 
-def _series_log_i(nu: float, x: np.ndarray, tol: float, max_terms: int) -> np.ndarray:
+def _series_log_i(nu: float, x: np.ndarray) -> np.ndarray:
     """log I_nu(x) by the ascending series, for nu > -1 (positive terms).
 
     The terms t_j = z^j / (j! (nu+1)_j), z = x^2/4, are all positive, and
@@ -144,7 +102,7 @@ def _series_log_i(nu: float, x: np.ndarray, tol: float, max_terms: int) -> np.nd
     """
     x = np.asarray(x, dtype=float)
     z = 0.25 * x * x
-    n = bessel_series_length(nu, float(np.max(z)), tol, max_terms)
+    n = bessel_series_length(nu, float(np.max(z)))
     P = np.ones_like(z)
     for j in range(n, 0, -1):
         P *= z
@@ -155,7 +113,9 @@ def _series_log_i(nu: float, x: np.ndarray, tol: float, max_terms: int) -> np.nd
 
 
 def log_bessel_i_scaled(nu: float, x) -> np.ndarray:
-    """log(I_nu(x)) - x for array x >= 0, order nu > -1.
+    """log(I_nu(x)) - x for array x >= 0, order nu > -1: log(ive(nu, x)),
+    with the ascending series where ive is below the normal double range
+    (small x at a large order), and the limits at x = 0 and x = +inf.
 
     Vectorized core used by the transforms and marginal integrands, whose
     Bessel kernels must be combined with Gaussian factors in log space.
@@ -166,26 +126,17 @@ def log_bessel_i_scaled(nu: float, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise DomainError("Bessel I requires x >= 0")
-    cut = _series_switch(nu)
-    if cut > 650.0:  # nu > 35.2; the series is held to mpmath up to this switch
-        raise EvaluationError(f"order nu={nu} too large for the series branch")
     out = np.empty_like(x)
-    small = x < cut
-    series = small & (x > 0.0)  # the series' nu log(x/2) is 0 * -inf at x = 0
+    with np.errstate(divide="ignore"):
+        np.log(ive(nu, x), out=out)
+    # the series' nu log(x/2) is 0 * -inf at x = 0
+    series = (out < _LOG_TINY) & (x > 0.0) & np.isfinite(x)
     if np.any(series):
         xs = x[series]
-        out[series] = _series_log_i(nu, xs, _EPS, _MAX_TERMS) - xs
-    if np.any(~small):
-        out[~small] = _asymptotic_log_i_scaled(nu, x[~small], _REL_TOL)
-    # x == 0: I_nu(0) = 1 (nu=0), 0 (nu>0), +inf (nu in (-1,0))
-    zero = x == 0.0
-    if np.any(zero):
-        if nu == 0.0:
-            out[zero] = 0.0
-        elif nu > 0.0:
-            out[zero] = -np.inf
-        else:
-            out[zero] = np.inf
+        out[series] = _series_log_i(nu, xs) - xs
+    out[x == np.inf] = -np.inf   # ive(nu, inf) is NaN; log I - x ~ -log(2 pi x)/2
+    # I_nu(0) = 1 (nu = 0), 0 (nu > 0), +inf (nu in (-1, 0)); ive(nu < 0, 0) is NaN
+    out[x == 0.0] = 0.0 if nu == 0.0 else math.copysign(math.inf, -nu)
     return out
 
 

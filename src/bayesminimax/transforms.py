@@ -46,8 +46,10 @@ class QuadSpec:
     tail_cut: float = 1e-14
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.tail_cut > 0):
-            raise DomainError("rel_tol and tail_cut must be positive")
+        if not self.rel_tol > 0:
+            raise DomainError("rel_tol must be positive")
+        if not 0 < self.tail_cut < 1:
+            raise DomainError(f"tail_cut must lie in (0, 1), got {self.tail_cut}")
         if self.abs_tol < 0:
             raise DomainError("abs_tol must be nonnegative")
         if self.max_depth < 1:

@@ -226,8 +226,9 @@ class TestMonomialMixture:
             assert big.extra["large_s_limit"] == n + 3
 
     def test_margin_matches_gammainc_route(self):
-        """Log-series tail ratios against the incomplete-gamma closed form:
-        sum_{j>=m} s^j/j! = e^s P(m, s) with P the regularized lower gamma."""
+        """The tail ratios, read from monomial_laplace_G's triple (one
+        gammainc call and a downward recurrence), against direct quotients of
+        sum_{j>=m} s^j/j! = e^s P(m, s), P the regularized lower gamma."""
         from scipy.special import gammainc
 
         n, k = 2, 5

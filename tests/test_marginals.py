@@ -118,10 +118,10 @@ class TestRadialRoute:
     def test_matches_closed_form(self, a, k, log_u):
         self._assert_matches_strawderman(a, k, math.exp(log_u))
 
-    @pytest.mark.parametrize("k", [69, 70, 72])
+    @pytest.mark.parametrize("k", [69, 70, 72, 73, 120])
     def test_highest_dimensions_match_closed_form(self, k):
-        """k = 72 is the largest k whose scan order nu = k/2 - 1 passes the
-        order guard of log_bessel_i_scaled; one batch spans u = 1e-6 to 20."""
+        """High dimensions, whose scan order nu = k/2 - 1 reaches 59 at
+        k = 120; one batch spans u = 1e-6 to 20."""
         self._assert_matches_strawderman(0.5, k, [1e-6, 0.01, 0.5, 2.0, 8.0, 20.0])
 
     @pytest.mark.parametrize("k", [3, 5, 8])

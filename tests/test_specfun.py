@@ -11,8 +11,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.special import gammaln, hyp1f1, iv, kv
+from hypothesis import example, given, settings, strategies as st
+from scipy.special import gammaln, hyp1f1, iv, ive, kv
 
 from bayesminimax import specfun as sf
 from bayesminimax.errors import DomainError, EvaluationError
@@ -61,24 +61,29 @@ class TestBesselI:
                 continue
             assert sf.bessel_i(nu, x) == pytest.approx(ref, rel=5e-12)
 
-    @pytest.mark.parametrize("nu", [33.5, 34.0, 35.0])
+    @pytest.mark.parametrize("nu", [33.5, 34.0, 35.0, 35.5, 100.0, 199.0, 499.0])
     def test_high_order_against_mpmath(self, nu):
-        """The orders the radial marginal needs up to k = 70, on both sides of
-        the series switch 30 + nu^2/2 (642.5 at nu = 35).  Near the switch the
-        ~400-term series carries about 1e-12 relative rounding in I_nu, the
-        same at nu = 33.5 as at the higher orders."""
-        cut = sf._series_switch(nu)
-        x = np.concatenate([np.geomspace(1e-3, 0.999 * cut, 30), cut * np.array([1.001, 1.5])])
+        """Orders from 33.5 to 499 (the radial scan order at k = 1000), on
+        x in [1e-3, 5e4]: within 2e-12 absolute and 1e-14 relative of
+        40-digit mpmath in log I - x, and within 1e-13 relative of one-point
+        evaluations.  From nu = 100 on the grid holds points where ive is
+        below the normal double range, which the ascending series evaluates
+        (x below 0.069 at nu = 100, 4.5 at 199, 112 at 499)."""
+        x = np.geomspace(1e-3, 5e4, 60)
+        assert nu < 100.0 or np.any(ive(nu, x) < np.finfo(float).tiny)
         got = sf.log_bessel_i_scaled(nu, x)
+        alone = np.concatenate([sf.log_bessel_i_scaled(nu, xi[None]) for xi in x])
+        np.testing.assert_allclose(got, alone, rtol=1e-13, atol=0)
         with mpmath.workdps(40):
             want = np.array([float(mpmath.log(mpmath.besseli(nu, xi)) - xi) for xi in x])
-        np.testing.assert_allclose(got, want, rtol=0, atol=2e-12)
+        err = np.abs(got - want)
+        assert np.all(err <= 2e-12) and np.all(err <= 1e-14 * np.abs(want))
 
     def test_domain_and_convergence_errors(self):
         with pytest.raises(DomainError):
             sf.bessel_i(0.5, -1.0)
         with pytest.raises(EvaluationError) as err:
-            sf._series_log_i(0.5, np.array([20.0]), sf._REL_TOL, 3)
+            sf.bessel_series_length(0.5, 100.0, max_terms=3)
         assert "partial_sum" in err.value.diagnostics
 
     def test_overflow_is_a_typed_error(self):
@@ -92,25 +97,34 @@ class TestBesselI:
     @settings(max_examples=30, deadline=None)
     @given(nu=st.floats(-1.0, 35.0, exclude_min=True),
            tiny=st.floats(0.5e-8, 2e-8), below=st.floats(1e-9, 1e-3))
+    @example(nu=35.0, tiny=1e-8, below=1e-6)
     def test_batch_fixes_its_term_count_at_the_largest_argument(self, nu, tiny, below):
-        """One batch mixing x = 0, x ~ 1e-8 and x just below the series switch
-        sums every point with the term count set at its largest x.  Each
-        value equals its one-point evaluation within 1e-13 and mpmath within
-        2e-13: the series runs until its tail bound is below roundoff, so
-        what is left is the rounding of about 400 terms at nu = 35 beside the
-        switch (x = 642, log I = 637), and the log of a 1e-8 argument rounds
-        at that scale too.  Silent under RuntimeWarning-as-error."""
-        x = np.array([0.0, tiny, sf._series_switch(nu) * (1.0 - below)])
+        """One batch mixing x = 0, x ~ 1e-8, 4x that and x just below 642.5
+        gives each point its one-point value within 1e-13 and mpmath's within
+        2e-13.  I_nu e^{-x} is below the normal double range at x = 1e-8 from
+        nu ~ 32.4 on and at 4e-8 from nu ~ 34.5 on, so near nu = 35 both small
+        points take the ascending series with one term count, set at the
+        larger of them; the rest is log(ive).  The log of a 1e-8 argument
+        rounds at the 2e-13 scale (log I = -690 at nu = 35).  Silent under
+        RuntimeWarning-as-error."""
+        x = np.array([0.0, tiny, 4.0 * tiny, 642.5 * (1.0 - below)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = sf.log_bessel_i_scaled(nu, x)
-            alone = np.concatenate([sf.log_bessel_i_scaled(nu, x[i:i + 1]) for i in range(3)])
+            alone = np.concatenate([sf.log_bessel_i_scaled(nu, x[i:i + 1]) for i in range(4)])
         assert got[0] == alone[0] == (0.0 if nu == 0.0 else math.copysign(math.inf, -nu))
         np.testing.assert_allclose(got[1:], alone[1:], rtol=0, atol=1e-13)
         with mpmath.workdps(40):
             log_i = np.array([float(mpmath.log(mpmath.besseli(nu, xi))) for xi in x[1:]])
         assert np.all(np.abs(got[1:] - (log_i - x[1:])) <= 2e-13)
         assert np.all(np.abs(alone[1:] - (log_i - x[1:])) <= 2e-13)
+
+    def test_infinite_argument(self):
+        """log I_nu(x) - x -> -inf as x -> inf (ive itself is NaN there)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sf.log_bessel_i_scaled(2.5, np.array([np.inf, 1.0]))
+        assert got[0] == -math.inf and np.isfinite(got[1])
 
     def test_order_domain(self):
         """Non-integer orders below -1 are outside the series' domain."""

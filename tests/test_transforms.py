@@ -35,7 +35,8 @@ class TestQuadSpec:
         assert q.max_depth == 40 and q.tail_cut == 1e-14
 
     @pytest.mark.parametrize("kwargs", [{"rel_tol": 0.0}, {"tail_cut": 0.0},
-                                        {"max_depth": 0}, {"abs_tol": -1.0}])
+                                        {"max_depth": 0}, {"abs_tol": -1.0},
+                                        {"tail_cut": 1.0}])
     def test_invalid(self, kwargs):
         with pytest.raises(DomainError):
             tr.QuadSpec(**kwargs)
@@ -252,9 +253,11 @@ class TestNodeMajorLayout:
 
 
 class TestITransform:
-    def test_gaussian_closed_form(self):
-        k, alpha, y = 5, 1.0, 2.0
-        nu = (k - 2.0) / 2.0
+    @pytest.mark.parametrize("nu", [1.5, 40.0, 100.0])
+    def test_gaussian_closed_form(self, nu):
+        """The Gaussian pair against its closed form at k = 5 (nu = 1.5) and
+        at the high orders 40 and 100 (k = 82 and 202)."""
+        alpha, y = 1.0, 2.0
         f = gaussian_bessel_fn(nu, alpha)
         got = tr.i_transform(f, nu, y, tr.QuadSpec(rel_tol=1e-10))
         closed = y ** (nu + 0.5) * math.exp(y * y / (4 * alpha)) / (2 * alpha) ** (nu + 1)
