@@ -327,9 +327,9 @@ def cmd_risk(cfg: RunConfig) -> int:
 def _transform_input(cfg: RunConfig):
     """Resolve the function f and order nu for the transform command."""
     ps = cfg.prior_spec
-    nu = float(cfg.transform_block.get("nu", (cfg.k - 2.0) / 2.0))
+    nu = families.real_param(cfg.transform_block, "nu", (cfg.k - 2.0) / 2.0)
     if ps.get("family") == "gaussian_bessel":
-        alpha = float((ps.get("params") or {}).get("alpha", 1.0))
+        alpha = families.real_param(families.spec_params(ps), "alpha", 1.0)
 
         def log_f(x):
             x = np.asarray(x, dtype=float)
@@ -345,6 +345,28 @@ def _transform_input(cfg: RunConfig):
     return transforms.transform_weight(families.radial_prior(spec, cfg.quad).lam, spec.k), nu
 
 
+def _consistency_target(cfg: RunConfig, target: str) -> ScalarFn:
+    """The profile F that a consistency check holds the I-transform to."""
+    if target == "power_exp":
+        gamma = families.real_param(
+            cfg.transform_block, "gamma",
+            families.real_param(families.spec_params(cfg.prior_spec), "gamma", 1.0))
+        return priors.power_exp_profile(gamma, cfg.k)
+    if target == "ell_over_h":
+        spec = families.prior_from_spec(cfg.prior_spec)
+        prof = profile_for(spec, cfg.quad)
+        logA = (math.lgamma(0.5 * cfg.k) - math.log(2.0)
+                - 0.5 * cfg.k * math.log(math.pi))
+
+        def F_t(u):
+            u = np.asarray(u, dtype=float)
+            log_h = logA + 0.5 * (1.0 - cfg.k) * np.log(u) - 0.5 * u * u
+            return np.exp(prof.ratios(u)[0] - log_h)
+
+        return ScalarFn(eval=F_t, support=(0.0, math.inf), label="ell_over_h", nonneg=True)
+    raise DomainError(f"unknown consistency target {target!r}")
+
+
 def cmd_transform(cfg: RunConfig) -> int:
     f, nu = _transform_input(cfg)
     kind = cfg.transform_block.get("kind", "i")
@@ -355,6 +377,9 @@ def cmd_transform(cfg: RunConfig) -> int:
     if target and kind != "i":
         raise DomainError("consistency_target judges the tabulated I-transform; "
                           f"it needs transform kind i, got {kind!r}")
+    if target:   # resolved before the transform, so a config error writes nothing
+        F_target = _consistency_target(cfg, target)
+        prop_tol = families.real_param(cfg.transform_block, "prop_tol", 1e-4)
     transform = transforms.i_transform if kind == "i" else transforms.k_transform
     values = transform(f, nu, grid, cfg.quad)
     outputs = []
@@ -362,26 +387,6 @@ def cmd_transform(cfg: RunConfig) -> int:
     code = _EXIT_OK
 
     if target:
-        if target == "power_exp":
-            gamma = float(cfg.transform_block.get(
-                "gamma", cfg.prior_spec.get("params", {}).get("gamma", 1.0)))
-            F_target = priors.power_exp_profile(gamma, cfg.k)
-        elif target == "ell_over_h":
-            spec = families.prior_from_spec(cfg.prior_spec)
-            prof = profile_for(spec, cfg.quad)
-            logA = (math.lgamma(0.5 * cfg.k) - math.log(2.0)
-                    - 0.5 * cfg.k * math.log(math.pi))
-
-            def F_t(u):
-                u = np.asarray(u, dtype=float)
-                log_h = logA + 0.5 * (1.0 - cfg.k) * np.log(u) - 0.5 * u * u
-                return np.exp(prof.ratios(u)[0] - log_h)
-
-            F_target = ScalarFn(eval=F_t, support=(0.0, math.inf),
-                                label="ell_over_h", nonneg=True)
-        else:
-            raise DomainError(f"unknown consistency target {target!r}")
-        prop_tol = float(cfg.transform_block.get("prop_tol", 1e-4))
         report = transforms.proportionality_report(
             grid, values, F_target.eval(grid), prop_tol, cfg.quad.abs_tol)
         _write(cfg, outputs, "consistency_report.json", report.to_json(indent=2) + "\n")

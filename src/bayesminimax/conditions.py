@@ -88,7 +88,9 @@ def assemble_report(condition_id: str, grid: Sequence[float],
                     extra: Optional[dict] = None) -> ConditionReport:
     """Build a report with the standard verdict semantics.
 
-    FAILS  iff some margin exceeds its band (witness = worst such point);
+    FAILS  iff some margin exceeds its band (witness = the first such point
+           whose excess over its band is within the report's band of the
+           largest, so that roundoff along a plateau does not move it);
     HOLDS  iff every margin is below minus its band;
     INCONCLUSIVE otherwise (including NaN margins from failed evaluations).
     """
@@ -100,10 +102,12 @@ def assemble_report(condition_id: str, grid: Sequence[float],
     finite = np.isfinite(marr)
     fails = finite & (marr > barr)
     holds = finite & (marr < -barr)
+    numerical_band = float(np.max(barr)) if len(bands) else 0.0
     witness = None
     if np.any(fails):
         verdict = FAILS
-        idx = int(np.argmax(np.where(fails, marr - barr, -np.inf)))
+        excess = np.where(fails, marr - barr, -np.inf)
+        idx = int(np.argmax(excess >= np.max(excess) - numerical_band))
         witness = grid[idx]
     elif np.all(holds) and len(grid) > 0:
         verdict = HOLDS
@@ -114,7 +118,7 @@ def assemble_report(condition_id: str, grid: Sequence[float],
         grid=grid,
         margins=margins,
         verdict=verdict,
-        numerical_band=float(np.max(barr)) if len(bands) else 0.0,
+        numerical_band=numerical_band,
         bands=bands,
         witness=witness,
         extra=dict(extra or {}),

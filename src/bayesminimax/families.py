@@ -95,6 +95,24 @@ def _num(p, name):
     return value if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
 
 
+def real_param(p: dict, name: str, default: float) -> float:
+    """p[name] as a float, or the default where it is absent; a value that
+    _num reads as NaN is a DomainError."""
+    value = _num(p, name) if name in p else default
+    if math.isnan(value):
+        raise DomainError(f"{name} must be a real number, got {p[name]!r}")
+    return float(value)
+
+
+def spec_params(doc: dict) -> dict:
+    """A prior spec's params, {} where absent; anything but an object is a
+    DomainError."""
+    params = {} if doc.get("params") is None else doc["params"]
+    if not isinstance(params, dict):
+        raise DomainError(f"params must be a JSON object, got {params!r}")
+    return params
+
+
 def _real(p, *names):
     """Whether every p[name] is a real number."""
     return not any(math.isnan(_num(p, name)) for name in names)
@@ -196,10 +214,7 @@ def prior_from_spec(doc: dict) -> FamilySpec:
     if not isinstance(k, int) or k < 3:
         raise DomainError(f"k must be an integer >= 3, got {k!r}")
     row = FAMILIES[family]
-    params = {} if doc.get("params") is None else doc["params"]
-    if not isinstance(params, dict):
-        raise DomainError(f"params must be a JSON object, got {params!r}")
-    params = dict(params)
+    params = dict(spec_params(doc))
     for name, value in row.defaults.items():
         params.setdefault(name, value)
     problem = row.check(k, params)

@@ -27,16 +27,18 @@ Marginals pair e^{-u^2/2} decay against e^{ur}-growing Bessel kernels, so the
 radial route is evaluated entirely in log space.  It integrates the positive
 ascending series of I_nu term by term: the I-transform becomes a power series
 in u^2/4 whose coefficients are radial moments of the prior, integrated once
-per batch, and l'/l and l''/l are the exact derivatives of that series, never
-finite differences.  Its terms hold no factor of size nu/u, so one formula
-serves every u down to the origin.  All evaluators are vectorized over u:
-one shared adaptive panel partition serves a whole query batch, which is
-what makes Monte Carlo risk runs with ~1e6 marginal evaluations cheap.
+per profile and then reused by every call, and l'/l and l''/l are the
+exact derivatives of that series, never finite differences.  Its terms hold
+no factor of size nu/u, so one formula serves every u down to the origin.
+All evaluators are vectorized over u: one shared adaptive panel partition
+serves a whole query batch, which is what makes Monte Carlo risk runs with
+~1e6 marginal evaluations cheap.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
@@ -44,7 +46,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import _quad, specfun
-from .errors import DomainError
+from .errors import DomainError, EvaluationError
 from .priors import MixingDensity, RadialPrior, monomial_laplace_G
 from .transforms import DEFAULT_QUAD, QuadSpec, ScalarFn
 
@@ -67,6 +69,17 @@ _CHUNK = 4096
 # term array holds this many doubles (2 MB), reused in place across blocks;
 # one array over every u would set the peak memory of a Monte Carlo batch.
 _SUM_BLOCK = 1 << 18
+# marginal_radial puts u on a fixed geometric ladder of horizons
+# L_i = _LADDER_FLOOR * _LADDER_RATIO^i, i >= 0: u takes the smallest
+# L_i >= u, and the level fixes the term count N of u's moment series.  Its
+# coefficients a_j are integrated once per profile, _MOMENT_BLOCK of them at
+# a time, and every level sums a prefix of that one list.  A finer ladder
+# scans more levels, a coarser one sums more terms per u (those of a horizon
+# up to _LADDER_RATIO times u).  A larger block integrates more moments that
+# no level may need, a smaller one makes more scans and row batches.
+_LADDER_RATIO = math.sqrt(2.0)
+_LADDER_FLOOR = 4.0
+_MOMENT_BLOCK = 64
 # marginal_radial evaluates u below this at this value: x = u^2/4 stays a
 # normal double, so the weights of the j = 1, 2 terms keep their digits
 _U_MIN = 1e-100
@@ -154,28 +167,42 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD) -> Margin
     """Marginal profile from the radial moments of the I-transform.
 
     With w(r) = e^{-r^2/2} r^{-nu} lambda(r) the marginal is
-    l = A e^{-u^2/2} K(u), K = u^{-nu} int_0^R w I_nu(ur) dr.  Every term of
+    l = A e^{-u^2/2} K(u), K = u^{-nu} int_0^inf w I_nu(ur) dr.  Every term of
     the ascending series of I_nu (DLMF 10.25.2) is positive, so integrating it
     term by term turns K into a power series in x = u^2/4,
 
         K(u) = 2^{-nu} sum_{j<=N} a_j x^j,
-        a_j = mu_{nu+2j} / (j! Gamma(nu+j+1)),   mu_p = int_0^R w r^p dr,
+        a_j = mu_{nu+2j} / (j! Gamma(nu+j+1)),   mu_p = int_0^inf w r^p dr,
 
     and, with E the mean under the weights a_j x^j,
 
         K'/K = (2/u) E[j],   K''/K = E[j]/(2x) + E[j(j-1)]/x.
 
-    Then l'/l = K'/K - u and l''/l = u^2 - 1 - 2u K'/K + K''/K.  R comes from
-    one scan of the Bessel integrand at the batch's largest u; the N + 1
-    moments from one log-space row batch on [r_lo, R].  N is the Bessel stop
-    rule at z = (u_max R)^2/4 for the orders nu, nu + 1 and nu + 2 shifted
-    by 0, 1 and 2 terms (the j- and j(j-1)-weighted series), so a relative
-    tail below roundoff at every r <= R and u <= u_max bounds the tail of
-    each integrated sum; past 10,000 terms EvaluationError is raised.  The
-    sum over j runs in blocks of u.  u is clamped at 1e-100, so that x stays
-    a normal double and u = 0 is evaluated as its limit.  The integrands are
-    built from log|lambda|, so a signed lambda raises DomainError rather than
-    being integrated as |lambda|.
+    Then l'/l = K'/K - u and l''/l = u^2 - 1 - 2u K'/K + K''/K.  The
+    coefficients a_j do not depend on u, so they are integrated once per
+    profile and reused by every later call: in blocks of ``_MOMENT_BLOCK``
+    consecutive j, each one log-space row batch of moments on [r_lo, r_lo +
+    2^m], the power of two that covers the scan cut of the block's highest
+    moment, so that each mu_p is a fixed number whichever call first needs
+    it.  Blocks whose ranges round to the same 2^m share their quadrature
+    nodes, and log w is evaluated once per node array.  u sits on a fixed
+    geometric ladder of horizons L (ratio ``_LADDER_RATIO`` from
+    ``_LADDER_FLOOR``, the smallest L >= u), and each level's term count N is
+    found the first time a u needs it: one scan of the Bessel integrand at
+    u = L gives R, and N is the Bessel stop rule at z = (L R)^2/4 for the
+    orders nu, nu + 1 and nu + 2 shifted by 0, 1 and 2 terms (the j- and
+    j(j-1)-weighted series), so a relative tail below roundoff at every
+    r <= R and u <= L bounds the tail of each integrated sum.  A level whose
+    N passes the 10,000-term budget takes instead the N of the largest
+    horizon above the level below that fits it, found once by bisection; u
+    past that horizon raise EvaluationError.  Levels and blocks are built
+    behind one lock, since Monte Carlo batches call ``ratios`` from worker
+    threads.  A warm call runs no quadrature, and each row sums its terms on
+    its own (a per-row pairwise reduction), so the value at u does not
+    depend on the batch it comes in.  u is clamped at 1e-100, so that x
+    stays a normal double and u = 0 is evaluated as its limit; a NaN u gives
+    NaN.  The integrands are built from log|lambda|, so a signed lambda
+    raises DomainError rather than being integrated as |lambda|.
     """
     if not prior.lam.nonneg:
         raise DomainError(f"radial quadrature needs a nonnegative lambda, got the "
@@ -186,60 +213,139 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD) -> Margin
     lam = prior.lam
     r_lo = max(lam.support[0], 0.0)
     r_hi_sup = lam.support[1]
+    tables = {}   # ladder level -> build(level)
+    log_a = []    # log a_j, j = 0, 1, ..., a whole _MOMENT_BLOCK at a time
+    seen = {}     # log w on each node array evaluated so far
+    lock = threading.Lock()
 
     def log_w(r):
-        with np.errstate(all="ignore"):
-            out = -0.5 * r * r - nu * np.log(r) + lam.log_abs(r)
-        return np.where(np.isnan(out), -np.inf, out)
+        key = r.tobytes()
+        if key not in seen:
+            with np.errstate(all="ignore"):
+                out = -0.5 * r * r - nu * np.log(r) + lam.log_abs(r)
+            seen[key] = np.where(np.isnan(out), -np.inf, out)
+        return seen[key]
+
+    def terms(h):
+        """N of the moment series at horizon h, and None; or None and the
+        error where the series passes the term budget."""
+        def scan_fn(r):
+            # the Bessel integrand at u = h, times the r^2 of the K'' weight
+            with np.errstate(all="ignore"):
+                return (log_w(r) + specfun.log_bessel_i_scaled(nu, h * r) + h * r
+                        + 2.0 * np.maximum(np.log(r), 0.0))
+
+        _, hi_eff, _ = _quad.scan_log_peak(scan_fn, r_lo, r_hi_sup, quad.tail_cut)
+        z = 0.25 * (h * hi_eff) ** 2
+        try:
+            return max(shift + specfun.bessel_series_length(nu + shift, z)
+                       for shift in range(3)), None
+        except EvaluationError as exc:
+            return None, exc
+
+    def build(level):
+        """(top, log a_j for j <= N, error) of one ladder level: N at the
+        level's horizon, or at the last horizon above the level below whose
+        series fits the budget; log a_j is None where none does."""
+        top = _horizon(level)
+        n, error = terms(top)
+        if n is None:
+            lo, hi = (top / _LADDER_RATIO if level else 0.0), top
+            n = terms(lo)[0]
+            if n is None:
+                return lo, None, error
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                fitted = terms(mid)[0]
+                if fitted is None:
+                    hi = mid
+                else:
+                    lo, n = mid, fitted
+            top = lo
+        while len(log_a) <= n:
+            integrate_block()
+        return top, np.array(log_a[:n + 1]), error
+
+    def integrate_block():
+        """Append the next _MOMENT_BLOCK coefficients: one row batch of
+        moments on [r_lo, r_lo + 2^m], the power of two that covers the scan
+        cut of the block's highest moment (or the support's end).  Blocks
+        whose ranges round to one 2^m share their nodes, so log w is taken
+        from ``seen`` there."""
+        j = np.arange(len(log_a), len(log_a) + _MOMENT_BLOCK, dtype=float)
+        powers = nu + 2.0 * j
+
+        def top_row(r):
+            with np.errstate(all="ignore"):
+                return log_w(r) + powers[-1] * np.log(r)
+
+        def rows(r):
+            with np.errstate(divide="ignore"):
+                logr = np.log(r)
+            return log_w(r)[:, None] + np.multiply.outer(logr, powers)
+
+        _, cut, _ = _quad.scan_log_peak(top_row, r_lo, r_hi_sup, quad.tail_cut)
+        end = min(r_hi_sup, r_lo + 2.0 ** math.ceil(math.log2(cut - r_lo)))
+        log_mu = _quad.integrate_rows_log(rows, r_lo, end, quad.rel_tol, quad.max_depth)
+        log_a.extend(log_mu - gammaln(j + 1.0) - gammaln(nu + j + 1.0))
+
+    def table(level):
+        with lock:
+            if level not in tables:
+                tables[level] = build(level)
+            return tables[level]
 
     def _triple(u):
         u = np.atleast_1d(u)
         uc = np.maximum(u, _U_MIN)
         x = 0.25 * np.square(uc)
-        u_max = float(np.max(uc))
-
-        def scan_fn(r):
-            # the Bessel integrand at u_max, times the r^2 of the K'' weight
-            r = np.asarray(r, dtype=float)
-            with np.errstate(all="ignore"):
-                return (log_w(r) + specfun.log_bessel_i_scaled(nu, u_max * r) + u_max * r
-                        + 2.0 * np.maximum(np.log(r), 0.0))
-
-        _, hi_eff, _ = _quad.scan_log_peak(scan_fn, r_lo, r_hi_sup, quad.tail_cut)
-        z = 0.25 * (u_max * hi_eff) ** 2
-        n = max(shift + specfun.bessel_series_length(nu + shift, z) for shift in range(3))
-        j = np.arange(n + 1.0)
-        powers = nu + 2.0 * j
-
-        def rows(r):
-            with np.errstate(divide="ignore"):
-                logr = np.log(np.asarray(r, dtype=float))
-            return log_w(r)[:, None] + np.multiply.outer(logr, powers)
-
-        log_mu = _quad.integrate_rows_log(rows, r_lo, hi_eff, quad.rel_tol, quad.max_depth)
-        log_a = log_mu - gammaln(j + 1.0) - gammaln(nu + j + 1.0)
-        j_weights = np.stack([np.ones_like(j), j, j * (j - 1.0)], axis=1)   # 1, j, j(j-1)
         log_x = np.log(x)
-        log_top, sums = np.empty_like(u), np.empty((u.size, 3))
-        block = max(1, _SUM_BLOCK // (n + 1))
-        buf = np.empty((min(block, u.size), n + 1))
-        for start in range(0, u.size, block):
-            sl = slice(start, start + block)
-            t = buf[:min(block, u.size - start)]   # log a_j + j log x, then its weights
-            np.multiply.outer(log_x[sl], j, out=t)
-            t += log_a
-            np.max(t, axis=1, out=log_top[sl])
-            t -= log_top[sl, None]
-            np.exp(t, out=t)
-            np.matmul(t, j_weights, out=sums[sl])
-        s0 = sums[:, 0]
-        q = sums[:, 1] / (s0 * x)                                    # E[j]/x
+        level = np.maximum(np.ceil(np.log(uc / _LADDER_FLOOR) / math.log(_LADDER_RATIO)), 0.0)
+        level += _horizon(level) < uc   # L >= u despite rounding
+        log_top, sums = np.full_like(x, np.nan), np.full((3, u.size), np.nan)
+        for lv in np.unique(level[~np.isnan(level)]):
+            idx = np.flatnonzero(level == lv)
+            top, log_a, error = table(float(lv))
+            u_hi = float(np.max(uc[idx]))
+            if log_a is None or u_hi > top:
+                raise EvaluationError(f"{error} (radial moment series: u = {u_hi:.6g} is past "
+                                      f"its horizon {top:.6g})", horizon=top, u=u_hi)
+            log_top[idx], sums[:, idx] = _moment_sums(log_x[idx], log_a)
+        q = sums[1] / (sums[0] * x)                                  # E[j]/x
         dK = 0.5 * u * q                                             # K'/K
-        d2K = 0.5 * q + sums[:, 2] / (s0 * x)                        # K''/K
-        log_ell = log_scale - 0.5 * u * u + log_top + np.log(s0)
+        d2K = 0.5 * q + sums[2] / (sums[0] * x)                      # K''/K
+        log_ell = log_scale - 0.5 * u * u + log_top + np.log(sums[0])
         return log_ell, dK - u, u * u - 1.0 - 2.0 * u * dK + d2K
 
     return MarginalProfile(k=k, route="radial_quadrature", triple_fn=_triple)
+
+
+def _horizon(level):
+    """The u horizon of a ladder level."""
+    return _LADDER_FLOOR * _LADDER_RATIO ** level
+
+
+def _moment_sums(log_x, log_a):
+    """Max log term and the 1-, j- and j(j-1)-weighted sums of a_j x^j / max
+    at each log x, in blocks of u whose term array is reused in place.  Each
+    row is reduced on its own, so its sums do not depend on the block."""
+    m, j = log_x.size, np.arange(log_a.size, dtype=float)
+    log_top, sums = np.empty(m), np.empty((3, m))
+    block = max(1, _SUM_BLOCK // j.size)
+    buf = np.empty((min(block, m), j.size))
+    for start in range(0, m, block):
+        sl = slice(start, start + block)
+        t = buf[:min(block, m - start)]   # log a_j + j log x, then its weighted terms
+        np.multiply.outer(log_x[sl], j, out=t)
+        t += log_a
+        np.max(t, axis=1, out=log_top[sl])
+        t -= log_top[sl, None]
+        np.exp(t, out=t)
+        np.add.reduce(t, axis=1, out=sums[0, sl])
+        t *= j
+        np.add.reduce(t, axis=1, out=sums[1, sl])
+        t *= j - 1.0
+        np.add.reduce(t, axis=1, out=sums[2, sl])
+    return log_top, sums
 
 
 # ---------------------------------------------------------------------------

@@ -108,8 +108,8 @@ def _series_log_i(nu: float, x: np.ndarray) -> np.ndarray:
         P *= z
         P *= 1.0 / (j * (j + nu))
         P += 1.0
-    with np.errstate(divide="ignore"):
-        return nu * np.log(x / 2.0) - math.lgamma(nu + 1.0) + np.log(P)
+    # log(x) - log 2, not log(x / 2): x / 2 underflows to 0 at subnormal x
+    return nu * (np.log(x) - math.log(2.0)) - math.lgamma(nu + 1.0) + np.log(P)
 
 
 def log_bessel_i_scaled(nu: float, x) -> np.ndarray:

@@ -113,6 +113,25 @@ class TestConfigValidation:
             "mc": {"n_samples": 1000, "seed": 1, "theta_norms": [0.0]}})
         assert code == 2
 
+    @pytest.mark.parametrize("params,block", [
+        (5, {}),
+        ({"alpha": "x"}, {}),
+        ({"alpha": True}, {}),
+        ({"alpha": 1.0}, {"nu": "x"}),
+        ({"alpha": 1.0}, {"consistency_target": "power_exp", "gamma": [1.0]}),
+    ])
+    def test_malformed_transform_params(self, tmp_path, params, block):
+        """The transform command reads gaussian_bessel's alpha and its own
+        block's numbers itself: a params that is not an object, or a value
+        that is not a real number, is a config error, not a traceback."""
+        code, out = run(tmp_path, {
+            "command": "transform",
+            "prior_spec": {"family": "gaussian_bessel", "k": 5, "params": params},
+            "transform": block,
+            "grid_spec": {"lo": 0.5, "hi": 4.0, "n_points": 5}})
+        assert code == 2
+        assert not os.path.exists(os.path.join(out, "transform_table.csv"))
+
 
 VERIFY_GRID = {"lo": 0.05, "hi": 6.0, "n_points": 80, "spacing": "log"}
 

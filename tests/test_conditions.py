@@ -23,6 +23,16 @@ class TestReportSemantics:
         rep = cd.assemble_report("t", [1.0, 2.0, 3.0], [-1.0, 0.5, -2.0], 1e-3)
         assert rep.verdict == cd.FAILS and rep.witness == 2.0
 
+    def test_witness_stable_on_a_plateau(self):
+        """Margins on a plateau at 1 with 1e-15 jitter: the witness is the
+        first point within the band of the largest excess, whichever point
+        roundoff lifts highest."""
+        grid = np.linspace(1.0, 10.0, 10)
+        plateau = np.r_[-1.0, 0.5, np.ones(8)]
+        for jitter in np.random.default_rng(3).uniform(-1e-15, 1e-15, (20, 10)):
+            rep = cd.assemble_report("t", grid, plateau + jitter, 1e-12)
+            assert rep.verdict == cd.FAILS and rep.witness == 3.0
+
     def test_holds_requires_all_clear(self):
         rep = cd.assemble_report("t", [1.0, 2.0], [-1.0, -0.5], 1e-3)
         assert rep.verdict == cd.HOLDS and rep.witness is None

@@ -7,6 +7,8 @@ antiderivatives at u = 0.
 """
 
 import math
+import sys
+import threading
 import warnings
 
 import mpmath
@@ -134,15 +136,45 @@ class TestRadialRoute:
         np.testing.assert_array_less(np.abs(got - want), 1e-11 * np.maximum(1.0, np.abs(want)))
 
     def test_batch_independent(self):
-        """A larger u in the batch raises R and the term count N; the ratios
-        at the other u do not move beyond rounding."""
+        """A larger u in the batch, on a higher ladder level, leaves the
+        ratios at the other u exactly as they are alone."""
         prof = mg.marginal_radial(pr.strawderman_radial(0.5, 5))
         alone = prof.ratios([0.5, 2.0, 5.0])
         batched = prof.ratios([0.5, 25.0, 2.0, 5.0])
         for got, want in zip(batched, alone):
-            got = got[[0, 2, 3]]
-            np.testing.assert_array_less(np.abs(got - want),
-                                         1e-12 * np.maximum(1.0, np.abs(want)))
+            np.testing.assert_array_equal(got[[0, 2, 3]], want)
+
+    def test_every_point_equals_its_value_alone(self, monkeypatch):
+        """2,000 seeded u on [0, 30], over at least three ladder levels (one
+        scan each) and three blocks of moments (one scan and one row batch
+        each), in one batch and each alone: equal to the bit."""
+        u = np.random.default_rng(21).uniform(0.0, 30.0, 2000)
+        prof = mg.marginal_radial(pr.strawderman_radial(0.5, 5))
+        calls = {"scan_log_peak": 0, "integrate_rows_log": 0}
+        for name in calls:
+            def counted(*a, _name=name, _fn=getattr(_quad, name), **kw):
+                calls[_name] += 1
+                return _fn(*a, **kw)
+            monkeypatch.setattr(_quad, name, counted)
+        batched = prof.ratios(u)
+        blocks = calls["integrate_rows_log"]
+        assert blocks >= 3 and calls["scan_log_peak"] - blocks >= 3
+        for i in range(u.size):
+            for got, want in zip(prof.ratios(u[i:i + 1]), batched):
+                assert got[0] == want[i], (u[i], got[0], want[i])
+
+    def test_term_budget_edge(self):
+        """The top ladder level of the normal prior (k = 5) passes the
+        10,000-term budget, so it is built at the last horizon that fits,
+        found once: u = 100, 150 and 175 keep l'/l = -u/2, and u = 181,
+        past that horizon, raises."""
+        prior = pr.RadialPrior(k=5, lam=pr.normal_radial(1.0, 5),
+                               proper=pr.PROPER, mass=1.0)
+        prof = mg.marginal_radial(prior)
+        u = np.array([100.0, 150.0, 175.0])
+        np.testing.assert_allclose(prof.ratios(u)[1], -u / 2.0, rtol=1e-12, atol=0)
+        with pytest.raises(EvaluationError, match="10000 terms"):
+            prof.ratios([181.0])
 
     def test_term_budget_raises(self):
         """u_max * R past the 10,000-term budget of the moment series is a
@@ -380,10 +412,11 @@ class TestTripleContract:
         self._assert_view_matches(prof, u, triple)
 
     def test_radial_one_log_batch_one_scan(self, monkeypatch):
-        """Building the profile integrates nothing; one triple is one scan,
-        one log-space row batch of moments (one engine call over the whole
-        interval) and the order-nu kernel of the scan only, at every u
-        including the origin."""
+        """Building the profile integrates nothing; a first triple on one
+        ladder level is two scans (the level's term count and the range of
+        its one block of moments), one log-space row batch of moments (one
+        engine call over the whole interval) and the order-nu kernel of the
+        level's scan only, at every u including the origin."""
         prior = pr.RadialPrior(k=5, lam=pr.normal_radial(1.0, 5),
                                proper=pr.PROPER, mass=1.0)
         names = ["adaptive_batch", "adaptive_batch_log", "integrate_rows",
@@ -398,9 +431,74 @@ class TestTripleContract:
         u = np.array([0.0, 1e-3, 0.5, 1.0, 2.0])
         triple = prof.triple(u)
         assert counts == {"adaptive_batch": 0, "adaptive_batch_log": 1, "integrate_rows": 0,
-                          "integrate_rows_log": 1, "scan_log_peak": 1}
+                          "integrate_rows_log": 1, "scan_log_peak": 2}
         assert set(orders) == {1.5}
         self._assert_view_matches(prof, u, triple)
+
+    def test_radial_warm_call_integrates_nothing(self, monkeypatch):
+        """Once a ladder level's moment table is built, a triple on it scans
+        and integrates nothing."""
+        prof = mg.marginal_radial(pr.strawderman_radial(0.5, 5))
+        u = np.linspace(0.0, 12.0, 50)
+        prof.ratios(u)
+        names = ["integrate_rows_log", "scan_log_peak"]
+        counts = self._count(monkeypatch, _quad, names)
+        triple = prof.triple(u[::-1])
+        assert counts == dict.fromkeys(names, 0)
+        self._assert_view_matches(prof, u[::-1], triple)
+
+    def test_radial_mc_builds_each_table_once(self, monkeypatch):
+        """Two Monte Carlo batches on a fresh radial profile, run by one
+        worker and by two at once, give equal reports; the two threads scan
+        each ladder level and integrate each block of moments once, as one
+        does."""
+        theta = np.array([6.0, 0.0, 0.0, 0.0, 0.0])
+        names = ["integrate_rows_log", "scan_log_peak"]
+        counts = self._count(monkeypatch, _quad, names)
+        reports, builds = [], []
+        for workers in (1, 2):
+            monkeypatch.setattr(estimators, "_WORKERS", workers)
+            prof = mg.marginal_radial(pr.strawderman_radial(0.5, 5))
+            reports.append(estimators.mc_risk(prof, theta, 2 * estimators._BATCH, 5))
+            builds.append(dict(counts))
+            counts.update(dict.fromkeys(names, 0))
+        assert reports[0] == reports[1]
+        assert builds[0] == builds[1]
+        assert builds[0]["scan_log_peak"] > builds[0]["integrate_rows_log"] >= 2
+
+    def test_radial_tables_under_thread_contention(self, monkeypatch):
+        """Eight threads, more than the cores, with a 1 us switch interval,
+        race for the same ladder levels of a fresh profile, each on its own
+        rotation of one batch: each block of moments is integrated once, as
+        in one thread, and every thread gets the values of one thread
+        alone."""
+        u = np.linspace(0.0, 20.0, 64)
+        counts = self._count(monkeypatch, _quad, ["integrate_rows_log"])
+        want = mg.marginal_radial(pr.strawderman_radial(0.5, 5)).ratios(u)
+        blocks = counts["integrate_rows_log"]
+        assert blocks >= 2
+        counts["integrate_rows_log"] = 0
+        prof = mg.marginal_radial(pr.strawderman_radial(0.5, 5))
+        results = [None] * 8
+
+        def work(i):
+            results[i] = prof.ratios(np.roll(u, 8 * i))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert counts["integrate_rows_log"] == blocks
+        for i, got in enumerate(results):
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, np.roll(w, 8 * i))
 
     def test_strawderman_no_kummer_calls(self, monkeypatch):
         """The closed form goes through the incomplete gamma, not 1F1."""

@@ -126,6 +126,19 @@ class TestBesselI:
             got = sf.log_bessel_i_scaled(2.5, np.array([np.inf, 1.0]))
         assert got[0] == -math.inf and np.isfinite(got[1])
 
+    def test_subnormal_argument(self):
+        """At a subnormal x the series' (x/2)^nu is formed as
+        nu (log x - log 2), since x / 2 underflows to 0: finite, and equal to
+        40-digit mpmath."""
+        x = 5e-324
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = float(sf.log_bessel_i_scaled(2.0, np.array([x]))[0])
+        with mpmath.workdps(40):
+            want = float(mpmath.log(mpmath.besseli(2, mpmath.mpf(x))) - mpmath.mpf(x))
+        assert want == pytest.approx(-1490.9596, abs=1e-4)
+        assert got == pytest.approx(want, rel=1e-15)
+
     def test_order_domain(self):
         """Non-integer orders below -1 are outside the series' domain."""
         with pytest.raises(DomainError):
