@@ -23,16 +23,22 @@ call.  The two shapes that several families share have one constructor
 each: :func:`squared_profile` for l = S^2 and :func:`laplace_profile` for
 l = e^{log_scale} G(u^2/2).
 
-Marginals pair e^{-u^2/2} decay against e^{ur}-growing Bessel kernels, so the
-radial route is evaluated entirely in log space.  It integrates the positive
-ascending series of I_nu term by term: the I-transform becomes a power series
-in u^2/4 whose coefficients are radial moments of the prior, integrated once
-per profile and then reused by every call, and l'/l and l''/l are the
-exact derivatives of that series, never finite differences.  Its terms hold
-no factor of size nu/u, so one formula serves every u down to the origin.
-All evaluators are vectorized over u: one shared adaptive panel partition
-serves a whole query batch, which is what makes Monte Carlo risk runs with
-~1e6 marginal evaluations cheap.
+Both quadrature routes are positive moment series evaluated in log space,
+with coefficients that do not depend on u.  The radial route pairs e^{-u^2/2}
+decay against e^{ur}-growing Bessel kernels; it integrates the positive
+ascending series of I_nu term by term, so the I-transform becomes a power
+series in u^2/4 whose coefficients are radial moments of the prior.  The
+mixture route is a Laplace transform in s = u^2/2; on each level of u it
+expands e^{-st} about the upper end c of the level's window in t, where
+every term is positive, so l is e^{-sc} times a power series in s whose
+coefficients are moments of (c - t)^j.  Both put u on one geometric ladder
+of horizons (:class:`_Ladder`) and build a level's table the first time a u
+needs it; every later call only sums.  l'/l and l''/l are the exact
+derivatives of the series, never finite differences, and the terms hold no
+factor of size 1/u, so one formula serves every u down to the origin.  A
+warm call integrates nothing, and each u's sums are reduced on their own,
+so the value at u does not depend on the batch it comes in; Monte Carlo
+risk runs with ~1e6 marginal evaluations stay cheap and reproducible.
 """
 
 from __future__ import annotations
@@ -56,32 +62,25 @@ __all__ = [
     "squared_profile", "laplace_profile",
 ]
 
-# marginal_mixture integrates at most this many u per batch: one shared
-# partition of 3 * _CHUNK node-major rows, so a 15-node panel buffer holds
-# 15 * 3 * 4,096 doubles (1.5 MB).  The value is a speed choice, not an
-# accuracy one: the ratios agree across chunk sizes to within the quadrature
-# tolerance.  On the mixture risk workload (32,768 u per point, 2-vCPU KVM
-# guest) 4,096 gave the shortest pass of 2,048, 3,072, 8,192 and 16,384;
-# smaller chunks refine more partitions, larger ones stream larger buffers.
-_CHUNK = 4096
-
-# marginal_radial sums its moment series over blocks of u whose (block, N+1)
-# term array holds this many doubles (2 MB), reused in place across blocks;
-# one array over every u would set the peak memory of a Monte Carlo batch.
+# Both series routes sum their moment series over blocks of u whose
+# (block, N+1) term array holds this many doubles (2 MB), reused in place
+# across blocks; one array over every u would set the peak memory of a Monte
+# Carlo batch.
 _SUM_BLOCK = 1 << 18
-# marginal_radial puts u on a fixed geometric ladder of horizons
+# Both series routes put u on a fixed geometric ladder of horizons
 # L_i = _LADDER_FLOOR * _LADDER_RATIO^i, i >= 0: u takes the smallest
-# L_i >= u, and the level fixes the term count N of u's moment series.  Its
-# coefficients a_j are integrated once per profile, _MOMENT_BLOCK of them at
-# a time, and every level sums a prefix of that one list.  A finer ladder
-# scans more levels, a coarser one sums more terms per u (those of a horizon
-# up to _LADDER_RATIO times u).  A larger block integrates more moments that
-# no level may need, a smaller one makes more scans and row batches.
+# L_i >= u, and the level fixes the term count N of u's moment series.  A
+# finer ladder builds more levels, a coarser one sums more terms per u (those
+# of a horizon up to _LADDER_RATIO times u).  The radial coefficients a_j are
+# integrated once per profile, _MOMENT_BLOCK of them at a time, and every
+# level sums a prefix of that one list; a larger block integrates more
+# moments that no level may need, a smaller one makes more scans and row
+# batches.
 _LADDER_RATIO = math.sqrt(2.0)
 _LADDER_FLOOR = 4.0
 _MOMENT_BLOCK = 64
-# marginal_radial evaluates u below this at this value: x = u^2/4 stays a
-# normal double, so the weights of the j = 1, 2 terms keep their digits
+# The series routes evaluate u below this at this value: u^2 stays a normal
+# double, so the weights of the j = 1, 2 terms keep their digits
 _U_MIN = 1e-100
 
 
@@ -213,10 +212,8 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD) -> Margin
     lam = prior.lam
     r_lo = max(lam.support[0], 0.0)
     r_hi_sup = lam.support[1]
-    tables = {}   # ladder level -> build(level)
     log_a = []    # log a_j, j = 0, 1, ..., a whole _MOMENT_BLOCK at a time
     seen = {}     # log w on each node array evaluated so far
-    lock = threading.Lock()
 
     def log_w(r):
         key = r.tobytes()
@@ -288,23 +285,15 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD) -> Margin
         log_mu = _quad.integrate_rows_log(rows, r_lo, end, quad.rel_tol, quad.max_depth)
         log_a.extend(log_mu - gammaln(j + 1.0) - gammaln(nu + j + 1.0))
 
-    def table(level):
-        with lock:
-            if level not in tables:
-                tables[level] = build(level)
-            return tables[level]
+    ladder = _Ladder(build)
 
     def _triple(u):
         u = np.atleast_1d(u)
         uc = np.maximum(u, _U_MIN)
         x = 0.25 * np.square(uc)
         log_x = np.log(x)
-        level = np.maximum(np.ceil(np.log(uc / _LADDER_FLOOR) / math.log(_LADDER_RATIO)), 0.0)
-        level += _horizon(level) < uc   # L >= u despite rounding
         log_top, sums = np.full_like(x, np.nan), np.full((3, u.size), np.nan)
-        for lv in np.unique(level[~np.isnan(level)]):
-            idx = np.flatnonzero(level == lv)
-            top, log_a, error = table(float(lv))
+        for (top, log_a, error), idx in ladder.groups(uc):
             u_hi = float(np.max(uc[idx]))
             if log_a is None or u_hi > top:
                 raise EvaluationError(f"{error} (radial moment series: u = {u_hi:.6g} is past "
@@ -322,6 +311,31 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD) -> Margin
 def _horizon(level):
     """The u horizon of a ladder level."""
     return _LADDER_FLOOR * _LADDER_RATIO ** level
+
+
+class _Ladder:
+    """A series route's per-level tables on the horizon ladder.
+
+    ``build(level)`` makes a level's table the first time a u needs it,
+    behind one lock, since Monte Carlo batches call ``ratios`` from worker
+    threads; every later call reads the stored table.
+    """
+
+    def __init__(self, build: Callable):
+        self._build, self._tables, self._lock = build, {}, threading.Lock()
+
+    def groups(self, uc: np.ndarray):
+        """(table, indices) for each ladder level among the (clamped) u, a
+        u's level being the smallest i with L_i >= u; a NaN u has none."""
+        level = np.maximum(np.ceil(np.log(uc / _LADDER_FLOOR) / math.log(_LADDER_RATIO)), 0.0)
+        level += _horizon(level) < uc   # L >= u despite rounding
+        for lv in np.unique(level[~np.isnan(level)]):
+            lv = float(lv)
+            with self._lock:
+                if lv not in self._tables:
+                    self._tables[lv] = self._build(lv)
+                table = self._tables[lv]
+            yield table, np.flatnonzero(level == lv)
 
 
 def _moment_sums(log_x, log_a):
@@ -353,60 +367,90 @@ def _moment_sums(log_x, log_a):
 # ---------------------------------------------------------------------------
 
 def marginal_mixture(h: MixingDensity, quad: QuadSpec = DEFAULT_QUAD) -> MarginalProfile:
-    """Marginal of a variance mixture, through t = 1/(1+v):
+    """Marginal of a variance mixture from a per-level moment series.
 
-        l(u) = (2 pi)^{-k/2} int_0^1 t^{k/2-2} h((1-t)/t) e^{-u^2 t/2} dt.
+    Through t = 1/(1+v) the marginal is a Laplace transform,
 
-    l' and l'' use the exactly differentiated integrands (-ut) and
-    (u^2 t^2 - t) times the same kernel, so l'/l and l''/l are quotients of
-    integrals over one partition and the constant factor enters only log l.
+        l(u) = C int f(t) e^{-st} dt,   s = u^2/2,  f(t) = t^{k/2-2} h((1-t)/t),
+
+    with C = (2 pi)^{-k/2} and t on [t_lo, t_hi] = [1/(1+v_hi), 1/(1+v_lo)].
+    u sits on the radial route's ladder of horizons L_i, and level i serves
+    u in (L_{i-1}, L_i] (L_{-1} = 0), so s in (s_{i-1}, s_i], s_i = L_i^2/2.
+    The level's window is [lo_i, c_i]: lo_i is the lower cut of one scan of
+    f e^{-s_i t} and c_i the upper cut of the scan at s_{i-1} (t_hi on level
+    0), so that it holds f e^{-st} to the scan's tail cut at every s of the
+    level.  There e^{-st} = e^{-s c} sum_j (s (c - t))^j / j! has no negative
+    term, so
+
+        l = C e^{-s c} sum_{j<=N} a_j s^j,   a_j = int_lo^c f (c - t)^j dt / j!,
+
+    the a_j from one log-space row batch per level, and N the exponential
+    series' stop rule at z = s_i (c_i - lo_i), plus 2 for the j- and
+    j(j-1)-weighted sums.  With E the mean under the weights a_j s^j and
+    q = E[j]/s,
+
+        l'/l = u (q - c),   l''/l = (q - c) + u^2 (E[j(j-1)]/s/s - 2 c q + c^2),
+
+    divided by s twice since s^2 underflows at the u = 1e-100 clamp.  The
+    window moves with s, so N stays bounded at every u: at most 167 on
+    example2's levels, and about 1,900 at k = 1500, where f e^{-st} is
+    close to a Gamma law in t of shape k/2 and the window spans it at both
+    ends of a level.  Levels are built the first time a u needs them,
+    behind one lock; a warm call integrates nothing, and the value at u does
+    not depend on the batch it comes in.  The moments are integrated from log|h|, so a
+    signed h raises DomainError rather than being integrated as |h|.
     """
+    if not h.h.nonneg:
+        raise DomainError(f"the mixture moment series needs a nonnegative h, got the "
+                          f"signed {h.h.label!r}")
     k = h.k
     log_C = -0.5 * k * math.log(2.0 * math.pi)
     v_lo = max(h.h.support[0], 0.0)
     v_hi = h.h.support[1]
     t_lo = 0.0 if math.isinf(v_hi) else 1.0 / (1.0 + v_hi)
     t_hi = 1.0 / (1.0 + v_lo)
+    cuts = {}   # ladder level -> the scan cuts (lo, hi) of f e^{-s t} at s = L^2/2
 
-    def kernel(t):
-        t = np.asarray(t, dtype=float)
-        v = (1.0 - t) / t
-        with np.errstate(divide="ignore"):
-            return t ** (k / 2.0 - 2.0) * np.asarray(h.h.eval(v), dtype=float)
+    def log_f(t):
+        with np.errstate(all="ignore"):
+            out = (0.5 * k - 2.0) * np.log(t) + h.h.log_abs((1.0 - t) / t)
+        return np.where(np.isnan(out), -np.inf, out)
 
-    def _triple_chunk(u):
-        m = len(u)
-        u2 = np.square(u)
-        neg_u, neg_half_u2 = -u, -0.5 * u2
+    def scan(level):
+        if level not in cuts:
+            s = 0.5 * _horizon(level) ** 2
+            cuts[level] = _quad.scan_log_peak(lambda t: log_f(t) - s * t, t_lo, t_hi,
+                                              quad.tail_cut)[:2]
+        return cuts[level]
+
+    def build(level):
+        """(c, log a_j for j <= N) of one ladder level."""
+        lo = scan(level)[0]
+        c = scan(level - 1.0)[1] if level else t_hi
+        j = np.arange(3.0 + specfun.exp_series_length(0.5 * _horizon(level) ** 2 * (c - lo)))
 
         def rows(t):
-            # the l, l', l'' integrand blocks side by side in one node-major buffer
-            t = np.asarray(t, dtype=float)
-            tc = t[:, None]
-            out = np.empty((t.size, 3 * m))
-            base, r1, r2 = out[:, :m], out[:, m:2 * m], out[:, 2 * m:]
-            np.multiply(tc, neg_half_u2, out=base)
-            np.exp(base, out=base)
-            base *= kernel(t)[:, None]
-            np.multiply(tc, neg_u, out=r1)
-            r1 *= base
-            np.multiply(np.square(tc), u2, out=r2)
-            r2 -= tc
-            r2 *= base
-            return out
+            return log_f(t)[:, None] + np.multiply.outer(np.log(c - t), j)
 
-        total = _quad.integrate_rows(rows, t_lo, t_hi, quad.rel_tol,
-                                     quad.abs_tol, quad.max_depth)
-        J0 = total[:m]
-        return log_C + np.log(J0), total[m:2 * m] / J0, total[2 * m:] / J0
+        log_m = _quad.integrate_rows_log(rows, lo, c, quad.rel_tol, quad.max_depth)
+        return c, log_m - gammaln(j + 1.0)
+
+    ladder = _Ladder(build)
 
     def _triple(u):
         u = np.atleast_1d(u)
-        out = np.empty((3, u.size))
-        for start in range(0, len(u), _CHUNK):
-            sl = slice(start, start + _CHUNK)
-            out[:, sl] = _triple_chunk(u[sl])
-        return tuple(out)
+        uc = np.maximum(u, _U_MIN)
+        s = 0.5 * np.square(uc)
+        log_s = np.log(s)
+        c, log_top = np.full_like(s, np.nan), np.full_like(s, np.nan)
+        sums = np.full((3, u.size), np.nan)
+        for (c_level, log_a), idx in ladder.groups(uc):
+            c[idx] = c_level
+            log_top[idx], sums[:, idx] = _moment_sums(log_s[idx], log_a)
+        q = sums[1] / (sums[0] * s)                                   # E[j]/s
+        d1 = q - c                                                    # (log l)' in s
+        d2 = sums[2] / sums[0] / s / s - 2.0 * c * q + c * c          # l_ss/l
+        return log_C - s * c + log_top + np.log(sums[0]), u * d1, d1 + u * u * d2
 
     return MarginalProfile(k=k, route="mixture_quadrature", triple_fn=_triple)
 

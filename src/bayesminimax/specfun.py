@@ -5,8 +5,11 @@ series, asymptotic expansions and integral representations:
 
 * ``log_bessel_i_scaled`` log(I_nu(x)) - x for nu > -1, at any order:
   log(scipy.special.ive(nu, x)), and the ascending series (DLMF 10.25.2)
-  where ive is below the normal double range.  ``bessel_series_length`` is
-  the series' term count, which the radial marginal's moment series also
+  where ive is below the normal double range or, for -1 < nu < 0, where the
+  series is short (ive's reflection to order -nu loses its digits near
+  nu = -1).  ``bessel_series_length`` is the series' term count, which the
+  radial marginal's moment series also uses, and ``exp_series_length`` that
+  of the exponential series, which the mixture marginal's moment series
   uses.  ``bessel_i`` is the scalar view exp(log_bessel_i_scaled(nu, x) + x),
   for nu > -1 or a negative integer (I_{-n} = I_n); a value past the double
   range raises EvaluationError.
@@ -24,7 +27,7 @@ Modified Bessel K and Whittaker W are not here: the K-transform calls
 ``scipy.special.hyperu``, as W_{x,mu}(z) = e^{-z/2} z^{mu+1/2}
 U(mu-x+1/2, 1+2mu, z).
 
-All gamma factors are kept in log space.  Both ascending series stop once
+All gamma factors are kept in log space.  The ascending series stop once
 their tail bound is below roundoff at the batch's largest argument
 (``_series_length``) and raise EvaluationError past 10,000 terms, as do the
 linear views past the double range.  Every function is pure.
@@ -40,7 +43,7 @@ from scipy.special import gammaln, gammasgn, ive
 from .errors import DomainError, EvaluationError
 
 __all__ = [
-    "bessel_i", "bessel_series_length", "kummer_1f1", "whittaker_m",
+    "bessel_i", "bessel_series_length", "exp_series_length", "kummer_1f1", "whittaker_m",
     "log_bessel_i_scaled", "log_kummer_1f1", "signed_log_kummer_1f1",
 ]
 
@@ -48,6 +51,11 @@ _MAX_TERMS = 10000   # series budget before EvaluationError
 _EPS = float(np.finfo(float).eps)
 _LOG_MAX = math.log(np.finfo(float).max)
 _LOG_TINY = math.log(np.finfo(float).tiny)   # ive below this goes to the Bessel series
+_FIRST_CANDIDATES = 64   # _series_length tests this many n first, then 4x more per chunk
+# for -1 < nu < 0 the Bessel series serves every x up to here (at most a dozen
+# terms): ive reflects to order -nu through sin(nu pi), which loses its digits
+# near nu = -1 where the K_{-nu} part it weights is not negligible
+_SHORT_SERIES_X = 2.0
 
 
 def _series_length(log_ratio, z: float, tol: float, max_terms: int, start: int,
@@ -55,24 +63,43 @@ def _series_length(log_ratio, z: float, tol: float, max_terms: int, start: int,
     """Term count n of a series sum_{j<=n} t_j, t_0 = 1 and |t_{j+1}/t_j| =
     e^{log_ratio(j)} z, at its largest argument z: the first n >= start where
     the next ratio r < 1 does not rise at n + 1 and the tail bound
-    |t_n| r/(1-r) is at most tol * sum_{j<=n} |t_j|.  Past ``start`` both
+    |t_n| r/(1-r) is at most tol * sum_{j<=n} |t_j|.  Past ``start`` each
     series' ratios rise at most once, so the bound holds.  A ratio of zero
-    ends a terminating series.  Kept in logs, so nothing overflows."""
+    ends a terminating series.  Kept in logs, so nothing overflows.
+
+    ``log_ratio`` maps an array of j to an array.  The candidates n are
+    tested in numpy, _FIRST_CANDIDATES of them first and four times as many
+    in each later chunk, with log|t_n| and log S_n carried across chunks by
+    sequential sums, so a short series costs one small chunk."""
     log_z = math.log(z) if z > 0 else -math.inf
-    log_t = log_s = 0.0   # log |t_n|, log S
-    for n in range(max_terms + 1):
-        log_rho = log_ratio(n)
-        if log_rho == -math.inf:
-            return n
-        log_r = log_rho + log_z
-        if (n >= start and log_r < 0.0 and log_ratio(n + 1) <= log_rho
-                and log_t + log_r - math.log1p(-math.exp(log_r)) <= math.log(tol) + log_s):
-            return n
-        log_t += log_r
-        log_s = max(log_s, log_t) + math.log1p(math.exp(-abs(log_s - log_t)))
+    log_tol = math.log(tol)
+    log_t = log_s = 0.0   # log |t_n|, log S_n at the chunk's first n
+    n0, size = 0, _FIRST_CANDIDATES
+    with np.errstate(all="ignore"):
+        while n0 <= max_terms:
+            n = np.arange(n0, min(n0 + size, max_terms + 1), dtype=float)
+            log_rho = log_ratio(np.append(n, n[-1] + 1.0))
+            log_r = log_rho[:-1] + log_z
+            log_ts = np.cumsum(np.append(log_t, log_r))   # log |t_n| ... |t_{n+1}|
+            log_ss = np.logaddexp.accumulate(np.append(log_s, log_ts[1:]))
+            stop = (log_rho[:-1] == -math.inf) | (
+                (n >= start) & (log_r < 0.0) & (log_rho[1:] <= log_rho[:-1])
+                & (log_ts[:-1] + log_r - np.log1p(-np.exp(log_r)) <= log_tol + log_ss[:-1]))
+            if stop.any():
+                return int(n[np.argmax(stop)])
+            log_t, log_s = float(log_ts[-1]), float(log_ss[-1])
+            n0, size = n0 + n.size, 4 * size
     raise EvaluationError(f"{name} did not converge in {max_terms} terms", terms=max_terms,
                           partial_sum=math.exp(log_s) if log_s < _LOG_MAX else math.inf,
                           **diagnostics)
+
+
+def exp_series_length(z: float, tol: float = _EPS, max_terms: int = _MAX_TERMS) -> int:
+    """Term count n of the exponential series sum_{j<=n} z^j / j! whose
+    relative tail is at most ``tol`` at z and at every smaller argument;
+    past ``max_terms`` terms, EvaluationError."""
+    return _series_length(lambda j: -np.log(j + 1.0), z, tol, max_terms, 0,
+                          "exponential series")
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +112,7 @@ def bessel_series_length(nu: float, z: float, tol: float = _EPS,
     10.25.2), sum_{j<=n} z^j / (j! (nu+1)_j) with z = x^2/4, whose relative
     tail is at most ``tol`` at z and at every smaller argument; past
     ``max_terms`` terms, EvaluationError."""
-    return _series_length(lambda j: -math.log((j + 1.0) * (j + 1.0 + nu)), z,
+    return _series_length(lambda j: -np.log((j + 1.0) * (j + 1.0 + nu)), z,
                           tol, max_terms, 0, "Bessel I series", order=nu)
 
 
@@ -115,7 +142,8 @@ def _series_log_i(nu: float, x: np.ndarray) -> np.ndarray:
 def log_bessel_i_scaled(nu: float, x) -> np.ndarray:
     """log(I_nu(x)) - x for array x >= 0, order nu > -1: log(ive(nu, x)),
     with the ascending series where ive is below the normal double range
-    (small x at a large order), and the limits at x = 0 and x = +inf.
+    (small x at a large order) and, for -1 < nu < 0, at every x <= 2, and
+    the limits at x = 0 and x = +inf.
 
     Vectorized core used by the transforms and marginal integrands, whose
     Bessel kernels must be combined with Gaussian factors in log space.
@@ -131,6 +159,8 @@ def log_bessel_i_scaled(nu: float, x) -> np.ndarray:
         np.log(ive(nu, x), out=out)
     # the series' nu log(x/2) is 0 * -inf at x = 0
     series = (out < _LOG_TINY) & (x > 0.0) & np.isfinite(x)
+    if nu < 0.0:
+        series |= (x > 0.0) & (x <= _SHORT_SERIES_X)
     if np.any(series):
         xs = x[series]
         out[series] = _series_log_i(nu, xs) - xs
@@ -168,25 +198,27 @@ def _series_log_1f1(a: float, b: float, z: np.ndarray):
     terms before them are added with a running max-shift.  n is fixed at the
     batch's largest z; a nonpositive integer a ends the series at n = -a.
     """
-    def log_ratio(j):   # log|rho_j|, -inf where a + j = 0 ends the series
-        return (math.log(abs(a + j)) if a + j else -math.inf) - math.log(abs(b + j) * (j + 1.0))
+    def log_ratio(j):   # log|rho_j| over an array of j, -inf where a + j = 0 ends the series
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(a + j)) - np.log(np.abs(b + j) * (j + 1.0))
 
     z_max = float(np.max(z))
     h = max(0, math.ceil(-a), math.ceil(-b))
     n = _series_length(log_ratio, z_max, _EPS, _MAX_TERMS, h, "1F1 series", a=a, b=b, zmax=z_max)
     h = min(h, n)
+    log_rho = log_ratio(np.arange(n, dtype=float))
     with np.errstate(divide="ignore"):
         log_z = np.log(z)
     L = np.zeros_like(z)
     for j in range(n - 1, h - 1, -1):
-        L += log_z + log_ratio(j)   # one rounding at the scale of L
+        L += log_z + log_rho[j]   # one rounding at the scale of L
         np.logaddexp(0.0, L, out=L)
     if h == 0:
         return np.ones_like(z), L
     total, M, log_t, sign = np.ones_like(z), np.zeros_like(z), np.zeros_like(z), 1.0
     for j in range(h):   # adds t_{j+1}, and the tail t_h e^L last
         log_t += log_z
-        log_t += log_ratio(j)
+        log_t += log_rho[j]
         sign *= math.copysign(1.0, (a + j) * (b + j))
         term = log_t + L if j == h - 1 else log_t
         M_next = np.maximum(M, term)

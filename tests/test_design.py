@@ -28,3 +28,17 @@ def test_quad_internals_stay_in_quad(path):
         elif isinstance(node, ast.alias):
             named.add(node.name)
     assert not named & QUAD_INTERNAL, f"{path.name} names {sorted(named & QUAD_INTERNAL)}"
+
+
+# The linear-space engine and its front-ends.  A marginal route takes l(u)
+# from positive rows in log space, where l itself may be below the double
+# range (k = 1500) and a linear row's absolute floor would end its
+# refinement early.
+LINEAR_QUAD = {"integrate_rows", "integrate_finite", "adaptive_batch", "adaptive"}
+
+
+def test_marginal_routes_integrate_in_log_space():
+    path = SRC / "marginals.py"
+    named = {node.attr for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute)}
+    assert not named & LINEAR_QUAD, f"marginals.py names {sorted(named & LINEAR_QUAD)}"

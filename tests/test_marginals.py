@@ -227,19 +227,56 @@ class TestMixtureRoute:
         prof = mg.marginal_mixture(h, tr.QuadSpec(rel_tol=1e-11))
         assert_derivative_contract(prof.ell, [0.5, 1.5, 4.0])
 
-    def test_chunk_size_is_a_speed_choice(self, monkeypatch):
-        """The example2 ratios at 10,000 Monte Carlo radii agree whichever
-        chunk size splits them into shared-partition batches."""
+    def test_every_point_equals_its_value_alone(self):
+        """The example2 ratios at 2,000 Monte Carlo radii, over several ladder
+        levels, in one batch and each alone: equal to the bit."""
         prof = mg.marginal_mixture(pr.gen_beta_mixing(2.0, 2.0, -1.0, 0.5, 5))
         rng = np.random.default_rng(20261018)
-        u = np.concatenate([np.linalg.norm(rng.standard_normal((2500, 5)) + [t, 0, 0, 0, 0],
+        u = np.concatenate([np.linalg.norm(rng.standard_normal((500, 5)) + [t, 0, 0, 0, 0],
                                            axis=1) for t in (0.0, 3.0, 6.0, 10.0)])
         rng.shuffle(u)
-        ref = prof.ratios(u)
-        for chunk in (16384, 1000):
-            monkeypatch.setattr(mg, "_CHUNK", chunk)
-            for got, want in zip(prof.ratios(u), ref):
-                assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        batched = prof.ratios(np.concatenate([[0.0], u]))
+        for i, ui in enumerate(np.concatenate([[0.0], u])):
+            for got, want in zip(prof.ratios([ui]), batched):
+                assert got[0] == want[i], (ui, got[0], want[i])
+
+    @staticmethod
+    def _assert_matches_strawderman(k, u, rel):
+        """(log l, l'/l, l''/l) of Strawderman a = 0.5 within ``rel`` of
+        the closed form, relative to each value."""
+        got = mg.marginal_mixture(pr.strawderman_mixing(0.5, k)).ratios(u)
+        want = mg.marginal_strawderman(0.5, k).ratios(u)
+        for g, w in zip(got, want):
+            assert np.all(np.abs(g - w) <= rel * np.abs(w)), np.max(np.abs(g - w) / np.abs(w))
+
+    @pytest.mark.parametrize("k", [3, 5, 8, 50, 400, 1500])
+    def test_matches_closed_form(self, k):
+        """Strawderman a = 0.5 on u in [0, 30] against its closed form, in
+        (log l, l'/l, l''/l), within 1e-11 relative; at k = 1500 l itself
+        is below the double range."""
+        u = np.concatenate([[0.0, 1e-3], np.linspace(0.01, 30.0, 300)])
+        self._assert_matches_strawderman(k, u, 1e-11)
+
+    def test_matches_closed_form_at_large_u(self):
+        """At u = 300, 1000 and 3000 (k = 5), where s = u^2/2 reaches 4.5e6,
+        the ratios stay within 1e-10 of the closed form."""
+        self._assert_matches_strawderman(5, np.array([300.0, 1000.0, 3000.0]), 1e-10)
+
+    def test_mc_risk_at_k1500(self):
+        """Monte Carlo risk at k = 1500, where the closed form's linear
+        integrals underflow: no failed sample at |theta| = 0 or 30."""
+        prof = mg.marginal_mixture(pr.strawderman_mixing(0.5, 1500))
+        for r in estimators.risk_curve(prof, [0.0, 30.0], 4096, 1):
+            assert r.n_failures == 0
+            assert np.isfinite([r.mc_risk, r.sure_mean]).all() and r.coupled(4.0)
+
+    def test_signed_h_rejected(self):
+        """The moments are integrated from log|h|, so a signed h is refused
+        rather than integrated as |h|."""
+        fn = tr.ScalarFn(eval=lambda v: np.cos(np.asarray(v, dtype=float)),
+                         support=(0.0, math.inf), label="cos")
+        with pytest.raises(DomainError, match="nonnegative h"):
+            mg.marginal_mixture(pr.MixingDensity(k=5, h=fn))
 
 
 class TestStrawdermanClosedForm:
@@ -402,14 +439,37 @@ class TestTripleContract:
         for got, want in zip((view.eval(u), view.deriv1(u), view.deriv2(u)), triple):
             np.testing.assert_array_equal(got, want)
 
-    def test_mixture_one_batch_per_chunk(self, monkeypatch):
-        monkeypatch.setattr(mg, "_CHUNK", 4)
+    def test_mixture_one_log_batch_per_level(self, monkeypatch):
+        """A first triple on two ladder levels makes one log-space row batch
+        of moments per level and no linear-space integral; a warm triple
+        scans and integrates nothing."""
         prof = mg.marginal_mixture(pr.monomial_mixing(2, 5))
-        u = np.linspace(0.5, 4.0, 8)
-        counts = self._count(monkeypatch, _quad, ["adaptive_batch"])
+        u = np.array([0.0, 0.5, 2.0, 4.0, 4.5, 5.0])
+        names = ["adaptive_batch", "integrate_rows", "integrate_rows_log", "scan_log_peak"]
+        counts = self._count(monkeypatch, _quad, names)
         triple = prof.triple(u)
-        assert counts == {"adaptive_batch": 2}
+        assert counts == {"adaptive_batch": 0, "integrate_rows": 0, "integrate_rows_log": 2,
+                          "scan_log_peak": 2}
+        counts.update(dict.fromkeys(names, 0))
+        assert prof.triple(u[::-1])[0][0] == triple[0][-1]
+        assert counts == dict.fromkeys(names, 0)
         self._assert_view_matches(prof, u, triple)
+
+    def test_mixture_mc_builds_each_level_once(self, monkeypatch):
+        """Two Monte Carlo batches on a fresh mixture profile, run by one
+        worker and by two at once, give equal reports and build each ladder
+        level once."""
+        theta = np.array([6.0, 0.0, 0.0, 0.0, 0.0])
+        counts = self._count(monkeypatch, _quad, ["integrate_rows_log"])
+        reports, builds = [], []
+        for workers in (1, 2):
+            monkeypatch.setattr(estimators, "_WORKERS", workers)
+            prof = mg.marginal_mixture(pr.strawderman_mixing(0.5, 5))
+            reports.append(estimators.mc_risk(prof, theta, 2 * estimators._BATCH, 5))
+            builds.append(counts["integrate_rows_log"])
+            counts["integrate_rows_log"] = 0
+        assert reports[0] == reports[1]
+        assert builds[0] == builds[1] >= 3
 
     def test_radial_one_log_batch_one_scan(self, monkeypatch):
         """Building the profile integrates nothing; a first triple on one

@@ -18,6 +18,73 @@ from bayesminimax import specfun as sf
 from bayesminimax.errors import DomainError, EvaluationError
 
 
+def _loop_series_length(log_ratio, z, tol, max_terms, start):
+    """The scalar loop that ``sf._series_length`` evaluates in numpy: the
+    reference for its term counts, or None past ``max_terms``."""
+    log_z = math.log(z) if z > 0 else -math.inf
+    log_t = log_s = 0.0
+    for n in range(max_terms + 1):
+        log_rho = log_ratio(n)
+        if log_rho == -math.inf:
+            return n
+        log_r = log_rho + log_z
+        if (n >= start and log_r < 0.0 and log_ratio(n + 1) <= log_rho
+                and log_t + log_r - math.log1p(-math.exp(log_r)) <= math.log(tol) + log_s):
+            return n
+        log_t += log_r
+        log_s = max(log_s, log_t) + math.log1p(math.exp(-abs(log_s - log_t)))
+    return None
+
+
+class TestSeriesLength:
+    """The numpy term count equals the scalar loop's on a grid of orders,
+    arguments and starts, up to and past the 10,000-term budget."""
+
+    @staticmethod
+    def _count(fn, *args):
+        try:
+            return fn(*args)
+        except EvaluationError:
+            return None
+
+    @pytest.mark.parametrize("nu", [-0.999, -0.5, 0.0, 1.5, 35.0, 200.0])
+    def test_bessel_matches_loop(self, nu):
+        for z in np.concatenate([[0.0], np.geomspace(1e-300, 1e9, 120)]):
+            want = _loop_series_length(lambda j: -math.log((j + 1.0) * (j + 1.0 + nu)),
+                                       float(z), sf._EPS, 10000, 0)
+            assert self._count(sf.bessel_series_length, nu, float(z)) == want, z
+
+    def test_exp_matches_loop(self):
+        for z in np.concatenate([[0.0], np.geomspace(1e-300, 2e4, 200)]):
+            want = _loop_series_length(lambda j: -math.log(j + 1.0), float(z), sf._EPS, 10000, 0)
+            assert self._count(sf.exp_series_length, float(z)) == want, z
+
+    @pytest.mark.parametrize("a, b", [(0.5, 1.5), (-3.0, 2.0), (-2.5, 0.5), (1.0, -2.5),
+                                      (3.7e-230, 1.0), (250.0, 251.0)])
+    def test_kummer_matches_loop(self, a, b):
+        """The 1F1 ratio, with a terminating series (a = -3), a start past
+        alternating terms (a = -2.5, b = -2.5) and a subnormal-scale a."""
+        start = max(0, math.ceil(-a), math.ceil(-b))
+
+        def scalar(j):
+            return (math.log(abs(a + j)) if a + j else -math.inf) - math.log(abs(b + j) * (j + 1.0))
+
+        def vector(j):
+            with np.errstate(divide="ignore"):
+                return np.log(np.abs(a + j)) - np.log(np.abs(b + j) * (j + 1.0))
+
+        for z in np.geomspace(1e-10, 5e3, 120):
+            want = _loop_series_length(scalar, float(z), sf._EPS, 10000, start)
+            got = self._count(sf._series_length, vector, float(z), sf._EPS, 10000, start, "1F1")
+            assert got == want, z
+
+    def test_budget_error_keeps_its_diagnostics(self):
+        with pytest.raises(EvaluationError, match="exponential series") as err:
+            sf.exp_series_length(1e5)
+        assert err.value.diagnostics["terms"] == 10000
+        assert err.value.diagnostics["partial_sum"] == math.inf
+
+
 def _half_integer_closed_form(nu, x):
     """I_{1/2}, I_{-1/2}, I_{3/2}, I_{5/2} in terms of sinh/cosh."""
     pref = math.sqrt(2.0 / (math.pi * x))
@@ -98,6 +165,7 @@ class TestBesselI:
     @given(nu=st.floats(-1.0, 35.0, exclude_min=True),
            tiny=st.floats(0.5e-8, 2e-8), below=st.floats(1e-9, 1e-3))
     @example(nu=35.0, tiny=1e-8, below=1e-6)
+    @example(nu=-0.9999999999999999, tiny=1.732419581415348e-08, below=0.0006111882695774149)
     def test_batch_fixes_its_term_count_at_the_largest_argument(self, nu, tiny, below):
         """One batch mixing x = 0, x ~ 1e-8, 4x that and x just below 642.5
         gives each point its one-point value within 1e-13 and mpmath's within
@@ -118,6 +186,19 @@ class TestBesselI:
             log_i = np.array([float(mpmath.log(mpmath.besseli(nu, xi))) for xi in x[1:]])
         assert np.all(np.abs(got[1:] - (log_i - x[1:])) <= 2e-13)
         assert np.all(np.abs(alone[1:] - (log_i - x[1:])) <= 2e-13)
+
+    @pytest.mark.parametrize("nu", [-0.9999999999999999, -1.0 + 1e-9, -0.999, -0.5, -1e-9])
+    def test_negative_order_near_minus_one(self, nu):
+        """For -1 < nu < 0, ive reflects to order -nu through sin(nu pi),
+        which loses its digits near nu = -1 (0.32 off in log I at
+        nu = -1 + 1e-16, x = 1.7e-8); the short ascending series there holds
+        mpmath's value within 1e-14, as log(ive) does from x = 2 on."""
+        x = np.array([1.7e-8, 1e-4, 0.01, 0.1, 1.0, 2.0, 2.5, 8.0, 20.0])
+        got = sf.log_bessel_i_scaled(nu, x)
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.log(mpmath.besseli(mpmath.mpf(nu), xi)) - xi)
+                             for xi in x])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     def test_infinite_argument(self):
         """log I_nu(x) - x -> -inf as x -> inf (ive itself is NaN there)."""
