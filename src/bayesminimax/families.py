@@ -163,7 +163,7 @@ FAMILIES: Dict[str, Family] = {
                             else "gamma with gamma + (k+1)/2 > 0"),
         # formal transform identity: l proportional to u^{gamma + (1-k)/2} = S^2
         profile=lambda k, p, q, m: marginals.squared_profile(
-            k, priors.power_exp_S(p["gamma"], k), "formal_power_law", {"formal": True}),
+            k, priors.power_exp_S(p["gamma"], k), "formal_power_law"),
         checkers=lambda k, p, u, q, m: [conditions.check_spherical_minimax_bound(
             priors.power_exp_profile(p["gamma"], k), k, u)],
         radial=lambda k, p, q: priors.whittaker_radial(p["gamma"], k)),
@@ -173,8 +173,7 @@ FAMILIES: Dict[str, Family] = {
         defaults={"A1": 1.0, "A2": 0.0},
         # h(u) F(u) for the inverse-square family: the Gaussian factors cancel
         profile=lambda k, p, q, m: marginals.squared_profile(
-            k, priors.monomial_pair(p["b"], k, p["A1"], p["A2"]), "formal_power_law",
-            {"formal": True}),
+            k, priors.monomial_pair(p["b"], k, p["A1"], p["A2"]), "formal_power_law"),
         checkers=lambda k, p, u, q, m: [conditions.check_spherical_minimax_bound(
             priors.inverse_square_profile(p["b"], k, p["A1"], p["A2"]), k, u)]),
     "custom_phi_spherical": Family(

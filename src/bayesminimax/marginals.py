@@ -23,22 +23,18 @@ call.  The two shapes that several families share have one constructor
 each: :func:`squared_profile` for l = S^2 and :func:`laplace_profile` for
 l = e^{log_scale} G(u^2/2).
 
-Both quadrature routes are positive moment series evaluated in log space,
-with coefficients that do not depend on u.  The radial route pairs e^{-u^2/2}
-decay against e^{ur}-growing Bessel kernels; it integrates the positive
-ascending series of I_nu term by term, so the I-transform becomes a power
-series in u^2/4 whose coefficients are radial moments of the prior.  The
-mixture route is a Laplace transform in s = u^2/2; on each level of u it
-expands e^{-st} about the upper end c of the level's window in t, where
-every term is positive, so l is e^{-sc} times a power series in s whose
-coefficients are moments of (c - t)^j.  Both put u on one geometric ladder
-of horizons (:class:`_Ladder`) and build a level's table the first time a u
-needs it; every later call only sums.  l'/l and l''/l are the exact
-derivatives of the series, never finite differences, and the terms hold no
-factor of size 1/u, so one formula serves every u down to the origin.  A
-warm call integrates nothing, and each u's sums are reduced on their own,
-so the value at u does not depend on the batch it comes in; Monte Carlo
-risk runs with ~1e6 marginal evaluations stay cheap and reproducible.
+Both quadrature routes are positive moment series in log space, and one
+evaluator (:func:`_series_profile`) serves them: l = e^{log_scale - c y}
+sum_j b_j y^j with y = kappa u^2 and coefficients b_j that do not depend on
+u.  The radial route pairs e^{-u^2/2} decay against e^{ur}-growing Bessel
+kernels; it integrates the positive ascending series of I_nu term by term,
+so the I-transform becomes a power series in u^2/4 whose coefficients are
+radial moments of the prior.  The mixture route is a Laplace transform in
+s = u^2/2; on each level of u it expands e^{-st} about the upper end c of
+the level's window in t, where every term is positive, so its coefficients
+are moments of (c - t)^j.  Each route only builds a level's table; the
+evaluator sums it, so Monte Carlo risk runs with ~1e6 marginal evaluations
+stay cheap and reproducible.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -95,11 +91,6 @@ class MarginalProfile:
     k: int
     route: str
     triple_fn: Callable
-    extra: Dict = None
-
-    def __post_init__(self):
-        if self.extra is None:
-            self.extra = {}
 
     def ratios(self, u) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(log l, l'/l, l''/l) vectorized over u, in one call of triple_fn."""
@@ -128,8 +119,7 @@ def flat_profile(k: int) -> MarginalProfile:
     return MarginalProfile(k=k, route="flat", triple_fn=triple)
 
 
-def squared_profile(k: int, S_triple: Callable, route: str,
-                    extra: Dict = None) -> MarginalProfile:
+def squared_profile(k: int, S_triple: Callable, route: str) -> MarginalProfile:
     """Profile l = S^2 from the triple (S, S', S'') of a solution combination.
 
     l'/l = 2 S'/S and l''/l = 2 ((S'/S)^2 + S''/S).  This is the formal marginal
@@ -141,7 +131,7 @@ def squared_profile(k: int, S_triple: Callable, route: str,
         r = S1 / S
         return 2.0 * np.log(np.abs(S)), 2.0 * r, 2.0 * (r * r + S2 / S)
 
-    return MarginalProfile(k=k, route=route, triple_fn=triple, extra=extra)
+    return MarginalProfile(k=k, route=route, triple_fn=triple)
 
 
 def laplace_profile(G: ScalarFn, k: int, route: str, log_scale: float) -> MarginalProfile:
@@ -159,6 +149,98 @@ def laplace_profile(G: ScalarFn, k: int, route: str, log_scale: float) -> Margin
 
 
 # ---------------------------------------------------------------------------
+# the moment series of both quadrature routes
+# ---------------------------------------------------------------------------
+
+def _series_profile(k: int, route: str, log_scale: float, kappa: float,
+                    build: Callable) -> MarginalProfile:
+    """Profile of l(u) = e^{log_scale - c y} sum_{j<=N} b_j y^j, y = kappa u^2,
+    from one table per level of u.
+
+    u sits on a fixed geometric ladder of horizons L_i (ratio
+    ``_LADDER_RATIO`` from ``_LADDER_FLOOR``) and takes the smallest
+    L_i >= u.  ``build(level)`` gives the level's (top, c, log b_j, error)
+    the first time a u needs it, behind one lock, since Monte Carlo batches
+    call ``ratios`` from worker threads; a warm call builds nothing and only
+    sums.  A u past its level's ``top``, or on a level with no coefficients
+    (log b_j None), raises EvaluationError naming ``error``.  With E the mean
+    under the weights b_j y^j, q = E[j]/y, w = 2 kappa u = dy/du, d1 = q - c
+    and d2 = E[j(j-1)]/y/y - 2 c q + c^2 (divided by y twice since y^2
+    underflows at the clamp),
+
+        log l = log_scale - c y + log sum_j b_j y^j,
+        l'/l = w d1,   l''/l = 2 kappa d1 + w^2 d2,
+
+    the exact derivatives of the series, never finite differences.  The terms
+    hold no factor of size 1/u, so one formula serves every u down to the
+    origin: u is clamped at ``_U_MIN``, so that y stays a normal double and
+    u = 0 is evaluated as its limit; a NaN u gives NaN.  Each u's sums are
+    reduced on their own, so the value at u does not depend on the batch it
+    comes in.
+    """
+    tables, lock = {}, threading.Lock()
+
+    def triple(u):
+        u = np.atleast_1d(u)
+        uc = np.maximum(u, _U_MIN)
+        y = kappa * np.square(uc)
+        log_y = np.log(y)
+        level = np.maximum(np.ceil(np.log(uc / _LADDER_FLOOR) / math.log(_LADDER_RATIO)), 0.0)
+        level += _horizon(level) < uc   # L >= u despite rounding
+        c, log_top = np.full_like(y, np.nan), np.full_like(y, np.nan)
+        sums = np.full((3, u.size), np.nan)
+        for lv in np.unique(level[~np.isnan(level)]).tolist():
+            with lock:
+                if lv not in tables:
+                    tables[lv] = build(lv)
+                top, c_level, log_b, error = tables[lv]
+            idx = np.flatnonzero(level == lv)
+            u_hi = float(np.max(uc[idx]))
+            if log_b is None or u_hi > top:
+                raise EvaluationError(f"{error} ({route} moment series: u = {u_hi:.6g} is "
+                                      f"past its horizon {top:.6g})", horizon=top, u=u_hi)
+            c[idx] = c_level
+            log_top[idx], sums[:, idx] = _moment_sums(log_y[idx], log_b)
+        q = sums[1] / (sums[0] * y)
+        d1 = q - c
+        d2 = sums[2] / sums[0] / y / y - 2.0 * c * q + c * c
+        w = 2.0 * kappa * u
+        return (log_scale - c * y + log_top + np.log(sums[0]), w * d1,
+                2.0 * kappa * d1 + w * w * d2)
+
+    return MarginalProfile(k=k, route=route, triple_fn=triple)
+
+
+def _horizon(level):
+    """The u horizon of a ladder level."""
+    return _LADDER_FLOOR * _LADDER_RATIO ** level
+
+
+def _moment_sums(log_y, log_b):
+    """Max log term and the 1-, j- and j(j-1)-weighted sums of b_j y^j / max
+    at each log y, in blocks of u whose term array is reused in place.  Each
+    row is reduced on its own, so its sums do not depend on the block."""
+    m, j = log_y.size, np.arange(log_b.size, dtype=float)
+    log_top, sums = np.empty(m), np.empty((3, m))
+    block = max(1, _SUM_BLOCK // j.size)
+    buf = np.empty((min(block, m), j.size))
+    for start in range(0, m, block):
+        sl = slice(start, start + block)
+        t = buf[:min(block, m - start)]   # log b_j + j log y, then its weighted terms
+        np.multiply.outer(log_y[sl], j, out=t)
+        t += log_b
+        np.max(t, axis=1, out=log_top[sl])
+        t -= log_top[sl, None]
+        np.exp(t, out=t)
+        np.add.reduce(t, axis=1, out=sums[0, sl])
+        t *= j
+        np.add.reduce(t, axis=1, out=sums[1, sl])
+        t *= j - 1.0
+        np.add.reduce(t, axis=1, out=sums[2, sl])
+    return log_top, sums
+
+
+# ---------------------------------------------------------------------------
 # radial quadrature route
 # ---------------------------------------------------------------------------
 
@@ -168,40 +250,29 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD) -> Margin
     With w(r) = e^{-r^2/2} r^{-nu} lambda(r) the marginal is
     l = A e^{-u^2/2} K(u), K = u^{-nu} int_0^inf w I_nu(ur) dr.  Every term of
     the ascending series of I_nu (DLMF 10.25.2) is positive, so integrating it
-    term by term turns K into a power series in x = u^2/4,
+    term by term turns K into a power series in y = u^2/4,
 
-        K(u) = 2^{-nu} sum_{j<=N} a_j x^j,
+        K(u) = 2^{-nu} sum_{j<=N} a_j y^j,
         a_j = mu_{nu+2j} / (j! Gamma(nu+j+1)),   mu_p = int_0^inf w r^p dr,
 
-    and, with E the mean under the weights a_j x^j,
-
-        K'/K = (2/u) E[j],   K''/K = E[j]/(2x) + E[j(j-1)]/x.
-
-    Then l'/l = K'/K - u and l''/l = u^2 - 1 - 2u K'/K + K''/K.  The
-    coefficients a_j do not depend on u, so they are integrated once per
-    profile and reused by every later call: in blocks of ``_MOMENT_BLOCK``
-    consecutive j, each one log-space row batch of moments on [r_lo, r_lo +
-    2^m], the power of two that covers the scan cut of the block's highest
-    moment, so that each mu_p is a fixed number whichever call first needs
-    it.  Blocks whose ranges round to the same 2^m share their quadrature
-    nodes, and log w is evaluated once per node array.  u sits on a fixed
-    geometric ladder of horizons L (ratio ``_LADDER_RATIO`` from
-    ``_LADDER_FLOOR``, the smallest L >= u), and each level's term count N is
-    found the first time a u needs it: one scan of the Bessel integrand at
-    u = L gives R, and N is the Bessel stop rule at z = (L R)^2/4 for the
-    orders nu, nu + 1 and nu + 2 shifted by 0, 1 and 2 terms (the j- and
-    j(j-1)-weighted series), so a relative tail below roundoff at every
-    r <= R and u <= L bounds the tail of each integrated sum.  A level whose
-    N passes the 10,000-term budget takes instead the N of the largest
-    horizon above the level below that fits it, found once by bisection; u
-    past that horizon raise EvaluationError.  Levels and blocks are built
-    behind one lock, since Monte Carlo batches call ``ratios`` from worker
-    threads.  A warm call runs no quadrature, and each row sums its terms on
-    its own (a per-row pairwise reduction), so the value at u does not
-    depend on the batch it comes in.  u is clamped at 1e-100, so that x
-    stays a normal double and u = 0 is evaluated as its limit; a NaN u gives
-    NaN.  The integrands are built from log|lambda|, so a signed lambda
-    raises DomainError rather than being integrated as |lambda|.
+    and l = A 2^{-nu} e^{-2y} sum_j a_j y^j is the series of
+    :func:`_series_profile` with kappa = 1/4 and c = 2.  The coefficients
+    a_j do not depend on u, so they are integrated once per profile: in
+    blocks of ``_MOMENT_BLOCK`` consecutive j, each one log-space row batch
+    of moments on [r_lo, r_lo + 2^m], the power of two that covers the scan
+    cut of the block's highest moment, so that each mu_p is a fixed number
+    whichever call first needs it.  Blocks whose ranges round to the same 2^m
+    share their quadrature nodes, and log w is evaluated once per node
+    array.  A ladder level's term count N is found the first time a u needs
+    it: one scan of the Bessel integrand at u = L gives R, and N is the
+    Bessel stop rule at z = (L R)^2/4 for the orders nu, nu + 1 and nu + 2
+    shifted by 0, 1 and 2 terms (the j- and j(j-1)-weighted series), so a
+    relative tail below roundoff at every r <= R and u <= L bounds the tail
+    of each integrated sum.  A level whose N passes the 10,000-term budget
+    takes instead the N of the largest horizon above the level below that
+    fits it, found once by bisection; u past that horizon raise
+    EvaluationError.  The integrands are built from log|lambda|, so a signed
+    lambda raises DomainError rather than being integrated as |lambda|.
     """
     if not prior.lam.nonneg:
         raise DomainError(f"radial quadrature needs a nonnegative lambda, got the "
@@ -241,7 +312,7 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD) -> Margin
             return None, exc
 
     def build(level):
-        """(top, log a_j for j <= N, error) of one ladder level: N at the
+        """(top, c, log a_j for j <= N, error) of one ladder level: N at the
         level's horizon, or at the last horizon above the level below whose
         series fits the budget; log a_j is None where none does."""
         top = _horizon(level)
@@ -250,7 +321,7 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD) -> Margin
             lo, hi = (top / _LADDER_RATIO if level else 0.0), top
             n = terms(lo)[0]
             if n is None:
-                return lo, None, error
+                return lo, 2.0, None, error
             while lo < (mid := 0.5 * (lo + hi)) < hi:
                 fitted = terms(mid)[0]
                 if fitted is None:
@@ -260,7 +331,7 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD) -> Margin
             top = lo
         while len(log_a) <= n:
             integrate_block()
-        return top, np.array(log_a[:n + 1]), error
+        return top, 2.0, np.array(log_a[:n + 1]), error
 
     def integrate_block():
         """Append the next _MOMENT_BLOCK coefficients: one row batch of
@@ -285,81 +356,7 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD) -> Margin
         log_mu = _quad.integrate_rows_log(rows, r_lo, end, quad.rel_tol, quad.max_depth)
         log_a.extend(log_mu - gammaln(j + 1.0) - gammaln(nu + j + 1.0))
 
-    ladder = _Ladder(build)
-
-    def _triple(u):
-        u = np.atleast_1d(u)
-        uc = np.maximum(u, _U_MIN)
-        x = 0.25 * np.square(uc)
-        log_x = np.log(x)
-        log_top, sums = np.full_like(x, np.nan), np.full((3, u.size), np.nan)
-        for (top, log_a, error), idx in ladder.groups(uc):
-            u_hi = float(np.max(uc[idx]))
-            if log_a is None or u_hi > top:
-                raise EvaluationError(f"{error} (radial moment series: u = {u_hi:.6g} is past "
-                                      f"its horizon {top:.6g})", horizon=top, u=u_hi)
-            log_top[idx], sums[:, idx] = _moment_sums(log_x[idx], log_a)
-        q = sums[1] / (sums[0] * x)                                  # E[j]/x
-        dK = 0.5 * u * q                                             # K'/K
-        d2K = 0.5 * q + sums[2] / (sums[0] * x)                      # K''/K
-        log_ell = log_scale - 0.5 * u * u + log_top + np.log(sums[0])
-        return log_ell, dK - u, u * u - 1.0 - 2.0 * u * dK + d2K
-
-    return MarginalProfile(k=k, route="radial_quadrature", triple_fn=_triple)
-
-
-def _horizon(level):
-    """The u horizon of a ladder level."""
-    return _LADDER_FLOOR * _LADDER_RATIO ** level
-
-
-class _Ladder:
-    """A series route's per-level tables on the horizon ladder.
-
-    ``build(level)`` makes a level's table the first time a u needs it,
-    behind one lock, since Monte Carlo batches call ``ratios`` from worker
-    threads; every later call reads the stored table.
-    """
-
-    def __init__(self, build: Callable):
-        self._build, self._tables, self._lock = build, {}, threading.Lock()
-
-    def groups(self, uc: np.ndarray):
-        """(table, indices) for each ladder level among the (clamped) u, a
-        u's level being the smallest i with L_i >= u; a NaN u has none."""
-        level = np.maximum(np.ceil(np.log(uc / _LADDER_FLOOR) / math.log(_LADDER_RATIO)), 0.0)
-        level += _horizon(level) < uc   # L >= u despite rounding
-        for lv in np.unique(level[~np.isnan(level)]):
-            lv = float(lv)
-            with self._lock:
-                if lv not in self._tables:
-                    self._tables[lv] = self._build(lv)
-                table = self._tables[lv]
-            yield table, np.flatnonzero(level == lv)
-
-
-def _moment_sums(log_x, log_a):
-    """Max log term and the 1-, j- and j(j-1)-weighted sums of a_j x^j / max
-    at each log x, in blocks of u whose term array is reused in place.  Each
-    row is reduced on its own, so its sums do not depend on the block."""
-    m, j = log_x.size, np.arange(log_a.size, dtype=float)
-    log_top, sums = np.empty(m), np.empty((3, m))
-    block = max(1, _SUM_BLOCK // j.size)
-    buf = np.empty((min(block, m), j.size))
-    for start in range(0, m, block):
-        sl = slice(start, start + block)
-        t = buf[:min(block, m - start)]   # log a_j + j log x, then its weighted terms
-        np.multiply.outer(log_x[sl], j, out=t)
-        t += log_a
-        np.max(t, axis=1, out=log_top[sl])
-        t -= log_top[sl, None]
-        np.exp(t, out=t)
-        np.add.reduce(t, axis=1, out=sums[0, sl])
-        t *= j
-        np.add.reduce(t, axis=1, out=sums[1, sl])
-        t *= j - 1.0
-        np.add.reduce(t, axis=1, out=sums[2, sl])
-    return log_top, sums
+    return _series_profile(k, "radial_quadrature", log_scale, 0.25, build)
 
 
 # ---------------------------------------------------------------------------
@@ -374,31 +371,24 @@ def marginal_mixture(h: MixingDensity, quad: QuadSpec = DEFAULT_QUAD) -> Margina
         l(u) = C int f(t) e^{-st} dt,   s = u^2/2,  f(t) = t^{k/2-2} h((1-t)/t),
 
     with C = (2 pi)^{-k/2} and t on [t_lo, t_hi] = [1/(1+v_hi), 1/(1+v_lo)].
-    u sits on the radial route's ladder of horizons L_i, and level i serves
-    u in (L_{i-1}, L_i] (L_{-1} = 0), so s in (s_{i-1}, s_i], s_i = L_i^2/2.
-    The level's window is [lo_i, c_i]: lo_i is the lower cut of one scan of
-    f e^{-s_i t} and c_i the upper cut of the scan at s_{i-1} (t_hi on level
-    0), so that it holds f e^{-st} to the scan's tail cut at every s of the
-    level.  There e^{-st} = e^{-s c} sum_j (s (c - t))^j / j! has no negative
-    term, so
+    Ladder level i serves u in (L_{i-1}, L_i] (L_{-1} = 0), so s in
+    (s_{i-1}, s_i], s_i = L_i^2/2.  The level's window is [lo_i, c_i]: lo_i
+    is the lower cut of one scan of f e^{-s_i t} and c_i the upper cut of the
+    scan at s_{i-1} (t_hi on level 0), so that it holds f e^{-st} to the
+    scan's tail cut at every s of the level.  There
+    e^{-st} = e^{-s c} sum_j (s (c - t))^j / j! has no negative term, so
 
         l = C e^{-s c} sum_{j<=N} a_j s^j,   a_j = int_lo^c f (c - t)^j dt / j!,
 
-    the a_j from one log-space row batch per level, and N the exponential
+    the series of :func:`_series_profile` with kappa = 1/2 and c = c_i.  The
+    a_j come from one log-space row batch per level, and N is the exponential
     series' stop rule at z = s_i (c_i - lo_i), plus 2 for the j- and
-    j(j-1)-weighted sums.  With E the mean under the weights a_j s^j and
-    q = E[j]/s,
-
-        l'/l = u (q - c),   l''/l = (q - c) + u^2 (E[j(j-1)]/s/s - 2 c q + c^2),
-
-    divided by s twice since s^2 underflows at the u = 1e-100 clamp.  The
-    window moves with s, so N stays bounded at every u: at most 167 on
-    example2's levels, and about 1,900 at k = 1500, where f e^{-st} is
-    close to a Gamma law in t of shape k/2 and the window spans it at both
-    ends of a level.  Levels are built the first time a u needs them,
-    behind one lock; a warm call integrates nothing, and the value at u does
-    not depend on the batch it comes in.  The moments are integrated from log|h|, so a
-    signed h raises DomainError rather than being integrated as |h|.
+    j(j-1)-weighted sums.  The window moves with s, so N stays bounded at
+    every u: at most 167 on example2's levels, and about 1,900 at k = 1500,
+    where f e^{-st} is close to a Gamma law in t of shape k/2 and the window
+    spans it at both ends of a level.  The moments are integrated from
+    log|h|, so a signed h raises DomainError rather than being integrated as
+    |h|.
     """
     if not h.h.nonneg:
         raise DomainError(f"the mixture moment series needs a nonnegative h, got the "
@@ -424,7 +414,7 @@ def marginal_mixture(h: MixingDensity, quad: QuadSpec = DEFAULT_QUAD) -> Margina
         return cuts[level]
 
     def build(level):
-        """(c, log a_j for j <= N) of one ladder level."""
+        """(inf, c, log a_j for j <= N, None) of one ladder level."""
         lo = scan(level)[0]
         c = scan(level - 1.0)[1] if level else t_hi
         j = np.arange(3.0 + specfun.exp_series_length(0.5 * _horizon(level) ** 2 * (c - lo)))
@@ -433,26 +423,9 @@ def marginal_mixture(h: MixingDensity, quad: QuadSpec = DEFAULT_QUAD) -> Margina
             return log_f(t)[:, None] + np.multiply.outer(np.log(c - t), j)
 
         log_m = _quad.integrate_rows_log(rows, lo, c, quad.rel_tol, quad.max_depth)
-        return c, log_m - gammaln(j + 1.0)
+        return math.inf, c, log_m - gammaln(j + 1.0), None
 
-    ladder = _Ladder(build)
-
-    def _triple(u):
-        u = np.atleast_1d(u)
-        uc = np.maximum(u, _U_MIN)
-        s = 0.5 * np.square(uc)
-        log_s = np.log(s)
-        c, log_top = np.full_like(s, np.nan), np.full_like(s, np.nan)
-        sums = np.full((3, u.size), np.nan)
-        for (c_level, log_a), idx in ladder.groups(uc):
-            c[idx] = c_level
-            log_top[idx], sums[:, idx] = _moment_sums(log_s[idx], log_a)
-        q = sums[1] / (sums[0] * s)                                   # E[j]/s
-        d1 = q - c                                                    # (log l)' in s
-        d2 = sums[2] / sums[0] / s / s - 2.0 * c * q + c * c          # l_ss/l
-        return log_C - s * c + log_top + np.log(sums[0]), u * d1, d1 + u * u * d2
-
-    return MarginalProfile(k=k, route="mixture_quadrature", triple_fn=_triple)
+    return _series_profile(k, "mixture_quadrature", log_C, 0.5, build)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +461,5 @@ def monomial_mixture_profile(n: int, k: int) -> MarginalProfile:
     gamma form).  This is the marginal of the unnormalized mixing density
     (v+1)^{k/2-2-n}.
     """
-    prof = laplace_profile(monomial_laplace_G(n), k, "mixture_closed_form",
+    return laplace_profile(monomial_laplace_G(n), k, "mixture_closed_form",
                            -0.5 * k * math.log(2.0 * math.pi))
-    prof.extra["n"] = n
-    return prof

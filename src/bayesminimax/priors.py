@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -231,32 +231,41 @@ def mixture_radial(h: MixingDensity, quad: QuadSpec = DEFAULT_QUAD) -> RadialPri
 # Strawderman prior
 # ---------------------------------------------------------------------------
 
-def _strawderman_log_integral(a: float, k: int, r: np.ndarray,
-                              quad: QuadSpec) -> np.ndarray:
-    """log of int_0^inf t^{k/2-a} (1+t)^{a-2} exp(-t r^2/2) dt.
+def _strawderman_log_integral(a: float, k: int, quad: QuadSpec) -> Callable:
+    """r -> log of int_0^inf t^{k/2-a} (1+t)^{a-2} exp(-t r^2/2) dt.
 
     Substituting t = tau/r^2 standardizes the exponential so a single panel
     partition serves every r:
 
         r^{-2(k/2-a+1)} int_0^inf tau^{k/2-a} (1 + tau/r^2)^{a-2} e^{-tau/2} dtau.
+
+    One scan of the base tau^p e^{-tau/2}, p = k/2-a, gives its peak and its
+    upper cut, once per (a, k); the factor (1 + tau/r^2)^{a-2} <= 1 falls in
+    tau, so that cut bounds the tail of every row.  The rows are integrated
+    scaled by e^{-peak}, so tau^p e^{-tau/2} does not overflow at large k.
     """
-    r = np.atleast_1d(np.asarray(r, dtype=float))
     p = k / 2.0 - a
 
-    def rows(tau):
-        tau = np.asarray(tau, dtype=float)
-        with np.errstate(divide="ignore"):
-            base = p * np.log(tau) - tau / 2.0
-        ratio = (a - 2.0) * np.log1p(tau[:, None] / (r * r))
-        return np.exp(base[:, None] + ratio)
+    def log_base(tau):
+        return p * np.log(tau) - tau / 2.0
 
-    total = _quad.integrate_rows(rows, 0.0, 2.0 * (p + 60.0), quad.rel_tol,
-                                 quad.abs_tol, quad.max_depth)
-    return -2.0 * (p + 1.0) * np.log(r) + np.log(total)
+    _, cut, peak = _quad.scan_log_peak(log_base, 0.0, math.inf, quad.tail_cut)
+
+    def log_integral(r):
+        r2 = r * r
+
+        def rows(tau):
+            ratio = (a - 2.0) * np.log1p(tau[:, None] / r2)
+            return np.exp(log_base(tau)[:, None] - peak + ratio)
+
+        total = _quad.integrate_rows(rows, 0.0, cut, quad.rel_tol, quad.abs_tol, quad.max_depth)
+        return -2.0 * (p + 1.0) * np.log(r) + peak + np.log(total)
+
+    return log_integral
 
 
 def _strawderman_log_tricomi(a: float, k: int, r: np.ndarray,
-                             quad: QuadSpec) -> np.ndarray:
+                             fallback: Callable) -> np.ndarray:
     """The same log-integral in closed form, Gamma(alpha) U(alpha, k/2, r^2/2)
     with alpha = k/2-a+1 (DLMF 13.4.4), vectorized over r.
 
@@ -273,7 +282,7 @@ def _strawderman_log_tricomi(a: float, k: int, r: np.ndarray,
         out = math.lgamma(alpha) + np.log(hyperu(alpha, 0.5 * k, 0.5 * r * r))
     bad = ~np.isfinite(out)
     if np.any(bad):
-        out[bad] = _strawderman_log_integral(a, k, r[bad], quad)
+        out[bad] = fallback(r[bad])
     return out
 
 
@@ -301,8 +310,9 @@ def strawderman_radial(a: float, k: int, quad: QuadSpec = DEFAULT_QUAD,
         raise DomainError(f"k >= 3 required, got {k}")
     if route not in ("integral", "whittaker"):
         raise DomainError(f"unknown route {route!r}")
-    log_integral = (_strawderman_log_integral if route == "integral"
-                    else _strawderman_log_tricomi)
+    integral = _strawderman_log_integral(a, k, quad)
+    log_integral = (integral if route == "integral"
+                    else lambda r: _strawderman_log_tricomi(a, k, r, integral))
     log_c = (math.log(2.0 * (1.0 - a)) - 0.5 * k * math.log(2.0)
              - math.lgamma(0.5 * k))
 
@@ -313,7 +323,7 @@ def strawderman_radial(a: float, k: int, quad: QuadSpec = DEFAULT_QUAD,
         live = r_arr != 0.0
         if np.any(live):
             out[live] = (log_c + (k - 1.0) * np.log(r_arr[live])
-                         + log_integral(a, k, r_arr[live], quad))
+                         + log_integral(r_arr[live]))
         return float(out[0]) if np.asarray(r).ndim == 0 else out
 
     label = "strawderman" if route == "integral" else "strawderman_whittaker"
@@ -486,7 +496,6 @@ def mixing_from_unit_kernel(f_unit: ScalarFn, k: int,
 class ConstructionSolution:
     """Output of the spherical construction pipeline."""
     k: int
-    phi: ScalarFn
     F: ScalarFn
     z1: ScalarFn
     z2: ScalarFn
@@ -609,7 +618,7 @@ def construct_spherical(phi: ScalarFn, k: int, c1: float = 1.0, c2: float = 0.0,
                         support=(0.0, u_max), label=label)
 
     z1, z2 = make_solution(rho1, "z1"), make_solution(rho2, "z2")
-    sol = ConstructionSolution(k=k, phi=phi, F=None, z1=z1, z2=z2, c1=c1, c2=c2,
+    sol = ConstructionSolution(k=k, F=None, z1=z1, z2=z2, c1=c1, c2=c2,
                                rho1=rho1, rho2=rho2, b_coeffs=b)
     sol.F = _assemble_profile(sol.S_triple, k, label="constructed_profile",
                               support=(0.0, u_max))

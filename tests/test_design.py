@@ -1,5 +1,6 @@
 """Design guards: the adaptive quadrature engine is reached through its
-batched entry points only."""
+batched entry points only, and the marginal routes share one series
+evaluator."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,15 @@ def test_marginal_routes_integrate_in_log_space():
     named = {node.attr for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Attribute)}
     assert not named & LINEAR_QUAD, f"marginals.py names {sorted(named & LINEAR_QUAD)}"
+
+
+def test_one_moment_series_evaluator():
+    """Both series routes only build tables for ``_series_profile``, so
+    ``_moment_sums`` has one caller and a new series route reuses it rather
+    than growing its own evaluator."""
+    path = SRC / "marginals.py"
+    callers = {getattr(top, "name", "<module>")
+               for top in ast.parse(path.read_text(), str(path)).body
+               for node in ast.walk(top)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_moment_sums"}
+    assert callers == {"_series_profile"}

@@ -126,6 +126,17 @@ class TestRadialRoute:
         k = 120; one batch spans u = 1e-6 to 20."""
         self._assert_matches_strawderman(0.5, k, [1e-6, 0.01, 0.5, 2.0, 8.0, 20.0])
 
+    @pytest.mark.parametrize("k", [150, 400])
+    def test_large_dimensions_match_closed_form(self, k):
+        """At k = 150 and 400, where tau^{k/2-a} e^{-tau/2} inside lambda(r)
+        overflows unscaled and its Gamma-law tail reaches past any fixed cut:
+        each ratio within 1e-11 relative of the closed form."""
+        u = np.array([1.0, 10.0, 25.0])
+        got = mg.marginal_radial(pr.strawderman_radial(0.5, k)).ratios(u)
+        want = mg.marginal_strawderman(0.5, k).ratios(u)
+        for g, w in zip(got, want):
+            np.testing.assert_array_less(np.abs(g - w), 1e-11 * np.abs(w))
+
     @pytest.mark.parametrize("k", [3, 5, 8])
     def test_second_ratio_matches_closed_form_at_large_u(self, k):
         """l''/l on u in [16, 30], where it is a difference of terms of size
@@ -143,25 +154,6 @@ class TestRadialRoute:
         batched = prof.ratios([0.5, 25.0, 2.0, 5.0])
         for got, want in zip(batched, alone):
             np.testing.assert_array_equal(got[[0, 2, 3]], want)
-
-    def test_every_point_equals_its_value_alone(self, monkeypatch):
-        """2,000 seeded u on [0, 30], over at least three ladder levels (one
-        scan each) and three blocks of moments (one scan and one row batch
-        each), in one batch and each alone: equal to the bit."""
-        u = np.random.default_rng(21).uniform(0.0, 30.0, 2000)
-        prof = mg.marginal_radial(pr.strawderman_radial(0.5, 5))
-        calls = {"scan_log_peak": 0, "integrate_rows_log": 0}
-        for name in calls:
-            def counted(*a, _name=name, _fn=getattr(_quad, name), **kw):
-                calls[_name] += 1
-                return _fn(*a, **kw)
-            monkeypatch.setattr(_quad, name, counted)
-        batched = prof.ratios(u)
-        blocks = calls["integrate_rows_log"]
-        assert blocks >= 3 and calls["scan_log_peak"] - blocks >= 3
-        for i in range(u.size):
-            for got, want in zip(prof.ratios(u[i:i + 1]), batched):
-                assert got[0] == want[i], (u[i], got[0], want[i])
 
     def test_term_budget_edge(self):
         """The top ladder level of the normal prior (k = 5) passes the
@@ -226,19 +218,6 @@ class TestMixtureRoute:
         h = pr.monomial_mixing(2, 5)
         prof = mg.marginal_mixture(h, tr.QuadSpec(rel_tol=1e-11))
         assert_derivative_contract(prof.ell, [0.5, 1.5, 4.0])
-
-    def test_every_point_equals_its_value_alone(self):
-        """The example2 ratios at 2,000 Monte Carlo radii, over several ladder
-        levels, in one batch and each alone: equal to the bit."""
-        prof = mg.marginal_mixture(pr.gen_beta_mixing(2.0, 2.0, -1.0, 0.5, 5))
-        rng = np.random.default_rng(20261018)
-        u = np.concatenate([np.linalg.norm(rng.standard_normal((500, 5)) + [t, 0, 0, 0, 0],
-                                           axis=1) for t in (0.0, 3.0, 6.0, 10.0)])
-        rng.shuffle(u)
-        batched = prof.ratios(np.concatenate([[0.0], u]))
-        for i, ui in enumerate(np.concatenate([[0.0], u])):
-            for got, want in zip(prof.ratios([ui]), batched):
-                assert got[0] == want[i], (ui, got[0], want[i])
 
     @staticmethod
     def _assert_matches_strawderman(k, u, rel):
@@ -526,19 +505,70 @@ class TestTripleContract:
         assert builds[0] == builds[1]
         assert builds[0]["scan_log_peak"] > builds[0]["integrate_rows_log"] >= 2
 
-    def test_radial_tables_under_thread_contention(self, monkeypatch):
+    def test_strawderman_no_kummer_calls(self, monkeypatch):
+        """The closed form goes through the incomplete gamma, not 1F1."""
+        prof = mg.marginal_strawderman(0.5, 5)
+        u = np.array([0.5, 1.0, 2.0])
+        counts = self._count(monkeypatch, specfun, ["kummer_1f1"])
+        triple = prof.triple(u)
+        assert counts == {"kummer_1f1": 0}
+        self._assert_view_matches(prof, u, triple)
+
+
+SERIES_ROUTES = {
+    "mixture": lambda: mg.marginal_mixture(pr.gen_beta_mixing(2.0, 2.0, -1.0, 0.5, 5)),
+    "radial": lambda: mg.marginal_radial(pr.strawderman_radial(0.5, 5)),
+}
+
+
+@pytest.mark.parametrize("route", sorted(SERIES_ROUTES))
+class TestSeriesRouteContract:
+    """What the shared moment-series evaluator gives both quadrature routes:
+    example2 on the mixture route, Strawderman a = 0.5, k = 5 on the radial
+    route."""
+
+    def test_every_point_equals_its_value_alone(self, route, monkeypatch):
+        """u = 0 and 2,000 seeded u on [0, 30], over several ladder levels
+        and (radial) several blocks of moments, in one batch and each alone:
+        equal to the bit."""
+        u = np.concatenate([[0.0], np.random.default_rng(21).uniform(0.0, 30.0, 2000)])
+        prof = SERIES_ROUTES[route]()
+        calls = TestTripleContract._count(monkeypatch, _quad,
+                                          ["scan_log_peak", "integrate_rows_log"])
+        batched = prof.ratios(u)
+        # the radial route scans once per level and once per block of
+        # moments, the mixture route once per level
+        batches = calls["integrate_rows_log"]
+        level_scans = calls["scan_log_peak"] - (batches if route == "radial" else 0)
+        assert batches >= 3 and level_scans >= 3
+        for i in range(u.size):
+            for got, want in zip(prof.ratios(u[i:i + 1]), batched):
+                assert got[0] == want[i], (u[i], got[0], want[i])
+
+    def test_nan_u_gives_nan(self, route):
+        """A NaN u gives NaN in all three ratios, and the other u of its batch
+        keep their values alone."""
+        prof = SERIES_ROUTES[route]()
+        u = np.array([0.0, 3.0, np.nan, 25.0])
+        got = prof.ratios(u)
+        assert all(np.isnan(g[2]) for g in got)
+        for i in (0, 1, 3):
+            for g, w in zip(got, prof.ratios(u[i:i + 1])):
+                assert g[i] == w[0], (u[i], g[i], w[0])
+
+    def test_tables_under_thread_contention(self, route, monkeypatch):
         """Eight threads, more than the cores, with a 1 us switch interval,
         race for the same ladder levels of a fresh profile, each on its own
-        rotation of one batch: each block of moments is integrated once, as
-        in one thread, and every thread gets the values of one thread
-        alone."""
+        rotation of one batch: every level (mixture) or block of moments
+        (radial) is integrated once, as in one thread, and every thread gets
+        the values of one thread alone."""
         u = np.linspace(0.0, 20.0, 64)
-        counts = self._count(monkeypatch, _quad, ["integrate_rows_log"])
-        want = mg.marginal_radial(pr.strawderman_radial(0.5, 5)).ratios(u)
-        blocks = counts["integrate_rows_log"]
-        assert blocks >= 2
+        counts = TestTripleContract._count(monkeypatch, _quad, ["integrate_rows_log"])
+        want = SERIES_ROUTES[route]().ratios(u)
+        batches = counts["integrate_rows_log"]
+        assert batches >= 2
         counts["integrate_rows_log"] = 0
-        prof = mg.marginal_radial(pr.strawderman_radial(0.5, 5))
+        prof = SERIES_ROUTES[route]()
         results = [None] * 8
 
         def work(i):
@@ -555,16 +585,7 @@ class TestTripleContract:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert counts["integrate_rows_log"] == blocks
+        assert counts["integrate_rows_log"] == batches
         for i, got in enumerate(results):
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, np.roll(w, 8 * i))
-
-    def test_strawderman_no_kummer_calls(self, monkeypatch):
-        """The closed form goes through the incomplete gamma, not 1F1."""
-        prof = mg.marginal_strawderman(0.5, 5)
-        u = np.array([0.5, 1.0, 2.0])
-        counts = self._count(monkeypatch, specfun, ["kummer_1f1"])
-        triple = prof.triple(u)
-        assert counts == {"kummer_1f1": 0}
-        self._assert_view_matches(prof, u, triple)

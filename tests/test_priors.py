@@ -143,6 +143,22 @@ class TestStrawderman:
                     for ri in r]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("k", [5, 150, 400])
+    def test_integral_route_against_mpmath(self, k):
+        """The integral route's log of int t^{k/2-a} (1+t)^{a-2} e^{-t r^2/2}
+        dt against 40-digit mpmath Gamma(alpha) U(alpha, k/2, r^2/2): at
+        k = 400 tau^{k/2-a} e^{-tau/2} alone overflows, and at k = 150 its
+        Gamma-law tail reaches past a fixed cut."""
+        import mpmath as mp
+
+        a, r = 0.5, np.array([2.0, 5.0, 10.0, 20.0, 40.0])
+        alpha = k / 2 - a + 1
+        got = pr._strawderman_log_integral(a, k, tr.DEFAULT_QUAD)(r)
+        with mp.workdps(40):
+            want = [float(mp.log(mp.gamma(alpha) * mp.hyperu(alpha, k / 2, mp.mpf(ri) ** 2 / 2)))
+                    for ri in r]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_whittaker_route_is_one_vectorized_call(self, monkeypatch):
         """Where hyperu is finite the route makes no quadrature call; where it
         is NaN (k = 12, r below ~0.14) only those r are integrated."""
