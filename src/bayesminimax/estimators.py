@@ -16,9 +16,10 @@ reports mean squared loss with its standard error, and couples it with the
 SURE average over the same sample; E[SURE] equals the true risk, so the two
 must agree within a few combined standard errors on every passing run.
 Each batch reduces to sufficient statistics: its valid-sample count, the
-(sum, M2) of the loss and of SURE, and its failure count.  The batches of
-one theta run concurrently on up to the available CPUs, and their statistics
-are reduced in batch order, so a report does not depend on the CPU count.
+(sum, M2) of the loss and of SURE, and its failure count.  Every batch of
+every point of a risk curve runs on one pool of up to the available CPUs,
+and each point's statistics are reduced in batch order, so a report does not
+depend on the CPU count.
 
 Risk depends on theta only through |theta| (spherical equivariance), so risk
 curves place theta = (|theta|, 0, ..., 0).
@@ -58,7 +59,7 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-_WORKERS = _worker_count()   # threads that run one point's batches
+_WORKERS = _worker_count()   # threads that run a curve's batches, across its points
 
 # one batch: (valid samples, (sum, M2) of the loss, (sum, M2) of SURE, failures)
 _BatchStats = Tuple[int, Tuple[float, float], Tuple[float, float], int]
@@ -157,41 +158,9 @@ def _mc_batch(profile: MarginalProfile, theta: np.ndarray, m: int,
     return count, _sum_m2(loss), _sum_m2(s), m - count
 
 
-def _mc_sums(profile: MarginalProfile, theta: np.ndarray, n: int, seed: int
-             ) -> List[_BatchStats]:
-    """Per-batch statistics in batch order, the batches run concurrently.
-
-    Each task runs in its own copy of the caller's context, so numpy's
-    error state (``np.errstate``) holds inside the worker threads too.
-    """
-    n_batches = (n + _BATCH - 1) // _BATCH
-    children = np.random.SeedSequence(seed).spawn(n_batches)
-    with ThreadPoolExecutor(max_workers=min(_WORKERS, n_batches)) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, _mc_batch, profile, theta,
-                               min(_BATCH, n - i * _BATCH), child)
-                   for i, child in enumerate(children)]
-        return [f.result() for f in futures]
-
-
-def mc_risk(profile: MarginalProfile, theta: np.ndarray, n: int, seed: int) -> RiskReport:
-    """Monte Carlo risk of the Bayes rule at theta, with paired SURE average.
-
-    Samples are drawn batchwise; each batch owns a deterministic sub-stream
-    spawned from the seed and reduces to its count, the (sum, M2) of the
-    loss and of SURE, and its failures.  The batches run concurrently on up
-    to the available CPUs; their statistics are reduced in batch order with
-    compensated summation, so reports are bit-identical across runs with the
-    same seed on any CPU count.
-    Each batch's squared deviations are taken from its own mean and the
-    batches are combined by Chan's formula, so the standard errors do not
-    cancel where the spread is small against the mean.  Samples where the
-    marginal fails to evaluate are excluded and counted; more than 0.1%
-    failures is a hard error.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if n < 1:
-        raise DomainError("n must be positive (n >= 1000 for stderr validity)")
-    counts, loss_stats, sure_stats, fails = zip(*_mc_sums(profile, theta, n, seed))
+def _report(theta: np.ndarray, n: int, seed: int, stats: List[_BatchStats]) -> RiskReport:
+    """One point's report from its batch statistics, in batch order."""
+    counts, loss_stats, sure_stats, fails = zip(*stats)
     n_fail = sum(fails)
     if n_fail > _FAIL_FRACTION * n:
         raise EvaluationError(
@@ -215,6 +184,41 @@ def mc_risk(profile: MarginalProfile, theta: np.ndarray, n: int, seed: int) -> R
         baseline_k=int(theta.size), n_failures=n_fail)
 
 
+def _run_points(profile: MarginalProfile, points: list, n: int) -> List[RiskReport]:
+    """One report per (theta, seed), every batch of every point on one pool.
+
+    Reports are built in the points' order, so the first point past the
+    failure limit raises, as one point at a time would, and the batches not
+    yet started are cancelled.  Each task runs in a copy of the caller's
+    context, so ``np.errstate`` holds in the worker threads too.
+    """
+    if n < 1:
+        raise DomainError("n must be positive (n >= 1000 for stderr validity)")
+    pool = ThreadPoolExecutor(max_workers=_WORKERS)   # starts threads as tasks arrive
+    try:
+        futures = [[pool.submit(contextvars.copy_context().run, _mc_batch, profile, theta,
+                                min(_BATCH, n - i * _BATCH), child)
+                    for i, child in enumerate(np.random.SeedSequence(seed).spawn(-(-n // _BATCH)))]
+                   for theta, seed in points]
+        return [_report(theta, n, seed, [f.result() for f in batches])
+                for (theta, seed), batches in zip(points, futures)]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def mc_risk(profile: MarginalProfile, theta: np.ndarray, n: int, seed: int) -> RiskReport:
+    """Monte Carlo risk of the Bayes rule at theta, with paired SURE average:
+    the one-point case of :func:`risk_curve`.
+
+    Each batch's squared deviations are taken from its own mean and the
+    batches are combined by Chan's formula with compensated sums, so the
+    standard errors do not cancel where the spread is small against the mean.
+    Samples where the marginal fails to evaluate are excluded and counted;
+    more than 0.1% failures is a hard error.
+    """
+    return _run_points(profile, [(np.asarray(theta, dtype=float), seed)], n)[0]
+
+
 def _norm_seed(seed: int, norm: float) -> int:
     """Per-norm seed derived from (seed, norm value bits).
 
@@ -230,12 +234,8 @@ def risk_curve(profile: MarginalProfile, theta_norms: Sequence[float], n: int,
                seed: int, k: Optional[int] = None) -> List[RiskReport]:
     """One seeded risk report per |theta|, with theta = (|theta|, 0, ..., 0)."""
     k = k if k is not None else profile.k
-    reports = []
-    for norm in theta_norms:
-        theta = np.zeros(k)
-        theta[0] = float(norm)
-        reports.append(mc_risk(profile, theta, n, _norm_seed(seed, float(norm))))
-    return reports
+    return _run_points(profile, [(np.pad([float(t)], (0, k - 1)), _norm_seed(seed, float(t)))
+                                 for t in theta_norms], n)
 
 
 def risk_reports_to_csv(reports: Sequence[RiskReport]) -> str:

@@ -59,10 +59,10 @@ __all__ = [
 ]
 
 # Both series routes sum their moment series over blocks of u whose
-# (block, N+1) term array holds this many doubles (2 MB), reused in place
+# (block, N+1) term array holds this many doubles (0.5 MB), reused in place
 # across blocks; one array over every u would set the peak memory of a Monte
-# Carlo batch.
-_SUM_BLOCK = 1 << 18
+# Carlo batch, and concurrent batches each hold their own.
+_SUM_BLOCK = 1 << 16
 # Both series routes put u on a fixed geometric ladder of horizons
 # L_i = _LADDER_FLOOR * _LADDER_RATIO^i, i >= 0: u takes the smallest
 # L_i >= u, and the level fixes the term count N of u's moment series.  A

@@ -1,6 +1,6 @@
 """Design guards: the adaptive quadrature engine is reached through its
-batched entry points only, and the marginal routes share one series
-evaluator."""
+batched entry points only, the marginal routes share one series evaluator,
+and Monte Carlo batches run on one worker pool."""
 
 import ast
 from pathlib import Path
@@ -55,3 +55,23 @@ def test_one_moment_series_evaluator():
                for node in ast.walk(top)
                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_moment_sums"}
     assert callers == {"_series_profile"}
+
+
+def test_one_monte_carlo_pool():
+    """``estimators.py`` builds one ``ThreadPoolExecutor`` and names
+    ``_mc_batch`` in one function only, the one that submits every batch of
+    a curve, so no second per-point pool or serial batch loop grows beside
+    it."""
+    path = SRC / "estimators.py"
+    tree = ast.parse(path.read_text(), str(path))
+    pools = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "ThreadPoolExecutor"]
+    assert len(pools) == 1
+    submitters = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+                  for node in ast.walk(top)
+                  if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "submit"
+                  and any(getattr(arg, "id", None) == "_mc_batch" for arg in node.args)}
+    namers = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+              for node in ast.walk(top)
+              if isinstance(node, ast.Name) and node.id == "_mc_batch"}
+    assert submitters == namers == {"_run_points"}

@@ -7,6 +7,7 @@ E|X - theta|^2 = k, and seeded reproducibility.
 
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -150,9 +151,15 @@ class TestMcRisk:
                              50000, seed)
             assert rep.coupled()
 
-    def test_requires_positive_n(self, monomial_profile):
-        with pytest.raises(DomainError):
+    def test_requires_positive_n(self, monomial_profile, monkeypatch):
+        """A curve checks n once, before any worker thread starts, and raises
+        what a single point raises."""
+        with pytest.raises(DomainError) as alone:
             es.mc_risk(monomial_profile, np.zeros(5), 0, 1)
+        monkeypatch.setattr(es, "ThreadPoolExecutor", None)
+        with pytest.raises(DomainError) as curve:
+            es.risk_curve(monomial_profile, [0.0, 1.0], 0, 1)
+        assert str(curve.value) == str(alone.value)
 
     def test_failures_excluded_and_counted(self):
         base = mg.monomial_mixture_profile(2, 5)
@@ -246,9 +253,81 @@ class TestMcRisk:
         # two batches in worker threads, each under the caller's errstate
         with pytest.raises(EvaluationError), np.errstate(all="ignore"):
             es.mc_risk(tiny, np.zeros(5), 2 * es._BATCH, 3)
+        # and the batches of two points of a curve, all on one pool
+        with pytest.raises(EvaluationError), np.errstate(all="ignore"):
+            es.risk_curve(tiny, [0.0, 3.0], 2 * es._BATCH, 3)
+
+
+def _failing_beyond(radius, delay=0.0):
+    """The monomial profile with l'/l = NaN where u > radius (k = 5); the
+    triple sleeps ``delay`` seconds on batches that do not fail, and counts
+    its calls in ``calls``."""
+    base, calls = mg.monomial_mixture_profile(2, 5), []
+
+    def triple(u):
+        calls.append(u.size)
+        log_ell, r1, r2 = base.ratios(u)
+        if not np.any(u > radius):
+            time.sleep(delay)
+        return log_ell, np.where(u > radius, np.nan, r1), r2
+
+    return mg.MarginalProfile(k=5, triple_fn=triple, route="failing"), calls
+
+
+@pytest.fixture(scope="module")
+def route_profiles():
+    return {route: build() for route, build in ROUTES.items()}
 
 
 class TestRiskCurve:
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_curve_equals_its_points(self, route, workers, route_profiles, monkeypatch):
+        """Each report of a curve equals its point run alone at the point's
+        seed, on every route and worker count, over an uneven last batch."""
+        monkeypatch.setattr(es, "_WORKERS", workers)
+        profile, n, norms = route_profiles[route], 2 * es._BATCH + 3, [3.0, 0.0]
+        curve = es.risk_curve(profile, norms, n, 41)
+        for report, norm in zip(curve, norms):
+            theta = np.zeros(5)
+            theta[0] = norm
+            assert report == es.mc_risk(profile, theta, n, es._norm_seed(41, norm))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_point_raises_as_alone(self, workers, monkeypatch):
+        """A curve raises the error of its first point past the failure
+        limit, in the caller's order, with the message and count of that
+        point run alone; points that pass do not mask it."""
+        monkeypatch.setattr(es, "_WORKERS", workers)
+        profile, _ = _failing_beyond(6.0)
+        n, seed = 5000, 9
+
+        def alone(norm):
+            theta = np.zeros(5)
+            theta[0] = norm
+            with pytest.raises(EvaluationError) as err:
+                es.mc_risk(profile, theta, n, es._norm_seed(seed, norm))
+            return str(err.value), err.value.diagnostics["failures"]
+
+        assert es.risk_curve(profile, [0.0], n, seed)[0].n_failures <= n // 1000
+        expected = {norm: alone(norm) for norm in (7.0, 10.0)}
+        assert expected[7.0][1] < expected[10.0][1] == n
+        for norms, first in (([0.0, 10.0], 10.0), ([10.0, 0.0], 10.0),
+                             ([0.0, 7.0, 10.0], 7.0), ([10.0, 0.0, 7.0], 10.0)):
+            with pytest.raises(EvaluationError) as err:
+                es.risk_curve(profile, norms, n, seed)
+            assert (str(err.value), err.value.diagnostics["failures"]) == expected[first]
+
+    def test_failing_curve_cancels_batches_not_started(self, monkeypatch):
+        """The first point fails and the later ones are slow: the batches
+        still queued when it raises never run."""
+        monkeypatch.setattr(es, "_WORKERS", 2)
+        profile, calls = _failing_beyond(6.0, delay=0.05)
+        norms = [10.0] + [0.0] * 20
+        with pytest.raises(EvaluationError):
+            es.risk_curve(profile, norms, 1000, 3)
+        assert len(calls) <= 2 * es._WORKERS + 1
+
     def test_single_zero_norm_matches_mc_risk(self, monomial_profile):
         curve = es.risk_curve(monomial_profile, [0.0], 5000, 2024)
         direct = es.mc_risk(monomial_profile, np.zeros(5), 5000,
