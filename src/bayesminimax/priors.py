@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import _quad, specfun
 from .errors import ConstructionError, DomainError, QuadratureError
@@ -489,7 +488,78 @@ def mixing_from_unit_kernel(f_unit: ScalarFn, k: int,
 
 
 # ---------------------------------------------------------------------------
-# spherical construction: Frobenius start + adaptive integration
+# Chebyshev panels shared by both constructions
+# ---------------------------------------------------------------------------
+
+_PANEL_TOL = 1e-14    # largest tail coefficient, relative to the panel's largest value
+_MAX_PANELS = 1 << 14
+
+
+def _chebyshev_panel(n: int = 32):
+    """The reference panel [-1, 1]: its n + 1 Chebyshev-Lobatto nodes in
+    ascending order, the matrix taking node values to the values at the
+    nodes of their integral from -1, the rows taking node values to the last
+    three Chebyshev coefficients, and the barycentric weights."""
+    from numpy.polynomial import chebyshev
+
+    x = -np.cos(np.pi * np.arange(n + 1) / n)
+    x[n // 2] = 0.0
+    to_coeffs = np.linalg.inv(chebyshev.chebvander(x, n))
+    cumulative = chebyshev.chebval(x, chebyshev.chebint(to_coeffs, lbnd=-1.0)).T
+    cumulative[0] = 0.0
+    weights = np.where(np.arange(n + 1) % 2, -1.0, 1.0)
+    weights[[0, n]] *= 0.5
+    return x, cumulative, to_coeffs[-3:], weights
+
+
+_NODES, _CUMULATIVE, _TAIL, _BARY = _chebyshev_panel()
+
+
+def _panel_nodes(left, right):
+    """The nodes of the panels [left, right], one row per panel."""
+    return np.outer(left, 0.5 * (1.0 - _NODES)) + np.outer(right, 0.5 * (1.0 + _NODES))
+
+
+def _unresolved(v):
+    """Whether each row of node values has a tail coefficient above
+    _PANEL_TOL times the row's largest value."""
+    return (np.max(np.abs(v @ _TAIL.T), axis=1)
+            > _PANEL_TOL * np.max(np.abs(v), axis=1))
+
+
+def _bisect(edges, split, what):
+    """The edges with every panel marked in ``split`` halved, the panel each
+    new panel came from, and whether it is a half.  Past _MAX_PANELS panels,
+    or below a width of 1e-12, a ConstructionError says ``what`` failed and
+    where (edges are logs of the variable)."""
+    h = np.diff(edges)
+    if h.size + np.count_nonzero(split) > _MAX_PANELS or np.min(h[split]) < 1e-12:
+        worst = int(np.argmax(split))
+        raise ConstructionError(
+            f"{what}: the panels do not resolve it on [{math.exp(edges[worst]):.6g}, "
+            f"{math.exp(edges[worst + 1]):.6g}]")
+    edges = np.insert(edges, np.nonzero(split)[0] + 1,
+                      0.5 * (edges[:-1][split] + edges[1:][split]))
+    parent = np.repeat(np.arange(h.size), 1 + split)
+    return edges, parent, split[parent]
+
+
+def _read_panels(edges, w, *tables):
+    """The panel holding each point of w, and each table of node values
+    (one row per panel) read there by barycentric interpolation."""
+    p = np.clip(np.searchsorted(edges, w, side="right") - 1, 0, edges.size - 2)
+    x = ((w - edges[p]) - (edges[p + 1] - w)) / (edges[p + 1] - edges[p])
+    d = x[:, None] - _NODES
+    hit = d == 0.0
+    q = _BARY / np.where(hit, 1.0, d)
+    on_node = np.any(hit, axis=1)
+    q[on_node] = hit[on_node]
+    total = np.sum(q, axis=1)
+    return (p,) + tuple(np.sum(q * table[p], axis=1) / total for table in tables)
+
+
+# ---------------------------------------------------------------------------
+# spherical construction: Frobenius start + Chebyshev panels
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -541,6 +611,76 @@ def _series_eval(rho: float, coeffs: np.ndarray, u: np.ndarray):
     return z, dz
 
 
+def _pair_panels(phi, b0, friction, left, right):
+    """y'' at the nodes of each panel [left, right] in t = log u, for both
+    equations y'' + friction_i y' + d y = 0, d = (b0 - u^2 phi(u))/2, and
+    the two starts (y, y') = (1, 0) and (0, 1) at the panel's left end.
+
+    With y' = y'(left) + int y'' and y = y(left) + y'(left) tau + int int y'',
+    each is (I + f (h/2) C + d (h/2)^2 C^2) y'' = -f y'(left) - d (y(left) +
+    y'(left) tau) for the cumulative matrix C.  Returns shape (panels,
+    equation, start, node).
+    """
+    t = _panel_nodes(left, right)
+    u = np.exp(t)
+    d = 0.5 * (b0 - u * u * np.asarray(phi.eval(u.ravel()), dtype=float).reshape(u.shape))
+    if not np.all(np.isfinite(d)):
+        row = int(np.argmin(np.all(np.isfinite(d), axis=1)))
+        raise ConstructionError(
+            f"integration of z1 and z2 failed: phi is not finite on u in "
+            f"[{math.exp(left[row]):.6g}, {math.exp(right[row]):.6g}]")
+    half = 0.5 * (right - left)[:, None, None, None]
+    f = friction[None, :, None, None]
+    A = (np.eye(_NODES.size) + f * half * _CUMULATIVE
+         + d[:, None, :, None] * half * half * (_CUMULATIVE @ _CUMULATIVE))
+    tau = t - left[:, None]
+    rhs = np.stack(np.broadcast_arrays(-d[:, None], -friction[:, None] - d[:, None] * tau[:, None]),
+                   axis=-1)
+    return np.swapaxes(np.linalg.solve(A, rhs), -1, -2)
+
+
+def _frobenius_pair(phi, b0, friction, t0, t1, start):
+    """Both scaled solutions y_i on [t0, t1], from start[i] = (y_i, y_i') at t0.
+
+    Panels are bisected until, for both equations and both starts, the tail
+    Chebyshev coefficients of y and y' fall below 1e-14 of the larger of
+    their largest values; y'' itself is not judged, since it is rounding
+    noise where d vanishes.  Returns the panel edges and y_i, y_i' at every
+    node, each of shape (panels, equation, node).
+    """
+    edges = np.linspace(t0, t1, 1 + math.ceil(t1 - t0))
+    d2y = np.empty((edges.size - 1, 2, 2, _NODES.size))
+    fresh = np.ones(edges.size - 1, dtype=bool)
+    C2 = _CUMULATIVE @ _CUMULATIVE
+    while True:
+        new = np.nonzero(fresh)[0]
+        for block in np.array_split(new, -(-new.size // 256)):   # bounds the linear systems' memory
+            d2y[block] = _pair_panels(phi, b0, friction, edges[block], edges[block + 1])
+        n = edges.size - 1
+        half = 0.5 * np.diff(edges)[:, None, None, None]
+        y = half * half * (d2y @ C2.T)
+        dy = half * (d2y @ _CUMULATIVE.T)
+        y[:, :, 0] += 1.0
+        y[:, :, 1] += (_panel_nodes(edges[:-1], edges[1:]) - edges[:-1, None])[:, None]
+        dy[:, :, 1] += 1.0
+        scale = np.maximum(np.max(np.abs(y), axis=-1), np.max(np.abs(dy), axis=-1))
+        tail = np.maximum(np.max(np.abs(y @ _TAIL.T), axis=-1),
+                          np.max(np.abs(dy @ _TAIL.T), axis=-1))
+        split = np.any(tail > _PANEL_TOL * scale, axis=(1, 2))
+        if not np.any(split):
+            break
+        edges, parent, fresh = _bisect(edges, split, "integration of z1 and z2 failed")
+        d2y = d2y[parent]
+    # chain the panels from t0: each starts from the end values of the last
+    values, slopes = np.empty((n, 2, _NODES.size)), np.empty((n, 2, _NODES.size))
+    state = np.array(start, dtype=float)
+    for p in range(n):
+        values[p] = state[:, :1] * y[p, :, 0] + state[:, 1:] * y[p, :, 1]
+        slopes[p] = state[:, :1] * dy[p, :, 0] + state[:, 1:] * dy[p, :, 1]
+        state = np.stack((values[p, :, -1], slopes[p, :, -1]), axis=1)
+    return edges, values, slopes
+
+
 def construct_spherical(phi: ScalarFn, k: int, c1: float = 1.0, c2: float = 0.0,
                         u_grid: Optional[Sequence[float]] = None, *,
                         phi_series: Sequence[float]) -> ConstructionSolution:
@@ -551,9 +691,16 @@ def construct_spherical(phi: ScalarFn, k: int, c1: float = 1.0, c2: float = 0.0,
     phi must be nonpositive with a generalized-series behaviour
     u^{-2}(b0 + b1 u + ...) at the origin; ``phi_series`` gives b0..b3
     (missing ones are zero).
-    Integration starts from a six-term Frobenius expansion at u0 = 1e-3 (the
-    equation is singular at 0) and continues with an adaptive explicit
-    Runge-Kutta scheme.
+    Each fundamental solution is z_i = u^{rho_i} y_i with y_i = sum_j c_j u^j
+    near 0, from a six-term Frobenius expansion at u0 = 1e-3 (the equation
+    is singular at 0).  In t = log u both y_i solve
+    y'' + (2 rho_i + k - 2) y' + (b0 - u^2 phi) y / 2 = 0, whose last
+    coefficient vanishes at the origin, so each y_i starts flat and a pure
+    inverse-square phi gives y_i = 1.  The pair is integrated on Chebyshev
+    panels in t as a second-kind integral equation for y'' (Greengard 1991):
+    one batched linear solve per round of bisection, the panels chained
+    from u0 by their end values.  z1 and z2 are read from that one set of
+    panels.
     """
     if k < 3:
         raise DomainError(f"k >= 3 required, got {k}")
@@ -587,37 +734,38 @@ def construct_spherical(phi: ScalarFn, k: int, c1: float = 1.0, c2: float = 0.0,
 
     u0 = 1e-3
     u_max = 1.05 * float(np.max(u_grid))
+    rhos = np.array([rho1, rho2])
+    coeffs = [_frobenius_coeffs(rho, k, q) for rho in rhos]
+    powers = np.arange(len(coeffs[0]))
+    start = [(np.sum(c * u0 ** powers), np.sum(powers * c * u0 ** powers)) for c in coeffs]
+    # the series serves u <= u0, so the panels start there and span at least [u0, 2 u0]
+    edges, y, dy = _frobenius_pair(phi, b[0], 2.0 * rhos + k - 2.0, math.log(u0),
+                                   math.log(max(u_max, 2.0 * u0)), start)
 
-    def rhs(u, y):
-        return [y[1], -((k - 1.0) / u) * y[1] + 0.5 * float(phi.eval(u)) * y[0]]
-
-    def make_solution(rho, label):
-        coeffs = _frobenius_coeffs(rho, k, q)
-        z0, dz0 = _series_eval(rho, coeffs, np.asarray([u0]))
-        sol = solve_ivp(rhs, (u0, u_max), [float(z0[0]), float(dz0[0])],
-                        method="DOP853", rtol=1e-13, atol=1e-250,
-                        dense_output=True)
-        if not sol.success:
-            raise ConstructionError(f"integration of {label} failed: {sol.message}")
+    def make_solution(i, label):
+        rho = rhos[i]
 
         def z_triple(u):
-            """(z, z', z''): z and z' from one read of the series or the dense
-            output, z'' from the ODE."""
+            """(z, z', z''): z and z' from one read of the series or the
+            panels, z'' from the ODE."""
             scalar = np.asarray(u).ndim == 0
             u = np.atleast_1d(np.asarray(u, dtype=float))
             z, dz = np.empty_like(u), np.empty_like(u)
             small = u <= u0
             if np.any(small):
-                z[small], dz[small] = _series_eval(rho, coeffs, u[small])
+                z[small], dz[small] = _series_eval(rho, coeffs[i], u[small])
             if np.any(~small):
-                z[~small], dz[~small] = sol.sol(u[~small])
+                v = u[~small]
+                _, y_v, dy_v = _read_panels(edges, np.log(v), y[:, i], dy[:, i])
+                z[~small] = v ** rho * y_v
+                dz[~small] = v ** (rho - 1.0) * (dy_v + rho * y_v)
             d2z = -((k - 1.0) / u) * dz + 0.5 * np.asarray(phi.eval(u), dtype=float) * z
             return tuple(float(x[0]) for x in (z, dz, d2z)) if scalar else (z, dz, d2z)
 
         return ScalarFn(eval=lambda u: z_triple(u)[0], triple=z_triple,
                         support=(0.0, u_max), label=label)
 
-    z1, z2 = make_solution(rho1, "z1"), make_solution(rho2, "z2")
+    z1, z2 = make_solution(0, "z1"), make_solution(1, "z2")
     sol = ConstructionSolution(k=k, F=None, z1=z1, z2=z2, c1=c1, c2=c2,
                                rho1=rho1, rho2=rho2, b_coeffs=b)
     sol.F = _assemble_profile(sol.S_triple, k, label="constructed_profile",
@@ -768,9 +916,33 @@ def whittaker_radial(gamma: float, k: int) -> RadialPrior:
 # mixture construction via the squared exponential integral
 # ---------------------------------------------------------------------------
 
-_SPAN_LO = 1e-8       # lower end of the dense solve, unless a or b lies below
+_SPAN_LO = 1e-8       # lower end of the panel span, unless a or b lies below
 _HORIZON = 1e8        # upper end, and where b = inf appends its power tail
-_PHI_FLOOR = -700.0   # the solve stops before exp(-Phi), a factor of G'', overflows
+_PHI_FLOOR = -700.0   # the span stops before exp(-Phi), a factor of G'', overflows
+_PHI_STEP = 8.0       # largest change of Phi across a panel where I is resolved
+_I_ATOL = 1e-160      # a panel adding less to I is not resolved: |I| below ~1e-147
+                      # (G below ~1e-294) is held to absolute accuracy only
+
+
+def _chain(f, h, k):
+    """The integral of f over panels of widths h, from edge k of the panels.
+
+    Returns (offset, local): at node j of panel p the integral is
+    offset[p] + local[p, j].  Panels right of edge k integrate from their
+    left edge and panels left of it from their right edge, so every local
+    part starts at the edge nearer the anchor and no value is formed as a
+    difference of panel totals.
+    """
+    half = 0.5 * h[:, None]
+    fwd = half * (f @ _CUMULATIVE.T)
+    bwd = -half * (f[:, ::-1] @ _CUMULATIVE.T)[:, ::-1]
+    local = np.where((np.arange(h.size) >= k)[:, None], fwd, bwd)
+    total = fwd[:, -1]
+    offset = np.zeros(h.size)
+    if k > 1:
+        offset[:k - 1] = -np.cumsum(total[k - 1:0:-1])[::-1]
+    offset[k + 1:] = np.cumsum(total[k:-1])
+    return offset, local
 
 
 def _log_integral(f, e: float, t, quad: QuadSpec) -> np.ndarray:
@@ -789,16 +961,25 @@ def _log_integral(f, e: float, t, quad: QuadSpec) -> np.ndarray:
 
 
 class _CumulativeIntegral:
-    """Phi(s) = int_a^s phi and I(s) = int_b^s exp(-Phi/2) from one dense solve.
+    """Phi(s) = int_a^s phi and I(s) = int_b^s exp(-Phi/2) on Chebyshev panels.
 
-    The system Phi' = phi, I' = exp(-Phi/2) is integrated once, in w = log s
-    with DOP853 dense output, outward from the anchor of I to both ends of
-    the span [min(1e-8, a, b), max(1e8, a, b)]: from b when b is finite and
-    positive, from the horizon 1e8 when b = inf, and from the lower end when
-    b = 0, where one quadrature from 0 seeds I.  Phi starts from a
-    quadrature estimate of int_a^start phi and is re-anchored at a after the
-    solve: shifting Phi by c scales I by exp(c/2), so I is never formed as
-    a difference.  Points past the span continue by quadrature from its end.
+    In w = log s both are plain quadratures, dPhi/dw = s phi and
+    dI/dw = s exp(-Phi/2), integrated over the span [min(1e-8, a, b),
+    max(1e8, a, b)] by piecewise Chebyshev spectral integration (Clenshaw &
+    Curtis 1960; Greengard 1991).  Each panel holds 33 Chebyshev-Lobatto
+    nodes; a, the anchor of I (b when finite and positive, the horizon 1e8
+    when b = inf, the lower end when b = 0) and 1e8 are panel edges.
+    Panels are bisected in rounds, one phi evaluation per round, until the
+    tail Chebyshev coefficients of s phi and of s exp(-Phi/2) fall below
+    1e-14 of the panel's largest value and Phi changes by at most 8 across
+    the panel; a panel adding less than 1e-160 to I need not resolve
+    exp(-Phi/2).  One fixed matrix integrates every panel, and the panels are
+    chained outward from a for Phi and from the anchor for I, so I is never
+    a difference of large numbers.  When b = 0, one quadrature from 0 seeds
+    I.  The span ends at the last panel before Phi falls below -700, where
+    exp(-Phi) would overflow.  Values are read back by barycentric
+    interpolation on the panel that holds each point; points past the span
+    continue by quadrature from its nearer end.
     """
 
     def __init__(self, phi: ScalarFn, a: float, b: float, quad: QuadSpec):
@@ -808,18 +989,21 @@ class _CumulativeIntegral:
         finite = [x for x in (a, b) if 0.0 < x < math.inf]
         lo, hi = min([_SPAN_LO] + finite), max([_HORIZON] + finite)
         start = lo if b == 0.0 else (_HORIZON if math.isinf(b) else b)
-        try:
-            Phi0 = float(_log_integral(phi.eval, a, start, quad)[0])
-        except QuadratureError as exc:
-            raise ConstructionError(f"integral of phi from {a:.6g} diverges: {exc}") from exc
-        if Phi0 < _PHI_FLOOR:
+        # the anchors are taken from the same logs as the edges, so each is an edge exactly
+        logs = np.log([lo, hi, a, start, _HORIZON])
+        w_a, w_start, breaks = logs[2], logs[3], np.unique(logs)
+        edges = np.concatenate([np.linspace(w0, w1, 1 + math.ceil((w1 - w0) / 4.0))[:-1]
+                                for w0, w1 in zip(breaks[:-1], breaks[1:])] + [breaks[-1:]])
+        self.edges, self.Phi, self.Phi_local, f = self._panels(edges, w_a)
+        k = int(np.searchsorted(self.edges, w_start))
+        if self.edges.size < 2 or not self.edges[0] <= w_start <= self.edges[-1]:
             raise ConstructionError(
                 f"exp(-int_a^s phi) overflows at s={start:.6g}")
-        I0 = self._extend(start, Phi0, 0.0, start)[1] if b == 0.0 else 0.0
-        self.legs = [self._solve(start, end, Phi0, I0) for end in (lo, hi)
-                     if end != start]
-        self.w_lo = min(w0 for _, w0, _ in self.legs)
-        self.w_hi = max(w1 for _, _, w1 in self.legs)
+        self.I, self.I_local = _chain(f, np.diff(self.edges), k)
+        if b == 0.0:
+            Phi_lo = float(self.Phi[0] + self.Phi_local[0, 0])
+            self.I += self._extend(start, Phi_lo, 0.0, start)[1]
+        self.w_lo, self.w_hi = float(self.edges[0]), float(self.edges[-1])
         self.offset = 0.0
         if math.isinf(b):
             # I(s) = int_horizon^s E - int_horizon^inf E, the tail a fitted power
@@ -831,33 +1015,54 @@ class _CumulativeIntegral:
                     "b = inf requires the inner exponential to be integrable at "
                     f"infinity; fitted tail exponent {slope:.3f} >= -1.05")
             self.offset = float(np.exp(logE[-1])) * _HORIZON / (-slope - 1.0)
-        self.shift = float(self._raw(np.array([float(a)]))[0, 0])
-        self.scale = math.exp(0.5 * self.shift)
 
-    def _solve(self, start, end, Phi0, I0):
-        phi = self.phi
+    def _s_phi(self, left, right):
+        """(w, s phi(s)) at the nodes of the panels [left, right] in w."""
+        w = _panel_nodes(left, right)
+        s = np.exp(w)
+        return w, s * np.asarray(self.phi.eval(s.ravel()), dtype=float).reshape(s.shape)
 
-        def rhs(w, y):
-            s = math.exp(w)
-            return [s * float(phi.eval(s)), s * math.exp(min(-0.5 * y[0], 709.0))]
+    def _panels(self, edges, w_a):
+        """Bisect the panels until Phi and I are resolved.
 
-        def overflow(w, y):
-            return y[0] - _PHI_FLOOR
-        overflow.terminal = True
-
-        # |I| below 1e-147 (G below 1e-294) is held to absolute accuracy only,
-        # so stretches where E is vanishingly small are not resolved e-fold by e-fold
-        w_span = (math.log(start), math.log(end))
-        sol = solve_ivp(rhs, w_span, [Phi0, I0], method="DOP853", rtol=1e-13,
-                        atol=[1e-14, 1e-160], dense_output=True, events=overflow,
-                        first_step=min(1e-3, abs(w_span[1] - w_span[0])))
-        if sol.status < 0:
-            raise ConstructionError(f"mixture construction failed: {sol.message}")
-        w0, w1 = sorted((sol.t[0], sol.t[-1]))
-        return sol.sol, w0, w1
+        Returns the edges of the panels before the Phi floor on each side of
+        a, the chained Phi on them and s exp(-Phi/2) at their nodes.
+        """
+        w, s_phi = self._s_phi(edges[:-1], edges[1:])
+        while True:
+            h = np.diff(edges)
+            k = int(np.searchsorted(edges, w_a))
+            Phi, Phi_local = _chain(s_phi, h, k)
+            with np.errstate(invalid="ignore"):
+                low = np.nonzero(np.min(Phi[:, None] + Phi_local, axis=1) < _PHI_FLOOR)[0]
+            lo = int(low[low < k][-1]) + 1 if np.any(low < k) else 0
+            hi = int(low[low >= k][0]) if np.any(low >= k) else h.size
+            # the panels before the floor, and the one panel past it on each side
+            near = np.arange(max(lo - 1, 0), min(hi + 1, h.size))
+            bad = ~np.isfinite(s_phi[near]).all(axis=1)
+            if np.any(bad):
+                raise ConstructionError(
+                    f"integral of phi from {math.exp(w_a):.6g} diverges: phi is "
+                    f"not finite on s in [{math.exp(edges[near[bad][0]]):.6g}, "
+                    f"{math.exp(edges[near[bad][0] + 1]):.6g}]")
+            log_f = w[near] - 0.5 * (Phi[near, None] + Phi_local[near])
+            top = np.max(log_f, axis=1)
+            E_resolved = ((np.ptp(Phi_local[near], axis=1) <= _PHI_STEP)
+                          & ~_unresolved(np.exp(log_f - top[:, None])))
+            negligible = (top + np.log(h[near]) < math.log(_I_ATOL)) & (near >= lo) & (near < hi)
+            split = np.zeros(h.size, dtype=bool)
+            split[near] = _unresolved(s_phi[near]) | ~(E_resolved | negligible)
+            if not np.any(split):
+                keep = slice(lo, hi)
+                return (edges[lo:hi + 1], Phi[keep], Phi_local[keep],
+                        np.exp(w[keep] - 0.5 * (Phi[keep, None] + Phi_local[keep])))
+            edges, parent, fresh = _bisect(edges, split, "mixture construction failed")
+            w, s_phi = w[parent], s_phi[parent]
+            new = np.nonzero(fresh)[0]
+            w[new], s_phi[new] = self._s_phi(edges[new], edges[new + 1])
 
     def _extend(self, e, Phi_e, I_e, t):
-        """(Phi, I) in solve units at t, by quadrature from their values at e.
+        """(Phi, I) at t, by quadrature from their values at e.
 
         With b = 0, I below e is integrated from 0 instead.
         """
@@ -890,21 +1095,23 @@ class _CumulativeIntegral:
                 f"inner integral diverges on ({lo:.6g}, {hi:.6g}): {exc}") from exc
         return Phi_t, base + sign * seg
 
+    def _interpolate(self, w):
+        """(Phi, I) at the points w inside the span."""
+        p, Phi, I = _read_panels(self.edges, w, self.Phi_local, self.I_local)
+        return self.Phi[p] + Phi, self.I[p] + I
+
     def _raw(self, s):
-        """(Phi, I) at the points of the 1-D array s, in solve units."""
+        """(Phi, I) at the points of the 1-D array s, before the b = inf tail."""
         with np.errstate(divide="ignore"):
             w = np.log(s)
         out = np.empty((2, s.size))
-        todo = np.ones(s.size, dtype=bool)
-        for sol, w0, w1 in self.legs:
-            inside = todo & (w >= w0) & (w <= w1)
-            if np.any(inside):
-                out[:, inside] = sol(w[inside])
-                todo &= ~inside
-        for i in np.nonzero(todo)[0]:
+        inside = (w >= self.w_lo) & (w <= self.w_hi)
+        if np.any(inside):
+            out[:, inside] = self._interpolate(w[inside])
+        for i in np.nonzero(~inside)[0]:
             w_e = self.w_lo if w[i] < self.w_lo else self.w_hi
-            sol = next(sol for sol, w0, w1 in self.legs if w0 <= w_e <= w1)
-            out[:, i] = self._extend(math.exp(w_e), *sol(w_e), s[i])
+            Phi_e, I_e = self._interpolate(np.array([w_e]))
+            out[:, i] = self._extend(math.exp(w_e), float(Phi_e[0]), float(I_e[0]), s[i])
         return out
 
     def __call__(self, s):
@@ -912,7 +1119,7 @@ class _CumulativeIntegral:
         if not np.all(s_arr >= 0):
             raise DomainError("the mixture transform is defined for s >= 0")
         Phi, I = self._raw(s_arr.ravel())
-        Phi, I = Phi - self.shift, self.scale * (I - self.offset)
+        I = I - self.offset
         if s_arr.ndim == 0:
             return float(Phi[0]), float(I[0])
         return Phi.reshape(s_arr.shape), I.reshape(s_arr.shape)
@@ -926,9 +1133,10 @@ def construct_G_mixture(phi: ScalarFn, a: float, b: float,
     Derivatives are closed-form:  with E(t) = exp(-(1/2) int_a^t phi),
     G' = 2 (int_b^s E) E(s)  and  G'' = 2 E(s)^2 - (int_b^s E) E(s) phi(s).
     When ``k`` is supplied the bound phi(s) <= k/s is probed first.  Both
-    integrals come from one dense ODE solve (:class:`_CumulativeIntegral`),
-    so a batch of points costs one dense-output evaluation for ``eval`` and
-    one for the whole ``triple``.
+    integrals come from one set of Chebyshev panels, built once by
+    piecewise spectral integration (:class:`_CumulativeIntegral`), so a
+    batch of points costs one barycentric read of the panels for ``eval``
+    and one for the whole ``triple``.
 
     ``b = inf`` is allowed when E is integrable at infinity (tail exponent
     fitted and appended in closed form); it yields the decreasing transforms

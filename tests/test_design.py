@@ -1,6 +1,7 @@
 """Design guards: the adaptive quadrature engine is reached through its
 batched entry points only, the marginal routes share one series evaluator,
-and Monte Carlo batches run on one worker pool."""
+Monte Carlo batches run on one worker pool, and no construction steps an
+ODE."""
 
 import ast
 from pathlib import Path
@@ -75,3 +76,20 @@ def test_one_monte_carlo_pool():
               for node in ast.walk(top)
               if isinstance(node, ast.Name) and node.id == "_mc_batch"}
     assert submitters == namers == {"_run_points"}
+
+
+def test_no_ode_stepping():
+    """No module imports ``scipy.integrate`` or names one of its ODE
+    steppers: both constructions integrate on Chebyshev panels
+    (``priors._CumulativeIntegral`` and ``priors._frobenius_pair``), so no
+    scalar ODE path grows back beside them."""
+    steppers = {"solve_ivp", "odeint", "ode", "RK45", "DOP853", "LSODA"}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        modules |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "scipy.integrate" not in modules, path.name
+        assert not named & steppers, f"{path.name} names {sorted(named & steppers)}"

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erfc
 
 from bayesminimax import priors as pr
 from bayesminimax import transforms as tr
@@ -451,6 +452,18 @@ class TestConstructSpherical:
             pr.construct_spherical(inv_square_phi(1.0), 5, c1=0.0, c2=0.0,
                                    phi_series=[-2.0, 0, 0, 0])
 
+    def test_batching_and_order_do_not_change_values(self):
+        # z1 and z2 read one dense output; u = 5e-4 lies on the series start
+        sol = _inverse_square_solution()
+        u = np.concatenate(([5e-4], np.geomspace(0.05, 9.0, 39)))
+        for fn in (sol.z1, sol.z2, sol.F):
+            for read in (fn.eval, fn.deriv1, fn.deriv2):
+                batch = np.asarray(read(u))
+                pointwise = np.array([read(x) for x in u])
+                reversed_ = np.asarray(read(u[::-1]))[::-1]
+                assert np.array_equal(batch, pointwise)
+                assert np.array_equal(batch, reversed_)
+
 
 class TestInverseSquareProfile:
     def test_single_root_closed_form(self):
@@ -719,6 +732,52 @@ class TestConstructGMixture:
             reversed_ = np.asarray(fn(s[::-1]))[::-1]
             assert np.array_equal(batch, pointwise)
             assert np.array_equal(batch, reversed_)
+
+    # a = 0.677...: math.log(a) and numpy's log of it differ by an ulp
+    @pytest.mark.parametrize("a", [1.0, 0.6772752462000964])
+    @pytest.mark.parametrize("c", [3.0, 4.0, 5.0])
+    def test_inverse_forcing_to_rounding(self, c, a):
+        phi = tr.ScalarFn(eval=lambda s: c / np.asarray(s, float))
+        G = pr.construct_G_mixture(phi, a=a, b=math.inf, k=5)
+        s = np.geomspace(0.01, 100.0, 60)
+        self._assert_triple(G, s, self._inverse_oracle(c, a, s), 1e-12)
+
+    @staticmethod
+    def _counted(f):
+        calls = []
+
+        def eval_(s):
+            calls.append(1)
+            return f(np.asarray(s, float))
+
+        return tr.ScalarFn(eval=eval_), calls
+
+    def test_exponential_E_needs_few_phi_calls(self):
+        # phi = -1 (E grows like e^{s/2}) and phi = 3/s + 1/2 with b = inf
+        # (E decays like e^{-s/4} and underflows long before the horizon)
+        s = np.geomspace(0.5, 20.0, 30)
+        phi, calls = self._counted(lambda x: -np.ones_like(x))
+        G = pr.construct_G_mixture(phi, a=1.0, b=0.25)
+        E = np.exp((s - 1.0) / 2.0)
+        I = 2.0 * (E - math.exp((0.25 - 1.0) / 2.0))
+        self._assert_triple(G, s, (I * I, 2.0 * I * E, 2.0 * E * E + I * E), 1e-10)
+        assert len(calls) < 500
+
+        phi, calls = self._counted(lambda x: 3.0 / x + 0.5)
+        G = pr.construct_G_mixture(phi, a=1.0, b=math.inf)
+        # E = s^{-3/2} e^{-(s-1)/4}; I = -int_s^inf E through Gamma(-1/2, s/4)
+        E = s ** -1.5 * np.exp(-(s - 1.0) / 4.0)
+        I = -math.exp(0.25) * (2.0 * np.exp(-s / 4.0) / np.sqrt(s)
+                               - math.sqrt(math.pi) * erfc(np.sqrt(s) / 2.0))
+        self._assert_triple(G, s, (I * I, 2.0 * I * E, 2.0 * E * E - I * E * (3.0 / s + 0.5)),
+                            1e-10)
+        assert np.all(np.isfinite(G.triple(np.geomspace(1e-6, 1e4, 40))))
+        assert len(calls) < 500
+
+        phi, calls = self._counted(lambda x: 5.0 / x)
+        G = pr.construct_G_mixture(phi, a=1.0, b=math.inf, k=5)
+        self._assert_triple(G, s, self._inverse_oracle(5.0, 1.0, s), 1e-10)
+        assert len(calls) < 500
 
     def test_non_integrable_at_zero_anchor(self):
         # E = s^{-3} near 0: int_0^s E diverges
