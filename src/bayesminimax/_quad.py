@@ -1,25 +1,23 @@
 """Low-level adaptive Gauss-Kronrod quadrature engine.
 
-Implements the (G7, K15) pair with QUADPACK-style per-panel error estimates
-(Piessens et al. 1983) and one globally adaptive refinement loop that shares
-a partition across a whole family of integrands (used to vectorize marginal
-evaluation over many query points).  Every integrand callback is node-major:
-it maps the m nodes of a panel, shape (m,), to values of shape (m, P), nodes
-down and one column per row.  Each node's values for all P rows are then
-contiguous, so the per-panel work (the weight contractions over axis 0, the
-mean subtraction along the row axis, the sqrt-map Jacobian) runs along rows
-of length P rather than along a 15-long inner axis.  A callback returning any
-other shape is refused with ValueError.  The loop runs in linear space
-(:func:`adaptive_batch`) or in log space (:func:`adaptive_batch_log`, for
-positive integrands whose magnitude spans hundreds of orders).  A row is
-done when its error meets its tolerance, or when its roundoff floor
-50*eps*int|g| already exceeds that tolerance and its error has come down to
-within a factor _FLOOR_SLACK of the floor, so a signed row that cancels far
-below the integral of its modulus stops at roundoff.
-
-Endpoint behaviour: a finite (a, b) is one refinement loop over one signed
-sqrt map (:func:`_sqrt_map`), which removes integrable algebraic endpoint
-singularities such as t**(-1/2) without any special casing.
+The (G7, K15) pair with QUADPACK-style per-panel error estimates (Piessens et
+al. 1983), and one globally adaptive loop that refines a partition shared by
+a family of integrands (rows) in rounds.  Each round halves, for every row
+not yet done, the panels with the largest error above their roundoff floor
+until those left whole carry at most half of the row's room (its target
+less its summed floor), and evaluates all new panels in one integrand call.
+That callback is node-major: the nodes of a round, shape (15*panels,), map
+to values (15*panels, P), one column per row, (15, P) per panel, so the
+per-panel work runs along contiguous rows; any other shape raises
+ValueError.  The loop runs in linear space (:func:`adaptive_batch`) or in
+log space (:func:`adaptive_batch_log`, for positive integrands spanning
+hundreds of orders).  A row is done when its error meets its tolerance, or
+when its roundoff floor 50*eps*int|g| exceeds that tolerance and its error
+is within _FLOOR_SLACK of the floor, so a row that cancels far below its
+integral of |g| stops at roundoff.  :func:`bisect` halves the panels here
+and in ``priors``; a panel a few ulps wide, or past the budget, raises at
+once.  A finite (a, b) goes through one signed sqrt map (:func:`_sqrt_map`),
+which removes integrable algebraic endpoint singularities such as t**(-1/2).
 """
 
 from __future__ import annotations
@@ -31,71 +29,74 @@ import numpy as np
 
 from .errors import QuadratureError, TransformDivergenceError
 
-# 15-point Kronrod nodes on [-1, 1] and the embedded 7-point Gauss weights.
-# Values are the standard QUADPACK abscissae.
-_XK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
-])
-_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
-])
-_WG = np.array([
-    0.0, 0.129484966168870, 0.0, 0.279705391489277, 0.0,
-    0.381830050505119, 0.0, 0.417959183673469, 0.0,
-    0.381830050505119, 0.0, 0.279705391489277, 0.0,
-    0.129484966168870, 0.0,
-])
+# The symmetric K15 rule on [-1, 1] from its outermost node to the centre:
+# nodes, K15 and embedded G7 weights.  Each literal is within 1.5 ulps of its
+# 60-digit mpmath value; summed exactly, these integrate x^p within 1.1 ulps
+# for p <= 22 (K15) and 13 (G7), where correct rounding misses p = 22 by 3.7.
+_X8 = np.array([0.9914553711208127, 0.9491079123427585, 0.864864423359769, 0.7415311855993946,
+                0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0])
+_WK8 = np.array([0.02293532201052922, 0.06309209262997856, 0.10479001032225017,
+                 0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+                 0.20443294007529889, 0.20948214108472782])
+_WG8 = np.array([0.0, 0.1294849661688697, 0.0, 0.2797053914892766, 0.0, 0.3818300505051189,
+                 0.0, 0.4179591836734694])
+_XK = np.concatenate([-_X8[:-1], _X8[::-1]])
+_WK, _WG = (np.concatenate([w[:-1], w[::-1]]) for w in (_WK8, _WG8))
 _WKG = np.stack([_WK, _WG])   # K15 and G7 sums of a panel in one product
 
 _EPS = np.finfo(float).eps
-_MAX_PANELS = 4096        # subdivision budget of every adaptive call
+_MAX_PANELS = 4096        # subdivision budget of every refinement
+_MIN_ULPS = 4             # a panel this many ulps of its edges wide is not halved
 _SCAN_PROBES = 200        # first probe grid of scan_log_peak
 _SCAN_HORIZON = 1e8       # where scan_log_peak stops extending an infinite range
 _FLOOR_SLACK = 2.0        # a row at its roundoff floor stops within this factor of it
 
 
-def panel_nodes(a: float, b: float) -> np.ndarray:
-    """Kronrod nodes mapped onto the interval (a, b); all interior."""
-    half = 0.5 * (b - a)
-    return 0.5 * (a + b) + half * _XK
+def panel_nodes(left, right, ref) -> np.ndarray:
+    """The nodes ``ref`` on [-1, 1] mapped onto each panel [left, right] (arrays), one row
+    per panel, each from its nearer edge: -1 and 1 land on the edges exactly."""
+    half = 0.5 * (right - left)[:, None]
+    return np.where(ref < 0, left[:, None] + half * (1.0 + ref), right[:, None] - half * (1.0 - ref))
 
 
-def _panel_estimates(vals: np.ndarray, half: float, log: bool = False):
+def bisect(edges, marked, fail):
+    """Halve the panels ``marked`` (indices) of the partition with ``edges``.
+
+    Returns the new edges, the panel each new panel came from and whether it
+    is a half.  A marked panel at most _MIN_ULPS ulps of its edges wide, or
+    the first marked one past _MAX_PANELS panels, raises ``fail(lo, hi, why)``.
+    """
+    lo, hi = edges[marked], edges[marked + 1]
+    narrow = hi - lo <= _MIN_ULPS * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+    if np.any(narrow):
+        p = int(np.argmax(narrow))
+        raise fail(float(lo[p]), float(hi[p]), f"panel within {_MIN_ULPS} ulps of its edges")
+    n = edges.size - 1
+    if n + marked.size > _MAX_PANELS:
+        raise fail(float(lo[0]), float(hi[0]), f"panel budget {_MAX_PANELS} exhausted")
+    split = np.zeros(n, dtype=bool)
+    split[marked] = True
+    edges = np.insert(edges, np.nonzero(split)[0] + 1, 0.5 * (edges[:-1][split] + edges[1:][split]))
+    parent = np.repeat(np.arange(n), 1 + split)
+    return edges, parent, split[parent]
+
+
+def _panel_estimates(vals: np.ndarray, half: np.ndarray, log: bool = False):
     """K15 integral, error estimate and roundoff floor from node values.
 
-    ``vals`` is node-major, shape (15, P); returns (integral, error, floor),
-    each (P,), with the node axis 0 contracted by the K15 and G7 weights in
-    one product, so every other pass runs along the contiguous row axis.
-    Error follows the QUADPACK rescaling of |K15-G7| and never drops below
-    the floor 50*eps*int|g| over the panel.
-
-    Buffer rule: the node-sized work of |g| and |g - mean| goes through one
-    scratch array.  In linear mode ``vals`` may belong to the caller's
-    integrand, so it is only read and the scratch is one fresh array.  In
-    log mode (``log=True``) ``vals`` is the panel's own exponentiated buffer,
-    nonnegative, so int|g| is the K15 sum itself and ``vals`` is the scratch;
-    it holds |g - mean| on return.
+    ``vals`` holds a round's panels node-major, shape (panels, 15, P), and
+    ``half`` their half-widths, shape (panels, 1); returns (integral, error,
+    floor), each (panels, P), with the node axis contracted by the K15 and G7
+    weights in one product, so every other pass runs along the contiguous
+    row axis.  Error follows the QUADPACK rescaling of |K15-G7| and never
+    drops below the floor 50*eps*int|g| over the panel.  ``vals`` is only
+    read; in log mode it is nonnegative, so int|g| is the K15 sum itself.
     """
-    resk, resg = _WKG @ vals
-    if log:
-        scratch, resabs = vals, resk
-    else:
-        scratch = np.abs(vals)
-        resabs = _WK @ scratch
-    mean = resk * 0.5
-    np.subtract(vals, mean, out=scratch)
-    np.abs(scratch, out=scratch)
-    resasc = _WK @ scratch
+    kg = _WKG @ vals
+    resk, resg = kg[:, 0], kg[:, 1]
+    resabs = resk if log else _WK @ np.abs(vals)
+    dev = vals - 0.5 * resk[:, None]
+    resasc = _WK @ np.abs(dev, out=dev)
     err = np.abs(resk - resg)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
@@ -106,59 +107,68 @@ def _panel_estimates(vals: np.ndarray, half: float, log: bool = False):
 
 
 def _refine(make, a, b, initial_panels, max_depth, target, log):
-    """The refinement loop shared by :func:`adaptive_batch` and
-    :func:`adaptive_batch_log`.
+    """The refinement loop of :func:`adaptive_batch` and :func:`adaptive_batch_log`.
 
-    ``make(lo, hi, depth)`` evaluates one panel as [lo, hi, depth, I, err,
-    floor], the last three per row; ``target(total)`` gives each row's error
-    target.  In log mode all of these are logarithms, summed over panels
-    with logsumexp.  A row is done once its error meets its target, or once
-    its summed roundoff floor exceeds that target and its error is within
-    _FLOOR_SLACK of the floor: a signed row far smaller than its integral
-    of |g| stops at roundoff.  Each step halves the panel with the largest
-    error against its row's target.
+    ``make(left, right)`` evaluates the panels [left, right] of one round as
+    (I, err, floor), each (panels, P); ``target(total)`` gives each row's
+    error target.  In log mode all of these are logarithms.  The totals are
+    summed afresh from the panels every round.  Splitting a panel cannot
+    lower its roundoff floor, so a row's panels are ranked by their error
+    above it, against the row's room: its target less its summed floor.  The
+    panel with the largest such excess is the worst: at max_depth it raises,
+    and other marked panels at max_depth stay whole.
     """
     if not b > a:
         raise ValueError(f"empty integration interval ({a}, {b})")
     edges = np.linspace(a, b, initial_panels + 1)
-    panels = [make(lo, hi, 0) for lo, hi in zip(edges[:-1], edges[1:])]
+    depth = np.zeros(initial_panels, dtype=int)
+    I, err, floor = make(edges[:-1], edges[1:])
     mode = " (log mode)" if log else ""
+
+    def fail(lo, hi, why):    # names the round's totals and errors
+        return QuadratureError(f"{why} on [{lo!r}, {hi!r}]{mode}", worst_interval=(lo, hi),
+                               total=total, error=err_total)
+
     # products and quotients of logs are sums and differences
     if log:
-        add, mul, div, slack = _logsumexp_rows, np.add, np.subtract, np.log(_FLOOR_SLACK)
+        add, mul, div, slack = _logsumexp, np.add, (lambda x, y: np.exp(x - y)), np.log(_FLOOR_SLACK)
     else:
-        add, mul, div, slack = (lambda arrs: np.sum(arrs, axis=0)), np.multiply, np.divide, _FLOOR_SLACK
+        add, mul, div, slack = (lambda arr: np.sum(arr, axis=0)), np.multiply, np.divide, _FLOOR_SLACK
     while True:
-        total, err, floor = (add([p[i] for p in panels]) for i in (3, 4, 5))
+        total, err_total, floor_total = add(I), add(err), add(floor)
         tol = target(total)
-        tol = np.where(floor > tol, mul(floor, slack), tol)
-        if not np.any(err > tol):
+        tol = np.where(floor_total > tol, mul(floor_total, slack), tol)
+        todo = err_total > tol
+        if not np.any(todo):
             return total
-        idx = int(np.argmax([np.max(div(p[4], tol)) for p in panels]))
-        lo, hi, depth = panels[idx][:3]
-        if depth >= max_depth:
-            raise QuadratureError(
-                f"max_depth={max_depth} exceeded on [{lo:.6g}, {hi:.6g}]{mode}",
-                worst_interval=(lo, hi), total=total, error=err)
-        if len(panels) >= _MAX_PANELS:
-            raise QuadratureError(
-                f"panel budget {_MAX_PANELS} exhausted{mode}",
-                worst_interval=(lo, hi), total=total, error=err)
-        mid = 0.5 * (lo + hi)
-        panels[idx] = make(lo, mid, depth + 1)
-        panels.append(make(mid, hi, depth + 1))
+        # each panel's error above its roundoff floor, and each row's room
+        # above its summed floor, both in units of the row's target
+        excess = div(err[:, todo], tol[todo]) - div(floor[:, todo], tol[todo])
+        room = 1.0 - div(floor_total[todo], tol[todo])
+        order = np.argsort(-excess, axis=0)
+        # a row's ranked panels from its top one down to the first whose
+        # excess and all below it sum to at most half of its room
+        rest = np.cumsum(np.take_along_axis(excess, order, axis=0)[::-1], axis=0)[::-1]
+        marked = np.zeros(excess.shape, dtype=bool)
+        np.put_along_axis(marked, order, rest > 0.5 * room, axis=0)
+        worst = np.max(excess, axis=1)
+        p = int(np.argmax(worst))
+        if depth[p] >= max_depth:
+            raise fail(float(edges[p]), float(edges[p + 1]), f"max_depth={max_depth} exceeded")
+        marked = np.nonzero(np.any(marked, axis=1) & (depth < max_depth))[0]
+        marked = marked[np.argsort(-worst[marked], kind="stable")]
+        edges, parent, fresh = bisect(edges, marked, fail)
+        depth = depth[parent] + fresh
+        I, err, floor = I[parent], err[parent], floor[parent]
+        new = np.nonzero(fresh)[0]
+        I[new], err[new], floor[new] = make(edges[new], edges[new + 1])
 
 
 def adaptive(f, a: float, b: float, rel_tol: float = 1e-10,
              abs_tol: float = 1e-14, max_depth: int = 40) -> float:
-    """Globally adaptive G7/K15 quadrature of a vectorized scalar integrand.
-
-    ``f`` must map a node array (m,) to values (m,).  Raises
-    :class:`QuadratureError` when the subdivision budget is exhausted.
-    """
-    res = adaptive_batch(lambda x: np.asarray(f(x), dtype=float)[:, None], a, b,
-                         rel_tol=rel_tol, abs_tol=abs_tol, max_depth=max_depth)
-    return float(res[0])
+    """The one-row :func:`adaptive_batch` of a vectorized scalar integrand."""
+    return float(adaptive_batch(lambda x: np.asarray(f(x), dtype=float)[:, None], a, b,
+                                rel_tol=rel_tol, abs_tol=abs_tol, max_depth=max_depth)[0])
 
 
 def adaptive_batch(fmat, a: float, b: float, rel_tol: float = 1e-10,
@@ -166,76 +176,79 @@ def adaptive_batch(fmat, a: float, b: float, rel_tol: float = 1e-10,
                    initial_panels: int = 4) -> np.ndarray:
     """Adaptive quadrature of a family of integrands over one shared partition.
 
-    ``fmat`` maps node array (m,) -> node-major values (m, P), one column per
-    row; any other first axis raises ValueError.  The partition is refined
-    until every row meets max(abs_tol, rel_tol*|I_row|), or its roundoff
-    floor where that is larger.  Returns (P,).
+    ``fmat`` maps the nodes of a round (m,) -> node-major values (m, P), one
+    column per row; any other first axis raises ValueError.  The partition
+    is refined until every row meets max(abs_tol, rel_tol*|I_row|), or its
+    roundoff floor where that is larger.  Returns (P,).
     """
-    return _refine(lambda lo, hi, depth: _make_panel(fmat, lo, hi, depth), a, b,
+    return _refine(lambda left, right: _make_panel(fmat, left, right), a, b,
                    initial_panels, max_depth,
                    lambda total: np.maximum(abs_tol, rel_tol * np.abs(total)), log=False)
 
 
-def _node_major(vals):
-    """``vals`` as a float array, after checking that it is node-major."""
+def _node_major(vals, m):
+    """``vals`` as a float array, after checking that it is node-major for m nodes."""
     vals = np.asarray(vals, dtype=float)
-    if vals.ndim != 2 or vals.shape[0] != _XK.size:
-        raise ValueError(
-            f"integrand returned shape {vals.shape}; a panel callback must return "
-            f"node-major values of shape ({_XK.size}, P), one column per row")
+    if vals.ndim != 2 or vals.shape[0] != m:
+        raise ValueError(f"integrand returned shape {vals.shape} for {m} nodes; a round callback"
+                         f" must return node-major values ({m}, P), (15, P) per panel, one per row")
     return vals
 
 
-def _make_panel(fmat, lo, hi, depth):
-    half = 0.5 * (hi - lo)
-    vals = _node_major(fmat(panel_nodes(lo, hi)))
-    if not np.all(np.isfinite(vals)):
-        raise QuadratureError(
-            f"non-finite integrand values on [{lo:.6g}, {hi:.6g}]",
-            worst_interval=(lo, hi))
-    return [lo, hi, depth, *_panel_estimates(vals, half)]
+def _round(f, left, right, invalid, what):
+    """``f`` at the Kronrod nodes of the panels [left, right] in one call, as
+    (panels, 15, P); a panel where ``invalid`` holds raises, naming ``what``."""
+    x = panel_nodes(left, right, _XK)
+    vals = _node_major(f(x.ravel()), x.size).reshape(*x.shape, -1)
+    bad = np.any(invalid(vals), axis=(1, 2))
+    if np.any(bad):
+        p = int(np.argmax(bad))
+        raise QuadratureError(f"{what} on [{left[p]:.6g}, {right[p]:.6g}]",
+                              worst_interval=(float(left[p]), float(right[p])))
+    return vals
+
+
+def _make_panel(fmat, left, right):
+    """(I, err, floor) of the panels [left, right] of one round."""
+    vals = _round(fmat, left, right, lambda v: ~np.isfinite(v), "non-finite integrand values")
+    return _panel_estimates(vals, 0.5 * (right - left)[:, None])
 
 
 def adaptive_batch_log(logf, a: float, b: float, rel_tol: float = 1e-10,
                        max_depth: int = 40, initial_panels: int = 4) -> np.ndarray:
     """Log-space adaptive quadrature for positive integrand families.
 
-    ``logf`` maps nodes (m,) -> node-major log-values (m, P), one column per
-    row (-inf allowed where the integrand vanishes).  Any other first axis
-    raises ValueError.  Returns log of the integral per row.  Values may
-    span hundreds of orders of magnitude; only relative tolerance applies.
+    ``logf`` maps the nodes of a round (m,) -> node-major log-values (m, P),
+    one column per row (-inf allowed where the integrand vanishes); any other
+    first axis raises ValueError.  Returns log of the integral per row; only
+    relative tolerance applies.
     """
     log_rtol = np.log(rel_tol)
-    return _refine(lambda lo, hi, depth: _make_panel_log(logf, lo, hi, depth), a, b,
+    return _refine(lambda left, right: _make_panel_log(logf, left, right), a, b,
                    initial_panels, max_depth, lambda logI: logI + log_rtol, log=True)
 
 
-def _make_panel_log(logf, lo, hi, depth):
-    half = 0.5 * (hi - lo)
-    lv = _node_major(logf(panel_nodes(lo, hi)))
-    if np.any(np.isnan(lv)) or np.any(lv == np.inf):
-        raise QuadratureError(
-            f"invalid log-integrand on [{lo:.6g}, {hi:.6g}]",
-            worst_interval=(lo, hi))
-    M = np.max(lv, axis=0)
+def _make_panel_log(logf, left, right):
+    """log (I, err, floor) of the panels [left, right] of one round."""
+    lv = _round(logf, left, right, lambda v: np.isnan(v) | (v == np.inf), "invalid log-integrand")
+    M = np.max(lv, axis=1)
     live = np.isfinite(M)
     M = np.where(live, M, 0.0)
-    vals = lv - M                # the panel's own buffer, exponentiated in place
-    np.exp(vals, out=vals)
-    I, err, floor = _panel_estimates(vals, half, log=True)
+    half = 0.5 * (right - left)[:, None]
+    I, err, floor = _panel_estimates(np.exp(lv - M[:, None]), half, log=True)
     with np.errstate(divide="ignore"):
         logI = M + np.log(np.maximum(I, 0.0))
         # each live row's largest value is exp(0) = 1, a dead row's is 0
         logerr = M + np.log(np.maximum(err, 5.0 * _EPS * live * half))
         logfloor = M + np.log(floor)
-    return [lo, hi, depth, logI, logerr, logfloor]
+    return logI, logerr, logfloor
 
 
-def _logsumexp_rows(arrs):
-    stacked = np.stack(arrs, axis=0)
-    M = np.max(stacked, axis=0)
+def _logsumexp(arr):
+    """log of the sum over axis 0 of exp(arr)."""
+    M = np.max(arr, axis=0)
     safe = np.where(np.isfinite(M), M, 0.0)
-    out = safe + np.log(np.sum(np.exp(stacked - safe), axis=0))
+    out = safe + np.log(np.sum(np.exp(arr - safe), axis=0))
     return np.where(np.isfinite(M), out, M)
 
 
@@ -279,7 +292,7 @@ def integrate_rows(rows, a: float, b: float, rel_tol: float = 1e-10,
     the one ``rows`` returned.  Returns (P,).
     """
     return _sqrt_map(adaptive_batch,
-                     lambda x, s: _node_major(rows(x)) * (2.0 * np.abs(s))[:, None], a, b,
+                     lambda x, s: _node_major(rows(x), x.size) * (2.0 * np.abs(s))[:, None], a, b,
                      rel_tol=rel_tol, abs_tol=abs_tol, max_depth=max_depth)
 
 
@@ -293,7 +306,7 @@ def integrate_rows_log(log_rows, a: float, b: float, rel_tol: float = 1e-10,
     down the node axis.  Returns the log of each row's integral.
     """
     return _sqrt_map(adaptive_batch_log,
-                     lambda x, s: _node_major(log_rows(x)) + np.log(2.0 * np.abs(s))[:, None],
+                     lambda x, s: _node_major(log_rows(x), x.size) + np.log(2.0 * np.abs(s))[:, None],
                      a, b, rel_tol=rel_tol, max_depth=max_depth)
 
 

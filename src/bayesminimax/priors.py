@@ -492,7 +492,6 @@ def mixing_from_unit_kernel(f_unit: ScalarFn, k: int,
 # ---------------------------------------------------------------------------
 
 _PANEL_TOL = 1e-14    # largest tail coefficient, relative to the panel's largest value
-_MAX_PANELS = 1 << 14
 
 
 def _chebyshev_panel(n: int = 32):
@@ -515,11 +514,6 @@ def _chebyshev_panel(n: int = 32):
 _NODES, _CUMULATIVE, _TAIL, _BARY = _chebyshev_panel()
 
 
-def _panel_nodes(left, right):
-    """The nodes of the panels [left, right], one row per panel."""
-    return np.outer(left, 0.5 * (1.0 - _NODES)) + np.outer(right, 0.5 * (1.0 + _NODES))
-
-
 def _unresolved(v):
     """Whether each row of node values has a tail coefficient above
     _PANEL_TOL times the row's largest value."""
@@ -527,21 +521,10 @@ def _unresolved(v):
             > _PANEL_TOL * np.max(np.abs(v), axis=1))
 
 
-def _bisect(edges, split, what):
-    """The edges with every panel marked in ``split`` halved, the panel each
-    new panel came from, and whether it is a half.  Past _MAX_PANELS panels,
-    or below a width of 1e-12, a ConstructionError says ``what`` failed and
-    where (edges are logs of the variable)."""
-    h = np.diff(edges)
-    if h.size + np.count_nonzero(split) > _MAX_PANELS or np.min(h[split]) < 1e-12:
-        worst = int(np.argmax(split))
-        raise ConstructionError(
-            f"{what}: the panels do not resolve it on [{math.exp(edges[worst]):.6g}, "
-            f"{math.exp(edges[worst + 1]):.6g}]")
-    edges = np.insert(edges, np.nonzero(split)[0] + 1,
-                      0.5 * (edges[:-1][split] + edges[1:][split]))
-    parent = np.repeat(np.arange(h.size), 1 + split)
-    return edges, parent, split[parent]
+def _panel_failure(what):
+    """``_quad.bisect``'s error for a panel [lo, hi] of logs it cannot halve."""
+    return lambda lo, hi, why: ConstructionError(
+        f"{what}: the panels do not resolve it on [{math.exp(lo):.6g}, {math.exp(hi):.6g}]")
 
 
 def _read_panels(edges, w, *tables):
@@ -621,7 +604,7 @@ def _pair_panels(phi, b0, friction, left, right):
     y'(left) tau) for the cumulative matrix C.  Returns shape (panels,
     equation, start, node).
     """
-    t = _panel_nodes(left, right)
+    t = _quad.panel_nodes(left, right, _NODES)
     u = np.exp(t)
     d = 0.5 * (b0 - u * u * np.asarray(phi.eval(u.ravel()), dtype=float).reshape(u.shape))
     if not np.all(np.isfinite(d)):
@@ -661,7 +644,7 @@ def _frobenius_pair(phi, b0, friction, t0, t1, start):
         y = half * half * (d2y @ C2.T)
         dy = half * (d2y @ _CUMULATIVE.T)
         y[:, :, 0] += 1.0
-        y[:, :, 1] += (_panel_nodes(edges[:-1], edges[1:]) - edges[:-1, None])[:, None]
+        y[:, :, 1] += (_quad.panel_nodes(edges[:-1], edges[1:], _NODES) - edges[:-1, None])[:, None]
         dy[:, :, 1] += 1.0
         scale = np.maximum(np.max(np.abs(y), axis=-1), np.max(np.abs(dy), axis=-1))
         tail = np.maximum(np.max(np.abs(y @ _TAIL.T), axis=-1),
@@ -669,7 +652,8 @@ def _frobenius_pair(phi, b0, friction, t0, t1, start):
         split = np.any(tail > _PANEL_TOL * scale, axis=(1, 2))
         if not np.any(split):
             break
-        edges, parent, fresh = _bisect(edges, split, "integration of z1 and z2 failed")
+        edges, parent, fresh = _quad.bisect(edges, np.nonzero(split)[0], _panel_failure(
+            "integration of z1 and z2 failed"))
         d2y = d2y[parent]
     # chain the panels from t0: each starts from the end values of the last
     values, slopes = np.empty((n, 2, _NODES.size)), np.empty((n, 2, _NODES.size))
@@ -1018,7 +1002,7 @@ class _CumulativeIntegral:
 
     def _s_phi(self, left, right):
         """(w, s phi(s)) at the nodes of the panels [left, right] in w."""
-        w = _panel_nodes(left, right)
+        w = _quad.panel_nodes(left, right, _NODES)
         s = np.exp(w)
         return w, s * np.asarray(self.phi.eval(s.ravel()), dtype=float).reshape(s.shape)
 
@@ -1056,7 +1040,8 @@ class _CumulativeIntegral:
                 keep = slice(lo, hi)
                 return (edges[lo:hi + 1], Phi[keep], Phi_local[keep],
                         np.exp(w[keep] - 0.5 * (Phi[keep, None] + Phi_local[keep])))
-            edges, parent, fresh = _bisect(edges, split, "mixture construction failed")
+            edges, parent, fresh = _quad.bisect(edges, np.nonzero(split)[0], _panel_failure(
+                "mixture construction failed"))
             w, s_phi = w[parent], s_phi[parent]
             new = np.nonzero(fresh)[0]
             w[new], s_phi[new] = self._s_phi(edges[new], edges[new + 1])
@@ -1070,7 +1055,8 @@ class _CumulativeIntegral:
         tol = dict(rel_tol=quad.rel_tol, abs_tol=quad.abs_tol, max_depth=quad.max_depth)
 
         def E(x):
-            return np.exp(-0.5 * (Phi_e + _log_integral(phi.eval, e, x, quad)))
+            with np.errstate(over="ignore"):    # the quadrature reports an overflow as non-finite
+                return np.exp(-0.5 * (Phi_e + _log_integral(phi.eval, e, x, quad)))
 
         if self.b == 0.0 and t <= e:
             lo, hi, base, sign = 0.0, t, 0.0, 1.0    # I anchored at 0

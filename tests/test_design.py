@@ -1,7 +1,7 @@
 """Design guards: the adaptive quadrature engine is reached through its
 batched entry points only, the marginal routes share one series evaluator,
-Monte Carlo batches run on one worker pool, and no construction steps an
-ODE."""
+Monte Carlo batches run on one worker pool, no construction steps an ODE,
+and the constructions halve their panels through the engine's bisection."""
 
 import ast
 from pathlib import Path
@@ -93,3 +93,18 @@ def test_no_ode_stepping():
         named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert "scipy.integrate" not in modules, path.name
         assert not named & steppers, f"{path.name} names {sorted(named & steppers)}"
+
+
+def test_constructions_bisect_through_quad():
+    """``priors.py`` defines no bisection or panel budget of its own and inserts
+    no edges: both constructions halve their panels with ``_quad.bisect``."""
+    path = SRC / "priors.py"
+    tree = ast.parse(path.read_text(), str(path))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    inserts = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) == "insert"]
+    assert not {name for name in defined if "bisect" in name}
+    assert "_MAX_PANELS" not in named and not inserts
+    assert sum(isinstance(node, ast.Attribute) and node.attr == "bisect"
+               for node in ast.walk(tree)) == 2

@@ -786,12 +786,23 @@ class TestConstructGMixture:
             G = pr.construct_G_mixture(phi, a=1.0, b=0.0)
             G.eval(1.0)
 
+    def test_unresolved_forcing_names_its_panel(self):
+        """phi = sin s oscillates out to the horizon 1e8: past the shared panel
+        budget the construction stops with its own error and message."""
+        phi = tr.ScalarFn(eval=lambda s: np.sin(np.asarray(s, float)))
+        with pytest.raises(ConstructionError, match=r"mixture construction failed: the panels "
+                                                    r"do not resolve it on \[\S+, \S+\]"):
+            pr.construct_G_mixture(phi, a=1.0, b=0.5)
+
     def test_overflow_past_the_solve_raises(self):
-        phi = tr.ScalarFn(eval=lambda s: -np.ones_like(np.asarray(s, float)))
-        G = pr.construct_G_mixture(phi, a=1.0, b=0.01)
-        assert np.isfinite(G.eval(700.0))
-        with pytest.raises(ConstructionError), np.errstate(over="ignore"):
-            G.eval(2000.0)
+        """Past the Phi = -700 stop, E overflows inside the continuing
+        quadrature; that raises ConstructionError and no RuntimeWarning."""
+        for c, b, inside, past in ((1.0, 0.01, 700.0, 2000.0), (1e6, 0.5, 1.0, 3.0)):
+            phi = tr.ScalarFn(eval=lambda s, c=c: -c * np.ones_like(np.asarray(s, float)))
+            G = pr.construct_G_mixture(phi, a=1.0, b=b)
+            assert np.isfinite(G.eval(inside))
+            with pytest.raises(ConstructionError, match="inner integral diverges"):
+                G.eval(past)
 
 
 def _inverse_square_solution():

@@ -408,9 +408,10 @@ class TestKummer:
         for j in range(max(0, math.ceil(-a))):
             head_abs, head = head_abs + abs(t), head + t
             t *= (a + j) * mpmath.mpf(z) / ((b + j) * (j + 1))
-        return head_abs + abs(mpmath.hyp1f1(a, b, z) - head)
+        return head_abs + abs(mpmath.hyp1f1(a, b, z, zeroprec=400) - head)
 
     @settings(max_examples=40, deadline=None)
+    @example(a=-1.0, b=1.0, log_z=0.0, z_neg=-1.0)
     @given(a=st.one_of(st.integers(-4, 0).map(float), st.floats(-4.0, 4.0)),
            b=st.floats(0.3, 60.0),
            log_z=st.floats(math.log(1e-6), math.log(3e3)),

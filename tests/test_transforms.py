@@ -4,6 +4,7 @@ quadrature the transforms run on."""
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -83,24 +84,41 @@ class TestIntegrateFinite:
     def test_beta_integrals_off_the_origin(self):
         """int_a^b (x-a)^al (b-x)^be dx = (b-a)^(al+be+1) B(al+1, be+1) with
         endpoints away from 0: no node lands on an endpoint, so the integrand
-        stays finite.  Cases are left out where the integrand's own rounding
-        of x - e next to an endpoint e != 0, about spacing(e)^(1+g)/(1+g) for
-        the exponent g there, already exceeds rel_tol 1e-10 of the integral:
-        there the engine cannot meet its target and exhausts its panel
-        budget instead (30 of the 108 cases)."""
-        checked = 0
+        stays finite.  78 of the 108 cases are within 1e-8.  In the other 30
+        the integrand's own rounding of x - e next to an endpoint e != 0,
+        about spacing(e)^(1+g)/(1+g) for the exponent g there, already
+        exceeds rel_tol 1e-10 of the integral: each of them is within 1e-8
+        all the same, or raises QuadratureError with its worst interval at
+        that endpoint."""
+        counts = [0, 0]    # cases within reach of rel_tol, cases past it
         for a, w, al, be in itertools.product((-5.0, -1.0, 0.0, 2.3), (0.1, 1.0, 10.0),
                                               (-0.45, 0.3, 1.5), (-0.3, 0.0, 1.5)):
             b = a + w
             want = w ** (al + be + 1.0) * beta(al + 1.0, be + 1.0)
-            rounding = max((np.spacing(abs(e)) ** (1.0 + g) / (1.0 + g)
-                            for e, g in ((a, al), (b, be)) if e != 0.0), default=0.0)
-            if rounding > 1e-10 * want:
-                continue
-            got = _quad.integrate_finite(lambda x: (x - a) ** al * (b - x) ** be, a, b)
-            assert got == pytest.approx(want, rel=1e-8), (a, b, al, be)
-            checked += 1
-        assert checked == 78
+            rounding, e = max(((np.spacing(abs(e)) ** (1.0 + g) / (1.0 + g), e)
+                               for e, g in ((a, al), (b, be)) if e != 0.0), default=(0.0, None))
+            rounded = bool(rounding > 1e-10 * want)
+            counts[rounded] += 1
+            try:
+                got = _quad.integrate_finite(lambda x: (x - a) ** al * (b - x) ** be, a, b)
+            except QuadratureError as err:
+                if not rounded:
+                    raise
+                lo, hi = err.diagnostics["worst_interval"]
+                assert max(abs(lo - e), abs(hi - e)) <= 1e-8 * w, (a, b, al, be, lo, hi)
+            else:
+                assert got == pytest.approx(want, rel=1e-8), (a, b, al, be)
+        assert counts == [78, 30]
+
+    def test_unresolvable_panel_raises_at_once(self):
+        """A jump at 1e6 + 0.3 cannot meet rel_tol 1e-14: the panel holding it
+        is halved until it is a few ulps of 1e6 wide, and then raises, long
+        before max_depth or the panel budget."""
+        with pytest.raises(QuadratureError, match="ulps of its edges") as err:
+            _quad.adaptive_batch(lambda x: (x > 1e6 + 0.3).astype(float)[:, None],
+                                 1e6, 1e6 + 1.0, rel_tol=1e-14)
+        lo, hi = err.value.diagnostics["worst_interval"]
+        assert lo <= 1e6 + 0.3 <= hi and hi - lo <= 4 * np.spacing(1e6 + 1.0)
 
     def test_singular_upper_endpoint(self):
         got = _quad.integrate_finite(lambda x: (1.0 - x) ** -0.3 * x ** 2, 0.0, 1.0)
@@ -126,6 +144,34 @@ class TestIntegrateFinite:
         lo, hi = err.value.diagnostics["worst_interval"]
         assert 0.5 <= lo <= hi <= 1.0
         assert str(err.value).count("worst interval in x") == 1
+
+
+class TestRule:
+    @pytest.mark.parametrize("weights, degree", [(_quad._WK, 22), (_quad._WG, 13)],
+                             ids=["K15", "G7"])
+    def test_moments_to_two_ulps(self, weights, degree):
+        """Summed exactly in rational arithmetic, K15 integrates x^p over
+        [-1, 1] for p <= 22 and G7 for p <= 13 within 2 ulps of 2/(p+1)."""
+        for p in range(degree + 1):
+            got = sum(Fraction(w) * Fraction(x) ** p for w, x in zip(weights, _quad._XK))
+            want = Fraction(0) if p % 2 else Fraction(2, p + 1)
+            assert abs(got - want) <= 2 * Fraction(np.spacing(2.0 / (p + 1))), p
+
+    def test_one_integrand_call_per_round(self, monkeypatch):
+        rounds, calls = [0], [0]
+        original = _quad._make_panel
+
+        def counted(*args):
+            rounds[0] += 1
+            return original(*args)
+
+        def rows(x):
+            calls[0] += 1
+            return np.cos(200.0 * np.multiply.outer(x, np.linspace(1.0, 1.01, 8)))
+
+        monkeypatch.setattr(_quad, "_make_panel", counted)
+        _quad.adaptive_batch(rows, 0.0, 10.0)
+        assert 1 < rounds[0] == calls[0] < 20
 
 
 class TestRoundoffFloor:
