@@ -8,18 +8,24 @@ spherical marginal m(x) = l(|x|) this is
 and the unbiased risk estimate of delta = x + gamma(x) with gamma = rho(u) x,
 
     SURE(x) = k + 2 div gamma(x) + |gamma(x)|^2,
-    div gamma = k rho(u) + u rho'(u).
+    div gamma = k rho(u) + u rho'(u),
+
+which in the ratios l'/l and l''/l alone reads
+
+    SURE = k + [2 (k - 1) rho + 2 l''/l - (l'/l)^2].
 
 Monte Carlo risk draws X_i ~ N_k(theta, I) from an explicitly seeded
 generator (sub-streams per batch derived deterministically from the seed),
 reports mean squared loss with its standard error, and couples it with the
 SURE average over the same sample; E[SURE] equals the true risk, so the two
 must agree within a few combined standard errors on every passing run.
-Each batch reduces to sufficient statistics: its valid-sample count, the
-(sum, M2) of the loss and of SURE, and its failure count.  Every batch of
-every point of a risk curve runs on one pool of up to the available CPUs,
-and each point's statistics are reduced in batch order, so a report does not
-depend on the CPU count.
+A batch keeps its (m, k) draw Z only for |Z|^2 and Z.theta: the radius
+|theta + Z| and the loss of every sample follow from those two numbers and
+|theta|^2.  Each batch reduces to sufficient statistics: its valid-sample
+count, the (sum, M2) of the loss and of SURE, and its failure count.  Every
+batch of every point of a risk curve runs on one pool of up to the available
+CPUs, and each point's statistics are reduced in batch order, so a report
+does not depend on the CPU count.
 
 Risk depends on theta only through |theta| (spherical equivariance), so risk
 curves place theta = (|theta|, 0, ..., 0).
@@ -88,21 +94,22 @@ class RiskReport:
 
 def _shrink_terms(profile: MarginalProfile, u: np.ndarray, k: int):
     """rho(u), validity mask and SURE(u) from the profile's ratios l'/l and
-    l''/l, with rho' = (l''/l - (l'/l)/u - (l'/l)^2)/u.
+    l''/l in one ``ratios`` call, with rho = l'/(u l) and
 
-    l itself never enters, so neither its underflow at large k nor that of
-    l^2 matters.  A sample whose rho or rho' is not finite is invalid.
-    Below u = 1e-8 both take their limits at the origin: l'/l = u rho and
-    l''/l = rho + u rho' + (u rho)^2 give rho(0) = l''/l(0), and u rho' -> 0
-    (rho is even in u), so SURE(0) = k (1 + 2 rho(0)).
+        SURE = k + [2 (k - 1) rho + 2 l''/l - (l'/l)^2],
+
+    k added last.  This is k + 2 (k rho + u rho') + rho^2 u^2 with
+    u rho' = l''/l - rho - (l'/l)^2.  l itself never enters, so neither its
+    underflow at large k nor that of l^2 matters.  A sample whose SURE is not
+    finite is invalid; a non-finite rho makes SURE non-finite too.  Below
+    u = 1e-8, rho takes its limit at the origin: l'/l = u rho and
+    l''/l = rho + u rho' + (u rho)^2 give rho(0) = l''/l(0), and SURE(0) =
+    k (1 + 2 rho(0)) since l'/l(0) = 0.
     """
     _, r1, r2 = profile.ratios(u)
-    safe_u = np.where(u > _U_EPS, u, 1.0)
-    rho = np.where(u > _U_EPS, r1 / safe_u, r2)
-    rho_p = np.where(u > _U_EPS, (r2 - r1 / safe_u - r1 * r1) / safe_u, 0.0)
-    ok = np.isfinite(rho) & np.isfinite(rho_p)
-    sure = k + 2.0 * (k * rho + u * rho_p) + rho ** 2 * u ** 2
-    return rho, ok, sure
+    rho = np.divide(r1, u, out=r2.copy(), where=u > _U_EPS)
+    sure = 2.0 * ((k - 1) * rho + r2) - r1 * r1 + k
+    return rho, np.isfinite(sure), sure
 
 
 def bayes_estimate(profile: MarginalProfile, x: np.ndarray) -> np.ndarray:
@@ -139,19 +146,22 @@ def _mc_batch(profile: MarginalProfile, theta: np.ndarray, m: int,
     """Sample count, (sum, M2) of the loss and of SURE, and failures of one
     batch of m draws from the child stream.
 
-    The loss needs only three numbers per sample: with delta - theta =
-    (1 + rho) Z + rho theta it is c^2 |Z|^2 + 2 c rho Z.theta + rho^2 |theta|^2,
-    c = 1 + rho, so the loss forms no (m, k) array of its own.
+    The (m, k) draw Z is read twice, for |Z|^2 and Z.theta, and then freed.
+    With X = theta + Z the radius is u = sqrt(|Z|^2 + 2 Z.theta + |theta|^2),
+    clamped at 0 where roundoff takes the sum below it, and with
+    delta - theta = (1 + rho) Z + rho theta the loss is
+    c^2 |Z|^2 + 2 c rho Z.theta + rho^2 |theta|^2, c = 1 + rho, so no other
+    (m, k) array is formed.
     """
     Z = np.random.default_rng(child).standard_normal((m, theta.size))
     zz = np.einsum("ij,ij->i", Z, Z)
     zt = Z @ theta
-    Z += theta                      # X = theta + Z, in place
-    u = np.linalg.norm(Z, axis=1)
     del Z                           # freed before the marginal's own temporaries
+    tt = float(theta @ theta)
+    u = np.sqrt(np.maximum(2.0 * zt + zz + tt, 0.0))
     rho, ok, s = _shrink_terms(profile, u, theta.size)
     c = 1.0 + rho
-    loss = c * c * zz + 2.0 * c * rho * zt + rho * rho * float(theta @ theta)
+    loss = c * c * zz + 2.0 * c * rho * zt + rho * rho * tt
     count = int(np.count_nonzero(ok))
     if count < m:
         loss, s = loss[ok], s[ok]

@@ -138,12 +138,13 @@ def laplace_profile(G: ScalarFn, k: int, route: str, log_scale: float) -> Margin
     """Profile of the mixture identification l(u) = e^{log_scale} G(u^2/2).
 
     l'/l = u G'(s)/G(s) and l''/l = (u^2 G''(s) + G'(s))/G(s) at s = u^2/2,
-    from one ``G.triple`` call per triple.
+    from one ``G.triple`` call per triple and one division by G.
     """
     def triple(u):
-        s = 0.5 * np.square(u)
-        G0, G1, G2 = (np.asarray(x, dtype=float) for x in G.triple(s))
-        return log_scale + np.log(G0), u * G1 / G0, (np.square(u) * G2 + G1) / G0
+        u2 = np.square(u)
+        G0, G1, G2 = (np.asarray(x, dtype=float) for x in G.triple(0.5 * u2))
+        inv = 1.0 / G0
+        return log_scale + np.log(G0), u * G1 * inv, (u2 * G2 + G1) * inv
 
     return MarginalProfile(k=k, route=route, triple_fn=triple)
 

@@ -410,13 +410,14 @@ def monomial_laplace_G(n: float) -> ScalarFn:
     def triple(s):
         s = np.asarray(s, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            log_s = np.log(s)
+            b_log_s = b * np.log(s)
             P = gammainc(b, s)
-            M2 = np.array(math.gamma(b) * P / s ** b if b < 170.0 else P)
-            wide = ~(np.abs(b * log_s) < 700.0) | (b >= 170.0)
-            M2[wide] = np.exp(math.lgamma(b) + np.log(P[wide]) - b * log_s[wide])
+            M2 = np.asarray(math.gamma(b) * P / s ** b if b < 170.0 else P)
+            wide = ~(np.abs(b_log_s) < 700.0) | (b >= 170.0)
+            if np.any(wide):
+                M2[wide] = np.exp(math.lgamma(b) + np.log(P[wide]) - b_log_s[wide])
             # log of P's leading factor; the factor 1F1(1; b+1; s) >= 1 only raises P
-            small = (s < b) & (b * log_s - s - math.lgamma(b + 1.0) < -600.0)
+            small = (s < b) & (b_log_s - s - math.lgamma(b + 1.0) < -600.0)
         if np.any(small):
             M2[small] = np.exp(specfun.log_kummer_1f1(1.0, b + 1.0, s[small]) - s[small]) / b
         e = np.exp(-s)

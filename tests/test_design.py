@@ -1,7 +1,8 @@
 """Design guards: the adaptive quadrature engine is reached through its
 batched entry points only, the marginal routes share one series evaluator,
-Monte Carlo batches run on one worker pool, no construction steps an ODE,
-and the constructions halve their panels through the engine's bisection."""
+Monte Carlo batches run on one worker pool and read the marginal through one
+SURE formula, no construction steps an ODE, and the constructions halve their
+panels through the engine's bisection."""
 
 import ast
 from pathlib import Path
@@ -76,6 +77,23 @@ def test_one_monte_carlo_pool():
               for node in ast.walk(top)
               if isinstance(node, ast.Name) and node.id == "_mc_batch"}
     assert submitters == namers == {"_run_points"}
+
+
+def test_one_sure_formula_and_one_pass_over_the_draw():
+    """In ``estimators.py`` only ``_shrink_terms`` calls ``.ratios``, so rho,
+    SURE and the Bayes rule share one formula, and ``_mc_batch`` names no
+    ``norm``: its radius comes from |Z|^2, Z.theta and |theta|^2, not from a
+    second pass over the (m, k) draw."""
+    path = SRC / "estimators.py"
+    tree = ast.parse(path.read_text(), str(path))
+    callers = {getattr(top, "name", "<module>") for top in tree.body
+               for node in ast.walk(top)
+               if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "ratios"}
+    assert callers == {"_shrink_terms"}
+    batch = next(top for top in tree.body
+                 if isinstance(top, ast.FunctionDef) and top.name == "_mc_batch")
+    named = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(batch)}
+    assert "norm" not in named
 
 
 def test_no_ode_stepping():

@@ -24,6 +24,26 @@ ROUTES = {"closed_form": lambda: mg.marginal_strawderman(0.5, 5),
           "radial": lambda: mg.marginal_radial(pr.strawderman_radial(0.5, 5))}
 
 
+# the Strawderman routes, the monomial family, example2 and the flat profile
+SURE_ROUTES = {**ROUTES, "monomial": lambda: mg.monomial_mixture_profile(2, 5),
+               "example2": lambda: mg.marginal_mixture(pr.gen_beta_mixing(2, 2, -1, 0.5, 5)),
+               "flat": lambda: mg.flat_profile(5)}
+
+# off the axis, with every sign and a zero coordinate, |OFF_AXIS| = 1
+OFF_AXIS = np.array([1.0, -2.0, 0.5, 0.0, -3.0]) / math.sqrt(14.25)
+
+
+def _recording(base):
+    """``base`` with every u its triple is asked for kept in ``seen``."""
+    seen = []
+
+    def triple(u):
+        seen.append(u.copy())
+        return base.triple_fn(u)
+
+    return mg.MarginalProfile(k=base.k, route="recording", triple_fn=triple), seen
+
+
 @pytest.fixture(scope="module")
 def monomial_profile():
     return mg.monomial_mixture_profile(2, 5)
@@ -101,6 +121,23 @@ class TestSure:
         near = np.zeros(5)
         near[1] = 2e-8
         assert abs(es.sure(profile, np.zeros(5)) - es.sure(profile, near)) < 1e-9
+
+    @pytest.mark.parametrize("route", sorted(SURE_ROUTES))
+    def test_ratio_form_matches_the_rho_prime_form(self, route):
+        """SURE = k + [2 (k-1) rho + 2 l''/l - (l'/l)^2] equals
+        k + 2 (k rho + u rho') + rho^2 u^2, rho' from the ratios, on each
+        route, inside the u < 1e-8 ball, at its edge and past it."""
+        profile = SURE_ROUTES[route]()
+        u = np.array([0.0, 1e-9, 1e-8, 1e-3, 0.5, 5.0, 30.0])
+        rho, ok, got = es._shrink_terms(profile, u, 5)
+        assert ok.all()
+        _, r1, r2 = profile.ratios(u)
+        big = u > es._U_EPS
+        safe_u = np.where(big, u, 1.0)
+        rho_p = np.where(big, (r2 - r1 / safe_u - r1 * r1) / safe_u, 0.0)
+        want = 5 + 2.0 * (5 * rho + u * rho_p) + rho ** 2 * u ** 2
+        np.testing.assert_array_equal(rho, np.where(big, r1 / safe_u, r2))
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
     def test_mean_sure_below_k_at_origin(self, strawderman_profile):
         rep = es.mc_risk(strawderman_profile, np.zeros(5), 100000, 12345)
@@ -206,21 +243,63 @@ class TestMcRisk:
         assert rep.mc_stderr == pytest.approx(np.std(loss, ddof=1) / math.sqrt(n), rel=1e-12)
         assert rep.sure_mean == pytest.approx(np.mean(sure), rel=1e-12)
 
-    @pytest.mark.parametrize("route", ["closed_form", "mixture"])
+    @pytest.mark.parametrize("norm", [0.5, 3.0, 10.0, 30.0])
+    def test_radius_from_the_three_products(self, norm, strawderman_profile):
+        """The batch's u = sqrt(|Z|^2 + 2 Z.theta + |theta|^2) is |theta + Z|
+        to a few ulps of (|Z|^2 + |theta|^2)/u^2, relative, at an off-axis
+        theta."""
+        theta = norm * OFF_AXIS
+        profile, seen = _recording(strawderman_profile)
+        child = np.random.SeedSequence(7).spawn(1)[0]
+        assert es._mc_batch(profile, theta, 5000, child)[3] == 0
+        Z = np.random.default_rng(child).standard_normal((5000, 5))
+        ref = np.linalg.norm(theta + Z, axis=1)
+        ulps = np.abs(seen[0] - ref) * ref / (np.finfo(float).eps * (np.sum(Z * Z, axis=1)
+                                                                      + theta @ theta))
+        assert np.max(ulps) <= 4.0
+
+    def test_radius_rounding_below_zero_is_the_origin(self, strawderman_profile, monkeypatch):
+        """A draw Z = -theta whose |Z|^2 + 2 Z.theta + |theta|^2 rounds below
+        zero is a valid sample at u = 0, not a failure."""
+        rng, m = np.random.default_rng(3), 1000
+        for _ in range(200):
+            theta = rng.standard_normal(5)
+            theta[3] = 0.0
+            theta *= rng.uniform(1.0, 30.0) / np.linalg.norm(theta)
+            Z = rng.standard_normal((m, 5))
+            Z[0] = -theta
+            if 2.0 * (Z @ theta)[0] + np.einsum("ij,ij->i", Z, Z)[0] + theta @ theta < 0.0:
+                break
+        else:
+            pytest.fail("no draw of the search rounds below zero")
+
+        class Draw:
+            def standard_normal(self, shape):
+                assert shape == Z.shape
+                return Z.copy()
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Draw())
+        profile, seen = _recording(strawderman_profile)
+        count, _, (sure_sum, _), failures = es._mc_batch(profile, theta, m, None)
+        assert seen[0][0] == 0.0
+        assert count == m and failures == 0 and math.isfinite(sure_sum)
+
+    @pytest.mark.parametrize("route", ["closed_form", "mixture", "radial"])
     def test_reports_do_not_depend_on_the_worker_count(self, route, monkeypatch):
         """Batches reduce in batch order, so one thread and two give equal
         reports: three batches with an uneven last one on the closed form,
-        and two on the quadrature route, whose marginal then runs in two
-        threads at once."""
-        profile, n = {
-            "closed_form": (mg.marginal_strawderman(0.5, 5), 2 * es._BATCH + 3),
-            "mixture": (mg.marginal_mixture(pr.gen_beta_mixing(2, 2, -1, 0.5, 5)),
-                        es._BATCH + 1000)}[route]
+        and two on each quadrature route, whose marginal then builds its
+        tables and runs in two threads at once."""
+        build, n = {
+            "closed_form": (lambda: mg.marginal_strawderman(0.5, 5), 2 * es._BATCH + 3),
+            "mixture": (lambda: mg.marginal_mixture(pr.gen_beta_mixing(2, 2, -1, 0.5, 5)),
+                        es._BATCH + 1000),
+            "radial": (ROUTES["radial"], es._BATCH + 1000)}[route]
         theta = np.array([2.0, 0.0, 0.0, 0.0, 0.0])
         reports = []
         for workers in (1, 2):
             monkeypatch.setattr(es, "_WORKERS", workers)
-            reports.append(es.mc_risk(profile, theta, n, 17))
+            reports.append(es.mc_risk(build(), theta, n, 17))
         assert reports[0] == reports[1]
 
     def test_worker_count_without_sched_getaffinity(self, monkeypatch):
