@@ -32,9 +32,13 @@ so the I-transform becomes a power series in u^2/4 whose coefficients are
 radial moments of the prior.  The mixture route is a Laplace transform in
 s = u^2/2; on each level of u it expands e^{-st} about the upper end c of
 the level's window in t, where every term is positive, so its coefficients
-are moments of (c - t)^j.  Each route only builds a level's table; the
-evaluator sums it, so Monte Carlo risk runs with ~1e6 marginal evaluations
-stay cheap and reproducible.
+are moments of (c - t)^j.  Each route only builds a level's coefficients;
+the evaluator scales them once per level to its largest term on a few
+pieces of the level's y range, and then sums each u's series by Horner's
+rule in y over that piece's reference, with no logarithm or exponential per
+term.  The coefficients are positive, so the sums are forward stable, and
+Monte Carlo risk runs with ~1e6 marginal evaluations stay cheap and
+reproducible.
 """
 
 from __future__ import annotations
@@ -58,10 +62,10 @@ __all__ = [
     "squared_profile", "laplace_profile",
 ]
 
-# Both series routes sum their moment series over blocks of u whose
-# (block, N+1) term array holds this many doubles (0.5 MB), reused in place
-# across blocks; one array over every u would set the peak memory of a Monte
-# Carlo batch, and concurrent batches each hold their own.
+# Both series routes sum their moment series by Horner's rule over blocks of
+# u whose (3, groups, block) work array holds this many doubles (0.5 MB),
+# reused in place across blocks; a larger block makes fewer array operations
+# but leaves the cache, and concurrent Monte Carlo batches each hold their own.
 _SUM_BLOCK = 1 << 16
 # Both series routes put u on a fixed geometric ladder of horizons
 # L_i = _LADDER_FLOOR * _LADDER_RATIO^i, i >= 0: u takes the smallest
@@ -75,9 +79,22 @@ _SUM_BLOCK = 1 << 16
 _LADDER_RATIO = math.sqrt(2.0)
 _LADDER_FLOOR = 4.0
 _MOMENT_BLOCK = 64
-# The series routes evaluate u below this at this value: u^2 stays a normal
-# double, so the weights of the j = 1, 2 terms keep their digits
-_U_MIN = 1e-100
+# A ladder level's y range is cut into pieces on which the series, scaled to
+# its largest term at the piece's top, stays above e^{-_PIECE_RANGE}, and
+# scaled coefficients below e^{-_COEF_FLOOR} are set to 0: no sum
+# underflows, and no term is subnormal.
+_PIECE_RANGE = 600.0
+_COEF_FLOOR = 650.0
+# The nested Horner of a piece takes the fewest stages whose group sizes stay
+# at most this: each stage costs about 2 r array operations per block, each
+# more stage a few more flops per u.
+_RADIX = 24
+# A Horner step broadcasts x over the groups and each coefficient over the
+# u, and numpy copies such rows through its ufunc buffer to lengthen them,
+# which doubles the cost of a step once a block holds this many u; there the
+# buffer is set no longer than a row, so the step runs on the rows in place.
+# Buffering moves values, never rounds them.
+_UNBUFFERED = 128
 
 
 @dataclass
@@ -161,53 +178,61 @@ def _series_profile(k: int, route: str, log_scale: float, kappa: float,
     u sits on a fixed geometric ladder of horizons L_i (ratio
     ``_LADDER_RATIO`` from ``_LADDER_FLOOR``) and takes the smallest
     L_i >= u.  ``build(level)`` gives the level's (top, c, log b_j, error)
-    the first time a u needs it, behind one lock, since Monte Carlo batches
-    call ``ratios`` from worker threads; a warm call builds nothing and only
-    sums.  A u past its level's ``top``, or on a level with no coefficients
-    (log b_j None), raises EvaluationError naming ``error``.  With E the mean
-    under the weights b_j y^j, q = E[j]/y, w = 2 kappa u = dy/du, d1 = q - c
-    and d2 = E[j(j-1)]/y/y - 2 c q + c^2 (divided by y twice since y^2
-    underflows at the clamp),
+    the first time a u needs it, and :func:`_scaled_pieces` turns log b_j
+    into the scaled coefficient sets of the level's y range, both behind one
+    lock, since Monte Carlo batches call ``ratios`` from worker threads; a
+    warm call builds nothing and only sums.  A u past its level's ``top``,
+    or on a level with no coefficients (log b_j None), raises
+    EvaluationError naming ``error``.  With E the mean under the weights
+    b_j y^j, q = E[j]/y, w = 2 kappa u = dy/du, d1 = q - c and
+    d2 = E[j(j-1)]/y^2 - 2 c q + c^2,
 
         log l = log_scale - c y + log sum_j b_j y^j,
         l'/l = w d1,   l''/l = 2 kappa d1 + w^2 d2,
 
-    the exact derivatives of the series, never finite differences.  The terms
-    hold no factor of size 1/u, so one formula serves every u down to the
-    origin: u is clamped at ``_U_MIN``, so that y stays a normal double and
-    u = 0 is evaluated as its limit; a NaN u gives NaN.  Each u's sums are
-    reduced on their own, so the value at u does not depend on the batch it
+    the exact derivatives of the series, never finite differences.
+    :func:`_moment_sums` gives log sum_j b_j y^j, q and E[j(j-1)]/y^2 as
+    polynomials in y over the scaled coefficients, with no factor 1/y, so one
+    formula serves every u down to the origin, where y = 0 gives the exact
+    limit; a NaN u gives NaN, and l is even in u.  Each u is evaluated
+    elementwise on its own, so its value does not depend on the batch it
     comes in.
     """
     tables, lock = {}, threading.Lock()
 
+    def table(level):
+        with lock:
+            if level not in tables:
+                top, c, log_b, error = build(level)
+                y_lo = kappa * _horizon(level - 1.0) ** 2 if level else 0.0
+                u_hi = min(top, _horizon(level))
+                pieces = None if log_b is None else _scaled_pieces(log_b, y_lo, kappa * (u_hi * u_hi))
+                tables[level] = top, c, pieces, error
+            return tables[level]
+
     def triple(u):
         u = np.atleast_1d(u)
-        uc = np.maximum(u, _U_MIN)
-        y = kappa * np.square(uc)
-        log_y = np.log(y)
-        level = np.maximum(np.ceil(np.log(uc / _LADDER_FLOOR) / math.log(_LADDER_RATIO)), 0.0)
-        level += _horizon(level) < uc   # L >= u despite rounding
-        c, log_top = np.full_like(y, np.nan), np.full_like(y, np.nan)
+        a = np.abs(u)
+        y = kappa * np.square(a)
+        with np.errstate(divide="ignore"):
+            level = np.maximum(np.ceil(np.log(a / _LADDER_FLOOR) / math.log(_LADDER_RATIO)), 0.0)
+        level += _horizon(level) < a   # L >= u despite rounding
+        c = np.full_like(y, np.nan)
         sums = np.full((3, u.size), np.nan)
         for lv in np.unique(level[~np.isnan(level)]).tolist():
-            with lock:
-                if lv not in tables:
-                    tables[lv] = build(lv)
-                top, c_level, log_b, error = tables[lv]
+            top, c_level, pieces, error = table(lv)
             idx = np.flatnonzero(level == lv)
-            u_hi = float(np.max(uc[idx]))
-            if log_b is None or u_hi > top:
+            u_hi = float(np.max(a[idx]))
+            if pieces is None or u_hi > top:
                 raise EvaluationError(f"{error} ({route} moment series: u = {u_hi:.6g} is "
                                       f"past its horizon {top:.6g})", horizon=top, u=u_hi)
             c[idx] = c_level
-            log_top[idx], sums[:, idx] = _moment_sums(log_y[idx], log_b)
-        q = sums[1] / (sums[0] * y)
+            sums[:, idx] = _moment_sums(y[idx], pieces)
+        log_sum, q, e2 = sums
         d1 = q - c
-        d2 = sums[2] / sums[0] / y / y - 2.0 * c * q + c * c
+        d2 = e2 - 2.0 * c * q + c * c
         w = 2.0 * kappa * u
-        return (log_scale - c * y + log_top + np.log(sums[0]), w * d1,
-                2.0 * kappa * d1 + w * w * d2)
+        return log_scale - c * y + log_sum, w * d1, 2.0 * kappa * d1 + w * w * d2
 
     return MarginalProfile(k=k, route=route, triple_fn=triple)
 
@@ -217,28 +242,150 @@ def _horizon(level):
     return _LADDER_FLOOR * _LADDER_RATIO ** level
 
 
-def _moment_sums(log_y, log_b):
-    """Max log term and the 1-, j- and j(j-1)-weighted sums of b_j y^j / max
-    at each log y, in blocks of u whose term array is reused in place.  Each
-    row is reduced on its own, so its sums do not depend on the block."""
-    m, j = log_y.size, np.arange(log_b.size, dtype=float)
-    log_top, sums = np.empty(m), np.empty((3, m))
-    block = max(1, _SUM_BLOCK // j.size)
-    buf = np.empty((min(block, m), j.size))
-    for start in range(0, m, block):
-        sl = slice(start, start + block)
-        t = buf[:min(block, m - start)]   # log b_j + j log y, then its weighted terms
-        np.multiply.outer(log_y[sl], j, out=t)
-        t += log_b
-        np.max(t, axis=1, out=log_top[sl])
-        t -= log_top[sl, None]
-        np.exp(t, out=t)
-        np.add.reduce(t, axis=1, out=sums[0, sl])
-        t *= j
-        np.add.reduce(t, axis=1, out=sums[1, sl])
-        t *= j - 1.0
-        np.add.reduce(t, axis=1, out=sums[2, sl])
-    return log_top, sums
+def _scaled_pieces(log_b, y_lo, y_hi):
+    """Scaled coefficient sets of sum_j b_j y^j on y in [y_lo, y_hi].
+
+    The range is cut from the top down into pieces [y_a, y_b], each as wide
+    as the largest term at y_a stays within e^{-_PIECE_RANGE} of the largest
+    at y_b; a piece that reaches y_lo, or y = 0 once b_0 alone is that
+    large, ends the cut.  A piece keeps its reference y_b, the log M of its
+    largest term there and the scaled coefficients
+    beta_j = b_j y_b^j e^{-M}, so that with x = y/y_b in [y_a/y_b, 1]
+
+        sum_j b_j y^j = e^M P(x),   P(x) = sum_j beta_j x^j,
+
+    and P(x) >= e^{-_PIECE_RANGE} on the piece.  Coefficients below
+    e^{-_COEF_FLOOR} are 0, so no term is subnormal.  The piece stores the
+    coefficients of P, P' and P'' (beta_j, (j+1) beta_{j+1} and
+    (j+2)(j+1) beta_{j+2}) from the lowest power lo that any of them needs:
+    each is x^lo times a polynomial Q_0, Q_1, Q_2, and the Q's are laid out
+    for :func:`_moment_sums` as (r_1, ..., r_d, 3, 1), radices from
+    :func:`_radices`.  Returns (the ascending y_b, the pieces
+    (y_b, M, lo, radices, array)).
+    """
+    j = np.arange(log_b.size, dtype=float)
+    pieces = []
+    y_b = y_hi
+    while True:
+        log_t = log_b + j * math.log(y_b)
+        M = float(np.max(log_t))
+        floor = M - _PIECE_RANGE
+        y_a = 0.0 if log_b[0] >= floor else math.exp(float(np.min((floor - log_b[1:]) / j[1:])))
+        beta = np.exp(log_t - M)
+        beta[log_t - M < -_COEF_FLOOR] = 0.0
+        coef = np.zeros((3, j.size))
+        coef[0] = beta
+        coef[1, :-1] = j[1:] * beta[1:]
+        coef[2, :-2] = j[1:-1] * j[2:] * beta[2:]
+        nonzero = np.flatnonzero(coef.any(axis=0))
+        lo, hi = (int(nonzero[0]), int(nonzero[-1])) if nonzero.size else (0, 0)
+        radices = _radices(hi + 1 - lo)
+        padded = np.zeros((3, math.prod(radices)))
+        padded[:, :hi + 1 - lo] = coef[:, lo:hi + 1]
+        # [i_1, ..., i_d, p] holds Q_p's coefficient of x^j, j = i_1 + r_1 (i_2 + r_2 (...))
+        stack = np.ascontiguousarray(padded.reshape((3,) + radices[::-1]).T)
+        pieces.append((y_b, M, lo, radices, stack[..., None]))
+        if not y_a > y_lo:
+            break
+        y_b = y_a
+    pieces.reverse()
+    return np.array([p[0] for p in pieces]), pieces
+
+
+def _radices(n):
+    """Group sizes r_1, ..., r_d of a nested Horner over n coefficients: d
+    the fewest stages whose sizes stay at most _RADIX, each r_s the least
+    whose power covers what the stages before it leave."""
+    d = 1
+    while _RADIX ** d < n:
+        d += 1
+    radices = []
+    for stage in range(d, 0, -1):
+        r = 1
+        while r ** stage < n:
+            r += 1
+        radices.append(r)
+        n = -(-n // r)
+    return tuple(radices)
+
+
+def _moment_sums(y, table):
+    """log sum_j b_j y^j, q = E[j]/y and E[j(j-1)]/y^2 at each y, from the
+    scaled pieces of :func:`_scaled_pieces`.
+
+    y takes the piece with the smallest y_b >= y, and with x = y/y_b
+
+        log sum = M + log P(x),   q = P'(x)/(P(x) y_b),
+        E[j(j-1)]/y^2 = P''(x)/(P(x) y_b^2).
+
+    P, P' and P'' are x^lo Q_0, x^lo Q_1 and x^lo Q_2, so the ratios are
+    those of the Q's, and only log sum takes lo log x.  The Q's are summed
+    together by a nested Horner's rule (Estrin's grouping) over blocks of y
+    whose first-stage work array is reused in place: with radices
+    r_1, ..., r_d, stage 1 runs Horner in x over each group of r_1
+    consecutive coefficients, all groups at once, and stage s runs it in
+    x^{r_1 ... r_{s-1}} over groups of r_s results of stage s - 1, until one
+    value is left.  That is about 2 (r_1 + ... + r_d) array operations per
+    block for the flops of a flat Horner.  With nonnegative coefficients and
+    0 <= x <= 1 every step adds and multiplies nonnegative numbers, so each
+    sum is within a few (N + 1) ulps of the exact series (Higham 2002,
+    section 5.1).  Every operation is elementwise in y, so a value does not
+    depend on the block or the batch.
+    """
+    refs, pieces = table
+    out = np.empty((3, y.size))
+    which = np.minimum(np.searchsorted(refs, y), refs.size - 1)
+    default_bufsize = np.getbufsize()
+    with np.errstate():   # restores the ufunc buffer size set per block
+        for p in np.unique(which).tolist():
+            y_b, M, lo, radices, coef = pieces[p]
+            idx = np.flatnonzero(which == p)
+            block = max(1, _SUM_BLOCK // coef[0].size)
+            buf = np.empty(coef.shape[1:-1] + (min(block, idx.size),))
+            for start in range(0, idx.size, block):
+                sl = idx[start:start + block]
+                x = y[sl] / y_b
+                np.setbufsize(x.size - x.size % 16 if x.size >= _UNBUFFERED else default_bufsize)
+                Q, Q1, Q2 = _horner(coef, radices, x, buf[..., :x.size])
+                log_sum = M + np.log(Q)
+                if lo:   # then x > 0: the piece's y_a > 0
+                    log_sum += lo * np.log(x)
+                out[0, sl] = log_sum
+                out[1, sl] = Q1 / Q / y_b
+                out[2, sl] = Q2 / Q / y_b / y_b
+    return out
+
+
+def _horner(coef, radices, x, acc):
+    """The nested Horner's rule of :func:`_moment_sums` at x, for the
+    (r_1, ..., r_d, 3, 1) coefficients of one piece; ``acc`` is the
+    (r_2, ..., r_d, 3, x.size) work array of the first stage.  Each stage
+    sums over the leading axis, so every coefficient slice and work array is
+    contiguous."""
+    terms, power = coef, x
+    for r in radices:
+        acc[...] = terms[-1]
+        for i in range(r - 2, -1, -1):
+            acc *= power
+            acc += terms[i]
+        terms = acc
+        if acc.ndim > 2:
+            acc = np.empty(acc.shape[1:])
+            power = _int_power(power, r)
+    return terms
+
+
+def _int_power(x, n):
+    """x^n for an integer n >= 1, by repeated squaring: elementwise products
+    only, so a value does not depend on its array."""
+    result = None
+    while n:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
 
 
 # ---------------------------------------------------------------------------

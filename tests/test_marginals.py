@@ -589,3 +589,124 @@ class TestSeriesRouteContract:
         for i, got in enumerate(results):
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g, np.roll(w, 8 * i))
+
+
+def _spy_series(monkeypatch):
+    """Record what a series route hands the shared evaluator: the
+    (log_scale, kappa, build) of ``_series_profile`` and every
+    (log b_j, y_lo, y_hi, table) of ``_scaled_pieces``."""
+    seen = {"pieces": []}
+    profile, pieces = mg._series_profile, mg._scaled_pieces
+
+    def series_profile(k, route, log_scale, kappa, build):
+        seen.update(log_scale=log_scale, kappa=kappa, build=build)
+        return profile(k, route, log_scale, kappa, build)
+
+    def scaled_pieces(log_b, y_lo, y_hi):
+        table = pieces(log_b, y_lo, y_hi)
+        seen["pieces"].append((log_b, y_lo, y_hi, table))
+        return table
+
+    monkeypatch.setattr(mg, "_series_profile", series_profile)
+    monkeypatch.setattr(mg, "_scaled_pieces", scaled_pieces)
+    return seen
+
+
+@pytest.mark.parametrize("route", sorted(SERIES_ROUTES))
+def test_series_origin_limits(route, monkeypatch):
+    """u = 0, 5e-324, 1e-300 and 1e-150 take the limits of the series at
+    the origin, log l = log_scale + log b_0 and l''/l = 2 kappa (b_1/b_0 - c)
+    with l'/l = u l''/l(0), and SURE there is k (1 + 2 rho(0)), rho(0) =
+    l''/l(0), with no RuntimeWarning."""
+    seen = _spy_series(monkeypatch)
+    prof = SERIES_ROUTES[route]()
+    _, c, log_b, _ = seen["build"](0.0)
+    want0 = seen["log_scale"] + log_b[0]
+    want2 = 2.0 * seen["kappa"] * (math.exp(log_b[1] - log_b[0]) - c)
+    u = np.array([0.0, 5e-324, 1e-300, 1e-150])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        log_ell, r1, r2 = prof.ratios(u)
+        sures = [estimators.sure(prof, np.eye(prof.k)[0] * x) for x in u]
+    assert log_ell[0] == pytest.approx(want0, rel=4e-16)
+    assert r2[0] == pytest.approx(want2, rel=1e-14)
+    assert r1[0] == 0.0
+    np.testing.assert_array_equal(log_ell, log_ell[0])
+    np.testing.assert_array_equal(r2, r2[0])
+    for x, got in zip(u, r1):
+        assert got == pytest.approx(x * r2[0], rel=1e-15, abs=1e-323)
+    k = prof.k
+    np.testing.assert_allclose(sures, k * (1.0 + 2.0 * r2[0]), rtol=0,
+                               atol=4.0 * k * (1.0 + 2.0 * abs(r2[0])) * np.finfo(float).eps)
+
+
+def _series_reference(log_b, b, y):
+    """log sum_j b_j y^j, q = E[j]/y and E[j(j-1)]/y^2 at one double y, as
+    mpmath sums of the exact terms b_j y^j (b the mpmath e^{log b_j}), or
+    their limits at y = 0.  Each sum skips the terms outside the range of j
+    that holds every term above e^{-120} of its largest, at most 1e-48 of it
+    in all."""
+    if y == 0.0:
+        return float(mpmath.log(b[0])), float(b[1] / b[0]), float(2 * b[2] / b[0])
+    j = np.arange(log_b.size, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_t = log_b + j * math.log(y)
+        weighted = [log_t, log_t + np.log(j), log_t + np.log(j * (j - 1.0))]
+    keep = np.flatnonzero(np.any([w >= np.max(w) - 120.0 for w in weighted], axis=0))
+    lo, hi = int(keep[0]), int(keep[-1])
+    yy = mpmath.mpf(float(y))
+    power, s0, s1, s2 = yy ** lo, [], [], []
+    for i in range(lo, hi + 1):
+        t = b[i] * power
+        s0.append(t)
+        s1.append(i * t)
+        s2.append(i * (i - 1) * t)
+        power *= yy
+    s0, s1, s2 = (mpmath.fsum(s) for s in (s0, s1, s2))
+    return float(mpmath.log(s0)), float(s1 / (s0 * yy)), float(s2 / (s0 * yy * yy))
+
+
+SERIES_REFERENCE_CASES = {
+    # Strawderman a = 0.5, radial, on every level to u = 24 and 20
+    "radial_k5": (lambda: mg.marginal_radial(pr.strawderman_radial(0.5, 5)), 24.0),
+    "radial_k120": (lambda: mg.marginal_radial(pr.strawderman_radial(0.5, 120)), 20.0),
+    # the normal prior's top level, N near the 10,000-term budget, cut into pieces
+    "radial_normal_k5": (lambda: mg.marginal_radial(pr.RadialPrior(
+        k=5, lam=pr.normal_radial(1.0, 5), proper=pr.PROPER, mass=1.0)), 175.0),
+    # Strawderman a = 0.5 at k = 1500, whose series falls most over a level
+    "mixture_k1500": (lambda: mg.marginal_mixture(pr.strawderman_mixing(0.5, 1500)), 64.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERIES_REFERENCE_CASES))
+def test_moment_sums_match_mpmath(case, monkeypatch):
+    """The Horner sums of each level against an mpmath sum of the same
+    series at 40 u across the level, its low end included: q and
+    E[j(j-1)]/y^2 within 8 (N+1) eps relative, and log sum within that plus
+    the rounding of a double of its size.  The radial_normal_k5 case checks
+    only its top level, whose y range is cut into pieces; mixture_k1500 only
+    its last level, whose series falls by e^{500} from top to low end."""
+    make, u_top = SERIES_REFERENCE_CASES[case]
+    seen = _spy_series(monkeypatch)
+    make().ratios([u_top])
+    levels = seen["pieces"]
+    if case in ("radial_normal_k5", "mixture_k1500"):
+        assert len(levels) == 1
+    else:
+        make().ratios(np.linspace(0.0, u_top, 200))
+        levels = seen["pieces"][1:]
+    eps = np.finfo(float).eps
+    for log_b, y_lo, y_hi, table in levels:
+        if case == "radial_normal_k5":
+            assert table[0].size >= 4
+        y = np.concatenate([y_lo + (y_hi - y_lo) * np.geomspace(1e-6, 1.0, 20) ** 2,
+                            np.linspace(y_lo, y_hi, 20)])
+        got = mg._moment_sums(y, table)
+        tol = 8.0 * log_b.size * eps
+        with mpmath.workdps(40):
+            b = [mpmath.exp(mpmath.mpf(float(v))) for v in log_b]
+            want = [_series_reference(log_b, b, yi) for yi in y]
+        for i, (yi, want) in enumerate(zip(y, want)):
+            assert abs(got[0, i] - want[0]) <= tol + 2.0 * eps * abs(want[0]), (yi, got[0, i], want[0])
+            for g, w in zip(got[1:, i], want[1:]):
+                assert abs(g - w) <= tol * abs(w), (yi, g, w)
