@@ -81,18 +81,20 @@ def test_one_monte_carlo_pool():
 
 def test_one_sure_formula_and_one_pass_over_the_draw():
     """In ``estimators.py`` only ``_shrink_terms`` calls ``.ratios``, so rho,
-    SURE and the Bayes rule share one formula, and ``_mc_batch`` names no
-    ``norm``: its radius comes from |Z|^2, Z.theta and |theta|^2, not from a
-    second pass over the (m, k) draw."""
+    SURE and the Bayes rule share one formula, and neither ``_mc_batch`` nor
+    its ``_block_terms`` names ``norm``: the radius comes from |Z|^2, Z.theta
+    and |theta|^2, not from a second pass over the draw."""
     path = SRC / "estimators.py"
     tree = ast.parse(path.read_text(), str(path))
     callers = {getattr(top, "name", "<module>") for top in tree.body
                for node in ast.walk(top)
                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "ratios"}
     assert callers == {"_shrink_terms"}
-    batch = next(top for top in tree.body
-                 if isinstance(top, ast.FunctionDef) and top.name == "_mc_batch")
-    named = {getattr(node, "attr", getattr(node, "id", None)) for node in ast.walk(batch)}
+    batch = [top for top in tree.body
+             if isinstance(top, ast.FunctionDef) and top.name in ("_mc_batch", "_block_terms")]
+    assert len(batch) == 2
+    named = {getattr(node, "attr", getattr(node, "id", None))
+             for top in batch for node in ast.walk(top)}
     assert "norm" not in named
 
 

@@ -8,6 +8,7 @@ E|X - theta|^2 = k, and seeded reproducibility.
 import math
 import os
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -231,17 +232,22 @@ class TestMcRisk:
         for got, x in ((rep.mc_stderr, loss), (rep.sure_stderr, sure)):
             assert got == pytest.approx(np.std(x, ddof=1) / math.sqrt(n), rel=1e-12)
 
-    def test_loss_matches_the_explicit_rule_off_axis(self, strawderman_profile):
+    def test_loss_matches_the_explicit_rule_off_axis(self):
         """The per-sample loss from |Z|^2, Z.theta and |theta|^2 equals
-        |delta(X) - theta|^2 formed in k dimensions, at a theta with every
-        sign and a zero coordinate, over an uneven last batch."""
-        n, seed = 2 * es._BATCH + 3, 5
-        theta = np.array([1.0, -2.0, 0.5, 0.0, 3.0])
-        rep = es.mc_risk(strawderman_profile, theta, n, seed)
-        loss, sure = _explicit_samples(strawderman_profile, theta, n, seed)
-        assert rep.mc_risk == pytest.approx(np.mean(loss), rel=1e-12)
-        assert rep.mc_stderr == pytest.approx(np.std(loss, ddof=1) / math.sqrt(n), rel=1e-12)
-        assert rep.sure_mean == pytest.approx(np.mean(sure), rel=1e-12)
+        |delta(X) - theta|^2 formed in k dimensions from one draw per batch,
+        at a theta with every sign and a zero coordinate, over an uneven last
+        batch.  At k = 40 a batch streams through 6,553-row blocks, the last
+        one shorter, so a block boundary that moved a sample would show."""
+        seed = 5
+        for k, n in ((5, 2 * es._BATCH + 3), (40, es._BATCH + 5)):
+            theta = np.resize([1.0, -2.0, 0.5, 0.0, 3.0], k)
+            profile = mg.marginal_strawderman(0.5, k)
+            rep = es.mc_risk(profile, theta, n, seed)
+            loss, sure = _explicit_samples(profile, theta, n, seed)
+            assert rep.mc_risk == pytest.approx(np.mean(loss), rel=1e-12)
+            assert rep.mc_stderr == pytest.approx(np.std(loss, ddof=1) / math.sqrt(n),
+                                                  rel=1e-12)
+            assert rep.sure_mean == pytest.approx(np.mean(sure), rel=1e-12)
 
     @pytest.mark.parametrize("norm", [0.5, 3.0, 10.0, 30.0])
     def test_radius_from_the_three_products(self, norm, strawderman_profile):
@@ -274,15 +280,50 @@ class TestMcRisk:
             pytest.fail("no draw of the search rounds below zero")
 
         class Draw:
-            def standard_normal(self, shape):
-                assert shape == Z.shape
-                return Z.copy()
+            """Hands out Z in consecutive row blocks, as a generator would."""
+            start = 0
 
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: Draw())
+            def standard_normal(self, shape):
+                rows = Z[self.start:self.start + shape[0]]
+                assert shape == (len(rows), Z.shape[1])
+                self.start += shape[0]
+                return rows.copy()
+
         profile, seen = _recording(strawderman_profile)
+        draw = Draw()
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: draw)
         count, _, (sure_sum, _), failures = es._mc_batch(profile, theta, m, None)
-        assert seen[0][0] == 0.0
+        assert seen[0][0] == 0.0 and draw.start == m
         assert count == m and failures == 0 and math.isfinite(sure_sum)
+
+    def test_block_fill_equals_one_draw(self):
+        """Filling a batch's draw block by block from its generator, with the
+        uneven blocks of k = 40, gives the one-call draw bit for bit."""
+        k, m = 40, es._BATCH + 5
+        rows = es._block_rows(k)
+        assert rows == 6553 and m % rows
+        child = np.random.SeedSequence(5).spawn(1)[0]
+        whole = np.random.default_rng(child).standard_normal((m, k))
+        rng = np.random.default_rng(child)
+        blocks = [rng.standard_normal((min(rows, m - lo), k)) for lo in range(0, m, rows)]
+        np.testing.assert_array_equal(np.concatenate(blocks), whole)
+
+    def test_batch_memory_is_bounded_by_the_block(self):
+        """One batch of 20,000 draws at k = 400 (a 64 MB draw taken whole)
+        peaks under 8 MB of traced allocations: 655-row blocks of 2 MB each
+        and the batch's (m,) vectors."""
+        k, m = 400, 20000
+        profile = mg.marginal_strawderman(0.5, k)
+        child = np.random.SeedSequence(3).spawn(1)[0]
+        es._mc_batch(profile, np.zeros(k), 1000, child)   # first call outside the trace
+        tracemalloc.start()
+        try:
+            count = es._mc_batch(profile, np.zeros(k), m, child)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == m
+        assert peak < 8 * 2**20, peak
 
     @pytest.mark.parametrize("route", ["closed_form", "mixture", "radial"])
     def test_reports_do_not_depend_on_the_worker_count(self, route, monkeypatch):
