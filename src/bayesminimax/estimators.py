@@ -20,17 +20,18 @@ reports mean squared loss with its standard error, and couples it with the
 SURE average over the same sample; E[SURE] equals the true risk, so the two
 must agree within a few combined standard errors on every passing run.
 A batch of m draws streams its (m, k) draw Z through consecutive row blocks
-of min(32,768, 2^18 // k) rows from its one generator, which fill the same
-values as one draw.  A block keeps Z only for |Z|^2 and Z.theta: the radius
-|theta + Z| and the loss of every sample follow from those two numbers and
-|theta|^2, and the marginal is evaluated on the block's radii alone.  What a
-batch keeps whole is its (m,) loss, SURE and validity vectors, so its working
-memory is O(rows k + m), not O(m k).  Each batch reduces to sufficient
-statistics: its valid-sample count, the (sum, M2) of the loss and of SURE,
-and its failure count.  Every
-batch of every point of a risk curve runs on one pool of up to the available
-CPUs, and each point's statistics are reduced in batch order, so a report
-does not depend on the CPU count.
+of min(32,768, 2^20 // k) rows from its one generator, which fill the same
+values as one draw.  A block keeps Z only for |Z|^2 and Z.theta, both summed
+along each row, so every sample's value, and with it the batch's report, is
+the same as from one whole draw at any k: the radius |theta + Z| and the
+loss of every sample follow from those two numbers and |theta|^2, and the
+marginal is evaluated on the block's radii alone.  What a batch keeps whole
+is its (m,) loss, SURE and validity vectors, so its working memory is
+O(rows k + m), not O(m k).  Each batch reduces to sufficient statistics: its
+valid-sample count, the (sum, M2) of the loss and of SURE, and its failure
+count.  Every batch of every point of a risk curve runs on one pool of up
+to the available CPUs, and each point's statistics are reduced in batch
+order, so a report does not depend on the CPU count.
 
 Risk depends on theta only through |theta| (spherical equivariance), so risk
 curves place theta = (|theta|, 0, ..., 0).
@@ -62,12 +63,19 @@ _BATCH = 65536          # fixed so that seeded runs are bit-reproducible
 _FAIL_FRACTION = 1e-3   # hard-error threshold on excluded samples
 _U_EPS = 1e-8           # below this radius rho and SURE take their limits at u = 0
 # A batch streams through row blocks of min(_BLOCK_ROWS, _BLOCK_VALUES // k)
-# rows, so a block's draw holds at most 2^18 values (2 MB) and the marginal's
-# temporaries grow with the block, not the batch.  16,384-row blocks take the
-# closed-form benchmark's peak RSS about 4 MB lower again at k = 5, but they
-# split the 32,768-sample batches of the quadrature routes in two, which cost
-# 7.6% of their median time (2-vCPU guest); at 32,768 those stay one block.
-_BLOCK_VALUES = 1 << 18
+# rows, so a block's draw holds at most 2^20 values (8 MB) and the marginal's
+# temporaries grow with the block, not the batch.  The row cap binds up to
+# k = 32: 16,384-row blocks take the closed-form benchmark's peak RSS about
+# 4 MB lower again at k = 5, but they split the 32,768-sample batches of the
+# quadrature routes in two, which cost 7.6% of their median time (2-vCPU
+# guest); at 32,768 those stay one block.  The value cap binds above k = 32,
+# where each block makes its own ratios call (about 0.13 ms fixed, plus
+# per-level work).  Timed one batch at a time on the same guest (Strawderman
+# a = 0.5, |theta| = 30), 2^20 values is where larger blocks stop paying:
+# on the mixture route at k = 1500 a batch of 16,384 took 548, 523 and
+# 525 ms at 2^19, 2^20 and 2^21 values (2^18: 604 ms on another run), and at
+# k = 400 a batch of 32,768 took 286, 275 and 275 ms.
+_BLOCK_VALUES = 1 << 20
 _BLOCK_ROWS = 32768
 
 
@@ -168,11 +176,16 @@ def _block_terms(profile: MarginalProfile, theta: np.ndarray, rng: np.random.Gen
     clamped at 0 where roundoff takes the sum below it, and with
     delta - theta = (1 + rho) Z + rho theta the loss is
     c^2 |Z|^2 + 2 c rho Z.theta + rho^2 |theta|^2, c = 1 + rho, so no other
-    (rows, k) array is formed.
+    (rows, k) array is formed.  Both products are einsum sums along each
+    row, so a sample's value does not depend on how many rows share its
+    block; BLAS ``Z @ theta`` takes another path for the rows at the end of
+    each thread's share, and so would move the last bits of some samples
+    with the block size.  On an axis, theta = (t, 0, ..., 0), every order
+    gives Z[:, 0] t exactly.
     """
     Z = rng.standard_normal((rows, theta.size))
     zz = np.einsum("ij,ij->i", Z, Z)
-    zt = Z @ theta
+    zt = np.einsum("ij,j->i", Z, theta)
     del Z                           # freed before the marginal's own temporaries
     tt = float(theta @ theta)
     u = np.sqrt(np.maximum(2.0 * zt + zz + tt, 0.0))
@@ -188,7 +201,8 @@ def _mc_batch(profile: MarginalProfile, theta: np.ndarray, m: int,
 
     The batch streams through consecutive blocks of ``_block_rows(k)`` rows
     drawn from its one generator, which fill the same values as one (m, k)
-    draw; each block is reduced to its loss, validity and SURE
+    draw, and every sample's loss and SURE are those of that one draw to the
+    bit; each block is reduced to its loss, validity and SURE
     (:func:`_block_terms`) before the next is drawn.  Only those three (m,)
     vectors are kept whole, so ``_sum_m2`` sees the batch as one.  A batch
     of one block uses the block's vectors as they are.

@@ -236,7 +236,7 @@ class TestMcRisk:
         """The per-sample loss from |Z|^2, Z.theta and |theta|^2 equals
         |delta(X) - theta|^2 formed in k dimensions from one draw per batch,
         at a theta with every sign and a zero coordinate, over an uneven last
-        batch.  At k = 40 a batch streams through 6,553-row blocks, the last
+        batch.  At k = 40 a batch streams through 26,214-row blocks, the last
         one shorter, so a block boundary that moved a sample would show."""
         seed = 5
         for k, n in ((5, 2 * es._BATCH + 3), (40, es._BATCH + 5)):
@@ -274,7 +274,8 @@ class TestMcRisk:
             theta *= rng.uniform(1.0, 30.0) / np.linalg.norm(theta)
             Z = rng.standard_normal((m, 5))
             Z[0] = -theta
-            if 2.0 * (Z @ theta)[0] + np.einsum("ij,ij->i", Z, Z)[0] + theta @ theta < 0.0:
+            zt, zz = np.einsum("ij,j->i", Z, theta)[0], np.einsum("ij,ij->i", Z, Z)[0]
+            if 2.0 * zt + zz + theta @ theta < 0.0:
                 break
         else:
             pytest.fail("no draw of the search rounds below zero")
@@ -301,17 +302,40 @@ class TestMcRisk:
         uneven blocks of k = 40, gives the one-call draw bit for bit."""
         k, m = 40, es._BATCH + 5
         rows = es._block_rows(k)
-        assert rows == 6553 and m % rows
+        assert rows == 26214 and m % rows
         child = np.random.SeedSequence(5).spawn(1)[0]
         whole = np.random.default_rng(child).standard_normal((m, k))
         rng = np.random.default_rng(child)
         blocks = [rng.standard_normal((min(rows, m - lo), k)) for lo in range(0, m, rows)]
         np.testing.assert_array_equal(np.concatenate(blocks), whole)
 
+    @pytest.mark.parametrize("k, m", [(40, 65541), (400, 6000)])
+    def test_batch_equals_one_whole_draw(self, k, m):
+        """Every sample's loss, validity and SURE, and the batch's statistics,
+        are those of the same formulas on one whole (m, k) draw, bit for bit,
+        at an off-axis theta: k = 40 streams 26,214-row blocks and k = 400
+        2,621-row blocks, each with a shorter last block."""
+        theta = np.resize([1.0, -2.0, 0.5, 0.0, 3.0], k)
+        profile = mg.marginal_strawderman(0.5, k)
+        child = np.random.SeedSequence(11).spawn(1)[0]
+        Z = np.random.default_rng(child).standard_normal((m, k))
+        zz, zt, tt = np.einsum("ij,ij->i", Z, Z), np.einsum("ij,j->i", Z, theta), theta @ theta
+        rho, ok, s = es._shrink_terms(profile, np.sqrt(np.maximum(2.0 * zt + zz + tt, 0.0)), k)
+        c = 1.0 + rho
+        loss = c * c * zz + 2.0 * c * rho * zt + rho * rho * tt
+        rows, rng = es._block_rows(k), np.random.default_rng(child)
+        assert 1 < -(-m // rows) and m % rows
+        blocks = [es._block_terms(profile, theta, rng, min(rows, m - lo))
+                  for lo in range(0, m, rows)]
+        for whole, part in zip((loss, ok, s), zip(*blocks)):
+            np.testing.assert_array_equal(np.concatenate(part), whole)
+        assert ok.all()
+        assert es._mc_batch(profile, theta, m, child) == (m, es._sum_m2(loss), es._sum_m2(s), 0)
+
     def test_batch_memory_is_bounded_by_the_block(self):
         """One batch of 20,000 draws at k = 400 (a 64 MB draw taken whole)
-        peaks under 8 MB of traced allocations: 655-row blocks of 2 MB each
-        and the batch's (m,) vectors."""
+        peaks under 12 MB of traced allocations: 2,621-row blocks of 8 MB
+        each and the batch's (m,) vectors."""
         k, m = 400, 20000
         profile = mg.marginal_strawderman(0.5, k)
         child = np.random.SeedSequence(3).spawn(1)[0]
@@ -323,7 +347,7 @@ class TestMcRisk:
         finally:
             tracemalloc.stop()
         assert count == m
-        assert peak < 8 * 2**20, peak
+        assert peak < 12 * 2**20, peak
 
     @pytest.mark.parametrize("route", ["closed_form", "mixture", "radial"])
     def test_reports_do_not_depend_on_the_worker_count(self, route, monkeypatch):
