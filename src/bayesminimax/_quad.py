@@ -16,14 +16,15 @@ when its roundoff floor 50*eps*int|g| exceeds that tolerance and its error
 is within _FLOOR_SLACK of the floor, so a row that cancels far below its
 integral of |g| stops at roundoff.  :func:`bisect` halves the panels here
 and in ``priors``; a panel a few ulps wide, or past the budget, raises at
-once.  A finite (a, b) goes through one signed sqrt map (:func:`_sqrt_map`),
-which removes integrable algebraic endpoint singularities such as t**(-1/2).
+once.  One cap bounds every refinement: a row still open after _MAX_ROUNDS
+rounds raises.  A finite (a, b) goes through one signed sqrt map
+(:func:`_sqrt_map`), which removes integrable algebraic endpoint
+singularities such as t**(-1/2).
 """
 
 from __future__ import annotations
 
 import math
-import traceback
 
 import numpy as np
 
@@ -46,6 +47,7 @@ _WKG = np.stack([_WK, _WG])   # K15 and G7 sums of a panel in one product
 
 _EPS = np.finfo(float).eps
 _MAX_PANELS = 4096        # subdivision budget of every refinement
+_MAX_ROUNDS = 100         # refinement rounds, one integrand call each, after the first
 _MIN_ULPS = 4             # a panel this many ulps of its edges wide is not halved
 _SCAN_PROBES = 200        # first probe grid of scan_log_peak
 _SCAN_HORIZON = 1e8       # where scan_log_peak stops extending an infinite range
@@ -106,7 +108,7 @@ def _panel_estimates(vals: np.ndarray, half: np.ndarray, log: bool = False):
     return resk * half, err * half, floor * half
 
 
-def _refine(make, a, b, initial_panels, max_depth, target, log):
+def _refine(make, a, b, initial_panels, target, log):
     """The refinement loop of :func:`adaptive_batch` and :func:`adaptive_batch_log`.
 
     ``make(left, right)`` evaluates the panels [left, right] of one round as
@@ -115,13 +117,13 @@ def _refine(make, a, b, initial_panels, max_depth, target, log):
     summed afresh from the panels every round.  Splitting a panel cannot
     lower its roundoff floor, so a row's panels are ranked by their error
     above it, against the row's room: its target less its summed floor.  The
-    panel with the largest such excess is the worst: at max_depth it raises,
-    and other marked panels at max_depth stay whole.
+    panel with the largest such excess is the worst.  After the initial
+    panels at most _MAX_ROUNDS rounds are evaluated; a row still open after
+    the last of them raises, naming the worst panel.
     """
     if not b > a:
         raise ValueError(f"empty integration interval ({a}, {b})")
     edges = np.linspace(a, b, initial_panels + 1)
-    depth = np.zeros(initial_panels, dtype=int)
     I, err, floor = make(edges[:-1], edges[1:])
     mode = " (log mode)" if log else ""
 
@@ -134,7 +136,7 @@ def _refine(make, a, b, initial_panels, max_depth, target, log):
         add, mul, div, slack = _logsumexp, np.add, (lambda x, y: np.exp(x - y)), np.log(_FLOOR_SLACK)
     else:
         add, mul, div, slack = (lambda arr: np.sum(arr, axis=0)), np.multiply, np.divide, _FLOOR_SLACK
-    while True:
+    for rounds in range(_MAX_ROUNDS + 1):
         total, err_total, floor_total = add(I), add(err), add(floor)
         tol = target(total)
         tol = np.where(floor_total > tol, mul(floor_total, slack), tol)
@@ -144,6 +146,10 @@ def _refine(make, a, b, initial_panels, max_depth, target, log):
         # each panel's error above its roundoff floor, and each row's room
         # above its summed floor, both in units of the row's target
         excess = div(err[:, todo], tol[todo]) - div(floor[:, todo], tol[todo])
+        worst = np.max(excess, axis=1)
+        if rounds == _MAX_ROUNDS:
+            p = int(np.argmax(worst))
+            raise fail(float(edges[p]), float(edges[p + 1]), f"round cap {_MAX_ROUNDS} reached")
         room = 1.0 - div(floor_total[todo], tol[todo])
         order = np.argsort(-excess, axis=0)
         # a row's ranked panels from its top one down to the first whose
@@ -151,29 +157,23 @@ def _refine(make, a, b, initial_panels, max_depth, target, log):
         rest = np.cumsum(np.take_along_axis(excess, order, axis=0)[::-1], axis=0)[::-1]
         marked = np.zeros(excess.shape, dtype=bool)
         np.put_along_axis(marked, order, rest > 0.5 * room, axis=0)
-        worst = np.max(excess, axis=1)
-        p = int(np.argmax(worst))
-        if depth[p] >= max_depth:
-            raise fail(float(edges[p]), float(edges[p + 1]), f"max_depth={max_depth} exceeded")
-        marked = np.nonzero(np.any(marked, axis=1) & (depth < max_depth))[0]
+        marked = np.nonzero(np.any(marked, axis=1))[0]
         marked = marked[np.argsort(-worst[marked], kind="stable")]
         edges, parent, fresh = bisect(edges, marked, fail)
-        depth = depth[parent] + fresh
         I, err, floor = I[parent], err[parent], floor[parent]
         new = np.nonzero(fresh)[0]
         I[new], err[new], floor[new] = make(edges[new], edges[new + 1])
 
 
 def adaptive(f, a: float, b: float, rel_tol: float = 1e-10,
-             abs_tol: float = 1e-14, max_depth: int = 40) -> float:
+             abs_tol: float = 1e-14) -> float:
     """The one-row :func:`adaptive_batch` of a vectorized scalar integrand."""
     return float(adaptive_batch(lambda x: np.asarray(f(x), dtype=float)[:, None], a, b,
-                                rel_tol=rel_tol, abs_tol=abs_tol, max_depth=max_depth)[0])
+                                rel_tol=rel_tol, abs_tol=abs_tol)[0])
 
 
 def adaptive_batch(fmat, a: float, b: float, rel_tol: float = 1e-10,
-                   abs_tol: float = 1e-14, max_depth: int = 40,
-                   initial_panels: int = 4) -> np.ndarray:
+                   abs_tol: float = 1e-14, initial_panels: int = 4) -> np.ndarray:
     """Adaptive quadrature of a family of integrands over one shared partition.
 
     ``fmat`` maps the nodes of a round (m,) -> node-major values (m, P), one
@@ -182,7 +182,7 @@ def adaptive_batch(fmat, a: float, b: float, rel_tol: float = 1e-10,
     roundoff floor where that is larger.  Returns (P,).
     """
     return _refine(lambda left, right: _make_panel(fmat, left, right), a, b,
-                   initial_panels, max_depth,
+                   initial_panels,
                    lambda total: np.maximum(abs_tol, rel_tol * np.abs(total)), log=False)
 
 
@@ -215,7 +215,7 @@ def _make_panel(fmat, left, right):
 
 
 def adaptive_batch_log(logf, a: float, b: float, rel_tol: float = 1e-10,
-                       max_depth: int = 40, initial_panels: int = 4) -> np.ndarray:
+                       initial_panels: int = 4) -> np.ndarray:
     """Log-space adaptive quadrature for positive integrand families.
 
     ``logf`` maps the nodes of a round (m,) -> node-major log-values (m, P),
@@ -225,7 +225,7 @@ def adaptive_batch_log(logf, a: float, b: float, rel_tol: float = 1e-10,
     """
     log_rtol = np.log(rel_tol)
     return _refine(lambda left, right: _make_panel_log(logf, left, right), a, b,
-                   initial_panels, max_depth, lambda logI: logI + log_rtol, log=True)
+                   initial_panels, lambda logI: logI + log_rtol, log=True)
 
 
 def _make_panel_log(logf, left, right):
@@ -259,19 +259,24 @@ def _sqrt_map(engine, g, a: float, b: float, **kw):
     h = sqrt((b - a)/2) and |dx/ds| = 2|s|: both endpoints sit at s = 0,
     where s is exact, an edge of the 8 initial panels.  x is clamped to the
     open (a, b).  A QuadratureError of this call names its worst interval
-    in x; one raised inside ``g`` (a nested integral) passes unchanged.
+    in x; one raised inside ``g`` (a nested integral) is marked ``nested``
+    and passes unchanged.
     """
     if not b > a:
         raise ValueError(f"empty integration interval ({a}, {b})")
     lo, hi, h = math.nextafter(a, b), math.nextafter(b, a), math.sqrt(0.5 * (b - a))
 
     def gs(s):
-        return g(np.clip(np.where(s > 0, a, b) + s * np.abs(s), lo, hi), s)
+        try:
+            return g(np.clip(np.where(s > 0, a, b) + s * np.abs(s), lo, hi), s)
+        except QuadratureError as exc:
+            exc.nested = True   # a nested integral's error, in its own variable
+            raise
 
     try:
         return engine(gs, -h, h, initial_panels=8, **kw)
     except QuadratureError as exc:
-        if all(f.f_code is not gs.__code__ for f, _ in traceback.walk_tb(exc.__traceback__)):
+        if not exc.nested:
             s0, s1 = exc.diagnostics["worst_interval"]
             end = a if s0 + s1 > 0 else b   # the panel's side of s = 0
             x0, x1 = exc.diagnostics["worst_interval"] = tuple(sorted(
@@ -281,7 +286,7 @@ def _sqrt_map(engine, g, a: float, b: float, **kw):
 
 
 def integrate_rows(rows, a: float, b: float, rel_tol: float = 1e-10,
-                   abs_tol: float = 1e-14, max_depth: int = 40) -> np.ndarray:
+                   abs_tol: float = 1e-14) -> np.ndarray:
     """Integrate a family of integrands over a finite (a, b), endpoints mapped.
 
     ``rows`` maps nodes (m,) -> node-major values (m, P), one column per row;
@@ -293,11 +298,10 @@ def integrate_rows(rows, a: float, b: float, rel_tol: float = 1e-10,
     """
     return _sqrt_map(adaptive_batch,
                      lambda x, s: _node_major(rows(x), x.size) * (2.0 * np.abs(s))[:, None], a, b,
-                     rel_tol=rel_tol, abs_tol=abs_tol, max_depth=max_depth)
+                     rel_tol=rel_tol, abs_tol=abs_tol)
 
 
-def integrate_rows_log(log_rows, a: float, b: float, rel_tol: float = 1e-10,
-                       max_depth: int = 40) -> np.ndarray:
+def integrate_rows_log(log_rows, a: float, b: float, rel_tol: float = 1e-10) -> np.ndarray:
     """Log-space counterpart of :func:`integrate_rows` for positive integrands.
 
     ``log_rows`` maps nodes (m,) -> node-major log-values (m, P), one column
@@ -307,14 +311,14 @@ def integrate_rows_log(log_rows, a: float, b: float, rel_tol: float = 1e-10,
     """
     return _sqrt_map(adaptive_batch_log,
                      lambda x, s: _node_major(log_rows(x), x.size) + np.log(2.0 * np.abs(s))[:, None],
-                     a, b, rel_tol=rel_tol, max_depth=max_depth)
+                     a, b, rel_tol=rel_tol)
 
 
 def integrate_finite(f, a: float, b: float, rel_tol: float = 1e-10,
-                     abs_tol: float = 1e-14, max_depth: int = 40) -> float:
+                     abs_tol: float = 1e-14) -> float:
     """The one-row :func:`integrate_rows` of a vectorized integrand."""
     return float(integrate_rows(lambda x: np.asarray(f(x), dtype=float)[:, None], a, b,
-                                rel_tol=rel_tol, abs_tol=abs_tol, max_depth=max_depth)[0])
+                                rel_tol=rel_tol, abs_tol=abs_tol)[0])
 
 
 def scan_log_peak(log_g, lo: float, hi: float, tail_cut: float):

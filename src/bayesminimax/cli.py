@@ -27,7 +27,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -77,8 +77,7 @@ class RunConfig:
                           "n_points": self.grid_n, "spacing": self.grid_spacing},
             "mc": {"n_samples": self.n_samples, "seed": self.seed,
                    "theta_norms": self.theta_norms},
-            "quad": {"rel_tol": self.quad.rel_tol, "abs_tol": self.quad.abs_tol,
-                     "max_depth": self.quad.max_depth, "tail_cut": self.quad.tail_cut},
+            "quad": asdict(self.quad),
             "output": {"path": self.out_dir},
             "transform": self.transform_block,
             "env_overrides": self.env_overrides,
@@ -154,10 +153,8 @@ def load_config(path: str, args) -> RunConfig:
     if os.environ.get("TOOL_QUAD_RELTOL"):
         quad_doc["rel_tol"] = float(os.environ["TOOL_QUAD_RELTOL"])
         env["TOOL_QUAD_RELTOL"] = os.environ["TOOL_QUAD_RELTOL"]
-    quad = QuadSpec(rel_tol=float(quad_doc.get("rel_tol", 1e-8)),
-                    abs_tol=float(quad_doc.get("abs_tol", 1e-14)),
-                    max_depth=int(quad_doc.get("max_depth", 40)),
-                    tail_cut=float(quad_doc.get("tail_cut", 1e-14)))
+    quad = QuadSpec(**{f.name: float(quad_doc[f.name]) for f in fields(QuadSpec)
+                       if f.name in quad_doc})
 
     out_dir = args.out or dict(doc.get("output") or {}).get("path", "out")
 
@@ -303,8 +300,7 @@ def cmd_construct(cfg: RunConfig) -> int:
 def cmd_risk(cfg: RunConfig) -> int:
     spec = families.prior_from_spec(cfg.prior_spec)
     profile = profile_for(spec, cfg.quad)
-    reports = estimators.risk_curve(profile, cfg.theta_norms, cfg.n_samples,
-                                    cfg.seed, k=cfg.k)
+    reports = estimators.risk_curve(profile, cfg.theta_norms, cfg.n_samples, cfg.seed)
     exceeded = [r for r in reports
                 if r.mc_risk > r.baseline_k + 3.0 * r.mc_stderr]
     code = _EXIT_RISK_EXCEEDED if exceeded else _EXIT_OK

@@ -304,8 +304,7 @@ def check_gen_beta_mixture(alpha: float, beta: float, gamma: float, sigma: float
         f = base * np.exp(-t * s)
         return np.concatenate([f, psi * f, t * f, (psi + 1.0) * t * f], axis=1)
 
-    total = _quad.integrate_rows(rows, 0.0, 1.0, quad.rel_tol, quad.abs_tol,
-                                 quad.max_depth)
+    total = _quad.integrate_rows(rows, 0.0, 1.0, quad.rel_tol, quad.abs_tol)
     m = len(s)
     F0, Fpsi, Ft, Fpsi1t = total[:m], total[m:2 * m], total[2 * m:3 * m], total[3 * m:]
     e_star = Fpsi / F0

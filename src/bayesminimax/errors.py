@@ -18,11 +18,14 @@ class EvaluationError(RuntimeError):
 
 
 class QuadratureError(EvaluationError):
-    """Adaptive quadrature exceeded its subdivision budget.
+    """Adaptive quadrature stopped short of its tolerance.
 
     ``diagnostics['worst_interval']`` holds the subinterval with the largest
-    remaining error estimate.
+    remaining error estimate.  ``nested`` marks an error raised inside the
+    integrand of an enclosing integral, whose interval is its own.
     """
+
+    nested = False
 
 
 class TransformDivergenceError(EvaluationError):

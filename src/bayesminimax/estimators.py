@@ -47,7 +47,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -294,11 +294,11 @@ def _norm_seed(seed: int, norm: float) -> int:
 
 
 def risk_curve(profile: MarginalProfile, theta_norms: Sequence[float], n: int,
-               seed: int, k: Optional[int] = None) -> List[RiskReport]:
-    """One seeded risk report per |theta|, with theta = (|theta|, 0, ..., 0)."""
-    k = k if k is not None else profile.k
-    return _run_points(profile, [(np.pad([float(t)], (0, k - 1)), _norm_seed(seed, float(t)))
-                                 for t in theta_norms], n)
+               seed: int) -> List[RiskReport]:
+    """One seeded risk report per |theta|, with theta = (|theta|, 0, ..., 0) in
+    the profile's dimension k."""
+    return _run_points(profile, [(np.pad([float(t)], (0, profile.k - 1)),
+                                  _norm_seed(seed, float(t))) for t in theta_norms], n)
 
 
 def risk_reports_to_csv(reports: Sequence[RiskReport]) -> str:

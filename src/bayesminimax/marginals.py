@@ -501,7 +501,7 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD) -> Margin
 
         _, cut, _ = _quad.scan_log_peak(top_row, r_lo, r_hi_sup, quad.tail_cut)
         end = min(r_hi_sup, r_lo + 2.0 ** math.ceil(math.log2(cut - r_lo)))
-        log_mu = _quad.integrate_rows_log(rows, r_lo, end, quad.rel_tol, quad.max_depth)
+        log_mu = _quad.integrate_rows_log(rows, r_lo, end, quad.rel_tol)
         log_a.extend(log_mu - gammaln(j + 1.0) - gammaln(nu + j + 1.0))
 
     return _series_profile(k, "radial_quadrature", log_scale, 0.25, build)
@@ -570,7 +570,7 @@ def marginal_mixture(h: MixingDensity, quad: QuadSpec = DEFAULT_QUAD) -> Margina
         def rows(t):
             return log_f(t)[:, None] + np.multiply.outer(np.log(c - t), j)
 
-        log_m = _quad.integrate_rows_log(rows, lo, c, quad.rel_tol, quad.max_depth)
+        log_m = _quad.integrate_rows_log(rows, lo, c, quad.rel_tol)
         return math.inf, c, log_m - gammaln(j + 1.0), None
 
     return _series_profile(k, "mixture_quadrature", log_C, 0.5, build)

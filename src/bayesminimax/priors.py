@@ -26,8 +26,8 @@ their defining formulas, with properness and total mass recorded as metadata.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,8 +57,6 @@ class RadialPrior:
     k: int
     lam: ScalarFn
     proper: str = UNKNOWN
-    family: str = ""
-    params: Dict = field(default_factory=dict)
     mass: Optional[float] = None
 
     def __post_init__(self):
@@ -72,8 +70,6 @@ class MixingDensity:
     k: int
     h: ScalarFn
     proper: str = UNKNOWN
-    family: str = ""
-    params: Dict = field(default_factory=dict)
     mass: Optional[float] = None
 
     def __post_init__(self):
@@ -136,8 +132,7 @@ def _integrate_density(fn: ScalarFn, lo: float, hi: float, quad: QuadSpec) -> fl
     """
     split = min(hi, 50.0)
     total = _quad.integrate_finite(lambda x: np.asarray(fn.eval(x), dtype=float),
-                                   lo, split, rel_tol=quad.rel_tol,
-                                   abs_tol=quad.abs_tol, max_depth=quad.max_depth)
+                                   lo, split, rel_tol=quad.rel_tol, abs_tol=quad.abs_tol)
     if hi > split:
         total += float(_log_integral(fn.eval, split, hi, quad)[0])
     return total
@@ -215,15 +210,12 @@ def mixture_radial(h: MixingDensity, quad: QuadSpec = DEFAULT_QUAD) -> RadialPri
 
         n_init = max(8, min(96, int(w_hi - w_lo)))
         total = _quad.adaptive_batch(rows, w_lo, w_hi, rel_tol=quad.rel_tol,
-                                     abs_tol=quad.abs_tol,
-                                     max_depth=quad.max_depth,
-                                     initial_panels=n_init)
+                                     abs_tol=quad.abs_tol, initial_panels=n_init)
         return total if np.ndim(r_in) else float(total[0])
 
     fn = ScalarFn(eval=lam, support=(0.0, math.inf), label="mixture_radial",
                   nonneg=True)
-    return RadialPrior(k=k, lam=fn, proper=h.proper, family=h.family or "mixture",
-                       params=dict(h.params), mass=h.mass)
+    return RadialPrior(k=k, lam=fn, proper=h.proper, mass=h.mass)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +249,7 @@ def _strawderman_log_integral(a: float, k: int, quad: QuadSpec) -> Callable:
             ratio = (a - 2.0) * np.log1p(tau[:, None] / r2)
             return np.exp(log_base(tau)[:, None] - peak + ratio)
 
-        total = _quad.integrate_rows(rows, 0.0, cut, quad.rel_tol, quad.abs_tol, quad.max_depth)
+        total = _quad.integrate_rows(rows, 0.0, cut, quad.rel_tol, quad.abs_tol)
         return -2.0 * (p + 1.0) * np.log(r) + peak + np.log(total)
 
     return log_integral
@@ -328,8 +320,7 @@ def strawderman_radial(a: float, k: int, quad: QuadSpec = DEFAULT_QUAD,
     label = "strawderman" if route == "integral" else "strawderman_whittaker"
     fn = ScalarFn(eval=lambda r: np.exp(log_lam(r)), support=(0.0, math.inf),
                   label=f"{label}(a={a})", log_eval=log_lam, nonneg=True)
-    return RadialPrior(k=k, lam=fn, proper=PROPER, family="strawderman",
-                       params={"a": a, "route": route}, mass=1.0)
+    return RadialPrior(k=k, lam=fn, proper=PROPER, mass=1.0)
 
 
 def strawderman_mixing(a: float, k: int) -> MixingDensity:
@@ -346,8 +337,7 @@ def strawderman_mixing(a: float, k: int) -> MixingDensity:
         eval=h, support=(0.0, math.inf), label=f"strawderman_mixing(a={a})",
         log_eval=lambda v: math.log(1.0 - a) + (a - 2.0) * np.log1p(np.asarray(v, dtype=float)),
         nonneg=True)
-    return MixingDensity(k=k, h=fn, proper=PROPER, family="strawderman",
-                         params={"a": a}, mass=1.0)
+    return MixingDensity(k=k, h=fn, proper=PROPER, mass=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +362,7 @@ def monomial_mixing(n: int, k: int) -> MixingDensity:
         log_eval=lambda v: p * np.log1p(np.asarray(v, dtype=float)), nonneg=True)
     proper = PROPER if n > k / 2.0 - 1.0 else IMPROPER
     mass = 1.0 / (n + 1.0 - k / 2.0) if proper == PROPER else None
-    return MixingDensity(k=k, h=fn, proper=proper, family="example1",
-                         params={"n": n}, mass=mass)
+    return MixingDensity(k=k, h=fn, proper=proper, mass=mass)
 
 
 def monomial_laplace_G(n: float) -> ScalarFn:
@@ -459,11 +448,7 @@ def gen_beta_kernel(alpha: float, beta: float, gamma: float, sigma: float) -> Sc
 def gen_beta_mixing(alpha: float, beta: float, gamma: float, sigma: float,
                     k: int, quad: QuadSpec = DEFAULT_QUAD) -> MixingDensity:
     """Mixing density induced by the generalized beta kernel."""
-    kern = gen_beta_kernel(alpha, beta, gamma, sigma)
-    md = mixing_from_unit_kernel(kern, k, quad)
-    md.family = "example2"
-    md.params = {"alpha": alpha, "beta": beta, "gamma": gamma, "sigma": sigma}
-    return md
+    return mixing_from_unit_kernel(gen_beta_kernel(alpha, beta, gamma, sigma), k, quad)
 
 
 def mixing_from_unit_kernel(f_unit: ScalarFn, k: int,
@@ -484,8 +469,7 @@ def mixing_from_unit_kernel(f_unit: ScalarFn, k: int,
     fn = ScalarFn(eval=h, support=(0.0, math.inf),
                   label=f"mixing[{f_unit.label}]", nonneg=True)
     proper, mass = probe_properness(fn, quad)
-    return MixingDensity(k=k, h=fn, proper=proper, family="unit_kernel",
-                         mass=mass)
+    return MixingDensity(k=k, h=fn, proper=proper, mass=mass)
 
 
 # ---------------------------------------------------------------------------
@@ -893,8 +877,7 @@ def whittaker_radial(gamma: float, k: int) -> RadialPrior:
                   label=f"whittaker_radial(gamma={gamma})",
                   log_eval=lambda r: sign_log_lam(r)[1], nonneg=a1 >= 0,
                   sign=None if a1 >= 0 else lambda r: sign_log_lam(r)[0])
-    return RadialPrior(k=k, lam=fn, proper=IMPROPER, family="whittaker",
-                       params={"gamma": gamma})
+    return RadialPrior(k=k, lam=fn, proper=IMPROPER)
 
 
 # ---------------------------------------------------------------------------
@@ -942,7 +925,7 @@ def _log_integral(f, e: float, t, quad: QuadSpec) -> np.ndarray:
         return span * x * fx
 
     return _quad.adaptive_batch(rows, 0.0, 1.0, rel_tol=quad.rel_tol,
-                                abs_tol=quad.abs_tol, max_depth=quad.max_depth)
+                                abs_tol=quad.abs_tol)
 
 
 class _CumulativeIntegral:
@@ -1053,7 +1036,7 @@ class _CumulativeIntegral:
         With b = 0, I below e is integrated from 0 instead.
         """
         phi, quad = self.phi, self.quad
-        tol = dict(rel_tol=quad.rel_tol, abs_tol=quad.abs_tol, max_depth=quad.max_depth)
+        tol = dict(rel_tol=quad.rel_tol, abs_tol=quad.abs_tol)
 
         def E(x):
             with np.errstate(over="ignore"):    # the quadrature reports an overflow as non-finite

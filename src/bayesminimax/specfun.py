@@ -94,11 +94,11 @@ def _series_length(log_ratio, z: float, tol: float, max_terms: int, start: int,
                           **diagnostics)
 
 
-def exp_series_length(z: float, tol: float = _EPS, max_terms: int = _MAX_TERMS) -> int:
+def exp_series_length(z: float) -> int:
     """Term count n of the exponential series sum_{j<=n} z^j / j! whose
-    relative tail is at most ``tol`` at z and at every smaller argument;
-    past ``max_terms`` terms, EvaluationError."""
-    return _series_length(lambda j: -np.log(j + 1.0), z, tol, max_terms, 0,
+    relative tail is at most eps at z and at every smaller argument; past
+    _MAX_TERMS terms, EvaluationError."""
+    return _series_length(lambda j: -np.log(j + 1.0), z, _EPS, _MAX_TERMS, 0,
                           "exponential series")
 
 
@@ -106,14 +106,13 @@ def exp_series_length(z: float, tol: float = _EPS, max_terms: int = _MAX_TERMS) 
 # modified Bessel function of the first kind
 # ---------------------------------------------------------------------------
 
-def bessel_series_length(nu: float, z: float, tol: float = _EPS,
-                         max_terms: int = _MAX_TERMS) -> int:
+def bessel_series_length(nu: float, z: float) -> int:
     """Term count n of the ascending series of (x/2)^{-nu} I_nu(x) (DLMF
     10.25.2), sum_{j<=n} z^j / (j! (nu+1)_j) with z = x^2/4, whose relative
-    tail is at most ``tol`` at z and at every smaller argument; past
-    ``max_terms`` terms, EvaluationError."""
+    tail is at most eps at z and at every smaller argument; past _MAX_TERMS
+    terms, EvaluationError."""
     return _series_length(lambda j: -np.log((j + 1.0) * (j + 1.0 + nu)), z,
-                          tol, max_terms, 0, "Bessel I series", order=nu)
+                          _EPS, _MAX_TERMS, 0, "Bessel I series", order=nu)
 
 
 def _series_log_i(nu: float, x: np.ndarray) -> np.ndarray:

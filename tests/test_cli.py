@@ -545,6 +545,17 @@ class TestManifest:
         assert rc["quad"]["rel_tol"] == 1e-8
         assert rc["mc"]["seed"] == 20240704
 
+    def test_quad_block_is_the_quad_spec(self, tmp_path):
+        """The manifest's quad block holds every QuadSpec field and nothing
+        else; a key QuadSpec does not have, such as max_depth, is ignored."""
+        code, out = run(tmp_path, {
+            "command": "verify",
+            "prior_spec": {"family": "example1", "k": 5, "params": {"n": 2}},
+            "grid_spec": VERIFY_GRID, "quad": {"abs_tol": 1e-12, "max_depth": 3}})
+        man = json.loads(open(os.path.join(out, "manifest.json")).read())
+        assert man["resolved_config"]["quad"] == {"rel_tol": 1e-8, "abs_tol": 1e-12,
+                                                  "tail_cut": 1e-14}
+
     def test_manifest_reproducible(self, tmp_path):
         doc = {"command": "verify",
                "prior_spec": {"family": "example1", "k": 5, "params": {"n": 2}},

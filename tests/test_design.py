@@ -5,9 +5,12 @@ SURE formula, no construction steps an ODE, and the constructions halve their
 panels through the engine's bisection."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
+
+from bayesminimax.transforms import QuadSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bayesminimax"
 
@@ -128,3 +131,20 @@ def test_constructions_bisect_through_quad():
     assert "_MAX_PANELS" not in named and not inserts
     assert sum(isinstance(node, ast.Attribute) and node.attr == "bisect"
                for node in ast.walk(tree)) == 2
+
+
+def test_one_round_cap_bounds_every_refinement():
+    """Beside the panel budget and the few-ulps stop, one module constant,
+    ``_quad._MAX_ROUNDS``, bounds a refinement: no function in ``src/``
+    takes a ``max_depth``, ``QuadSpec`` holds the tolerances and the tail
+    cut only, and ``_refine`` keeps no per-panel depth."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+                assert "max_depth" not in {a.arg for a in args}, path.name
+    assert [f.name for f in dataclasses.fields(QuadSpec)] == ["rel_tol", "abs_tol", "tail_cut"]
+    refine, = [node for node in ast.parse((SRC / "_quad.py").read_text()).body
+               if isinstance(node, ast.FunctionDef) and node.name == "_refine"]
+    named = {node.id for node in ast.walk(refine) if isinstance(node, ast.Name)}
+    assert "_MAX_ROUNDS" in named and not {name for name in named if "depth" in name}

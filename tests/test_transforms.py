@@ -4,6 +4,7 @@ quadrature the transforms run on."""
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -32,11 +33,10 @@ def gaussian_bessel_fn(nu, alpha):
 class TestQuadSpec:
     def test_defaults(self):
         q = tr.QuadSpec()
-        assert q.rel_tol == 1e-8 and q.abs_tol == 1e-14
-        assert q.max_depth == 40 and q.tail_cut == 1e-14
+        assert q.rel_tol == 1e-8 and q.abs_tol == 1e-14 and q.tail_cut == 1e-14
 
     @pytest.mark.parametrize("kwargs", [{"rel_tol": 0.0}, {"tail_cut": 0.0},
-                                        {"max_depth": 0}, {"abs_tol": -1.0},
+                                        {"abs_tol": math.nan}, {"abs_tol": -1.0},
                                         {"tail_cut": 1.0}])
     def test_invalid(self, kwargs):
         with pytest.raises(DomainError):
@@ -78,8 +78,26 @@ class TestIntegrateFinite:
     def test_budget_exhaustion_reports_interval(self):
         with pytest.raises(QuadratureError) as err:
             _quad.integrate_finite(lambda t: np.abs(np.sin(1.0 / t)) + 1.0, 0.0, 1.0,
-                                   rel_tol=1e-13, max_depth=3)
+                                   rel_tol=1e-13)
         assert "worst_interval" in err.value.diagnostics
+
+    @pytest.mark.parametrize("engine, row", [
+        (_quad.integrate_finite, lambda t: 1.0 / t),
+        (_quad.integrate_finite, lambda t: t ** -1.2),
+        (lambda f, a, b: _quad.integrate_rows_log(lambda t: f(t)[:, None], a, b),
+         lambda t: -np.log(t)),
+    ], ids=["1/t", "t^-1.2", "log_mode_1/t"])
+    def test_divergent_endpoint_stops_at_the_round_cap(self, engine, row):
+        """A non-integrable endpoint is halved towards s = 0 round after round
+        and never meets its tolerance: it raises at the round cap, within a
+        few hundredths of a second of CPU time and with no RuntimeWarning,
+        instead of halving on until the integrand overflows."""
+        start = time.process_time()
+        with pytest.raises(QuadratureError, match=f"round cap {_quad._MAX_ROUNDS}") as err:
+            engine(row, 0.0, 1.0)
+        assert time.process_time() - start < 0.1
+        lo, hi = err.value.diagnostics["worst_interval"]
+        assert lo == 0.0 < hi < 1e-50
 
     def test_beta_integrals_off_the_origin(self):
         """int_a^b (x-a)^al (b-x)^be dx = (b-a)^(al+be+1) B(al+1, be+1) with
@@ -113,7 +131,7 @@ class TestIntegrateFinite:
     def test_unresolvable_panel_raises_at_once(self):
         """A jump at 1e6 + 0.3 cannot meet rel_tol 1e-14: the panel holding it
         is halved until it is a few ulps of 1e6 wide, and then raises, long
-        before max_depth or the panel budget."""
+        before the round cap or the panel budget."""
         with pytest.raises(QuadratureError, match="ulps of its edges") as err:
             _quad.adaptive_batch(lambda x: (x > 1e6 + 0.3).astype(float)[:, None],
                                  1e6, 1e6 + 1.0, rel_tol=1e-14)
@@ -130,13 +148,13 @@ class TestIntegrateFinite:
     ], ids=["integrate_rows", "integrate_rows_log"])
     def test_errors_name_the_callers_interval(self, engine, row):
         with pytest.raises(QuadratureError, match="worst interval in x") as err:
-            engine(lambda t: row(t)[:, None], 0.0, 1.0, max_depth=6)
+            engine(lambda t: row(t)[:, None], 0.0, 1.0)
         lo, hi = err.value.diagnostics["worst_interval"]
         assert 0.5 <= lo <= hi <= 1.0
 
     def test_nested_error_keeps_its_own_interval(self):
         def outer(x):
-            inner = _quad.integrate_finite(lambda t: 1.0 / (1.0 - t), 0.0, 1.0, max_depth=6)
+            inner = _quad.integrate_finite(lambda t: 1.0 / (1.0 - t), 0.0, 1.0)
             return np.full((x.size, 1), inner)
 
         with pytest.raises(QuadratureError) as err:
@@ -477,6 +495,17 @@ class TestKTransform:
         y = 1.7
         got = tr.k_transform(g, 0.5, y)
         assert got == pytest.approx(math.sqrt(math.pi / 2.0) / (1.0 + y), rel=1e-9)
+
+    def test_strong_integrable_endpoint(self):
+        """At nu = 1.3 the integrand e^{-x} sqrt(x) K_nu(x) grows like x^-0.8
+        at 0; the sqrt map leaves s^-0.6 there, which needs 66 rounds of
+        halving.  At y = 1 Gradshteyn-Ryzhik 6.621.3 with mu = 3/2 gives
+        sqrt(pi) Gamma(mu + nu) Gamma(mu - nu) / (2^mu Gamma(mu + 1/2))."""
+        nu, mu = 1.3, 1.5
+        g = sfn(lambda x: np.exp(-np.asarray(x, float)))
+        want = (math.sqrt(math.pi) * math.gamma(mu + nu) * math.gamma(mu - nu)
+                / (2.0 ** mu * math.gamma(mu + 0.5)))
+        assert abs(tr.k_transform(g, nu, 1.0) - want) <= 1e-8
 
     @pytest.mark.parametrize("nu", [0.0, 0.3, 1.0])
     def test_closed_form_on_a_grid(self, nu):
