@@ -16,14 +16,14 @@ Exit codes:
 
 Environment override: TOOL_QUAD_RELTOL (quadrature relative tolerance),
 recorded in the manifest.  Every command writes its tables as CSV and its
-reports as JSON.
+reports as JSON.  The file formats are this module's; what goes into them
+for a family or a construction route is decided in ``families``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -32,10 +32,10 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from . import __version__, conditions, estimators, families, priors, transforms
+from . import __version__, conditions, estimators, families, transforms
 from .errors import ConstructionError, DomainError, EvaluationError, TransformDivergenceError
 from .families import profile_for
-from .transforms import QuadSpec, ScalarFn
+from .transforms import QuadSpec
 
 COMMANDS = ("construct", "verify", "risk", "transform")
 
@@ -199,8 +199,8 @@ def _write(cfg: RunConfig, outputs: List[str], name: str, text: str):
 
 
 def _table_csv(header: Sequence[str], rows) -> str:
-    def cell(v):
-        return v if isinstance(v, str) else repr(float(np.asarray(v).reshape(-1)[0]))
+    def cell(v):   # strings and integers as they are, other cells as float reprs
+        return str(v) if isinstance(v, (str, int)) else repr(float(np.asarray(v).reshape(-1)[0]))
     return "\n".join([",".join(header)] + [",".join(map(cell, row)) for row in rows]) + "\n"
 
 
@@ -225,73 +225,15 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_construct(cfg: RunConfig) -> int:
     spec = families.prior_from_spec(cfg.prior_spec)
-    u_grid = cfg.grid()
-    made, report, extra = families.construct(spec, u_grid, cfg.quad)
-    b = extra["b_coeffs"]
+    report, tables, fields = families.construct(spec, cfg.grid(), cfg.quad)
     outputs = []
-    warnings: List[str] = []
-    if isinstance(made, priors.ConstructionSolution):   # the spherical route
-        sol = made
-        _write(cfg, outputs, "profile_table.csv", _table_csv(
-            ["u", "F", "dF", "d2F", "z1", "z2"],
-            zip(u_grid, *sol.F.triple(u_grid), sol.z1.eval(u_grid), sol.z2.eval(u_grid))))
-        recovery = {"available": False,
-                    "reason": "closed-form recovery only for the pure "
-                              "inverse-square forcing with a single root"}
-        pure_inv_sq = (b[1] == b[2] == b[3] == 0.0 and b[0] < 0.0)
-        single = (sol.c2 == 0.0) or (sol.c1 == 0.0)
-        if pure_inv_sq and single:
-            rho = sol.rho1 if sol.c2 == 0.0 else sol.rho2
-            gamma = 2.0 * rho + (spec.k - 1.0) / 2.0
-            if gamma + (spec.k + 1.0) / 2.0 > 0:
-                lam = priors.whittaker_radial(gamma, spec.k)
-                _write(cfg, outputs, "radial_density_table.csv", _table_csv(
-                    ["r", "lambda_unnormalized"], zip(u_grid, lam.lam.eval(u_grid))))
-                recovery = {"available": True, "gamma": gamma,
-                            "proper": lam.proper,
-                            "note": "defined up to positive scale"}
-            else:
-                recovery = {"available": False,
-                            "reason": f"gamma={gamma:.6g} violates "
-                                      "gamma + (k+1)/2 > 0"}
-        properness = {"proper": recovery.get("proper", "unknown")}
-    else:                                               # the mixture route's G
-        G = made
-        s_grid = 0.5 * u_grid ** 2
-        _write(cfg, outputs, "transform_table.csv", _table_csv(
-            ["s", "G", "dG", "d2G"], zip(s_grid, *G.triple(s_grid))))
-        boundary = (b[0] == b[2] == b[3] == 0.0 and abs(b[1] - spec.k) < 1e-12)
-        if boundary:
-            warnings.append(
-                "boundary forcing phi(s) = k/s: margins sit at zero and the "
-                "matching kernel is supported on all of (0, inf), so this "
-                "cannot arise from a proper mixture; the associated mixing "
-                "density (v+1)^{1-k/2} is recovered by the classical "
-                "identification and is itself proper and minimax")
-            md = priors.monomial_mixing(spec.k - 3, spec.k)
-            _write(cfg, outputs, "mixing_density_table.csv",
-                   _table_csv(["v", "h"], zip(u_grid, md.h.eval(u_grid))))
-            recovery = {"available": True, "form": "(v+1)^{1-k/2}",
-                        "caveat": "formal inverse: kernel not (0,1)-supported"}
-        else:
-            recovery = {"available": False,
-                        "reason": "numerical inverse Laplace transforms are "
-                                  "out of scope; only the boundary family has "
-                                  "a closed-form kernel"}
-        properness = {"proper": "see recovery"}
-
+    for name, header, columns in tables:
+        _write(cfg, outputs, name, _table_csv(header, zip(*columns)))
     code = _EXIT_OK if report.verdict != conditions.FAILS else _EXIT_FAILS
-    doc = {
-        "family": spec.family,
-        "k": spec.k,
-        "condition_report": report.to_dict(),
-        "recovery": recovery,
-        "properness": properness,
-        "warnings": warnings,
-        "extra": extra,
-    }
+    doc = {"family": spec.family, "k": spec.k, "condition_report": report.to_dict(), **fields}
     _write(cfg, outputs, "construct_report.json", json.dumps(doc, indent=2) + "\n")
     _write_manifest(cfg, code, outputs)
+    warnings = fields["warnings"]
     print(f"construct[{spec.family}]: {report.verdict}"
           + (f" ({len(warnings)} warning(s))" if warnings else ""))
     return code
@@ -305,13 +247,16 @@ def cmd_risk(cfg: RunConfig) -> int:
                 if r.mc_risk > r.baseline_k + 3.0 * r.mc_stderr]
     code = _EXIT_RISK_EXCEEDED if exceeded else _EXIT_OK
     outputs = []
-    _write(cfg, outputs, "risk_curve.csv", estimators.risk_reports_to_csv(reports))
+    _write(cfg, outputs, "risk_curve.csv", _table_csv(
+        ["theta_norm", "n", "seed", "mc_risk", "mc_stderr", "sure_mean", "sure_stderr", "k"],
+        [(r.theta_norm, r.n_samples, r.seed, r.mc_risk, r.mc_stderr, r.sure_mean,
+          r.sure_stderr, r.baseline_k) for r in reports]))
     long_rows = [(r.theta_norm, q, getattr(r, q)) for r in reports
                  for q in ("mc_risk", "mc_stderr", "sure_mean", "sure_stderr")]
     _write(cfg, outputs, "risk_long.csv",
            _table_csv(["theta_norm", "quantity", "value"], long_rows))
     _write(cfg, outputs, "risk_report.json",
-           estimators.risk_reports_to_json(reports, indent=2) + "\n")
+           json.dumps([r.to_dict() for r in reports], indent=2) + "\n")
     _write_manifest(cfg, code, outputs)
     for r in reports:
         flag = " EXCEEDS" if r in exceeded else ""
@@ -320,51 +265,8 @@ def cmd_risk(cfg: RunConfig) -> int:
     return code
 
 
-def _transform_input(cfg: RunConfig):
-    """Resolve the function f and order nu for the transform command."""
-    ps = cfg.prior_spec
-    nu = families.real_param(cfg.transform_block, "nu", (cfg.k - 2.0) / 2.0)
-    if ps.get("family") == "gaussian_bessel":
-        alpha = families.real_param(families.spec_params(ps), "alpha", 1.0)
-
-        def log_f(x):
-            x = np.asarray(x, dtype=float)
-            with np.errstate(divide="ignore"):
-                return (nu + 0.5) * np.log(x) - alpha * x * x
-
-        return ScalarFn(eval=lambda x: np.exp(log_f(x)), support=(0.0, math.inf),
-                        label="gaussian_bessel_kernel", log_eval=log_f, nonneg=True), nu
-    if ps.get("family") == "zero":
-        return ScalarFn(eval=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                        support=(0.0, math.inf), label="zero", nonneg=True), nu
-    spec = families.prior_from_spec(ps)
-    return transforms.transform_weight(families.radial_prior(spec, cfg.quad).lam, spec.k), nu
-
-
-def _consistency_target(cfg: RunConfig, target: str) -> ScalarFn:
-    """The profile F that a consistency check holds the I-transform to."""
-    if target == "power_exp":
-        gamma = families.real_param(
-            cfg.transform_block, "gamma",
-            families.real_param(families.spec_params(cfg.prior_spec), "gamma", 1.0))
-        return priors.power_exp_profile(gamma, cfg.k)
-    if target == "ell_over_h":
-        spec = families.prior_from_spec(cfg.prior_spec)
-        prof = profile_for(spec, cfg.quad)
-        logA = (math.lgamma(0.5 * cfg.k) - math.log(2.0)
-                - 0.5 * cfg.k * math.log(math.pi))
-
-        def F_t(u):
-            u = np.asarray(u, dtype=float)
-            log_h = logA + 0.5 * (1.0 - cfg.k) * np.log(u) - 0.5 * u * u
-            return np.exp(prof.ratios(u)[0] - log_h)
-
-        return ScalarFn(eval=F_t, support=(0.0, math.inf), label="ell_over_h", nonneg=True)
-    raise DomainError(f"unknown consistency target {target!r}")
-
-
 def cmd_transform(cfg: RunConfig) -> int:
-    f, nu = _transform_input(cfg)
+    f, nu = families.transform_input(cfg.prior_spec, cfg.k, cfg.transform_block, cfg.quad)
     kind = cfg.transform_block.get("kind", "i")
     grid = cfg.grid()
     if kind not in ("i", "k"):
@@ -374,7 +276,8 @@ def cmd_transform(cfg: RunConfig) -> int:
         raise DomainError("consistency_target judges the tabulated I-transform; "
                           f"it needs transform kind i, got {kind!r}")
     if target:   # resolved before the transform, so a config error writes nothing
-        F_target = _consistency_target(cfg, target)
+        F_target = families.consistency_target(cfg.prior_spec, cfg.k, cfg.transform_block,
+                                               cfg.quad, target)
         prop_tol = families.real_param(cfg.transform_block, "prop_tol", 1e-4)
     transform = transforms.i_transform if kind == "i" else transforms.k_transform
     values = transform(f, nu, grid, cfg.quad)
@@ -385,7 +288,7 @@ def cmd_transform(cfg: RunConfig) -> int:
     if target:
         report = transforms.proportionality_report(
             grid, values, F_target.eval(grid), prop_tol, cfg.quad.abs_tol)
-        _write(cfg, outputs, "consistency_report.json", report.to_json(indent=2) + "\n")
+        _write(cfg, outputs, "consistency_report.json", json.dumps(report.to_dict(), indent=2) + "\n")
         if report.verdict == conditions.FAILS:
             code = _EXIT_FAILS
         print(f"transform consistency: {report.verdict}")

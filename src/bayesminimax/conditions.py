@@ -13,7 +13,6 @@ quantify over all u > 0.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -64,9 +63,6 @@ class ConditionReport:
             "witness": self.witness,
             "extra": _jsonable(self.extra),
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def _jsonable(obj):

@@ -40,9 +40,6 @@ curves place theta = (|theta|, 0, ..., 0).
 from __future__ import annotations
 
 import contextvars
-import csv
-import io
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -56,7 +53,6 @@ from .marginals import MarginalProfile
 
 __all__ = [
     "RiskReport", "bayes_estimate", "sure", "mc_risk", "risk_curve",
-    "risk_reports_to_csv", "risk_reports_to_json",
 ]
 
 _BATCH = 65536          # fixed so that seeded runs are bit-reproducible
@@ -299,21 +295,3 @@ def risk_curve(profile: MarginalProfile, theta_norms: Sequence[float], n: int,
     the profile's dimension k."""
     return _run_points(profile, [(np.pad([float(t)], (0, profile.k - 1)),
                                   _norm_seed(seed, float(t))) for t in theta_norms], n)
-
-
-def risk_reports_to_csv(reports: Sequence[RiskReport]) -> str:
-    """CSV columns: theta_norm, n, seed, mc_risk, mc_stderr, sure_mean,
-    sure_stderr, k."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["theta_norm", "n", "seed", "mc_risk", "mc_stderr",
-                     "sure_mean", "sure_stderr", "k"])
-    for r in reports:
-        writer.writerow([repr(r.theta_norm), r.n_samples, r.seed,
-                         repr(r.mc_risk), repr(r.mc_stderr), repr(r.sure_mean),
-                         repr(r.sure_stderr), r.baseline_k])
-    return buf.getvalue()
-
-
-def risk_reports_to_json(reports: Sequence[RiskReport], **kwargs) -> str:
-    return json.dumps([r.to_dict() for r in reports], **kwargs)

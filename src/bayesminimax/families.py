@@ -6,7 +6,12 @@ what p lacks (after the row's ``defaults`` fill in), ``profile`` builds the
 marginal l(u), ``checkers`` runs the family's own conditions on the u grid
 and ``radial`` gives the radial prior the transform command takes.  The
 custom forcings also ``construct`` what verify and construct start from
-(the spherical solution or the mixture transform G, passed on as ``made``).
+(the spherical solution or the mixture transform G, passed on as ``made``)
+and ``recover`` from it the construct command's tables and, where the
+forcing allows, the prior in closed form.  Every decision that depends on a
+family or a construction route is made here, including the transform
+command's input and consistency target; ``cli`` writes what it is handed,
+in the file formats it owns.
 
 Rows reach ``priors``, ``marginals`` and ``conditions`` through their module
 attributes at call time, so patching those attributes sees every call.
@@ -21,7 +26,7 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from . import conditions, marginals, priors
+from . import conditions, marginals, priors, transforms
 from .errors import DomainError
 from .transforms import QuadSpec, ScalarFn
 
@@ -42,6 +47,7 @@ class Family:
     checkers: Callable                     # (k, p, u, quad, made) -> [ConditionReport]
     defaults: Dict = field(default_factory=dict)
     construct: Optional[Callable] = None   # (k, p, u, quad) -> (made, record)
+    recover: Optional[Callable] = None     # (k, u, made, record) -> (tables, report fields)
     radial: Optional[Callable] = None      # (k, p, quad) -> RadialPrior
 
 
@@ -86,6 +92,57 @@ def _construct_mixture(k, p, u, quad):
     anchor = math.inf if str(anchor).lower() in _INF_NAMES else float(anchor)
     G = priors.construct_G_mixture(phi, a=a, b=anchor, quad=quad, k=k)
     return G, {"b_coeffs": b, "a": a, "anchor_b": repr(anchor)}
+
+
+def _recover_spherical(k, u, sol, record):
+    """The profile table and, for a pure inverse-square forcing b0/u^2 < 0
+    with one root's solution alone, the Whittaker radial density of
+    F = u^gamma e^{u^2/2}, gamma = 2 rho + (k-1)/2."""
+    tables = [("profile_table.csv", ("u", "F", "dF", "d2F", "z1", "z2"),
+               (u, *sol.F.triple(u), sol.z1.eval(u), sol.z2.eval(u)))]
+    recovery = {"available": False,
+                "reason": "closed-form recovery only for the pure "
+                          "inverse-square forcing with a single root"}
+    b = record["b_coeffs"]
+    rho = sol.rho1 if sol.c2 == 0.0 else sol.rho2 if sol.c1 == 0.0 else None
+    if b[1] == b[2] == b[3] == 0.0 and b[0] < 0.0 and rho is not None:
+        gamma = 2.0 * rho + (k - 1.0) / 2.0
+        if gamma + (k + 1.0) / 2.0 > 0:
+            lam = priors.whittaker_radial(gamma, k)
+            tables.append(("radial_density_table.csv", ("r", "lambda_unnormalized"),
+                           (u, lam.lam.eval(u))))
+            recovery = {"available": True, "gamma": gamma, "proper": lam.proper,
+                        "note": "defined up to positive scale"}
+        else:
+            recovery = {"available": False,
+                        "reason": f"gamma={gamma:.6g} violates gamma + (k+1)/2 > 0"}
+    return tables, {"recovery": recovery,
+                    "properness": {"proper": recovery.get("proper", "unknown")}, "warnings": []}
+
+
+def _recover_mixture(k, u, G, record):
+    """The transform table of G on s = u^2/2 and, for the boundary forcing
+    phi(s) = k/s, the mixing density (v+1)^{1-k/2}."""
+    s = 0.5 * u ** 2
+    tables = [("transform_table.csv", ("s", "G", "dG", "d2G"), (s, *G.triple(s)))]
+    recovery = {"available": False,
+                "reason": "numerical inverse Laplace transforms are out of scope; "
+                          "only the boundary family has a closed-form kernel"}
+    warnings = []
+    b = record["b_coeffs"]
+    if b[0] == b[2] == b[3] == 0.0 and abs(b[1] - k) < 1e-12:
+        warnings.append(
+            "boundary forcing phi(s) = k/s: margins sit at zero and the "
+            "matching kernel is supported on all of (0, inf), so this "
+            "cannot arise from a proper mixture; the associated mixing "
+            "density (v+1)^{1-k/2} is recovered by the classical "
+            "identification and is itself proper and minimax")
+        tables.append(("mixing_density_table.csv", ("v", "h"),
+                       (u, priors.monomial_mixing(k - 3, k).h.eval(u))))
+        recovery = {"available": True, "form": "(v+1)^{1-k/2}",
+                    "caveat": "formal inverse: kernel not (0,1)-supported"}
+    return tables, {"recovery": recovery, "properness": {"proper": "see recovery"},
+                    "warnings": warnings}
 
 
 def _num(p, name):
@@ -177,13 +234,13 @@ FAMILIES: Dict[str, Family] = {
         checkers=lambda k, p, u, q, m: [conditions.check_spherical_minimax_bound(
             priors.inverse_square_profile(p["b"], k, p["A1"], p["A2"]), k, u)]),
     "custom_phi_spherical": Family(
-        check=_check_phi, construct=_construct_spherical,
+        check=_check_phi, construct=_construct_spherical, recover=_recover_spherical,
         profile=lambda k, p, q, sol: marginals.squared_profile(
             k, sol.S_triple, "formal_power_law"),
         checkers=lambda k, p, u, q, sol: [
             conditions.check_spherical_minimax_bound(sol.F, k, u)]),
     "custom_phi_mixture": Family(
-        check=_check_phi, construct=_construct_mixture,
+        check=_check_phi, construct=_construct_mixture, recover=_recover_mixture,
         profile=lambda k, p, q, G: marginals.laplace_profile(
             G, k, "constructed_mixture", 0.0),
         checkers=lambda k, p, u, q, G: [
@@ -194,9 +251,6 @@ FAMILIES: Dict[str, Family] = {
         checkers=lambda k, p, u, q, m: []),
 }
 
-KNOWN_FAMILIES = tuple(FAMILIES)
-
-
 def prior_from_spec(doc: dict) -> FamilySpec:
     """Validate {"family": ..., "k": ..., "params": {...}} against the table.
 
@@ -205,10 +259,9 @@ def prior_from_spec(doc: dict) -> FamilySpec:
     if not isinstance(doc, dict):
         raise DomainError("prior spec must be a JSON object")
     family = doc.get("family")
-    if family not in KNOWN_FAMILIES:
+    if family not in FAMILIES:
         raise DomainError(
-            f"unknown prior family {family!r}; known families: "
-            + ", ".join(KNOWN_FAMILIES))
+            f"unknown prior family {family!r}; known families: " + ", ".join(FAMILIES))
     k = doc.get("k")
     if not isinstance(k, int) or k < 3:
         raise DomainError(f"k must be an integer >= 3, got {k!r}")
@@ -245,19 +298,69 @@ def checkers_for(spec: FamilySpec, u, quad: QuadSpec) -> List[conditions.Conditi
 
 
 def construct(spec: FamilySpec, u, quad: QuadSpec):
-    """(construction, its condition report, record) of a custom forcing."""
+    """What the construct command writes of a custom forcing on the u grid:
+    its condition report, its tables as (file name, header, columns), and
+    the construct report's recovery, properness, warnings and extra."""
     row, k, p = FAMILIES[spec.family], spec.k, spec.params
     if row.construct is None:
         raise DomainError("construct requires family " + " or ".join(
             name for name, r in FAMILIES.items() if r.construct))
     made, record = row.construct(k, p, u, quad)
     report, = row.checkers(k, p, u, quad, made)
-    return made, report, record
+    tables, fields = row.recover(k, u, made, record)
+    return report, tables, {**fields, "extra": record}
 
 
-def radial_prior(spec: FamilySpec, quad: QuadSpec) -> priors.RadialPrior:
-    """The radial prior of a family, as the transform command takes it."""
+def _gaussian_bessel_kernel(doc, nu):
+    """f(x) = x^{nu+1/2} e^{-alpha x^2}, whose I-transform is closed form."""
+    alpha = real_param(spec_params(doc), "alpha", 1.0)
+
+    def log_f(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore"):
+            return (nu + 0.5) * np.log(x) - alpha * x * x
+
+    return ScalarFn(eval=lambda x: np.exp(log_f(x)), support=(0.0, math.inf),
+                    label="gaussian_bessel_kernel", log_eval=log_f, nonneg=True)
+
+
+# The transform command's inputs that are not priors: (prior spec, nu) -> f.
+_KERNELS = {
+    "gaussian_bessel": _gaussian_bessel_kernel,
+    "zero": lambda doc, nu: ScalarFn(eval=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+                                     support=(0.0, math.inf), label="zero", nonneg=True),
+}
+
+
+def transform_input(doc: dict, k: int, block: dict, quad: QuadSpec):
+    """(f, nu) for the transform command: one of ``_KERNELS``, or the
+    I-transform weight of a family's radial prior; nu defaults to (k-2)/2."""
+    nu = real_param(block, "nu", (k - 2.0) / 2.0)
+    if doc.get("family") in _KERNELS:
+        return _KERNELS[doc["family"]](doc, nu), nu
+    spec = prior_from_spec(doc)
     row = FAMILIES[spec.family]
     if row.radial is None:
         raise DomainError(f"transform input not defined for family {spec.family!r}")
-    return row.radial(spec.k, spec.params, quad)
+    return transforms.transform_weight(row.radial(spec.k, spec.params, quad).lam, spec.k), nu
+
+
+def consistency_target(doc: dict, k: int, block: dict, quad: QuadSpec,
+                       target: str) -> ScalarFn:
+    """The profile F that a consistency check holds the I-transform to:
+    u^gamma e^{u^2/2} (gamma from the transform block, else the prior's
+    params, else 1), or l(u)/h(u) of the prior's marginal."""
+    if target == "power_exp":
+        gamma = real_param(block, "gamma", real_param(spec_params(doc), "gamma", 1.0))
+        return priors.power_exp_profile(gamma, k)
+    if target == "ell_over_h":
+        prof = profile_for(prior_from_spec(doc), quad)
+        logA = math.lgamma(0.5 * k) - math.log(2.0) - 0.5 * k * math.log(math.pi)
+
+        def F_t(u):
+            u = np.asarray(u, dtype=float)
+            log_h = logA + 0.5 * (1.0 - k) * np.log(u) - 0.5 * u * u
+            return np.exp(prof.ratios(u)[0] - log_h)
+
+        return ScalarFn(eval=F_t, support=(0.0, math.inf), label="ell_over_h", nonneg=True)
+    raise DomainError(f"unknown consistency target {target!r}")

@@ -16,12 +16,11 @@ of u in one pass, so quadrature routes integrate their rows over one shared
 partition and closed forms share their special-function values.  The Bayes
 rule, SURE and the sqrt-superharmonicity conditions read l only through the
 ratios, which stay in double range where l itself (with its factor
-(2 pi)^{-k/2}) does not.  ``triple`` derives the linear (l, l', l'') and the
-``ell`` view exposes it as a ScalarFn.  One layer down a ScalarFn carries one
-``triple`` callable, so a Laplace-route profile reads (G, G', G'') in one
-call.  The two shapes that several families share have one constructor
-each: :func:`squared_profile` for l = S^2 and :func:`laplace_profile` for
-l = e^{log_scale} G(u^2/2).
+(2 pi)^{-k/2}) does not.  ``triple`` derives the linear (l, l', l'').  One
+layer down a ScalarFn carries one ``triple`` callable, so a Laplace-route
+profile reads (G, G', G'') in one call.  The two shapes that several
+families share have one constructor each: :func:`squared_profile` for
+l = S^2 and :func:`laplace_profile` for l = e^{log_scale} G(u^2/2).
 
 Both quadrature routes are positive moment series in log space, and one
 evaluator (:func:`_series_profile`) serves them: l = e^{log_scale - c y}
@@ -120,12 +119,6 @@ class MarginalProfile:
         log_ell, r1, r2 = self.ratios(u)
         ell = np.exp(log_ell)
         return ell, ell * r1, ell * r2
-
-    @property
-    def ell(self) -> ScalarFn:
-        """Read-only view of l: ``eval`` is triple()[0], ``triple`` is triple()."""
-        return ScalarFn(eval=lambda u: self.triple(u)[0], triple=self.triple,
-                        support=(0.0, math.inf), label=self.route)
 
 
 def flat_profile(k: int) -> MarginalProfile:

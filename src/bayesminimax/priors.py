@@ -581,8 +581,9 @@ def _series_eval(rho: float, coeffs: np.ndarray, u: np.ndarray):
 
 def _pair_panels(phi, b0, friction, left, right):
     """y'' at the nodes of each panel [left, right] in t = log u, for both
-    equations y'' + friction_i y' + d y = 0, d = (b0 - u^2 phi(u))/2, and
-    the two starts (y, y') = (1, 0) and (0, 1) at the panel's left end.
+    equations y'' + friction_i y' + d y = 0, d = -u^2 (phi(u) - b0/u^2)/2, and
+    the two starts (y, y') = (1, 0) and (0, 1) at the panel's left end.  d is
+    formed as that difference so that it is exactly 0 for phi = b0/u^2.
 
     With y' = y'(left) + int y'' and y = y(left) + y'(left) tau + int int y'',
     each is (I + f (h/2) C + d (h/2)^2 C^2) y'' = -f y'(left) - d (y(left) +
@@ -591,7 +592,8 @@ def _pair_panels(phi, b0, friction, left, right):
     """
     t = _quad.panel_nodes(left, right, _NODES)
     u = np.exp(t)
-    d = 0.5 * (b0 - u * u * np.asarray(phi.eval(u.ravel()), dtype=float).reshape(u.shape))
+    d = -0.5 * u * u * (np.asarray(phi.eval(u.ravel()), dtype=float).reshape(u.shape)
+                        - b0 / (u * u))
     if not np.all(np.isfinite(d)):
         row = int(np.argmin(np.all(np.isfinite(d), axis=1)))
         raise ConstructionError(

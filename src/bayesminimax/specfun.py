@@ -134,8 +134,26 @@ def _series_log_i(nu: float, x: np.ndarray) -> np.ndarray:
         P *= z
         P *= 1.0 / (j * (j + nu))
         P += 1.0
-    # log(x) - log 2, not log(x / 2): x / 2 underflows to 0 at subnormal x
-    return nu * (np.log(x) - math.log(2.0)) - math.lgamma(nu + 1.0) + np.log(P)
+    # The leading term nu log(x/2) - lgamma(nu + 1) to about one ulp (plain
+    # rounding reaches 2e-13 at nu = 35, x = 1e-8): x/2 is exact where it is
+    # normal, nu log(x/2) an error-free (Dekker) product, lgamma a two-sum.
+    sub = x < 2.0 * np.finfo(float).tiny
+    L = np.log(np.where(sub, x, 0.5 * x)) - np.where(sub, math.log(2.0), 0.0)
+    prod = nu * L
+    (nu_hi, nu_lo), (L_hi, L_lo) = _split(nu), _split(L)
+    prod_err = ((nu_hi * L_hi - prod) + nu_hi * L_lo + nu_lo * L_hi) + nu_lo * L_lo
+    g = -math.lgamma(nu + 1.0)
+    lead = prod + g
+    back = lead - prod
+    sum_err = (prod - (lead - back)) + (g - back)
+    return lead + (prod_err + sum_err + np.log(P))
+
+
+def _split(a):
+    """Dekker's split a = hi + lo into halves whose products are exact."""
+    c = 134217729.0 * a   # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
 
 
 def log_bessel_i_scaled(nu: float, x) -> np.ndarray:

@@ -53,7 +53,7 @@ class TestReportSemantics:
         import json
 
         rep = cd.assemble_report("demo", [1.0], [-0.5], 1e-4, extra={"note": "x"})
-        doc = json.loads(rep.to_json())
+        doc = json.loads(json.dumps(rep.to_dict()))
         assert doc["condition_id"] == "demo"
         assert doc["verdict"] == "HOLDS"
         assert doc["points"][0] == {"x": 1.0, "margin": -0.5, "band": 1e-4}

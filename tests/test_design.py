@@ -1,8 +1,17 @@
-"""Design guards: the adaptive quadrature engine is reached through its
-batched entry points only, the marginal routes share one series evaluator,
-Monte Carlo batches run on one worker pool and read the marginal through one
-SURE formula, no construction steps an ODE, and the constructions halve their
-panels through the engine's bisection."""
+"""Design guards:
+
+1. the adaptive quadrature engine is reached through its batched entry
+   points only;
+2. the marginal routes integrate in log space;
+3. the marginal routes share one series evaluator;
+4. Monte Carlo batches run on one worker pool;
+5. they read the marginal through one SURE formula, in one pass over the draw;
+6. no construction steps an ODE;
+7. the constructions halve their panels through the engine's bisection;
+8. one round cap bounds every refinement;
+9. ``cli.py`` names no family and no construction type: ``families`` makes
+   every decision that depends on either.
+"""
 
 import ast
 import dataclasses
@@ -10,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from bayesminimax.families import FAMILIES
 from bayesminimax.transforms import QuadSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bayesminimax"
@@ -148,3 +158,23 @@ def test_one_round_cap_bounds_every_refinement():
                if isinstance(node, ast.FunctionDef) and node.name == "_refine"]
     named = {node.id for node in ast.walk(refine) if isinstance(node, ast.Name)}
     assert "_MAX_ROUNDS" in named and not {name for name in named if "depth" in name}
+
+
+def test_cli_names_no_family():
+    """No string in ``cli.py`` is a family name or one of the transform
+    command's non-prior inputs, and ``cli.py`` neither imports ``priors`` or
+    ``marginals`` nor names ``ConstructionSolution``: a new family or
+    construction route edits ``families`` alone."""
+    path = SRC / "cli.py"
+    tree = ast.parse(path.read_text(), str(path))
+    strings = {node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert not strings & (set(FAMILIES) | {"gaussian_bessel", "zero"})
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "ConstructionSolution" not in named
+    imported = {alias.name.split(".")[-1] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    imported |= {node.module.split(".")[-1] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert not imported & {"priors", "marginals"}

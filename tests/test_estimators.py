@@ -5,6 +5,8 @@ closed-form SURE of the u^{-(k-2)} power-law profile, the identity
 E|X - theta|^2 = k, and seeded reproducibility.
 """
 
+import csv
+import json
 import math
 import os
 import time
@@ -13,6 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bayesminimax import cli
 from bayesminimax import estimators as es
 from bayesminimax import marginals as mg
 from bayesminimax import priors as pr
@@ -502,21 +505,30 @@ class TestShrinkageDirection:
 
 
 class TestSerialization:
-    def test_csv_round_trip(self, monomial_profile):
-        import csv
-        import io
+    """The files the risk command writes carry its reports exactly."""
 
+    @staticmethod
+    def _risk_run(tmp_path, theta_norms):
+        cfg = tmp_path / "risk.json"
+        cfg.write_text(json.dumps({
+            "command": "risk", "prior_spec": {"family": "example1", "k": 5, "params": {"n": 2}},
+            "mc": {"n_samples": 2000, "seed": 8, "theta_norms": theta_norms}}))
+        assert cli.main(["risk", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        return tmp_path
+
+    def test_csv_round_trip(self, monomial_profile, tmp_path):
         curve = es.risk_curve(monomial_profile, [0.0, 2.0], 2000, 8)
-        text = es.risk_reports_to_csv(curve)
-        rows = list(csv.DictReader(io.StringIO(text)))
+        out = self._risk_run(tmp_path, [0.0, 2.0])
+        with open(out / "risk_curve.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 2
         assert float(rows[0]["mc_risk"]) == curve[0].mc_risk
         assert int(rows[1]["seed"]) == curve[1].seed
+        assert (rows[1]["n"], rows[1]["k"]) == ("2000", "5")
 
-    def test_json(self, monomial_profile):
-        import json
-
+    def test_json(self, monomial_profile, tmp_path):
         curve = es.risk_curve(monomial_profile, [1.0], 2000, 8)
-        doc = json.loads(es.risk_reports_to_json(curve))
+        doc = json.loads((self._risk_run(tmp_path, [1.0]) / "risk_report.json").read_text())
+        assert doc == [r.to_dict() for r in curve]
         assert doc[0]["theta_norm"] == 1.0
         assert doc[0]["baseline_k"] == 5

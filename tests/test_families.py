@@ -5,10 +5,12 @@ code; and the commands a family cannot serve."""
 import json
 import os
 
+import numpy as np
 import pytest
 
-from bayesminimax import cli, priors
+from bayesminimax import cli, families, priors
 from bayesminimax.errors import DomainError
+from bayesminimax.transforms import QuadSpec
 
 SHORT_GRID = {"lo": 0.5, "hi": 6.0, "n_points": 12}
 
@@ -86,3 +88,14 @@ def test_transform_rejects_family_without_radial_prior(tmp_path, capsys):
         "grid_spec": {"lo": 0.5, "hi": 3.0, "n_points": 4}})
     assert code == 2
     assert "transform input not defined for family 'example1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("block, params, gamma", [
+    ({"gamma": 2.0}, {"gamma": 0.5}, 2.0), ({}, {"gamma": 0.5}, 0.5), ({}, {}, 1.0)])
+def test_power_exp_target_gamma_precedence(block, params, gamma):
+    """The power_exp target takes gamma from the transform block, else from
+    the prior's params, else 1."""
+    doc = {"family": "whittaker", "k": 5, "params": params}
+    got = families.consistency_target(doc, 5, block, QuadSpec(), "power_exp")
+    u = np.array([0.5, 2.0])
+    np.testing.assert_array_equal(got.eval(u), priors.power_exp_profile(gamma, 5).eval(u))

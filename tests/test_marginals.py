@@ -24,6 +24,12 @@ from bayesminimax.errors import DomainError, EvaluationError
 from conftest import assert_derivative_contract, fd1
 
 
+def _assert_triple_contract(prof, points):
+    """The derivatives l', l'' of ``prof.triple`` match differences of its l."""
+    assert_derivative_contract(tr.ScalarFn(eval=lambda u: prof.triple(u)[0],
+                                           triple=prof.triple), points)
+
+
 @pytest.fixture(scope="module")
 def strawderman_profiles():
     return (mg.marginal_strawderman(0.5, 5),
@@ -192,7 +198,7 @@ class TestMixtureRoute:
         # l(0) = (2 pi)^{-5/2} int (v+1)^{-4} dv = (2 pi)^{-5/2} / 3
         h = pr.monomial_mixing(2, 5)
         prof = mg.marginal_mixture(h, tr.QuadSpec(rel_tol=1e-11))
-        got = float(np.atleast_1d(prof.ell.eval(0.0))[0])
+        got = float(prof.triple([0.0])[0][0])
         assert got == pytest.approx((2 * math.pi) ** -2.5 / 3.0, rel=1e-9)
 
     def test_strictly_decreasing(self):
@@ -217,7 +223,7 @@ class TestMixtureRoute:
     def test_derivative_contract(self):
         h = pr.monomial_mixing(2, 5)
         prof = mg.marginal_mixture(h, tr.QuadSpec(rel_tol=1e-11))
-        assert_derivative_contract(prof.ell, [0.5, 1.5, 4.0])
+        _assert_triple_contract(prof, [0.5, 1.5, 4.0])
 
     @staticmethod
     def _assert_matches_strawderman(k, u, rel):
@@ -264,7 +270,7 @@ class TestStrawdermanClosedForm:
         # gamma ratio is Gamma(3)/Gamma(4) = 1/3, confirmed by the mixture
         # route l(0) = (2 pi)^{-k/2} (1-a) int (1+v)^{a-2-k/2} dv
         prof = mg.marginal_strawderman(0.5, 5)
-        got = float(np.atleast_1d(prof.ell.eval(0.0))[0])
+        got = float(prof.triple([0.0])[0][0])
         assert got == pytest.approx(0.5 * (2 * math.pi) ** -2.5 / 3.0, rel=1e-12)
 
     def test_matches_mixture_route(self, strawderman_profiles):
@@ -277,13 +283,13 @@ class TestStrawdermanClosedForm:
 
     def test_vanishes_at_infinity(self):
         prof = mg.marginal_strawderman(0.5, 5)
-        big = float(np.atleast_1d(prof.ell.eval(60.0))[0])
-        mid = float(np.atleast_1d(prof.ell.eval(5.0))[0])
+        big = float(prof.triple([60.0])[0][0])
+        mid = float(prof.triple([5.0])[0][0])
         assert 0.0 < big < 1e-4 * mid
 
     def test_derivative_contract(self):
         prof = mg.marginal_strawderman(0.5, 5)
-        assert_derivative_contract(prof.ell, [0.3, 1.0, 3.0, 8.0])
+        _assert_triple_contract(prof, [0.3, 1.0, 3.0, 8.0])
 
     def test_total_mass(self):
         """(2 pi^{k/2}/Gamma(k/2)) int l(u) u^{k-1} du = 1 for proper priors."""
@@ -291,7 +297,7 @@ class TestStrawdermanClosedForm:
         prof = mg.marginal_strawderman(0.5, k)
         c = 2.0 * math.pi ** (k / 2.0) / math.gamma(k / 2.0)
         fn = tr.ScalarFn(
-            eval=lambda u: c * np.asarray(prof.ell.eval(u), dtype=float)
+            eval=lambda u: c * prof.triple(u)[0]
             * np.asarray(u, dtype=float) ** (k - 1),
             support=(0.0, math.inf), nonneg=True)
         verdict, mass = pr.probe_properness(fn)
@@ -385,7 +391,7 @@ class TestClosedFormMonomial:
 
     def test_derivative_contract(self):
         prof = mg.monomial_mixture_profile(2, 5)
-        assert_derivative_contract(prof.ell, [0.4, 1.0, 2.5, 6.0])
+        _assert_triple_contract(prof, [0.4, 1.0, 2.5, 6.0])
 
 
 class TestSurrogates:
@@ -413,9 +419,8 @@ class TestTripleContract:
         return counts
 
     @staticmethod
-    def _assert_view_matches(prof, u, triple):
-        view = prof.ell
-        for got, want in zip((view.eval(u), view.deriv1(u), view.deriv2(u)), triple):
+    def _assert_triple_repeats(prof, u, triple):
+        for got, want in zip(prof.triple(u), triple):
             np.testing.assert_array_equal(got, want)
 
     def test_mixture_one_log_batch_per_level(self, monkeypatch):
@@ -432,7 +437,7 @@ class TestTripleContract:
         counts.update(dict.fromkeys(names, 0))
         assert prof.triple(u[::-1])[0][0] == triple[0][-1]
         assert counts == dict.fromkeys(names, 0)
-        self._assert_view_matches(prof, u, triple)
+        self._assert_triple_repeats(prof, u, triple)
 
     def test_mixture_mc_builds_each_level_once(self, monkeypatch):
         """Two Monte Carlo batches on a fresh mixture profile, run by one
@@ -472,7 +477,7 @@ class TestTripleContract:
         assert counts == {"adaptive_batch": 0, "adaptive_batch_log": 1, "integrate_rows": 0,
                           "integrate_rows_log": 1, "scan_log_peak": 2}
         assert set(orders) == {1.5}
-        self._assert_view_matches(prof, u, triple)
+        self._assert_triple_repeats(prof, u, triple)
 
     def test_radial_warm_call_integrates_nothing(self, monkeypatch):
         """Once a ladder level's moment table is built, a triple on it scans
@@ -484,7 +489,7 @@ class TestTripleContract:
         counts = self._count(monkeypatch, _quad, names)
         triple = prof.triple(u[::-1])
         assert counts == dict.fromkeys(names, 0)
-        self._assert_view_matches(prof, u[::-1], triple)
+        self._assert_triple_repeats(prof, u[::-1], triple)
 
     def test_radial_mc_builds_each_table_once(self, monkeypatch):
         """Two Monte Carlo batches on a fresh radial profile, run by one
@@ -512,7 +517,7 @@ class TestTripleContract:
         counts = self._count(monkeypatch, specfun, ["kummer_1f1"])
         triple = prof.triple(u)
         assert counts == {"kummer_1f1": 0}
-        self._assert_view_matches(prof, u, triple)
+        self._assert_triple_repeats(prof, u, triple)
 
 
 SERIES_ROUTES = {

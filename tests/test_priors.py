@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erfc
 
+from bayesminimax import families
 from bayesminimax import priors as pr
 from bayesminimax import transforms as tr
 from bayesminimax.errors import ConstructionError, DomainError, EvaluationError
@@ -397,6 +398,15 @@ class TestConstructSpherical:
         u = np.geomspace(0.1, 5.0, 40)
         np.testing.assert_allclose(sol.z1.eval(u), u ** rho1, rtol=1e-6)
         np.testing.assert_allclose(sol.z2.eval(u), u ** rho2, rtol=1e-6)
+
+    def test_pure_inverse_square_recessive_solution_is_exact(self):
+        """For the token forcing phi = -2/u^2 the equation's last coefficient
+        d = -u^2 (phi - b0/u^2)/2 is exactly 0, so z1 is u^rho1 to rounding
+        (4.4e-9 off when d was formed as (b0 - u^2 phi)/2)."""
+        phi, b = families.parse_phi_tokens([{"kind": "inv_sq", "c": -2.0}])
+        u = np.geomspace(0.1, 10.0, 60)
+        sol = pr.construct_spherical(phi, 5, c1=0.0, c2=1.0, u_grid=u, phi_series=b)
+        assert np.max(np.abs(sol.z1.eval(u) / u ** sol.rho1 - 1.0)) <= 1e-14
 
     def test_ode_residual(self):
         sol = pr.construct_spherical(inv_square_phi(1.0), 5, c1=1.0, c2=0.5,

@@ -538,7 +538,7 @@ class TestConsistencyChecker:
         def F_t(u):
             u = np.asarray(u, dtype=float)
             h = np.exp(logA + 0.5 * (1.0 - k) * np.log(u) - 0.5 * u * u)
-            return np.asarray(prof.ell.eval(u), dtype=float) / h
+            return prof.triple(u)[0] / h
 
         target = tr.ScalarFn(eval=F_t, support=(0.0, math.inf), nonneg=True)
         return prior.lam, target
