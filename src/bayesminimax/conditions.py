@@ -174,16 +174,13 @@ def check_spherical_minimax_bound(F: ScalarFn, k: int, grid) -> ConditionReport:
 
     For F assembled from the second-order construction the left side equals
     the chosen forcing function phi(u), which is how the checker and the
-    construction validate each other.
+    construction validate each other.  The margin reads only F'/F and
+    F''/F, which stay finite where F overflows (past u ~ 37.7).
     """
     u = np.asarray(grid, dtype=float)
-    if F.triple is None:
+    if F.ratios is None:
         raise DomainError("profile F must carry analytic first and second derivatives")
-    Fv, F1, F2 = (np.asarray(x, dtype=float) for x in F.triple(u))
-    if np.any(Fv <= 0) or np.any(~np.isfinite(Fv)):
-        raise DomainError("profile F must be positive and finite on the grid")
-    R = F1 / Fv
-    t1 = F2 / Fv
+    _, R, t1 = (np.asarray(x, dtype=float) for x in F.ratios(u))
     t2 = -0.5 * R * R
     t3 = R * ((k - 1.0) / (2.0 * u) - u)
     t4 = (k - 1.0) * (7.0 - 3.0 * k) / (8.0 * u * u)
@@ -204,19 +201,16 @@ def check_laplace_mixture_bound(G: ScalarFn, k: int, grid) -> ConditionReport:
         G'(s)/G(s) - 2 G''(s)/G'(s)  <=  k/s  for all s > 0.
     """
     s = np.asarray(grid, dtype=float)
-    if G.triple is None:
+    if G.ratios is None:
         raise DomainError("G must carry analytic first and second derivatives")
-    Gv, G1, G2 = (np.asarray(x, dtype=float) for x in G.triple(s))
-    if np.any(Gv <= 0):
-        raise DomainError("G must be positive on the grid")
-    if np.any(G1 >= 0):
+    _, r1, r2 = (np.asarray(x, dtype=float) for x in G.ratios(s))
+    if np.any(r1 >= 0):
         raise DomainError("G' must be negative: not a Laplace transform of a "
                           "nonnegative kernel")
-    t1 = G1 / Gv
-    t2 = -2.0 * G2 / G1
+    t2 = -2.0 * r2 / r1
     rhs = k / s
-    margins = t1 + t2 - rhs
-    scale = np.maximum.reduce([np.abs(t1), np.abs(t2), rhs])
+    margins = r1 + t2 - rhs
+    scale = np.maximum.reduce([np.abs(r1), np.abs(t2), rhs])
     return assemble_report("laplace_mixture_bound", s, margins, 1e-7 * scale)
 
 
@@ -241,9 +235,9 @@ def check_monomial_mixture(n: int, k: int, grid) -> ConditionReport:
     if n < 0 or k < 3:
         raise DomainError("requires n >= 0 and k >= 3")
     s = np.asarray(grid, dtype=float)
-    G, G1, G2 = priors.monomial_laplace_G(n).triple(s)
-    bracket1 = s * G2 / ((n + 2.0) * -G1)
-    bracket2 = s * -G1 / ((n + 1.0) * G)
+    _, r1, r2 = priors.monomial_laplace_G(n).ratios(s)
+    bracket1 = s * r2 / ((n + 2.0) * -r1)
+    bracket2 = s * -r1 / (n + 1.0)
     margins = 2.0 * (n + 2.0) * bracket1 - (n + 1.0) * bracket2 - k
     scale = 2.0 * (n + 2.0) * bracket1 + (n + 1.0) * bracket2 + k
     extra = {
@@ -277,12 +271,9 @@ def check_gen_beta_mixture(alpha: float, beta: float, gamma: float, sigma: float
     where E* averages against the tilted kernel e^{-st} f(t) and E** against
     t e^{-st} f(t).
     """
-    if not alpha > 0:
-        raise DomainError("alpha must be positive")
+    kernel = priors.gen_beta_kernel(alpha, beta, gamma, sigma)  # checks alpha, beta > 0, sigma
     if not beta >= 1:
         raise DomainError("beta >= 1 required for the checker's sign arguments")
-    if not (0 < sigma < 1):
-        raise DomainError("sigma must lie in (0, 1)")
     if k < 3:
         raise DomainError("k >= 3 required")
     s = np.asarray(grid, dtype=float)
@@ -291,8 +282,7 @@ def check_gen_beta_mixture(alpha: float, beta: float, gamma: float, sigma: float
 
     def rows(t):
         t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            base = t ** (alpha - 1.0) * (1.0 - t) ** (beta - 1.0) * (1.0 - sigma * t) ** (-gamma)
+        base = kernel.eval(t)
         psi = alpha + gamma * sigma * t / (1.0 - sigma * t)
         if beta != 1.0:
             psi = psi - (beta - 1.0) * t / (1.0 - t)

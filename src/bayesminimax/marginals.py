@@ -17,10 +17,11 @@ partition and closed forms share their special-function values.  The Bayes
 rule, SURE and the sqrt-superharmonicity conditions read l only through the
 ratios, which stay in double range where l itself (with its factor
 (2 pi)^{-k/2}) does not.  ``triple`` derives the linear (l, l', l'').  One
-layer down a ScalarFn carries one ``triple`` callable, so a Laplace-route
-profile reads (G, G', G'') in one call.  The two shapes that several
-families share have one constructor each: :func:`squared_profile` for
-l = S^2 and :func:`laplace_profile` for l = e^{log_scale} G(u^2/2).
+layer down a ScalarFn carries the same contract in one ``ratios`` callable,
+so a Laplace-route profile reads (log G, G'/G, G''/G) in one call and
+divides nothing back.  The two shapes that several families share have one
+constructor each: :func:`squared_profile` for l = S^2 and
+:func:`laplace_profile` for l = e^{log_scale} G(u^2/2).
 
 Both quadrature routes are positive moment series in log space, and one
 evaluator (:func:`_series_profile`) serves them: l = e^{log_scale - c y}
@@ -147,14 +148,13 @@ def squared_profile(k: int, S_triple: Callable, route: str) -> MarginalProfile:
 def laplace_profile(G: ScalarFn, k: int, route: str, log_scale: float) -> MarginalProfile:
     """Profile of the mixture identification l(u) = e^{log_scale} G(u^2/2).
 
-    l'/l = u G'(s)/G(s) and l''/l = (u^2 G''(s) + G'(s))/G(s) at s = u^2/2,
-    from one ``G.triple`` call per triple and one division by G.
+    l'/l = u G'(s)/G(s) and l''/l = u^2 G''(s)/G(s) + G'(s)/G(s) at
+    s = u^2/2, from one ``G.ratios`` call per triple.
     """
     def triple(u):
         u2 = np.square(u)
-        G0, G1, G2 = (np.asarray(x, dtype=float) for x in G.triple(0.5 * u2))
-        inv = 1.0 / G0
-        return log_scale + np.log(G0), u * G1 * inv, (u2 * G2 + G1) * inv
+        log_G, r1, r2 = (np.asarray(x, dtype=float) for x in G.ratios(0.5 * u2))
+        return log_scale + log_G, u * r1, u2 * r2 + r1
 
     return MarginalProfile(k=k, route=route, triple_fn=triple)
 

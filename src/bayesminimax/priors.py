@@ -366,28 +366,26 @@ def monomial_mixing(n: int, k: int) -> MixingDensity:
 
 
 def monomial_laplace_G(n: float) -> ScalarFn:
-    """Closed-form Laplace transform of t^n on (0,1), real n > -1, with
-    derivatives:
+    """Closed-form Laplace transform of t^n on (0,1), real n > -1, through
+    its ratios.  G, -G' and G'' are the moments M_b(s) = int_0^1 t^{b-1}
+    e^{-st} dt = Gamma(b) P(b, s) / s^b, b = n+1, n+2, n+3, with P the
+    regularized lower incomplete gamma function.  Only the top moment,
+    b = n+3, makes a ``gammainc`` call: log M_b is the log of that quotient
+    where Gamma(b) and s^b lie in double range, and is assembled in log
+    space where they do not (log space costs ~|b log s| ulps, the quotient a
+    few).  Where P itself would fall below ~e^{-600} (s < b and
+    s^b e^{-s}/Gamma(b+1) < e^{-600}; this includes s = 0) it comes from
+    Kummer's function instead, M_b(s) = e^{-s} 1F1(1; b+1; s) / b
+    (DLMF 8.5.1), through ``specfun.log_kummer_1f1``.  The downward
+    recurrence M_b = (s M_{b+1} + e^{-s}) / b (DLMF 8.8.5) runs in ratio
+    form: with w = e^{-s}/M_{n+3} <= n+3, q1 = M_{n+2}/M_{n+3} = (s + w)/(n+2)
+    and q0 = M_{n+1}/M_{n+2} = (s + w/q1)/(n+1),
 
-        G(s)   =  Gamma(n+1) P(n+1, s) / s^{n+1},
-        G'(s)  = -Gamma(n+2) P(n+2, s) / s^{n+2},
-        G''(s) =  Gamma(n+3) P(n+3, s) / s^{n+3},
+        log G = log M_{n+3} + log(q1 q0),  G'/G = -1/q0,  G''/G = 1/(q0 q1).
 
-    where P is the regularized lower incomplete gamma function.  Only the top
-    moment M_b(s) = int_0^1 t^{b-1} e^{-st} dt, b = n+3, makes a ``gammainc``
-    call: it is that quotient where Gamma(b) and s^b lie in double range, and
-    is assembled in log space where they do not (log space costs ~|b log s|
-    ulps, the quotient a few).  Where P itself would fall below ~e^{-600}
-    (s < b and s^b e^{-s}/Gamma(b+1) < e^{-600}; this includes s = 0) it
-    comes from Kummer's function instead, M_b(s) = e^{-s} 1F1(1; b+1; s) / b
-    (DLMF 8.5.1), through ``specfun.log_kummer_1f1``.  The two lower moments follow by
-    the downward recurrence
-
-        M_b(s) = (s M_{b+1}(s) + e^{-s}) / b,
-
-    integration by parts on int_0^1 t^{b-1} e^{-st} dt (DLMF 8.8.5).  Both
-    terms are positive, so nothing cancels and each step adds only a few
-    ulps.  ``eval`` is ``triple(s)[0]``: one ``gammainc`` call either way.
+    Every term is positive, so nothing cancels, and nothing leaves double
+    range where G underflows (k = 1500 past s ~ 745).  ``eval`` is
+    exp(log G): one ``gammainc`` call either way.
     """
     from scipy.special import gammainc
 
@@ -396,26 +394,28 @@ def monomial_laplace_G(n: float) -> ScalarFn:
 
     b = n + 3.0
 
-    def triple(s):
+    def ratios(s):
         s = np.asarray(s, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             b_log_s = b * np.log(s)
             P = gammainc(b, s)
-            M2 = np.asarray(math.gamma(b) * P / s ** b if b < 170.0 else P)
+            log_M = np.asarray(np.log(math.gamma(b) * P / s ** b) if b < 170.0 else P)
             wide = ~(np.abs(b_log_s) < 700.0) | (b >= 170.0)
             if np.any(wide):
-                M2[wide] = np.exp(math.lgamma(b) + np.log(P[wide]) - b_log_s[wide])
+                log_M[wide] = math.lgamma(b) + np.log(P[wide]) - b_log_s[wide]
             # log of P's leading factor; the factor 1F1(1; b+1; s) >= 1 only raises P
             small = (s < b) & (b_log_s - s - math.lgamma(b + 1.0) < -600.0)
         if np.any(small):
-            M2[small] = np.exp(specfun.log_kummer_1f1(1.0, b + 1.0, s[small]) - s[small]) / b
-        e = np.exp(-s)
-        M1 = (s * M2 + e) / (n + 2.0)
-        return (s * M1 + e) / (n + 1.0), -M1, M2
+            log_M[small] = specfun.log_kummer_1f1(1.0, b + 1.0, s[small]) - s[small] - math.log(b)
+        w = np.exp(-s - log_M)
+        q1 = (s + w) / (n + 2.0)
+        q0 = (s + w / q1) / (n + 1.0)
+        q1 *= q0          # in place: one batch-sized temporary fewer
+        log_M += np.log(q1)
+        return log_M, -1.0 / q0, 1.0 / q1
 
-    return ScalarFn(
-        eval=lambda s: triple(s)[0], triple=triple,
-        support=(0.0, math.inf), label=f"laplace[t^{n}]", nonneg=True)
+    return ScalarFn(eval=lambda s: np.exp(ratios(s)[0]), ratios=ratios,
+                    support=(0.0, math.inf), label=f"laplace[t^{n}]", nonneg=True)
 
 
 # ---------------------------------------------------------------------------
@@ -532,22 +532,18 @@ def _read_panels(edges, w, *tables):
 
 @dataclass
 class ConstructionSolution:
-    """Output of the spherical construction pipeline."""
+    """Output of the spherical construction pipeline; ``S_triple`` maps u
+    to (S, S', S'') of S = c1 z1 + c2 z2, so F = S^2 u^{(k-1)/2} e^{u^2/2}."""
     k: int
     F: ScalarFn
     z1: ScalarFn
     z2: ScalarFn
+    S_triple: Callable
     c1: float
     c2: float
     rho1: float
     rho2: float
     b_coeffs: List[float]
-
-    def S_triple(self, u):
-        """(S, S', S'') of S = c1 z1 + c2 z2, so F = S^2 u^{(k-1)/2} e^{u^2/2}."""
-        c1, c2 = self.c1, self.c2
-        (z1, d1, dd1), (z2, d2, dd2) = self.z1.triple(u), self.z2.triple(u)
-        return c1 * z1 + c2 * z2, c1 * d1 + c2 * d2, c1 * dd1 + c2 * dd2
 
 
 def _frobenius_coeffs(rho: float, k: int, q: Sequence[float], n_terms: int = 6) -> np.ndarray:
@@ -713,43 +709,43 @@ def construct_spherical(phi: ScalarFn, k: int, c1: float = 1.0, c2: float = 0.0,
     edges, y, dy = _frobenius_pair(phi, b[0], 2.0 * rhos + k - 2.0, math.log(u0),
                                    math.log(max(u_max, 2.0 * u0)), start)
 
-    def make_solution(i, label):
-        rho = rhos[i]
+    def z_pair(u):
+        """(z, z') of both solutions, stacked on a leading axis of two: one
+        read of the series or of the panels serves both."""
+        u = np.asarray(u, dtype=float)
+        w = u.ravel()
+        z, dz = np.empty((2, w.size)), np.empty((2, w.size))
+        small = w <= u0
+        v = w[~small]
+        _, *panel = _read_panels(edges, np.log(v), y[:, 0], y[:, 1], dy[:, 0], dy[:, 1])
+        for i, rho in enumerate(rhos):
+            z[i, small], dz[i, small] = _series_eval(rho, coeffs[i], w[small])
+            z[i, ~small] = v ** rho * panel[i]
+            dz[i, ~small] = v ** (rho - 1.0) * (panel[2 + i] + rho * panel[i])
+        return z.reshape((2,) + u.shape), dz.reshape((2,) + u.shape)
 
-        def z_triple(u):
-            """(z, z', z''): z and z' from one read of the series or the
-            panels, z'' from the ODE."""
-            scalar = np.asarray(u).ndim == 0
-            u = np.atleast_1d(np.asarray(u, dtype=float))
-            z, dz = np.empty_like(u), np.empty_like(u)
-            small = u <= u0
-            if np.any(small):
-                z[small], dz[small] = _series_eval(rho, coeffs[i], u[small])
-            if np.any(~small):
-                v = u[~small]
-                _, y_v, dy_v = _read_panels(edges, np.log(v), y[:, i], dy[:, i])
-                z[~small] = v ** rho * y_v
-                dz[~small] = v ** (rho - 1.0) * (dy_v + rho * y_v)
-            d2z = -((k - 1.0) / u) * dz + 0.5 * np.asarray(phi.eval(u), dtype=float) * z
-            return tuple(float(x[0]) for x in (z, dz, d2z)) if scalar else (z, dz, d2z)
+    def S_triple(u):
+        """(S, S', S'') of S = c1 z1 + c2 z2, each z'' from the ODE."""
+        u = np.asarray(u, dtype=float)
+        z, dz = z_pair(u)
+        d2z = -((k - 1.0) / u) * dz + 0.5 * np.asarray(phi.eval(u), dtype=float) * z
+        return tuple(c1 * x[0] + c2 * x[1] for x in (z, dz, d2z))
 
-        return ScalarFn(eval=lambda u: z_triple(u)[0], triple=z_triple,
-                        support=(0.0, u_max), label=label)
-
-    z1, z2 = make_solution(0, "z1"), make_solution(1, "z2")
-    sol = ConstructionSolution(k=k, F=None, z1=z1, z2=z2, c1=c1, c2=c2,
-                               rho1=rho1, rho2=rho2, b_coeffs=b)
-    sol.F = _assemble_profile(sol.S_triple, k, label="constructed_profile",
-                              support=(0.0, u_max))
-    return sol
+    z1, z2 = (ScalarFn(eval=lambda u, i=i: z_pair(u)[0][i], support=(0.0, u_max),
+                       label=f"z{i + 1}") for i in (0, 1))
+    F = _assemble_profile(S_triple, k, label="constructed_profile", support=(0.0, u_max))
+    return ConstructionSolution(k=k, F=F, z1=z1, z2=z2, S_triple=S_triple, c1=c1, c2=c2,
+                                rho1=rho1, rho2=rho2, b_coeffs=b)
 
 
 def _assemble_profile(S_triple, k: int, label: str,
                       support=(0.0, math.inf)) -> ScalarFn:
-    """F = S^2 u^{(k-1)/2} e^{u^2/2} with analytic derivatives.
+    """F = S^2 u^{(k-1)/2} e^{u^2/2} through its ratios.
 
-    ``S_triple`` maps u to (S, S', S'').  F'/F = 2 S'/S + (k-1)/(2u) + u and
-    F''/F = (F'/F)^2 + 2 (S''S - S'^2)/S^2 - (k-1)/(2u^2) + 1.
+    ``S_triple`` maps u to (S, S', S'').  log F = 2 log|S| + ((k-1)/2) log u
+    + u^2/2, F'/F = 2 S'/S + (k-1)/(2u) + u and
+    F''/F = (F'/F)^2 + 2 (S''S - S'^2)/S^2 - (k-1)/(2u^2) + 1, all in double
+    range where F itself overflows (u past ~37.7).
     """
     e = (k - 1.0) / 2.0
 
@@ -764,14 +760,13 @@ def _assemble_profile(S_triple, k: int, label: str,
     def log_F(u):
         return parts(u)[-1]
 
-    def F_triple(u):
+    def F_ratios(u):
         u, S, S1, S2, lF = parts(u)
-        F = np.exp(lF)
         r1 = 2.0 * S1 / S + e / u + u
         curv = 2.0 * (S2 * S - S1 ** 2) / (S * S)
-        return F, F * r1, F * (r1 * r1 + curv - e / (u * u) + 1.0)
+        return lF, r1, r1 * r1 + curv - e / (u * u) + 1.0
 
-    return ScalarFn(eval=lambda u: np.exp(log_F(u)), triple=F_triple, support=support,
+    return ScalarFn(eval=lambda u: np.exp(log_F(u)), ratios=F_ratios, support=support,
                     label=label, log_eval=log_F, nonneg=True)
 
 
@@ -1102,13 +1097,14 @@ def construct_G_mixture(phi: ScalarFn, a: float, b: float,
                         k: Optional[int] = None) -> ScalarFn:
     """Mixture-route transform G(s) = (int_b^s exp(-(1/2) int_a^t phi) dt)^2.
 
-    Derivatives are closed-form:  with E(t) = exp(-(1/2) int_a^t phi),
-    G' = 2 (int_b^s E) E(s)  and  G'' = 2 E(s)^2 - (int_b^s E) E(s) phi(s).
+    Its ratios are closed-form:  with E(t) = exp(-(1/2) int_a^t phi) and
+    I(s) = int_b^s E,  log G = 2 log|I|,  G'/G = 2 E/I  and
+    G''/G = 2 (E/I)^2 - (E/I) phi(s).
     When ``k`` is supplied the bound phi(s) <= k/s is probed first.  Both
     integrals come from one set of Chebyshev panels, built once by
     piecewise spectral integration (:class:`_CumulativeIntegral`), so a
     batch of points costs one barycentric read of the panels for ``eval``
-    and one for the whole ``triple``.
+    and one for all three ``ratios``.
 
     ``b = inf`` is allowed when E is integrable at infinity (tail exponent
     fitted and appended in closed form); it yields the decreasing transforms
@@ -1126,17 +1122,18 @@ def construct_G_mixture(phi: ScalarFn, a: float, b: float,
 
     cum = _CumulativeIntegral(phi, a, b, quad)
 
-    def G_eval(s):
-        I = np.asarray(cum(s)[1], dtype=float)
-        return I * I
-
-    def G_triple(s):
+    def G_ratios(s):
         Phi, I = (np.asarray(x, dtype=float) for x in cum(s))
-        E = np.exp(-0.5 * Phi)
-        return I * I, 2.0 * I * E, 2.0 * E * E - I * E * np.asarray(phi.eval(s), dtype=float)
+        with np.errstate(divide="ignore"):
+            log_G, r = 2.0 * np.log(np.abs(I)), np.exp(-0.5 * Phi) / I
+        return log_G, 2.0 * r, 2.0 * r * r - r * np.asarray(phi.eval(s), dtype=float)
 
-    return ScalarFn(eval=G_eval, triple=G_triple,
-                    support=(0.0, math.inf), label="constructed_G", nonneg=True)
+    def G_eval(s):
+        with np.errstate(divide="ignore"):
+            return np.exp(2.0 * np.log(np.abs(np.asarray(cum(s)[1], dtype=float))))
+
+    return ScalarFn(eval=G_eval, ratios=G_ratios, support=(0.0, math.inf),
+                    label="constructed_G", nonneg=True)
 
 
 def prior_from_spec(doc: dict):

@@ -60,10 +60,12 @@ DEFAULT_QUAD = QuadSpec()
 class ScalarFn:
     """A real function of one positive real variable.
 
-    ``eval`` must accept numpy arrays (scalars are broadcast).  ``triple``
-    optionally maps x to (f, f', f'') computed together: its first component
-    equals ``eval`` bit for bit, and its derivatives must agree with
-    Richardson-extrapolated central differences of ``eval``.  ``log_eval``
+    ``eval`` must accept numpy arrays (scalars are broadcast).  ``ratios``
+    optionally maps x to (log f, f'/f, f''/f) computed together, the
+    contract of a ``MarginalProfile``, which stays in double range where f
+    does not: f'/f agrees with Richardson differences of ``log_abs``, f''/f
+    with those of f'/f plus its square, and exp(log f) is ``eval``, bit for
+    bit, for a positive f.  ``log_eval``
     gives log|f| and enables log-space integration for functions spanning
     hundreds of orders of magnitude; ``nonneg`` declares f >= 0 on its
     support.  ``sign`` optionally gives the sign of f where ``eval``
@@ -71,7 +73,7 @@ class ScalarFn:
     ``log_eval`` is finite.
     """
     eval: Callable
-    triple: Optional[Callable] = None
+    ratios: Optional[Callable] = None
     support: Tuple[float, float] = (0.0, math.inf)
     label: str = ""
     log_eval: Optional[Callable] = None
@@ -80,6 +82,13 @@ class ScalarFn:
 
     def __call__(self, x):
         return self.eval(x)
+
+    def triple(self, x):
+        """(f, f', f'') = f (1, f'/f, f''/f), derived from ``ratios``; f
+        underflows to 0 or overflows where log f leaves the double range."""
+        log_f, r1, r2 = (np.asarray(v, dtype=float) for v in self.ratios(x))
+        f = np.exp(log_f)
+        return f, f * r1, f * r2
 
     def deriv1(self, x):
         """f'(x), read from ``triple``."""
@@ -98,6 +107,8 @@ class ScalarFn:
     def log_abs(self, x):
         if self.log_eval is not None:
             return self.log_eval(x)
+        if self.ratios is not None:
+            return self.ratios(x)[0]
         with np.errstate(divide="ignore"):
             return np.log(np.abs(np.asarray(self.eval(x), dtype=float)))
 

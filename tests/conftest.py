@@ -27,18 +27,18 @@ def fd2(fn, x, h=None):
 
 
 def assert_derivative_contract(fn, points, rel=1e-5):
-    """ScalarFn contract: the derivatives of ``triple`` match Richardson
-    differences of ``eval`` (f') and of the triple's f' (f'')."""
-    if fn.triple is None:
+    """ScalarFn contract: f'/f of ``ratios`` matches Richardson differences
+    of ``log_abs``, and f''/f matches differences of f'/f plus its square."""
+    if fn.ratios is None:
         return
 
     def part(j, t):
-        return float(np.atleast_1d(fn.triple(t)[j])[0])
+        return float(np.atleast_1d(fn.ratios(t)[j])[0])
 
     for x in points:
-        num = fd1(lambda t: float(np.atleast_1d(fn.eval(t))[0]), x)
+        num = fd1(lambda t: float(np.atleast_1d(fn.log_abs(t))[0]), x)
         ana = part(1, x)
         assert ana == pytest.approx(num, rel=rel, abs=1e-12 * max(1.0, abs(num)))
-        num = fd1(lambda t: part(1, t), x)
+        num = fd1(lambda t: part(1, t), x) + ana * ana
         ana = part(2, x)
         assert ana == pytest.approx(num, rel=rel, abs=1e-12 * max(1.0, abs(num)))

@@ -203,6 +203,30 @@ class TestVerify:
         doc = json.loads(open(os.path.join(out, "verify_report.json")).read())
         assert doc["aggregate"] == "HOLDS"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family,params", [
+        ("whittaker", {"gamma": 1.0}), ("bessel_F", {"b": 1.0, "A1": 1.0, "A2": 2.0})])
+    def test_profile_families_past_the_double_range(self, tmp_path, family, params):
+        """F = S^2 u^2 e^{u^2/2} overflows past u ~ 37.7; the checkers read
+        its ratios only, so a grid to u = 40 still gets finite margins, and
+        the bessel_F margin is its forcing phi(u) = -2b/u^2."""
+        code, out = run(tmp_path, {
+            "command": "verify",
+            "prior_spec": {"family": family, "k": 5, "params": params},
+            "grid_spec": {"lo": 0.5, "hi": 40.0, "n_points": 50, "spacing": "linear"}})
+        assert code in (0, 4, 5)
+        with open(os.path.join(out, "verify_report.json")) as fh:
+            doc = json.load(fh)
+        for rep in doc["reports"]:
+            assert all(math.isfinite(p["margin"]) for p in rep["points"])
+        if family == "bessel_F":
+            spherical, = [r for r in doc["reports"]
+                          if r["condition_id"] == "spherical_transform_profile_bound"]
+            u = np.array([p["x"] for p in spherical["points"]])
+            assert u[-1] == 40.0
+            np.testing.assert_allclose([p["margin"] for p in spherical["points"]],
+                                       -2.0 * params["b"] / u ** 2, rtol=1e-9, atol=0)
+
     def test_custom_mixture_strict_family(self, tmp_path):
         code, out = run(tmp_path, {
             "command": "verify",
@@ -358,6 +382,17 @@ class TestRisk:
             "command": "risk",
             "prior_spec": {"family": "strawderman", "k": 400, "params": {"a": 0.5}},
             "mc": {"n_samples": 4000, "seed": 7, "theta_norms": [0.0, 30.0]}})
+        assert code == 0
+        doc = json.loads(open(os.path.join(out, "risk_report.json")).read())
+        assert [rec["n_failures"] for rec in doc] == [0, 0]
+
+    def test_strawderman_k1500_closed_form(self, tmp_path):
+        """At k = 1500 the closed-form G underflows from u ~ 39, where the
+        samples sit; its ratios stay in range, so no sample fails."""
+        code, out = run(tmp_path, {
+            "command": "risk",
+            "prior_spec": {"family": "strawderman", "k": 1500, "params": {"a": 0.5}},
+            "mc": {"n_samples": 4096, "seed": 7, "theta_norms": [0.0, 30.0]}})
         assert code == 0
         doc = json.loads(open(os.path.join(out, "risk_report.json")).read())
         assert [rec["n_failures"] for rec in doc] == [0, 0]

@@ -127,12 +127,8 @@ class TestSphericalBound:
         assert rep.verdict == cd.INCONCLUSIVE
         assert np.max(np.abs(rep.margins)) < 1e-10
 
-    def test_rejects_nonpositive_profile(self):
-        def F_triple(u):
-            u = np.asarray(u, float)
-            return -np.ones_like(u), np.zeros_like(u), np.zeros_like(u)
-
-        F = tr.ScalarFn(eval=lambda u: F_triple(u)[0], triple=F_triple)
+    def test_rejects_profile_without_ratios(self):
+        F = tr.ScalarFn(eval=lambda u: np.exp(np.asarray(u, float) ** 2 / 2.0))
         with pytest.raises(DomainError):
             cd.check_spherical_minimax_bound(F, 5, [1.0])
 
@@ -173,8 +169,12 @@ class TestLaplaceBound:
 
     def test_scale_invariance(self):
         G = pr.monomial_laplace_G(2)
-        G7 = tr.ScalarFn(eval=lambda s: 7.0 * np.asarray(G.eval(s)),
-                         triple=lambda s: tuple(7.0 * np.asarray(x) for x in G.triple(s)))
+
+        def ratios7(s):
+            log_G, r1, r2 = G.ratios(s)
+            return log_G + math.log(7.0), r1, r2
+
+        G7 = tr.ScalarFn(eval=lambda s: 7.0 * np.asarray(G.eval(s)), ratios=ratios7)
         g = np.geomspace(0.01, 10.0, 30)
         r1 = cd.check_laplace_mixture_bound(G, 5, g)
         r2 = cd.check_laplace_mixture_bound(G7, 5, g)
@@ -182,11 +182,11 @@ class TestLaplaceBound:
         np.testing.assert_allclose(r1.margins, r2.margins, rtol=1e-10)
 
     def test_increasing_G_rejected(self):
-        def G_triple(s):
+        def G_ratios(s):
             s = np.asarray(s, float)
-            return s, np.ones_like(s), np.zeros_like(s)
+            return np.log(s), 1.0 / s, np.zeros_like(s)
 
-        G = tr.ScalarFn(eval=lambda s: np.asarray(s, float), triple=G_triple)
+        G = tr.ScalarFn(eval=lambda s: np.asarray(s, float), ratios=G_ratios)
         with pytest.raises(DomainError):
             cd.check_laplace_mixture_bound(G, 5, [1.0])
 

@@ -10,7 +10,9 @@
 7. the constructions halve their panels through the engine's bisection;
 8. one round cap bounds every refinement;
 9. ``cli.py`` names no family and no construction type: ``families`` makes
-   every decision that depends on either.
+   every decision that depends on either;
+10. below the marginal a ScalarFn hands over ratios (log f, f'/f, f''/f),
+    and neither the checkers nor the marginals call a linear ``triple``.
 """
 
 import ast
@@ -20,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from bayesminimax.families import FAMILIES
-from bayesminimax.transforms import QuadSpec
+from bayesminimax.transforms import QuadSpec, ScalarFn
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bayesminimax"
 
@@ -178,3 +180,18 @@ def test_cli_names_no_family():
     imported |= {node.module.split(".")[-1] for node in ast.walk(tree)
                  if isinstance(node, ast.ImportFrom) and node.module}
     assert not imported & {"priors", "marginals"}
+
+
+@pytest.mark.parametrize("name", ["conditions.py", "marginals.py"])
+def test_consumers_read_ratios(name):
+    """``ScalarFn`` carries ``ratios`` and no ``triple`` field, and the
+    checkers and marginals never call ``.triple``: they read the ratios
+    directly, so no consumer divides a linear triple back by f.  Only the
+    table writers in ``families`` derive the linear view."""
+    fields = {f.name for f in dataclasses.fields(ScalarFn)}
+    assert "ratios" in fields and "triple" not in fields
+    path = SRC / name
+    calls = [node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "triple"]
+    assert not calls, f"{name} calls .triple on lines {calls}"

@@ -25,9 +25,9 @@ from conftest import assert_derivative_contract, fd1
 
 
 def _assert_triple_contract(prof, points):
-    """The derivatives l', l'' of ``prof.triple`` match differences of its l."""
+    """The ratios l'/l, l''/l of ``prof.ratios`` match differences of its log l."""
     assert_derivative_contract(tr.ScalarFn(eval=lambda u: prof.triple(u)[0],
-                                           triple=prof.triple), points)
+                                           ratios=prof.ratios), points)
 
 
 @pytest.fixture(scope="module")
@@ -342,6 +342,23 @@ class TestStrawdermanClosedForm:
         mixture = mg.marginal_mixture(pr.strawderman_mixing(a, k)).ratios(u)[0]
         np.testing.assert_allclose(closed, want, rtol=0, atol=1e-11)
         np.testing.assert_allclose(mixture, want, rtol=0, atol=1e-8)
+
+    def test_ratios_at_k1500_past_the_underflow(self):
+        """At k = 1500 G itself underflows from u ~ 39 (s ~ 760); the
+        ratio-form recurrence keeps (log l, l'/l, l''/l) within 1e-12 of
+        40-digit incomplete gammas M_b = gamma(b, s)/s^b on both sides."""
+        a, k = 0.5, 1500
+        n = k / 2.0 - a
+        u = np.array([10.0, 39.0, 60.0])
+        got = mg.marginal_strawderman(a, k).ratios(u)
+        with mpmath.workdps(40):
+            for i, x in enumerate(u.tolist()):
+                s = mpmath.mpf(x) ** 2 / 2
+                M0, M1, M2 = (mpmath.gammainc(n + 1 + j, 0, s) / s ** (n + 1 + j) for j in range(3))
+                want = (mpmath.log(1 - a) - k / 2 * mpmath.log(2 * mpmath.pi) + mpmath.log(M0),
+                        -x * M1 / M0, (x * x * M2 - M1) / M0)
+                for j in range(3):
+                    assert abs(got[j][i] / float(want[j]) - 1.0) <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(a=st.floats(0.0, 0.99), k=st.integers(3, 400), u=st.floats(0.05, 30.0))

@@ -45,13 +45,15 @@ class TestQuadSpec:
 
 class TestScalarFn:
     def test_derivative_contract(self):
-        def triple(x):
+        def ratios(x):
             x = np.asarray(x, float)
-            f = np.exp(-x ** 2)
-            return f, -2.0 * x * f, (4.0 * x ** 2 - 2.0) * f
+            return -x ** 2, -2.0 * x, 4.0 * x ** 2 - 2.0
 
-        fn = tr.ScalarFn(eval=lambda x: np.exp(-np.asarray(x, float) ** 2), triple=triple)
+        fn = tr.ScalarFn(eval=lambda x: np.exp(-np.asarray(x, float) ** 2), ratios=ratios)
         assert_derivative_contract(fn, [0.3, 1.0, 2.5])
+        f, d1, d2 = fn.triple(1.5)
+        assert f == math.exp(-2.25)
+        assert d1 == pytest.approx(-3.0 * f, rel=1e-15) and d2 == pytest.approx(7.0 * f, rel=1e-15)
 
     def test_log_abs_fallback(self):
         fn = sfn(lambda x: -3.0 * np.ones_like(np.asarray(x, float)))
