@@ -128,25 +128,20 @@ def load_config(path: str, args) -> RunConfig:
         grid = {"lo": float(parts[0]), "hi": float(parts[1]),
                 "n_points": int(parts[2]),
                 "spacing": {"log": "log", "lin": "linear"}.get(parts[3], parts[3])}
-    lo = float(grid.get("lo", 1e-2))
-    hi = float(grid.get("hi", 30.0))
-    n_points = int(grid.get("n_points", 200))
-    spacing = grid.get("spacing", "log")
-    if not (lo < hi):
-        raise DomainError(f"grid requires lo < hi, got lo={lo}, hi={hi}")
-    if n_points < 2:
-        raise DomainError(f"n_points >= 2 required, got {n_points}")
-    if spacing not in ("log", "linear"):
-        raise DomainError(f"spacing must be log or linear, got {spacing!r}")
-
     mc = dict(doc.get("mc") or {})
-    n_samples = int(mc.get("n_samples", 10000))
-    seed = int(args.seed if args.seed is not None else mc.get("seed", 20240704))
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
-    theta_norms = [float(x) for x in mc.get("theta_norms", [0.0, 1.0, 3.0, 6.0, 10.0])]
-    if command == "risk" and n_samples < 1000:
-        raise DomainError("risk runs require n_samples >= 1000")
+    if args.seed is not None:
+        mc["seed"] = args.seed
+    output = dict(doc.get("output") or {})
+    if args.out:
+        output["path"] = args.out
+    given = {name: cast(source[key]) if cast else source[key]   # RunConfig fills the rest
+             for source, key, name, cast in (
+                 (grid, "lo", "grid_lo", float), (grid, "hi", "grid_hi", float),
+                 (grid, "n_points", "grid_n", int), (grid, "spacing", "grid_spacing", None),
+                 (mc, "n_samples", "n_samples", int), (mc, "seed", "seed", int),
+                 (mc, "theta_norms", "theta_norms", lambda xs: [float(x) for x in xs]),
+                 (output, "path", "out_dir", None))
+             if key in source}
 
     quad_doc = dict(doc.get("quad") or {})
     env = {}
@@ -156,14 +151,20 @@ def load_config(path: str, args) -> RunConfig:
     quad = QuadSpec(**{f.name: float(quad_doc[f.name]) for f in fields(QuadSpec)
                        if f.name in quad_doc})
 
-    out_dir = args.out or dict(doc.get("output") or {}).get("path", "out")
-
-    return RunConfig(command=command, prior_spec=prior_spec, k=k,
-                     grid_lo=lo, grid_hi=hi, grid_n=n_points,
-                     grid_spacing=spacing, n_samples=n_samples, seed=seed,
-                     theta_norms=theta_norms, quad=quad, out_dir=out_dir,
-                     transform_block=dict(doc.get("transform") or {}),
-                     env_overrides=env)
+    cfg = RunConfig(command=command, prior_spec=prior_spec, k=k, quad=quad,
+                    transform_block=dict(doc.get("transform") or {}),
+                    env_overrides=env, **given)
+    if not (cfg.grid_lo < cfg.grid_hi):
+        raise DomainError(f"grid requires lo < hi, got lo={cfg.grid_lo}, hi={cfg.grid_hi}")
+    if cfg.grid_n < 2:
+        raise DomainError(f"n_points >= 2 required, got {cfg.grid_n}")
+    if cfg.grid_spacing not in ("log", "linear"):
+        raise DomainError(f"spacing must be log or linear, got {cfg.grid_spacing!r}")
+    if cfg.seed < 0:
+        raise DomainError(f"seed must be >= 0, got {cfg.seed}")
+    if command == "risk" and cfg.n_samples < 1000:
+        raise DomainError("risk runs require n_samples >= 1000")
+    return cfg
 
 
 def _aggregate_exit(reports: Sequence[conditions.ConditionReport]) -> int:

@@ -33,16 +33,18 @@ radial moments of the prior.  The mixture route is a Laplace transform in
 s = u^2/2; on each level of u it expands e^{-st} about the upper end c of
 the level's window in t, where every term is positive, so its coefficients
 are moments of (c - t)^j.  Each route only builds a level's coefficients;
-the evaluator scales them once per level to its largest term on a few
-pieces of the level's y range, and then sums each u's series by Horner's
-rule in y over that piece's reference, with no logarithm or exponential per
-term.  The coefficients are positive, so the sums are forward stable, and
-Monte Carlo risk runs with ~1e6 marginal evaluations stay cheap and
-reproducible.
+the evaluator builds the levels in order, scales each level's coefficients
+to its largest term on a few pieces of its y range, and keeps the pieces of
+all levels in one flat table that tiles y from 0.  One lookup finds each
+u's piece, and Horner's rule sums its series in y over the piece's
+reference, with no logarithm or exponential per term.  The coefficients are
+positive, so the sums are forward stable, and Monte Carlo risk runs with
+~1e6 marginal evaluations stay cheap and reproducible.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -67,15 +69,12 @@ __all__ = [
 # reused in place across blocks; a larger block makes fewer array operations
 # but leaves the cache, and concurrent Monte Carlo batches each hold their own.
 _SUM_BLOCK = 1 << 16
-# Both series routes put u on a fixed geometric ladder of horizons
-# L_i = _LADDER_FLOOR * _LADDER_RATIO^i, i >= 0: u takes the smallest
-# L_i >= u, and the level fixes the term count N of u's moment series.  A
-# finer ladder builds more levels, a coarser one sums more terms per u (those
-# of a horizon up to _LADDER_RATIO times u).  The radial coefficients a_j are
-# integrated once per profile, _MOMENT_BLOCK of them at a time, and every
-# level sums a prefix of that one list; a larger block integrates more
-# moments that no level may need, a smaller one makes more scans and row
-# batches.
+# Both series routes build a fixed ladder of horizons L_i = _LADDER_FLOOR *
+# _LADDER_RATIO^i in order: level i serves u in (L_{i-1}, L_i] and fixes the
+# term count N of their series.  A finer ladder builds more levels, a coarser
+# one sums more terms per u.  Every radial level sums a prefix of one list of
+# coefficients, integrated _MOMENT_BLOCK at a time: a larger block integrates
+# moments that no level may need, a smaller one makes more row batches.
 _LADDER_RATIO = math.sqrt(2.0)
 _LADDER_FLOOR = 4.0
 _MOMENT_BLOCK = 64
@@ -166,19 +165,18 @@ def laplace_profile(G: ScalarFn, k: int, route: str, log_scale: float) -> Margin
 def _series_profile(k: int, route: str, log_scale: float, kappa: float,
                     build: Callable) -> MarginalProfile:
     """Profile of l(u) = e^{log_scale - c y} sum_{j<=N} b_j y^j, y = kappa u^2,
-    from one table per level of u.
+    from one flat table of pieces that grows by one ladder level at a time.
 
-    u sits on a fixed geometric ladder of horizons L_i (ratio
-    ``_LADDER_RATIO`` from ``_LADDER_FLOOR``) and takes the smallest
-    L_i >= u.  ``build(level)`` gives the level's (top, c, log b_j, error)
-    the first time a u needs it, and :func:`_scaled_pieces` turns log b_j
-    into the scaled coefficient sets of the level's y range, both behind one
-    lock, since Monte Carlo batches call ``ratios`` from worker threads; a
-    warm call builds nothing and only sums.  A u past its level's ``top``,
-    or on a level with no coefficients (log b_j None), raises
-    EvaluationError naming ``error``.  With E the mean under the weights
-    b_j y^j, q = E[j]/y, w = 2 kappa u = dy/du, d1 = q - c and
-    d2 = E[j(j-1)]/y^2 - 2 c q + c^2,
+    Levels are built in order, behind one lock, since Monte Carlo batches
+    call ``ratios`` from worker threads: ``build(i)`` gives level i's
+    (top <= L_i, c, log b_j, error), and :func:`_scaled_pieces` cuts y from
+    the table's top to kappa top^2 into pieces.  So the pieces tile y from 0,
+    and one lookup finds each u's piece and its level's c.  A call past the
+    table's top first builds the levels up to its largest |u|.  A level whose
+    top falls short of L_i ends the ladder; a u past that top raises
+    EvaluationError naming ``error``, as an infinite u does before any build.
+    With E the mean under the weights b_j y^j, q = E[j]/y, w = 2 kappa u,
+    d1 = q - c and d2 = E[j(j-1)]/y^2 - 2 c q + c^2,
 
         log l = log_scale - c y + log sum_j b_j y^j,
         l'/l = w d1,   l''/l = 2 kappa d1 + w^2 d2,
@@ -188,40 +186,43 @@ def _series_profile(k: int, route: str, log_scale: float, kappa: float,
     polynomials in y over the scaled coefficients, with no factor 1/y, so one
     formula serves every u down to the origin, where y = 0 gives the exact
     limit; a NaN u gives NaN, and l is even in u.  Each u is evaluated
-    elementwise on its own, so its value does not depend on the batch it
-    comes in.
+    elementwise, so its value does not depend on its batch.
     """
-    tables, lock = {}, threading.Lock()
+    table = -math.inf, np.empty(0), [], np.empty(0)   # top y; each piece's y_b, piece and c
+    lock, levels, short = threading.Lock(), 0, None   # short: (top, error) of a short level
 
-    def table(level):
+    def extend(u_max):
+        nonlocal table, levels, short
+        y_max = kappa * (u_max * u_max)
+        if y_max == math.inf:
+            raise EvaluationError(f"{route} moment series: u = {u_max:.6g} is past every "
+                                  f"horizon", u=u_max)
         with lock:
-            if level not in tables:
-                top, c, log_b, error = build(level)
-                y_lo = kappa * _horizon(level - 1.0) ** 2 if level else 0.0
-                u_hi = min(top, _horizon(level))
-                pieces = None if log_b is None else _scaled_pieces(log_b, y_lo, kappa * (u_hi * u_hi))
-                tables[level] = top, c, pieces, error
-            return tables[level]
+            y_top, refs, pieces, c = table
+            while y_top < y_max and short is None:
+                top, c_level, log_b, error = build(levels)
+                y_lo, y_top = max(y_top, 0.0), kappa * (top * top)
+                level_refs, level_pieces = _scaled_pieces(log_b, y_lo, y_top)
+                refs, pieces = np.concatenate((refs, level_refs)), pieces + level_pieces
+                c = np.concatenate((c, np.full(level_refs.size, c_level)))
+                short = (top, error) if top < _horizon(levels) else None
+                levels += 1
+            table = y_top, refs, pieces, c
+        if y_max > y_top:
+            top, error = short
+            raise EvaluationError(f"{error} ({route} moment series: u = {u_max:.6g} is "
+                                  f"past its horizon {top:.6g})", horizon=top, u=u_max)
 
     def triple(u):
         u = np.atleast_1d(u)
         a = np.abs(u)
+        u_max = float(np.fmax.reduce(a, initial=0.0))   # fmax passes over NaN
+        if kappa * (u_max * u_max) > table[0]:
+            extend(u_max)
+        _, refs, pieces, c = table
         y = kappa * np.square(a)
-        with np.errstate(divide="ignore"):
-            level = np.maximum(np.ceil(np.log(a / _LADDER_FLOOR) / math.log(_LADDER_RATIO)), 0.0)
-        level += _horizon(level) < a   # L >= u despite rounding
-        c = np.full_like(y, np.nan)
-        sums = np.full((3, u.size), np.nan)
-        for lv in np.unique(level[~np.isnan(level)]).tolist():
-            top, c_level, pieces, error = table(lv)
-            idx = np.flatnonzero(level == lv)
-            u_hi = float(np.max(a[idx]))
-            if pieces is None or u_hi > top:
-                raise EvaluationError(f"{error} ({route} moment series: u = {u_hi:.6g} is "
-                                      f"past its horizon {top:.6g})", horizon=top, u=u_hi)
-            c[idx] = c_level
-            sums[:, idx] = _moment_sums(y[idx], pieces)
-        log_sum, q, e2 = sums
+        (log_sum, q, e2), which = _moment_sums(y, (refs, pieces))
+        c = c[which]
         d1 = q - c
         d2 = e2 - 2.0 * c * q + c * c
         w = 2.0 * kappa * u
@@ -304,7 +305,7 @@ def _radices(n):
 
 def _moment_sums(y, table):
     """log sum_j b_j y^j, q = E[j]/y and E[j(j-1)]/y^2 at each y, from the
-    scaled pieces of :func:`_scaled_pieces`.
+    scaled pieces of :func:`_scaled_pieces`, and the index of each y's piece.
 
     y takes the piece with the smallest y_b >= y, and with x = y/y_b
 
@@ -346,7 +347,7 @@ def _moment_sums(y, table):
                 out[0, sl] = log_sum
                 out[1, sl] = Q1 / Q / y_b
                 out[2, sl] = Q2 / Q / y_b / y_b
-    return out
+    return out, which
 
 
 def _horner(coef, radices, x, acc):
@@ -397,23 +398,21 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD) -> Margin
         a_j = mu_{nu+2j} / (j! Gamma(nu+j+1)),   mu_p = int_0^inf w r^p dr,
 
     and l = A 2^{-nu} e^{-2y} sum_j a_j y^j is the series of
-    :func:`_series_profile` with kappa = 1/4 and c = 2.  The coefficients
-    a_j do not depend on u, so they are integrated once per profile: in
-    blocks of ``_MOMENT_BLOCK`` consecutive j, each one log-space row batch
-    of moments on [r_lo, r_lo + 2^m], the power of two that covers the scan
-    cut of the block's highest moment, so that each mu_p is a fixed number
-    whichever call first needs it.  Blocks whose ranges round to the same 2^m
-    share their quadrature nodes, and log w is evaluated once per node
-    array.  A ladder level's term count N is found the first time a u needs
-    it: one scan of the Bessel integrand at u = L gives R, and N is the
-    Bessel stop rule at z = (L R)^2/4 for the orders nu, nu + 1 and nu + 2
-    shifted by 0, 1 and 2 terms (the j- and j(j-1)-weighted series), so a
-    relative tail below roundoff at every r <= R and u <= L bounds the tail
-    of each integrated sum.  A level whose N passes the 10,000-term budget
-    takes instead the N of the largest horizon above the level below that
-    fits it, found once by bisection; u past that horizon raise
-    EvaluationError.  The integrands are built from log|lambda|, so a signed
-    lambda raises DomainError rather than being integrated as |lambda|.
+    :func:`_series_profile` with kappa = 1/4 and c = 2.  The a_j do not
+    depend on u, so they are integrated once per profile, in blocks of
+    ``_MOMENT_BLOCK`` consecutive j: one log-space row batch of moments on
+    [r_lo, r_lo + 2^m], the power of two that covers the scan cut of the
+    block's highest moment, so blocks whose ranges round to one 2^m share
+    their nodes and log w is evaluated once per node array.  A level's term
+    count N comes from one scan of the Bessel integrand at u = L, which gives
+    R: N is the Bessel stop rule at z = (L R)^2/4 for the orders nu, nu + 1
+    and nu + 2 shifted by 0, 1 and 2 terms (the j- and j(j-1)-weighted
+    series), so a relative tail below roundoff at every r <= R and u <= L
+    bounds the tail of each integrated sum.  The first level whose N passes
+    the 10,000-term budget takes the N of the largest horizon that fits it,
+    bisected from the level below's, and ends the ladder.  The integrands
+    are built from log|lambda|, so a signed lambda raises DomainError rather
+    than being integrated as |lambda|.
     """
     if not prior.lam.nonneg:
         raise DomainError(f"radial quadrature needs a nonnegative lambda, got the "
@@ -453,16 +452,13 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD) -> Margin
             return None, exc
 
     def build(level):
-        """(top, c, log a_j for j <= N, error) of one ladder level: N at the
-        level's horizon, or at the last horizon above the level below whose
-        series fits the budget; log a_j is None where none does."""
+        """(top, c, log a_j for j <= N, error) of a ladder level: N at its
+        horizon, or past the budget at the last one that fits, bisected up."""
         top = _horizon(level)
         n, error = terms(top)
         if n is None:
-            lo, hi = (top / _LADDER_RATIO if level else 0.0), top
+            lo, hi = (_horizon(level - 1.0) if level else 0.0), top
             n = terms(lo)[0]
-            if n is None:
-                return lo, 2.0, None, error
             while lo < (mid := 0.5 * (lo + hi)) < hi:
                 fitted = terms(mid)[0]
                 if fitted is None:
@@ -475,11 +471,8 @@ def marginal_radial(prior: RadialPrior, quad: QuadSpec = DEFAULT_QUAD) -> Margin
         return top, 2.0, np.array(log_a[:n + 1]), error
 
     def integrate_block():
-        """Append the next _MOMENT_BLOCK coefficients: one row batch of
-        moments on [r_lo, r_lo + 2^m], the power of two that covers the scan
-        cut of the block's highest moment (or the support's end).  Blocks
-        whose ranges round to one 2^m share their nodes, so log w is taken
-        from ``seen`` there."""
+        """Append the next _MOMENT_BLOCK coefficients, one row batch of moments
+        on [r_lo, r_lo + 2^m] (or to the support's end)."""
         j = np.arange(len(log_a), len(log_a) + _MOMENT_BLOCK, dtype=float)
         powers = nu + 2.0 * j
 
@@ -540,31 +533,29 @@ def marginal_mixture(h: MixingDensity, quad: QuadSpec = DEFAULT_QUAD) -> Margina
     v_hi = h.h.support[1]
     t_lo = 0.0 if math.isinf(v_hi) else 1.0 / (1.0 + v_hi)
     t_hi = 1.0 / (1.0 + v_lo)
-    cuts = {}   # ladder level -> the scan cuts (lo, hi) of f e^{-s t} at s = L^2/2
 
     def log_f(t):
         with np.errstate(all="ignore"):
             out = (0.5 * k - 2.0) * np.log(t) + h.h.log_abs((1.0 - t) / t)
         return np.where(np.isnan(out), -np.inf, out)
 
+    @functools.cache
     def scan(level):
-        if level not in cuts:
-            s = 0.5 * _horizon(level) ** 2
-            cuts[level] = _quad.scan_log_peak(lambda t: log_f(t) - s * t, t_lo, t_hi,
-                                              quad.tail_cut)[:2]
-        return cuts[level]
+        """The scan cuts (lo, hi) of f e^{-s t} at s = L^2/2."""
+        s = 0.5 * _horizon(level) ** 2
+        return _quad.scan_log_peak(lambda t: log_f(t) - s * t, t_lo, t_hi, quad.tail_cut)[:2]
 
     def build(level):
-        """(inf, c, log a_j for j <= N, None) of one ladder level."""
+        """(L_i, c, log a_j for j <= N, None) of ladder level i."""
         lo = scan(level)[0]
-        c = scan(level - 1.0)[1] if level else t_hi
+        c = scan(level - 1)[1] if level else t_hi
         j = np.arange(3.0 + specfun.exp_series_length(0.5 * _horizon(level) ** 2 * (c - lo)))
 
         def rows(t):
             return log_f(t)[:, None] + np.multiply.outer(np.log(c - t), j)
 
         log_m = _quad.integrate_rows_log(rows, lo, c, quad.rel_tol)
-        return math.inf, c, log_m - gammaln(j + 1.0), None
+        return _horizon(level), c, log_m - gammaln(j + 1.0), None
 
     return _series_profile(k, "mixture_quadrature", log_C, 0.5, build)
 

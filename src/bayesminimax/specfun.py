@@ -51,6 +51,8 @@ _MAX_TERMS = 10000   # series budget before EvaluationError
 _EPS = float(np.finfo(float).eps)
 _LOG_MAX = math.log(np.finfo(float).max)
 _LOG_TINY = math.log(np.finfo(float).tiny)   # ive below this goes to the Bessel series
+_LOG_SERIES = -500.0   # and below this where the series fits its budget: scipy's ive is
+# up to 2e-13 off where log ive is -550 to -700, 2 ulps of its log
 _FIRST_CANDIDATES = 64   # _series_length tests this many n first, then 4x more per chunk
 # for -1 < nu < 0 the Bessel series serves every x up to here (at most a dozen
 # terms): ive reflects to order -nu through sin(nu pi), which loses its digits
@@ -158,9 +160,9 @@ def _split(a):
 
 def log_bessel_i_scaled(nu: float, x) -> np.ndarray:
     """log(I_nu(x)) - x for array x >= 0, order nu > -1: log(ive(nu, x)),
-    with the ascending series where ive is below the normal double range
-    (small x at a large order) and, for -1 < nu < 0, at every x <= 2, and
-    the limits at x = 0 and x = +inf.
+    with the ascending series where ive is below the normal double range or
+    e^{-500} within its budget (small x at a large order) and, for
+    -1 < nu < 0, at every x <= 2, and the limits at x = 0 and x = +inf.
 
     Vectorized core used by the transforms and marginal integrands, whose
     Bessel kernels must be combined with Gaussian factors in log space.
@@ -175,7 +177,13 @@ def log_bessel_i_scaled(nu: float, x) -> np.ndarray:
     with np.errstate(divide="ignore"):
         np.log(ive(nu, x), out=out)
     # the series' nu log(x/2) is 0 * -inf at x = 0
-    series = (out < _LOG_TINY) & (x > 0.0) & np.isfinite(x)
+    series = (out < _LOG_SERIES) & (x > 0.0) & np.isfinite(x)
+    optional = series & (out >= _LOG_TINY)   # where log(ive) is the fallback
+    if np.any(optional):
+        try:
+            bessel_series_length(nu, 0.25 * float(np.max(x[optional])) ** 2)
+        except EvaluationError:
+            series &= ~optional
     if nu < 0.0:
         series |= (x > 0.0) & (x <= _SHORT_SERIES_X)
     if np.any(series):

@@ -12,7 +12,9 @@
 9. ``cli.py`` names no family and no construction type: ``families`` makes
    every decision that depends on either;
 10. below the marginal a ScalarFn hands over ratios (log f, f'/f, f''/f),
-    and neither the checkers nor the marginals call a linear ``triple``.
+    and neither the checkers nor the marginals call a linear ``triple``;
+11. the series evaluator groups u once, by piece: in ``marginals.py`` only
+    ``_moment_sums`` calls ``np.unique``.
 """
 
 import ast
@@ -195,3 +197,17 @@ def test_consumers_read_ratios(name):
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "triple"]
     assert not calls, f"{name} calls .triple on lines {calls}"
+
+
+def test_u_is_grouped_once():
+    """``np.unique`` is called in ``marginals.py`` only inside
+    ``_moment_sums``: the one flat piece table finds each u's piece and its
+    level's c by one lookup, so ``triple`` computes no per-u ladder level and
+    groups nothing by level."""
+    path = SRC / "marginals.py"
+    callers = {getattr(top, "name", "<module>")
+               for top in ast.parse(path.read_text(), str(path)).body
+               for node in ast.walk(top)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "unique"}
+    assert callers == {"_moment_sums"}

@@ -578,6 +578,43 @@ class TestSeriesRouteContract:
             for g, w in zip(got, prof.ratios(u[i:i + 1])):
                 assert g[i] == w[0], (u[i], g[i], w[0])
 
+    def test_query_order_builds_one_table(self, route, monkeypatch):
+        """Two fresh profiles, one asked [25] and then [0.5, 2, 5], the other
+        the reverse: the ladder is built in order either way, so the ratios
+        are equal to the bit and the moments take as many row batches."""
+        counts = TestTripleContract._count(monkeypatch, _quad, ["integrate_rows_log"])
+        batches, results = [], []
+        for order in ([25.0], [0.5, 2.0, 5.0]), ([0.5, 2.0, 5.0], [25.0]):
+            prof = SERIES_ROUTES[route]()
+            results.append({u[0]: prof.ratios(u) for u in order})
+            batches.append(counts["integrate_rows_log"])
+            counts["integrate_rows_log"] = 0
+        assert batches[0] == batches[1] >= 2
+        for key, got in results[0].items():
+            for g, w in zip(got, results[1][key]):
+                np.testing.assert_array_equal(g, w)
+
+    def test_level_edges(self, route):
+        """At each horizon L_i, i <= 6, and its two float neighbours, which
+        straddle the edge of levels i and i + 1, the ratios agree within
+        1e-12 relative to each value, or absolute where it is below 1."""
+        prof = SERIES_ROUTES[route]()
+        for i in range(7):
+            h = mg._horizon(i)
+            for got in prof.ratios([np.nextafter(h, 0.0), h, np.nextafter(h, np.inf)]):
+                assert np.all(np.abs(got - got[1]) <= 1e-12 * max(1.0, abs(got[1]))), (i, got)
+
+    def test_infinite_u_raises(self, route, monkeypatch):
+        """An infinite u raises EvaluationError before any level is built:
+        the mixture ladder never falls short, so it would build forever."""
+        prof = SERIES_ROUTES[route]()
+        names = ["integrate_rows_log", "scan_log_peak"]
+        counts = TestTripleContract._count(monkeypatch, _quad, names)
+        for u in ([1.0, np.inf], [-np.inf]):
+            with pytest.raises(EvaluationError, match="u = inf is past every horizon"):
+                prof.ratios(u)
+        assert counts == dict.fromkeys(names, 0)
+
     def test_tables_under_thread_contention(self, route, monkeypatch):
         """Eight threads, more than the cores, with a 1 us switch interval,
         race for the same ladder levels of a fresh profile, each on its own
@@ -705,25 +742,25 @@ def test_moment_sums_match_mpmath(case, monkeypatch):
     """The Horner sums of each level against an mpmath sum of the same
     series at 40 u across the level, its low end included: q and
     E[j(j-1)]/y^2 within 8 (N+1) eps relative, and log sum within that plus
-    the rounding of a double of its size.  The radial_normal_k5 case checks
-    only its top level, whose y range is cut into pieces; mixture_k1500 only
-    its last level, whose series falls by e^{500} from top to low end."""
+    the rounding of a double of its size.  One call at u_top builds every
+    level up to it, in order.  The radial_normal_k5 case checks only the
+    last level built, its top one, whose y range is cut into pieces;
+    mixture_k1500 only its last level, whose series falls by e^{500} from
+    top to low end."""
     make, u_top = SERIES_REFERENCE_CASES[case]
     seen = _spy_series(monkeypatch)
     make().ratios([u_top])
     levels = seen["pieces"]
+    assert len(levels) > 1
     if case in ("radial_normal_k5", "mixture_k1500"):
-        assert len(levels) == 1
-    else:
-        make().ratios(np.linspace(0.0, u_top, 200))
-        levels = seen["pieces"][1:]
+        levels = levels[-1:]
     eps = np.finfo(float).eps
     for log_b, y_lo, y_hi, table in levels:
         if case == "radial_normal_k5":
             assert table[0].size >= 4
         y = np.concatenate([y_lo + (y_hi - y_lo) * np.geomspace(1e-6, 1.0, 20) ** 2,
                             np.linspace(y_lo, y_hi, 20)])
-        got = mg._moment_sums(y, table)
+        got, _ = mg._moment_sums(y, table)
         tol = 8.0 * log_b.size * eps
         with mpmath.workdps(40):
             b = [mpmath.exp(mpmath.mpf(float(v))) for v in log_b]

@@ -166,15 +166,18 @@ class TestBesselI:
            tiny=st.floats(0.5e-8, 2e-8), below=st.floats(1e-9, 1e-3))
     @example(nu=35.0, tiny=1e-8, below=1e-6)
     @example(nu=-0.9999999999999999, tiny=1.732419581415348e-08, below=0.0006111882695774149)
+    @example(nu=33.91460722997908, tiny=1.508981247202309e-8, below=1e-6)
     def test_batch_fixes_its_term_count_at_the_largest_argument(self, nu, tiny, below):
         """One batch mixing x = 0, x ~ 1e-8, 4x that and x just below 642.5
         gives each point its one-point value within 1e-13 and mpmath's within
-        2e-13.  I_nu e^{-x} is below the normal double range at x = 1e-8 from
-        nu ~ 32.4 on and at 4e-8 from nu ~ 34.5 on, so near nu = 35 both small
-        points take the ascending series with one term count, set at the
-        larger of them; the rest is log(ive).  The log of a 1e-8 argument
-        rounds at the 2e-13 scale (log I = -690 at nu = 35).  Silent under
-        RuntimeWarning-as-error."""
+        2e-13.  I_nu e^{-x} is below e^{-500} at x = 1e-8 from nu ~ 23.4 on
+        and at 4e-8 from nu ~ 24.9 on (below the normal double range from
+        nu ~ 32.3 and 34.5 on), so from there both small points take the
+        ascending series with one term count, set at the larger of them; the
+        rest is log(ive).  The log of a 1e-8 argument rounds at the 2e-13
+        scale (log I = -690 at nu = 35), and log(ive) is 2.3e-13 off at
+        nu = 33.9, x = 6e-8, where the series is within 1.2e-13.  Silent
+        under RuntimeWarning-as-error."""
         x = np.array([0.0, tiny, 4.0 * tiny, 642.5 * (1.0 - below)])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
