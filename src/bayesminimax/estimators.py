@@ -19,19 +19,17 @@ generator (sub-streams per batch derived deterministically from the seed),
 reports mean squared loss with its standard error, and couples it with the
 SURE average over the same sample; E[SURE] equals the true risk, so the two
 must agree within a few combined standard errors on every passing run.
-A batch of m draws streams its (m, k) draw Z through consecutive row blocks
-of min(32,768, 2^20 // k) rows from its one generator, which fill the same
-values as one draw.  A block keeps Z only for |Z|^2 and Z.theta, both summed
-along each row, so every sample's value, and with it the batch's report, is
-the same as from one whole draw at any k: the radius |theta + Z| and the
-loss of every sample follow from those two numbers and |theta|^2, and the
-marginal is evaluated on the block's radii alone.  What a batch keeps whole
-is its (m,) loss, SURE and validity vectors, so its working memory is
-O(rows k + m), not O(m k).  Each batch reduces to sufficient statistics: its
-valid-sample count, the (sum, M2) of the loss and of SURE, and its failure
-count.  Every batch of every point of a risk curve runs on one pool of up
-to the available CPUs, and each point's statistics are reduced in batch
-order, so a report does not depend on the CPU count.
+A sample X = theta + Z enters its radius and loss only through |Z|^2 and
+Z.theta.  By the rotation invariance of N(0, I_k), g = Z.theta_hat is
+N(0, 1) and c = |Z|^2 - g^2 is chi^2_{k-1}, independent of g, so a batch
+of m samples draws the two (m,) vectors g and c and never the (m, k)
+matrix Z: its working memory is O(m) at any k, and every sample's
+(loss, SURE) has the law it would have from a k-dimensional draw.  Each
+batch reduces to sufficient statistics: its valid-sample count, the
+(sum, M2) of the loss and of SURE, and its failure count.  Every batch of
+every point of a risk curve runs on one pool of up to the available CPUs,
+and each point's statistics are reduced in batch order, so a report does
+not depend on the CPU count.
 
 Risk depends on theta only through |theta| (spherical equivariance), so risk
 curves place theta = (|theta|, 0, ..., 0).
@@ -55,24 +53,15 @@ __all__ = [
     "RiskReport", "bayes_estimate", "sure", "mc_risk", "risk_curve",
 ]
 
-_BATCH = 65536          # fixed so that seeded runs are bit-reproducible
+# Samples per batch, fixed so that seeded runs are bit-reproducible.  A batch
+# is one marginal call on its radii, and its temporaries are about 14 (m,)
+# vectors at any k, so the size trades the per-call cost against memory: on
+# the closed-form benchmark (2-vCPU guest, alternating runs) 65,536-sample
+# batches read 74.7-74.8 MB peak RSS and 0.181-0.184 s per pass, and 16,384
+# read 62.8 MB and 0.172-0.179 s.
+_BATCH = 16384
 _FAIL_FRACTION = 1e-3   # hard-error threshold on excluded samples
 _U_EPS = 1e-8           # below this radius rho and SURE take their limits at u = 0
-# A batch streams through row blocks of min(_BLOCK_ROWS, _BLOCK_VALUES // k)
-# rows, so a block's draw holds at most 2^20 values (8 MB) and the marginal's
-# temporaries grow with the block, not the batch.  The row cap binds up to
-# k = 32: 16,384-row blocks take the closed-form benchmark's peak RSS about
-# 4 MB lower again at k = 5, but they split the 32,768-sample batches of the
-# quadrature routes in two, which cost 7.6% of their median time (2-vCPU
-# guest); at 32,768 those stay one block.  The value cap binds above k = 32,
-# where each block makes its own ratios call (about 0.13 ms fixed, plus
-# per-level work).  Timed one batch at a time on the same guest (Strawderman
-# a = 0.5, |theta| = 30), 2^20 values is where larger blocks stop paying:
-# on the mixture route at k = 1500 a batch of 16,384 took 548, 523 and
-# 525 ms at 2^19, 2^20 and 2^21 values (2^18: 604 ms on another run), and at
-# k = 400 a batch of 32,768 took 286, 275 and 275 ms.
-_BLOCK_VALUES = 1 << 20
-_BLOCK_ROWS = 32768
 
 
 def _worker_count() -> int:
@@ -158,59 +147,29 @@ def _sum_m2(x: np.ndarray) -> Tuple[float, float]:
     return total, float(np.sum((x - total / max(x.size, 1)) ** 2))
 
 
-def _block_rows(k: int) -> int:
-    """Rows of one streamed block of a batch in k dimensions."""
-    return max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // k))
-
-
-def _block_terms(profile: MarginalProfile, theta: np.ndarray, rng: np.random.Generator,
-                 rows: int):
-    """Loss, validity mask and SURE of the next ``rows`` draws of ``rng``.
-
-    The (rows, k) draw Z is read twice, for |Z|^2 and Z.theta, and then freed.
-    With X = theta + Z the radius is u = sqrt(|Z|^2 + 2 Z.theta + |theta|^2),
-    clamped at 0 where roundoff takes the sum below it, and with
-    delta - theta = (1 + rho) Z + rho theta the loss is
-    c^2 |Z|^2 + 2 c rho Z.theta + rho^2 |theta|^2, c = 1 + rho, so no other
-    (rows, k) array is formed.  Both products are einsum sums along each
-    row, so a sample's value does not depend on how many rows share its
-    block; BLAS ``Z @ theta`` takes another path for the rows at the end of
-    each thread's share, and so would move the last bits of some samples
-    with the block size.  On an axis, theta = (t, 0, ..., 0), every order
-    gives Z[:, 0] t exactly.
-    """
-    Z = rng.standard_normal((rows, theta.size))
-    zz = np.einsum("ij,ij->i", Z, Z)
-    zt = np.einsum("ij,j->i", Z, theta)
-    del Z                           # freed before the marginal's own temporaries
-    tt = float(theta @ theta)
-    u = np.sqrt(np.maximum(2.0 * zt + zz + tt, 0.0))
-    rho, ok, s = _shrink_terms(profile, u, theta.size)
-    c = 1.0 + rho
-    return c * c * zz + 2.0 * c * rho * zt + rho * rho * tt, ok, s
-
-
 def _mc_batch(profile: MarginalProfile, theta: np.ndarray, m: int,
               child: np.random.SeedSequence) -> _BatchStats:
     """Sample count, (sum, M2) of the loss and of SURE, and failures of one
     batch of m draws from the child stream.
 
-    The batch streams through consecutive blocks of ``_block_rows(k)`` rows
-    drawn from its one generator, which fill the same values as one (m, k)
-    draw, and every sample's loss and SURE are those of that one draw to the
-    bit; each block is reduced to its loss, validity and SURE
-    (:func:`_block_terms`) before the next is drawn.  Only those three (m,)
-    vectors are kept whole, so ``_sum_m2`` sees the batch as one.  A batch
-    of one block uses the block's vectors as they are.
+    The batch draws g ~ N(0, 1) and then c = 2 standard_gamma((k - 1)/2),
+    which is chi^2_{k-1} and 0 at k = 1, m values each, and takes
+    |Z|^2 = g^2 + c, Z.theta = |theta| g and |theta|^2.  With X = theta + Z
+    the radius is u = sqrt(|Z|^2 + 2 Z.theta + |theta|^2), clamped at 0
+    where roundoff takes the sum below it, and with delta - theta =
+    (1 + rho) Z + rho theta the loss is a^2 |Z|^2 + 2 a rho Z.theta +
+    rho^2 |theta|^2, a = 1 + rho.  The marginal is evaluated once, on the
+    batch's m radii.
     """
-    rng, rows = np.random.default_rng(child), _block_rows(theta.size)
-    if m <= rows:
-        loss, ok, s = _block_terms(profile, theta, rng, m)
-    else:
-        loss, ok, s = np.empty(m), np.empty(m, dtype=bool), np.empty(m)
-        for lo in range(0, m, rows):
-            hi = min(lo + rows, m)
-            loss[lo:hi], ok[lo:hi], s[lo:hi] = _block_terms(profile, theta, rng, hi - lo)
+    k, tt = theta.size, float(theta @ theta)
+    rng = np.random.default_rng(child)
+    g = rng.standard_normal(m)
+    zz = g * g + 2.0 * rng.standard_gamma((k - 1) / 2, m)
+    zt = math.sqrt(tt) * g
+    u = np.sqrt(np.maximum(2.0 * zt + zz + tt, 0.0))
+    rho, ok, s = _shrink_terms(profile, u, k)
+    a = 1.0 + rho
+    loss = a * a * zz + 2.0 * a * rho * zt + rho * rho * tt
     count = int(np.count_nonzero(ok))
     if count < m:
         loss, s = loss[ok], s[ok]
@@ -273,9 +232,13 @@ def mc_risk(profile: MarginalProfile, theta: np.ndarray, n: int, seed: int) -> R
     batches are combined by Chan's formula with compensated sums, so the
     standard errors do not cancel where the spread is small against the mean.
     Samples where the marginal fails to evaluate are excluded and counted;
-    more than 0.1% failures is a hard error.
+    more than 0.1% failures is a hard error.  A theta with a non-finite
+    entry raises ``DomainError`` before any batch starts.
     """
-    return _run_points(profile, [(np.asarray(theta, dtype=float), seed)], n)[0]
+    theta = np.asarray(theta, dtype=float)
+    if not np.isfinite(theta).all():
+        raise DomainError(f"theta must be finite, got {theta}")
+    return _run_points(profile, [(theta, seed)], n)[0]
 
 
 def _norm_seed(seed: int, norm: float) -> int:
@@ -292,6 +255,10 @@ def _norm_seed(seed: int, norm: float) -> int:
 def risk_curve(profile: MarginalProfile, theta_norms: Sequence[float], n: int,
                seed: int) -> List[RiskReport]:
     """One seeded risk report per |theta|, with theta = (|theta|, 0, ..., 0) in
-    the profile's dimension k."""
-    return _run_points(profile, [(np.pad([float(t)], (0, profile.k - 1)),
-                                  _norm_seed(seed, float(t))) for t in theta_norms], n)
+    the profile's dimension k.  A norm that is negative or not finite raises
+    ``DomainError`` before any batch starts."""
+    norms = [float(t) for t in theta_norms]
+    if not all(0.0 <= t < math.inf for t in norms):
+        raise DomainError(f"theta norms must be finite and >= 0, got {norms}")
+    return _run_points(profile, [(np.pad([t], (0, profile.k - 1)), _norm_seed(seed, t))
+                                 for t in norms], n)

@@ -331,7 +331,7 @@ def _moment_sums(y, table):
     which = np.minimum(np.searchsorted(refs, y), refs.size - 1)
     default_bufsize = np.getbufsize()
     with np.errstate():   # restores the ufunc buffer size set per block
-        for p in np.unique(which).tolist():
+        for p in np.flatnonzero(np.bincount(which, minlength=refs.size)).tolist():
             y_b, M, lo, radices, coef = pieces[p]
             idx = np.flatnonzero(which == p)
             block = max(1, _SUM_BLOCK // coef[0].size)

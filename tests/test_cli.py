@@ -51,6 +51,28 @@ class TestConfigValidation:
             "mc": {"n_samples": 10, "seed": 1, "theta_norms": [0.0]}})
         assert code == 2
 
+    def test_negative_theta_norm(self, tmp_path, capsys):
+        """A negative |theta| is a config error, not a second row at its
+        absolute value under another seed."""
+        code, out = run(tmp_path, {
+            "command": "risk",
+            "prior_spec": {"family": "example1", "k": 5, "params": {"n": 2}},
+            "mc": {"n_samples": 2000, "seed": 1, "theta_norms": [-3.0, 3.0]}})
+        assert code == 2
+        assert "theta norms must be finite and >= 0" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "risk_curve.csv"))
+
+    def test_infinite_theta_norm(self, tmp_path, capsys):
+        """An infinite |theta| is a config error raised before any batch
+        runs, not 2000 failed samples."""
+        code, out = run(tmp_path, {
+            "command": "risk",
+            "prior_spec": {"family": "example1", "k": 5, "params": {"n": 2}},
+            "mc": {"n_samples": 2000, "seed": 1, "theta_norms": ["inf"]}})
+        assert code == 2
+        assert "theta norms must be finite and >= 0" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "risk_curve.csv"))
+
     def test_bad_grid(self, tmp_path):
         code, _ = run(tmp_path, {
             "command": "verify",

@@ -5,7 +5,8 @@
 2. the marginal routes integrate in log space;
 3. the marginal routes share one series evaluator;
 4. Monte Carlo batches run on one worker pool;
-5. they read the marginal through one SURE formula, in one pass over the draw;
+5. they read the marginal through one SURE formula, on two draws of m
+   values per batch;
 6. no construction steps an ODE;
 7. the constructions halve their panels through the engine's bisection;
 8. one round cap bounds every refinement;
@@ -13,8 +14,9 @@
    every decision that depends on either;
 10. below the marginal a ScalarFn hands over ratios (log f, f'/f, f''/f),
     and neither the checkers nor the marginals call a linear ``triple``;
-11. the series evaluator groups u once, by piece: in ``marginals.py`` only
-    ``_moment_sums`` calls ``np.unique``.
+11. the series evaluator groups u once, by piece, without sorting: in
+    ``marginals.py`` only ``_moment_sums`` calls ``np.bincount``, and nothing
+    calls ``np.unique``.
 """
 
 import ast
@@ -98,21 +100,26 @@ def test_one_monte_carlo_pool():
 
 def test_one_sure_formula_and_one_pass_over_the_draw():
     """In ``estimators.py`` only ``_shrink_terms`` calls ``.ratios``, so rho,
-    SURE and the Bayes rule share one formula, and neither ``_mc_batch`` nor
-    its ``_block_terms`` names ``norm``: the radius comes from |Z|^2, Z.theta
-    and |theta|^2, not from a second pass over the draw."""
+    SURE and the Bayes rule share one formula.  ``_mc_batch`` draws each
+    sample as its two sufficient statistics: one ``standard_normal`` and one
+    ``standard_gamma`` call, each of m values, and nothing else draws.  It
+    names no ``norm``: the radius comes from |Z|^2, Z.theta and |theta|^2,
+    and no (m, k) draw exists to take a second pass over."""
     path = SRC / "estimators.py"
     tree = ast.parse(path.read_text(), str(path))
     callers = {getattr(top, "name", "<module>") for top in tree.body
                for node in ast.walk(top)
                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "ratios"}
     assert callers == {"_shrink_terms"}
-    batch = [top for top in tree.body
-             if isinstance(top, ast.FunctionDef) and top.name in ("_mc_batch", "_block_terms")]
-    assert len(batch) == 2
-    named = {getattr(node, "attr", getattr(node, "id", None))
-             for top in batch for node in ast.walk(top)}
-    assert "norm" not in named
+    draws = [(top.name, node.func.attr, getattr(node.args[-1], "id", None))
+             for top in tree.body for node in ast.walk(top)
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", "").startswith("standard_")]
+    assert sorted(draws) == [("_mc_batch", "standard_gamma", "m"),
+                             ("_mc_batch", "standard_normal", "m")]
+    batch, = [top for top in tree.body
+              if isinstance(top, ast.FunctionDef) and top.name == "_mc_batch"]
+    assert "norm" not in {getattr(node, "attr", getattr(node, "id", None))
+                          for node in ast.walk(batch)}
 
 
 def test_no_ode_stepping():
@@ -200,14 +207,16 @@ def test_consumers_read_ratios(name):
 
 
 def test_u_is_grouped_once():
-    """``np.unique`` is called in ``marginals.py`` only inside
-    ``_moment_sums``: the one flat piece table finds each u's piece and its
-    level's c by one lookup, so ``triple`` computes no per-u ladder level and
+    """In ``marginals.py`` only ``_moment_sums`` calls ``np.bincount``, and
+    nothing calls ``np.unique``: the one flat piece table finds each u's piece
+    and its level's c by one lookup, one count lists the pieces in use
+    without sorting u, so ``triple`` computes no per-u ladder level and
     groups nothing by level."""
     path = SRC / "marginals.py"
-    callers = {getattr(top, "name", "<module>")
-               for top in ast.parse(path.read_text(), str(path)).body
-               for node in ast.walk(top)
-               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-               and node.func.attr == "unique"}
-    assert callers == {"_moment_sums"}
+    callers = {}
+    for top in ast.parse(path.read_text(), str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                callers.setdefault(node.func.attr, set()).add(getattr(top, "name", "<module>"))
+    assert callers.get("bincount") == {"_moment_sums"}
+    assert "unique" not in callers

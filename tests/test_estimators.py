@@ -14,6 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from bayesminimax import cli
 from bayesminimax import estimators as es
@@ -148,14 +149,30 @@ class TestSure:
         assert rep.sure_mean < 5.0 - 0.1
 
 
+def _rebuilt_draw(theta, m, child):
+    """A batch's m samples rebuilt in k dimensions from its stream, as
+    X = theta + g theta_hat + sqrt(c) e with g and then c = 2 standard_gamma
+    drawn as the batch draws them and e a unit vector orthogonal to theta;
+    with them |Z|^2 = g^2 + c."""
+    k = theta.size
+    rng = np.random.default_rng(child)
+    g = rng.standard_normal(m)
+    c = 2.0 * rng.standard_gamma((k - 1) / 2, m)
+    t = np.linalg.norm(theta)
+    hat = theta / t if t else np.eye(k)[0]
+    e = np.arange(1.0, k + 1)
+    e -= (e @ hat) * hat
+    e /= np.linalg.norm(e)
+    return theta + g[:, None] * hat + np.sqrt(c)[:, None] * e, g * g + c
+
+
 def _explicit_samples(profile, theta, n, seed):
-    """Loss |delta(X) - theta|^2 and SURE of every sample, rebuilt from the
-    per-batch streams with the rule formed in k dimensions."""
+    """Loss |delta(X) - theta|^2 and SURE of every sample, rebuilt in k
+    dimensions from the per-batch streams, with the rule formed on X."""
     loss, sure = [], []
     children = np.random.SeedSequence(seed).spawn(-(-n // es._BATCH))
     for i, child in enumerate(children):
-        m = min(es._BATCH, n - i * es._BATCH)
-        X = theta + np.random.default_rng(child).standard_normal((m, theta.size))
+        X, _ = _rebuilt_draw(theta, min(es._BATCH, n - i * es._BATCH), child)
         rho, ok, s = es._shrink_terms(profile, np.linalg.norm(X, axis=1), theta.size)
         assert ok.all()
         loss.append(np.sum((X * (1.0 + rho)[:, None] - theta) ** 2, axis=1))
@@ -202,6 +219,17 @@ class TestMcRisk:
             es.risk_curve(monomial_profile, [0.0, 1.0], 0, 1)
         assert str(curve.value) == str(alone.value)
 
+    def test_bad_theta_is_a_domain_error(self, monomial_profile, monkeypatch):
+        """A theta with a non-finite entry, and a curve norm that is negative
+        or not finite, raise DomainError before any worker thread starts."""
+        monkeypatch.setattr(es, "ThreadPoolExecutor", None)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(DomainError, match="theta must be finite"):
+                es.mc_risk(monomial_profile, np.array([1.0, 0.0, bad, 0.0, 0.0]), 2000, 1)
+        for norms in ([-3.0, 3.0], [math.inf], [0.0, math.nan]):
+            with pytest.raises(DomainError, match="finite and >= 0"):
+                es.risk_curve(monomial_profile, norms, 2000, 1)
+
     def test_failures_excluded_and_counted(self):
         base = mg.monomial_mixture_profile(2, 5)
 
@@ -236,11 +264,10 @@ class TestMcRisk:
             assert got == pytest.approx(np.std(x, ddof=1) / math.sqrt(n), rel=1e-12)
 
     def test_loss_matches_the_explicit_rule_off_axis(self):
-        """The per-sample loss from |Z|^2, Z.theta and |theta|^2 equals
-        |delta(X) - theta|^2 formed in k dimensions from one draw per batch,
-        at a theta with every sign and a zero coordinate, over an uneven last
-        batch.  At k = 40 a batch streams through 26,214-row blocks, the last
-        one shorter, so a block boundary that moved a sample would show."""
+        """The per-sample loss from g, c and |theta| equals |delta(X) - theta|^2
+        formed in k dimensions on each sample rebuilt as X = theta + g theta_hat
+        + sqrt(c) e, at a theta with every sign and a zero coordinate, over an
+        uneven last batch, at k = 5 and k = 40."""
         seed = 5
         for k, n in ((5, 2 * es._BATCH + 3), (40, es._BATCH + 5)):
             theta = np.resize([1.0, -2.0, 0.5, 0.0, 3.0], k)
@@ -254,91 +281,118 @@ class TestMcRisk:
 
     @pytest.mark.parametrize("norm", [0.5, 3.0, 10.0, 30.0])
     def test_radius_from_the_three_products(self, norm, strawderman_profile):
-        """The batch's u = sqrt(|Z|^2 + 2 Z.theta + |theta|^2) is |theta + Z|
-        to a few ulps of (|Z|^2 + |theta|^2)/u^2, relative, at an off-axis
-        theta."""
+        """The batch's u = sqrt(|Z|^2 + 2 Z.theta + |theta|^2) is |X| of the
+        sample rebuilt in k dimensions to a few ulps of (|Z|^2 + |theta|^2)/u^2,
+        relative, at an off-axis theta."""
         theta = norm * OFF_AXIS
         profile, seen = _recording(strawderman_profile)
         child = np.random.SeedSequence(7).spawn(1)[0]
         assert es._mc_batch(profile, theta, 5000, child)[3] == 0
-        Z = np.random.default_rng(child).standard_normal((5000, 5))
-        ref = np.linalg.norm(theta + Z, axis=1)
-        ulps = np.abs(seen[0] - ref) * ref / (np.finfo(float).eps * (np.sum(Z * Z, axis=1)
-                                                                      + theta @ theta))
+        X, zz = _rebuilt_draw(theta, 5000, child)
+        ref = np.linalg.norm(X, axis=1)
+        ulps = np.abs(seen[0] - ref) * ref / (np.finfo(float).eps * (zz + theta @ theta))
         assert np.max(ulps) <= 4.0
 
     def test_radius_rounding_below_zero_is_the_origin(self, strawderman_profile, monkeypatch):
-        """A draw Z = -theta whose |Z|^2 + 2 Z.theta + |theta|^2 rounds below
-        zero is a valid sample at u = 0, not a failure."""
+        """A draw g = -|theta| (1 + d), d ~ 1e-9, with c = 0, whose
+        |Z|^2 + 2 Z.theta + |theta|^2 rounds below zero, is a valid sample at
+        u = 0, not a failure."""
         rng, m = np.random.default_rng(3), 1000
         for _ in range(200):
-            theta = rng.standard_normal(5)
-            theta[3] = 0.0
-            theta *= rng.uniform(1.0, 30.0) / np.linalg.norm(theta)
-            Z = rng.standard_normal((m, 5))
-            Z[0] = -theta
-            zt, zz = np.einsum("ij,j->i", Z, theta)[0], np.einsum("ij,ij->i", Z, Z)[0]
-            if 2.0 * zt + zz + theta @ theta < 0.0:
+            theta = rng.uniform(1.0, 30.0) * OFF_AXIS
+            tt = theta @ theta
+            g0 = -math.sqrt(tt) * (1.0 + 1e-9 * rng.standard_normal())
+            if 2.0 * (math.sqrt(tt) * g0) + g0 * g0 + tt < 0.0:
                 break
         else:
             pytest.fail("no draw of the search rounds below zero")
+        g, half_c = rng.standard_normal(m), rng.standard_gamma(2.0, m)
+        g[0], half_c[0] = g0, 0.0
 
         class Draw:
-            """Hands out Z in consecutive row blocks, as a generator would."""
-            start = 0
+            """Hands out g and then c / 2, as the batch's generator would."""
+            calls = 0
 
-            def standard_normal(self, shape):
-                rows = Z[self.start:self.start + shape[0]]
-                assert shape == (len(rows), Z.shape[1])
-                self.start += shape[0]
-                return rows.copy()
+            def standard_normal(self, size):
+                assert size == m and self.calls == 0
+                self.calls += 1
+                return g.copy()
+
+            def standard_gamma(self, shape, size):
+                assert (shape, size) == (2.0, m) and self.calls == 1
+                self.calls += 1
+                return half_c.copy()
 
         profile, seen = _recording(strawderman_profile)
         draw = Draw()
         monkeypatch.setattr(np.random, "default_rng", lambda seed: draw)
         count, _, (sure_sum, _), failures = es._mc_batch(profile, theta, m, None)
-        assert seen[0][0] == 0.0 and draw.start == m
+        assert seen[0][0] == 0.0 and draw.calls == 2
         assert count == m and failures == 0 and math.isfinite(sure_sum)
 
-    def test_block_fill_equals_one_draw(self):
-        """Filling a batch's draw block by block from its generator, with the
-        uneven blocks of k = 40, gives the one-call draw bit for bit."""
-        k, m = 40, es._BATCH + 5
-        rows = es._block_rows(k)
-        assert rows == 26214 and m % rows
+    def test_block_fill_equals_one_draw(self, monkeypatch):
+        """A batch draws in no blocks: one ``standard_normal`` and then one
+        ``standard_gamma`` call of m values each from its generator, at k = 40
+        over a batch longer than ``_BATCH``.  At k = 1 the gamma shape is 0,
+        so c = 0 with no branch: at theta = -2, u^2 is 2 (2 g) + g^2 + 4 to
+        the bit, and u = |2 + g|."""
+        calls, default_rng = [], np.random.default_rng
+
+        class Recorder:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def __getattr__(self, name):
+                def draw(*args):
+                    calls.append((name,) + args)
+                    return getattr(self.rng, name)(*args)
+                return draw
+
+        monkeypatch.setattr(np.random, "default_rng", Recorder)
         child = np.random.SeedSequence(5).spawn(1)[0]
-        whole = np.random.default_rng(child).standard_normal((m, k))
-        rng = np.random.default_rng(child)
-        blocks = [rng.standard_normal((min(rows, m - lo), k)) for lo in range(0, m, rows)]
-        np.testing.assert_array_equal(np.concatenate(blocks), whole)
+        k, m = 40, es._BATCH + 5
+        assert es._mc_batch(mg.marginal_strawderman(0.5, k), np.ones(k), m, child)[3] == 0
+        assert calls == [("standard_normal", m), ("standard_gamma", 19.5, m)]
+        profile, seen = _recording(mg.flat_profile(1))
+        es._mc_batch(profile, np.array([-2.0]), 1000, child)
+        g = default_rng(child).standard_normal(1000)
+        np.testing.assert_array_equal(seen[0], np.sqrt(np.maximum(4.0 * g + g * g + 4.0, 0.0)))
+        np.testing.assert_allclose(seen[0], np.abs(2.0 + g), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("k, m", [(40, 65541), (400, 6000)])
     def test_batch_equals_one_whole_draw(self, k, m):
         """Every sample's loss, validity and SURE, and the batch's statistics,
-        are those of the same formulas on one whole (m, k) draw, bit for bit,
-        at an off-axis theta: k = 40 streams 26,214-row blocks and k = 400
-        2,621-row blocks, each with a shorter last block."""
+        are those of the documented formulas on (g, c) drawn whole from the
+        batch's generator, g first, bit for bit, at an off-axis theta and at
+        m above and below ``_BATCH``."""
         theta = np.resize([1.0, -2.0, 0.5, 0.0, 3.0], k)
         profile = mg.marginal_strawderman(0.5, k)
         child = np.random.SeedSequence(11).spawn(1)[0]
-        Z = np.random.default_rng(child).standard_normal((m, k))
-        zz, zt, tt = np.einsum("ij,ij->i", Z, Z), np.einsum("ij,j->i", Z, theta), theta @ theta
+        rng = np.random.default_rng(child)
+        g = rng.standard_normal(m)
+        zz, tt = g * g + 2.0 * rng.standard_gamma((k - 1) / 2, m), theta @ theta
+        zt = math.sqrt(tt) * g
         rho, ok, s = es._shrink_terms(profile, np.sqrt(np.maximum(2.0 * zt + zz + tt, 0.0)), k)
-        c = 1.0 + rho
-        loss = c * c * zz + 2.0 * c * rho * zt + rho * rho * tt
-        rows, rng = es._block_rows(k), np.random.default_rng(child)
-        assert 1 < -(-m // rows) and m % rows
-        blocks = [es._block_terms(profile, theta, rng, min(rows, m - lo))
-                  for lo in range(0, m, rows)]
-        for whole, part in zip((loss, ok, s), zip(*blocks)):
-            np.testing.assert_array_equal(np.concatenate(part), whole)
+        a = 1.0 + rho
+        loss = a * a * zz + 2.0 * a * rho * zt + rho * rho * tt
         assert ok.all()
         assert es._mc_batch(profile, theta, m, child) == (m, es._sum_m2(loss), es._sum_m2(s), 0)
 
+    @pytest.mark.parametrize("k, norm", [(5, 3.0), (1500, 30.0)])
+    def test_u_squared_is_noncentral_chi_squared(self, k, norm):
+        """A batch's u^2 = |X|^2 follows the noncentral chi-squared law with
+        k degrees of freedom and noncentrality |theta|^2: a fixed-seed
+        Kolmogorov-Smirnov test of one full batch at an off-axis theta."""
+        theta = norm * np.resize(OFF_AXIS, k) / np.linalg.norm(np.resize(OFF_AXIS, k))
+        profile, seen = _recording(mg.marginal_strawderman(0.5, k))
+        child = np.random.SeedSequence(13).spawn(1)[0]
+        assert es._mc_batch(profile, theta, es._BATCH, child)[3] == 0
+        result = stats.kstest(seen[0] ** 2, stats.ncx2(k, theta @ theta).cdf)
+        assert result.pvalue > 1e-3, result
+
     def test_batch_memory_is_bounded_by_the_block(self):
-        """One batch of 20,000 draws at k = 400 (a 64 MB draw taken whole)
-        peaks under 12 MB of traced allocations: 2,621-row blocks of 8 MB
-        each and the batch's (m,) vectors."""
+        """One batch of 20,000 draws at k = 400, whose (m, k) normal draw
+        would take 64 MB, peaks under 12 MB of traced allocations."""
         k, m = 400, 20000
         profile = mg.marginal_strawderman(0.5, k)
         child = np.random.SeedSequence(3).spawn(1)[0]
@@ -351,6 +405,25 @@ class TestMcRisk:
             tracemalloc.stop()
         assert count == m
         assert peak < 12 * 2**20, peak
+
+    def test_batch_memory_does_not_grow_with_k(self):
+        """One full batch at k = 1500, whose (m, k) normal draw would take
+        196 MB, peaks under 16 (m,) float vectors of traced allocations (about
+        14 at k = 5 and 1500 alike), and no higher than at k = 5."""
+        peaks = []
+        for k, norm in ((5, 3.0), (1500, 30.0)):
+            profile, theta = mg.marginal_strawderman(0.5, k), np.pad([norm], (0, k - 1))
+            child = np.random.SeedSequence(3).spawn(1)[0]
+            es._mc_batch(profile, theta, 1000, child)   # first call outside the trace
+            tracemalloc.start()
+            try:
+                count = es._mc_batch(profile, theta, es._BATCH, child)[0]
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert count == es._BATCH
+        assert peaks[1] < 16 * 8 * es._BATCH, peaks
+        assert peaks[1] <= peaks[0] + 2**16, peaks
 
     @pytest.mark.parametrize("route", ["closed_form", "mixture", "radial"])
     def test_reports_do_not_depend_on_the_worker_count(self, route, monkeypatch):
