@@ -35,11 +35,16 @@ the level's window in t, where every term is positive, so its coefficients
 are moments of (c - t)^j.  Each route only builds a level's coefficients;
 the evaluator builds the levels in order, scales each level's coefficients
 to its largest term on a few pieces of its y range, and keeps the pieces of
-all levels in one flat table that tiles y from 0.  One lookup finds each
-u's piece, and Horner's rule sums its series in y over the piece's
-reference, with no logarithm or exponential per term.  The coefficients are
-positive, so the sums are forward stable, and Monte Carlo risk runs with
-~1e6 marginal evaluations stay cheap and reproducible.
+all levels in one flat table that tiles y from 0.  A piece sums only the
+terms a double can see: those from the first to the last that reach e^{-50}
+of the largest term at the piece's top or at its bottom.  Each dropped term
+is below e^{-50} of the series at every y of the piece, since its share of
+the sum peaks at one of the two ends.  Counting the piece tops below each u
+finds its piece, and Horner's rule sums its series in y over the piece's
+reference, in one work array per thread, with no logarithm or exponential
+per term.  The coefficients are positive, so the sums are forward stable
+(Higham 2002, section 5.1), and Monte Carlo risk runs with ~1e6 marginal
+evaluations stay cheap and reproducible.
 """
 
 from __future__ import annotations
@@ -65,10 +70,13 @@ __all__ = [
 ]
 
 # Both series routes sum their moment series by Horner's rule over blocks of
-# u whose (3, groups, block) work array holds this many doubles (0.5 MB),
-# reused in place across blocks; a larger block makes fewer array operations
-# but leaves the cache, and concurrent Monte Carlo batches each hold their own.
+# u whose (3, groups, block) work array holds at most this many doubles
+# (0.5 MB), reused in place across blocks.  Each thread keeps one such work
+# array, grown to the largest that its calls have needed, so a warm call
+# allocates none and concurrent Monte Carlo batches never share one; a larger
+# block makes fewer array operations but leaves the cache.
 _SUM_BLOCK = 1 << 16
+_WORKSPACE = threading.local()
 # Both series routes build a fixed ladder of horizons L_i = _LADDER_FLOOR *
 # _LADDER_RATIO^i in order: level i serves u in (L_{i-1}, L_i] and fixes the
 # term count N of their series.  A finer ladder builds more levels, a coarser
@@ -79,11 +87,15 @@ _LADDER_RATIO = math.sqrt(2.0)
 _LADDER_FLOOR = 4.0
 _MOMENT_BLOCK = 64
 # A ladder level's y range is cut into pieces on which the series, scaled to
-# its largest term at the piece's top, stays above e^{-_PIECE_RANGE}, and
-# scaled coefficients below e^{-_COEF_FLOOR} are set to 0: no sum
-# underflows, and no term is subnormal.
+# its largest term at the piece's top, stays above e^{-_PIECE_RANGE}; a piece
+# keeps only the terms that reach e^{-_TRIM} of the largest term at its top
+# or at its bottom.  Every dropped term is then below e^{-_TRIM} of the
+# series at each y of the piece, and the dropped terms, weighted by up to
+# N^2 in the j(j-1)-weighted sum, stay below an ulp while N^2 e^{-_TRIM} <
+# eps, that is N <= 1,000.  Kept terms are at least
+# e^{-(_PIECE_RANGE + _TRIM)}, so no sum underflows and no term is subnormal.
 _PIECE_RANGE = 600.0
-_COEF_FLOOR = 650.0
+_TRIM = 50.0
 # The nested Horner of a piece takes the fewest stages whose group sizes stay
 # at most this: each stage costs about 2 r array operations per block, each
 # more stage a few more flops per u.
@@ -220,13 +232,24 @@ def _series_profile(k: int, route: str, log_scale: float, kappa: float,
         if kappa * (u_max * u_max) > table[0]:
             extend(u_max)
         _, refs, pieces, c = table
-        y = kappa * np.square(a)
+        y = np.square(a, out=a)
+        y *= kappa
         (log_sum, q, e2), which = _moment_sums(y, (refs, pieces))
         c = c[which]
-        d1 = q - c
-        d2 = e2 - 2.0 * c * q + c * c
-        w = 2.0 * kappa * u
-        return log_scale - c * y + log_sum, w * d1, 2.0 * kappa * d1 + w * w * d2
+        # the formulas above, each operation in place on an array done with
+        t = np.multiply(2.0, c)
+        t *= q
+        d2 = np.subtract(e2, t, out=e2)
+        d2 += np.multiply(c, c, out=t)
+        d1 = np.subtract(q, c, out=q)
+        c *= y
+        log_ell = np.add(log_sum, np.subtract(log_scale, c, out=c), out=log_sum)
+        w = np.multiply(2.0 * kappa, u, out=y)
+        d2 *= np.multiply(w, w, out=t)
+        r2 = np.multiply(2.0 * kappa, d1, out=t)
+        r2 += d2
+        d1 *= w
+        return log_ell, d1, r2
 
     return MarginalProfile(k=k, route=route, triple_fn=triple)
 
@@ -244,18 +267,23 @@ def _scaled_pieces(log_b, y_lo, y_hi):
     at y_b; a piece that reaches y_lo, or y = 0 once b_0 alone is that
     large, ends the cut.  A piece keeps its reference y_b, the log M of its
     largest term there and the scaled coefficients
-    beta_j = b_j y_b^j e^{-M}, so that with x = y/y_b in [y_a/y_b, 1]
+    beta_j = b_j y_b^j e^{-M}, so that with x = y/y_b in [x_a, 1]
 
         sum_j b_j y^j = e^M P(x),   P(x) = sum_j beta_j x^j,
 
-    and P(x) >= e^{-_PIECE_RANGE} on the piece.  Coefficients below
-    e^{-_COEF_FLOOR} are 0, so no term is subnormal.  The piece stores the
-    coefficients of P, P' and P'' (beta_j, (j+1) beta_{j+1} and
-    (j+2)(j+1) beta_{j+2}) from the lowest power lo that any of them needs:
-    each is x^lo times a polynomial Q_0, Q_1, Q_2, and the Q's are laid out
-    for :func:`_moment_sums` as (r_1, ..., r_d, 3, 1), radices from
-    :func:`_radices`.  Returns (the ascending y_b, the pieces
-    (y_b, M, lo, radices, array)).
+    and P(x) >= e^{-_PIECE_RANGE} on the piece.  P keeps only the j from
+    the first to the last term that reaches e^{-_TRIM} of the largest term
+    at x = 1 or at x = x_a.  A term past the argmax j* at x = 1 falls
+    against the term j* by x^{j - j*} as x falls, so its share of P peaks
+    at x = 1; a term below the argmax at x_a peaks at x_a likewise.  So
+    every dropped term is below e^{-_TRIM} P(x) at every x of the piece
+    (Higham 2002, section 5.1, bounds the sum of the kept ones).  The
+    piece stores the coefficients of P, P' and P'' (beta_j,
+    (j+1) beta_{j+1} and (j+2)(j+1) beta_{j+2}) from the lowest power lo
+    that any of them needs: each is x^lo times a polynomial Q_0, Q_1, Q_2,
+    and the Q's are laid out for :func:`_moment_sums` as
+    (r_1, ..., r_d, 3, 1), radices from :func:`_radices`.  Returns (the
+    ascending y_b, the pieces (y_b, M, lo, radices, array)).
     """
     j = np.arange(log_b.size, dtype=float)
     pieces = []
@@ -265,14 +293,18 @@ def _scaled_pieces(log_b, y_lo, y_hi):
         M = float(np.max(log_t))
         floor = M - _PIECE_RANGE
         y_a = 0.0 if log_b[0] >= floor else math.exp(float(np.min((floor - log_b[1:]) / j[1:])))
-        beta = np.exp(log_t - M)
-        beta[log_t - M < -_COEF_FLOOR] = 0.0
+        log_ta = log_t.copy()   # the terms at the piece's bottom
+        with np.errstate(divide="ignore"):
+            log_ta[1:] += j[1:] * np.log(max(y_a, y_lo) / y_b)
+        kept = np.flatnonzero((log_t >= M - _TRIM) | (log_ta >= np.max(log_ta) - _TRIM))
+        first, hi = int(kept[0]), int(kept[-1])
+        beta = np.zeros(j.size)
+        beta[first:hi + 1] = np.exp(log_t[first:hi + 1] - M)
         coef = np.zeros((3, j.size))
         coef[0] = beta
         coef[1, :-1] = j[1:] * beta[1:]
         coef[2, :-2] = j[1:-1] * j[2:] * beta[2:]
-        nonzero = np.flatnonzero(coef.any(axis=0))
-        lo, hi = (int(nonzero[0]), int(nonzero[-1])) if nonzero.size else (0, 0)
+        lo = max(first - 2, 0)
         radices = _radices(hi + 1 - lo)
         padded = np.zeros((3, math.prod(radices)))
         padded[:, :hi + 1 - lo] = coef[:, lo:hi + 1]
@@ -307,7 +339,8 @@ def _moment_sums(y, table):
     """log sum_j b_j y^j, q = E[j]/y and E[j(j-1)]/y^2 at each y, from the
     scaled pieces of :func:`_scaled_pieces`, and the index of each y's piece.
 
-    y takes the piece with the smallest y_b >= y, and with x = y/y_b
+    y takes the piece with the smallest y_b >= y, found by counting the
+    piece tops below it, and with x = y/y_b
 
         log sum = M + log P(x),   q = P'(x)/(P(x) y_b),
         E[j(j-1)]/y^2 = P''(x)/(P(x) y_b^2).
@@ -315,8 +348,8 @@ def _moment_sums(y, table):
     P, P' and P'' are x^lo Q_0, x^lo Q_1 and x^lo Q_2, so the ratios are
     those of the Q's, and only log sum takes lo log x.  The Q's are summed
     together by a nested Horner's rule (Estrin's grouping) over blocks of y
-    whose first-stage work array is reused in place: with radices
-    r_1, ..., r_d, stage 1 runs Horner in x over each group of r_1
+    whose first-stage work array is this thread's, reused in place: with
+    radices r_1, ..., r_d, stage 1 runs Horner in x over each group of r_1
     consecutive coefficients, all groups at once, and stage s runs it in
     x^{r_1 ... r_{s-1}} over groups of r_s results of stage s - 1, until one
     value is left.  That is about 2 (r_1 + ... + r_d) array operations per
@@ -328,14 +361,16 @@ def _moment_sums(y, table):
     """
     refs, pieces = table
     out = np.empty((3, y.size))
-    which = np.minimum(np.searchsorted(refs, y), refs.size - 1)
+    which = np.zeros(y.size, dtype=np.intp)
+    for top in refs[:-1].tolist():
+        which += y > top
     default_bufsize = np.getbufsize()
     with np.errstate():   # restores the ufunc buffer size set per block
         for p in np.flatnonzero(np.bincount(which, minlength=refs.size)).tolist():
             y_b, M, lo, radices, coef = pieces[p]
             idx = np.flatnonzero(which == p)
             block = max(1, _SUM_BLOCK // coef[0].size)
-            buf = np.empty(coef.shape[1:-1] + (min(block, idx.size),))
+            buf = _work_array(coef.shape[1:-1] + (min(block, idx.size),))
             for start in range(0, idx.size, block):
                 sl = idx[start:start + block]
                 x = y[sl] / y_b
@@ -348,6 +383,16 @@ def _moment_sums(y, table):
                 out[1, sl] = Q1 / Q / y_b
                 out[2, sl] = Q2 / Q / y_b / y_b
     return out, which
+
+
+def _work_array(shape):
+    """This thread's Horner work array as an array of ``shape``, grown to
+    fit: the largest that any call in the thread has needed."""
+    size = math.prod(shape)
+    array = getattr(_WORKSPACE, "array", None)
+    if array is None or array.size < size:
+        array = _WORKSPACE.array = np.empty(size)
+    return array[:size].reshape(shape)
 
 
 def _horner(coef, radices, x, acc):

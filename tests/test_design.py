@@ -14,9 +14,9 @@
    every decision that depends on either;
 10. below the marginal a ScalarFn hands over ratios (log f, f'/f, f''/f),
     and neither the checkers nor the marginals call a linear ``triple``;
-11. the series evaluator groups u once, by piece, without sorting: in
-    ``marginals.py`` only ``_moment_sums`` calls ``np.bincount``, and nothing
-    calls ``np.unique``.
+11. the series evaluator finds and groups u once, by piece, without
+    sorting or searching: in ``marginals.py`` only ``_moment_sums`` calls
+    ``np.bincount``, and nothing calls ``np.unique`` or ``np.searchsorted``.
 """
 
 import ast
@@ -208,10 +208,11 @@ def test_consumers_read_ratios(name):
 
 def test_u_is_grouped_once():
     """In ``marginals.py`` only ``_moment_sums`` calls ``np.bincount``, and
-    nothing calls ``np.unique``: the one flat piece table finds each u's piece
-    and its level's c by one lookup, one count lists the pieces in use
-    without sorting u, so ``triple`` computes no per-u ladder level and
-    groups nothing by level."""
+    nothing calls ``np.unique`` or ``np.searchsorted``: the one flat piece
+    table finds each u's piece and its level's c by counting the few piece
+    tops below it, one count lists the pieces in use without sorting u, so
+    ``triple`` computes no per-u ladder level and groups nothing by
+    level."""
     path = SRC / "marginals.py"
     callers = {}
     for top in ast.parse(path.read_text(), str(path)).body:
@@ -219,4 +220,4 @@ def test_u_is_grouped_once():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 callers.setdefault(node.func.attr, set()).add(getattr(top, "name", "<module>"))
     assert callers.get("bincount") == {"_moment_sums"}
-    assert "unique" not in callers
+    assert "unique" not in callers and "searchsorted" not in callers

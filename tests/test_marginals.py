@@ -9,6 +9,7 @@ antiderivatives at u = 0.
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import mpmath
@@ -769,3 +770,144 @@ def test_moment_sums_match_mpmath(case, monkeypatch):
             assert abs(got[0, i] - want[0]) <= tol + 2.0 * eps * abs(want[0]), (yi, got[0, i], want[0])
             for g, w in zip(got[1:, i], want[1:]):
                 assert abs(g - w) <= tol * abs(w), (yi, g, w)
+
+
+def _last_table(monkeypatch, make, u_top):
+    """The piece table (refs, pieces) that a call of a fresh profile at
+    u_top hands ``_moment_sums``."""
+    seen, sums = [], mg._moment_sums
+
+    def moment_sums(y, table):
+        seen.append(table)
+        return sums(y, table)
+
+    monkeypatch.setattr(mg, "_moment_sums", moment_sums)
+    make().ratios([u_top])
+    return seen[-1]
+
+
+PIECE_LOOKUP_CASES = {
+    "mixture": (SERIES_ROUTES["mixture"], 30.0),
+    "radial": (SERIES_ROUTES["radial"], 30.0),
+    # the top level cut into pieces
+    "radial_normal_k5": SERIES_REFERENCE_CASES["radial_normal_k5"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PIECE_LOOKUP_CASES))
+def test_piece_lookup_counts_the_tops_below(case, monkeypatch):
+    """Each y takes the piece with the smallest top y_b >= y, found by
+    counting the tops below it: the index is that of a sorted search,
+    min(searchsorted(refs, y), refs.size - 1), at every piece top, its two
+    float neighbours, y = 0, the table top and 1e5 seeded y."""
+    make, u_top = PIECE_LOOKUP_CASES[case]
+    refs, pieces = table = _last_table(monkeypatch, make, u_top)
+    assert refs.size >= 5
+    y = np.concatenate([refs, np.nextafter(refs, 0.0), np.nextafter(refs, np.inf), [0.0],
+                        np.random.default_rng(35).uniform(0.0, refs[-1], 100_000)])
+    _, which = mg._moment_sums(y, table)
+    np.testing.assert_array_equal(which, np.minimum(np.searchsorted(refs, y), refs.size - 1))
+
+
+TRIM_CASES = {
+    "example2": (SERIES_ROUTES["mixture"], 60.0),
+    "mixture_k1500": SERIES_REFERENCE_CASES["mixture_k1500"],
+    # every level up to the horizon
+    "radial_k5": (SERIES_ROUTES["radial"], 127.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRIM_CASES))
+def test_pieces_keep_only_the_terms_a_double_sees(case, monkeypatch):
+    """Each piece keeps the j from the first to the last term that reaches
+    e^{-_TRIM} of the largest term at the piece's top or at its bottom, and
+    every term it drops is below e^{-_TRIM} of the largest term at both
+    ends, so below e^{-_TRIM} of the series at every y of the piece."""
+    make, u_top = TRIM_CASES[case]
+    seen = _spy_series(monkeypatch)
+    make().ratios([u_top])
+    for log_b, y_lo, _, (refs, pieces) in seen["pieces"]:
+        j = np.arange(log_b.size)
+        for bottom, (y_b, M, lo, _, coef) in zip(np.concatenate([[y_lo], refs[:-1]]), pieces):
+            top = log_b + j * math.log(y_b)
+            low = top.copy()
+            with np.errstate(divide="ignore"):
+                low[1:] += j[1:] * np.log(bottom / y_b)
+            reach = (top >= top.max() - mg._TRIM) | (low >= low.max() - mg._TRIM)
+            kept = lo + np.flatnonzero(coef[..., 0].T.reshape(3, -1)[0])
+            first, last = int(kept[0]), int(kept[-1])
+            assert M == top.max() and kept.size == last + 1 - first
+            assert reach[first] and reach[last], (y_b, first, last)
+            dropped = np.ones(j.size, dtype=bool)
+            dropped[first:last + 1] = False
+            assert np.all(top[dropped] < top.max() - mg._TRIM), y_b
+            assert np.all(low[dropped] < low.max() - mg._TRIM), y_b
+
+
+def test_radial_strawderman_within_its_error():
+    """Strawderman a = 0.5, k = 5 on the radial route against the closed
+    form on 40,000 u up to the horizon: l'/l within 5e-13 and l''/l within
+    5e-12 relative on u in (0, 16], 2e-10 and 2e-8 on (16, 127.36], where
+    l''/l is a difference of terms of size u^2; the horizon stays at
+    127.364."""
+    prof = mg.marginal_radial(pr.strawderman_radial(0.5, 5))
+    u = np.linspace(0.0, 127.36, 40001)[1:]
+    got, want = prof.ratios(u), mg.marginal_strawderman(0.5, 5).ratios(u)
+    for i, near, far in ((1, 5e-13, 2e-10), (2, 5e-12, 2e-8)):
+        err = np.abs(got[i] - want[i]) / np.abs(want[i])
+        assert np.max(err[u <= 16.0]) <= near and np.max(err[u > 16.0]) <= far, i
+    with pytest.raises(EvaluationError, match=r"past its horizon 127\.364\)"):
+        prof.ratios([128.0])
+
+
+@pytest.mark.parametrize("route", sorted(SERIES_ROUTES))
+def test_concurrent_calls_match_serial_calls(route):
+    """Two threads call ``ratios`` at once, five times each, on their own
+    16,384 u with a 1 us switch interval: each thread sums in its own work
+    array, so every result equals a serial call's to the bit."""
+    prof = SERIES_ROUTES[route]()
+    rng = np.random.default_rng(35)
+    batches = [rng.uniform(0.0, 20.0, 16384) for _ in range(2)]
+    want = [prof.ratios(b) for b in batches]
+    results = [[], []]
+    barrier = threading.Barrier(2, timeout=60)
+
+    def work(i):
+        barrier.wait()
+        for _ in range(5):
+            results[i].append(prof.ratios(batches[i]))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got_all, w in zip(results, want):
+        assert len(got_all) == 5
+        for got in got_all:
+            for g, v in zip(got, w):
+                np.testing.assert_array_equal(g, v)
+
+
+@pytest.mark.parametrize("route", sorted(SERIES_ROUTES))
+def test_warm_call_allocates_no_work_array(route):
+    """A warm ``ratios`` call on 4,096 u of one piece takes its Horner work
+    array from its thread's workspace: its traced peak, less the (3, n)
+    ratios it returns, stays below one work array of _SUM_BLOCK doubles,
+    which each call allocated afresh before."""
+    prof = SERIES_ROUTES[route]()
+    u = np.random.default_rng(35).uniform(16.5, 20.0, 4096)
+    prof.ratios(u)
+    tracemalloc.start()
+    try:
+        prof.ratios(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - 3 * u.nbytes < mg._SUM_BLOCK * 8, peak

@@ -805,6 +805,26 @@ class TestConstructGMixture:
                                                     r"do not resolve it on \[\S+, \S+\]"):
             pr.construct_G_mixture(phi, a=1.0, b=0.5)
 
+    @pytest.mark.parametrize("power", [2.0, 1.0])
+    def test_non_integrable_forcing_diverges(self, power):
+        """phi = 1/(s - 2)^2 and 1/|s - 2| (a = 1, b = 0.5): Phi = int_a^s
+        phi diverges at s = 2, and the error says so, with the order of the
+        pole, where it said only that the panels do not resolve it."""
+        phi = tr.ScalarFn(eval=lambda s: np.abs(np.asarray(s, float) - 2.0) ** -power)
+        with pytest.raises(ConstructionError, match=rf"^integral of phi from 1 diverges near "
+                                                    rf"s = 2: \|phi\| grows like "
+                                                    rf"\|s - 2\|\^-{power:.3g}$"):
+            pr.construct_G_mixture(phi, a=1.0, b=0.5)
+
+    def test_integrable_singularity_is_not_divergent(self):
+        """phi = |s - 2|^{-1/2} is integrable: the panels still do not
+        resolve it, and the error says that, not that the integral
+        diverges."""
+        phi = tr.ScalarFn(eval=lambda s: np.abs(np.asarray(s, float) - 2.0) ** -0.5)
+        with pytest.raises(ConstructionError, match=r"mixture construction failed: the panels "
+                                                    r"do not resolve it on \[\S+, \S+\]"):
+            pr.construct_G_mixture(phi, a=1.0, b=0.5)
+
     def test_overflow_past_the_solve_raises(self):
         """Past the Phi = -700 stop, E overflows inside the continuing
         quadrature; that raises ConstructionError and no RuntimeWarning."""
