@@ -227,7 +227,8 @@ def check_monomial_mixture(n: int, k: int, grid) -> ConditionReport:
 
     with S_m(s) = sum_{j>=m} s^j/j! = e^s P(m, s), P the regularized lower
     incomplete gamma function.  So the ratios are those of the Laplace
-    transform G = ``priors.monomial_laplace_G(n)``:
+    transform G = ``priors.monomial_laplace_G(n)``, whose top moment comes
+    from the series or continued fraction of ``specfun.laplace_moment``:
     S_{n+3}/S_{n+2} = s G''/((n+2)(-G')) and S_{n+2}/S_{n+1} = s (-G')/((n+1) G).
     The accompanying analytic window is n <= k-3 for the condition and
     n > k/2 - 1 for properness of the mixing density.

@@ -61,6 +61,7 @@ from scipy.special import gammaln
 from . import _quad, specfun
 from .errors import DomainError, EvaluationError
 from .priors import MixingDensity, RadialPrior, monomial_laplace_G
+from .specfun import _horner, _horner_layout
 from .transforms import DEFAULT_QUAD, QuadSpec, ScalarFn
 
 __all__ = [
@@ -96,16 +97,6 @@ _MOMENT_BLOCK = 64
 # e^{-(_PIECE_RANGE + _TRIM)}, so no sum underflows and no term is subnormal.
 _PIECE_RANGE = 600.0
 _TRIM = 50.0
-# The nested Horner of a piece takes the fewest stages whose group sizes stay
-# at most this: each stage costs about 2 r array operations per block, each
-# more stage a few more flops per u.
-_RADIX = 24
-# A Horner step broadcasts x over the groups and each coefficient over the
-# u, and numpy copies such rows through its ufunc buffer to lengthen them,
-# which doubles the cost of a step once a block holds this many u; there the
-# buffer is set no longer than a row, so the step runs on the rows in place.
-# Buffering moves values, never rounds them.
-_UNBUFFERED = 128
 
 
 @dataclass
@@ -281,9 +272,9 @@ def _scaled_pieces(log_b, y_lo, y_hi):
     piece stores the coefficients of P, P' and P'' (beta_j,
     (j+1) beta_{j+1} and (j+2)(j+1) beta_{j+2}) from the lowest power lo
     that any of them needs: each is x^lo times a polynomial Q_0, Q_1, Q_2,
-    and the Q's are laid out for :func:`_moment_sums` as
-    (r_1, ..., r_d, 3, 1), radices from :func:`_radices`.  Returns (the
-    ascending y_b, the pieces (y_b, M, lo, radices, array)).
+    and the Q's are laid out for :func:`_moment_sums` by
+    ``specfun._horner_layout``.  Returns (the ascending y_b, the pieces
+    (y_b, M, lo, radices, array)).
     """
     j = np.arange(log_b.size, dtype=float)
     pieces = []
@@ -305,34 +296,12 @@ def _scaled_pieces(log_b, y_lo, y_hi):
         coef[1, :-1] = j[1:] * beta[1:]
         coef[2, :-2] = j[1:-1] * j[2:] * beta[2:]
         lo = max(first - 2, 0)
-        radices = _radices(hi + 1 - lo)
-        padded = np.zeros((3, math.prod(radices)))
-        padded[:, :hi + 1 - lo] = coef[:, lo:hi + 1]
-        # [i_1, ..., i_d, p] holds Q_p's coefficient of x^j, j = i_1 + r_1 (i_2 + r_2 (...))
-        stack = np.ascontiguousarray(padded.reshape((3,) + radices[::-1]).T)
-        pieces.append((y_b, M, lo, radices, stack[..., None]))
+        pieces.append((y_b, M, lo) + _horner_layout(coef[:, lo:hi + 1]))
         if not y_a > y_lo:
             break
         y_b = y_a
     pieces.reverse()
     return np.array([p[0] for p in pieces]), pieces
-
-
-def _radices(n):
-    """Group sizes r_1, ..., r_d of a nested Horner over n coefficients: d
-    the fewest stages whose sizes stay at most _RADIX, each r_s the least
-    whose power covers what the stages before it leave."""
-    d = 1
-    while _RADIX ** d < n:
-        d += 1
-    radices = []
-    for stage in range(d, 0, -1):
-        r = 1
-        while r ** stage < n:
-            r += 1
-        radices.append(r)
-        n = -(-n // r)
-    return tuple(radices)
 
 
 def _moment_sums(y, table):
@@ -347,41 +316,33 @@ def _moment_sums(y, table):
 
     P, P' and P'' are x^lo Q_0, x^lo Q_1 and x^lo Q_2, so the ratios are
     those of the Q's, and only log sum takes lo log x.  The Q's are summed
-    together by a nested Horner's rule (Estrin's grouping) over blocks of y
-    whose first-stage work array is this thread's, reused in place: with
-    radices r_1, ..., r_d, stage 1 runs Horner in x over each group of r_1
-    consecutive coefficients, all groups at once, and stage s runs it in
-    x^{r_1 ... r_{s-1}} over groups of r_s results of stage s - 1, until one
-    value is left.  That is about 2 (r_1 + ... + r_d) array operations per
-    block for the flops of a flat Horner.  With nonnegative coefficients and
-    0 <= x <= 1 every step adds and multiplies nonnegative numbers, so each
-    sum is within a few (N + 1) ulps of the exact series (Higham 2002,
-    section 5.1).  Every operation is elementwise in y, so a value does not
-    depend on the block or the batch.
+    together by the nested Horner's rule of ``specfun._horner`` over blocks
+    of y whose first-stage work array is this thread's, reused in place.
+    With nonnegative coefficients and 0 <= x <= 1 each sum is within a few
+    (N + 1) ulps of the exact series (Higham 2002, section 5.1).  Every
+    operation is elementwise in y, so a value does not depend on the block
+    or the batch.
     """
     refs, pieces = table
     out = np.empty((3, y.size))
     which = np.zeros(y.size, dtype=np.intp)
     for top in refs[:-1].tolist():
         which += y > top
-    default_bufsize = np.getbufsize()
-    with np.errstate():   # restores the ufunc buffer size set per block
-        for p in np.flatnonzero(np.bincount(which, minlength=refs.size)).tolist():
-            y_b, M, lo, radices, coef = pieces[p]
-            idx = np.flatnonzero(which == p)
-            block = max(1, _SUM_BLOCK // coef[0].size)
-            buf = _work_array(coef.shape[1:-1] + (min(block, idx.size),))
-            for start in range(0, idx.size, block):
-                sl = idx[start:start + block]
-                x = y[sl] / y_b
-                np.setbufsize(x.size - x.size % 16 if x.size >= _UNBUFFERED else default_bufsize)
-                Q, Q1, Q2 = _horner(coef, radices, x, buf[..., :x.size])
-                log_sum = M + np.log(Q)
-                if lo:   # then x > 0: the piece's y_a > 0
-                    log_sum += lo * np.log(x)
-                out[0, sl] = log_sum
-                out[1, sl] = Q1 / Q / y_b
-                out[2, sl] = Q2 / Q / y_b / y_b
+    for p in np.flatnonzero(np.bincount(which, minlength=refs.size)).tolist():
+        y_b, M, lo, radices, coef = pieces[p]
+        idx = np.flatnonzero(which == p)
+        block = max(1, _SUM_BLOCK // coef[0].size)
+        buf = _work_array(coef.shape[1:-1] + (min(block, idx.size),))
+        for start in range(0, idx.size, block):
+            sl = idx[start:start + block]
+            x = y[sl] / y_b
+            Q, Q1, Q2 = _horner(coef, radices, x, buf[..., :x.size])
+            log_sum = M + np.log(Q)
+            if lo:   # then x > 0: the piece's y_a > 0
+                log_sum += lo * np.log(x)
+            out[0, sl] = log_sum
+            out[1, sl] = Q1 / Q / y_b
+            out[2, sl] = Q2 / Q / y_b / y_b
     return out, which
 
 
@@ -393,38 +354,6 @@ def _work_array(shape):
     if array is None or array.size < size:
         array = _WORKSPACE.array = np.empty(size)
     return array[:size].reshape(shape)
-
-
-def _horner(coef, radices, x, acc):
-    """The nested Horner's rule of :func:`_moment_sums` at x, for the
-    (r_1, ..., r_d, 3, 1) coefficients of one piece; ``acc`` is the
-    (r_2, ..., r_d, 3, x.size) work array of the first stage.  Each stage
-    sums over the leading axis, so every coefficient slice and work array is
-    contiguous."""
-    terms, power = coef, x
-    for r in radices:
-        acc[...] = terms[-1]
-        for i in range(r - 2, -1, -1):
-            acc *= power
-            acc += terms[i]
-        terms = acc
-        if acc.ndim > 2:
-            acc = np.empty(acc.shape[1:])
-            power = _int_power(power, r)
-    return terms
-
-
-def _int_power(x, n):
-    """x^n for an integer n >= 1, by repeated squaring: elementwise products
-    only, so a value does not depend on its array."""
-    result = None
-    while n:
-        if n & 1:
-            result = x if result is None else result * x
-        n >>= 1
-        if n:
-            x = x * x
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +547,8 @@ def marginal_strawderman(a: float, k: int) -> MarginalProfile:
     Since 1F1(c; c+1; -s) = c s^{-c} gamma(c, s) (DLMF 13.6), this is
     (1-a) (2 pi)^{-k/2} G(u^2/2) with G the Laplace transform of t^{k/2-a}
     on (0,1): the example1 profile with real n = k/2 - a, through the same
-    incomplete gamma.
+    moment kernel, ``specfun.laplace_moment``'s series (s <= b) and Legendre
+    continued fraction (s > b) for the top moment, b = k/2 - a + 3.
     """
     if not (0.0 <= a < 1.0):
         raise DomainError(f"requires 0 <= a < 1, got {a}")
@@ -634,9 +564,9 @@ def monomial_mixture_profile(n: int, k: int) -> MarginalProfile:
 
         l(u) = (2 pi)^{-k/2} G(u^2/2)
 
-    with G the Laplace transform of t^n on (0,1) (regularized incomplete
-    gamma form).  This is the marginal of the unnormalized mixing density
-    (v+1)^{k/2-2-n}.
+    with G the Laplace transform of t^n on (0,1), a ratio of incomplete
+    gamma functions (``priors.monomial_laplace_G``).  This is the marginal
+    of the unnormalized mixing density (v+1)^{k/2-2-n}.
     """
     return laplace_profile(monomial_laplace_G(n), k, "mixture_closed_form",
                            -0.5 * k * math.log(2.0 * math.pi))

@@ -368,51 +368,40 @@ def monomial_mixing(n: int, k: int) -> MixingDensity:
 def monomial_laplace_G(n: float) -> ScalarFn:
     """Closed-form Laplace transform of t^n on (0,1), real n > -1, through
     its ratios.  G, -G' and G'' are the moments M_b(s) = int_0^1 t^{b-1}
-    e^{-st} dt = Gamma(b) P(b, s) / s^b, b = n+1, n+2, n+3, with P the
-    regularized lower incomplete gamma function.  Only the top moment,
-    b = n+3, makes a ``gammainc`` call: log M_b is the log of that quotient
-    where Gamma(b) and s^b lie in double range, and is assembled in log
-    space where they do not (log space costs ~|b log s| ulps, the quotient a
-    few).  Where P itself would fall below ~e^{-600} (s < b and
-    s^b e^{-s}/Gamma(b+1) < e^{-600}; this includes s = 0) it comes from
-    Kummer's function instead, M_b(s) = e^{-s} 1F1(1; b+1; s) / b
-    (DLMF 8.5.1), through ``specfun.log_kummer_1f1``.  The downward
-    recurrence M_b = (s M_{b+1} + e^{-s}) / b (DLMF 8.8.5) runs in ratio
-    form: with w = e^{-s}/M_{n+3} <= n+3, q1 = M_{n+2}/M_{n+3} = (s + w)/(n+2)
-    and q0 = M_{n+1}/M_{n+2} = (s + w/q1)/(n+1),
+    e^{-st} dt = gamma(b, s) / s^b, b = n+1, n+2, n+3.  Only the top
+    moment, b = n+3, is evaluated, by ``specfun.laplace_moment``, whose
+    positive series (s <= b) and Legendre continued fraction (s > b) give
+    log M_{n+3} and w = e^{-s}/M_{n+3} <= n+3 with no special function per
+    point; its term count and depth are fixed here, once per n.  The
+    downward recurrence M_b = (s M_{b+1} + e^{-s}) / b (DLMF 8.8.5) runs in
+    ratio form: with q1 = M_{n+2}/M_{n+3} = (s + w)/(n+2) and
+    q0 = M_{n+1}/M_{n+2} = (s + w/q1)/(n+1),
 
         log G = log M_{n+3} + log(q1 q0),  G'/G = -1/q0,  G''/G = 1/(q0 q1).
 
     Every term is positive, so nothing cancels, and nothing leaves double
     range where G underflows (k = 1500 past s ~ 745).  ``eval`` is
-    exp(log G): one ``gammainc`` call either way.
+    exp(log G).
     """
-    from scipy.special import gammainc
-
     if not n > -1:
         raise DomainError(f"requires n > -1, got {n}")
 
-    b = n + 3.0
+    moment = specfun.laplace_moment(n + 3.0)
 
     def ratios(s):
-        s = np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            b_log_s = b * np.log(s)
-            P = gammainc(b, s)
-            log_M = np.asarray(np.log(math.gamma(b) * P / s ** b) if b < 170.0 else P)
-            wide = ~(np.abs(b_log_s) < 700.0) | (b >= 170.0)
-            if np.any(wide):
-                log_M[wide] = math.lgamma(b) + np.log(P[wide]) - b_log_s[wide]
-            # log of P's leading factor; the factor 1F1(1; b+1; s) >= 1 only raises P
-            small = (s < b) & (b_log_s - s - math.lgamma(b + 1.0) < -600.0)
-        if np.any(small):
-            log_M[small] = specfun.log_kummer_1f1(1.0, b + 1.0, s[small]) - s[small] - math.log(b)
-        w = np.exp(-s - log_M)
-        q1 = (s + w) / (n + 2.0)
-        q0 = (s + w / q1) / (n + 1.0)
-        q1 *= q0          # in place: one batch-sized temporary fewer
+        shape = np.shape(s)
+        s = np.asarray(s, dtype=float).reshape(-1)
+        log_M, w = moment(s)
+        q1 = s + w
+        q1 /= n + 2.0
+        q0 = np.divide(w, q1, out=w)   # in place: no batch-sized temporary
+        q0 += s
+        q0 /= n + 1.0
+        q1 *= q0
         log_M += np.log(q1)
-        return log_M, -1.0 / q0, 1.0 / q1
+        np.divide(-1.0, q0, out=q0)
+        np.divide(1.0, q1, out=q1)
+        return log_M.reshape(shape), q0.reshape(shape), q1.reshape(shape)
 
     return ScalarFn(eval=lambda s: np.exp(ratios(s)[0]), ratios=ratios,
                     support=(0.0, math.inf), label=f"laplace[t^{n}]", nonneg=True)

@@ -1,4 +1,5 @@
-"""Special functions: log-gamma, modified Bessel I, Kummer 1F1, Whittaker M.
+"""Special functions: modified Bessel I, Kummer 1F1, Whittaker M and the
+incomplete-gamma moments of t^{b-1} on (0, 1).
 
 Everything here is real-valued and built from scipy.special kernels,
 series, asymptotic expansions and integral representations:
@@ -21,6 +22,15 @@ series, asymptotic expansions and integral representations:
   its linear and log views; every 1F1 caller goes through them.
 * ``whittaker_m`` the defining identity
   M_{x,mu}(z) = e^{-z/2} z^{mu+1/2} 1F1(mu+1/2-x; 1+2mu; z).
+* ``laplace_moment`` the kernel s -> (log M_b(s), e^{-s}/M_b(s)) of the
+  incomplete-gamma moment M_b(s) = int_0^1 t^{b-1} e^{-st} dt, the top
+  moment of the closed-form Laplace route: the positive series of
+  1F1(1; b+1; s) for s <= b (DLMF 8.7.1) and Legendre's continued fraction
+  for Gamma(b, s) above (DLMF 8.9.2), with no special function per point
+  and a term count and depth fixed once per b.
+
+The positive series of ``laplace_moment`` and of the marginals' moment
+series are summed by one nested Horner's rule, ``_horner``.
 
 Modified Bessel K and Whittaker W are not here: the K-transform calls
 ``scipy.special.kv``, and the Strawderman radial density reaches W through
@@ -29,8 +39,9 @@ U(mu-x+1/2, 1+2mu, z).
 
 All gamma factors are kept in log space.  The ascending series stop once
 their tail bound is below roundoff at the batch's largest argument
-(``_series_length``) and raise EvaluationError past 10,000 terms, as do the
-linear views past the double range.  Every function is pure.
+(``_series_length``; ``laplace_moment``'s at its switch, s = b) and raise
+EvaluationError past 10,000 terms, as do the linear views past the double
+range.  Every function is pure.
 """
 
 from __future__ import annotations
@@ -44,7 +55,7 @@ from .errors import DomainError, EvaluationError
 
 __all__ = [
     "bessel_i", "bessel_series_length", "exp_series_length", "kummer_1f1", "whittaker_m",
-    "log_bessel_i_scaled", "log_kummer_1f1", "signed_log_kummer_1f1",
+    "log_bessel_i_scaled", "log_kummer_1f1", "signed_log_kummer_1f1", "laplace_moment",
 ]
 
 _MAX_TERMS = 10000   # series budget before EvaluationError
@@ -58,6 +69,16 @@ _FIRST_CANDIDATES = 64   # _series_length tests this many n first, then 4x more 
 # terms): ive reflects to order -nu through sin(nu pi), which loses its digits
 # near nu = -1 where the K_{-nu} part it weights is not negligible
 _SHORT_SERIES_X = 2.0
+# A nested Horner takes the fewest stages whose group sizes stay at most
+# _RADIX: each stage costs about 2 r array operations per block, each more
+# stage a few more flops per point.
+_RADIX = 24
+# A Horner step broadcasts x over the groups and each coefficient over the
+# points, and numpy copies such rows through its ufunc buffer to lengthen
+# them, which doubles the cost of a step once a block holds this many
+# points; there the buffer is set no longer than a row, so the step runs on
+# the rows in place.  Buffering moves values, never rounds them.
+_UNBUFFERED = 128
 
 
 def _series_length(log_ratio, z: float, tol: float, max_terms: int, start: int,
@@ -102,6 +123,83 @@ def exp_series_length(z: float) -> int:
     _MAX_TERMS terms, EvaluationError."""
     return _series_length(lambda j: -np.log(j + 1.0), z, _EPS, _MAX_TERMS, 0,
                           "exponential series")
+
+
+# ---------------------------------------------------------------------------
+# nested Horner's rule over nonnegative coefficients
+# ---------------------------------------------------------------------------
+
+def _radices(n):
+    """Group sizes r_1, ..., r_d of a nested Horner over n coefficients: d
+    the fewest stages whose sizes stay at most _RADIX, each r_s the least
+    whose power covers what the stages before it leave."""
+    d = 1
+    while _RADIX ** d < n:
+        d += 1
+    radices = []
+    for stage in range(d, 0, -1):
+        r = 1
+        while r ** stage < n:
+            r += 1
+        radices.append(r)
+        n = -(-n // r)
+    return tuple(radices)
+
+
+def _horner_layout(coef):
+    """The radices of :func:`_radices` for the rows of the (p, n)
+    coefficients ``coef``, and the rows laid out for :func:`_horner` as
+    (r_1, ..., r_d, p, 1), zero-padded: [i_1, ..., i_d, q] holds row q's
+    coefficient of x^j, j = i_1 + r_1 (i_2 + r_2 (...))."""
+    p, n = coef.shape
+    radices = _radices(n)
+    padded = np.zeros((p, math.prod(radices)))
+    padded[:, :n] = coef
+    return radices, np.ascontiguousarray(padded.reshape((p,) + radices[::-1]).T)[..., None]
+
+
+def _horner(coef, radices, x, acc):
+    """The p polynomials of the (r_1, ..., r_d, p, 1) coefficients of
+    :func:`_horner_layout` at x, as a (p, x.size) array, by a nested
+    Horner's rule (Estrin's grouping): stage 1 runs Horner in x over each
+    group of r_1 consecutive coefficients, all groups at once, and stage s
+    runs it in x^{r_1 ... r_{s-1}} over groups of r_s results of stage
+    s - 1, until one value is left.  That is about 2 (r_1 + ... + r_d) array
+    operations for the flops of a flat Horner.  ``acc`` is the
+    (r_2, ..., r_d, p, x.size) work array of the first stage.  Each stage
+    sums over the leading axis, so every coefficient slice and work array is
+    contiguous.  With nonnegative coefficients and 0 <= x <= 1 every step
+    adds and multiplies nonnegative numbers, so each sum is within a few
+    (n + 1) ulps of the exact one (Higham 2002, section 5.1); every
+    operation is elementwise in x, so a value does not depend on its
+    array."""
+    terms, power = coef, x
+    with np.errstate():   # restores the ufunc buffer size
+        if x.size >= _UNBUFFERED:
+            np.setbufsize(x.size - x.size % 16)
+        for r in radices:
+            acc[...] = terms[-1]
+            for i in range(r - 2, -1, -1):
+                acc *= power
+                acc += terms[i]
+            terms = acc
+            if acc.ndim > 2:
+                acc = np.empty(acc.shape[1:])
+                power = _int_power(power, r)
+    return terms
+
+
+def _int_power(x, n):
+    """x^n for an integer n >= 1, by repeated squaring: elementwise products
+    only, so a value does not depend on its array."""
+    result = None
+    while n:
+        if n & 1:
+            result = x if result is None else result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -342,3 +440,126 @@ def whittaker_m(x: float, mu: float, z: float):
     if np.any(z_arr <= 0):
         raise DomainError("Whittaker M requires z > 0")
     return np.exp(-z_arr / 2.0) * z_arr ** (mu + 0.5) * kummer_1f1(mu + 0.5 - x, 1.0 + 2.0 * mu, z_arr)
+
+
+# ---------------------------------------------------------------------------
+# the moments int_0^1 t^{b-1} e^{-st} dt
+# ---------------------------------------------------------------------------
+
+def _legendre_depth(b: float) -> int:
+    """Depth of the Legendre fraction of :func:`laplace_moment` at s = b^+:
+    the first level whose modified Lentz factor is within eps of 1, or the
+    level before a zero numerator, where the fraction ends (integer b)."""
+    s = math.nextafter(b, math.inf)
+    den = s + 1.0 - b
+    c, d = math.inf, 1.0 / den
+    for i in range(1, _MAX_TERMS + 1):
+        a = -i * (i - b)
+        if a == 0.0:
+            return i - 1
+        den += 2.0
+        d = 1.0 / (a * d + den)
+        c = den + a / c
+        if abs(c * d - 1.0) <= _EPS:
+            return i
+    raise EvaluationError(f"Legendre fraction did not converge in {_MAX_TERMS} levels", b=b)
+
+
+def _log_stirling_ratio(b: float) -> float:
+    """log(b^b e^{-b} / Gamma(b)): (1/2) log(b/(2 pi)) less Stirling's series
+    (DLMF 5.11.1) from b = 15 on, where its seven terms reach roundoff and the
+    direct difference would lose ~b log b ulps; the direct difference below."""
+    if b < 15.0:
+        return b * math.log(b) - b - math.lgamma(b)
+    z = 1.0 / (b * b)
+    series = (1.0 / 12.0 + z * (-1.0 / 360.0 + z * (1.0 / 1260.0 + z * (
+        -1.0 / 1680.0 + z * (1.0 / 1188.0 + z * (-691.0 / 360360.0 + z / 156.0)))))) / b
+    return 0.5 * math.log(b / (2.0 * math.pi)) - series
+
+
+def laplace_moment(b: float):
+    """The kernel s -> (log M_b(s), e^{-s}/M_b(s)) of the moment
+
+        M_b(s) = int_0^1 t^{b-1} e^{-st} dt = gamma(b, s) / s^b,   b > 0,
+
+    for a 1-d array of s >= 0, with no special function per point.
+
+    * s <= b: M_b = e^{-s} S / b with S = 1F1(1; b+1; s) = sum_j c_j x^j,
+      x = s/b, c_j = b^j / (b+1)_j (DLMF 8.7.1).  Its terms are positive and
+      their ratios x b/(b+1+j) fall, so its relative tail is largest at
+      x = 1, where ``_series_length`` fixes its term count once.
+      :func:`_horner` sums it in one stage, in one fresh row of the batch
+      that then holds log S: a nested first stage would hold r_2 rows (5 at
+      b = 5, 15 at b = 752.5), and a row kept per thread would stay
+      allocated through the rest of a Monte Carlo batch.
+      log M = log S - s - log b and e^{-s}/M = b/S.
+    * s > b: Legendre's continued fraction (DLMF 8.9.2) gives
+      Q = Gamma(b, s)/Gamma(b) = R / (s + 1 - b - 1(1-b)/(s + 3 - b - ...)),
+      R = e^{-s} s^b / Gamma(b), evaluated backwards from the depth at which
+      it has converged at s = b^+ (:func:`_legendre_depth`); it converges
+      faster at larger s, and ends at depth b - 1 for an integer b.  With
+      y = (s - b)/b, log R = log(b^b e^{-b}/Gamma(b)) - b (y - log1p(y)),
+      which is good to ~|s - b| ulps where -s + b log s - lgamma(b) would
+      lose ~b log s of them; log M = lgamma(b) - b log b - b log1p(y) +
+      log1p(-Q) and e^{-s}/M = R / (1 - Q).
+
+    Neither the term count nor the depth depends on the batch, and every
+    operation is elementwise, so a value does not depend on its batch,
+    whether the batch lies on one side of s = b (and is evaluated as it is)
+    or on both (and each side is gathered).  NaN and +inf give NaN.
+    """
+    if not b > 0:
+        raise DomainError(f"the moment M_b needs b > 0, got {b}")
+    log_b = math.log(b)
+    n = _series_length(lambda j: log_b - np.log(b + 1.0 + j), 1.0, _EPS, _MAX_TERMS, 0,
+                       "moment series", b=b)
+    coef = np.cumprod(np.append(1.0, b / (b + np.arange(1.0, n + 1))))[:, None, None]
+    depth = _legendre_depth(b)
+    log_r_b = _log_stirling_ratio(b)
+    log_g_b = math.lgamma(b) - b * log_b
+
+    def series(x):
+        """(log M, e^{-s}/M) at s = x <= b."""
+        S = _horner(coef, (n + 1,), x / b, np.empty((1, x.size)))[0]
+        w = b / S
+        log_M = np.log(S, out=S)
+        log_M -= x
+        log_M -= log_b
+        return log_M, w
+
+    def fraction(x):
+        """(log M, e^{-s}/M) at s = x > b, NaN at s = NaN or +inf."""
+        tail, den = np.zeros_like(x), np.empty_like(x)
+        for i in range(depth, 0, -1):
+            np.add(x, 2.0 * i + 1.0 - b, out=den)
+            den -= tail
+            np.divide(i * (i - b), den, out=tail)
+        np.add(x, 1.0 - b, out=den)
+        den -= tail                            # R / den = Q
+        y = np.subtract(x, b, out=tail)
+        y /= b
+        log_M = np.log1p(y)                    # log M from it below
+        y -= log_M
+        y *= -b
+        y += log_r_b
+        R = np.exp(y, out=y)
+        np.divide(R, den, out=den)
+        np.negative(den, out=den)              # -Q
+        log_M *= -b
+        log_M += log_g_b
+        log_M += np.log1p(den)
+        den += 1.0
+        return log_M, np.divide(R, den, out=den)
+
+    def moment(s):
+        below = s <= b
+        with np.errstate(all="ignore"):   # inf - inf at s = inf, which gives NaN
+            if below.all() or not below.any():   # one side: no gather or scatter
+                return (series if below.all() else fraction)(s)
+            log_M, w = np.empty_like(s), np.empty_like(s)
+            for part, where in ((series, below), (fraction, ~below)):
+                idx = np.flatnonzero(where)
+                log_M[idx], w[idx] = part(s[idx])
+        return log_M, w
+
+    return moment

@@ -236,9 +236,11 @@ class TestMonomialMixture:
             assert big.extra["large_s_limit"] == n + 3
 
     def test_margin_matches_gammainc_route(self):
-        """The tail ratios, read from monomial_laplace_G's triple (one
-        gammainc call and a downward recurrence), against direct quotients of
-        sum_{j>=m} s^j/j! = e^s P(m, s), P the regularized lower gamma."""
+        """The tail ratios, read from monomial_laplace_G's ratios (the
+        series and continued-fraction kernel for the top moment and a
+        downward recurrence), against direct quotients of sum_{j>=m} s^j/j! =
+        e^s P(m, s), with scipy's regularized lower gamma P as an independent
+        oracle."""
         from scipy.special import gammainc
 
         n, k = 2, 5

@@ -16,7 +16,10 @@
     and neither the checkers nor the marginals call a linear ``triple``;
 11. the series evaluator finds and groups u once, by piece, without
     sorting or searching: in ``marginals.py`` only ``_moment_sums`` calls
-    ``np.bincount``, and nothing calls ``np.unique`` or ``np.searchsorted``.
+    ``np.bincount``, and nothing calls ``np.unique`` or ``np.searchsorted``;
+12. the closed-form Laplace route takes its incomplete-gamma moments from
+    ``specfun``'s series and continued fraction: no module names
+    ``gammainc`` or ``gammaincc``.
 """
 
 import ast
@@ -221,3 +224,22 @@ def test_u_is_grouped_once():
                 callers.setdefault(node.func.attr, set()).add(getattr(top, "name", "<module>"))
     assert callers.get("bincount") == {"_moment_sums"}
     assert "unique" not in callers and "searchsorted" not in callers
+
+
+def test_no_incomplete_gamma():
+    """No module under ``src/`` imports or names scipy's ``gammainc`` or
+    ``gammaincc``: ``specfun.laplace_moment`` sums the top moment of the
+    closed-form Laplace route by its positive series and Legendre's
+    continued fraction, so no special-function call per sample grows
+    back."""
+    banned = {"gammainc", "gammaincc"}
+    for path in sorted(SRC.glob("*.py")):
+        named = set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.split(".")[-1])
+        assert not named & banned, f"{path.name} names {sorted(named & banned)}"

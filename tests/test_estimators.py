@@ -409,9 +409,11 @@ class TestMcRisk:
     def test_batch_memory_does_not_grow_with_k(self):
         """One full batch at k = 1500, whose (m, k) normal draw would take
         196 MB, peaks under 16 (m,) float vectors of traced allocations (about
-        14 at k = 5 and 1500 alike), and no higher than at k = 5."""
+        12 at k = 5 and 1500 alike), and no higher than at k = 5; so does one
+        at k = 5, |theta| = 10, where every s = u^2/2 takes the closed form's
+        continued fraction."""
         peaks = []
-        for k, norm in ((5, 3.0), (1500, 30.0)):
+        for k, norm in ((5, 3.0), (1500, 30.0), (5, 10.0)):
             profile, theta = mg.marginal_strawderman(0.5, k), np.pad([norm], (0, k - 1))
             child = np.random.SeedSequence(3).spawn(1)[0]
             es._mc_batch(profile, theta, 1000, child)   # first call outside the trace
@@ -422,7 +424,7 @@ class TestMcRisk:
             finally:
                 tracemalloc.stop()
             assert count == es._BATCH
-        assert peaks[1] < 16 * 8 * es._BATCH, peaks
+        assert max(peaks[1:]) < 16 * 8 * es._BATCH, peaks
         assert peaks[1] <= peaks[0] + 2**16, peaks
 
     @pytest.mark.parametrize("route", ["closed_form", "mixture", "radial"])

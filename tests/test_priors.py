@@ -290,25 +290,53 @@ class TestMonomialLaplaceG:
             got = sign * float(parts[j])
             assert abs(got - want) <= 1e-12 * abs(want) + 1e-300
 
-    def test_one_gammainc_call_per_triple(self, monkeypatch):
-        """Only the top moment calls gammainc, on every branch: s = 1e-8
-        takes the series, 100 the quotient and 1e5 log space (b = 63.5)."""
+    def test_no_gammainc_call(self, monkeypatch):
+        """No branch calls scipy's incomplete gamma (s = 1e-8 and 60 take the
+        series, 100 and 1e5 the continued fraction, b = 63.5), and ``eval``
+        is exp(log G) of ``ratios``, bit for bit, as is ``triple``'s G."""
         import scipy.special
 
-        calls = []
-        inner = scipy.special.gammainc
+        def forbidden(*args):
+            raise AssertionError("gammainc called")
 
-        def counting(a, x):
-            calls.append(a)
-            return inner(a, x)
-
-        monkeypatch.setattr(scipy.special, "gammainc", counting)
+        monkeypatch.setattr(scipy.special, "gammainc", forbidden)
+        monkeypatch.setattr(scipy.special, "gammaincc", forbidden)
         G = pr.monomial_laplace_G(60.5)
-        s = np.array([1e-8, 100.0, 1e5])
-        G.triple(s)
-        assert calls == [63.5]
-        G.eval(s)
-        assert calls == [63.5, 63.5]
+        s = np.array([1e-8, 60.0, 100.0, 1e5])
+        log_G = G.ratios(s)[0]
+        np.testing.assert_array_equal(G.eval(s), np.exp(log_G))
+        np.testing.assert_array_equal(G.triple(s)[0], np.exp(log_G))
+
+    @pytest.mark.parametrize("n", [2.0, -0.5, 749.5])
+    def test_value_does_not_depend_on_the_batch(self, n):
+        """The term count and the fraction's depth are fixed per n, and every
+        operation is elementwise, so the ratios at each s are bit-identical
+        alone, in a batch of its own side of s = b = n+3 and in a shuffled
+        batch of both sides, each longer than a block."""
+        G, b = pr.monomial_laplace_G(n), n + 3.0
+        rng = np.random.default_rng(36)
+        below = np.concatenate([[0.0, 5e-324, 1e-8, np.nextafter(b, 0.0), b],
+                                rng.uniform(0.0, b, 9000)])
+        above = np.concatenate([[np.nextafter(b, np.inf), 1.2 * b, 700.0, 1e4],
+                                b + rng.exponential(b, 9000)])
+        mixed = np.concatenate([below, above])
+        order = rng.permutation(mixed.size)
+        got = [np.empty((3, mixed.size)) for _ in range(2)]
+        got[0][:, :below.size] = G.ratios(below)
+        got[0][:, below.size:] = G.ratios(above)
+        got[1][:, order] = G.ratios(mixed[order])
+        np.testing.assert_array_equal(got[0], got[1])
+        for i in np.concatenate([np.arange(5), below.size + np.arange(4),
+                                 rng.choice(mixed.size, 40, replace=False)]):
+            np.testing.assert_array_equal(np.ravel(G.ratios(mixed[i:i + 1])), got[0][:, i])
+
+    def test_nan_and_inf(self):
+        """NaN and s = +inf give the NaN triple, with no RuntimeWarning, and
+        the finite s beside them keep their values."""
+        G = pr.monomial_laplace_G(2.0)
+        got = np.array(G.ratios(np.array([np.nan, 3.0, np.inf, 10.0])))
+        assert np.all(np.isnan(got[:, [0, 2]]))
+        np.testing.assert_array_equal(got[:, [1, 3]], np.array(G.ratios(np.array([3.0, 10.0]))))
 
     @pytest.mark.parametrize("n", [0.3, 2.5, -0.5])
     def test_real_exponent(self, n):

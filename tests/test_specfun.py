@@ -534,3 +534,110 @@ class TestWhittakerW:
         w = float(mpmath.whitw(a - 1.0 - k / 4.0, (k - 2.0) / 4.0, z))
         composed = math.gamma(k / 2.0 - a + 1.0) * math.exp(z / 2.0) * z ** (-k / 4.0) * w
         assert composed == pytest.approx(direct, rel=1e-8)
+
+
+class TestLaplaceMoment:
+    """``laplace_moment(b)``'s (log M_b, e^{-s}/M_b) and the ratios of
+    ``monomial_laplace_G(b - 3)`` built on it, against 40-digit mpmath: the
+    moments M_c(s) = gamma(c, s)/s^c, c = b-2, b-1, b, give log G = log M_{b-2},
+    G'/G = -M_{b-1}/M_{b-2} and G''/G = M_b/M_{b-2}."""
+
+    B = [2.0001, 2.5, 5.0, 5.5, 63.5, 200.0, 752.5]
+
+    @staticmethod
+    def _grid(b):
+        return np.array([0.0, 5e-324, 1e-8, b / 2.0, np.nextafter(b, 0.0), b,
+                         np.nextafter(b, np.inf), 1.2 * b, 2.0 * b, 700.0, 1e4])
+
+    @staticmethod
+    def _log_moment(c, s):
+        s = mpmath.mpf(s)
+        return mpmath.log(mpmath.gammainc(c, 0, s) / s ** c) if s else -mpmath.log(c)
+
+    @classmethod
+    def _want(cls, b, s):
+        """(log M_b, e^{-s}/M_b, its bound) and (log G, G'/G, G''/G) at s.
+        e^{-s}/M_b is an exponential, below e^{-690} at s = 700, so its
+        relative error is a few ulps of its logarithm, and it is 0 past the
+        subnormals: it is bounded by 4e-15 max(|log w|, 1) w + 1e-300."""
+        with mpmath.workdps(40):
+            L0, L1, L2 = (cls._log_moment(c, s) for c in (b - 2.0, b - 1.0, b))
+            log_w = -mpmath.mpf(s) - L2
+            w = float(mpmath.exp(log_w))
+            return ((float(L2), w, 4e-15 * max(abs(float(log_w)), 1.0) * w + 1e-300),
+                    (float(L0), -float(mpmath.exp(L1 - L0)), float(mpmath.exp(L2 - L0))))
+
+    @pytest.mark.parametrize("b", B)
+    def test_oracle_grid(self, b):
+        """Across the switch at s = b (its float neighbours included), from
+        the smallest subnormal to 1e4: log M_b and G'/G within 4e-15
+        relative, log G and G''/G within 4e-15 max(|v|, 1), and w = e^{-s}/M_b
+        within the bound of :meth:`_want`.  log G crosses 0 (at b = 2.5 near
+        s = 3.1, where it is 0.0087 at s = 1.2 b), and it is the sum of
+        log M_b and log(q1 q0), so there an absolute bound is the one a double
+        can meet."""
+        from bayesminimax.priors import monomial_laplace_G
+
+        s = self._grid(b)
+        log_M, w = sf.laplace_moment(b)(s)
+        ratios = monomial_laplace_G(b - 3.0).ratios(s)
+        for i, si in enumerate(s):
+            (want_log_M, want_w, w_tol), (want_log_G, want_r1, want_r2) = self._want(b, float(si))
+            assert abs(log_M[i] - want_log_M) <= 4e-15 * abs(want_log_M), (si, log_M[i])
+            assert abs(w[i] - want_w) <= w_tol, (si, w[i])
+            assert abs(ratios[0][i] - want_log_G) <= 4e-15 * max(abs(want_log_G), 1.0), si
+            assert abs(ratios[1][i] - want_r1) <= 4e-15 * abs(want_r1), si
+            assert abs(ratios[2][i] - want_r2) <= 4e-15 * max(abs(want_r2), 1.0), si
+
+    def test_first_ratio_at_k_1500(self):
+        """The Strawderman marginal at k = 1500 (b = 752.5) below the
+        switch: G'/G to within 1e-15, where the incomplete-gamma quotient
+        lgamma(b) + log P(b, s) - b log s was 2e-13 off at s = b/2 and 8e-14
+        at s = 700."""
+        from bayesminimax.priors import monomial_laplace_G
+
+        b = 752.5
+        s = np.array([b / 2.0, 700.0])
+        r1 = monomial_laplace_G(b - 3.0).ratios(s)[1]
+        for i, si in enumerate(s):
+            want = self._want(b, float(si))[1][1]
+            assert abs(r1[i] - want) <= 1e-15 * abs(want), (si, r1[i], want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(b=st.floats(2.0, 800.0, exclude_min=True),
+           s=st.one_of(st.just(0.0), st.floats(0.0, 1e4),
+                       st.floats(math.log(1e-300), math.log(1e4)).map(math.exp)))
+    def test_oracle_property(self, b, s):
+        """The grid's bounds at any b in (2, 800] and s in [0, 1e4], with
+        log G's taken relative to max(|log G|, |log M_b|, 1): it is the sum of
+        log M_b and log(q1 q0), so it is good to a few ulps of the larger
+        one (at b = 2.2, s = 2039, log G ~ 0 and log M_b ~ -16.7)."""
+        from bayesminimax.priors import monomial_laplace_G
+
+        log_M, w = (float(v[0]) for v in sf.laplace_moment(b)(np.array([s])))
+        log_G, r1, r2 = (float(v[0]) for v in monomial_laplace_G(b - 3.0).ratios(np.array([s])))
+        (want_log_M, want_w, w_tol), (want_log_G, want_r1, want_r2) = self._want(b, s)
+        assert abs(log_M - want_log_M) <= 4e-15 * abs(want_log_M)
+        assert abs(w - want_w) <= w_tol
+        assert abs(log_G - want_log_G) <= 4e-15 * max(abs(want_log_G), abs(want_log_M), 1.0)
+        assert abs(r1 - want_r1) <= 4e-15 * abs(want_r1)
+        assert abs(r2 - want_r2) <= 4e-15 * max(abs(want_r2), 1.0)
+
+    def test_fraction_depth(self, monkeypatch):
+        """The Legendre fraction ends at depth b - 1 for a small integer b,
+        and for other b is as deep as it needs at s = b^+: one level deeper
+        changes nothing there."""
+        assert [sf._legendre_depth(b) for b in (1.0, 3.0, 5.0)] == [0, 2, 4]
+        for b in (2.0001, 5.5, 752.5):
+            s = np.array([np.nextafter(b, np.inf)])
+            log_M, w = sf.laplace_moment(b)(s)
+            monkeypatch.setattr(sf, "_legendre_depth", lambda b, d=sf._legendre_depth(b): d + 1)
+            deeper = sf.laplace_moment(b)(s)
+            monkeypatch.undo()
+            assert abs(deeper[0][0] - log_M[0]) <= 2e-16 * abs(log_M[0])
+            assert abs(deeper[1][0] - w[0]) <= 4e-16 * w[0]
+
+    def test_domain(self):
+        for b in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                sf.laplace_moment(b)
