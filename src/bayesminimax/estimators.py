@@ -26,10 +26,11 @@ of m samples draws the two (m,) vectors g and c and never the (m, k)
 matrix Z: its working memory is O(m) at any k, and every sample's
 (loss, SURE) has the law it would have from a k-dimensional draw.  Each
 batch reduces to sufficient statistics: its valid-sample count, the
-(sum, M2) of the loss and of SURE, and its failure count.  Every batch of
-every point of a risk curve runs on one pool of up to the available CPUs,
-and each point's statistics are reduced in batch order, so a report does
-not depend on the CPU count.
+(sum, M2) of the loss and of SURE, and its failure count.  One long-lived
+draw thread fills a batch's (g, c) a few batches ahead, into a small ring
+of buffers; the calling thread evaluates every batch of every point of a
+curve in order, under its own ``np.errstate``, so a report does not depend
+on the thread timing.
 
 Risk depends on theta only through |theta| (spherical equivariance), so risk
 curves place theta = (|theta|, 0, ..., 0).
@@ -37,9 +38,9 @@ curves place theta = (|theta|, 0, ..., 0).
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import List, Sequence, Tuple
@@ -54,24 +55,27 @@ __all__ = [
 ]
 
 # Samples per batch, fixed so that seeded runs are bit-reproducible.  A batch
-# is one marginal call on its radii, and its temporaries are about 14 (m,)
-# vectors at any k, so the size trades the per-call cost against memory: on
-# the closed-form benchmark (2-vCPU guest, alternating runs) 65,536-sample
-# batches read 74.7-74.8 MB peak RSS and 0.181-0.184 s per pass, and 16,384
-# read 62.8 MB and 0.172-0.179 s.
+# is one marginal call on its radii, so the size trades the per-call cost
+# against the memory of the batch's few (m,) vectors.
 _BATCH = 16384
+_AHEAD = 2              # batches drawn ahead of the one being evaluated
 _FAIL_FRACTION = 1e-3   # hard-error threshold on excluded samples
 _U_EPS = 1e-8           # below this radius rho and SURE take their limits at u = 0
 
 
-def _worker_count() -> int:
-    """CPUs this process may run on; ``os.sched_getaffinity`` is Linux-only."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _start_draws() -> None:
+    """Start the executor of the one draw thread.  Its draws release the GIL
+    while they fill, so they overlap the caller's evaluation, whose short
+    array operations would gain little from a second Python thread.  A
+    forked child starts its own, since the parent's thread does not exist
+    there and its executor would wait for it forever."""
+    global _DRAWS
+    _DRAWS = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mc-draw")
 
 
-_WORKERS = _worker_count()   # threads that run a curve's batches, across its points
+_start_draws()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_start_draws)
 
 # one batch: (valid samples, (sum, M2) of the loss, (sum, M2) of SURE, failures)
 _BatchStats = Tuple[int, Tuple[float, float], Tuple[float, float], int]
@@ -114,7 +118,11 @@ def _shrink_terms(profile: MarginalProfile, u: np.ndarray, k: int):
     """
     _, r1, r2 = profile.ratios(u)
     rho = np.divide(r1, u, out=r2.copy(), where=u > _U_EPS)
-    sure = 2.0 * ((k - 1) * rho + r2) - r1 * r1 + k
+    sure = np.multiply(rho, k - 1)
+    sure += r2
+    sure *= 2.0
+    sure -= np.square(r1)
+    sure += k
     return rho, np.isfinite(sure), sure
 
 
@@ -142,34 +150,57 @@ def sure(profile: MarginalProfile, x: np.ndarray) -> float:
 
 
 def _sum_m2(x: np.ndarray) -> Tuple[float, float]:
-    """(sum, M2) of one batch, M2 the squared deviations from its own mean."""
+    """(sum, M2) of one batch, M2 the squared deviations from its own mean,
+    which overwrite x."""
     total = float(np.sum(x))
-    return total, float(np.sum((x - total / max(x.size, 1)) ** 2))
+    x -= total / max(x.size, 1)
+    return total, float(np.sum(np.square(x, out=x)))
 
 
-def _mc_batch(profile: MarginalProfile, theta: np.ndarray, m: int,
-              child: np.random.SeedSequence) -> _BatchStats:
-    """Sample count, (sum, M2) of the loss and of SURE, and failures of one
-    batch of m draws from the child stream.
+def _draw(child: np.random.SeedSequence, k: int, g: np.ndarray, c: np.ndarray) -> None:
+    """Fill g with N(0, 1) draws and then c with chi^2_{k-1} ones, as
+    2 standard_gamma((k - 1)/2) (0 at k = 1), from the child stream."""
+    rng = np.random.default_rng(child)
+    rng.standard_normal(out=g)
+    rng.standard_gamma((k - 1) / 2, out=c)
+    c *= 2.0
 
-    The batch draws g ~ N(0, 1) and then c = 2 standard_gamma((k - 1)/2),
-    which is chi^2_{k-1} and 0 at k = 1, m values each, and takes
-    |Z|^2 = g^2 + c, Z.theta = |theta| g and |theta|^2.  With X = theta + Z
-    the radius is u = sqrt(|Z|^2 + 2 Z.theta + |theta|^2), clamped at 0
-    where roundoff takes the sum below it, and with delta - theta =
-    (1 + rho) Z + rho theta the loss is a^2 |Z|^2 + 2 a rho Z.theta +
-    rho^2 |theta|^2, a = 1 + rho.  The marginal is evaluated once, on the
-    batch's m radii.
+
+def _mc_batch(profile: MarginalProfile, theta: np.ndarray, g: np.ndarray,
+              c: np.ndarray) -> _BatchStats:
+    """Sample count, (sum, M2) of the loss and of SURE, and failures of the
+    batch drawn into g and c by :func:`_draw`, which it overwrites.
+
+    It takes |Z|^2 = g^2 + c, Z.theta = |theta| g and |theta|^2.  With
+    X = theta + Z the radius is u = sqrt(|Z|^2 + 2 Z.theta + |theta|^2),
+    clamped at 0 where roundoff takes the sum below it, and with
+    delta - theta = (1 + rho) Z + rho theta the loss is
+    a^2 |Z|^2 + 2 a rho Z.theta + rho^2 |theta|^2, a = 1 + rho.  The
+    marginal is evaluated once, on the batch's m radii.  Every product and
+    sum is formed in place, in the order these formulas state it.
     """
     k, tt = theta.size, float(theta @ theta)
-    rng = np.random.default_rng(child)
-    g = rng.standard_normal(m)
-    zz = g * g + 2.0 * rng.standard_gamma((k - 1) / 2, m)
-    zt = math.sqrt(tt) * g
-    u = np.sqrt(np.maximum(2.0 * zt + zz + tt, 0.0))
+    m = g.size
+    zz, zt = c, g
+    u = np.square(g)
+    zz += u                      # |Z|^2
+    zt *= math.sqrt(tt)          # Z.theta
+    np.multiply(zt, 2.0, out=u)
+    u += zz
+    u += tt
+    np.sqrt(np.maximum(u, 0.0, out=u), out=u)
     rho, ok, s = _shrink_terms(profile, u, k)
-    a = 1.0 + rho
-    loss = a * a * zz + 2.0 * a * rho * zt + rho * rho * tt
+    a = np.add(rho, 1.0, out=u)
+    t = np.multiply(a, 2.0)
+    t *= rho
+    zt *= t                      # 2 a rho Z.theta
+    np.multiply(a, a, out=t)
+    zz *= t                      # a^2 |Z|^2
+    loss = zz
+    loss += zt
+    rho *= rho
+    rho *= tt
+    loss += rho
     count = int(np.count_nonzero(ok))
     if count < m:
         loss, s = loss[ok], s[ok]
@@ -203,25 +234,43 @@ def _report(theta: np.ndarray, n: int, seed: int, stats: List[_BatchStats]) -> R
 
 
 def _run_points(profile: MarginalProfile, points: list, n: int) -> List[RiskReport]:
-    """One report per (theta, seed), every batch of every point on one pool.
+    """One report per (theta, seed), every batch evaluated on the calling
+    thread in point and batch order while the draw thread fills the next
+    ``_AHEAD`` batches into a ring of ``_AHEAD + 1`` buffer pairs.
 
-    Reports are built in the points' order, so the first point past the
-    failure limit raises, as one point at a time would, and the batches not
-    yet started are cancelled.  Each task runs in a copy of the caller's
-    context, so ``np.errstate`` holds in the worker threads too.
+    A point's report is built once its last batch is reduced, so the first
+    point past the failure limit raises before any later batch is
+    evaluated, and the draws still queued are cancelled.
     """
     if n < 1:
         raise DomainError("n must be positive (n >= 1000 for stderr validity)")
-    pool = ThreadPoolExecutor(max_workers=_WORKERS)   # starts threads as tasks arrive
+    sizes = [min(_BATCH, n - i * _BATCH) for i in range(-(-n // _BATCH))]
+    batches = [(p, child, m) for p, (_, seed) in enumerate(points)
+               for child, m in zip(np.random.SeedSequence(seed).spawn(len(sizes)), sizes)]
+    ring = np.empty((_AHEAD + 1, 2, sizes[0]))
+
+    def draw(i):
+        p, child, m = batches[i]
+        g, c = ring[i % len(ring), :, :m]
+        return _DRAWS.submit(_draw, child, points[p][0].size, g, c), g, c
+
+    drawn = deque(draw(i) for i in range(min(_AHEAD, len(batches))))
+    reports, stats = [], []
     try:
-        futures = [[pool.submit(contextvars.copy_context().run, _mc_batch, profile, theta,
-                                min(_BATCH, n - i * _BATCH), child)
-                    for i, child in enumerate(np.random.SeedSequence(seed).spawn(-(-n // _BATCH)))]
-                   for theta, seed in points]
-        return [_report(theta, n, seed, [f.result() for f in batches])
-                for (theta, seed), batches in zip(points, futures)]
+        for i, (p, _, _) in enumerate(batches):
+            if i + _AHEAD < len(batches):
+                drawn.append(draw(i + _AHEAD))
+            future, g, c = drawn.popleft()
+            future.result()
+            theta, seed = points[p]
+            stats.append(_mc_batch(profile, theta, g, c))
+            if len(stats) == len(sizes):
+                reports.append(_report(theta, n, seed, stats))
+                stats = []
+        return reports
     finally:
-        pool.shutdown(cancel_futures=True)
+        for future, _, _ in drawn:
+            future.cancel()
 
 
 def mc_risk(profile: MarginalProfile, theta: np.ndarray, n: int, seed: int) -> RiskReport:

@@ -74,8 +74,8 @@ __all__ = [
 # u whose (3, groups, block) work array holds at most this many doubles
 # (0.5 MB), reused in place across blocks.  Each thread keeps one such work
 # array, grown to the largest that its calls have needed, so a warm call
-# allocates none and concurrent Monte Carlo batches never share one; a larger
-# block makes fewer array operations but leaves the cache.
+# allocates none and concurrent callers never share one; a larger block
+# makes fewer array operations but leaves the cache.
 _SUM_BLOCK = 1 << 16
 _WORKSPACE = threading.local()
 # Both series routes build a fixed ladder of horizons L_i = _LADDER_FLOOR *
@@ -170,8 +170,8 @@ def _series_profile(k: int, route: str, log_scale: float, kappa: float,
     """Profile of l(u) = e^{log_scale - c y} sum_{j<=N} b_j y^j, y = kappa u^2,
     from one flat table of pieces that grows by one ladder level at a time.
 
-    Levels are built in order, behind one lock, since Monte Carlo batches
-    call ``ratios`` from worker threads: ``build(i)`` gives level i's
+    Levels are built in order, behind one lock, so ``ratios`` may be called
+    from any number of threads at once: ``build(i)`` gives level i's
     (top <= L_i, c, log b_j, error), and :func:`_scaled_pieces` cuts y from
     the table's top to kappa top^2 into pieces.  So the pieces tile y from 0,
     and one lookup finds each u's piece and its level's c.  A call past the

@@ -4,9 +4,10 @@
    points only;
 2. the marginal routes integrate in log space;
 3. the marginal routes share one series evaluator;
-4. Monte Carlo batches run on one worker pool;
-5. they read the marginal through one SURE formula, on two draws of m
-   values per batch;
+4. Monte Carlo batches are drawn on one executor per process and
+   evaluated by one function, on the calling thread;
+5. they read the marginal through one SURE formula, on two draws that fill
+   a batch's buffers in place;
 6. no construction steps an ODE;
 7. the constructions halve their panels through the engine's bisection;
 8. one round cap bounds every refinement;
@@ -82,43 +83,58 @@ def test_one_moment_series_evaluator():
 
 
 def test_one_monte_carlo_pool():
-    """``estimators.py`` builds one ``ThreadPoolExecutor`` and names
-    ``_mc_batch`` in one function only, the one that submits every batch of
-    a curve, so no second per-point pool or serial batch loop grows beside
-    it."""
+    """``estimators.py`` builds one ``ThreadPoolExecutor``, in
+    ``_start_draws``, which runs once at import (and once in a forked
+    child), and names ``_draw`` and ``_mc_batch`` in one function only, the
+    one that submits every draw of a curve and evaluates every batch, so no
+    second per-curve pool or batch loop grows beside it.  It names no CPU
+    count, worker count or ``contextvars``: evaluation runs on the calling
+    thread, under the caller's own ``np.errstate``."""
     path = SRC / "estimators.py"
     tree = ast.parse(path.read_text(), str(path))
-    pools = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and getattr(node.func, "id", None) == "ThreadPoolExecutor"]
-    assert len(pools) == 1
+    makers = [top.name for top in tree.body for node in ast.walk(top)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "ThreadPoolExecutor"]
+    assert makers == ["_start_draws"]
+    starts = [node for top in tree.body if not isinstance(top, ast.FunctionDef)
+              for node in ast.walk(top)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_start_draws"]
+    assert len(starts) == 1
     submitters = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)
                   for node in ast.walk(top)
                   if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "submit"
-                  and any(getattr(arg, "id", None) == "_mc_batch" for arg in node.args)}
-    namers = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)
-              for node in ast.walk(top)
-              if isinstance(node, ast.Name) and node.id == "_mc_batch"}
-    assert submitters == namers == {"_run_points"}
+                  and any(getattr(arg, "id", None) == "_draw" for arg in node.args)}
+    for name in ("_draw", "_mc_batch"):
+        namers = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+                  for node in ast.walk(top)
+                  if isinstance(node, ast.Name) and node.id == name}
+        assert namers == submitters == {"_run_points"}, name
+    named = {getattr(node, "attr", getattr(node, "id", getattr(node, "name", None)))
+             for node in ast.walk(tree)}
+    assert not named & {"_WORKERS", "contextvars", "copy_context", "cpu_count",
+                        "sched_getaffinity"}
 
 
 def test_one_sure_formula_and_one_pass_over_the_draw():
     """In ``estimators.py`` only ``_shrink_terms`` calls ``.ratios``, so rho,
-    SURE and the Bayes rule share one formula.  ``_mc_batch`` draws each
+    SURE and the Bayes rule share one formula.  ``_draw`` draws each
     sample as its two sufficient statistics: one ``standard_normal`` and one
-    ``standard_gamma`` call, each of m values, and nothing else draws.  It
-    names no ``norm``: the radius comes from |Z|^2, Z.theta and |theta|^2,
-    and no (m, k) draw exists to take a second pass over."""
+    ``standard_gamma`` call, each filling its buffer through ``out=``, and
+    nothing else draws.  ``_mc_batch`` names no ``norm``: the radius comes
+    from |Z|^2, Z.theta and |theta|^2, and no (m, k) draw exists to take a
+    second pass over."""
     path = SRC / "estimators.py"
     tree = ast.parse(path.read_text(), str(path))
     callers = {getattr(top, "name", "<module>") for top in tree.body
                for node in ast.walk(top)
                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "ratios"}
     assert callers == {"_shrink_terms"}
-    draws = [(top.name, node.func.attr, getattr(node.args[-1], "id", None))
+    draws = [(top.name, node.func.attr, [(kw.arg, getattr(kw.value, "id", None))
+                                         for kw in node.keywords])
              for top in tree.body for node in ast.walk(top)
              if isinstance(node, ast.Call) and getattr(node.func, "attr", "").startswith("standard_")]
-    assert sorted(draws) == [("_mc_batch", "standard_gamma", "m"),
-                             ("_mc_batch", "standard_normal", "m")]
+    assert sorted(draws) == [("_draw", "standard_gamma", [("out", "c")]),
+                             ("_draw", "standard_normal", [("out", "g")])]
     batch, = [top for top in tree.body
               if isinstance(top, ast.FunctionDef) and top.name == "_mc_batch"]
     assert "norm" not in {getattr(node, "attr", getattr(node, "id", None))

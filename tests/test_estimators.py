@@ -8,7 +8,7 @@ E|X - theta|^2 = k, and seeded reproducibility.
 import csv
 import json
 import math
-import os
+import multiprocessing
 import time
 import tracemalloc
 
@@ -149,6 +149,13 @@ class TestSure:
         assert rep.sure_mean < 5.0 - 0.1
 
 
+def _batch(profile, theta, m, child):
+    """One batch of m samples drawn from the child stream, then evaluated."""
+    g, c = np.empty(m), np.empty(m)
+    es._draw(child, theta.size, g, c)
+    return es._mc_batch(profile, theta, g, c)
+
+
 def _rebuilt_draw(theta, m, child):
     """A batch's m samples rebuilt in k dimensions from its stream, as
     X = theta + g theta_hat + sqrt(c) e with g and then c = 2 standard_gamma
@@ -210,19 +217,19 @@ class TestMcRisk:
             assert rep.coupled()
 
     def test_requires_positive_n(self, monomial_profile, monkeypatch):
-        """A curve checks n once, before any worker thread starts, and raises
-        what a single point raises."""
+        """A curve checks n once, before any batch is drawn, and raises what
+        a single point raises."""
         with pytest.raises(DomainError) as alone:
             es.mc_risk(monomial_profile, np.zeros(5), 0, 1)
-        monkeypatch.setattr(es, "ThreadPoolExecutor", None)
+        monkeypatch.setattr(es, "_DRAWS", None)
         with pytest.raises(DomainError) as curve:
             es.risk_curve(monomial_profile, [0.0, 1.0], 0, 1)
         assert str(curve.value) == str(alone.value)
 
     def test_bad_theta_is_a_domain_error(self, monomial_profile, monkeypatch):
         """A theta with a non-finite entry, and a curve norm that is negative
-        or not finite, raise DomainError before any worker thread starts."""
-        monkeypatch.setattr(es, "ThreadPoolExecutor", None)
+        or not finite, raise DomainError before any batch is drawn."""
+        monkeypatch.setattr(es, "_DRAWS", None)
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(DomainError, match="theta must be finite"):
                 es.mc_risk(monomial_profile, np.array([1.0, 0.0, bad, 0.0, 0.0]), 2000, 1)
@@ -287,13 +294,13 @@ class TestMcRisk:
         theta = norm * OFF_AXIS
         profile, seen = _recording(strawderman_profile)
         child = np.random.SeedSequence(7).spawn(1)[0]
-        assert es._mc_batch(profile, theta, 5000, child)[3] == 0
+        assert _batch(profile, theta, 5000, child)[3] == 0
         X, zz = _rebuilt_draw(theta, 5000, child)
         ref = np.linalg.norm(X, axis=1)
         ulps = np.abs(seen[0] - ref) * ref / (np.finfo(float).eps * (zz + theta @ theta))
         assert np.max(ulps) <= 4.0
 
-    def test_radius_rounding_below_zero_is_the_origin(self, strawderman_profile, monkeypatch):
+    def test_radius_rounding_below_zero_is_the_origin(self, strawderman_profile):
         """A draw g = -|theta| (1 + d), d ~ 1e-9, with c = 0, whose
         |Z|^2 + 2 Z.theta + |theta|^2 rounds below zero, is a valid sample at
         u = 0, not a failure."""
@@ -306,36 +313,20 @@ class TestMcRisk:
                 break
         else:
             pytest.fail("no draw of the search rounds below zero")
-        g, half_c = rng.standard_normal(m), rng.standard_gamma(2.0, m)
-        g[0], half_c[0] = g0, 0.0
-
-        class Draw:
-            """Hands out g and then c / 2, as the batch's generator would."""
-            calls = 0
-
-            def standard_normal(self, size):
-                assert size == m and self.calls == 0
-                self.calls += 1
-                return g.copy()
-
-            def standard_gamma(self, shape, size):
-                assert (shape, size) == (2.0, m) and self.calls == 1
-                self.calls += 1
-                return half_c.copy()
-
+        g, c = rng.standard_normal(m), 2.0 * rng.standard_gamma(2.0, m)
+        g[0], c[0] = g0, 0.0
         profile, seen = _recording(strawderman_profile)
-        draw = Draw()
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: draw)
-        count, _, (sure_sum, _), failures = es._mc_batch(profile, theta, m, None)
-        assert seen[0][0] == 0.0 and draw.calls == 2
+        count, _, (sure_sum, _), failures = es._mc_batch(profile, theta, g, c)
+        assert seen[0][0] == 0.0
         assert count == m and failures == 0 and math.isfinite(sure_sum)
 
     def test_block_fill_equals_one_draw(self, monkeypatch):
-        """A batch draws in no blocks: one ``standard_normal`` and then one
-        ``standard_gamma`` call of m values each from its generator, at k = 40
-        over a batch longer than ``_BATCH``.  At k = 1 the gamma shape is 0,
-        so c = 0 with no branch: at theta = -2, u^2 is 2 (2 g) + g^2 + 4 to
-        the bit, and u = |2 + g|."""
+        """A batch's draw is one ``standard_normal`` and then one
+        ``standard_gamma`` call from its generator, each filling its whole
+        buffer in place, at k = 40 over a batch longer than ``_BATCH``; c is
+        twice the gamma draw.  At k = 1 the gamma shape is 0, so c = 0 with
+        no branch: at theta = -2, u^2 is 2 (2 g) + g^2 + 4 to the bit, and
+        u = |2 + g|."""
         calls, default_rng = [], np.random.default_rng
 
         class Recorder:
@@ -343,18 +334,25 @@ class TestMcRisk:
                 self.rng = default_rng(seed)
 
             def __getattr__(self, name):
-                def draw(*args):
-                    calls.append((name,) + args)
-                    return getattr(self.rng, name)(*args)
+                def draw(*args, out):
+                    calls.append((name, args, out))
+                    return getattr(self.rng, name)(*args, out=out)
                 return draw
 
         monkeypatch.setattr(np.random, "default_rng", Recorder)
         child = np.random.SeedSequence(5).spawn(1)[0]
         k, m = 40, es._BATCH + 5
-        assert es._mc_batch(mg.marginal_strawderman(0.5, k), np.ones(k), m, child)[3] == 0
-        assert calls == [("standard_normal", m), ("standard_gamma", 19.5, m)]
+        g, c = np.empty(m), np.empty(m)
+        es._draw(child, k, g, c)
+        assert [(name, args) for name, args, _ in calls] == [
+            ("standard_normal", ()), ("standard_gamma", (19.5,))]
+        assert calls[0][2] is g and calls[1][2] is c
+        rng = default_rng(child)
+        np.testing.assert_array_equal(g, rng.standard_normal(m))
+        np.testing.assert_array_equal(c, 2.0 * rng.standard_gamma(19.5, m))
+        assert es._mc_batch(mg.marginal_strawderman(0.5, k), np.ones(k), g, c)[3] == 0
         profile, seen = _recording(mg.flat_profile(1))
-        es._mc_batch(profile, np.array([-2.0]), 1000, child)
+        _batch(profile, np.array([-2.0]), 1000, child)
         g = default_rng(child).standard_normal(1000)
         np.testing.assert_array_equal(seen[0], np.sqrt(np.maximum(4.0 * g + g * g + 4.0, 0.0)))
         np.testing.assert_allclose(seen[0], np.abs(2.0 + g), rtol=0, atol=1e-12)
@@ -376,7 +374,7 @@ class TestMcRisk:
         a = 1.0 + rho
         loss = a * a * zz + 2.0 * a * rho * zt + rho * rho * tt
         assert ok.all()
-        assert es._mc_batch(profile, theta, m, child) == (m, es._sum_m2(loss), es._sum_m2(s), 0)
+        assert _batch(profile, theta, m, child) == (m, es._sum_m2(loss), es._sum_m2(s), 0)
 
     @pytest.mark.parametrize("k, norm", [(5, 3.0), (1500, 30.0)])
     def test_u_squared_is_noncentral_chi_squared(self, k, norm):
@@ -386,7 +384,7 @@ class TestMcRisk:
         theta = norm * np.resize(OFF_AXIS, k) / np.linalg.norm(np.resize(OFF_AXIS, k))
         profile, seen = _recording(mg.marginal_strawderman(0.5, k))
         child = np.random.SeedSequence(13).spawn(1)[0]
-        assert es._mc_batch(profile, theta, es._BATCH, child)[3] == 0
+        assert _batch(profile, theta, es._BATCH, child)[3] == 0
         result = stats.kstest(seen[0] ** 2, stats.ncx2(k, theta @ theta).cdf)
         assert result.pvalue > 1e-3, result
 
@@ -396,10 +394,10 @@ class TestMcRisk:
         k, m = 400, 20000
         profile = mg.marginal_strawderman(0.5, k)
         child = np.random.SeedSequence(3).spawn(1)[0]
-        es._mc_batch(profile, np.zeros(k), 1000, child)   # first call outside the trace
+        _batch(profile, np.zeros(k), 1000, child)   # first call outside the trace
         tracemalloc.start()
         try:
-            count = es._mc_batch(profile, np.zeros(k), m, child)[0]
+            count = _batch(profile, np.zeros(k), m, child)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -416,10 +414,10 @@ class TestMcRisk:
         for k, norm in ((5, 3.0), (1500, 30.0), (5, 10.0)):
             profile, theta = mg.marginal_strawderman(0.5, k), np.pad([norm], (0, k - 1))
             child = np.random.SeedSequence(3).spawn(1)[0]
-            es._mc_batch(profile, theta, 1000, child)   # first call outside the trace
+            _batch(profile, theta, 1000, child)   # first call outside the trace
             tracemalloc.start()
             try:
-                count = es._mc_batch(profile, theta, es._BATCH, child)[0]
+                count = _batch(profile, theta, es._BATCH, child)[0]
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -428,11 +426,11 @@ class TestMcRisk:
         assert peaks[1] <= peaks[0] + 2**16, peaks
 
     @pytest.mark.parametrize("route", ["closed_form", "mixture", "radial"])
-    def test_reports_do_not_depend_on_the_worker_count(self, route, monkeypatch):
-        """Batches reduce in batch order, so one thread and two give equal
-        reports: three batches with an uneven last one on the closed form,
-        and two on each quadrature route, whose marginal then builds its
-        tables and runs in two threads at once."""
+    def test_reports_do_not_depend_on_the_look_ahead(self, route, monkeypatch):
+        """Batches are evaluated and reduced in batch order, so drawing none,
+        one or four batches ahead gives equal reports: three batches with an
+        uneven last one on the closed form, and two on each quadrature route,
+        whose marginal builds its tables on a fresh profile each time."""
         build, n = {
             "closed_form": (lambda: mg.marginal_strawderman(0.5, 5), 2 * es._BATCH + 3),
             "mixture": (lambda: mg.marginal_mixture(pr.gen_beta_mixing(2, 2, -1, 0.5, 5)),
@@ -440,21 +438,10 @@ class TestMcRisk:
             "radial": (ROUTES["radial"], es._BATCH + 1000)}[route]
         theta = np.array([2.0, 0.0, 0.0, 0.0, 0.0])
         reports = []
-        for workers in (1, 2):
-            monkeypatch.setattr(es, "_WORKERS", workers)
+        for ahead in (0, 1, 4):
+            monkeypatch.setattr(es, "_AHEAD", ahead)
             reports.append(es.mc_risk(build(), theta, n, 17))
-        assert reports[0] == reports[1]
-
-    def test_worker_count_without_sched_getaffinity(self, monkeypatch):
-        """Where os.sched_getaffinity does not exist (macOS, Windows) the
-        worker count falls back to os.cpu_count(), or 1 if that is unknown."""
-        workers = es._WORKERS
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert es._worker_count() == (os.cpu_count() or 1)
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert es._worker_count() == 1
-        monkeypatch.undo()
-        assert es._worker_count() == workers == es._WORKERS
+        assert reports[0] == reports[1] == reports[2]
 
     def test_large_dimension_sure_is_finite(self):
         # l ~ 1e-162 at k = 400: l^2 underflows, so SURE goes through l'/l and l''/l
@@ -472,28 +459,39 @@ class TestMcRisk:
             route="tiny")
         with pytest.raises(EvaluationError), np.errstate(all="ignore"):
             es.sure(tiny, np.ones(5))
-        # two batches in worker threads, each under the caller's errstate
+        # two batches, each evaluated under the caller's errstate
         with pytest.raises(EvaluationError), np.errstate(all="ignore"):
             es.mc_risk(tiny, np.zeros(5), 2 * es._BATCH, 3)
-        # and the batches of two points of a curve, all on one pool
+        # and the batches of two points of a curve
         with pytest.raises(EvaluationError), np.errstate(all="ignore"):
             es.risk_curve(tiny, [0.0, 3.0], 2 * es._BATCH, 3)
 
 
-def _failing_beyond(radius, delay=0.0):
+def _failing_beyond(radius):
     """The monomial profile with l'/l = NaN where u > radius (k = 5); the
-    triple sleeps ``delay`` seconds on batches that do not fail, and counts
-    its calls in ``calls``."""
+    triple counts its calls in ``calls``."""
     base, calls = mg.monomial_mixture_profile(2, 5), []
 
     def triple(u):
         calls.append(u.size)
         log_ell, r1, r2 = base.ratios(u)
-        if not np.any(u > radius):
-            time.sleep(delay)
         return log_ell, np.where(u > radius, np.nan, r1), r2
 
     return mg.MarginalProfile(k=5, triple_fn=triple, route="failing"), calls
+
+
+def _counting_draws(monkeypatch, delay=0.0):
+    """Count the batches drawn from here on in the returned list, each as
+    its draw starts; each draw then sleeps ``delay`` seconds."""
+    drawn, draw = [], es._draw
+
+    def counted(child, k, g, c):
+        drawn.append(g.size)
+        time.sleep(delay)
+        draw(child, k, g, c)
+
+    monkeypatch.setattr(es, "_draw", counted)
+    return drawn
 
 
 @pytest.fixture(scope="module")
@@ -501,13 +499,61 @@ def route_profiles():
     return {route: build() for route, build in ROUTES.items()}
 
 
+# One seeded curve per marginal route, (build, norms, n, seed), with the
+# float.hex of (mc_risk, mc_stderr, sure_mean, sure_stderr) of each point:
+# three batches with an uneven last one on the closed form, two on example2
+# through the mixture route and on the Strawderman radial route.
+PINNED = {
+    "closed_form": (lambda: mg.marginal_strawderman(0.5, 5), [3.0, 0.0], 2 * es._BATCH + 3, 41, [
+        ("0x1.e7f9ddd0d6518p+1", "0x1.6e3ef49852082p-7",
+         "0x1.e945299ed73c0p+1", "0x1.e0cd75bda3e85p-8"),
+        ("0x1.d1098a3463d55p-1", "0x1.a3a9118f41693p-8",
+         "0x1.d65335b8c0669p-1", "0x1.2c22689f8ec73p-7")]),
+    "mixture": (lambda: mg.marginal_mixture(pr.gen_beta_mixing(2, 2, -1, 0.5, 5)), [2.0, 0.0],
+                es._BATCH + 1000, 17, [
+        ("0x1.9511e4a1e3239p+1", "0x1.066f2eca24426p-6",
+         "0x1.94262eafe1f0ap+1", "0x1.b72eba56c0993p-8"),
+        ("0x1.286b37343f6c1p+1", "0x1.e46ef92b1c695p-7",
+         "0x1.28472c858abc6p+1", "0x1.afe0978c1b10fp-8")]),
+    "radial": (lambda: mg.marginal_radial(pr.strawderman_radial(0.5, 5)), [6.0, 0.0],
+               es._BATCH + 1000, 5, [
+        ("0x1.40802d17e1099p+2", "0x1.8f352af9d8388p-6",
+         "0x1.3f507aab3f193p+2", "0x1.312c4ce2623d8p-11"),
+        ("0x1.d25e40ee75a86p-1", "0x1.203545d0d1415p-7",
+         "0x1.d13dae3fbf2fbp-1", "0x1.a06cd82cc2b49p-7")]),
+}
+
+
+def _assert_pinned(route):
+    build, norms, n, seed, want = PINNED[route]
+    curve = es.risk_curve(build(), norms, n, seed)
+    assert [r.n_failures for r in curve] == [0] * len(norms)
+    assert [tuple(x.hex() for x in (r.mc_risk, r.mc_stderr, r.sure_mean, r.sure_stderr))
+            for r in curve] == want
+
+
+def _pinned_in_child(results):
+    """Run the pinned closed-form curve and report the outcome to the parent."""
+    try:
+        _assert_pinned("closed_form")
+        results.put("ok")
+    except BaseException as err:   # the parent sees what went wrong
+        results.put(repr(err))
+
+
 class TestRiskCurve:
-    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("route", sorted(PINNED))
+    def test_seeded_reports_are_pinned(self, route):
+        """A seeded curve reproduces its reports bit for bit, so no random
+        stream, batch split or reduction order moved."""
+        _assert_pinned(route)
+
+    @pytest.mark.parametrize("ahead", [1, 2, 8])
     @pytest.mark.parametrize("route", sorted(ROUTES))
-    def test_curve_equals_its_points(self, route, workers, route_profiles, monkeypatch):
+    def test_curve_equals_its_points(self, route, ahead, route_profiles, monkeypatch):
         """Each report of a curve equals its point run alone at the point's
-        seed, on every route and worker count, over an uneven last batch."""
-        monkeypatch.setattr(es, "_WORKERS", workers)
+        seed, on every route and look-ahead, over an uneven last batch."""
+        monkeypatch.setattr(es, "_AHEAD", ahead)
         profile, n, norms = route_profiles[route], 2 * es._BATCH + 3, [3.0, 0.0]
         curve = es.risk_curve(profile, norms, n, 41)
         for report, norm in zip(curve, norms):
@@ -515,12 +561,12 @@ class TestRiskCurve:
             theta[0] = norm
             assert report == es.mc_risk(profile, theta, n, es._norm_seed(41, norm))
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_failing_point_raises_as_alone(self, workers, monkeypatch):
+    @pytest.mark.parametrize("ahead", [1, 2])
+    def test_failing_point_raises_as_alone(self, ahead, monkeypatch):
         """A curve raises the error of its first point past the failure
         limit, in the caller's order, with the message and count of that
         point run alone; points that pass do not mask it."""
-        monkeypatch.setattr(es, "_WORKERS", workers)
+        monkeypatch.setattr(es, "_AHEAD", ahead)
         profile, _ = _failing_beyond(6.0)
         n, seed = 5000, 9
 
@@ -541,14 +587,57 @@ class TestRiskCurve:
             assert (str(err.value), err.value.diagnostics["failures"]) == expected[first]
 
     def test_failing_curve_cancels_batches_not_started(self, monkeypatch):
-        """The first point fails and the later ones are slow: the batches
-        still queued when it raises never run."""
-        monkeypatch.setattr(es, "_WORKERS", 2)
-        profile, calls = _failing_beyond(6.0, delay=0.05)
+        """The first point fails and every draw is slow: no batch after it
+        is evaluated, and of the look-ahead only the draw already running
+        when it raises is made; the queued ones are cancelled."""
+        profile, calls = _failing_beyond(6.0)
+        drawn = _counting_draws(monkeypatch, delay=0.2)
         norms = [10.0] + [0.0] * 20
         with pytest.raises(EvaluationError):
             es.risk_curve(profile, norms, 1000, 3)
-        assert len(calls) <= 2 * es._WORKERS + 1
+        es._DRAWS.submit(int).result()   # every draw still queued has run or been dropped
+        assert len(calls) == 1
+        assert len(drawn) <= 2 <= 1 + es._AHEAD
+
+    def test_interrupted_curve(self, monkeypatch):
+        """A triple that raises something other than EvaluationError on the
+        third of a curve's six batches stops the curve there: the exception
+        propagates unchanged, no later batch is evaluated, at most the
+        look-ahead is drawn past it, and the next curve on the same draw
+        thread gives its pinned reports."""
+        base, calls = mg.monomial_mixture_profile(2, 5), []
+
+        def triple(u):
+            calls.append(u.size)
+            if len(calls) == 3:
+                raise KeyError("interrupted")
+            return base.ratios(u)
+
+        profile = mg.MarginalProfile(k=5, triple_fn=triple, route="interrupted")
+        drawn = _counting_draws(monkeypatch)
+        with pytest.raises(KeyError, match="interrupted"):
+            es.risk_curve(profile, [0.0, 1.0, 2.0], 2 * es._BATCH, 7)
+        assert len(calls) == 3
+        assert len(drawn) <= 3 + es._AHEAD
+        monkeypatch.undo()
+        _assert_pinned("closed_form")
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork on this platform")
+    def test_forked_child_draws_on_its_own_thread(self):
+        """A child forked after a curve has run, while the parent's draw
+        thread exists, gets a draw thread of its own and the same report."""
+        _assert_pinned("closed_form")
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=_pinned_in_child, args=(results,))
+        child.start()
+        child.join(60)
+        alive = child.is_alive()
+        if alive:
+            child.kill()
+        assert not alive, "the forked child's curve never finished"
+        assert results.get(timeout=10) == "ok"
 
     def test_single_zero_norm_matches_mc_risk(self, monomial_profile):
         curve = es.risk_curve(monomial_profile, [0.0], 5000, 2024)

@@ -458,14 +458,14 @@ class TestTripleContract:
         self._assert_triple_repeats(prof, u, triple)
 
     def test_mixture_mc_builds_each_level_once(self, monkeypatch):
-        """Two Monte Carlo batches on a fresh mixture profile, run by one
-        worker and by two at once, give equal reports and build each ladder
-        level once."""
+        """Two Monte Carlo batches on a fresh mixture profile, drawn with no
+        look-ahead and with both drawn before the first is evaluated, give
+        equal reports and build each ladder level once."""
         theta = np.array([6.0, 0.0, 0.0, 0.0, 0.0])
         counts = self._count(monkeypatch, _quad, ["integrate_rows_log"])
         reports, builds = [], []
-        for workers in (1, 2):
-            monkeypatch.setattr(estimators, "_WORKERS", workers)
+        for ahead in (0, 2):
+            monkeypatch.setattr(estimators, "_AHEAD", ahead)
             prof = mg.marginal_mixture(pr.strawderman_mixing(0.5, 5))
             reports.append(estimators.mc_risk(prof, theta, 2 * estimators._BATCH, 5))
             builds.append(counts["integrate_rows_log"])
@@ -510,16 +510,16 @@ class TestTripleContract:
         self._assert_triple_repeats(prof, u[::-1], triple)
 
     def test_radial_mc_builds_each_table_once(self, monkeypatch):
-        """Two Monte Carlo batches on a fresh radial profile, run by one
-        worker and by two at once, give equal reports; the two threads scan
-        each ladder level and integrate each block of moments once, as one
-        does."""
+        """Two Monte Carlo batches on a fresh radial profile, drawn with no
+        look-ahead and with both drawn before the first is evaluated, give
+        equal reports, and each scans every ladder level and integrates each
+        block of moments once."""
         theta = np.array([6.0, 0.0, 0.0, 0.0, 0.0])
         names = ["integrate_rows_log", "scan_log_peak"]
         counts = self._count(monkeypatch, _quad, names)
         reports, builds = [], []
-        for workers in (1, 2):
-            monkeypatch.setattr(estimators, "_WORKERS", workers)
+        for ahead in (0, 2):
+            monkeypatch.setattr(estimators, "_AHEAD", ahead)
             prof = mg.marginal_radial(pr.strawderman_radial(0.5, 5))
             reports.append(estimators.mc_risk(prof, theta, 2 * estimators._BATCH, 5))
             builds.append(dict(counts))
